@@ -122,9 +122,52 @@ type Encoder struct {
 	buf []byte
 }
 
-// NewEncoder returns an encoder with capacity pre-sized to hint bytes.
-func NewEncoder(hint int) *Encoder {
-	return &Encoder{buf: make([]byte, 0, hint)}
+// NewEncoder returns an encoder with capacity for size bytes. Callers that
+// pass the exact encoded length (see the Size helpers) pay one allocation
+// and no regrowth however large the message.
+func NewEncoder(size int) *Encoder {
+	return &Encoder{buf: make([]byte, 0, size)}
+}
+
+// AppendTo returns an encoder that appends to buf, taking ownership of it:
+// the way an outermost encoder writes behind headroom its transport
+// reserved, into capacity sized for the whole message.
+func AppendTo(buf []byte) *Encoder {
+	return &Encoder{buf: buf}
+}
+
+// SizeString is the encoded length of a length-prefixed string.
+func SizeString(s string) int { return 4 + len(s) }
+
+// SizeBytes is the encoded length of a length-prefixed byte slice.
+func SizeBytes(b []byte) int { return 4 + len(b) }
+
+// SizeValue is the encoded length of PutValue(v).
+func SizeValue(v Value) int {
+	switch v.Kind {
+	case KindBool:
+		return 2
+	case KindInt64, KindUint64, KindFloat64:
+		return 9
+	case KindString:
+		return 1 + SizeString(v.Str)
+	case KindBytes:
+		return 1 + SizeBytes(v.Byt)
+	case KindList:
+		n := 5
+		for _, item := range v.List {
+			n += SizeValue(item)
+		}
+		return n
+	case KindMap:
+		n := 5
+		for k, item := range v.Map {
+			n += SizeString(k) + SizeValue(item)
+		}
+		return n
+	default: // null, and invalid kinds (encoded as null)
+		return 1
+	}
 }
 
 // Bytes returns the encoded stream. The slice aliases the encoder's buffer.
@@ -299,9 +342,13 @@ func (d *Decoder) String() (string, error) {
 	return s, nil
 }
 
-// BytesCopy consumes a length-prefixed byte slice, returning a copy so the
-// caller may retain it independently of the stream's backing array.
-func (d *Decoder) BytesCopy() ([]byte, error) {
+// Bytes consumes a length-prefixed byte slice and returns it as a
+// sub-slice of the stream: no bytes are copied. The result is read-only —
+// it shares memory with whoever else holds the stream — and retaining it
+// retains the whole stream, so a holder that keeps a small field of a
+// large stream copies it. Its capacity is clipped to its length: an append
+// reallocates instead of overwriting the bytes that follow.
+func (d *Decoder) Bytes() ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -309,9 +356,21 @@ func (d *Decoder) BytesCopy() ([]byte, error) {
 	if uint64(n) > uint64(d.Remaining()) {
 		return nil, ErrTooLarge
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += int(n)
+	end := d.off + int(n)
+	out := d.buf[d.off:end:end]
+	d.off = end
+	return out, nil
+}
+
+// BytesCopy is Bytes returning a copy: memory the caller owns, may write
+// to, and may retain without pinning the stream.
+func (d *Decoder) BytesCopy() ([]byte, error) {
+	b, err := d.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out, nil
 }
 
@@ -340,6 +399,9 @@ func (d *Decoder) Value() (Value, error) {
 		s, err := d.String()
 		return String(s), err
 	case KindBytes:
+		// The one copy on the receive path: a Value is handed to user
+		// code (servant arguments, client results), which gets memory it
+		// owns rather than a window onto a shared wire buffer.
 		b, err := d.BytesCopy()
 		return Bytes(b), err
 	case KindList:
@@ -387,7 +449,7 @@ func (d *Decoder) Value() (Value, error) {
 
 // EncodeValue returns the standalone encoding of v.
 func EncodeValue(v Value) []byte {
-	e := NewEncoder(64)
+	e := NewEncoder(SizeValue(v))
 	e.PutValue(v)
 	return e.Bytes()
 }

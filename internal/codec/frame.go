@@ -69,6 +69,11 @@ type Frame struct {
 // u32 crc | i64 sentAt | u16 fromLen | u16 addrLen.
 const frameOverhead = 4 + 8 + 2 + 2
 
+// FrameSize is the length of f's encoded body.
+func FrameSize(f Frame) int {
+	return frameOverhead + len(f.From) + len(f.FromAddr) + len(f.Payload)
+}
+
 // EncodeFrame returns the checksummed body of f:
 //
 //	u32 crc | i64 sentAt | u16 fromLen | from | u16 addrLen | addr | payload
@@ -77,8 +82,15 @@ const frameOverhead = 4 + 8 + 2 + 2
 // outer length prefix; stream transports add their own (and bound it)
 // before writing.
 func EncodeFrame(f Frame) []byte {
-	total := frameOverhead + len(f.From) + len(f.FromAddr) + len(f.Payload)
-	buf := make([]byte, total)
+	buf := make([]byte, FrameSize(f))
+	PutFrame(buf, f)
+	return buf
+}
+
+// PutFrame writes f's body into buf, which must be exactly FrameSize(f)
+// long — typically the tail of a buffer whose head holds a stream
+// transport's length prefix, so prefix and body share one allocation.
+func PutFrame(buf []byte, f Frame) {
 	off := 4
 	binary.BigEndian.PutUint64(buf[off:], uint64(f.SentAt))
 	off += 8
@@ -92,7 +104,6 @@ func EncodeFrame(f Frame) []byte {
 	off += len(f.FromAddr)
 	copy(buf[off:], f.Payload)
 	binary.BigEndian.PutUint32(buf, crc32.Checksum(buf[4:], crcTable))
-	return buf
 }
 
 // DecodeFrame parses a frame body produced by EncodeFrame. It returns

@@ -1,0 +1,90 @@
+package gcs
+
+import (
+	"testing"
+
+	"versadep/internal/alloctest"
+	"versadep/internal/codec"
+	"versadep/internal/transport"
+	"versadep/internal/vtime"
+)
+
+func budgetFrame(payload []byte) *frame {
+	var led vtime.Ledger
+	led.Charge(vtime.ComponentGC, 25*vtime.Microsecond)
+	return &frame{Kind: kSeq, ViewID: 3, Seq: 99, Origin: "client-1", OSeq: 42,
+		Level: Agreed, SentVT: vtime.Time(123456), Ledger: led, Payload: payload}
+}
+
+// TestFrameEncodeOneBuffer: a frame is encoded into one buffer of exactly
+// its size — bare for frame lists, and with the transport's headroom and
+// seal room on the way to the wire, where sealing then allocates nothing.
+func TestFrameEncodeOneBuffer(t *testing.T) {
+	alloctest.OneBuffer(t, "encodeFrame", 0, func(p []byte) []byte {
+		return encodeFrame(budgetFrame(p))
+	})
+
+	f := budgetFrame(nil)
+	alloctest.OneBuffer(t, "appendFrame into a transport frame", codec.SealOverhead, func(p []byte) []byte {
+		f.Payload = p
+		return appendFrame(transport.NewFrame(frameSize(f)), f)
+	})
+
+	conn := &recConn{addr: "a"}
+	for _, size := range []int{200, 64 << 10} {
+		f.Payload = make([]byte, size)
+		buf := appendFrame(transport.NewFrame(frameSize(f)), f)
+		var sealed []byte
+		if allocs := testing.AllocsPerRun(20, func() { sealed = conn.Seal(buf) }); allocs != 0 {
+			t.Errorf("sealing a %d B frame in place: %v allocations, want 0", size, allocs)
+		}
+		if &sealed[0] != &buf[0] || len(sealed) != cap(buf) {
+			t.Errorf("sealing a %d B frame moved or did not fill its buffer", size)
+		}
+	}
+}
+
+// TestFrameSealedOnce: the wire form is built on first use and reused, and
+// the encoding the history keeps is a window onto it, not a second buffer.
+func TestFrameSealedOnce(t *testing.T) {
+	conn := &recConn{addr: "a"}
+	f := budgetFrame(make([]byte, 4096))
+	first := f.sealed(conn, 0)
+	if allocs := testing.AllocsPerRun(20, func() { _ = f.sealed(conn, 0); _ = f.encoded(0) }); allocs != 0 {
+		t.Errorf("re-sending a sealed frame: %v allocations, want 0", allocs)
+	}
+	if !sameBytes(first, f.sealed(conn, 0)) {
+		t.Error("second use re-encoded the frame")
+	}
+	if !alloctest.Inside(first, f.encoded(0)) || string(f.encoded(0)) != string(encodeFrame(f)) {
+		t.Error("the retained encoding is not the one inside the wire form")
+	}
+}
+
+// TestReceivedFrameKeepsItsBytes: a decoded frame's encoding is the buffer
+// it arrived in, so history and forwarding re-send what was received.
+func TestReceivedFrameKeepsItsBytes(t *testing.T) {
+	in := encodeFrame(budgetFrame(make([]byte, 4096)))
+	f, err := decodeFrame(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBytes(f.encoded(0), in) {
+		t.Error("a received frame was re-encoded")
+	}
+	wire := f.sealed(&recConn{addr: "a"}, 0)
+	if got := wire[transport.Headroom : len(wire)-codec.SealOverhead]; string(got) != string(in) {
+		t.Error("forwarding a received frame changed its bytes")
+	}
+}
+
+// TestFrameDecodeAliases: decoding costs the same whatever the payload
+// size, and the payload it returns is a window onto the input.
+func TestFrameDecodeAliases(t *testing.T) {
+	encode := func(p []byte) []byte { return encodeFrame(budgetFrame(p)) }
+	alloctest.SizeBlind(t, "decodeFrame", encode, func(b []byte) {
+		if _, err := decodeFrame(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -42,6 +42,8 @@ type GroupClient struct {
 	rotate       int // resend target rotation across ticks
 	directHigh   map[string]uint64
 	directSparse map[string]map[uint64]bool
+
+	now func() time.Time
 }
 
 // ClientConfig parameterizes a GroupClient.
@@ -96,6 +98,7 @@ func NewClient(send transport.Conn, cfg ClientConfig) *GroupClient {
 		pending:      make(map[uint64]*frame),
 		directHigh:   make(map[string]uint64),
 		directSparse: make(map[string]map[uint64]bool),
+		now:          time.Now,
 	}
 	go c.run()
 	go c.pumpOut()
@@ -147,7 +150,9 @@ func (c *GroupClient) do(fn func()) error {
 // Submit injects payload into the group's agreed stream. It is retransmitted
 // until the sequencer acknowledges it; duplicate submissions are suppressed
 // by the sequencer, so retries are safe. sentAt and led carry the caller's
-// virtual time and accumulated costs.
+// virtual time and accumulated costs. The client takes ownership of payload
+// without copying it: nobody writes to it after the call (see
+// transport.Message.Payload).
 func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	return c.do(func() {
 		vt := c.proc.Execute(sentAt, c.cfg.Model.GCSend)
@@ -157,18 +162,19 @@ func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger
 		}
 		c.oseq++
 		f := &frame{
-			Kind:   kData,
-			Origin: c.Addr(),
-			OSeq:   c.oseq,
-			Level:  Agreed,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kData,
+			Origin:  c.Addr(),
+			OSeq:    c.oseq,
+			Level:   Agreed,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		c.pending[f.OSeq] = f
 		c.pendOrder = append(c.pendOrder, f.OSeq)
 		if len(c.members) > 0 {
-			_ = c.send.Send(c.members[0], c.enc(f), vt)
+			f.lastSend = c.now()
+			_ = c.send.Send(c.members[0], c.sealed(f), vt)
 		}
 	})
 }
@@ -182,7 +188,11 @@ func (c *GroupClient) Members() []string {
 
 func (c *GroupClient) run() {
 	defer close(c.done)
-	ticker := time.NewTicker(c.cfg.ResendInterval)
+	// Twice per ResendInterval: a submission is re-sent at the first tick
+	// that finds it a full interval old, so the check has to run finer
+	// than the interval or timer jitter would stretch every other resend
+	// to two intervals.
+	ticker := time.NewTicker(c.cfg.ResendInterval / 2)
 	defer ticker.Stop()
 	for {
 		select {
@@ -214,10 +224,10 @@ func (c *GroupClient) drainInbox() {
 	}
 }
 
-// enc stamps the client's group id on f and encodes it (see Member.enc).
-func (c *GroupClient) enc(f *frame) []byte {
-	f.Group = c.cfg.GroupID
-	return encodeFrame(f)
+// sealed returns f's wire form, stamped with the client's group id and
+// sealed on first use (see frame.sealed).
+func (c *GroupClient) sealed(f *frame) []byte {
+	return f.sealed(c.send, c.cfg.GroupID)
 }
 
 func (c *GroupClient) handleMessage(msg transport.Message) {
@@ -242,7 +252,7 @@ func (c *GroupClient) handleMessage(msg transport.Message) {
 
 func (c *GroupClient) handleDirect(msg transport.Message, f *frame) {
 	ack := &frame{Kind: kDirectAck, Origin: c.Addr(), OSeq: f.OSeq}
-	_ = c.send.SendControl(f.Origin, c.enc(ack), 0)
+	_ = c.send.SendControl(f.Origin, c.sealed(ack), 0)
 	if c.directDup(f.Origin, f.OSeq) {
 		return
 	}
@@ -309,13 +319,18 @@ func (c *GroupClient) tick() {
 	// Rotate through hints across ticks so a dead coordinator hint does
 	// not wedge the client: retransmissions eventually reach a member
 	// that forwards to the live coordinator and corrects our hint.
+	// Only submissions whose last transmission is at least ResendInterval
+	// old go out again: one sent microseconds before the tick is not lost,
+	// its ack is on the way.
+	nowT := c.now()
+	target := c.members[c.rotate%len(c.members)]
 	for _, oseq := range c.pendOrder {
 		f, ok := c.pending[oseq]
-		if !ok {
+		if !ok || nowT.Sub(f.lastSend) < c.cfg.ResendInterval {
 			continue
 		}
-		target := c.members[c.rotate%len(c.members)]
-		_ = c.send.SendControl(target, c.enc(f), f.SentVT)
+		f.lastSend = nowT
+		_ = c.send.SendControl(target, c.sealed(f), f.SentVT)
 	}
 	c.rotate++
 	if len(c.pendOrder) > len(c.pending)*2 {

@@ -3,8 +3,10 @@ package gcs
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"versadep/internal/codec"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -90,11 +92,80 @@ type frame struct {
 	// a 1-shard cluster's wire bytes stay byte-identical (regression-
 	// tested in frame_compat_test.go).
 	Group uint32
+
+	// enc is the frame's encoding once it has one: the verified receive
+	// buffer it was decoded from, or a window onto wire. wire is the sealed
+	// wire form (protocol byte, encoding, checksum), built the first time
+	// the frame is transmitted. Both are kept so that whatever sends the
+	// frame again — a tick or NACK retransmission, a forward, a fetch
+	// response, the history — sends the same bytes instead of encoding
+	// again. Once either is set the encoded fields above are frozen, and a
+	// sealed frame travels on one conn for life (kDirect, kDataAck and
+	// kViewHint to external clients, every other kind between members).
+	enc  []byte
+	wire []byte
+	// lastSend is when the frame last went out; retransmission of retained
+	// frames is paced against it (Config.ResendInterval).
+	lastSend time.Time
+}
+
+// encoded returns f's encoding, stamped with the sender's group id and
+// built on first use.
+func (f *frame) encoded(group uint32) []byte {
+	if f.enc == nil {
+		f.Group = group
+		f.enc = encodeFrame(f)
+	}
+	return f.enc
+}
+
+// sealed returns f's wire form for conn, built on first use: one
+// allocation of exactly the sealed size, filled once and sealed in place.
+func (f *frame) sealed(conn transport.Conn, group uint32) []byte {
+	if f.wire == nil {
+		if f.enc != nil {
+			f.wire = sealEncoded(conn, f.enc)
+		} else {
+			f.Group = group
+			f.wire = conn.Seal(appendFrame(transport.NewFrame(frameSize(f)), f))
+		}
+		f.enc = f.wire[transport.Headroom : len(f.wire)-codec.SealOverhead]
+	}
+	return f.wire
+}
+
+// sealEncoded builds the wire form of an already encoded frame: the one
+// copy a retransmission from the history (or a forward of a received
+// frame) costs.
+func sealEncoded(conn transport.Conn, enc []byte) []byte {
+	return conn.Seal(append(transport.NewFrame(len(enc)), enc...))
+}
+
+// frameSize is the exact length of f's encoding.
+func frameSize(f *frame) int {
+	n := 1 + 8 + 8 + codec.SizeString(f.Origin) + 8 + 1 +
+		4 + 4 + 8*len(f.Seqs) + 8 + 4 + 8*len(f.Ledger.Slots()) +
+		codec.SizeBytes(f.Payload) + codec.SizeBytes(f.Aux) + 4
+	for _, m := range f.Members {
+		n += codec.SizeString(m)
+	}
+	for _, m := range f.Left {
+		n += codec.SizeString(m)
+	}
+	if f.Group != 0 {
+		n += 4
+	}
+	return n
 }
 
 // encodeFrame serializes f with the codec package.
 func encodeFrame(f *frame) []byte {
-	e := codec.NewEncoder(64 + len(f.Payload) + len(f.Aux))
+	return appendFrame(make([]byte, 0, frameSize(f)), f)
+}
+
+// appendFrame appends f's encoding to b (frameSize(f) bytes).
+func appendFrame(b []byte, f *frame) []byte {
+	e := codec.AppendTo(b)
 	e.PutUint8(uint8(f.Kind))
 	e.PutUint64(f.ViewID)
 	e.PutUint64(f.Seq)
@@ -130,7 +201,10 @@ func encodeFrame(f *frame) []byte {
 }
 
 // decodeFrame parses a frame, validating length prefixes against the
-// stream.
+// stream. Payload and Aux are sub-slices of b, not copies, and the frame
+// keeps b itself as its encoding: b is a verified receive buffer nobody
+// writes to again, and a payload is about as large as the frame that
+// carries it, so retaining either costs what a copy would.
 func decodeFrame(b []byte) (*frame, error) {
 	d := codec.NewDecoder(b)
 	var f frame
@@ -206,10 +280,10 @@ func decodeFrame(b []byte) (*frame, error) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
-	if f.Payload, err = d.BytesCopy(); err != nil {
+	if f.Payload, err = d.Bytes(); err != nil {
 		return nil, err
 	}
-	if f.Aux, err = d.BytesCopy(); err != nil {
+	if f.Aux, err = d.Bytes(); err != nil {
 		return nil, err
 	}
 	if n, err = d.Uint32(); err != nil {
@@ -232,12 +306,17 @@ func decodeFrame(b []byte) (*frame, error) {
 		}
 		f.Group = g
 	}
+	f.enc = b
 	return &f, nil
 }
 
 // encodeSeenData packs per-origin dedup watermarks for kView Aux payloads.
 func encodeSeenData(seen map[string]uint64) []byte {
-	e := codec.NewEncoder(16 * (1 + len(seen)))
+	size := 4
+	for k := range seen {
+		size += codec.SizeString(k) + 8
+	}
+	e := codec.NewEncoder(size)
 	e.PutUint32(uint32(len(seen)))
 	// Deterministic order keeps view frames byte-identical across
 	// re-encodings (retransmissions compare equal).
@@ -278,12 +357,16 @@ func decodeSeenData(b []byte) (map[string]uint64, error) {
 	return out, nil
 }
 
-// encodeFrameList packs frames for kFetchResp Aux payloads.
-func encodeFrameList(fs []*frame) []byte {
-	e := codec.NewEncoder(64 * (1 + len(fs)))
-	e.PutUint32(uint32(len(fs)))
-	for _, f := range fs {
-		e.PutBytes(encodeFrame(f))
+// encodeFrameList packs encoded frames for kFetchResp Aux payloads.
+func encodeFrameList(encs [][]byte) []byte {
+	size := 4
+	for _, enc := range encs {
+		size += codec.SizeBytes(enc)
+	}
+	e := codec.NewEncoder(size)
+	e.PutUint32(uint32(len(encs)))
+	for _, enc := range encs {
+		e.PutBytes(enc)
 	}
 	return e.Bytes()
 }
@@ -300,7 +383,7 @@ func decodeFrameList(b []byte) ([]*frame, error) {
 	}
 	out := make([]*frame, 0, n)
 	for i := uint32(0); i < n; i++ {
-		fb, err := d.BytesCopy()
+		fb, err := d.Bytes()
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ type Member struct {
 	nextDeliver uint64
 	deliverVT   vtime.Time
 	holdback    map[uint64]*rxFrame
-	history     map[uint64]*frame // sequenced frames for retransmission
+	history     map[uint64]sequenced // delivered sequenced frames, for retransmission
 	histLow     uint64
 	histHigh    uint64
 	seenData    map[string]uint64 // origin -> highest OSeq delivered
@@ -111,7 +111,7 @@ type Member struct {
 	// minoritySince marks when the unsuspected survivor set lost primacy
 	// (see primaryPartition); zero while primacy holds.
 	minoritySince time.Time
-	det       *detector.Phi
+	det           *detector.Phi
 
 	// View change.
 	blocked      bool
@@ -126,6 +126,15 @@ type Member struct {
 	leaving bool
 
 	now func() time.Time
+}
+
+// sequenced is what the history keeps of a delivered sequenced frame (kSeq
+// or kView): the bytes to send again and the virtual send instant
+// transports stamp them with. One buffer per slot — the frame's decoded
+// form is not retained.
+type sequenced struct {
+	enc    []byte
+	sentVT vtime.Time
 }
 
 // rxFrame is a received data frame with its receiver-side virtual timing.
@@ -181,7 +190,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		outDone:      make(chan struct{}),
 		pending:      make(map[uint64]*frame),
 		holdback:     make(map[uint64]*rxFrame),
-		history:      make(map[uint64]*frame),
+		history:      make(map[uint64]sequenced),
 		seenData:     make(map[string]uint64),
 		seqLocal:     make(map[string]uint64),
 		dataHold:     make(map[string]map[uint64]*rxFrame),
@@ -291,13 +300,19 @@ func (m *Member) View() (View, error) {
 // upper layers. Agreed messages survive sequencer crashes (they are
 // retransmitted and resubmitted across view changes); FIFO and causal
 // messages are retransmitted within a view.
+//
+// The member takes ownership of payload without copying it: the caller
+// may keep the slice and read it, but nobody writes to it again (see
+// transport.Message.Payload). The same slice is what local delivery hands
+// back in Event.Payload.
 func (m *Member) Multicast(payload []byte, lvl ServiceLevel, sentAt vtime.Time, led vtime.Ledger) error {
 	return m.do(func() { m.multicastLocked(payload, lvl, sentAt, led) })
 }
 
 // SendDirect reliably delivers payload to an external group client at the
 // given address. Delivery is at-least-once with receiver-side duplicate
-// suppression.
+// suppression. Ownership of payload passes as for Multicast: immutable
+// from here on.
 func (m *Member) SendDirect(to string, payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	return m.do(func() { m.sendDirectLocked(to, payload, sentAt, led) })
 }
@@ -416,13 +431,11 @@ func (m *Member) pumpOut() {
 
 // ---- sending helpers ----
 
-// enc stamps the member's group id on f and encodes it. Every wire send
-// goes through here (loopback deliveries skip encoding entirely, and the
-// group check only runs at decode time, so they need no stamp).
-func (m *Member) enc(f *frame) []byte {
-	f.Group = m.cfg.GroupID
-	return encodeFrame(f)
-}
+// Every wire send goes through the helpers below: they seal the frame on
+// its first transmission (stamping the member's group id; loopback
+// deliveries skip encoding entirely, and the group check only runs at
+// decode time, so they need no stamp), send the retained bytes on every
+// later one, and note the send instant for retransmission pacing.
 
 func (m *Member) sendControl(to string, f *frame) {
 	if to == "" || to == m.Addr() {
@@ -431,7 +444,8 @@ func (m *Member) sendControl(to string, f *frame) {
 		}
 		return
 	}
-	_ = m.conn.SendControl(to, m.enc(f), f.SentVT)
+	f.lastSend = m.now()
+	_ = m.conn.SendControl(to, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 }
 
 func (m *Member) sendData(to string, f *frame) {
@@ -439,7 +453,8 @@ func (m *Member) sendData(to string, f *frame) {
 		m.handleFrame(transport.Message{From: to, To: to, SentAt: f.SentVT, ArriveAt: f.SentVT}, f)
 		return
 	}
-	_ = m.conn.Send(to, m.enc(f), f.SentVT)
+	f.lastSend = m.now()
+	_ = m.conn.Send(to, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 }
 
 // castData multicasts a data frame to all view members (including self via
@@ -464,18 +479,26 @@ func (m *Member) castDataOthers(f *frame) bool {
 		others = append(others, mm)
 	}
 	if len(others) > 0 {
-		_ = m.conn.SendMulticast(others, m.enc(f), f.SentVT)
+		f.lastSend = m.now()
+		_ = m.conn.SendMulticast(others, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 	}
 	return self
 }
 
+// resend retransmits a frame from the history to a member that lacks it.
+func (m *Member) resend(to string, h sequenced) {
+	_ = m.conn.SendControl(to, sealEncoded(m.conn, h.enc), h.sentVT)
+}
+
 // sendExternal routes a frame to an external (non-member) address.
 func (m *Member) sendExternal(to string, f *frame, control bool) {
+	f.lastSend = m.now()
+	wire := f.sealed(m.xconn, m.cfg.GroupID)
 	if control {
-		_ = m.xconn.SendControl(to, m.enc(f), f.SentVT)
+		_ = m.xconn.SendControl(to, wire, f.SentVT)
 		return
 	}
-	_ = m.xconn.Send(to, m.enc(f), f.SentVT)
+	_ = m.xconn.Send(to, wire, f.SentVT)
 }
 
 func (m *Member) isExternal(addr string) bool {

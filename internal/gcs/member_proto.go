@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"sort"
+	"time"
 
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
@@ -57,14 +58,14 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 	case Agreed:
 		m.localSeq++
 		f := &frame{
-			Kind:   kData,
-			Origin: m.Addr(),
-			OSeq:   m.localSeq,
-			Level:  Agreed,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kData,
+			Origin:  m.Addr(),
+			OSeq:    m.localSeq,
+			Level:   Agreed,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.pending[f.OSeq] = f
 		m.pendOrder = append(m.pendOrder, f.OSeq)
 		if m.installed && !m.blocked {
@@ -73,30 +74,30 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 	case FIFO:
 		m.fifoOut++
 		f := &frame{
-			Kind:   kFifo,
-			ViewID: m.view.ID,
-			Origin: m.Addr(),
-			OSeq:   m.fifoOut,
-			Level:  FIFO,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kFifo,
+			ViewID:  m.view.ID,
+			Origin:  m.Addr(),
+			OSeq:    m.fifoOut,
+			Level:   FIFO,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.fifoSent[f.OSeq] = f
 		m.castData(f)
 	case Causal:
 		m.vc[m.Addr()]++
 		f := &frame{
-			Kind:   kCausal,
-			ViewID: m.view.ID,
-			Origin: m.Addr(),
-			OSeq:   m.vc[m.Addr()],
-			Level:  Causal,
-			SentVT: vt,
-			Ledger: led,
-			Seqs:   m.vcSnapshot(),
+			Kind:    kCausal,
+			ViewID:  m.view.ID,
+			Origin:  m.Addr(),
+			OSeq:    m.vc[m.Addr()],
+			Level:   Causal,
+			SentVT:  vt,
+			Ledger:  led,
+			Seqs:    m.vcSnapshot(),
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.causalSent[f.OSeq] = f
 		// The sender's own vector entry already advanced, so the message
 		// is delivered locally at once and multicast to the others only
@@ -116,14 +117,14 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 		})
 	default: // BestEffort
 		f := &frame{
-			Kind:   kBE,
-			ViewID: m.view.ID,
-			Origin: m.Addr(),
-			Level:  BestEffort,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kBE,
+			ViewID:  m.view.ID,
+			Origin:  m.Addr(),
+			Level:   BestEffort,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.castData(f)
 	}
 }
@@ -147,13 +148,13 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 	}
 	m.directOut[to]++
 	f := &frame{
-		Kind:   kDirect,
-		Origin: m.Addr(),
-		OSeq:   m.directOut[to],
-		SentVT: vt,
-		Ledger: led,
+		Kind:    kDirect,
+		Origin:  m.Addr(),
+		OSeq:    m.directOut[to],
+		SentVT:  vt,
+		Ledger:  led,
+		Payload: payload,
 	}
-	f.Payload = append([]byte(nil), payload...)
 	if m.directUnack[to] == nil {
 		m.directUnack[to] = make(map[uint64]*frame)
 	}
@@ -541,7 +542,7 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 }
 
 func (m *Member) recordHistory(f *frame) {
-	m.history[f.Seq] = f
+	m.history[f.Seq] = sequenced{enc: f.encoded(m.cfg.GroupID), sentVT: f.SentVT}
 	if f.Seq > m.histHigh {
 		m.histHigh = f.Seq
 	}
@@ -579,8 +580,8 @@ func (m *Member) maybeNack() {
 
 func (m *Member) handleNack(from string, f *frame) {
 	for _, s := range f.Seqs {
-		if hf, ok := m.history[s]; ok {
-			m.sendControl(from, hf)
+		if h, ok := m.history[s]; ok {
+			m.resend(from, h)
 		} else if rf, ok := m.holdback[s]; ok {
 			m.sendControl(from, rf.f)
 		}
@@ -974,22 +975,26 @@ func (m *Member) tick() {
 		m.maybePropose()
 	}
 
-	// Resend unsequenced submissions to the sequencer.
+	// Resend unsequenced submissions to the sequencer, and unacked direct
+	// traffic to its client — each retained frame only once ResendInterval
+	// has passed since it last went out. A tick that lands microseconds
+	// after the first transmission must not repeat it: on a healthy
+	// network the ack is already on its way back.
 	if !m.blocked {
 		for _, oseq := range m.pendOrder {
-			if f, ok := m.pending[oseq]; ok {
+			if f, ok := m.pending[oseq]; ok && m.resendDue(f, nowT) {
 				m.sendControl(m.currentSequencer(), f)
 				m.cRetransmit.Inc()
 			}
 		}
 		m.compactPendOrder()
 	}
-
-	// Resend unacked direct traffic.
 	for to, un := range m.directUnack {
 		for _, f := range un {
-			m.sendExternal(to, f, true)
-			m.cRetransmit.Inc()
+			if m.resendDue(f, nowT) {
+				m.sendExternal(to, f, true)
+				m.cRetransmit.Inc()
+			}
 		}
 	}
 
@@ -1014,6 +1019,12 @@ func (m *Member) tick() {
 
 	// Drive an in-flight proposal.
 	m.advanceProposal(nowT)
+}
+
+// resendDue reports whether a retained frame's last transmission is old
+// enough to be presumed lost.
+func (m *Member) resendDue(f *frame, nowT time.Time) bool {
+	return nowT.Sub(f.lastSend) >= m.cfg.ResendInterval
 }
 
 func (m *Member) compactPendOrder() {

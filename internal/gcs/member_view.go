@@ -318,12 +318,12 @@ func (m *Member) beginRecovery() {
 }
 
 func (m *Member) handleFetch(from string, f *frame) {
-	resp := make([]*frame, 0, len(f.Seqs))
+	resp := make([][]byte, 0, len(f.Seqs))
 	for _, s := range f.Seqs {
-		if hf, ok := m.history[s]; ok {
-			resp = append(resp, hf)
+		if h, ok := m.history[s]; ok {
+			resp = append(resp, h.enc)
 		} else if rf, ok := m.holdback[s]; ok {
-			resp = append(resp, rf.f)
+			resp = append(resp, rf.f.encoded(m.cfg.GroupID))
 		}
 	}
 	out := &frame{Kind: kFetchResp, ViewID: f.ViewID, Origin: m.Addr(), Aux: encodeFrameList(resp)}
@@ -414,8 +414,8 @@ func (m *Member) redistributeAndInstall() {
 				if held[s] {
 					continue
 				}
-				if hf, ok := m.history[s]; ok {
-					m.sendControl(mm, hf)
+				if h, ok := m.history[s]; ok {
+					m.resend(mm, h)
 				} else if rf, ok := m.holdback[s]; ok {
 					m.sendControl(mm, rf.f)
 				}

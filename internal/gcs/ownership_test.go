@@ -1,0 +1,146 @@
+package gcs_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+	"time"
+
+	"versadep/internal/gcs"
+	"versadep/internal/simnet"
+	"versadep/internal/transport"
+	"versadep/internal/vtime"
+)
+
+// TestPayloadImmutableAfterSend exercises the buffer-ownership rule under
+// the conditions that would expose a violation (run it with -race): three
+// members and an external client on a fabric that corrupts, duplicates and
+// reorders; 4 KB payloads that every sender keeps, as a retransmitting
+// layer would; one slice handed to several receivers by multicast. Nobody
+// may write to a payload after it was sent, so at the end every retained
+// buffer still has the checksum it had when it was handed over, and every
+// delivery — at every member, and of every direct reply at the client —
+// carries exactly the bytes that were sent, in the agreed order.
+func TestPayloadImmutableAfterSend(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(97))
+	defer net.Close()
+	nodes := startGroup(t, net, 3)
+
+	ep, err := net.Endpoint("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := transport.NewDemux(ep)
+	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), gcs.DefaultClientConfig([]string{"ma", "mb", "mc"}))
+	d.Handle(transport.ProtoGroupClient, cl.HandleTransport)
+	d.Start()
+	defer cl.Stop()
+
+	net.SetCorruptProb("*", "*", 0.05)
+	net.SetDupProb("*", "*", 0.10)
+	net.SetReorderProb("*", "*", 0.10)
+
+	const perSender, size = 40, 4096
+	type kept struct {
+		buf []byte
+		crc uint32
+	}
+	var retained []kept
+	keep := func(sender byte, i int) []byte {
+		buf := make([]byte, size)
+		for j := range buf {
+			buf[j] = sender + byte(i) + byte(j)
+		}
+		buf[0] = sender
+		binary.BigEndian.PutUint32(buf[1:], uint32(i))
+		retained = append(retained, kept{buf, crc32.ChecksumIEEE(buf)})
+		return buf
+	}
+
+	// Two members multicast and the client submits, interleaved; member c
+	// answers the client directly with a buffer it also keeps.
+	sent := map[byte][][]byte{}
+	var replies [][]byte
+	for i := 0; i < perSender; i++ {
+		for s, n := range nodes[:2] {
+			buf := keep(byte('a'+s), i)
+			sent[buf[0]] = append(sent[buf[0]], buf)
+			if err := n.member.Multicast(buf, gcs.Agreed, 0, vtime.Ledger{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := keep('x', i)
+		sent['x'] = append(sent['x'], buf)
+		if err := cl.Submit(buf, 0, vtime.Ledger{}); err != nil {
+			t.Fatal(err)
+		}
+		reply := keep('r', i)
+		replies = append(replies, reply)
+		if err := nodes[2].member.SendDirect("client", reply, 0, vtime.Ledger{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The client sees every reply exactly once (order is not promised for
+	// direct traffic under reordering).
+	got := map[uint32][]byte{}
+	deadline := time.After(20 * time.Second)
+	for len(got) < perSender {
+		select {
+		case e := <-cl.Out():
+			if e.Kind != gcs.EventDirect {
+				continue
+			}
+			i := binary.BigEndian.Uint32(e.Payload[1:])
+			if _, dup := got[i]; dup {
+				t.Fatalf("reply %d delivered twice", i)
+			}
+			got[i] = e.Payload
+		case <-deadline:
+			t.Fatalf("client received %d of %d replies", len(got), perSender)
+		}
+	}
+	for i, want := range replies {
+		if !bytes.Equal(got[uint32(i)], want) {
+			t.Fatalf("reply %d arrived with different bytes than were sent", i)
+		}
+	}
+
+	// Every member delivers every payload, byte for byte, each sender's in
+	// the order it sent them, and all members in the same total order.
+	var order []string
+	for _, n := range nodes {
+		msgs := n.waitMessages(t, 3*perSender, 20*time.Second)
+		next := map[byte]int{}
+		var mine []string
+		for _, e := range msgs {
+			s := e.Payload[0]
+			if next[s] >= len(sent[s]) || !bytes.Equal(e.Payload, sent[s][next[s]]) {
+				t.Fatalf("%s: delivery %d from %q differs from what was sent", n.name, next[s], s)
+			}
+			next[s]++
+			mine = append(mine, string(e.Payload[:5]))
+		}
+		if order == nil {
+			order = mine
+		} else if len(mine) != len(order) {
+			t.Fatalf("%s delivered %d messages, %s delivered %d", n.name, len(mine), nodes[0].name, len(order))
+		} else {
+			for i := range mine {
+				if mine[i] != order[i] {
+					t.Fatalf("%s and %s disagree on delivery %d", n.name, nodes[0].name, i)
+				}
+			}
+		}
+	}
+
+	for i, k := range retained {
+		if crc32.ChecksumIEEE(k.buf) != k.crc {
+			t.Fatalf("retained buffer %d was written to after it was sent", i)
+		}
+	}
+	if st := net.Stats(); st.MessagesCorrupted == 0 || st.MessagesDuplicated == 0 || st.MessagesReordered == 0 {
+		t.Fatalf("the fabric injected no faults: %+v", st)
+	}
+}

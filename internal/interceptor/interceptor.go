@@ -265,7 +265,9 @@ func (w *GroupWire) SetExpectedReplies(n int) {
 func (w *GroupWire) Group() *gcs.GroupClient { return w.gc }
 
 // Send wraps the request in a replication envelope and submits it into the
-// group's agreed stream.
+// group's agreed stream. The envelope is a fresh buffer whose ownership
+// passes to the group client (which keeps it for retransmission); reqBytes
+// is only read, so the ORB may send the same bytes again on a retry.
 func (w *GroupWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	w.cCrossings.Inc()
 	led.Charge(vtime.ComponentReplicator, w.model.Intercept)

@@ -101,7 +101,12 @@ func (e *RemoteError) Error() string {
 
 // EncodeRequest marshals r into VIOP bytes.
 func EncodeRequest(r *Request) []byte {
-	e := codec.NewEncoder(64)
+	size := 4 + 1 + codec.SizeString(r.ClientID) + 8 +
+		codec.SizeString(r.Object) + codec.SizeString(r.Operation) + 4
+	for _, a := range r.Args {
+		size += codec.SizeValue(a)
+	}
+	e := codec.NewEncoder(size)
 	e.PutUint32(Magic)
 	e.PutUint8(uint8(MsgRequest))
 	e.PutString(r.ClientID)
@@ -157,7 +162,12 @@ func DecodeRequest(b []byte) (*Request, error) {
 // replies from deterministic active replicas are byte-comparable — the
 // property majority voting relies on.
 func EncodeReply(r *Reply) []byte {
-	e := codec.NewEncoder(64)
+	size := 4 + 1 + codec.SizeString(r.ClientID) + 8 + 1 +
+		codec.SizeString(r.ErrMsg) + 4
+	for _, v := range r.Results {
+		size += codec.SizeValue(v)
+	}
+	e := codec.NewEncoder(size)
 	e.PutUint32(Magic)
 	e.PutUint8(uint8(MsgReply))
 	e.PutString(r.ClientID)

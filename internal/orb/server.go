@@ -147,6 +147,5 @@ func (s *Server) serve(msg transport.Message) {
 		vt = s.cpu.Execute(vt, s.interceptCost)
 		led.Charge(vtime.ComponentReplicator, s.interceptCost)
 	}
-	out := &Envelope{VT: vt, Ledger: led, Bytes: res.ReplyBytes}
-	_ = s.conn.Send(msg.From, EncodeEnvelope(out), vt)
+	_ = sendEnvelope(s.conn, msg.From, &Envelope{VT: vt, Ledger: led, Bytes: res.ReplyBytes})
 }

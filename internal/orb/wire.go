@@ -8,6 +8,13 @@ import (
 	"versadep/internal/vtime"
 )
 
+// Buffer ownership: request and reply bytes are immutable from the moment
+// they are handed to a Wire (or to the transport underneath it) and for as
+// long as anyone holds them — wires and group layers keep them for
+// retransmission, fabrics hand one slice to several receivers, and
+// receivers may retain what they are given but never write to it (see
+// transport.Message.Payload).
+
 // Wire is the client ORB's view of its transport connection. The baseline
 // uses DirectWire (point-to-point, like a GIOP TCP connection); the
 // interceptor package substitutes implementations that add interception
@@ -15,7 +22,8 @@ import (
 // difference — the transparency property of library interposition.
 type Wire interface {
 	// Send transmits encoded request bytes at virtual time sentAt with
-	// the costs accumulated so far.
+	// the costs accumulated so far. reqBytes is not copied and must not
+	// be written to afterwards; the caller may send the same bytes again.
 	Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error
 	// Recv returns the inbound reply stream.
 	Recv() <-chan WireReply
@@ -40,9 +48,19 @@ type Envelope struct {
 	Bytes  []byte
 }
 
+// envelopeSize is the exact length of env's encoding.
+func envelopeSize(env *Envelope) int {
+	return 8 + 4 + 8*len(env.Ledger.Slots()) + codec.SizeBytes(env.Bytes)
+}
+
 // EncodeEnvelope serializes an envelope.
 func EncodeEnvelope(env *Envelope) []byte {
-	e := codec.NewEncoder(48 + len(env.Bytes))
+	return appendEnvelope(make([]byte, 0, envelopeSize(env)), env)
+}
+
+// appendEnvelope appends env's encoding to b (envelopeSize(env) bytes).
+func appendEnvelope(b []byte, env *Envelope) []byte {
+	e := codec.AppendTo(b)
 	e.PutInt64(int64(env.VT))
 	slots := env.Ledger.Slots()
 	e.PutUint32(uint32(len(slots)))
@@ -53,7 +71,14 @@ func EncodeEnvelope(env *Envelope) []byte {
 	return e.Bytes()
 }
 
-// DecodeEnvelope parses an envelope.
+// sendEnvelope encodes env straight into a transport frame — one buffer,
+// sealed in place — and sends it.
+func sendEnvelope(conn transport.Conn, to string, env *Envelope) error {
+	buf := appendEnvelope(transport.NewFrame(envelopeSize(env)), env)
+	return conn.Send(to, conn.Seal(buf), env.VT)
+}
+
+// DecodeEnvelope parses an envelope. Bytes is a sub-slice of b, not a copy.
 func DecodeEnvelope(b []byte) (*Envelope, error) {
 	d := codec.NewDecoder(b)
 	vt, err := d.Int64()
@@ -79,7 +104,7 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
-	if env.Bytes, err = d.BytesCopy(); err != nil {
+	if env.Bytes, err = d.Bytes(); err != nil {
 		return nil, err
 	}
 	return &env, nil
@@ -114,8 +139,7 @@ func NewDirectWire(conn transport.Conn, server string, model vtime.CostModel) *D
 
 // Send transmits the request inside a timing envelope.
 func (w *DirectWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
-	env := &Envelope{VT: sentAt, Ledger: led, Bytes: reqBytes}
-	return w.conn.Send(w.server, EncodeEnvelope(env), sentAt)
+	return sendEnvelope(w.conn, w.server, &Envelope{VT: sentAt, Ledger: led, Bytes: reqBytes})
 }
 
 // HandleTransport ingests an inbound reply message.

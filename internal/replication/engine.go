@@ -18,8 +18,12 @@ import (
 // servants the process hosts, so they recover as a unit.
 type Checkpointable interface {
 	// State returns a serialized snapshot of the full application state.
+	// The engine marshals it into checkpoints and keeps it as a transfer
+	// bookmark; the application must not write to it afterwards.
 	State() []byte
-	// Restore replaces the application state with a snapshot.
+	// Restore replaces the application state with a snapshot. state may
+	// be a window onto a receive buffer: read it during the call, copy
+	// whatever is kept, never write to it.
 	Restore(state []byte) error
 }
 
@@ -1318,7 +1322,11 @@ func (e *Engine) setCache(entries []CacheEntry) {
 	e.execFloor = make(map[string]uint64, len(entries))
 	e.execSeen = make(map[string]map[uint64]bool, len(entries))
 	for _, c := range entries {
-		e.replyCache[c.Client] = map[uint64][]byte{c.ReqID: c.Reply}
+		// Copied: a decoded entry is a small window onto a checkpoint
+		// marker or the final transfer chunk, and the cache would pin
+		// that whole buffer for as long as the client stays quiet.
+		reply := append([]byte(nil), c.Reply...)
+		e.replyCache[c.Client] = map[uint64][]byte{c.ReqID: reply}
 		if c.ReqID > e.highExec[c.Client] {
 			e.highExec[c.Client] = c.ReqID
 		}

@@ -126,9 +126,27 @@ func hasChunkCursor(k MsgKind) bool {
 	return k == KindStateChunk || k == KindChunkAck || k == KindResumeReq
 }
 
-// Encode serializes m.
+// Encode serializes m into one buffer of exactly the encoded size.
 func Encode(m *Msg) []byte {
-	e := codec.NewEncoder(32 + len(m.Viop) + len(m.State))
+	// Metrics in sorted order for deterministic bytes.
+	keys := make([]string, 0, len(m.Metrics))
+	for k := range m.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	size := 1 + codec.SizeBytes(m.Viop) + codec.SizeBytes(m.State) + 4 +
+		1 + 8 + 8 + 8 + 1 + 4 + 4 + codec.SizeString(m.Target)
+	for _, c := range m.Cache {
+		size += codec.SizeString(c.Client) + 8 + codec.SizeBytes(c.Reply)
+	}
+	for _, k := range keys {
+		size += codec.SizeString(k) + 8
+	}
+	if hasChunkCursor(m.Kind) {
+		size += 8
+	}
+	e := codec.NewEncoder(size)
 	e.PutUint8(uint8(m.Kind))
 	e.PutBytes(m.Viop)
 	e.PutBytes(m.State)
@@ -144,12 +162,6 @@ func Encode(m *Msg) []byte {
 	e.PutUint64(m.CkptSerial)
 	e.PutBool(m.Final)
 	e.PutUint32(m.CheckpointEvery)
-	// Metrics in sorted order for deterministic bytes.
-	keys := make([]string, 0, len(m.Metrics))
-	for k := range m.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	e.PutUint32(uint32(len(keys)))
 	for _, k := range keys {
 		e.PutString(k)
@@ -165,7 +177,11 @@ func Encode(m *Msg) []byte {
 	return e.Bytes()
 }
 
-// Decode parses a replication envelope.
+// Decode parses a replication envelope. Viop, State and the cache replies
+// are sub-slices of b, not copies: read-only, and retaining one retains b.
+// That is free where the field is about as large as the envelope (a logged
+// request, a pending state, a transfer chunk); a holder that keeps a small
+// field of a large envelope copies it (Engine.setCache).
 func Decode(b []byte) (*Msg, error) {
 	d := codec.NewDecoder(b)
 	var m Msg
@@ -174,10 +190,10 @@ func Decode(b []byte) (*Msg, error) {
 		return nil, errBadMsg
 	}
 	m.Kind = MsgKind(kind)
-	if m.Viop, err = d.BytesCopy(); err != nil {
+	if m.Viop, err = d.Bytes(); err != nil {
 		return nil, err
 	}
-	if m.State, err = d.BytesCopy(); err != nil {
+	if m.State, err = d.Bytes(); err != nil {
 		return nil, err
 	}
 	n, err := d.Uint32()
@@ -196,7 +212,7 @@ func Decode(b []byte) (*Msg, error) {
 		if c.ReqID, err = d.Uint64(); err != nil {
 			return nil, err
 		}
-		if c.Reply, err = d.BytesCopy(); err != nil {
+		if c.Reply, err = d.Bytes(); err != nil {
 			return nil, err
 		}
 		m.Cache = append(m.Cache, c)
@@ -264,14 +280,15 @@ func WrapRequest(viop []byte) []byte {
 // PeekRequestViop extracts the wrapped VIOP bytes from an encoded request
 // envelope without a full decode, returning ok=false for other envelope
 // kinds or malformed bytes. The composing layer uses it to derive causal
-// trace keys from the VIOP identity riding every KindRequest frame.
+// trace keys from the VIOP identity riding every KindRequest frame. The
+// result is a sub-slice of b: peeking costs no bytes.
 func PeekRequestViop(b []byte) ([]byte, bool) {
 	d := codec.NewDecoder(b)
 	kind, err := d.Uint8()
 	if err != nil || MsgKind(kind) != KindRequest {
 		return nil, false
 	}
-	viop, err := d.BytesCopy()
+	viop, err := d.Bytes()
 	if err != nil || len(viop) == 0 {
 		return nil, false
 	}

@@ -255,7 +255,13 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	faults.HealAddr("rz")(net)
 
 	waitSynced(t, joiner)
+	// The joiner is synced once it holds the last chunk; the leader counts
+	// the transfer complete once the ack for it has travelled back.
 	snap := ra.TraceSnapshot()
+	for deadline := time.Now().Add(5 * time.Second); snap.Get(trace.SubReplication, "transfer_completes") < 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		snap = ra.TraceSnapshot()
+	}
 	resentAfterHeal := snap.Get(trace.SubReplication, "transfer_bytes_sent") - sentAtHeal
 	if resentAfterHeal <= 0 {
 		t.Fatal("no bytes sent after heal; transfer finished before the partition?")

@@ -27,15 +27,38 @@ const (
 	ProtoGroupClient Protocol = 3
 )
 
-// Conn is the sending surface a protocol layer sees after demultiplexing:
-// payloads are automatically prefixed with the protocol byte. Multicast
-// counts payload bytes once (LAN multicast semantics); control sends are
-// excluded from traffic accounting entirely.
+// Headroom is how many bytes an outbound buffer reserves in front of the
+// message for the demux's protocol byte.
+const Headroom = 1
+
+// NewFrame returns an empty outbound buffer for a message of exactly n
+// encoded bytes: Headroom reserved in front, and tail capacity for the
+// checksum trailer, so the outermost encoder appends the message once and
+// Conn.Seal finishes the frame in place without another allocation.
+func NewFrame(n int) []byte {
+	return make([]byte, Headroom, Headroom+n+codec.SealOverhead)
+}
+
+// Conn is the sending surface a protocol layer sees after demultiplexing.
+// A message goes out in two steps: Seal turns the buffer the outermost
+// encoder filled (see NewFrame) into a wire frame, and the send calls
+// transmit sealed frames. The split lets a layer that retransmits keep the
+// sealed frame and send the same bytes again.
+//
+// A sealed frame is immutable: the fabric hands the slice itself to every
+// receiver, so it must not be written to — or sealed again — by anyone,
+// for as long as anyone holds it. Multicast counts payload bytes once (LAN
+// multicast semantics); control sends are excluded from traffic accounting
+// entirely.
 type Conn interface {
 	Addr() string
-	Send(to string, payload []byte, sentAt vtime.Time) error
-	SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error
-	SendControl(to string, payload []byte, sentAt vtime.Time) error
+	// Seal writes the protocol byte into buf's headroom and appends the
+	// checksum trailer into its tail capacity, in place (it allocates
+	// only if buf was not built by NewFrame with the right size).
+	Seal(buf []byte) []byte
+	Send(to string, sealed []byte, sentAt vtime.Time) error
+	SendMulticast(tos []string, sealed []byte, sentAt vtime.Time) error
+	SendControl(to string, sealed []byte, sentAt vtime.Time) error
 }
 
 // MultiEndpoint is the full sending surface demux requires from a
@@ -138,7 +161,10 @@ func (d *Demux) run() {
 			continue
 		}
 		proto := Protocol(body[0])
-		m.Payload = body[1:]
+		// Capacity clipped: the buffer is shared (other receivers, the
+		// sender's retransmission copy), so an append by a holder must
+		// reallocate rather than run over the checksum behind the payload.
+		m.Payload = body[Headroom:len(body):len(body)]
 		d.mu.Lock()
 		fn := d.handlers[proto]
 		d.mu.Unlock()
@@ -162,21 +188,19 @@ var _ Conn = protoConn{}
 
 func (c protoConn) Addr() string { return c.d.ep.Addr() }
 
-func (c protoConn) frame(payload []byte) []byte {
-	buf := make([]byte, 1+len(payload), 1+len(payload)+4)
+func (c protoConn) Seal(buf []byte) []byte {
 	buf[0] = c.proto
-	copy(buf[1:], payload)
 	return codec.AppendChecksum(buf)
 }
 
-func (c protoConn) Send(to string, payload []byte, sentAt vtime.Time) error {
-	return c.d.ep.Send(to, c.frame(payload), sentAt)
+func (c protoConn) Send(to string, sealed []byte, sentAt vtime.Time) error {
+	return c.d.ep.Send(to, sealed, sentAt)
 }
 
-func (c protoConn) SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error {
-	return c.d.ep.SendMulticast(tos, c.frame(payload), sentAt)
+func (c protoConn) SendMulticast(tos []string, sealed []byte, sentAt vtime.Time) error {
+	return c.d.ep.SendMulticast(tos, sealed, sentAt)
 }
 
-func (c protoConn) SendControl(to string, payload []byte, sentAt vtime.Time) error {
-	return c.d.ep.SendControl(to, c.frame(payload), sentAt)
+func (c protoConn) SendControl(to string, sealed []byte, sentAt vtime.Time) error {
+	return c.d.ep.SendControl(to, sealed, sentAt)
 }

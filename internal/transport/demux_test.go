@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/simnet"
 	"versadep/internal/transport"
 )
@@ -71,13 +72,13 @@ func TestDemuxRoutesByProtocol(t *testing.T) {
 	defer da.Close()
 	defer db.Close()
 
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("g1"), 0); err != nil {
+	if err := sendOn(da.Conn(transport.ProtoGCS), "b", []byte("g1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := da.Conn(transport.ProtoVIOP).Send("b", []byte("v1"), 0); err != nil {
+	if err := sendOn(da.Conn(transport.ProtoVIOP), "b", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("g2"), 0); err != nil {
+	if err := sendOn(da.Conn(transport.ProtoGCS), "b", []byte("g2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,6 +92,43 @@ func TestDemuxRoutesByProtocol(t *testing.T) {
 	}
 	if g[0].From != "a" {
 		t.Fatalf("From = %q", g[0].From)
+	}
+}
+
+// seal builds the wire frame for msg the way an outermost encoder does:
+// appended behind the reserved headroom, sealed in place.
+func seal(c transport.Conn, msg []byte) []byte {
+	return c.Seal(append(transport.NewFrame(len(msg)), msg...))
+}
+
+func sendOn(c transport.Conn, to string, msg []byte) error {
+	return c.Send(to, seal(c, msg), 0)
+}
+
+// TestSealInPlace: a buffer built by NewFrame already has the protocol
+// byte's slot in front and the checksum's room behind, so sealing it
+// allocates nothing and moves nothing.
+func TestSealInPlace(t *testing.T) {
+	n := simnet.New()
+	defer n.Close()
+	ep, _ := n.Endpoint("a")
+	conn := transport.NewDemux(ep).Conn(transport.ProtoVIOP)
+	for _, size := range []int{200, 64 << 10} {
+		buf := append(transport.NewFrame(size), make([]byte, size)...)
+		if spare := cap(buf) - len(buf); spare != codec.SealOverhead {
+			t.Fatalf("NewFrame(%d) leaves %d bytes of tail room, want %d", size, spare, codec.SealOverhead)
+		}
+		var sealed []byte
+		if allocs := testing.AllocsPerRun(20, func() { sealed = conn.Seal(buf) }); allocs != 0 {
+			t.Errorf("sealing a %d B message: %v allocations, want 0", size, allocs)
+		}
+		if &sealed[0] != &buf[0] {
+			t.Errorf("sealing a %d B message moved it", size)
+		}
+		body, err := codec.VerifyChecksum(sealed)
+		if err != nil || transport.Protocol(body[0]) != transport.ProtoVIOP || len(body) != transport.Headroom+size {
+			t.Errorf("sealed %d B message does not verify: proto %d, %d body bytes, err %v", size, body[0], len(body), err)
+		}
 	}
 }
 
@@ -110,10 +148,10 @@ func TestDemuxUnhandledProtocolDropped(t *testing.T) {
 	defer db.Close()
 
 	// No handler for VIOP at b; must not wedge the dispatcher.
-	if err := da.Conn(transport.ProtoVIOP).Send("b", []byte("lost"), 0); err != nil {
+	if err := sendOn(da.Conn(transport.ProtoVIOP), "b", []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("kept"), 0); err != nil {
+	if err := sendOn(da.Conn(transport.ProtoGCS), "b", []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
 	g := gcs.wait(t, 1)
@@ -145,7 +183,7 @@ func TestDemuxMulticastAndControl(t *testing.T) {
 
 	conn := da.Conn(transport.ProtoGCS)
 	payload := make([]byte, 99)
-	if err := conn.SendMulticast([]string{"b", "c"}, payload, 0); err != nil {
+	if err := conn.SendMulticast([]string{"b", "c"}, seal(conn, payload), 0); err != nil {
 		t.Fatal(err)
 	}
 	cb.wait(t, 1)
@@ -156,7 +194,7 @@ func TestDemuxMulticastAndControl(t *testing.T) {
 	}
 
 	// Control traffic is not counted at all.
-	if err := conn.SendControl("b", []byte("hb"), 0); err != nil {
+	if err := conn.SendControl("b", seal(conn, []byte("hb")), 0); err != nil {
 		t.Fatal(err)
 	}
 	cb.wait(t, 2)
@@ -184,7 +222,7 @@ func TestDemuxEmptyPayloadIgnored(t *testing.T) {
 	da := transport.NewDemux(epA)
 	da.Start()
 	defer da.Close()
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("ok"), 0); err != nil {
+	if err := sendOn(da.Conn(transport.ProtoGCS), "b", []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	g := gcs.wait(t, 1)

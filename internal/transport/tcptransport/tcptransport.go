@@ -445,15 +445,11 @@ func (p *peerSender) run() {
 // length is verified by codec.DecodeFrame and at worst drops one frame.
 
 func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) []byte {
-	body := codec.EncodeFrame(codec.Frame{
-		From:     from,
-		FromAddr: fromAddr,
-		Payload:  payload,
-		SentAt:   int64(sentAt),
-	})
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
+	f := codec.Frame{From: from, FromAddr: fromAddr, Payload: payload, SentAt: int64(sentAt)}
+	size := codec.FrameSize(f)
+	buf := make([]byte, 4+size)
+	binary.BigEndian.PutUint32(buf, uint32(size))
+	codec.PutFrame(buf[4:], f)
 	return buf
 }
 

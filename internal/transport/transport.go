@@ -20,7 +20,12 @@ import (
 type Message struct {
 	// From and To are process addresses.
 	From, To string
-	// Payload is the opaque application bytes. Receivers own the slice.
+	// Payload is the opaque application bytes. It is immutable from the
+	// moment it is passed to a send call and for as long as anyone holds
+	// it: the sender may keep it for retransmission, a multicast hands the
+	// same slice to every receiver, and fault injectors copy before they
+	// damage. Receivers may retain it (and sub-slices of it) but never
+	// write to it.
 	Payload []byte
 	// SentAt is the sender's virtual timestamp.
 	SentAt vtime.Time
@@ -36,7 +41,8 @@ type Endpoint interface {
 	// Send enqueues payload for delivery to the given address. sentAt is
 	// the sender's current virtual time. Send never blocks on the
 	// receiver; delivery is asynchronous. Sending to an unknown address
-	// silently drops (datagram semantics).
+	// silently drops (datagram semantics). The payload is not copied on
+	// an in-memory fabric: see Message.Payload for the immutability rule.
 	Send(to string, payload []byte, sentAt vtime.Time) error
 	// Recv returns the channel on which inbound messages are delivered.
 	// The channel is closed when the endpoint closes or crashes.
