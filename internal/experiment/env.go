@@ -101,14 +101,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// PaperOptions returns DefaultOptions with the paper's full 10,000-request
-// cycle.
-func PaperOptions() Options {
-	o := DefaultOptions()
-	o.Requests = 10000
-	return o
-}
-
 // env is a running system: fabric, replica group and clients.
 type env struct {
 	net     *simnet.Network

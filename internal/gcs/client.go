@@ -15,35 +15,28 @@ import (
 // clients interact with a replicated server through the replicator — the
 // client is unaware of the group, while its requests are totally ordered
 // with the group's internal traffic.
+//
+// It is a state machine under one mutex, not an actor: Submit runs on the
+// caller's goroutine, HandleTransport on the transport's receiving
+// goroutine, and the only goroutine the client owns is the resend ticker.
 type GroupClient struct {
-	send transport.Conn // ProtoGCS traffic toward members
-	cfg  ClientConfig
-	proc vtime.Server
+	send    transport.Conn // ProtoGCS traffic toward members
+	cfg     ClientConfig
+	proc    vtime.Server
+	handler func(Event)
 
-	inMu     sync.Mutex
-	inbox    []transport.Message
-	inNotify chan struct{}
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{} // closed when the resend ticker has exited
 
-	cmds chan func()
-	stop chan struct{}
-	done chan struct{}
-
-	outMu     sync.Mutex
-	outq      []Event
-	outNotify chan struct{}
-	out       chan Event
-	outDone   chan struct{}
-
-	// owned by run goroutine:
-	members      []string
-	oseq         uint64
-	pending      map[uint64]*frame
-	pendOrder    []uint64
-	rotate       int // resend target rotation across ticks
-	directHigh   map[string]uint64
-	directSparse map[string]map[uint64]bool
-
-	now func() time.Time
+	mu        sync.Mutex // guards everything below
+	members   []string
+	oseq      uint64
+	pending   map[uint64]*frame
+	pendOrder []uint64
+	rotate    int // resend target rotation across ticks
+	direct    dupFilter
+	now       func() time.Time
 }
 
 // ClientConfig parameterizes a GroupClient.
@@ -79,72 +72,54 @@ func DefaultClientConfig(members []string) ClientConfig {
 }
 
 // NewClient starts a group client. The caller must route inbound
-// ProtoGroupClient messages to HandleTransport.
-func NewClient(send transport.Conn, cfg ClientConfig) *GroupClient {
+// ProtoGroupClient messages to HandleTransport. Each direct delivery
+// (EventDirect) from a group member is handed to handler on the goroutine
+// that called HandleTransport, with no client lock held — so handler may
+// call Submit — and must not block; no delivery starts after Stop returns.
+func NewClient(send transport.Conn, cfg ClientConfig, handler func(Event)) *GroupClient {
 	if cfg.ResendInterval <= 0 {
 		cfg.ResendInterval = 30 * time.Millisecond
 	}
 	c := &GroupClient{
-		send:         send,
-		cfg:          cfg,
-		inNotify:     make(chan struct{}, 1),
-		cmds:         make(chan func()),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-		outNotify:    make(chan struct{}, 1),
-		out:          make(chan Event),
-		outDone:      make(chan struct{}),
-		members:      append([]string(nil), cfg.Members...),
-		pending:      make(map[uint64]*frame),
-		directHigh:   make(map[string]uint64),
-		directSparse: make(map[string]map[uint64]bool),
-		now:          time.Now,
+		send:    send,
+		cfg:     cfg,
+		handler: handler,
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		members: append([]string(nil), cfg.Members...),
+		pending: make(map[uint64]*frame),
+		direct:  newDupFilter(),
+		now:     time.Now,
 	}
-	go c.run()
-	go c.pumpOut()
+	go c.resendLoop()
 	return c
 }
 
 // Addr returns the client's address.
 func (c *GroupClient) Addr() string { return c.send.Addr() }
 
-// Out returns the stream of direct deliveries (EventDirect) from group
-// members. The channel closes when the client stops.
-func (c *GroupClient) Out() <-chan Event { return c.out }
-
-// HandleTransport ingests an inbound ProtoGroupClient message. Safe from
-// any goroutine; never blocks.
-func (c *GroupClient) HandleTransport(msg transport.Message) {
-	c.inMu.Lock()
-	c.inbox = append(c.inbox, msg)
-	c.inMu.Unlock()
+// stopped reports whether Stop has been called.
+func (c *GroupClient) stopped() bool {
 	select {
-	case c.inNotify <- struct{}{}:
+	case <-c.stop:
+		return true
 	default:
+		return false
 	}
 }
 
-// Stop shuts the client down.
+// Stop shuts the client down and waits for its ticker to exit. Safe to call
+// more than once and from several goroutines; every call returns only after
+// shutdown is complete.
 func (c *GroupClient) Stop() {
-	select {
-	case <-c.stop:
-		return
-	default:
-	}
-	close(c.stop)
+	c.stopOnce.Do(func() {
+		// Under the lock, so a Submit or HandleTransport already inside
+		// finishes first and every later one sees the client stopped.
+		c.mu.Lock()
+		close(c.stop)
+		c.mu.Unlock()
+	})
 	<-c.done
-	<-c.outDone
-}
-
-func (c *GroupClient) do(fn func()) error {
-	donec := make(chan struct{})
-	select {
-	case c.cmds <- func() { fn(); close(donec) }:
-		<-donec
-		return nil
-	case <-c.stop:
-		return ErrStopped
-	}
 }
 
 // Submit injects payload into the group's agreed stream. It is retransmitted
@@ -154,39 +129,44 @@ func (c *GroupClient) do(fn func()) error {
 // without copying it: nobody writes to it after the call (see
 // transport.Message.Payload).
 func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
-	return c.do(func() {
-		vt := c.proc.Execute(sentAt, c.cfg.Model.GCSend)
-		led.Charge(vtime.ComponentGC, c.cfg.Model.GCSend)
-		if key := c.spanKey(payload); key != "" {
-			c.cfg.Spans.Add(key, "gc_submit", span.CompGC, vt.Add(-c.cfg.Model.GCSend), vt)
-		}
-		c.oseq++
-		f := &frame{
-			Kind:    kData,
-			Origin:  c.Addr(),
-			OSeq:    c.oseq,
-			Level:   Agreed,
-			SentVT:  vt,
-			Ledger:  led,
-			Payload: payload,
-		}
-		c.pending[f.OSeq] = f
-		c.pendOrder = append(c.pendOrder, f.OSeq)
-		if len(c.members) > 0 {
-			f.lastSend = c.now()
-			_ = c.send.Send(c.members[0], c.sealed(f), vt)
-		}
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopped() {
+		return ErrStopped
+	}
+	vt := c.proc.Execute(sentAt, c.cfg.Model.GCSend)
+	led.Charge(vtime.ComponentGC, c.cfg.Model.GCSend)
+	if key := c.spanKey(payload); key != "" {
+		c.cfg.Spans.Add(key, "gc_submit", span.CompGC, vt.Add(-c.cfg.Model.GCSend), vt)
+	}
+	c.oseq++
+	f := &frame{
+		Kind:    kData,
+		Origin:  c.Addr(),
+		OSeq:    c.oseq,
+		Level:   Agreed,
+		SentVT:  vt,
+		Ledger:  led,
+		Payload: payload,
+	}
+	c.pending[f.OSeq] = f
+	c.pendOrder = append(c.pendOrder, f.OSeq)
+	if len(c.members) > 0 {
+		f.lastSend = c.now()
+		_ = c.send.Send(c.members[0], c.sealed(f), vt)
+	}
+	return nil
 }
 
 // Members returns the client's current membership hint.
 func (c *GroupClient) Members() []string {
-	var out []string
-	_ = c.do(func() { out = append([]string(nil), c.members...) })
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.members...)
 }
 
-func (c *GroupClient) run() {
+// resendLoop is the client's one goroutine: the retransmission clock.
+func (c *GroupClient) resendLoop() {
 	defer close(c.done)
 	// Twice per ResendInterval: a submission is re-sent at the first tick
 	// that finds it a full interval old, so the check has to run finer
@@ -198,28 +178,10 @@ func (c *GroupClient) run() {
 		select {
 		case <-c.stop:
 			return
-		case fn := <-c.cmds:
-			fn()
-		case <-c.inNotify:
-			c.drainInbox()
 		case <-ticker.C:
+			c.mu.Lock()
 			c.tick()
-		}
-	}
-}
-
-func (c *GroupClient) drainInbox() {
-	for {
-		c.inMu.Lock()
-		if len(c.inbox) == 0 {
-			c.inMu.Unlock()
-			return
-		}
-		batch := c.inbox
-		c.inbox = nil
-		c.inMu.Unlock()
-		for _, msg := range batch {
-			c.handleMessage(msg)
+			c.mu.Unlock()
 		}
 	}
 }
@@ -230,7 +192,11 @@ func (c *GroupClient) sealed(f *frame) []byte {
 	return f.sealed(c.send, c.cfg.GroupID)
 }
 
-func (c *GroupClient) handleMessage(msg transport.Message) {
+// HandleTransport ingests an inbound ProtoGroupClient message: an ack or a
+// view hint updates the client's state, a fresh direct delivery is handed
+// to the handler after the lock is released. Safe from any goroutine;
+// never blocks.
+func (c *GroupClient) HandleTransport(msg transport.Message) {
 	f, err := decodeFrame(msg.Payload)
 	if err != nil {
 		return
@@ -238,9 +204,16 @@ func (c *GroupClient) handleMessage(msg transport.Message) {
 	if f.Group != c.cfg.GroupID {
 		return // another shard's traffic on the shared transport
 	}
+	c.mu.Lock()
+	if c.stopped() {
+		c.mu.Unlock()
+		return
+	}
+	var e Event
+	fresh := false
 	switch f.Kind {
 	case kDirect:
-		c.handleDirect(msg, f)
+		e, fresh = c.handleDirect(msg, f)
 	case kDataAck:
 		delete(c.pending, f.OSeq)
 	case kViewHint:
@@ -248,13 +221,19 @@ func (c *GroupClient) handleMessage(msg transport.Message) {
 			c.members = append([]string(nil), f.Members...)
 		}
 	}
+	c.mu.Unlock()
+	if fresh {
+		c.handler(e)
+	}
 }
 
-func (c *GroupClient) handleDirect(msg transport.Message, f *frame) {
+// handleDirect acknowledges a direct frame and, unless it is a duplicate,
+// returns the delivery event for it (c.mu held).
+func (c *GroupClient) handleDirect(msg transport.Message, f *frame) (Event, bool) {
 	ack := &frame{Kind: kDirectAck, Origin: c.Addr(), OSeq: f.OSeq}
 	_ = c.send.SendControl(f.Origin, c.sealed(ack), 0)
-	if c.directDup(f.Origin, f.OSeq) {
-		return
+	if c.direct.seen(f.Origin, f.OSeq) {
+		return Event{}, false
 	}
 	led := f.Ledger
 	arrive := msg.ArriveAt
@@ -271,14 +250,14 @@ func (c *GroupClient) handleDirect(msg transport.Message, f *frame) {
 	if key := c.spanKey(f.Payload); key != "" {
 		c.cfg.Spans.Add(key, "gc_recv_direct", span.CompGC, vt.Add(-(wire + c.cfg.Model.GCSend)), vt)
 	}
-	c.emit(Event{
+	return Event{
 		Kind:    EventDirect,
 		Sender:  f.Origin,
 		Payload: f.Payload,
 		VTime:   vt,
 		SentVT:  f.SentVT,
 		Ledger:  led,
-	})
+	}, true
 }
 
 // spanKey maps a payload to its trace key, "" when span recording is off
@@ -290,28 +269,7 @@ func (c *GroupClient) spanKey(payload []byte) string {
 	return c.cfg.SpanKey(payload)
 }
 
-func (c *GroupClient) directDup(peer string, oseq uint64) bool {
-	high := c.directHigh[peer]
-	if oseq <= high {
-		return true
-	}
-	sparse := c.directSparse[peer]
-	if sparse == nil {
-		sparse = make(map[uint64]bool)
-		c.directSparse[peer] = sparse
-	}
-	if sparse[oseq] {
-		return true
-	}
-	sparse[oseq] = true
-	for sparse[high+1] {
-		high++
-		delete(sparse, high)
-	}
-	c.directHigh[peer] = high
-	return false
-}
-
+// tick re-sends overdue submissions (c.mu held).
 func (c *GroupClient) tick() {
 	if len(c.members) == 0 {
 		return
@@ -341,43 +299,5 @@ func (c *GroupClient) tick() {
 			}
 		}
 		c.pendOrder = keep
-	}
-}
-
-func (c *GroupClient) emit(e Event) {
-	c.outMu.Lock()
-	c.outq = append(c.outq, e)
-	c.outMu.Unlock()
-	select {
-	case c.outNotify <- struct{}{}:
-	default:
-	}
-}
-
-func (c *GroupClient) pumpOut() {
-	defer close(c.outDone)
-	defer close(c.out)
-	for {
-		c.outMu.Lock()
-		var e Event
-		have := len(c.outq) > 0
-		if have {
-			e = c.outq[0]
-			c.outq = c.outq[1:]
-		}
-		c.outMu.Unlock()
-		if !have {
-			select {
-			case <-c.outNotify:
-				continue
-			case <-c.stop:
-				return
-			}
-		}
-		select {
-		case c.out <- e:
-		case <-c.stop:
-			return
-		}
 	}
 }

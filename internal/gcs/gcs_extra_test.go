@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"versadep/internal/gcs"
 	"versadep/internal/simnet"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -195,6 +197,43 @@ func TestMemberStopIsIdempotentAndReleasesOut(t *testing.T) {
 	}
 	if _, err := n.member.View(); err != gcs.ErrStopped {
 		t.Fatalf("view after stop = %v", err)
+	}
+}
+
+// TestStopConcurrent: Stop from several goroutines at once must not panic on
+// a double close of the stop channel, for a member and for an external
+// client (run with -race).
+func TestStopConcurrent(t *testing.T) {
+	net := simnet.New()
+	defer net.Close()
+	n := startNode(t, net, "solo", nil)
+	n.waitView(t, []string{"solo"}, time.Second)
+
+	ep, err := net.Endpoint("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := transport.NewDemux(ep)
+	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), gcs.DefaultClientConfig([]string{"solo"}), func(gcs.Event) {})
+	d.Handle(transport.ProtoGroupClient, cl.HandleTransport)
+	d.Start()
+	defer d.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			n.member.Stop()
+		}()
+		go func() {
+			defer wg.Done()
+			cl.Stop()
+		}()
+	}
+	wg.Wait()
+	if err := cl.Submit([]byte("x"), 0, vtime.Ledger{}); err != gcs.ErrStopped {
+		t.Fatalf("submit after stop = %v", err)
 	}
 }
 

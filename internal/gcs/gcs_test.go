@@ -482,7 +482,8 @@ func TestExternalClientSubmitAndReply(t *testing.T) {
 	}
 	d := transport.NewDemux(ep)
 	cc := gcs.DefaultClientConfig([]string{"ma", "mb", "mc"})
-	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), cc)
+	directs := make(chan gcs.Event, 8) // room for every delivery: the handler must not block
+	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), cc, func(e gcs.Event) { directs <- e })
 	d.Handle(transport.ProtoGroupClient, cl.HandleTransport)
 	d.Start()
 	defer cl.Stop()
@@ -502,7 +503,7 @@ func TestExternalClientSubmitAndReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case e := <-cl.Out():
+	case e := <-directs:
 		if e.Kind != gcs.EventDirect || string(e.Payload) != "reply-1" || e.Sender != "mb" {
 			t.Fatalf("client got %+v", e)
 		}
@@ -525,7 +526,7 @@ func TestExternalClientWrongHint(t *testing.T) {
 	// Hint points at a backup, not the coordinator: submission must be
 	// forwarded and a view hint returned.
 	cc := gcs.DefaultClientConfig([]string{"mc"})
-	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), cc)
+	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), cc, func(gcs.Event) {})
 	d.Handle(transport.ProtoGroupClient, cl.HandleTransport)
 	d.Start()
 	defer cl.Stop()
@@ -561,7 +562,7 @@ func TestClientSubmitRetransmitsThroughCoordinatorCrash(t *testing.T) {
 	}
 	d := transport.NewDemux(ep)
 	cc := gcs.DefaultClientConfig([]string{"ma", "mb", "mc"})
-	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), cc)
+	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), cc, func(gcs.Event) {})
 	d.Handle(transport.ProtoGroupClient, cl.HandleTransport)
 	d.Start()
 	defer cl.Stop()

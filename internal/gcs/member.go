@@ -27,9 +27,10 @@ type Member struct {
 	inbox    []transport.Message
 	inNotify chan struct{}
 
-	cmds chan func()
-	stop chan struct{}
-	done chan struct{}
+	cmds     chan func()
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
 
 	// trace counters (nil-safe no-ops when Config.Trace is unset).
 	tr          *trace.Recorder
@@ -97,11 +98,10 @@ type Member struct {
 	causalHold []*rxFrame
 
 	// Reliable direct unicast.
-	directOut    map[string]uint64
-	directUnack  map[string]map[uint64]*frame
-	directHigh   map[string]uint64
-	directSparse map[string]map[uint64]bool
-	dataAcked    map[uint64]bool // acks for my kData submissions (external use)
+	directOut   map[string]uint64
+	directUnack map[string]map[uint64]*frame
+	directIn    dupFilter       // inbound direct frames already delivered
+	dataAcked   map[uint64]bool // acks for my kData submissions (external use)
 
 	// Failure detection. det is nil when the accrual detector is disabled
 	// (PhiThreshold <= 0); lastHeard backs the fixed SuspectAfter floor
@@ -202,8 +202,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		causalSent:   make(map[uint64]*frame),
 		directOut:    make(map[string]uint64),
 		directUnack:  make(map[string]map[uint64]*frame),
-		directHigh:   make(map[string]uint64),
-		directSparse: make(map[string]map[uint64]bool),
+		directIn:     newDupFilter(),
 		dataAcked:    make(map[uint64]bool),
 		lastHeard:    make(map[string]time.Time),
 		suspects:     make(map[string]bool),
@@ -258,14 +257,10 @@ func (m *Member) HandleTransport(msg transport.Message) {
 }
 
 // Stop shuts the daemon down without leaving the group (a crash, from the
-// group's perspective). Stop is idempotent.
+// group's perspective). Stop is idempotent and safe from several goroutines;
+// every call returns only once shutdown is complete.
 func (m *Member) Stop() {
-	select {
-	case <-m.stop:
-		return
-	default:
-	}
-	close(m.stop)
+	m.stopOnce.Do(func() { close(m.stop) })
 	<-m.done
 	<-m.outDone
 }
@@ -357,7 +352,6 @@ func (m *Member) run() {
 	for {
 		select {
 		case <-m.stop:
-			m.closeOut()
 			return
 		case fn := <-m.cmds:
 			fn()
@@ -395,10 +389,6 @@ func (m *Member) emit(e Event) {
 	case m.outNotify <- struct{}{}:
 	default:
 	}
-}
-
-func (m *Member) closeOut() {
-	// Signalled via stop; pumpOut exits and closes out.
 }
 
 func (m *Member) pumpOut() {

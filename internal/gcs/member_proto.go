@@ -859,7 +859,7 @@ func (m *Member) handleDirect(msg transport.Message, f *frame) {
 	// Acknowledge regardless of duplication.
 	ack := &frame{Kind: kDirectAck, Origin: m.Addr(), OSeq: f.OSeq}
 	m.sendControl(f.Origin, ack)
-	if m.directDup(f.Origin, f.OSeq) {
+	if m.directIn.seen(f.Origin, f.OSeq) {
 		return
 	}
 	rf := m.rx(msg, f, 0)
@@ -873,31 +873,6 @@ func (m *Member) handleDirect(msg transport.Message, f *frame) {
 		SentVT:  f.SentVT,
 		Ledger:  rf.led,
 	})
-}
-
-// directDup records and reports duplicate suppression state for a peer's
-// direct sequence number.
-func (m *Member) directDup(peer string, oseq uint64) bool {
-	high := m.directHigh[peer]
-	if oseq <= high {
-		return true
-	}
-	sparse := m.directSparse[peer]
-	if sparse == nil {
-		sparse = make(map[uint64]bool)
-		m.directSparse[peer] = sparse
-	}
-	if sparse[oseq] {
-		return true
-	}
-	sparse[oseq] = true
-	// Compact the contiguous prefix into the watermark.
-	for sparse[high+1] {
-		high++
-		delete(sparse, high)
-	}
-	m.directHigh[peer] = high
-	return false
 }
 
 func (m *Member) handleDirectAck(from string, f *frame) {

@@ -32,7 +32,10 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := transport.NewDemux(ep)
-	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), gcs.DefaultClientConfig([]string{"ma", "mb", "mc"}))
+	const perSender, size = 40, 4096
+	directs := make(chan gcs.Event, perSender) // one slot per distinct reply: the handler never blocks
+	cl := gcs.NewClient(d.Conn(transport.ProtoGCS), gcs.DefaultClientConfig([]string{"ma", "mb", "mc"}),
+		func(e gcs.Event) { directs <- e })
 	d.Handle(transport.ProtoGroupClient, cl.HandleTransport)
 	d.Start()
 	defer cl.Stop()
@@ -41,7 +44,6 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 	net.SetDupProb("*", "*", 0.10)
 	net.SetReorderProb("*", "*", 0.10)
 
-	const perSender, size = 40, 4096
 	type kept struct {
 		buf []byte
 		crc uint32
@@ -88,7 +90,7 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 	deadline := time.After(20 * time.Second)
 	for len(got) < perSender {
 		select {
-		case e := <-cl.Out():
+		case e := <-directs:
 			if e.Kind != gcs.EventDirect {
 				continue
 			}

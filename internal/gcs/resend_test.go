@@ -169,18 +169,18 @@ func TestClientResendWaitsForResendInterval(t *testing.T) {
 	conn := &recConn{addr: "client"}
 	cc := DefaultClientConfig([]string{"a", "b"})
 	cc.ResendInterval = time.Hour // the client's own ticker stays out of the way
-	c := NewClient(conn, cc)
+	c := NewClient(conn, cc, func(Event) {})
 	defer c.Stop()
 
 	clock := time.Unix(1000, 0)
+	c.mu.Lock()
+	c.now = func() time.Time { return clock }
+	c.mu.Unlock()
 	tick := func(advance time.Duration) {
-		t.Helper()
-		if err := c.do(func() { clock = clock.Add(advance); c.tick() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.do(func() { c.now = func() time.Time { return clock } }); err != nil {
-		t.Fatal(err)
+		c.mu.Lock()
+		clock = clock.Add(advance)
+		c.tick()
+		c.mu.Unlock()
 	}
 
 	if err := c.Submit([]byte("request"), 0, vtime.Ledger{}); err != nil {

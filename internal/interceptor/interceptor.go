@@ -29,6 +29,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -60,88 +61,38 @@ func spanDeliver(sp *span.Recorder, replyBytes []byte, start, end vtime.Time) {
 type PassthroughWire struct {
 	inner orb.Wire
 	model vtime.CostModel
-	out   chan orb.WireReply
-	stop  chan struct{}
-	done  chan struct{}
-
-	cCrossings *trace.Counter
-	spans      *span.Recorder
+	up    orb.Upcall
 }
 
 var _ orb.Wire = (*PassthroughWire)(nil)
 
-// PassthroughOption configures a PassthroughWire.
-type PassthroughOption func(*PassthroughWire)
-
-// WithPassthroughTrace reports interception crossings into r and attaches
-// causal spans to each crossing.
-func WithPassthroughTrace(r *trace.Recorder) PassthroughOption {
-	return func(w *PassthroughWire) {
-		w.cCrossings = r.Counter(trace.SubInterceptor, "crossings")
-		w.spans = r.Spans()
-	}
-}
-
-// NewPassthrough interposes on inner.
-func NewPassthrough(inner orb.Wire, model vtime.CostModel, opts ...PassthroughOption) *PassthroughWire {
-	w := &PassthroughWire{
-		inner: inner,
-		model: model,
-		out:   make(chan orb.WireReply, 64),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(w)
-	}
-	go w.pump()
+// NewPassthrough interposes on inner, binding itself as inner's reply sink.
+func NewPassthrough(inner orb.Wire, model vtime.CostModel) *PassthroughWire {
+	w := &PassthroughWire{inner: inner, model: model}
+	inner.Bind(w.deliver)
 	return w
 }
 
 // Send charges the interception crossing and forwards.
 func (w *PassthroughWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
-	w.cCrossings.Inc()
 	led.Charge(vtime.ComponentReplicator, w.model.Intercept)
-	spanSubmit(w.spans, reqBytes, sentAt, sentAt.Add(w.model.Intercept))
 	return w.inner.Send(reqBytes, sentAt.Add(w.model.Intercept), led)
 }
 
-// Recv returns the intercepted reply stream.
-func (w *PassthroughWire) Recv() <-chan orb.WireReply { return w.out }
+// Bind installs the reply sink.
+func (w *PassthroughWire) Bind(sink orb.ReplySink) { w.up.Bind(sink) }
 
-// Close releases the wire.
-func (w *PassthroughWire) Close() error {
-	select {
-	case <-w.stop:
-	default:
-		close(w.stop)
-	}
-	err := w.inner.Close()
-	<-w.done
-	return err
+// deliver is the inner wire's sink: charge the crossing, pass the reply up.
+func (w *PassthroughWire) deliver(wr orb.WireReply) {
+	wr.Ledger.Charge(vtime.ComponentReplicator, w.model.Intercept)
+	wr.VTime = wr.VTime.Add(w.model.Intercept)
+	w.up.Deliver(wr)
 }
 
-func (w *PassthroughWire) pump() {
-	defer close(w.done)
-	for {
-		select {
-		case wr, ok := <-w.inner.Recv():
-			if !ok {
-				return
-			}
-			w.cCrossings.Inc()
-			wr.Ledger.Charge(vtime.ComponentReplicator, w.model.Intercept)
-			wr.VTime = wr.VTime.Add(w.model.Intercept)
-			spanDeliver(w.spans, wr.Bytes, wr.VTime.Add(-w.model.Intercept), wr.VTime)
-			select {
-			case w.out <- wr:
-			case <-w.stop:
-				return
-			}
-		case <-w.stop:
-			return
-		}
-	}
+// Close unbinds the sink and closes the inner wire.
+func (w *PassthroughWire) Close() error {
+	w.up.Shut()
+	return w.inner.Close()
 }
 
 // ReplyFilter selects how replies from active replicas are reduced to one.
@@ -183,9 +134,7 @@ type GroupWire struct {
 	highRid   uint64
 	floor     uint64
 
-	out  chan orb.WireReply
-	stop chan struct{}
-	done chan struct{}
+	up orb.Upcall
 
 	cCrossings  *trace.Counter
 	cDelivered  *trace.Counter
@@ -229,24 +178,23 @@ func WithGroupTrace(r *trace.Recorder) GroupWireOption {
 	}
 }
 
-// NewGroupWire interposes a client onto the group behind gc.
-func NewGroupWire(gc *gcs.GroupClient, model vtime.CostModel, opts ...GroupWireOption) *GroupWire {
+// NewGroupWire interposes a client onto the group named by gcc: it starts
+// the group client on send and takes its direct deliveries as up-calls. The
+// caller must route inbound ProtoGroupClient messages to
+// Group().HandleTransport.
+func NewGroupWire(send transport.Conn, gcc gcs.ClientConfig, opts ...GroupWireOption) *GroupWire {
 	w := &GroupWire{
-		gc:        gc,
-		model:     model,
+		model:     gcc.Model,
 		filter:    FilterFirst,
 		expected:  1,
 		delivered: make(map[uint64]bool),
 		votes:     make(map[uint64]map[string]*vote),
 		floor:     1, // request ids start at 1
-		out:       make(chan orb.WireReply, 64),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(w)
 	}
-	go w.pump()
+	w.gc = gcs.NewClient(send, gcc, w.deliver)
 	return w
 }
 
@@ -276,50 +224,29 @@ func (w *GroupWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) e
 	return w.gc.Submit(payload, sentAt.Add(w.model.Intercept), led)
 }
 
-// Recv returns the filtered reply stream.
-func (w *GroupWire) Recv() <-chan orb.WireReply { return w.out }
+// Bind installs the reply sink.
+func (w *GroupWire) Bind(sink orb.ReplySink) { w.up.Bind(sink) }
 
-// Close stops the wire and the underlying group client.
+// Close unbinds the sink and stops the underlying group client.
 func (w *GroupWire) Close() error {
-	select {
-	case <-w.stop:
-	default:
-		close(w.stop)
-	}
+	w.up.Shut()
 	w.gc.Stop()
-	<-w.done
 	return nil
 }
 
-func (w *GroupWire) pump() {
-	defer close(w.done)
-	for {
-		select {
-		case e, ok := <-w.gc.Out():
-			if !ok {
-				return
-			}
-			if e.Kind != gcs.EventDirect {
-				continue
-			}
-			w.cCrossings.Inc()
-			wr := orb.WireReply{Bytes: e.Payload, VTime: e.VTime, Ledger: e.Ledger}
-			wr.Ledger.Charge(vtime.ComponentReplicator, w.model.Intercept)
-			wr.VTime = wr.VTime.Add(w.model.Intercept)
-			if out, deliver := w.filterReply(wr); deliver {
-				// Spanned only for the reply actually handed to the client
-				// (the one whose ledger the outcome carries), not for
-				// suppressed duplicates or losing majority votes.
-				spanDeliver(w.spans, out.Bytes, out.VTime.Add(-w.model.Intercept), out.VTime)
-				select {
-				case w.out <- out:
-				case <-w.stop:
-					return
-				}
-			}
-		case <-w.stop:
-			return
-		}
+// deliver is the group client's handler: one direct delivery from a
+// replica, charged the inbound crossing and run through the reply filter.
+func (w *GroupWire) deliver(e gcs.Event) {
+	w.cCrossings.Inc()
+	wr := orb.WireReply{Bytes: e.Payload, VTime: e.VTime, Ledger: e.Ledger}
+	wr.Ledger.Charge(vtime.ComponentReplicator, w.model.Intercept)
+	wr.VTime = wr.VTime.Add(w.model.Intercept)
+	if out, deliver := w.filterReply(wr); deliver {
+		// Spanned only for the reply actually handed to the client (the
+		// one whose ledger the outcome carries), not for suppressed
+		// duplicates or losing majority votes.
+		spanDeliver(w.spans, out.Bytes, out.VTime.Add(-w.model.Intercept), out.VTime)
+		w.up.Deliver(out)
 	}
 }
 

@@ -1,26 +1,28 @@
 package interceptor
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"versadep/internal/gcs"
 	"versadep/internal/orb"
 	"versadep/internal/trace"
 	"versadep/internal/vtime"
 )
 
-// fakeWire is a scriptable inner wire for passthrough tests.
+// fakeWire is a scriptable inner wire for passthrough tests: the test plays
+// the transport and pushes replies into the sink bound by the layer above.
 type fakeWire struct {
 	sent   [][]byte
 	sentAt []vtime.Time
 	leds   []vtime.Ledger
-	out    chan orb.WireReply
+	sink   orb.ReplySink
 	closed bool
 }
 
-func newFakeWire() *fakeWire {
-	return &fakeWire{out: make(chan orb.WireReply, 8)}
-}
+func newFakeWire() *fakeWire { return &fakeWire{} }
 
 func (w *fakeWire) Send(req []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	w.sent = append(w.sent, req)
@@ -29,11 +31,10 @@ func (w *fakeWire) Send(req []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	return nil
 }
 
-func (w *fakeWire) Recv() <-chan orb.WireReply { return w.out }
+func (w *fakeWire) Bind(sink orb.ReplySink) { w.sink = sink }
 
 func (w *fakeWire) Close() error {
 	w.closed = true
-	close(w.out)
 	return nil
 }
 
@@ -42,6 +43,8 @@ func TestPassthroughChargesBothDirections(t *testing.T) {
 	inner := newFakeWire()
 	pw := NewPassthrough(inner, model)
 	defer pw.Close()
+	var got []orb.WireReply
+	pw.Bind(func(wr orb.WireReply) { got = append(got, wr) })
 
 	var led vtime.Ledger
 	if err := pw.Send([]byte("req"), vtime.Time(1000), led); err != nil {
@@ -58,17 +61,14 @@ func TestPassthroughChargesBothDirections(t *testing.T) {
 	}
 
 	reply := orb.EncodeReply(&orb.Reply{ClientID: "c", ReqID: 1, Status: orb.StatusOK})
-	inner.out <- orb.WireReply{Bytes: reply, VTime: vtime.Time(5000)}
-	select {
-	case wr := <-pw.Recv():
-		if wr.VTime != vtime.Time(5000).Add(model.Intercept) {
-			t.Fatalf("recv vt = %v", wr.VTime)
-		}
-		if got := wr.Ledger.Of(vtime.ComponentReplicator); got != model.Intercept {
-			t.Fatalf("recv charge = %v", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("passthrough swallowed the reply")
+	inner.sink(orb.WireReply{Bytes: reply, VTime: vtime.Time(5000)})
+	if len(got) != 1 {
+		t.Fatalf("passthrough delivered %d replies, want 1", len(got))
+	}
+	if wr := got[0]; wr.VTime != vtime.Time(5000).Add(model.Intercept) {
+		t.Fatalf("recv vt = %v", wr.VTime)
+	} else if charge := wr.Ledger.Of(vtime.ComponentReplicator); charge != model.Intercept {
+		t.Fatalf("recv charge = %v", charge)
 	}
 }
 
@@ -82,6 +82,97 @@ func TestPassthroughCloseClosesInner(t *testing.T) {
 		t.Fatal("inner wire not closed")
 	}
 }
+
+// The sink contract (orb.ReplySink) on both interposed wires: a sink that
+// re-enters Send from inside the up-call completes, and nothing is
+// delivered once Close has returned.
+func TestPassthroughSinkContract(t *testing.T) {
+	inner := newFakeWire()
+	pw := NewPassthrough(inner, vtime.DefaultCostModel())
+	delivered := 0
+	pw.Bind(func(wr orb.WireReply) {
+		delivered++
+		if err := pw.Send(wr.Bytes, wr.VTime, wr.Ledger); err != nil {
+			t.Errorf("Send from inside the sink: %v", err)
+		}
+	})
+	inner.sink(orb.WireReply{Bytes: []byte("r")})
+	if delivered != 1 || len(inner.sent) != 1 {
+		t.Fatalf("delivered %d, re-sent %d; want 1 and 1", delivered, len(inner.sent))
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inner.sink(orb.WireReply{Bytes: []byte("late")})
+	if delivered != 1 {
+		t.Fatal("sink invoked after Close returned")
+	}
+}
+
+func TestGroupWireSinkContract(t *testing.T) {
+	conn := &sendCounter{}
+	gcc := gcs.DefaultClientConfig([]string{"m"})
+	gcc.ResendInterval = time.Hour // only first transmissions are counted
+	w := NewGroupWire(conn, gcc)
+	delivered := 0
+	w.Bind(func(wr orb.WireReply) {
+		delivered++
+		// Re-enters GroupWire.Send → GroupClient.Submit: deadlocks if the
+		// up-call ran under the wire's or the group client's lock.
+		if err := w.Send(wr.Bytes, wr.VTime, wr.Ledger); err != nil {
+			t.Errorf("Send from inside the sink: %v", err)
+		}
+	})
+	reply := func(rid uint64) gcs.Event {
+		return gcs.Event{Kind: gcs.EventDirect, Sender: "m", Payload: mkReply(rid, "x").Bytes}
+	}
+	done := make(chan struct{})
+	go func() { // a deadlock must fail the test, not hang it
+		defer close(done)
+		w.deliver(reply(1))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("up-call that re-enters Send did not complete")
+	}
+	if delivered != 1 || conn.sends.Load() != 1 {
+		t.Fatalf("delivered %d, submitted %d; want 1 and 1", delivered, conn.sends.Load())
+	}
+
+	// Concurrent closers (run with -race): Close is idempotent and every
+	// call returns only after the group client has stopped.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	w.deliver(reply(2))
+	if delivered != 1 {
+		t.Fatal("sink invoked after Close returned")
+	}
+	if err := w.Send([]byte("req"), 0, vtime.Ledger{}); err == nil {
+		t.Fatal("Send after Close succeeded")
+	}
+}
+
+// sendCounter is a transport.Conn that only counts data sends.
+type sendCounter struct{ sends atomic.Int64 }
+
+func (c *sendCounter) Addr() string           { return "client" }
+func (c *sendCounter) Seal(buf []byte) []byte { return buf }
+func (c *sendCounter) Send(string, []byte, vtime.Time) error {
+	c.sends.Add(1)
+	return nil
+}
+func (c *sendCounter) SendMulticast([]string, []byte, vtime.Time) error { return nil }
+func (c *sendCounter) SendControl(string, []byte, vtime.Time) error     { return nil }
 
 // filterHarness exercises GroupWire's reply filter directly.
 func mkReply(rid uint64, payload string) orb.WireReply {

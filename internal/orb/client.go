@@ -34,8 +34,7 @@ type Client struct {
 	waiters map[uint64]chan WireReply
 	closed  bool
 
-	stop chan struct{}
-	done chan struct{}
+	stop chan struct{} // closed by Close: wakes invocations in flight
 }
 
 // ClientOption configures a Client.
@@ -68,7 +67,7 @@ func WithClientTrace(r *trace.Recorder) ClientOption {
 }
 
 // NewClient creates a client ORB identified by id (its process address)
-// speaking over wire.
+// speaking over wire, and binds itself into the wire as its reply sink.
 func NewClient(id string, wire Wire, model vtime.CostModel, opts ...ClientOption) *Client {
 	c := &Client{
 		id:      id,
@@ -78,12 +77,11 @@ func NewClient(id string, wire Wire, model vtime.CostModel, opts ...ClientOption
 		retries: 3,
 		waiters: make(map[uint64]chan WireReply),
 		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	go c.dispatch()
+	wire.Bind(c.deliver)
 	return c
 }
 
@@ -100,7 +98,6 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	close(c.stop)
-	<-c.done
 	return c.wire.Close()
 }
 
@@ -216,37 +213,23 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 	return nil, ErrTimeout
 }
 
-// dispatch routes wire replies to waiting invocations, dropping duplicates
-// and replies to forgotten requests.
-func (c *Client) dispatch() {
-	defer close(c.done)
-	for {
-		select {
-		case wr, ok := <-c.wire.Recv():
-			if !ok {
-				return
-			}
-			cid, rid, err := PeekReplyID(wr.Bytes)
-			if err != nil || cid != c.id {
-				continue
-			}
-			c.mu.Lock()
-			ch := c.waiters[rid]
-			c.mu.Unlock()
-			if ch == nil {
-				// Reply to a request no invocation is waiting on: a
-				// duplicate arriving after Invoke returned (or a reply to
-				// a forgotten request).
-				c.cDupReplies.Inc()
-				continue
-			}
-			select {
-			case ch <- wr:
-			default: // duplicate reply for an already-answered request
-				c.cDupReplies.Inc()
-			}
-		case <-c.stop:
-			return
-		}
+// deliver is the client's ReplySink: it hands a wire reply to the
+// invocation waiting on it, dropping duplicates and replies to forgotten
+// requests. It runs on the wire's receiving goroutine and never blocks (a
+// waiter's channel has room for the one reply it will read).
+func (c *Client) deliver(wr WireReply) {
+	cid, rid, err := PeekReplyID(wr.Bytes)
+	if err != nil || cid != c.id {
+		return
+	}
+	c.mu.Lock()
+	ch := c.waiters[rid]
+	c.mu.Unlock()
+	select {
+	case ch <- wr: // a nil ch (no invocation waiting) is never ready
+	default:
+		// A duplicate of an already-answered request, or a reply arriving
+		// after Invoke returned or gave up.
+		c.cDupReplies.Inc()
 	}
 }

@@ -31,6 +31,7 @@ type Server struct {
 	mu       sync.Mutex
 	inbox    []transport.Message
 	inNotify chan struct{}
+	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
@@ -84,14 +85,10 @@ func (s *Server) HandleTransport(msg transport.Message) {
 	}
 }
 
-// Stop shuts the server down.
+// Stop shuts the server down. Safe from several goroutines; every call
+// returns only once the run goroutine has exited.
 func (s *Server) Stop() {
-	select {
-	case <-s.stop:
-		return
-	default:
-	}
-	close(s.stop)
+	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
 }
 

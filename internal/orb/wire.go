@@ -1,7 +1,7 @@
 package orb
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"versadep/internal/codec"
 	"versadep/internal/transport"
@@ -20,14 +20,22 @@ import (
 // interceptor package substitutes implementations that add interception
 // costs or redirect onto group communication. Invoke never knows the
 // difference — the transparency property of library interposition.
+//
+// Requests go down as calls (Send) and replies come back up as calls (the
+// bound ReplySink): a wire owns no goroutine, it is a function from an
+// inbound message to an up-call on whatever is stacked above it, run by the
+// transport's receiving goroutine.
 type Wire interface {
 	// Send transmits encoded request bytes at virtual time sentAt with
 	// the costs accumulated so far. reqBytes is not copied and must not
 	// be written to afterwards; the caller may send the same bytes again.
 	Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error
-	// Recv returns the inbound reply stream.
-	Recv() <-chan WireReply
-	// Close releases the wire.
+	// Bind installs the sink replies are delivered to. The layer above
+	// (the client ORB, or a wire stacked on this one) calls it once, at
+	// construction; replies arriving before that are dropped.
+	Bind(sink ReplySink)
+	// Close releases the wire. A reply that arrives after Close has
+	// returned is not delivered.
 	Close() error
 }
 
@@ -37,6 +45,32 @@ type WireReply struct {
 	VTime  vtime.Time
 	Ledger vtime.Ledger
 }
+
+// ReplySink is the up-call a Wire hands each inbound reply to. It runs on
+// the goroutine that received the message, so it never blocks; the wire
+// holds no lock while calling it, so it may call Send on the same wire; and
+// it is not invoked once the wire's Close has returned.
+type ReplySink func(WireReply)
+
+// Upcall is the sink slot of a Wire implementation: Bind installs the
+// sink, Deliver calls it (a no-op before Bind and after Shut), Shut clears
+// it on Close. Lock-free, so Deliver never runs the sink under a lock.
+type Upcall struct {
+	sink atomic.Pointer[ReplySink]
+}
+
+// Bind installs sink.
+func (u *Upcall) Bind(sink ReplySink) { u.sink.Store(&sink) }
+
+// Deliver hands wr to the bound sink, if there is one.
+func (u *Upcall) Deliver(wr WireReply) {
+	if sink := u.sink.Load(); sink != nil {
+		(*sink)(wr)
+	}
+}
+
+// Shut unbinds the sink: later Delivers do nothing.
+func (u *Upcall) Shut() { u.sink.Store(nil) }
 
 // Envelope wraps VIOP bytes with their virtual timing context when they
 // travel point-to-point (the GIOP service-context analogue): the receiver
@@ -118,10 +152,7 @@ type DirectWire struct {
 	conn   transport.Conn
 	server string
 	model  vtime.CostModel
-
-	mu     sync.Mutex
-	out    chan WireReply
-	closed bool
+	up     Upcall
 }
 
 var _ Wire = (*DirectWire)(nil)
@@ -129,20 +160,19 @@ var _ Wire = (*DirectWire)(nil)
 // NewDirectWire creates a wire from conn to the server address. The caller
 // must route inbound ProtoVIOP messages to HandleTransport.
 func NewDirectWire(conn transport.Conn, server string, model vtime.CostModel) *DirectWire {
-	return &DirectWire{
-		conn:   conn,
-		server: server,
-		model:  model,
-		out:    make(chan WireReply, 64),
-	}
+	return &DirectWire{conn: conn, server: server, model: model}
 }
+
+// Bind installs the reply sink.
+func (w *DirectWire) Bind(sink ReplySink) { w.up.Bind(sink) }
 
 // Send transmits the request inside a timing envelope.
 func (w *DirectWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	return sendEnvelope(w.conn, w.server, &Envelope{VT: sentAt, Ledger: led, Bytes: reqBytes})
 }
 
-// HandleTransport ingests an inbound reply message.
+// HandleTransport turns an inbound reply message into an up-call on the
+// bound sink, charging the wire time to the ORB component.
 func (w *DirectWire) HandleTransport(msg transport.Message) {
 	env, err := DecodeEnvelope(msg.Payload)
 	if err != nil {
@@ -154,27 +184,11 @@ func (w *DirectWire) HandleTransport(msg transport.Message) {
 		led.Charge(vtime.ComponentORB, msg.ArriveAt.Sub(msg.SentAt))
 		vt = msg.ArriveAt
 	}
-	w.mu.Lock()
-	closed := w.closed
-	w.mu.Unlock()
-	if closed {
-		return
-	}
-	select {
-	case w.out <- WireReply{Bytes: env.Bytes, VTime: vt, Ledger: led}:
-	default:
-		// A full buffer means the client stopped consuming; dropping is
-		// safe (the client retransmits).
-	}
+	w.up.Deliver(WireReply{Bytes: env.Bytes, VTime: vt, Ledger: led})
 }
 
-// Recv returns the reply stream.
-func (w *DirectWire) Recv() <-chan WireReply { return w.out }
-
-// Close marks the wire closed.
+// Close unbinds the sink; the connection belongs to the caller.
 func (w *DirectWire) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.closed = true
+	w.up.Shut()
 	return nil
 }

@@ -212,9 +212,10 @@ type Engine struct {
 	cfg     Config
 	cpu     vtime.Server
 
-	cmds chan func()
-	stop chan struct{}
-	done chan struct{}
+	cmds     chan func()
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
 
 	// final is the snapshot the run goroutine takes as it exits, so the
 	// public getters keep answering truthfully after Stop instead of
@@ -451,14 +452,10 @@ func (e *Engine) finalSnap() *finalState {
 func (e *Engine) Addr() string { return e.member.Addr() }
 
 // Stop shuts the engine down (the member keeps running; stop it
-// separately or via the replicator node).
+// separately or via the replicator node). Safe from several goroutines;
+// every call returns only once the run goroutine has exited.
 func (e *Engine) Stop() {
-	select {
-	case <-e.stop:
-		return
-	default:
-	}
-	close(e.stop)
+	e.stopOnce.Do(func() { close(e.stop) })
 	<-e.done
 }
 

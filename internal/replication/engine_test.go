@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +46,26 @@ func startEngine(t *testing.T, addr string, cfg Config) (*Engine, *gcs.Member) {
 	e := NewEngine(m, adapter, cfg)
 	t.Cleanup(e.Stop)
 	return e, m
+}
+
+// TestEngineStopConcurrent: the replica node's self-retire goroutine and a
+// harness shutdown may both stop the engine; neither may panic on a double
+// close of the stop channel, and getters must answer from the final snapshot
+// as soon as any Stop call has returned (run with -race).
+func TestEngineStopConcurrent(t *testing.T) {
+	e, _ := startEngine(t, "g1", Config{Style: WarmPassive, CheckpointEvery: 5})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Stop()
+			if got := e.CheckpointEvery(); got != 5 {
+				t.Errorf("CheckpointEvery right after Stop returned = %d, want 5", got)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Regression: on the seed code every getter went through do(), which

@@ -431,6 +431,10 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 	}
 
 	// The decision log is visible over the /policy introspection endpoint.
+	// One more step first: /policy shows the signals of the last step, and
+	// the step that ended the loop above may have sampled the old view an
+	// instant before the primary installed the new one.
+	ctrl.Step()
 	resp, err := http.Get("http://" + srv.Addr() + "/policy")
 	if err != nil {
 		t.Fatal(err)

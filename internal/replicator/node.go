@@ -19,6 +19,7 @@ package replicator
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"versadep/internal/codec"
@@ -213,7 +214,6 @@ func (n *ReplicaNode) Leave() {
 // router that fans out across every shard's group.
 type ClientNode struct {
 	demux  *transport.Demux
-	wire   orb.Wire
 	gw     *interceptor.GroupWire // set for single-group clients
 	router *shard.Router          // set for sharded clients
 	client *orb.Client
@@ -260,29 +260,38 @@ func StartClient(ep transport.MultiEndpoint, cfg ClientConfig) *ClientNode {
 	gcc.Spans = rec.Spans()
 	gcc.SpanKey = requestSpanKey
 	gcc.GroupID = cfg.GroupID
-	gc := gcs.NewClient(d.Conn(transport.ProtoGCS), gcc)
-	d.Handle(transport.ProtoGroupClient, gc.HandleTransport)
+	wire := interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc,
+		groupWireOptions(rec, cfg.Filter, cfg.ExpectedReplies)...)
+	d.Handle(transport.ProtoGroupClient, wire.Group().HandleTransport)
 
-	opts := []interceptor.GroupWireOption{interceptor.WithGroupTrace(rec)}
-	if cfg.Filter != 0 {
-		opts = append(opts, interceptor.WithFilter(cfg.Filter))
-	}
-	if cfg.ExpectedReplies > 0 {
-		opts = append(opts, interceptor.WithExpectedReplies(cfg.ExpectedReplies))
-	}
-	wire := interceptor.NewGroupWire(gc, cfg.Model, opts...)
-
-	copts := []orb.ClientOption{orb.WithClientTrace(rec)}
-	if cfg.Timeout > 0 {
-		copts = append(copts, orb.WithTimeout(cfg.Timeout))
-	}
-	if cfg.Retries > 0 {
-		copts = append(copts, orb.WithRetries(cfg.Retries))
-	}
-	client := orb.NewClient(ep.Addr(), wire, cfg.Model, copts...)
+	client := orb.NewClient(ep.Addr(), wire, cfg.Model, orbClientOptions(rec, cfg.Timeout, cfg.Retries)...)
 
 	d.Start()
-	return &ClientNode{demux: d, wire: wire, gw: wire, client: client, trace: rec}
+	return &ClientNode{demux: d, gw: wire, client: client, trace: rec}
+}
+
+// groupWireOptions and orbClientOptions translate the zero-means-default
+// fields shared by ClientConfig and ShardedClientConfig.
+func groupWireOptions(rec *trace.Recorder, filter interceptor.ReplyFilter, expected int) []interceptor.GroupWireOption {
+	opts := []interceptor.GroupWireOption{interceptor.WithGroupTrace(rec)}
+	if filter != 0 {
+		opts = append(opts, interceptor.WithFilter(filter))
+	}
+	if expected > 0 {
+		opts = append(opts, interceptor.WithExpectedReplies(expected))
+	}
+	return opts
+}
+
+func orbClientOptions(rec *trace.Recorder, timeout time.Duration, retries int) []orb.ClientOption {
+	opts := []orb.ClientOption{orb.WithClientTrace(rec)}
+	if timeout > 0 {
+		opts = append(opts, orb.WithTimeout(timeout))
+	}
+	if retries > 0 {
+		opts = append(opts, orb.WithRetries(retries))
+	}
+	return opts
 }
 
 // ShardedClientConfig bundles the configuration of a client that spans
@@ -326,14 +335,14 @@ func StartShardedClient(ep transport.MultiEndpoint, cfg ShardedClientConfig) *Cl
 
 	// Inbound ProtoGroupClient messages fan out to every shard's group
 	// client; the per-frame group id filter makes each keep only its own
-	// shard's traffic, so no sender→shard registry is needed.
-	var mu sync.Mutex
-	var groupClients []*gcs.GroupClient
+	// shard's traffic, so no sender→shard registry is needed. The list is
+	// published copy-on-write — written only when a shard is dialed — so the
+	// receive path reads a snapshot without locking or allocating.
+	var dialMu sync.Mutex
+	var groupClients atomic.Pointer[[]*gcs.GroupClient]
+	groupClients.Store(new([]*gcs.GroupClient))
 	d.Handle(transport.ProtoGroupClient, func(msg transport.Message) {
-		mu.Lock()
-		clients := append([]*gcs.GroupClient(nil), groupClients...)
-		mu.Unlock()
-		for _, gc := range clients {
+		for _, gc := range *groupClients.Load() {
 			gc.HandleTransport(msg)
 		}
 	})
@@ -344,32 +353,20 @@ func StartShardedClient(ep transport.MultiEndpoint, cfg ShardedClientConfig) *Cl
 		gcc.Spans = rec.Spans()
 		gcc.SpanKey = requestSpanKey
 		gcc.GroupID = uint32(g.ID)
-		gc := gcs.NewClient(d.Conn(transport.ProtoGCS), gcc)
-		mu.Lock()
-		groupClients = append(groupClients, gc)
-		mu.Unlock()
-		opts := []interceptor.GroupWireOption{interceptor.WithGroupTrace(rec)}
-		if cfg.Filter != 0 {
-			opts = append(opts, interceptor.WithFilter(cfg.Filter))
-		}
-		if cfg.ExpectedReplies > 0 {
-			opts = append(opts, interceptor.WithExpectedReplies(cfg.ExpectedReplies))
-		}
-		return interceptor.NewGroupWire(gc, cfg.Model, opts...), nil
+		wire := interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc,
+			groupWireOptions(rec, cfg.Filter, cfg.ExpectedReplies)...)
+		dialMu.Lock()
+		next := append(append([]*gcs.GroupClient(nil), *groupClients.Load()...), wire.Group())
+		groupClients.Store(&next)
+		dialMu.Unlock()
+		return wire, nil
 	}
 	router := shard.NewRouter(cfg.Fetch, factory, shard.WithRouterTrace(rec))
 
-	copts := []orb.ClientOption{orb.WithClientTrace(rec)}
-	if cfg.Timeout > 0 {
-		copts = append(copts, orb.WithTimeout(cfg.Timeout))
-	}
-	if cfg.Retries > 0 {
-		copts = append(copts, orb.WithRetries(cfg.Retries))
-	}
-	client := orb.NewClient(ep.Addr(), router, cfg.Model, copts...)
+	client := orb.NewClient(ep.Addr(), router, cfg.Model, orbClientOptions(rec, cfg.Timeout, cfg.Retries)...)
 
 	d.Start()
-	return &ClientNode{demux: d, wire: router, router: router, client: client, trace: rec}
+	return &ClientNode{demux: d, router: router, client: client, trace: rec}
 }
 
 // Addr returns the client's transport address.

@@ -2,6 +2,7 @@ package replicator_test
 
 import (
 	"testing"
+	"time"
 
 	"versadep/internal/replication"
 	"versadep/internal/simnet"
@@ -41,14 +42,22 @@ func TestNodeTraceSnapshotWiring(t *testing.T) {
 
 	// Replica side: every node saw the view changes of the staggered join;
 	// across the group the primary checkpointed and a backup applied one.
+	// A backup applies a checkpoint some time after the client has its
+	// reply, so the counters are polled rather than read once.
 	var ckpts, applied int64
-	for i, n := range c.nodes {
-		ns := n.TraceSnapshot()
-		if got := ns.Get(trace.SubGCS, "view_changes"); got < 1 {
-			t.Fatalf("replica %d gcs.view_changes = %d, want >= 1", i, got)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		ckpts, applied = 0, 0
+		for i, n := range c.nodes {
+			ns := n.TraceSnapshot()
+			if got := ns.Get(trace.SubGCS, "view_changes"); got < 1 {
+				t.Fatalf("replica %d gcs.view_changes = %d, want >= 1", i, got)
+			}
+			ckpts += ns.Get(trace.SubReplication, "checkpoints")
+			applied += ns.Get(trace.SubReplication, "checkpoints_applied")
 		}
-		ckpts += ns.Get(trace.SubReplication, "checkpoints")
-		applied += ns.Get(trace.SubReplication, "checkpoints_applied")
+		if (ckpts >= 1 && applied >= 1) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if ckpts < 1 {
 		t.Fatalf("group replication.checkpoints = %d, want >= 1", ckpts)

@@ -60,7 +60,18 @@ func TestSemiActiveUsesLessBandwidthThanActive(t *testing.T) {
 			}
 			vt = out.DoneVT
 		}
-		return net.Stats().BytesSent
+		// The client returns on the first reply; the other replicas' replies
+		// to the last requests may still be on their way out. Heartbeats and
+		// acks are control sends and not accounted, so the count settles.
+		bytes := net.Stats().BytesSent
+		for {
+			time.Sleep(20 * time.Millisecond)
+			next := net.Stats().BytesSent
+			if next == bytes {
+				return bytes
+			}
+			bytes = next
+		}
 	}
 	active := run(replication.Active)
 	semi := run(replication.SemiActive)

@@ -88,18 +88,6 @@ func (m *Map) WithShard(g Group) *Map {
 	return next
 }
 
-// WithoutShard returns a new map at epoch+1 without the given shard.
-func (m *Map) WithoutShard(id int) *Map {
-	next := &Map{Epoch: m.Epoch + 1, Vnodes: m.Vnodes}
-	for _, old := range m.Shards {
-		if old.ID != id {
-			next.Shards = append(next.Shards, old)
-		}
-	}
-	next.normalize()
-	return next
-}
-
 // Encode serializes the map deterministically (shards are kept sorted by
 // ID), so a map embedded in a replicated invocation is byte-identical at
 // every active replica.
@@ -171,9 +159,8 @@ func DecodeMap(b []byte) (*Map, error) {
 // replicas guard every request with the epoch check and NAK strays. A
 // router with a stale map just pays one extra round trip to refresh.
 type Coordinator struct {
-	mu       sync.Mutex
-	current  *Map
-	onChange []func(*Map)
+	mu      sync.Mutex
+	current *Map
 }
 
 // NewCoordinator creates a coordinator publishing the given initial map.
@@ -188,31 +175,16 @@ func (c *Coordinator) Snapshot() *Map {
 	return c.current
 }
 
-// OnChange registers a callback invoked (synchronously, under no lock)
-// with every newly published map.
-func (c *Coordinator) OnChange(fn func(*Map)) {
-	c.mu.Lock()
-	c.onChange = append(c.onChange, fn)
-	c.mu.Unlock()
-}
-
 // Publish installs next as the current map. next must advance the epoch;
 // a stale or equal epoch is rejected so racing reconfigurations cannot
 // roll the layout backwards.
 func (c *Coordinator) Publish(next *Map) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if next.Epoch <= c.current.Epoch {
-		cur := c.current.Epoch
-		c.mu.Unlock()
-		return fmt.Errorf("shard: publish epoch %d not after current %d", next.Epoch, cur)
+		return fmt.Errorf("shard: publish epoch %d not after current %d", next.Epoch, c.current.Epoch)
 	}
 	c.current = next
-	fns := make([]func(*Map), len(c.onChange))
-	copy(fns, c.onChange)
-	c.mu.Unlock()
-	for _, fn := range fns {
-		fn(next)
-	}
 	return nil
 }
 
@@ -220,17 +192,6 @@ func (c *Coordinator) Publish(next *Map) error {
 func (c *Coordinator) AddShard(g Group) (*Map, error) {
 	c.mu.Lock()
 	next := c.current.WithShard(g)
-	c.mu.Unlock()
-	if err := c.Publish(next); err != nil {
-		return nil, err
-	}
-	return next, nil
-}
-
-// RemoveShard publishes a new map without the given shard and returns it.
-func (c *Coordinator) RemoveShard(id int) (*Map, error) {
-	c.mu.Lock()
-	next := c.current.WithoutShard(id)
 	c.mu.Unlock()
 	if err := c.Publish(next); err != nil {
 		return nil, err
@@ -290,9 +251,6 @@ type Guard struct {
 func NewGuard(shardID int, m *Map) *Guard {
 	return &Guard{shardID: shardID, m: m}
 }
-
-// ShardID returns the shard this guard protects.
-func (g *Guard) ShardID() int { return g.shardID }
 
 // Epoch returns the guard's current epoch.
 func (g *Guard) Epoch() uint64 {

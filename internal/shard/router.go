@@ -36,11 +36,14 @@ type inflightReq struct {
 
 // Router multiplexes one client ORB across every shard's replica group:
 // it implements orb.Wire, peeks each outbound request's object reference,
-// and forwards the bytes over the owning shard's wire. Replies from all
-// shards merge into one stream. Stale-epoch NAKs are consumed by the
-// router itself — it refreshes its map from the coordinator and re-sends
-// to the new owner — so the client ORB above never observes
-// reconfiguration, only (at worst) a longer round trip.
+// and forwards the bytes over the owning shard's wire. It is the reply sink
+// of every shard wire it dials: an ordinary reply (or a real servant
+// exception) goes straight up to the ORB on the goroutine that received it.
+// Stale-epoch NAKs are consumed by the router itself — it refreshes its map
+// from the coordinator and re-sends to the new owner — so the client ORB
+// above never observes reconfiguration, only (at worst) a longer round
+// trip. That refresh may be a network fetch, so it is the one piece of work
+// handed off the receiving goroutine.
 type Router struct {
 	fetch   func() *Map
 	factory WireFactory
@@ -56,9 +59,8 @@ type Router struct {
 	inflight map[uint64]*inflightReq
 	closed   bool
 
-	replies chan orb.WireReply
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	up       orb.Upcall
+	reroutes sync.WaitGroup // stale-NAK re-routes in flight; Close waits
 }
 
 // RouterOption configures a Router.
@@ -84,8 +86,6 @@ func NewRouter(fetch func() *Map, factory WireFactory, opts ...RouterOption) *Ro
 		m:        fetch(),
 		wires:    make(map[int]orb.Wire),
 		inflight: make(map[uint64]*inflightReq),
-		replies:  make(chan orb.WireReply, 64),
-		stop:     make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(r)
@@ -117,17 +117,20 @@ func (r *Router) wireFor(m *Map, object string) (orb.Wire, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: dial shard %d: %w", g.ID, err)
 	}
+	w.Bind(r.deliver) // before anyone can Send on it
 	r.mu.Lock()
-	if existing := r.wires[g.ID]; existing != nil {
+	existing := r.wires[g.ID]
+	if existing == nil && !r.closed {
+		r.wires[g.ID] = w
 		r.mu.Unlock()
-		w.Close()
-		return existing, nil
+		return w, nil
 	}
-	r.wires[g.ID] = w
 	r.mu.Unlock()
-	r.wg.Add(1)
-	go r.forward(w)
-	return w, nil
+	w.Close() // lost the race to another dial of the same shard, or to Close
+	if existing == nil {
+		return nil, orb.ErrClosed
+	}
+	return existing, nil
 }
 
 // Send implements orb.Wire: route by object reference and forward.
@@ -168,60 +171,55 @@ func (r *Router) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) erro
 	return w.Send(reqBytes, sentAt, led)
 }
 
-// Recv implements orb.Wire.
-func (r *Router) Recv() <-chan orb.WireReply { return r.replies }
+// Bind implements orb.Wire.
+func (r *Router) Bind(sink orb.ReplySink) { r.up.Bind(sink) }
 
-// forward pumps one shard wire's replies into the merged stream,
-// intercepting stale-epoch NAKs.
-func (r *Router) forward(w orb.Wire) {
-	defer r.wg.Done()
-	for {
-		select {
-		case wr, ok := <-w.Recv():
-			if !ok {
-				return
-			}
-			if r.handleStale(wr) {
-				continue
-			}
-			select {
-			case r.replies <- wr:
-			case <-r.stop:
-				return
-			}
-		case <-r.stop:
-			return
-		}
-	}
-}
-
-// handleStale inspects a reply; if it is a stale-epoch NAK for a request
-// we still track, it refreshes the map and re-routes, returning true to
-// suppress delivery.
-func (r *Router) handleStale(wr orb.WireReply) bool {
+// deliver is the sink of every shard wire. Anything but a stale-epoch NAK
+// is a final answer and passes straight through; a stale NAK for a request
+// still tracked is re-routed on its own goroutine, so the transport's
+// receiving goroutine is never parked behind a map fetch.
+func (r *Router) deliver(wr orb.WireReply) {
 	_, rid, status, errMsg, err := orb.PeekReplyError(wr.Bytes)
 	if err != nil {
-		return false
+		r.up.Deliver(wr)
+		return
 	}
-	if status != orb.StatusException {
-		r.Done(rid) // answered: release re-route bookkeeping
-		return false
+	var guardEpoch uint64
+	var stale bool
+	if status == orb.StatusException {
+		guardEpoch, stale = IsStale(errMsg)
 	}
-	guardEpoch, stale := IsStale(errMsg)
 	if !stale {
-		r.Done(rid) // a real servant exception is a final answer too
-		return false
+		r.mu.Lock()
+		delete(r.inflight, rid) // answered: release re-route bookkeeping
+		r.mu.Unlock()
+		r.up.Deliver(wr)
+		return
 	}
 	r.cStaleNAKs.Inc()
-
 	r.mu.Lock()
 	req := r.inflight[rid]
-	cur := r.m
-	r.mu.Unlock()
-	if req == nil {
-		return true // NAK for a request we no longer track: swallow it
+	if req == nil || r.closed {
+		r.mu.Unlock()
+		return // NAK for a request we no longer track: swallow it
 	}
-	if cur.Epoch <= guardEpoch || cur.Epoch <= req.epoch {
+	r.reroutes.Add(1) // under r.mu with closed unset: Close's Wait comes after
+	r.mu.Unlock()
+	go func() {
+		defer r.reroutes.Done()
+		r.reroute(req, guardEpoch)
+	}()
+}
+
+// reroute refreshes the map if the NAKing guard's epoch is not behind ours
+// and, when that yields a fresher layout than the one req last failed
+// under, sends req to its new owner. Otherwise the NAK is simply dropped
+// and the client ORB's retransmit paces the retry.
+func (r *Router) reroute(req *inflightReq, guardEpoch uint64) {
+	r.mu.Lock()
+	cur, last := r.m, req.epoch
+	r.mu.Unlock()
+	if cur.Epoch <= guardEpoch || cur.Epoch <= last {
 		next := r.fetch()
 		r.cRefreshes.Inc()
 		r.mu.Lock()
@@ -231,34 +229,22 @@ func (r *Router) handleStale(wr orb.WireReply) bool {
 		cur = r.m
 		r.mu.Unlock()
 	}
-	if cur.Epoch <= req.epoch {
-		// No fresher map than the one this request already failed under;
-		// drop the NAK and let the client ORB's retransmit pace the retry.
-		return true
+	if cur.Epoch <= last {
+		return
 	}
 	object, err := orb.PeekRequestObject(req.bytes)
 	if err != nil {
-		return true
+		return
 	}
 	r.mu.Lock()
 	req.epoch = cur.Epoch
 	r.mu.Unlock()
 	w, err := r.wireFor(cur, object)
 	if err != nil {
-		return true
+		return
 	}
 	r.cReroutes.Inc()
-	w.Send(req.bytes, req.sentAt, req.led)
-	return true
-}
-
-// Done marks a request identifier as answered, releasing its re-route
-// bookkeeping. The replicator's sharded client calls it as replies are
-// consumed; forgetting is harmless (the window prunes).
-func (r *Router) Done(rid uint64) {
-	r.mu.Lock()
-	delete(r.inflight, rid)
-	r.mu.Unlock()
+	_ = w.Send(req.bytes, req.sentAt, req.led) // lost sends are the ORB retransmit's to repair
 }
 
 // Close implements orb.Wire, closing every shard wire.
@@ -274,13 +260,13 @@ func (r *Router) Close() error {
 		wires = append(wires, w)
 	}
 	r.mu.Unlock()
-	close(r.stop)
+	r.up.Shut()
+	r.reroutes.Wait()
 	var first error
 	for _, w := range wires {
 		if err := w.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	r.wg.Wait()
 	return first
 }

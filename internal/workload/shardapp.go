@@ -79,13 +79,6 @@ func (a *ShardApp) Total() int64 {
 	return t
 }
 
-// Keys returns the object references with non-zero counters, sorted.
-func (a *ShardApp) Keys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sortedKeysLocked()
-}
-
 func (a *ShardApp) sortedKeysLocked() []string {
 	keys := make([]string, 0, len(a.counters))
 	for k := range a.counters {
@@ -181,17 +174,4 @@ func (a *ShardApp) ImportKeys(b []byte) error {
 	}
 	a.mu.Unlock()
 	return nil
-}
-
-// DropKeys removes every key matching pred — the donor's cleanup after a
-// move is sealed. Safe to skip: the shard guard NAKs access to moved keys
-// either way, the state just stays larger.
-func (a *ShardApp) DropKeys(pred func(key string) bool) {
-	a.mu.Lock()
-	for k := range a.counters {
-		if pred(k) {
-			delete(a.counters, k)
-		}
-	}
-	a.mu.Unlock()
 }
