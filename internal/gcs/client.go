@@ -29,14 +29,13 @@ type GroupClient struct {
 	stop     chan struct{}
 	done     chan struct{} // closed when the resend ticker has exited
 
-	mu        sync.Mutex // guards everything below
-	members   []string
-	oseq      uint64
-	pending   map[uint64]*frame
-	pendOrder []uint64
-	rotate    int // resend target rotation across ticks
-	direct    dupFilter
-	now       func() time.Time
+	mu      sync.Mutex // guards everything below
+	members []string
+	oseq    uint64
+	pending []*frame // submissions not known to be sequenced, in OSeq order
+	rotate  int      // resend target rotation across ticks
+	direct  dupFilter
+	now     func() time.Time
 }
 
 // ClientConfig parameterizes a GroupClient.
@@ -87,7 +86,6 @@ func NewClient(send transport.Conn, cfg ClientConfig, handler func(Event)) *Grou
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		members: append([]string(nil), cfg.Members...),
-		pending: make(map[uint64]*frame),
 		direct:  newDupFilter(),
 		now:     time.Now,
 	}
@@ -123,7 +121,7 @@ func (c *GroupClient) Stop() {
 }
 
 // Submit injects payload into the group's agreed stream. It is retransmitted
-// until the sequencer acknowledges it; duplicate submissions are suppressed
+// until a member reports it sequenced; duplicate submissions are suppressed
 // by the sequencer, so retries are safe. sentAt and led carry the caller's
 // virtual time and accumulated costs. The client takes ownership of payload
 // without copying it: nobody writes to it after the call (see
@@ -149,8 +147,7 @@ func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger
 		Ledger:  led,
 		Payload: payload,
 	}
-	c.pending[f.OSeq] = f
-	c.pendOrder = append(c.pendOrder, f.OSeq)
+	c.pending = append(c.pending, f)
 	if len(c.members) > 0 {
 		f.lastSend = c.now()
 		_ = c.send.Send(c.members[0], c.sealed(f), vt)
@@ -213,9 +210,10 @@ func (c *GroupClient) HandleTransport(msg transport.Message) {
 	fresh := false
 	switch f.Kind {
 	case kDirect:
+		c.sequencedThrough(f.Seq)
 		e, fresh = c.handleDirect(msg, f)
 	case kDataAck:
-		delete(c.pending, f.OSeq)
+		c.sequencedThrough(f.OSeq)
 	case kViewHint:
 		if len(f.Members) > 0 {
 			c.members = append([]string(nil), f.Members...)
@@ -225,6 +223,24 @@ func (c *GroupClient) HandleTransport(msg transport.Message) {
 	if fresh {
 		c.handler(e)
 	}
+}
+
+// sequencedThrough drops every pending submission up to oseq: a member has
+// seen them sequenced (c.mu held). The news arrives on the reply itself
+// (kDirect's Seq) or, failing that, in a kDataAck; zero is no news.
+func (c *GroupClient) sequencedThrough(oseq uint64) {
+	n := 0
+	for n < len(c.pending) && c.pending[n].OSeq <= oseq {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	// Shift down, not re-slice: the list is a few frames long, and its
+	// array is then reused from the start instead of re-grown.
+	rest := copy(c.pending, c.pending[n:])
+	clear(c.pending[rest:])
+	c.pending = c.pending[:rest]
 }
 
 // handleDirect acknowledges a direct frame and, unless it is a duplicate,
@@ -282,22 +298,12 @@ func (c *GroupClient) tick() {
 	// its ack is on the way.
 	nowT := c.now()
 	target := c.members[c.rotate%len(c.members)]
-	for _, oseq := range c.pendOrder {
-		f, ok := c.pending[oseq]
-		if !ok || nowT.Sub(f.lastSend) < c.cfg.ResendInterval {
+	for _, f := range c.pending {
+		if nowT.Sub(f.lastSend) < c.cfg.ResendInterval {
 			continue
 		}
 		f.lastSend = nowT
 		_ = c.send.SendControl(target, c.sealed(f), f.SentVT)
 	}
 	c.rotate++
-	if len(c.pendOrder) > len(c.pending)*2 {
-		keep := c.pendOrder[:0]
-		for _, oseq := range c.pendOrder {
-			if _, ok := c.pending[oseq]; ok {
-				keep = append(keep, oseq)
-			}
-		}
-		c.pendOrder = keep
-	}
 }

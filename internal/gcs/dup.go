@@ -32,11 +32,72 @@ func (d *dupFilter) seen(peer string, oseq uint64) bool {
 		return true
 	}
 	sparse[oseq] = true
-	// Compact the contiguous prefix into the watermark.
+	d.high[peer] = compact(sparse, high)
+	return false
+}
+
+// skipTo moves peer's watermark up to through: the peer has given up on
+// every frame at or below it that did not arrive, so the gaps they left
+// will never fill.
+func (d *dupFilter) skipTo(peer string, through uint64) {
+	if through <= d.high[peer] {
+		return
+	}
+	sparse := d.sparse[peer]
+	for s := range sparse {
+		if s <= through {
+			delete(sparse, s)
+		}
+	}
+	d.high[peer] = compact(sparse, through)
+}
+
+// compact folds the entries of sparse contiguous with high into it and
+// returns the watermark they reach.
+func compact(sparse map[uint64]bool, high uint64) uint64 {
 	for sparse[high+1] {
 		high++
 		delete(sparse, high)
 	}
-	d.high[peer] = high
-	return false
+	return high
+}
+
+// owedAcks is the other half of the stream's receive side: the direct
+// frames from one peer that have arrived and not been acknowledged yet, and
+// the payload bytes the peer retains for retransmission until they are.
+type owedAcks struct {
+	seqs  []uint64
+	bytes int
+}
+
+// An owed acknowledgement waits for the next tick unless the peer is
+// holding ackOwedBytes of payload or ackOwedFrames frames for it by then.
+// The byte bound is what keeps a sender of large state frames from
+// retaining a tick's worth of them (a 64 KB frame exceeds it alone and is
+// acknowledged at once); the frame bound is the length bound every other
+// sequence list on the wire has.
+const (
+	ackOwedBytes  = 32 << 10
+	ackOwedFrames = 64
+)
+
+// add records a received frame and reports whether the debt has reached a
+// bound and must be paid now.
+func (o *owedAcks) add(oseq uint64, size int) bool {
+	o.seqs = append(o.seqs, oseq)
+	o.bytes += size
+	return o.bytes >= ackOwedBytes || len(o.seqs) >= ackOwedFrames
+}
+
+// settle empties the debt and returns what a cumulative acknowledgement at
+// watermark high leaves to name one by one: the owed frames above it.
+func (o *owedAcks) settle(high uint64) []uint64 {
+	var above []uint64
+	for _, s := range o.seqs {
+		if s > high {
+			above = append(above, s)
+		}
+	}
+	o.seqs, o.bytes = o.seqs[:0], 0
+	return above
 }

@@ -54,15 +54,26 @@ const (
 	// stream, ViewID/Members define the view.
 	kView
 	// kDirect: reliable point-to-point payload; OSeq is the per-pair
-	// sequence.
+	// sequence. Seq, when non-zero, tells an external client that every
+	// submission of its own up to that OSeq has been sequenced: the reply
+	// carries the acknowledgement of the request (see kDataAck). ViewID is
+	// not a view here: when non-zero it tells a member that the sender has
+	// given up on every kDirect to it numbered up to that OSeq
+	// (Member.directSkip). The two readers differ, so the two watermarks
+	// have a field each.
 	kDirect
-	// kDirectAck: acknowledges kDirect OSeq (control).
+	// kDirectAck: acknowledges kDirect frames (control). Seq is cumulative —
+	// every OSeq up to it has arrived — and Seqs and OSeq name single frames
+	// above it. Zero means nothing in each field: an external client
+	// acknowledges one frame at a time by OSeq alone, a member acknowledges
+	// several at once by Seq and Seqs.
 	kDirectAck
 	// kViewHint: tells an external client the current membership
 	// (control; sent in response to misdirected submissions).
 	kViewHint
-	// kDataAck: tells an external origin its kData submission has been
-	// sequenced, so it can stop retransmitting (control).
+	// kDataAck: tells an external origin that its kData submissions up to
+	// OSeq have been sequenced, so it can stop retransmitting them (control).
+	// Sent only when no kDirect carried the news first.
 	kDataAck
 )
 

@@ -171,7 +171,13 @@ type Config struct {
 	// Seeds are addresses of existing members to join through. Empty
 	// seeds bootstrap a new singleton group.
 	Seeds []string
-	// HBInterval is the heartbeat period (real time).
+	// HBInterval is the heartbeat period (real time), and the period of the
+	// member's tick: the longest an acknowledgement waits for a frame to
+	// ride on or for company (kDataAck to an external client whose reply has
+	// not left yet, kDirectAck to a member sending state). Keep it at or
+	// below half the sender's ResendInterval: a slower tick costs one
+	// retransmission per deferred acknowledgement (the duplicate is then
+	// acknowledged at once).
 	HBInterval time.Duration
 	// SuspectAfter is how long without a heartbeat before a member is
 	// suspected crashed (real time). With the accrual detector enabled it
@@ -188,7 +194,9 @@ type Config struct {
 	// peer (0 = detector.DefaultWindow).
 	PhiWindow int
 	// ResendInterval is the retransmission period for unacknowledged
-	// traffic (real time).
+	// traffic (real time). Receivers sit on an acknowledgement for up to
+	// one HBInterval; at the defaults that is half of this, which keeps a
+	// healthy network free of retransmissions.
 	ResendInterval time.Duration
 	// PrepareTimeout bounds how long a view-change proposer waits for
 	// flush acknowledgements before re-proposing without the laggards.

@@ -100,8 +100,20 @@ type Member struct {
 	// Reliable direct unicast.
 	directOut   map[string]uint64
 	directUnack map[string]map[uint64]*frame
-	directIn    dupFilter       // inbound direct frames already delivered
-	dataAcked   map[uint64]bool // acks for my kData submissions (external use)
+	directIn    dupFilter // inbound direct frames already delivered
+	// directSkip is how far the numbering to a member had got when a view
+	// excluded it and its unacknowledged frames were dropped. Every later
+	// frame to it says so, until it acknowledges past that point: a member
+	// that comes back must not wait for the dropped frames.
+	directSkip map[string]uint64
+
+	// Acknowledgements not sent yet, because a frame already travelling may
+	// carry them or one frame can carry several: ackOwed holds, per peer,
+	// the direct frames received and not acknowledged, and dataAckOwed the
+	// external origins that have not been told how far their submissions are
+	// sequenced. Both are paid by the next tick at the latest.
+	ackOwed     map[string]*owedAcks
+	dataAckOwed map[string]bool
 
 	// Failure detection. det is nil when the accrual detector is disabled
 	// (PhiThreshold <= 0); lastHeard backs the fixed SuspectAfter floor
@@ -203,7 +215,9 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		directOut:    make(map[string]uint64),
 		directUnack:  make(map[string]map[uint64]*frame),
 		directIn:     newDupFilter(),
-		dataAcked:    make(map[uint64]bool),
+		directSkip:   make(map[string]uint64),
+		ackOwed:      make(map[string]*owedAcks),
+		dataAckOwed:  make(map[string]bool),
 		lastHeard:    make(map[string]time.Time),
 		suspects:     make(map[string]bool),
 		joinReqs:     make(map[string]bool),

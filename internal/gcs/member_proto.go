@@ -147,8 +147,13 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 		m.spans.Add(key, "gc_send_direct", span.CompGC, vt.Add(-cost), vt)
 	}
 	m.directOut[to]++
+	// Seq is how far to's own submissions are sequenced — what a kDataAck
+	// would tell it. Only an external client reads it, and only a member
+	// reads ViewID: how much of this stream it is to stop waiting for.
 	f := &frame{
 		Kind:    kDirect,
+		ViewID:  m.directSkip[to],
+		Seq:     m.seenData[to],
 		Origin:  m.Addr(),
 		OSeq:    m.directOut[to],
 		SentVT:  vt,
@@ -159,6 +164,9 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 		m.directUnack[to] = make(map[uint64]*frame)
 	}
 	m.directUnack[to][f.OSeq] = f
+	if m.dataAckOwed[to] && f.Seq >= m.seqLocal[to] {
+		delete(m.dataAckOwed, to) // this frame says it all
+	}
 	m.sendExternal(to, f, false)
 }
 
@@ -217,8 +225,6 @@ func (m *Member) handleFrame(msg transport.Message, f *frame) {
 		}
 	case kData:
 		m.handleData(msg, f)
-	case kDataAck:
-		m.handleDataAck(f)
 	case kSeq, kView:
 		m.handleSequenced(msg, f)
 	case kNack:
@@ -327,8 +333,10 @@ func (m *Member) handleData(msg transport.Message, f *frame) {
 		return
 	}
 	if f.OSeq <= m.effectiveSeen(f.Origin) {
-		// Duplicate: re-ack so external origins stop resending.
-		m.ackData(f)
+		// Duplicate: the origin is timing out, so tell it now.
+		if m.isExternal(f.Origin) {
+			m.payDataAck(f.Origin)
+		}
 		return
 	}
 	hold := m.dataHold[f.Origin]
@@ -401,7 +409,9 @@ func (m *Member) sequenceReady(origin string) {
 		}
 		m.nextSeq++
 		m.seqLocal[f.Origin] = f.OSeq
-		m.ackData(f)
+		if m.isExternal(f.Origin) {
+			m.dataAckOwed[f.Origin] = true
+		}
 		m.castData(sf)
 	}
 }
@@ -448,20 +458,18 @@ func (m *Member) maybeSkipDataGap(origin string, hold map[uint64]*rxFrame) {
 	m.tr.Event(trace.SubGCS, "data_gap_skip", m.deliverVT, int64(lowest-next))
 }
 
-// ackData notifies an origin that its submission has been sequenced.
-// Members learn implicitly (they receive the kSeq); external clients need
-// the explicit control ack.
-func (m *Member) ackData(f *frame) {
-	if m.isExternal(f.Origin) {
-		ack := &frame{Kind: kDataAck, Origin: m.Addr(), OSeq: f.OSeq}
-		m.sendExternal(f.Origin, ack, true)
-	}
-}
-
-func (m *Member) handleDataAck(f *frame) {
-	// Members clear pending on kSeq delivery, not acks; this path serves
-	// the GroupClient implementation which shares frame handling.
-	m.dataAcked[f.OSeq] = true
+// payDataAck tells an external origin how far its submissions have been
+// sequenced, so it stops retransmitting them. Members learn implicitly (they
+// receive the kSeq); an external client learns from the Seq of the next
+// kDirect sent to it — normally the reply to the very request — and needs
+// this explicit control frame only when none leaves before the next tick, or
+// when a duplicate submission shows it is already timing out. One frame
+// covers every submission so far: an origin's submissions are sequenced in
+// OSeq order.
+func (m *Member) payDataAck(origin string) {
+	delete(m.dataAckOwed, origin)
+	ack := &frame{Kind: kDataAck, Origin: m.Addr(), OSeq: m.effectiveSeen(origin)}
+	m.sendExternal(origin, ack, true)
 }
 
 // ---- agreed path: delivery ----
@@ -853,13 +861,22 @@ func (m *Member) handleBestEffort(msg transport.Message, f *frame) {
 	})
 }
 
-// ---- reliable direct unicast (to external clients) ----
+// ---- reliable direct unicast (to external clients and between members) ----
 
 func (m *Member) handleDirect(msg transport.Message, f *frame) {
-	// Acknowledge regardless of duplication.
-	ack := &frame{Kind: kDirectAck, Origin: m.Addr(), OSeq: f.OSeq}
-	m.sendControl(f.Origin, ack)
-	if m.directIn.seen(f.Origin, f.OSeq) {
+	m.directIn.skipTo(f.Origin, f.ViewID)
+	dup := m.directIn.seen(f.Origin, f.OSeq)
+	owed := m.ackOwed[f.Origin]
+	if owed == nil {
+		owed = &owedAcks{}
+		m.ackOwed[f.Origin] = owed
+	}
+	// A duplicate means the sender is retransmitting: its ack was lost or
+	// is late, and waiting for the tick would cost another round.
+	if owed.add(f.OSeq, len(f.Payload)) || dup {
+		m.payDirectAcks(f.Origin, owed)
+	}
+	if dup {
 		return
 	}
 	rf := m.rx(msg, f, 0)
@@ -875,16 +892,51 @@ func (m *Member) handleDirect(msg transport.Message, f *frame) {
 	})
 }
 
-func (m *Member) handleDirectAck(from string, f *frame) {
-	if un := m.directUnack[from]; un != nil {
-		delete(un, f.OSeq)
+// payDirectAcks acknowledges every direct frame owed to peer with one
+// frame: the contiguous watermark of what has arrived from it, and the owed
+// frames above that one by one (arrivals past a gap).
+func (m *Member) payDirectAcks(peer string, owed *owedAcks) {
+	high := m.directIn.high[peer]
+	ack := &frame{Kind: kDirectAck, Origin: m.Addr(), Seq: high, Seqs: owed.settle(high)}
+	m.sendControl(peer, ack)
+}
+
+// payOwedAcks is the tick's settlement of every acknowledgement that found
+// no carrier and reached no bound since the last one.
+func (m *Member) payOwedAcks() {
+	for peer, owed := range m.ackOwed {
+		if len(owed.seqs) > 0 {
+			m.payDirectAcks(peer, owed)
+		}
 	}
+	for origin := range m.dataAckOwed {
+		m.payDataAck(origin)
+	}
+}
+
+func (m *Member) handleDirectAck(from string, f *frame) {
+	if skip, ok := m.directSkip[from]; ok && f.Seq >= skip {
+		delete(m.directSkip, from)
+	}
+	un := m.directUnack[from]
+	if f.Seq > 0 {
+		for oseq := range un {
+			if oseq <= f.Seq {
+				delete(un, oseq)
+			}
+		}
+	}
+	for _, oseq := range f.Seqs {
+		delete(un, oseq)
+	}
+	delete(un, f.OSeq)
 }
 
 // ---- periodic work ----
 
 func (m *Member) tick() {
 	nowT := m.now()
+	m.payOwedAcks()
 	if m.joining && !m.installed {
 		if len(m.cfg.Seeds) > 0 {
 			seed := m.cfg.Seeds[m.seedIdx%len(m.cfg.Seeds)]

@@ -538,6 +538,24 @@ func (m *Member) adoptView(f *frame) {
 func (m *Member) installView(f *frame) { m.installJoinedView(f, false) }
 
 func (m *Member) installJoinedView(f *frame, joined bool) {
+	// What was addressed to a member this view excludes will never be
+	// acknowledged, and what is owed to it has no reader: without this,
+	// every state frame in flight to a crashed backup is retransmitted for
+	// the life of the process. The per-peer counters stay — a falsely
+	// excluded process comes back with its receive watermark, and numbering
+	// from 1 again would be swallowed as duplicates — so directSkip notes
+	// where the numbering stood, for the gaps the dropped frames leave in
+	// that watermark. External clients' entries stay too: they are in no
+	// view, and the ORB's retry against the reply cache is what bounds them.
+	for _, mm := range m.view.Members {
+		if !contains(f.Members, mm) {
+			delete(m.directUnack, mm)
+			delete(m.ackOwed, mm)
+			if out := m.directOut[mm]; out > 0 {
+				m.directSkip[mm] = out
+			}
+		}
+	}
 	m.view = View{ID: f.ViewID, Members: append([]string(nil), f.Members...)}
 	m.installed = true
 	m.joining = false

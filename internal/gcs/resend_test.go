@@ -54,19 +54,31 @@ func (c *recConn) sends(t *testing.T, kind frameKind) []recSend {
 	defer c.mu.Unlock()
 	var out []recSend
 	for _, s := range c.sent {
-		body, err := codec.VerifyChecksum(s.frame)
-		if err != nil {
-			t.Fatalf("sent frame fails its own seal: %v", err)
-		}
-		f, err := decodeFrame(body[transport.Headroom:])
-		if err != nil {
-			t.Fatalf("sent frame does not decode: %v", err)
-		}
-		if f.Kind == kind {
+		if decodeSent(t, s).Kind == kind {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// unseal returns the GCS frame encoding inside a sealed wire frame: what the
+// receiving transport would hand up.
+func unseal(t *testing.T, s recSend) []byte {
+	t.Helper()
+	body, err := codec.VerifyChecksum(s.frame)
+	if err != nil {
+		t.Fatalf("sent frame fails its own seal: %v", err)
+	}
+	return body[transport.Headroom:]
+}
+
+func decodeSent(t *testing.T, s recSend) *frame {
+	t.Helper()
+	f, err := decodeFrame(unseal(t, s))
+	if err != nil {
+		t.Fatalf("sent frame does not decode: %v", err)
+	}
+	return f
 }
 
 // quietConfig is DefaultConfig with a heartbeat so long the member's own

@@ -12,7 +12,10 @@
 // blocked dial on a real network would otherwise wedge heartbeating and
 // cascade into false suspicions. Overflowing or undeliverable frames are
 // dropped, preserving the datagram semantics the upper layers are built on
-// (the GCS retransmits).
+// (the GCS retransmits). Frames that wait in a queue together leave in one
+// vectored write, and each connection is read through one buffer, so a burst
+// costs a system call each way, not three per frame; the bytes on the stream
+// are the same either way.
 //
 // In live mode the virtual-time machinery is inert: messages carry their
 // virtual send instant through unchanged (ArriveAt = SentAt, a zero-cost
@@ -20,6 +23,7 @@
 package tcptransport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,8 +43,14 @@ import (
 // forcing huge allocations.
 const maxFrame = 64 << 20
 
-// sendQueueDepth bounds each peer's outbound queue.
+// sendQueueDepth bounds each peer's outbound queue, and so the frames one
+// write carries.
 const sendQueueDepth = 1024
+
+// readBufSize is each inbound connection's read buffer: room for a few
+// dozen request-sized frames per system call. A larger frame's body is read
+// straight into its own buffer.
+const readBufSize = 32 << 10
 
 // RetryConfig tunes outbound connection establishment. A frame triggers up
 // to DialAttempts connection attempts, each bounded by AttemptTimeout,
@@ -310,8 +320,9 @@ func (e *Endpoint) read(conn net.Conn) {
 		e.mu.Unlock()
 		_ = conn.Close()
 	}()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(br)
 		if err == errCorruptFrame {
 			// Damaged but correctly length-framed: drop just this frame
 			// and keep the connection — the stream is still in sync and
@@ -360,6 +371,14 @@ type peerSender struct {
 	hostport string
 	ch       chan []byte
 	done     <-chan struct{}
+
+	// Owned by run: the connection, the frames of the write in progress,
+	// and the vector handed to the kernel — net.Buffers consumes the slice
+	// it is given, so iov is a fresh window onto iovBuf for every write.
+	conn   net.Conn
+	batch  [][]byte
+	iovBuf [][]byte
+	iov    net.Buffers
 }
 
 func newPeerSender(e *Endpoint, hostport string) *peerSender {
@@ -401,10 +420,9 @@ func (p *peerSender) dial() net.Conn {
 }
 
 func (p *peerSender) run() {
-	var conn net.Conn
 	defer func() {
-		if conn != nil {
-			_ = conn.Close()
+		if p.conn != nil {
+			_ = p.conn.Close()
 		}
 	}()
 	for {
@@ -412,29 +430,72 @@ func (p *peerSender) run() {
 		case <-p.done:
 			return
 		case frame := <-p.ch:
-			if conn == nil {
-				if conn = p.dial(); conn == nil {
-					p.ep.dropped.Add(1)
-					continue // budget exhausted; upper layers retransmit
-				}
-			}
-			if _, err := conn.Write(frame); err != nil {
-				// The peer vanished mid-stream (restart, crash): redial
-				// under the same budget and give this frame one more try
-				// before reverting to datagram drop semantics.
-				_ = conn.Close()
-				if conn = p.dial(); conn == nil {
-					p.ep.dropped.Add(1)
-					continue
-				}
-				if _, err := conn.Write(frame); err != nil {
-					_ = conn.Close()
-					conn = nil
-					p.ep.dropped.Add(1)
-				}
+			p.batch = append(p.batch, frame)
+		}
+		// Whatever else is already waiting leaves with it.
+	drain:
+		for len(p.batch) < sendQueueDepth {
+			select {
+			case frame := <-p.ch:
+				p.batch = append(p.batch, frame)
+			default:
+				break drain
 			}
 		}
+		if unsent := p.send(p.batch); unsent > 0 {
+			p.ep.dropped.Add(uint64(unsent)) // upper layers retransmit
+		}
+		clear(p.batch)
+		p.batch = p.batch[:0]
 	}
+}
+
+// send writes frames to the peer, dialing first if need be, and returns how
+// many it had to give up on. A dial that exhausts its budget gives up on all
+// of them. When the peer vanishes mid-stream (restart, crash), send redials
+// under the same budget and gives the frames the dead connection did not
+// take one more try before reverting to datagram drop semantics.
+func (p *peerSender) send(frames [][]byte) int {
+	if p.conn == nil {
+		if p.conn = p.dial(); p.conn == nil {
+			return len(frames)
+		}
+	}
+	frames = frames[p.write(frames):]
+	if len(frames) == 0 {
+		return 0
+	}
+	_ = p.conn.Close()
+	if p.conn = p.dial(); p.conn == nil {
+		return len(frames)
+	}
+	frames = frames[p.write(frames):]
+	if len(frames) > 0 {
+		_ = p.conn.Close()
+		p.conn = nil
+	}
+	return len(frames)
+}
+
+// write hands frames to the connection in one vectored write and returns
+// how many it took whole; fewer than len(frames) means the write failed,
+// and the first frame not counted may have left in part.
+func (p *peerSender) write(frames [][]byte) int {
+	p.iovBuf = append(p.iovBuf[:0], frames...)
+	p.iov = p.iovBuf
+	n, err := p.iov.WriteTo(p.conn)
+	clear(p.iovBuf)
+	if err == nil {
+		return len(frames)
+	}
+	whole := 0
+	for _, f := range frames {
+		if n -= int64(len(f)); n < 0 {
+			break
+		}
+		whole++
+	}
+	return whole
 }
 
 // Wire format: u32 total | codec frame body (which begins with its own

@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Flake ledger for the two virtual-time paper reproductions that real-time
+# interleaving can move (ROADMAP item 2): runs TestTable2ReproducesPaperPolicy
+# and TestFig7ShapesMatchPaper N times on the working tree and N times on a
+# git ref, alternating, and prints failures/N per test for each side — the
+# comparison a PR that touches message timing pastes next to its numbers.
+# Usage: scripts/vtflake.sh [git-ref] [count]   (default: HEAD~1, 30)
+#
+# The ref is exported with `git archive` into a temporary directory (removed
+# on exit), so nothing is registered in .git and an interrupted run leaves no
+# stale worktree behind. Each side's test binary is built once.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+ref=${1:-HEAD~1}
+count=${2:-30}
+tests="TestTable2ReproducesPaperPolicy TestFig7ShapesMatchPaper"
+pkg=internal/experiment
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git archive "$ref" | tar -x -C "$tmp/ref"
+
+go test -c -o "$tmp/tree.test" "./$pkg"
+(cd "$tmp/ref" && go test -c -o "$tmp/ref.test" "./$pkg")
+
+# run SIDE DIR: one pass of both tests, output appended to SIDE's log. The
+# binary runs from its package directory, as `go test` would run it.
+run() {
+	(cd "$2/$pkg" && "$tmp/$1.test" -test.run "^(${tests// /|})\$" -test.count=1 -test.timeout=10m) \
+		>>"$tmp/$1.log" 2>&1 || true
+}
+
+for i in $(seq "$count"); do
+	if ((i % 2)); then
+		run tree . && run ref "$tmp/ref"
+	else
+		run ref "$tmp/ref" && run tree .
+	fi
+	printf '.' >&2
+done
+echo >&2
+
+printf '%-34s %12s %12s\n' "failures / $count" "tree" "$ref"
+for t in $tests; do
+	printf '%-34s %12s %12s\n' "$t" \
+		"$(grep -c -- "^--- FAIL: $t " "$tmp/tree.log" || true)" \
+		"$(grep -c -- "^--- FAIL: $t " "$tmp/ref.log" || true)"
+done
