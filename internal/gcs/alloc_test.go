@@ -88,3 +88,25 @@ func TestFrameDecodeAliases(t *testing.T) {
 		}
 	})
 }
+
+// TestInboxReusesItsArrays: the inbox and the batch being drained swap two
+// arrays between them for as long as bursts fit — the inbox used to start
+// from nil after every drain — and a drained array lets go of its payloads.
+func TestInboxReusesItsArrays(t *testing.T) {
+	r := openRig(t, deferConfig(), "a", "a")
+	msg := transport.Message{From: "x", Payload: []byte{0xff}} // not a frame: the decoder drops it
+	arrays := map[*transport.Message]bool{}
+	r.do(func() {
+		for i := 0; i < 100; i++ {
+			r.m.HandleTransport(msg)
+			arrays[&r.m.inbox[0]] = true
+			r.m.drainInbox()
+			if spare := r.m.inSpare[:1]; spare[0].Payload != nil {
+				t.Fatal("a drained inbox array still holds a payload")
+			}
+		}
+	})
+	if len(arrays) > 2 {
+		t.Errorf("100 messages went through %d inbox arrays, want 2", len(arrays))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"versadep/internal/detector"
+	"versadep/internal/fifo"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
 	"versadep/internal/transport"
@@ -25,6 +26,7 @@ type Member struct {
 	// inbox absorbs transport messages from the demux goroutine.
 	inMu     sync.Mutex
 	inbox    []transport.Message
+	inSpare  []transport.Message // the drained batch, swapped back in by the next drain
 	inNotify chan struct{}
 
 	cmds     chan func()
@@ -48,7 +50,7 @@ type Member struct {
 	// out delivers events to the application through an elastic queue so
 	// protocol progress never blocks on a slow consumer.
 	outMu     sync.Mutex
-	outq      []Event
+	outq      fifo.Queue[Event]
 	outNotify chan struct{}
 	out       chan Event
 	outDone   chan struct{}
@@ -70,9 +72,7 @@ type Member struct {
 	nextDeliver uint64
 	deliverVT   vtime.Time
 	holdback    map[uint64]*rxFrame
-	history     map[uint64]sequenced // delivered sequenced frames, for retransmission
-	histLow     uint64
-	histHigh    uint64
+	history     []sequenced       // delivered sequenced frames, for retransmission: slot seq%len
 	seenData    map[string]uint64 // origin -> highest OSeq delivered
 
 	// Agreed: sequencer side (when coordinator). seqLocal is the
@@ -143,8 +143,14 @@ type Member struct {
 // sequenced is what the history keeps of a delivered sequenced frame (kSeq
 // or kView): the bytes to send again and the virtual send instant
 // transports stamp them with. One buffer per slot — the frame's decoded
-// form is not retained.
+// form is not retained. The history is a ring of up to Config.HistorySize
+// slots: sequence numbers are contiguous, so recording seq evicts
+// seq-HistorySize by overwriting it, and seq names the slot's tenant. The
+// ring starts at historyStart slots and doubles while it would otherwise
+// evict early, so a member pays for the stream it has seen, not for the
+// whole window at birth.
 type sequenced struct {
+	seq    uint64
 	enc    []byte
 	sentVT vtime.Time
 }
@@ -202,7 +208,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		outDone:      make(chan struct{}),
 		pending:      make(map[uint64]*frame),
 		holdback:     make(map[uint64]*rxFrame),
-		history:      make(map[uint64]sequenced),
+		history:      make([]sequenced, max(min(cfg.HistorySize, historyStart), 1)),
 		seenData:     make(map[string]uint64),
 		seqLocal:     make(map[string]uint64),
 		dataHold:     make(map[string]map[uint64]*rxFrame),
@@ -385,11 +391,13 @@ func (m *Member) drainInbox() {
 			return
 		}
 		batch := m.inbox
-		m.inbox = nil
+		m.inbox, m.inSpare = m.inSpare, nil
 		m.inMu.Unlock()
 		for _, msg := range batch {
 			m.handleMessage(msg)
 		}
+		clear(batch) // the spare must not pin the payloads it carried
+		m.inSpare = batch[:0]
 	}
 }
 
@@ -397,7 +405,7 @@ func (m *Member) drainInbox() {
 
 func (m *Member) emit(e Event) {
 	m.outMu.Lock()
-	m.outq = append(m.outq, e)
+	m.outq.Push(e)
 	m.outMu.Unlock()
 	select {
 	case m.outNotify <- struct{}{}:
@@ -410,12 +418,7 @@ func (m *Member) pumpOut() {
 	defer close(m.out)
 	for {
 		m.outMu.Lock()
-		var e Event
-		have := len(m.outq) > 0
-		if have {
-			e = m.outq[0]
-			m.outq = m.outq[1:]
-		}
+		e, have := m.outq.Pop()
 		m.outMu.Unlock()
 		if !have {
 			select {
@@ -487,6 +490,35 @@ func (m *Member) castDataOthers(f *frame) bool {
 		_ = m.conn.SendMulticast(others, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 	}
 	return self
+}
+
+// historyAt returns the retained frame with sequence number seq, if the
+// history still holds it.
+func (m *Member) historyAt(seq uint64) (sequenced, bool) {
+	h := m.history[seq%uint64(len(m.history))]
+	return h, h.seq == seq && h.enc != nil
+}
+
+// historyStart is how many slots the history ring is born with.
+const historyStart = 64
+
+// recordHistory retains a delivered sequenced frame for retransmission,
+// doubling the ring first if it is still short of HistorySize and the
+// frame's slot holds another.
+func (m *Member) recordHistory(f *frame) {
+	if n := len(m.history); n < m.cfg.HistorySize {
+		if tenant := m.history[f.Seq%uint64(n)]; tenant.enc != nil && tenant.seq != f.Seq {
+			grown := make([]sequenced, min(2*n, m.cfg.HistorySize))
+			for _, h := range m.history {
+				// After a joiner's jump two tenants can meet: the newer stays.
+				if g := &grown[h.seq%uint64(len(grown))]; h.enc != nil && h.seq >= g.seq {
+					*g = h
+				}
+			}
+			m.history = grown
+		}
+	}
+	m.history[f.Seq%uint64(len(m.history))] = sequenced{seq: f.Seq, enc: f.encoded(m.cfg.GroupID), sentVT: f.SentVT}
 }
 
 // resend retransmits a frame from the history to a member that lacks it.

@@ -549,20 +549,6 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 	})
 }
 
-func (m *Member) recordHistory(f *frame) {
-	m.history[f.Seq] = sequenced{enc: f.encoded(m.cfg.GroupID), sentVT: f.SentVT}
-	if f.Seq > m.histHigh {
-		m.histHigh = f.Seq
-	}
-	if m.histLow == 0 {
-		m.histLow = f.Seq
-	}
-	for int(m.histHigh-m.histLow) >= m.cfg.HistorySize {
-		delete(m.history, m.histLow)
-		m.histLow++
-	}
-}
-
 // maybeNack requests retransmission of the gap below the lowest held frame.
 func (m *Member) maybeNack() {
 	if len(m.holdback) == 0 || m.blocked {
@@ -588,7 +574,7 @@ func (m *Member) maybeNack() {
 
 func (m *Member) handleNack(from string, f *frame) {
 	for _, s := range f.Seqs {
-		if h, ok := m.history[s]; ok {
+		if h, ok := m.historyAt(s); ok {
 			m.resend(from, h)
 		} else if rf, ok := m.holdback[s]; ok {
 			m.sendControl(from, rf.f)

@@ -273,7 +273,7 @@ func (m *Member) beginRecovery() {
 		if _, ok := m.holdback[s]; ok {
 			continue
 		}
-		if _, ok := m.history[s]; ok {
+		if _, ok := m.historyAt(s); ok {
 			continue
 		}
 		missing = append(missing, s)
@@ -320,7 +320,7 @@ func (m *Member) beginRecovery() {
 func (m *Member) handleFetch(from string, f *frame) {
 	resp := make([][]byte, 0, len(f.Seqs))
 	for _, s := range f.Seqs {
-		if h, ok := m.history[s]; ok {
+		if h, ok := m.historyAt(s); ok {
 			resp = append(resp, h.enc)
 		} else if rf, ok := m.holdback[s]; ok {
 			resp = append(resp, rf.f.encoded(m.cfg.GroupID))
@@ -367,7 +367,7 @@ func (m *Member) redistributeAndInstall() {
 		if _, ok := m.holdback[s]; ok {
 			continue
 		}
-		if _, ok := m.history[s]; ok {
+		if _, ok := m.historyAt(s); ok {
 			continue
 		}
 		filler := &frame{Kind: kSeq, ViewID: m.view.ID, Seq: s, Level: Agreed}
@@ -414,7 +414,7 @@ func (m *Member) redistributeAndInstall() {
 				if held[s] {
 					continue
 				}
-				if h, ok := m.history[s]; ok {
+				if h, ok := m.historyAt(s); ok {
 					m.resend(mm, h)
 				} else if rf, ok := m.holdback[s]; ok {
 					m.sendControl(mm, rf.f)

@@ -234,6 +234,7 @@ type Engine struct {
 	cFailoverReplay *trace.Counter // total requests replayed across failovers
 	cCacheHits      *trace.Counter
 	cCacheEvicts    *trace.Counter
+	cDedupAssumed   *trace.Counter // duplicates by floor alone, nothing to resend
 	cOrphansPruned  *trace.Counter
 	cPendingCkpts   *trace.Counter // high-water in-flight checkpoint halves
 	cCrashes        *trace.Counter // non-graceful departures observed
@@ -267,19 +268,9 @@ type Engine struct {
 	lastExecSeq uint64 // stream position of the last executed request
 	lastCkpt    *Msg   // retained state for cold-passive failover
 
-	replyCache map[string]map[uint64][]byte
-	highExec   map[string]uint64
-	// Exact duplicate detection. A client's request ids do NOT arrive in
-	// order: concurrent invocations race between id assignment and send,
-	// and in sharded deployments a router re-routes NAKed requests long
-	// after higher ids executed. A plain "rid <= high" floor misfiles such
-	// late-but-new requests as duplicates and black-holes them (no
-	// execution, no cached reply to resend, and every retry hits the same
-	// floor). So: rids at or below execFloor are assumed executed (history
-	// predating what this replica knows exactly — checkpoint installs set
-	// it), and above the floor execSeen records exactly which rids ran.
-	execFloor map[string]uint64
-	execSeen  map[string]map[uint64]bool
+	// clients holds, per client, the exact executed-request window and
+	// the retained replies (dedup.go).
+	clients map[string]*clientRecord
 
 	// retiring marks members whose graceful retirement was delivered on
 	// the agreed stream but whose departure view has not installed yet;
@@ -353,10 +344,7 @@ func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
 		done:        make(chan struct{}),
 		style:       cfg.Style,
 		synced:      true, // bootstrap members are synced; joiners reset below
-		replyCache:  make(map[string]map[uint64][]byte),
-		highExec:    make(map[string]uint64),
-		execFloor:   make(map[string]uint64),
-		execSeen:    make(map[string]map[uint64]bool),
+		clients:     make(map[string]*clientRecord),
 		retiring:    make(map[string]bool),
 		sysState:    make(map[string]map[string]float64),
 		pendMarkers: make(map[ckptKey]*pendingMarker),
@@ -380,6 +368,7 @@ func (e *Engine) initTrace(r *trace.Recorder) {
 	e.cFailoverReplay = r.Counter(trace.SubReplication, "failover_replay_len")
 	e.cCacheHits = r.Counter(trace.SubReplication, "reply_cache_hits")
 	e.cCacheEvicts = r.Counter(trace.SubReplication, "reply_cache_evictions")
+	e.cDedupAssumed = r.Counter(trace.SubReplication, "dedup_assumed")
 	e.cOrphansPruned = r.Counter(trace.SubReplication, "ckpt_orphans_pruned")
 	e.cPendingCkpts = r.Counter(trace.SubReplication, "pending_checkpoints")
 	e.cCrashes = r.Counter(trace.SubReplication, "crashes_observed")
@@ -947,8 +936,9 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 		if err != nil {
 			continue
 		}
-		if e.executed(cid, rid) {
-			if cached, ok := e.replyCache[cid][rid]; ok {
+		r := e.client(cid)
+		if r.executed(rid) {
+			if cached, ok := r.reply(rid); ok {
 				// Component-less and noted "failover": the cross-node
 				// stitcher uses the note to mark the request's timeline as
 				// crossing a failover, and an empty Comp keeps the resend
@@ -962,7 +952,7 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 			continue
 		}
 		start := vt
-		vt = e.execute(le.viop, cid, rid, vt, vtime.Ledger{})
+		vt = e.execute(le.viop, r, cid, rid, vt, vtime.Ledger{})
 		if e.spans.On() {
 			e.spans.Annotate(span.RequestTrace(cid, rid), "replayed", "", start, vt, 0, "failover")
 		}
@@ -984,11 +974,12 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 	// During a passive→active switch window the old roles persist until
 	// the closing checkpoint (the primary keeps serving; backups keep
 	// logging).
-	if e.executed(cid, rid) {
+	r := e.client(cid)
+	if r.executed(rid) {
 		// Duplicate (client retry): the replying executor resends the
 		// cached reply.
 		if executor && e.repliesToClients() {
-			if cached, ok := e.replyCache[cid][rid]; ok {
+			if cached, ok := r.reply(rid); ok {
 				vt := e.cpu.Execute(ev.VTime, e.cfg.Model.Intercept)
 				if e.spans.On() {
 					// Component-less: a resend carries no ledger charge, so
@@ -998,6 +989,10 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 				_ = e.member.SendDirect(cid, cached, vt, ev.Ledger)
 				e.stats.RepliesResent++
 				e.cCacheHits.Inc()
+			} else if rid <= r.floor {
+				// Executed only by assumption, and nothing to resend: if the
+				// request was in fact new, this is where it is lost.
+				e.cDedupAssumed.Inc()
 			}
 		}
 		return
@@ -1010,7 +1005,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 		if e.spans.On() {
 			e.spans.Add(span.RequestTrace(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 		}
-		vt = e.executeWithLedger(msg.Viop, cid, rid, vt, led)
+		vt = e.executeWithLedger(msg.Viop, r, cid, rid, vt, led)
 		e.lastExecSeq = ev.Seq
 		e.notify(Notice{Kind: NoticeRequest, VT: vt, Style: e.style, Executed: true})
 
@@ -1040,7 +1035,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 
 // executeWithLedger runs one request through the adapter, caches the
 // reply, and transmits it if this replica is the replying one.
-func (e *Engine) executeWithLedger(viop []byte, cid string, rid uint64, vt vtime.Time, led vtime.Ledger) vtime.Time {
+func (e *Engine) executeWithLedger(viop []byte, r *clientRecord, cid string, rid uint64, vt vtime.Time, led vtime.Ledger) vtime.Time {
 	in := vt
 	res, err := e.adapter.HandleRequest(&e.cpu, viop, vt, led)
 	if err != nil {
@@ -1053,7 +1048,10 @@ func (e *Engine) executeWithLedger(viop []byte, cid string, rid uint64, vt vtime
 		e.spans.Add(span.RequestTrace(cid, rid), "replicator_reply", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 	}
 	e.hExec.Observe(int64(vt.Sub(in)) / int64(vtime.Microsecond))
-	e.cacheReply(cid, rid, res.ReplyBytes)
+	r.mark(rid)
+	if r.store(rid, res.ReplyBytes) {
+		e.cCacheEvicts.Inc()
+	}
 	e.stats.RequestsExecuted++
 	if e.repliesToClients() {
 		_ = e.member.SendDirect(cid, res.ReplyBytes, vt, outLed)
@@ -1062,70 +1060,23 @@ func (e *Engine) executeWithLedger(viop []byte, cid string, rid uint64, vt vtime
 }
 
 // execute is executeWithLedger with a fresh ledger (replay path).
-func (e *Engine) execute(viop []byte, cid string, rid uint64, vt vtime.Time, led vtime.Ledger) vtime.Time {
+func (e *Engine) execute(viop []byte, r *clientRecord, cid string, rid uint64, vt vtime.Time, led vtime.Ledger) vtime.Time {
 	led.Charge(vtime.ComponentReplicator, e.cfg.Model.Intercept)
 	vt = e.cpu.Execute(vt, e.cfg.Model.Intercept)
 	if e.spans.On() {
 		e.spans.Add(span.RequestTrace(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 	}
-	return e.executeWithLedger(viop, cid, rid, vt, led)
+	return e.executeWithLedger(viop, r, cid, rid, vt, led)
 }
 
-// dedupWindow bounds the exact executed-rid set kept per client: rids more
-// than this far below the client's high-water mark collapse into the
-// assumed-executed floor. Far larger than any live retry horizon (the ORB
-// gives up after its retry budget), so the collapse never misfiles a
-// request that is still being retried.
-const dedupWindow = 4096
-
-// executed reports whether this replica has (or must assume it has) run
-// the given request.
-func (e *Engine) executed(cid string, rid uint64) bool {
-	if rid <= e.execFloor[cid] {
-		return true
+// client returns cid's record, creating it at first sight.
+func (e *Engine) client(cid string) *clientRecord {
+	r := e.clients[cid]
+	if r == nil {
+		r = &clientRecord{replies: make([]cachedReply, e.cfg.CacheDepth)}
+		e.clients[cid] = r
 	}
-	return e.execSeen[cid][rid]
-}
-
-// markExecuted records rid in the exact dedup set, collapsing entries that
-// age out of the window into the floor.
-func (e *Engine) markExecuted(cid string, rid uint64) {
-	seen := e.execSeen[cid]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		e.execSeen[cid] = seen
-	}
-	seen[rid] = true
-	if rid > e.highExec[cid] {
-		e.highExec[cid] = rid
-	}
-	if len(seen) > dedupWindow {
-		floor := e.highExec[cid] - dedupWindow
-		if floor > e.execFloor[cid] {
-			e.execFloor[cid] = floor
-			for r := range seen {
-				if r <= floor {
-					delete(seen, r)
-				}
-			}
-		}
-	}
-}
-
-func (e *Engine) cacheReply(cid string, rid uint64, reply []byte) {
-	cache := e.replyCache[cid]
-	if cache == nil {
-		cache = make(map[uint64][]byte)
-		e.replyCache[cid] = cache
-	}
-	cache[rid] = reply
-	e.markExecuted(cid, rid)
-	for old := range cache {
-		if old+uint64(e.cfg.CacheDepth) <= rid {
-			delete(cache, old)
-			e.cCacheEvicts.Inc()
-		}
-	}
+	return r
 }
 
 // ---- checkpoints ----
@@ -1147,17 +1098,10 @@ func (e *Engine) takeCheckpoint(vt vtime.Time, final bool, switchID uint64) {
 	}
 	vt = e.cpu.Execute(vt, cost)
 
-	cache := make([]CacheEntry, 0, len(e.replyCache))
-	for cid, m := range e.replyCache {
-		high := e.highExec[cid]
-		if reply, ok := m[high]; ok {
-			cache = append(cache, CacheEntry{Client: cid, ReqID: high, Reply: reply})
-		}
-	}
 	e.ckptSerial++
 	marker := &Msg{
 		Kind:       KindCheckpoint,
-		Cache:      cache,
+		Cache:      e.captureCache(),
 		Final:      final,
 		SwitchID:   switchID,
 		CoveredSeq: e.lastExecSeq,
@@ -1310,26 +1254,33 @@ func (e *Engine) trimLog(coveredSeq uint64) {
 	e.log = keep
 }
 
+// captureCache is what a checkpoint carries of the per-client records:
+// each client's high-water mark and the reply to it.
+func (e *Engine) captureCache() []CacheEntry {
+	cache := make([]CacheEntry, 0, len(e.clients))
+	for cid, r := range e.clients {
+		if reply, ok := r.reply(r.high); ok {
+			cache = append(cache, CacheEntry{Client: cid, ReqID: r.high, Reply: reply})
+		}
+	}
+	return cache
+}
+
+// setCache installs a checkpoint's cache. The checkpoint summarizes
+// execution history as one high-water mark per client, so exact knowledge
+// resets: everything at or below the mark is assumed executed, and the
+// exact window restarts above it. Records are reset in place.
 func (e *Engine) setCache(entries []CacheEntry) {
-	e.replyCache = make(map[string]map[uint64][]byte, len(entries))
-	e.highExec = make(map[string]uint64, len(entries))
-	// The checkpoint summarizes execution history as one high-water mark
-	// per client, so exact knowledge resets: everything at or below the
-	// mark is assumed executed, and the exact set restarts above it.
-	e.execFloor = make(map[string]uint64, len(entries))
-	e.execSeen = make(map[string]map[uint64]bool, len(entries))
+	for _, r := range e.clients {
+		r.reset(0)
+	}
 	for _, c := range entries {
+		r := e.client(c.Client)
+		r.reset(c.ReqID)
 		// Copied: a decoded entry is a small window onto a checkpoint
 		// marker or the final transfer chunk, and the cache would pin
 		// that whole buffer for as long as the client stays quiet.
-		reply := append([]byte(nil), c.Reply...)
-		e.replyCache[c.Client] = map[uint64][]byte{c.ReqID: reply}
-		if c.ReqID > e.highExec[c.Client] {
-			e.highExec[c.Client] = c.ReqID
-		}
-		if c.ReqID > e.execFloor[c.Client] {
-			e.execFloor[c.Client] = c.ReqID
-		}
+		r.store(c.ReqID, append([]byte(nil), c.Reply...))
 	}
 }
 

@@ -26,6 +26,12 @@ func startEngine(t *testing.T, addr string, cfg Config) (*Engine, *gcs.Member) {
 	t.Helper()
 	net := simnet.New(simnet.WithSeed(3))
 	t.Cleanup(func() { net.Close() })
+	return startEngineOn(t, net, addr, cfg)
+}
+
+// startEngineOn is startEngine on a network the test shares with clients.
+func startEngineOn(t *testing.T, net *simnet.Network, addr string, cfg Config) (*Engine, *gcs.Member) {
+	t.Helper()
 	ep, err := net.Endpoint(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +40,7 @@ func startEngine(t *testing.T, addr string, cfg Config) (*Engine, *gcs.Member) {
 	gcfg := gcs.DefaultConfig()
 	m := gcs.Open(d.Conn(transport.ProtoGCS), d.Conn(transport.ProtoGroupClient), gcfg)
 	d.Handle(transport.ProtoGCS, m.HandleTransport)
+	d.Handle(transport.ProtoGroupClient, m.HandleTransport)
 	d.Start()
 	t.Cleanup(m.Stop)
 	adapter := orb.NewAdapter(vtime.DefaultCostModel())

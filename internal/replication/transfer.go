@@ -119,20 +119,13 @@ func (e *Engine) captureBookmark(vt vtime.Time) *bookmark {
 	cost := e.cfg.Model.CheckpointCost(len(state))
 	vt = e.cpu.Execute(vt, cost)
 
-	cache := make([]CacheEntry, 0, len(e.replyCache))
-	for cid, m := range e.replyCache {
-		high := e.highExec[cid]
-		if reply, ok := m[high]; ok {
-			cache = append(cache, CacheEntry{Client: cid, ReqID: high, Reply: reply})
-		}
-	}
 	e.ckptSerial++
 	bm := &bookmark{
 		serial:     e.ckptSerial,
 		chunks:     splitChunks(state, e.cfg.TransferChunkBytes),
 		size:       len(state),
 		coveredSeq: e.lastExecSeq,
-		cache:      cache,
+		cache:      e.captureCache(),
 		vt:         vt,
 	}
 	e.bookmarks = append(e.bookmarks, bm)

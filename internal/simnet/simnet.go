@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 
+	"versadep/internal/fifo"
 	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
@@ -326,7 +327,7 @@ type Endpoint struct {
 	framing int
 
 	mu     sync.Mutex
-	queue  []transport.Message
+	queue  fifo.Queue[transport.Message]
 	notify chan struct{}
 	out    chan transport.Message
 	closed bool
@@ -427,17 +428,22 @@ func (e *Endpoint) enqueue(m transport.Message) {
 		e.mu.Unlock()
 		return
 	}
-	e.queue = append(e.queue, m)
+	e.queue.Push(m)
 	// A fresh arrival releases any reorder-displaced messages behind it.
-	if len(e.deferred) > 0 {
-		e.queue = append(e.queue, e.deferred...)
-		e.deferred = nil
-	}
+	e.releaseDeferred()
 	e.mu.Unlock()
 	select {
 	case e.notify <- struct{}{}:
 	default:
 	}
+}
+
+// releaseDeferred moves the reorder-displaced messages onto the queue.
+func (e *Endpoint) releaseDeferred() {
+	for _, m := range e.deferred {
+		e.queue.Push(m)
+	}
+	e.deferred = nil
 }
 
 // enqueueDeferred stashes a reorder-fault message without waking the pump;
@@ -459,17 +465,12 @@ func (e *Endpoint) pump() {
 	defer close(e.out)
 	for {
 		e.mu.Lock()
-		if len(e.queue) == 0 && len(e.deferred) > 0 {
+		if e.queue.Len() == 0 {
 			// Queue drained with reordered stragglers pending: flush them
 			// so the fault displaces delivery order, never liveness.
-			e.queue, e.deferred = e.deferred, nil
+			e.releaseDeferred()
 		}
-		var m transport.Message
-		have := len(e.queue) > 0
-		if have {
-			m = e.queue[0]
-			e.queue = e.queue[1:]
-		}
+		m, have := e.queue.Pop()
 		e.mu.Unlock()
 		if !have {
 			select {
