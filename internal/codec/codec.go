@@ -329,17 +329,56 @@ func (d *Decoder) Bool() (bool, error) {
 }
 
 // String consumes a length-prefixed string.
-func (d *Decoder) String() (string, error) {
-	n, err := d.Uint32()
+func (d *Decoder) String() (string, error) { return d.Name(nil) }
+
+// Names is a bounded table of the short strings a wire repeats — node
+// addresses, client ids, object and operation names — so that a name is
+// materialised once per owner and not once per message: Decoder.Name
+// answers a name the table holds with the string already made, and the
+// lookup allocates nothing. What fills it is outside input, so it never
+// grows past MaxNames entries of at most MaxNameLen bytes: a longer name,
+// or a new one offered to a full table, comes back as a fresh copy and is
+// not retained. Nothing is ever evicted. The zero value is ready to use; a
+// table is not safe for concurrent use and belongs to whatever already
+// serialises its decoder. A nil *Names retains nothing.
+type Names struct {
+	m map[string]string
+}
+
+// Bounds of a Names table.
+const (
+	MaxNames   = 1024
+	MaxNameLen = 64
+)
+
+// Intern returns b as a string: the retained one when the table holds it,
+// otherwise a copy, retained if the bounds allow. The result never aliases
+// b.
+func (t *Names) Intern(b []byte) string {
+	if t == nil || len(b) == 0 {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok { // no allocation: the conversion only keys the lookup
+		return s
+	}
+	s := string(b)
+	if len(s) <= MaxNameLen && len(t.m) < MaxNames {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
+}
+
+// Name consumes a length-prefixed string through t (see Names); with a nil
+// table it is String.
+func (d *Decoder) Name(t *Names) (string, error) {
+	b, err := d.Bytes()
 	if err != nil {
 		return "", err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return "", ErrTooLarge
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
+	return t.Intern(b), nil
 }
 
 // Bytes consumes a length-prefixed byte slice and returns it as a

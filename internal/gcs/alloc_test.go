@@ -89,6 +89,34 @@ func TestFrameDecodeAliases(t *testing.T) {
 	})
 }
 
+// TestFrameDecodeKnownOrigin: decoding a submission or a direct frame from
+// an origin the receiver has heard from before allocates the frame and
+// nothing else — the origin's address is in the receiver's name table, the
+// payload is a window onto the input. Without a table the address is a
+// second allocation per frame.
+func TestFrameDecodeKnownOrigin(t *testing.T) {
+	var names codec.Names
+	for _, kind := range []frameKind{kData, kDirect} {
+		f := budgetFrame(make([]byte, 200))
+		f.Kind = kind
+		in := encodeFrame(f)
+		decode := func(names *codec.Names) float64 {
+			return testing.AllocsPerRun(100, func() {
+				got, err := decodeFrameNames(in, names)
+				if err != nil || got.Origin != "client-1" {
+					t.Fatalf("decoded %+v, %v", got, err)
+				}
+			})
+		}
+		if allocs := decode(&names); allocs != 1 {
+			t.Errorf("kind %d from a known origin: %v allocations, want 1 (the frame)", kind, allocs)
+		}
+		if allocs := decode(nil); allocs != 2 {
+			t.Errorf("kind %d without a table: %v allocations, want 2", kind, allocs)
+		}
+	}
+}
+
 // TestInboxReusesItsArrays: the inbox and the batch being drained swap two
 // arrays between them for as long as bursts fit — the inbox used to start
 // from nil after every drain — and a drained array lets go of its payloads.

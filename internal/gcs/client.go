@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/trace/span"
 	"versadep/internal/transport"
 	"versadep/internal/vtime"
@@ -35,6 +36,7 @@ type GroupClient struct {
 	pending []*frame // submissions not known to be sequenced, in OSeq order
 	rotate  int      // resend target rotation across ticks
 	direct  dupFilter
+	names   codec.Names // member addresses met in decoded frames, each made once
 	now     func() time.Time
 }
 
@@ -53,9 +55,9 @@ type ClientConfig struct {
 	Spans *span.Recorder
 	// SpanKey extracts a trace key from an application payload (e.g. the
 	// VIOP request id riding a replication envelope); payloads it maps to
-	// "" are not spanned. Injected by the composing layer so gcs stays
-	// ignorant of upper-layer encodings.
-	SpanKey func(payload []byte) string
+	// the zero Key are not spanned. Injected by the composing layer so gcs
+	// stays ignorant of upper-layer encodings.
+	SpanKey func(payload []byte) span.Key
 	// GroupID selects which group (shard) this client talks to when
 	// several share a transport; see Config.GroupID.
 	GroupID uint32
@@ -134,7 +136,7 @@ func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger
 	}
 	vt := c.proc.Execute(sentAt, c.cfg.Model.GCSend)
 	led.Charge(vtime.ComponentGC, c.cfg.Model.GCSend)
-	if key := c.spanKey(payload); key != "" {
+	if key := c.spanKey(payload); !key.IsZero() {
 		c.cfg.Spans.Add(key, "gc_submit", span.CompGC, vt.Add(-c.cfg.Model.GCSend), vt)
 	}
 	c.oseq++
@@ -194,15 +196,11 @@ func (c *GroupClient) sealed(f *frame) []byte {
 // to the handler after the lock is released. Safe from any goroutine;
 // never blocks.
 func (c *GroupClient) HandleTransport(msg transport.Message) {
-	f, err := decodeFrame(msg.Payload)
-	if err != nil {
-		return
-	}
-	if f.Group != c.cfg.GroupID {
-		return // another shard's traffic on the shared transport
-	}
 	c.mu.Lock()
-	if c.stopped() {
+	f, err := decodeFrameNames(msg.Payload, &c.names)
+	// A frame of another group is another shard's traffic on the shared
+	// transport.
+	if err != nil || f.Group != c.cfg.GroupID || c.stopped() {
 		c.mu.Unlock()
 		return
 	}
@@ -263,7 +261,7 @@ func (c *GroupClient) handleDirect(msg transport.Message, f *frame) (Event, bool
 	led.Charge(vtime.ComponentGC, wire)
 	vt := c.proc.Execute(arrive, c.cfg.Model.GCSend)
 	led.Charge(vtime.ComponentGC, c.cfg.Model.GCSend)
-	if key := c.spanKey(f.Payload); key != "" {
+	if key := c.spanKey(f.Payload); !key.IsZero() {
 		c.cfg.Spans.Add(key, "gc_recv_direct", span.CompGC, vt.Add(-(wire + c.cfg.Model.GCSend)), vt)
 	}
 	return Event{
@@ -276,11 +274,11 @@ func (c *GroupClient) handleDirect(msg transport.Message, f *frame) (Event, bool
 	}, true
 }
 
-// spanKey maps a payload to its trace key, "" when span recording is off
+// spanKey maps a payload to its trace key, zero when span recording is off
 // or the payload carries no request identity.
-func (c *GroupClient) spanKey(payload []byte) string {
+func (c *GroupClient) spanKey(payload []byte) span.Key {
 	if !c.cfg.Spans.On() || c.cfg.SpanKey == nil {
-		return ""
+		return span.Key{}
 	}
 	return c.cfg.SpanKey(payload)
 }

@@ -216,7 +216,14 @@ func appendFrame(b []byte, f *frame) []byte {
 // keeps b itself as its encoding: b is a verified receive buffer nobody
 // writes to again, and a payload is about as large as the frame that
 // carries it, so retaining either costs what a copy would.
-func decodeFrame(b []byte) (*frame, error) {
+func decodeFrame(b []byte) (*frame, error) { return decodeFrameNames(b, nil) }
+
+// decodeFrameNames is decodeFrame reading the addresses a frame carries —
+// its origin, a membership — through names: a receiver hears from the same
+// few peers frame after frame and materialises each address once (see
+// codec.Names). The table belongs to the caller, which is what serialises
+// its decoding.
+func decodeFrameNames(b []byte, names *codec.Names) (*frame, error) {
 	d := codec.NewDecoder(b)
 	var f frame
 	kind, err := d.Uint8()
@@ -230,7 +237,7 @@ func decodeFrame(b []byte) (*frame, error) {
 	if f.Seq, err = d.Uint64(); err != nil {
 		return nil, err
 	}
-	if f.Origin, err = d.String(); err != nil {
+	if f.Origin, err = d.Name(names); err != nil {
 		return nil, err
 	}
 	if f.OSeq, err = d.Uint64(); err != nil {
@@ -250,7 +257,7 @@ func decodeFrame(b []byte) (*frame, error) {
 	}
 	f.Members = make([]string, 0, n)
 	for i := uint32(0); i < n; i++ {
-		m, err := d.String()
+		m, err := d.Name(names)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +311,7 @@ func decodeFrame(b []byte) (*frame, error) {
 		return nil, codec.ErrTooLarge
 	}
 	for i := uint32(0); i < n; i++ {
-		m, err := d.String()
+		m, err := d.Name(names)
 		if err != nil {
 			return nil, err
 		}

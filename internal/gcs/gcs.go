@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"versadep/internal/trace"
+	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
 )
 
@@ -73,6 +74,14 @@ func (s ServiceLevel) String() string {
 
 // View is an installed membership view. Members are sorted ascending; the
 // first member is the coordinator (and the sequencer for agreed traffic).
+//
+// Members is read-only to whoever is handed a View (the Message.Payload
+// rule applied to membership): a member makes the slice once, when it
+// installs the view, and that one slice is what Member.View returns and
+// what every Event delivered in the view carries. The member never writes
+// to it either — the next view gets a slice of its own — so a View may be
+// kept and read for as long as anyone likes. A holder that wants to sort or
+// append copies first.
 type View struct {
 	ID      uint64
 	Members []string
@@ -107,14 +116,6 @@ func (v View) Rank(addr string) int {
 	return -1
 }
 
-// clone returns a deep copy (Members slices are shared with events
-// delivered to the application, so internal mutation must copy first).
-func (v View) clone() View {
-	out := View{ID: v.ID, Members: make([]string, len(v.Members))}
-	copy(out.Members, v.Members)
-	return out
-}
-
 // EventKind discriminates Event.
 type EventKind uint8
 
@@ -141,7 +142,8 @@ type Event struct {
 	// Seq is the global sequence number (agreed messages and views).
 	Seq uint64
 	// View is the installed view (view events) or the view in which a
-	// message was delivered.
+	// message was delivered. Its Members are shared with every other event
+	// of the view: read-only (see View).
 	View View
 	// VTime is the virtual instant of delivery at this member.
 	VTime vtime.Time
@@ -243,10 +245,10 @@ type Config struct {
 	Trace *trace.Recorder
 	// SpanKey extracts a causal-trace key from an application payload
 	// (e.g. the VIOP request id riding a replication envelope); payloads
-	// it maps to "" are not spanned. Injected by the composing layer so
-	// gcs stays ignorant of upper-layer encodings. Only consulted when
-	// Trace is set.
-	SpanKey func(payload []byte) string
+	// it maps to the zero Key are not spanned. Injected by the composing
+	// layer so gcs stays ignorant of upper-layer encodings. Only consulted
+	// when Trace is set.
+	SpanKey func(payload []byte) span.Key
 }
 
 // DefaultConfig returns timing suitable for tests and the evaluation

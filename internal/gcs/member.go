@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/detector"
 	"versadep/internal/fifo"
 	"versadep/internal/trace"
@@ -56,6 +57,8 @@ type Member struct {
 	outDone   chan struct{}
 
 	// ---- state below is owned by the run goroutine ----
+
+	names codec.Names // addresses met in decoded frames, each made once
 
 	view      View
 	installed bool
@@ -301,7 +304,7 @@ func (m *Member) do(fn func()) error {
 func (m *Member) View() (View, error) {
 	var v View
 	var ok bool
-	if err := m.do(func() { v, ok = m.view.clone(), m.installed }); err != nil {
+	if err := m.do(func() { v, ok = m.view, m.installed }); err != nil {
 		return View{}, err
 	}
 	if !ok {
@@ -552,7 +555,7 @@ func (m *Member) installBootstrapView() {
 	m.resetPerViewState()
 	m.cViews.Inc()
 	m.tr.Event(trace.SubGCS, "view_change", m.deliverVT, int64(m.view.ID))
-	m.emit(Event{Kind: EventView, View: m.view.clone(), Seq: 0, VTime: m.deliverVT})
+	m.emit(Event{Kind: EventView, View: m.view, Seq: 0, VTime: m.deliverVT})
 }
 
 func (m *Member) resetPerViewState() {

@@ -10,11 +10,12 @@ import (
 	"versadep/internal/vtime"
 )
 
-// spanFor maps a payload to its causal-trace key; "" disables spanning
-// for that frame (recording off, no extractor, or no request identity).
-func (m *Member) spanFor(payload []byte) string {
+// spanFor maps a payload to its causal-trace key; the zero Key disables
+// spanning for that frame (recording off, no extractor, or no request
+// identity).
+func (m *Member) spanFor(payload []byte) span.Key {
 	if !m.spans.On() || m.cfg.SpanKey == nil {
-		return ""
+		return span.Key{}
 	}
 	return m.cfg.SpanKey(payload)
 }
@@ -50,7 +51,7 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 	cost := m.cfg.Model.Jitter(m.cfg.Model.GCSend, m.rand.Float64())
 	vt := m.proc.Execute(sentAt, cost)
 	led.Charge(vtime.ComponentGC, cost)
-	if key := m.spanFor(payload); key != "" {
+	if key := m.spanFor(payload); !key.IsZero() {
 		m.spans.Add(key, "gc_send", span.CompGC, vt.Add(-cost), vt)
 	}
 
@@ -110,7 +111,7 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 			Sender:  m.Addr(),
 			Payload: f.Payload,
 			Level:   Causal,
-			View:    m.view.clone(),
+			View:    m.view,
 			VTime:   dvt,
 			SentVT:  vt,
 			Ledger:  led,
@@ -143,7 +144,7 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 	cost := m.cfg.Model.Jitter(m.cfg.Model.GCSend, m.rand.Float64())
 	vt := m.proc.Execute(sentAt, cost)
 	led.Charge(vtime.ComponentGC, cost)
-	if key := m.spanFor(payload); key != "" {
+	if key := m.spanFor(payload); !key.IsZero() {
 		m.spans.Add(key, "gc_send_direct", span.CompGC, vt.Add(-cost), vt)
 	}
 	m.directOut[to]++
@@ -179,7 +180,7 @@ func (m *Member) currentSequencer() string {
 // ---- inbound dispatch ----
 
 func (m *Member) handleMessage(msg transport.Message) {
-	f, err := decodeFrame(msg.Payload)
+	f, err := decodeFrameNames(msg.Payload, &m.names)
 	if err != nil {
 		return // corrupt frame: drop, retransmission recovers
 	}
@@ -269,7 +270,7 @@ func (m *Member) rx(msg transport.Message, f *frame, extra vtime.Duration) *rxFr
 	cost := m.cfg.Model.Jitter(m.cfg.Model.GCSend, m.rand.Float64()) + extra
 	vt := m.proc.Execute(arrive, cost)
 	led.Charge(vtime.ComponentGC, cost)
-	if key := m.spanFor(f.Payload); key != "" {
+	if key := m.spanFor(f.Payload); !key.IsZero() {
 		// One receive span per frame covering exactly what this hop
 		// charged: wire transit plus the daemon's receive crossing.
 		m.spans.Add(key, rxSpanName(f.Kind), span.CompGC, vt.Add(-(wire + cost)), vt)
@@ -393,7 +394,7 @@ func (m *Member) sequenceReady(origin string) {
 		vt := m.proc.Execute(rf.vt, m.cfg.Model.GCOrder)
 		led := rf.led
 		led.Charge(vtime.ComponentGC, m.cfg.Model.GCOrder)
-		if key := m.spanFor(f.Payload); key != "" {
+		if key := m.spanFor(f.Payload); !key.IsZero() {
 			m.spans.Add(key, "gc_order", span.CompGC, vt.Add(-m.cfg.Model.GCOrder), vt)
 		}
 		sf := &frame{
@@ -542,7 +543,7 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 		Payload: f.Payload,
 		Level:   Agreed,
 		Seq:     f.Seq,
-		View:    m.view.clone(),
+		View:    m.view,
 		VTime:   vt,
 		SentVT:  f.SentVT,
 		Ledger:  rf.led,
@@ -615,7 +616,7 @@ func (m *Member) handleFifo(msg transport.Message, f *frame) {
 			Sender:  rf.f.Origin,
 			Payload: rf.f.Payload,
 			Level:   FIFO,
-			View:    m.view.clone(),
+			View:    m.view,
 			VTime:   vt,
 			SentVT:  rf.f.SentVT,
 			Ledger:  rf.led,
@@ -781,7 +782,7 @@ func (m *Member) drainCausal() {
 				Sender:  rf.f.Origin,
 				Payload: rf.f.Payload,
 				Level:   Causal,
-				View:    m.view.clone(),
+				View:    m.view,
 				VTime:   vt,
 				SentVT:  rf.f.SentVT,
 				Ledger:  rf.led,
@@ -840,7 +841,7 @@ func (m *Member) handleBestEffort(msg transport.Message, f *frame) {
 		Sender:  f.Origin,
 		Payload: f.Payload,
 		Level:   BestEffort,
-		View:    m.view.clone(),
+		View:    m.view,
 		VTime:   vt,
 		SentVT:  f.SentVT,
 		Ledger:  rf.led,

@@ -599,7 +599,7 @@ func (m *Member) installJoinedView(f *frame, joined bool) {
 	// deliveries belong to the new view in the event order.
 	m.cViews.Inc()
 	m.tr.Event(trace.SubGCS, "view_change", m.deliverVT, int64(m.view.ID))
-	m.emit(Event{Kind: EventView, View: m.view.clone(), Seq: f.Seq, VTime: m.deliverVT,
+	m.emit(Event{Kind: EventView, View: m.view, Seq: f.Seq, VTime: m.deliverVT,
 		Joined: joined, Left: append([]string(nil), f.Left...)})
 
 	// Gap stamps restart with the view: a pre-change stamp must not trigger

@@ -3,7 +3,9 @@ package gcs_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"sync"
 	"testing"
 	"time"
 
@@ -144,5 +146,101 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 	}
 	if st := net.Stats(); st.MessagesCorrupted == 0 || st.MessagesDuplicated == 0 || st.MessagesReordered == 0 {
 		t.Fatalf("the fabric injected no faults: %+v", st)
+	}
+}
+
+// TestViewSharedAndNeverWritten is the ownership rule for memberships (run
+// it with -race): a member makes one Members slice per view it installs and
+// hands that slice to every event of the view and to every caller of View,
+// so nobody — the member least of all — may write to it afterwards. Two
+// members multicast while the group shrinks and grows; a reader per member
+// keeps reading the memberships of every event delivered so far, on its own
+// goroutine, while the member installs the next view, and notes what each
+// view read when it first saw it. At the end every event of a view carries
+// the same slice, and every slice still reads what it read then.
+func TestViewSharedAndNeverWritten(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(41))
+	defer net.Close()
+	nodes := startGroup(t, net, 3)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	firstRead := make([]map[uint64]string, 2) // per node: view id -> its members at first sight
+	for i, n := range nodes[:2] {
+		firstRead[i] = make(map[uint64]string)
+		readers.Add(1)
+		go func(n *node, first map[uint64]string) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, e := range n.snapshot() {
+					if _, ok := first[e.View.ID]; !ok {
+						first[e.View.ID] = fmt.Sprint(e.View.Members)
+					}
+				}
+				if v, err := n.member.View(); err == nil {
+					_ = v.Coordinator()
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}(n, firstRead[i])
+	}
+
+	cast := func(from, count int) {
+		for i := 0; i < count; i++ {
+			if err := nodes[from].member.Multicast([]byte{byte(i)}, gcs.Agreed, 0, vtime.Ledger{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cast(0, 20)
+	cast(1, 20)
+	for _, n := range nodes[:2] {
+		n.waitMessages(t, 40, 10*time.Second)
+	}
+	net.Crash("mc")
+	nodes[0].waitView(t, []string{"ma", "mb"}, 5*time.Second)
+	nodes[1].waitView(t, []string{"ma", "mb"}, 5*time.Second)
+	cast(0, 20)
+	for _, n := range nodes[:2] {
+		n.waitMessages(t, 60, 10*time.Second)
+	}
+	md := startNode(t, net, "md", []string{"ma"})
+	for _, n := range []*node{nodes[0], nodes[1], md} {
+		n.waitView(t, []string{"ma", "mb", "md"}, 5*time.Second)
+	}
+	cast(1, 20)
+	for _, n := range nodes[:2] {
+		n.waitMessages(t, 80, 10*time.Second)
+	}
+	time.Sleep(5 * time.Millisecond) // a last pass of the readers over the final view
+	close(stop)
+	readers.Wait()
+
+	for i, n := range nodes[:2] {
+		slices := map[uint64]*string{}
+		for _, e := range n.snapshot() {
+			if len(e.View.Members) == 0 {
+				continue
+			}
+			if first, ok := slices[e.View.ID]; !ok {
+				slices[e.View.ID] = &e.View.Members[0]
+			} else if first != &e.View.Members[0] {
+				t.Fatalf("%s: two events of view %d carry different membership slices", n.name, e.View.ID)
+			}
+			if then, now := firstRead[i][e.View.ID], fmt.Sprint(e.View.Members); then != now {
+				t.Fatalf("%s: view %d read %s when first delivered and reads %s now", n.name, e.View.ID, then, now)
+			}
+		}
+		if len(slices) < 3 {
+			t.Fatalf("%s: delivered events in %d views, want at least the three it went through", n.name, len(slices))
+		}
+		if v, err := n.member.View(); err != nil || &v.Members[0] != slices[v.ID] {
+			t.Fatalf("%s: View() = %v, %v: not the installed view's slice", n.name, v, err)
+		}
 	}
 }

@@ -37,22 +37,16 @@ import (
 // (client ORB → replicator shim), keyed by the VIOP identity that already
 // rides the frame.
 func spanSubmit(sp *span.Recorder, reqBytes []byte, start, end vtime.Time) {
-	if !sp.On() {
-		return
-	}
 	if cid, rid, err := orb.PeekRequestID(reqBytes); err == nil {
-		sp.Add(span.RequestTrace(cid, rid), "intercept_submit", span.CompReplicator, start, end)
+		sp.Add(sp.InternRequestKey(cid, rid), "intercept_submit", span.CompReplicator, start, end)
 	}
 }
 
 // spanDeliver records the inbound interception crossing of a delivered
 // reply.
 func spanDeliver(sp *span.Recorder, replyBytes []byte, start, end vtime.Time) {
-	if !sp.On() {
-		return
-	}
 	if cid, rid, err := orb.PeekReplyID(replyBytes); err == nil {
-		sp.Add(span.RequestTrace(cid, rid), "intercept_deliver", span.CompReplicator, start, end)
+		sp.Add(sp.InternRequestKey(cid, rid), "intercept_deliver", span.CompReplicator, start, end)
 	}
 }
 

@@ -23,7 +23,7 @@ func testRecorder() *trace.Recorder {
 	}
 	sp := r.Spans()
 	sp.SetNode("ra")
-	tk := span.RequestTrace("c1", 7)
+	tk := span.RequestKey("c1", 7)
 	sp.Add(tk, "invoke", "", 0, vtime.Time(9*vtime.Microsecond))
 	sp.Add(tk, "app_execute", span.CompApp, vtime.Time(3*vtime.Microsecond), vtime.Time(5*vtime.Microsecond))
 	return r

@@ -11,6 +11,7 @@ import (
 
 	"versadep/internal/introspect"
 	"versadep/internal/trace"
+	"versadep/internal/trace/span"
 )
 
 func TestAggregatorIngestDeltas(t *testing.T) {
@@ -120,11 +121,11 @@ func TestAggregatorAttachAndTimelines(t *testing.T) {
 	r := trace.New()
 	sp := r.Spans()
 	sp.SetNode("client-1")
-	sp.Add("req:c1#1", "client_invoke", "", 0, 100)
+	sp.Add(span.RequestKey("c1", 1), "client_invoke", "", 0, 100)
 	r2 := trace.New()
 	sp2 := r2.Spans()
 	sp2.SetNode("replica-a")
-	sp2.Add("req:c1#1", "app_execute", "Application", 30, 60)
+	sp2.Add(span.RequestKey("c1", 1), "app_execute", "Application", 30, 60)
 
 	a := NewAggregator(int64(time.Second), 8)
 	a.Attach("client-1", r.Snapshot)

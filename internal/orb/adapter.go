@@ -26,6 +26,9 @@ type Adapter struct {
 	fallback   Servant
 	routeCheck func(object string) error
 	spans      *span.Recorder
+	// names holds the client, object and operation names of the requests
+	// decoded so far; a request is decoded under mu because of it.
+	names codec.Names
 }
 
 // ObjectServant is optionally implemented by servants that serve many
@@ -106,39 +109,30 @@ type InvocationResult struct {
 // Decode/encode each charge an ORBMarshal crossing; servant execution
 // charges its declared cost (or the model's AppProcess).
 func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, arriveVT vtime.Time, led vtime.Ledger) (*InvocationResult, error) {
-	req, err := DecodeRequest(reqBytes)
+	a.mu.Lock()
+	req, err := decodeRequest(reqBytes, &a.names)
+	sp := a.spans
+	a.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("orb: adapter decode: %w", err)
 	}
-	a.mu.Lock()
-	sp := a.spans
-	a.mu.Unlock()
-	var tkey string
-	if sp.On() {
-		tkey = span.RequestTrace(req.ClientID, req.ReqID)
-	}
+	tkey := span.RequestKey(req.ClientID, req.ReqID)
 
+	// Span durations equal the charged cost (end = completion on the
+	// possibly-queued CPU, start = end - cost), so per-component span
+	// sums reproduce the ledger's Figure 3 attribution exactly.
 	vt := cpu.Execute(arriveVT, a.model.ORBMarshal)
 	led.Charge(vtime.ComponentORB, a.model.ORBMarshal)
-	if sp.On() {
-		// Span durations equal the charged cost (end = completion on the
-		// possibly-queued CPU, start = end - cost), so per-component span
-		// sums reproduce the ledger's Figure 3 attribution exactly.
-		sp.Add(tkey, "orb_unmarshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
-	}
+	sp.Add(tkey, "orb_unmarshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
 
 	reply, execCost := a.execute(req)
 	vt = cpu.Execute(vt, execCost)
 	led.Charge(vtime.ComponentApp, execCost)
-	if sp.On() {
-		sp.Add(tkey, "app_execute", span.CompApp, vt.Add(-execCost), vt)
-	}
+	sp.Add(tkey, "app_execute", span.CompApp, vt.Add(-execCost), vt)
 
 	vt = cpu.Execute(vt, a.model.ORBMarshal)
 	led.Charge(vtime.ComponentORB, a.model.ORBMarshal)
-	if sp.On() {
-		sp.Add(tkey, "orb_marshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
-	}
+	sp.Add(tkey, "orb_marshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
 
 	return &InvocationResult{
 		ReplyBytes: EncodeReply(reply),

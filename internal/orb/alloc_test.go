@@ -50,3 +50,50 @@ func TestEnvelopeDecodeAliases(t *testing.T) {
 		}
 	})
 }
+
+// TestRequestDecodeKnownNames: decoding a request from a client the
+// receiver has met, for an object and operation it has met, allocates the
+// request, its argument list and the argument's own bytes (the one copy on
+// the receive path) — no name. Without a table the three names are three
+// more. Peeking an identity allocates nothing at all: the client id is a
+// window onto the message.
+func TestRequestDecodeKnownNames(t *testing.T) {
+	req := EncodeRequest(&Request{ClientID: "c1", ReqID: 7, Object: "Bench", Operation: "work",
+		Args: []codec.Value{codec.Bytes(make([]byte, 200))}})
+	rep := EncodeReply(&Reply{ClientID: "c1", ReqID: 7, Status: StatusOK,
+		Results: []codec.Value{codec.Int(7)}})
+	var names codec.Names
+	decode := func(names *codec.Names) float64 {
+		return testing.AllocsPerRun(100, func() {
+			r, err := decodeRequest(req, names)
+			if err != nil || r.ClientID != "c1" || r.Object != "Bench" || r.Operation != "work" {
+				t.Fatalf("decoded %+v, %v", r, err)
+			}
+		})
+	}
+	if allocs := decode(&names); allocs != 3 {
+		t.Errorf("decodeRequest with known names: %v allocations, want 3 (request, args, argument bytes)", allocs)
+	}
+	if allocs := decode(nil); allocs != 6 {
+		t.Errorf("DecodeRequest without a table: %v allocations, want 6", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if r, err := decodeReply(rep, &names); err != nil || r.ClientID != "c1" {
+			t.Fatalf("decoded %+v, %v", r, err)
+		}
+	}); allocs != 2 {
+		t.Errorf("decodeReply with a known client: %v allocations, want 2 (reply, results)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		cid, rid, err := PeekRequestID(req)
+		if err != nil || rid != 7 || !alloctest.Inside(req, cid) {
+			t.Fatalf("peeked %q %d %v", cid, rid, err)
+		}
+		cid, rid, err = PeekReplyID(rep)
+		if err != nil || rid != 7 || !alloctest.Inside(rep, cid) {
+			t.Fatalf("peeked %q %d %v", cid, rid, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("PeekRequestID + PeekReplyID: %v allocations, want 0", allocs)
+	}
+}

@@ -31,7 +31,8 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextReq uint64
-	waiters map[uint64]chan WireReply
+	waiters map[uint64]*waiter
+	free    []*waiter // idle waiters: as many as invocations have overlapped
 	closed  bool
 
 	stop chan struct{} // closed by Close: wakes invocations in flight
@@ -75,7 +76,7 @@ func NewClient(id string, wire Wire, model vtime.CostModel, opts ...ClientOption
 		model:   model,
 		timeout: 2 * time.Second,
 		retries: 3,
-		waiters: make(map[uint64]chan WireReply),
+		waiters: make(map[uint64]*waiter),
 		stop:    make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -120,6 +121,59 @@ type Outcome struct {
 // RTT is the round-trip time in virtual time.
 func (o *Outcome) RTT() vtime.Duration { return o.DoneVT.Sub(o.SentVT) }
 
+// waiter is what one invocation waits on: the channel its reply arrives in
+// and its attempt timer. Waiters are reused from invocation to invocation
+// instead of made per call, so both are left the way the next invocation
+// must find them: the channel empty (release) and the timer stopped with
+// nothing in its channel (stopTimer).
+type waiter struct {
+	ch    chan WireReply // room for the one reply the invocation reads
+	timer *time.Timer
+	// names is the table the invocation decodes its reply through: between
+	// acquire and release the waiter has one owner, so it needs no lock.
+	names codec.Names
+}
+
+// acquire registers an idle waiter for reqID (c.mu held).
+func (c *Client) acquire(reqID uint64) *waiter {
+	var w *waiter
+	if n := len(c.free); n > 0 {
+		w, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		w = &waiter{ch: make(chan WireReply, 1), timer: time.NewTimer(time.Hour)}
+		w.stopTimer()
+	}
+	c.waiters[reqID] = w
+	return w
+}
+
+// release unregisters reqID's waiter and keeps it for the next invocation.
+// deliver sends under the same lock, so once the id is gone nothing more
+// arrives in the channel, and a reply that is in it — one that came after
+// the invocation gave up, or a second one behind the reply it read — is
+// taken out and counted as the duplicate it is: the channel's next user
+// starts empty.
+func (c *Client) release(reqID uint64, w *waiter) {
+	c.mu.Lock()
+	delete(c.waiters, reqID)
+	select {
+	case <-w.ch:
+		c.cDupReplies.Inc()
+	default:
+	}
+	c.free = append(c.free, w)
+	c.mu.Unlock()
+}
+
+// stopTimer stops a timer whose channel has not been received from since it
+// was last armed, and leaves that channel empty: a timer that fired while
+// the reply was arriving must not wake the next attempt.
+func (w *waiter) stopTimer() {
+	if !w.timer.Stop() {
+		<-w.timer.C
+	}
+}
+
 // Invoke performs a synchronous invocation starting at virtual time now.
 // It retries transparently on loss; duplicate replies (from active
 // replicas or retries) are filtered by request id. The returned error is
@@ -132,14 +186,9 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 	}
 	c.nextReq++
 	reqID := c.nextReq
-	ch := make(chan WireReply, 1)
-	c.waiters[reqID] = ch
+	w := c.acquire(reqID)
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, reqID)
-		c.mu.Unlock()
-	}()
+	defer c.release(reqID, w)
 
 	req := &Request{
 		ClientID:  c.id,
@@ -156,13 +205,8 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 	led.Charge(vtime.ComponentORB, c.model.ORBMarshal)
 	sentVT := now.Add(c.model.ORBMarshal)
 
-	// tkey is only built when span recording is on — a nil recorder must
-	// add zero allocations to this path.
-	var tkey string
-	if c.spans.On() {
-		tkey = span.RequestTrace(c.id, reqID)
-		c.spans.Add(tkey, "client_marshal", span.CompORB, now, sentVT)
-	}
+	tkey := span.RequestKey(c.id, reqID)
+	c.spans.Add(tkey, "client_marshal", span.CompORB, now, sentVT)
 
 	c.cInvocations.Inc()
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -172,23 +216,21 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 		if err := c.wire.Send(reqBytes, sentVT, led); err != nil {
 			return nil, err
 		}
-		timer := time.NewTimer(c.timeout)
+		w.timer.Reset(c.timeout)
 		select {
-		case wr := <-ch:
-			timer.Stop()
-			reply, err := DecodeReply(wr.Bytes)
+		case wr := <-w.ch:
+			w.stopTimer()
+			reply, err := decodeReply(wr.Bytes, &w.names)
 			if err != nil {
 				return nil, err
 			}
 			outLed := wr.Ledger
 			outLed.Charge(vtime.ComponentORB, c.model.ORBMarshal)
 			doneVT := wr.VTime.Add(c.model.ORBMarshal)
-			if c.spans.On() {
-				c.spans.Add(tkey, "client_unmarshal", span.CompORB, wr.VTime, doneVT)
-				// Root span: the whole invocation, component-less so the
-				// per-component breakdown never double-counts it.
-				c.spans.Add(tkey, "invoke", "", now, doneVT)
-			}
+			c.spans.Add(tkey, "client_unmarshal", span.CompORB, wr.VTime, doneVT)
+			// Root span: the whole invocation, component-less so the
+			// per-component breakdown never double-counts it.
+			c.spans.Add(tkey, "invoke", "", now, doneVT)
 			c.hRTT.Observe(int64(doneVT.Sub(now)) / int64(vtime.Microsecond))
 			out := &Outcome{
 				Reply:  reply,
@@ -202,10 +244,10 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 			}
 			out.Results = results
 			return out, nil
-		case <-timer.C:
+		case <-w.timer.C:
 			// Retransmit with the same request id.
 		case <-c.stop:
-			timer.Stop()
+			w.stopTimer()
 			return nil, ErrClosed
 		}
 	}
@@ -219,17 +261,19 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 // waiter's channel has room for the one reply it will read).
 func (c *Client) deliver(wr WireReply) {
 	cid, rid, err := PeekReplyID(wr.Bytes)
-	if err != nil || cid != c.id {
+	if err != nil || string(cid) != c.id {
 		return
 	}
 	c.mu.Lock()
-	ch := c.waiters[rid]
-	c.mu.Unlock()
-	select {
-	case ch <- wr: // a nil ch (no invocation waiting) is never ready
-	default:
-		// A duplicate of an already-answered request, or a reply arriving
-		// after Invoke returned or gave up.
-		c.cDupReplies.Inc()
+	defer c.mu.Unlock()
+	if w := c.waiters[rid]; w != nil {
+		select {
+		case w.ch <- wr:
+			return
+		default:
+		}
 	}
+	// A duplicate of an already-answered request, or a reply arriving
+	// after Invoke returned or gave up.
+	c.cDupReplies.Inc()
 }

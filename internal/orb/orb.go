@@ -121,23 +121,28 @@ func EncodeRequest(r *Request) []byte {
 }
 
 // DecodeRequest parses VIOP bytes into a Request.
-func DecodeRequest(b []byte) (*Request, error) {
+func DecodeRequest(b []byte) (*Request, error) { return decodeRequest(b, nil) }
+
+// decodeRequest is DecodeRequest reading the client, object and operation
+// names through names: a receiver that decodes request after request from
+// the same few clients materialises each name once (see codec.Names).
+func decodeRequest(b []byte, names *codec.Names) (*Request, error) {
 	d := codec.NewDecoder(b)
 	if err := checkHeader(d, MsgRequest); err != nil {
 		return nil, err
 	}
 	var r Request
 	var err error
-	if r.ClientID, err = d.String(); err != nil {
+	if r.ClientID, err = d.Name(names); err != nil {
 		return nil, err
 	}
 	if r.ReqID, err = d.Uint64(); err != nil {
 		return nil, err
 	}
-	if r.Object, err = d.String(); err != nil {
+	if r.Object, err = d.Name(names); err != nil {
 		return nil, err
 	}
-	if r.Operation, err = d.String(); err != nil {
+	if r.Operation, err = d.Name(names); err != nil {
 		return nil, err
 	}
 	n, err := d.Uint32()
@@ -182,14 +187,17 @@ func EncodeReply(r *Reply) []byte {
 }
 
 // DecodeReply parses VIOP bytes into a Reply.
-func DecodeReply(b []byte) (*Reply, error) {
+func DecodeReply(b []byte) (*Reply, error) { return decodeReply(b, nil) }
+
+// decodeReply is DecodeReply reading the client id through names.
+func decodeReply(b []byte, names *codec.Names) (*Reply, error) {
 	d := codec.NewDecoder(b)
 	if err := checkHeader(d, MsgReply); err != nil {
 		return nil, err
 	}
 	var r Reply
 	var err error
-	if r.ClientID, err = d.String(); err != nil {
+	if r.ClientID, err = d.Name(names); err != nil {
 		return nil, err
 	}
 	if r.ReqID, err = d.Uint64(); err != nil {
@@ -223,19 +231,23 @@ func DecodeReply(b []byte) (*Reply, error) {
 
 // PeekRequestID extracts the (ClientID, ReqID) pair from encoded request
 // bytes without a full decode. The replication engine uses it for duplicate
-// suppression before paying the unmarshal cost.
-func PeekRequestID(b []byte) (string, uint64, error) {
+// suppression before paying the unmarshal cost. Peeking materialises
+// nothing: the client id is a read-only window onto b, for the caller to
+// compare, or to intern if it keeps it.
+func PeekRequestID(b []byte) ([]byte, uint64, error) { return peekID(b, MsgRequest) }
+
+func peekID(b []byte, want MsgType) ([]byte, uint64, error) {
 	d := codec.NewDecoder(b)
-	if err := checkHeader(d, MsgRequest); err != nil {
-		return "", 0, err
+	if err := checkHeader(d, want); err != nil {
+		return nil, 0, err
 	}
-	cid, err := d.String()
+	cid, err := d.Bytes()
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	rid, err := d.Uint64()
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	return cid, rid, nil
 }
@@ -259,23 +271,9 @@ func PeekRequestObject(b []byte) (string, error) {
 }
 
 // PeekReplyID extracts the (ClientID, ReqID) pair from encoded reply bytes
-// without a full decode. The interceptor uses it to filter duplicate
-// replies from active replicas.
-func PeekReplyID(b []byte) (string, uint64, error) {
-	d := codec.NewDecoder(b)
-	if err := checkHeader(d, MsgReply); err != nil {
-		return "", 0, err
-	}
-	cid, err := d.String()
-	if err != nil {
-		return "", 0, err
-	}
-	rid, err := d.Uint64()
-	if err != nil {
-		return "", 0, err
-	}
-	return cid, rid, nil
-}
+// without a full decode, as PeekRequestID does for a request. The
+// interceptor uses it to filter duplicate replies from active replicas.
+func PeekReplyID(b []byte) ([]byte, uint64, error) { return peekID(b, MsgReply) }
 
 // PeekReplyError extracts identity, status and exception text from
 // encoded reply bytes without decoding the results. The shard router uses

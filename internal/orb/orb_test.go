@@ -89,7 +89,7 @@ func TestReplyRoundTrip(t *testing.T) {
 		t.Fatalf("reply mismatch: %+v", got)
 	}
 	cid, rid, err := orb.PeekReplyID(orb.EncodeReply(r))
-	if err != nil || cid != "c" || rid != 7 {
+	if err != nil || string(cid) != "c" || rid != 7 {
 		t.Fatalf("peek = %q %d %v", cid, rid, err)
 	}
 }

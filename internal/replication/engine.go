@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/gcs"
 	"versadep/internal/orb"
 	"versadep/internal/trace"
@@ -271,6 +272,9 @@ type Engine struct {
 	// clients holds, per client, the exact executed-request window and
 	// the retained replies (dedup.go).
 	clients map[string]*clientRecord
+	// names holds the client ids, metric names and addresses met in decoded
+	// envelopes and peeked VIOP headers, each made once.
+	names codec.Names
 
 	// retiring marks members whose graceful retirement was delivered on
 	// the agreed stream but whose departure view has not installed yet;
@@ -632,7 +636,7 @@ func (e *Engine) handleEvent(ev gcs.Event) {
 	case gcs.EventView:
 		e.handleView(ev)
 	case gcs.EventDirect:
-		msg, err := Decode(ev.Payload)
+		msg, err := decode(ev.Payload, &e.names)
 		if err != nil {
 			return
 		}
@@ -651,7 +655,7 @@ func (e *Engine) handleEvent(ev gcs.Event) {
 			e.handleResumeNak(ev, msg)
 		}
 	case gcs.EventMessage:
-		msg, err := Decode(ev.Payload)
+		msg, err := decode(ev.Payload, &e.names)
 		if err != nil {
 			return
 		}
@@ -895,11 +899,8 @@ func (e *Engine) handoff(vt vtime.Time) {
 // last checkpoint are replayed (Figure 5's rollback).
 func (e *Engine) failover(vt vtime.Time) {
 	start := vt
-	var fkey string
-	if e.spans.On() {
-		fkey = span.FailoverTrace(e.Addr(), uint64(e.stats.Failovers)+1)
-		e.spans.Add(fkey, "crash_detect", "", start, start)
-	}
+	fkey := span.NameKey(span.FailoverTrace(e.Addr(), uint64(e.stats.Failovers)+1))
+	e.spans.Add(fkey, "crash_detect", "", start, start)
 	if e.style == ColdPassive {
 		vt = e.cpu.Execute(vt, e.cfg.Model.ColdStart)
 		if e.lastCkpt != nil {
@@ -907,17 +908,13 @@ func (e *Engine) failover(vt vtime.Time) {
 			_ = e.cfg.State.Restore(e.lastCkpt.State)
 			e.setCache(e.lastCkpt.Cache)
 		}
-		if fkey != "" {
-			e.spans.Add(fkey, "cold_restart", span.CompReplicator, start, vt)
-		}
+		e.spans.Add(fkey, "cold_restart", span.CompReplicator, start, vt)
 	}
 	replayed := int64(len(e.log))
 	replayStart := vt
 	vt = e.replayLog(vt)
-	if fkey != "" {
-		e.spans.Annotate(fkey, "replay", span.CompReplicator, replayStart, vt, replayed, "")
-		e.spans.Add(fkey, "failover", "", start, vt)
-	}
+	e.spans.Annotate(fkey, "replay", span.CompReplicator, replayStart, vt, replayed, "")
+	e.spans.Add(fkey, "failover", "", start, vt)
 	e.stats.Failovers++
 	e.cFailovers.Inc()
 	e.cFailoverReplay.Add(replayed)
@@ -932,8 +929,8 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 	entries := e.log
 	e.log = nil
 	for _, le := range entries {
-		cid, rid, err := orb.PeekRequestID(le.viop)
-		if err != nil {
+		cid, rid, ok := e.peekRequest(le.viop)
+		if !ok {
 			continue
 		}
 		r := e.client(cid)
@@ -943,9 +940,7 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 				// stitcher uses the note to mark the request's timeline as
 				// crossing a failover, and an empty Comp keeps the resend
 				// out of the request's cost breakdown.
-				if e.spans.On() {
-					e.spans.Annotate(span.RequestTrace(cid, rid), "reply_resend", "", vt, vt, 0, "failover")
-				}
+				e.spans.Annotate(span.RequestKey(cid, rid), "reply_resend", "", vt, vt, 0, "failover")
 				_ = e.member.SendDirect(cid, cached, vt, vtime.Ledger{})
 				e.cCacheHits.Inc()
 			}
@@ -953,9 +948,7 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 		}
 		start := vt
 		vt = e.execute(le.viop, r, cid, rid, vt, vtime.Ledger{})
-		if e.spans.On() {
-			e.spans.Annotate(span.RequestTrace(cid, rid), "replayed", "", start, vt, 0, "failover")
-		}
+		e.spans.Annotate(span.RequestKey(cid, rid), "replayed", "", start, vt, 0, "failover")
 		e.lastExecSeq = le.seq
 	}
 	return vt
@@ -964,8 +957,8 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 // ---- request handling ----
 
 func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
-	cid, rid, err := orb.PeekRequestID(msg.Viop)
-	if err != nil {
+	cid, rid, ok := e.peekRequest(msg.Viop)
+	if !ok {
 		return
 	}
 	e.recordRate(ev.SentVT)
@@ -981,11 +974,9 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 		if executor && e.repliesToClients() {
 			if cached, ok := r.reply(rid); ok {
 				vt := e.cpu.Execute(ev.VTime, e.cfg.Model.Intercept)
-				if e.spans.On() {
-					// Component-less: a resend carries no ledger charge, so
-					// it must not count into the request's breakdown.
-					e.spans.Annotate(span.RequestTrace(cid, rid), "reply_resend", "", ev.VTime, vt, 0, "dedup")
-				}
+				// Component-less: a resend carries no ledger charge, so
+				// it must not count into the request's breakdown.
+				e.spans.Annotate(span.RequestKey(cid, rid), "reply_resend", "", ev.VTime, vt, 0, "dedup")
 				_ = e.member.SendDirect(cid, cached, vt, ev.Ledger)
 				e.stats.RepliesResent++
 				e.cCacheHits.Inc()
@@ -1002,9 +993,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 		led := ev.Ledger
 		led.Charge(vtime.ComponentReplicator, e.cfg.Model.Intercept)
 		vt := e.cpu.Execute(ev.VTime, e.cfg.Model.Intercept)
-		if e.spans.On() {
-			e.spans.Add(span.RequestTrace(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
-		}
+		e.spans.Add(span.RequestKey(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 		vt = e.executeWithLedger(msg.Viop, r, cid, rid, vt, led)
 		e.lastExecSeq = ev.Seq
 		e.notify(Notice{Kind: NoticeRequest, VT: vt, Style: e.style, Executed: true})
@@ -1019,12 +1008,10 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 	} else {
 		// Backups and unsynced joiners log; a joiner's log is replayed
 		// against the checkpoint it is waiting for.
-		if e.spans.On() {
-			// Marker (zero duration, no component): shows up in the request
-			// timeline as the backup's logging point without affecting the
-			// breakdown.
-			e.spans.Add(span.RequestTrace(cid, rid), "request_logged", "", ev.VTime, ev.VTime)
-		}
+		// Marker (zero duration, no component): shows up in the request
+		// timeline as the backup's logging point without affecting the
+		// breakdown.
+		e.spans.Add(span.RequestKey(cid, rid), "request_logged", "", ev.VTime, ev.VTime)
 		e.log = append(e.log, logEntry{viop: msg.Viop, seq: ev.Seq, sentVT: ev.SentVT})
 		e.stats.RequestsLogged++
 		e.notify(Notice{Kind: NoticeRequest, VT: ev.VTime, Style: e.style, Executed: false})
@@ -1044,9 +1031,7 @@ func (e *Engine) executeWithLedger(viop []byte, r *clientRecord, cid string, rid
 	vt = e.cpu.Execute(res.DoneVT, e.cfg.Model.Intercept)
 	outLed := res.Ledger
 	outLed.Charge(vtime.ComponentReplicator, e.cfg.Model.Intercept)
-	if e.spans.On() {
-		e.spans.Add(span.RequestTrace(cid, rid), "replicator_reply", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
-	}
+	e.spans.Add(span.RequestKey(cid, rid), "replicator_reply", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 	e.hExec.Observe(int64(vt.Sub(in)) / int64(vtime.Microsecond))
 	r.mark(rid)
 	if r.store(rid, res.ReplyBytes) {
@@ -1063,10 +1048,19 @@ func (e *Engine) executeWithLedger(viop []byte, r *clientRecord, cid string, rid
 func (e *Engine) execute(viop []byte, r *clientRecord, cid string, rid uint64, vt vtime.Time, led vtime.Ledger) vtime.Time {
 	led.Charge(vtime.ComponentReplicator, e.cfg.Model.Intercept)
 	vt = e.cpu.Execute(vt, e.cfg.Model.Intercept)
-	if e.spans.On() {
-		e.spans.Add(span.RequestTrace(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
-	}
+	e.spans.Add(span.RequestKey(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 	return e.executeWithLedger(viop, r, cid, rid, vt, led)
+}
+
+// peekRequest reads the identity of an encoded VIOP request, the client id
+// through the engine's name table: it keys the client's record and names
+// the address its replies go to, so it is wanted as a string.
+func (e *Engine) peekRequest(viop []byte) (cid string, rid uint64, ok bool) {
+	b, rid, err := orb.PeekRequestID(viop)
+	if err != nil {
+		return "", 0, false
+	}
+	return e.names.Intern(b), rid, true
 }
 
 // client returns cid's record, creating it at first sight.
@@ -1125,12 +1119,12 @@ func (e *Engine) takeCheckpoint(vt vtime.Time, final bool, switchID uint64) {
 		_ = e.member.SendDirect(m, stateMsg, vt, vtime.Ledger{})
 	}
 	if e.spans.On() {
-		e.spans.Annotate(span.CheckpointTrace(e.Addr(), e.ckptSerial), "checkpoint_capture",
+		e.spans.Annotate(span.NameKey(span.CheckpointTrace(e.Addr(), e.ckptSerial)), "checkpoint_capture",
 			span.CompReplicator, vt.Add(-cost), vt, int64(len(state)), "")
 		if final {
 			// The closing checkpoint of a passive→active switch is part of
 			// the switch timeline (Figure 5, step II case 1).
-			e.spans.Annotate(span.SwitchTrace(switchID), "state_transfer", "", vt0, vt, int64(len(state)), "")
+			e.spans.Annotate(span.NameKey(span.SwitchTrace(switchID)), "state_transfer", "", vt0, vt, int64(len(state)), "")
 		}
 	}
 	e.ckptCounter = 0
@@ -1207,7 +1201,7 @@ func (e *Engine) tryApplyCheckpoint(sender string, serial uint64) {
 		vt := e.cpu.Execute(pm.vt, vtime.Duration(len(st.State))*e.cfg.Model.CheckpointPerByte)
 		_ = e.cfg.State.Restore(st.State)
 		if e.spans.On() {
-			e.spans.Annotate(span.CheckpointTrace(sender, serial), "checkpoint_apply",
+			e.spans.Annotate(span.NameKey(span.CheckpointTrace(sender, serial)), "checkpoint_apply",
 				span.CompReplicator, pm.vt, vt, int64(len(st.State)), "")
 		}
 		e.setCache(marker.Cache)
@@ -1295,7 +1289,7 @@ func (e *Engine) handleSwitch(ev gcs.Event, msg *Msg) {
 	e.stats.Switches++
 	e.notify(Notice{Kind: NoticeSwitchStart, VT: ev.VTime, Style: target})
 	if e.spans.On() {
-		skey := span.SwitchTrace(ev.Seq)
+		skey := span.NameKey(span.SwitchTrace(ev.Seq))
 		e.spans.Add(skey, "switch_start", "", ev.VTime, ev.VTime)
 		// At most one switch is in flight (e.switching guards re-entry), so
 		// a fixed open key is safe.
@@ -1400,7 +1394,7 @@ func (e *Engine) notify(n Notice) {
 		e.cSwitchStarts.Inc()
 	case NoticeSwitchDone:
 		if s, ok := e.spans.End("switch", n.VT, ""); ok {
-			e.spans.Add(s.Trace, "switch_done", "", n.VT, n.VT)
+			e.spans.Add(span.NameKey(s.Trace), "switch_done", "", n.VT, n.VT)
 		}
 		e.cSwitchDones.Inc()
 		e.cSwitchDelay.Store(n.Delay.Microseconds())

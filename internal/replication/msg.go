@@ -182,7 +182,13 @@ func Encode(m *Msg) []byte {
 // That is free where the field is about as large as the envelope (a logged
 // request, a pending state, a transfer chunk); a holder that keeps a small
 // field of a large envelope copies it (Engine.setCache).
-func Decode(b []byte) (*Msg, error) {
+func Decode(b []byte) (*Msg, error) { return decode(b, nil) }
+
+// decode is Decode reading the names an envelope carries — the clients of
+// the cache entries, the metric names, the retirement target — through
+// names (see codec.Names): a backup is sent the same clients' entries with
+// every checkpoint.
+func decode(b []byte, names *codec.Names) (*Msg, error) {
 	d := codec.NewDecoder(b)
 	var m Msg
 	kind, err := d.Uint8()
@@ -206,7 +212,7 @@ func Decode(b []byte) (*Msg, error) {
 	m.Cache = make([]CacheEntry, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var c CacheEntry
-		if c.Client, err = d.String(); err != nil {
+		if c.Client, err = d.Name(names); err != nil {
 			return nil, err
 		}
 		if c.ReqID, err = d.Uint64(); err != nil {
@@ -246,7 +252,7 @@ func Decode(b []byte) (*Msg, error) {
 	if n > 0 {
 		m.Metrics = make(map[string]float64, n)
 		for i := uint32(0); i < n; i++ {
-			k, err := d.String()
+			k, err := d.Name(names)
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +263,7 @@ func Decode(b []byte) (*Msg, error) {
 			m.Metrics[k] = v
 		}
 	}
-	if m.Target, err = d.String(); err != nil {
+	if m.Target, err = d.Name(names); err != nil {
 		return nil, errBadMsg
 	}
 	if hasChunkCursor(m.Kind) {

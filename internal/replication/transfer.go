@@ -214,7 +214,7 @@ func (e *Engine) beginTransfer(peer string, bm *bookmark, vt vtime.Time, from in
 		e.cXferBytesResumed.Add(e.bytesBefore(bm, from))
 	}
 	if e.spans.On() {
-		e.spans.Begin("transfer:"+peer, span.TransferTrace(e.Addr(), peer, bm.serial),
+		e.spans.Begin("transfer:"+peer, span.NameKey(span.TransferTrace(e.Addr(), peer, bm.serial)),
 			"state_transfer", span.CompReplicator, vt)
 	}
 	e.notify(Notice{Kind: NoticeTransfer, VT: vt, Style: e.style,
@@ -583,7 +583,7 @@ func (e *Engine) applyTransfer(vtArr vtime.Time) {
 		return
 	}
 	if e.spans.On() {
-		e.spans.Annotate(span.TransferTrace(rx.from, e.Addr(), rx.serial), "transfer_apply",
+		e.spans.Annotate(span.NameKey(span.TransferTrace(rx.from, e.Addr(), rx.serial)), "transfer_apply",
 			span.CompReplicator, vtArr, vt, int64(len(state)), "")
 	}
 	e.setCache(rx.cache)

@@ -35,24 +35,28 @@ import (
 	"versadep/internal/vtime"
 )
 
-// requestSpanKey maps a GCS payload to its causal trace key: the VIOP
-// (client, request) identity unwrapped from a replication request envelope
-// on the way in, or peeked from raw VIOP reply bytes on the way back
-// (direct deliveries to clients). Payloads without a request identity —
-// checkpoints, state transfers, switch and metrics traffic — map to "".
-// This is injected into the gcs layer so it can attach spans without
-// knowing the upper layers' encodings.
-func requestSpanKey(payload []byte) string {
-	if viop, ok := replication.PeekRequestViop(payload); ok {
-		if cid, rid, err := orb.PeekRequestID(viop); err == nil {
-			return span.RequestTrace(cid, rid)
+// requestSpanKey returns the function that maps a GCS payload to its
+// causal trace key in sp: the VIOP (client, request) identity unwrapped
+// from a replication request envelope on the way in, or peeked from raw
+// VIOP reply bytes on the way back (direct deliveries to clients). Payloads
+// without a request identity — checkpoints, state transfers, switch and
+// metrics traffic — map to the zero Key. This is injected into the gcs
+// layer so it can attach spans without knowing the upper layers' encodings.
+// Nothing is decoded into a string here: the client id stays a window onto
+// the payload until the recorder, which knows it already, names it.
+func requestSpanKey(sp *span.Recorder) func(payload []byte) span.Key {
+	return func(payload []byte) span.Key {
+		if viop, ok := replication.PeekRequestViop(payload); ok {
+			if cid, rid, err := orb.PeekRequestID(viop); err == nil {
+				return sp.InternRequestKey(cid, rid)
+			}
+			return span.Key{}
 		}
-		return ""
+		if cid, rid, err := orb.PeekReplyID(payload); err == nil {
+			return sp.InternRequestKey(cid, rid)
+		}
+		return span.Key{}
 	}
-	if cid, rid, err := orb.PeekReplyID(payload); err == nil {
-		return span.RequestTrace(cid, rid)
-	}
-	return ""
 }
 
 // ReplicaNode is a replicated server process.
@@ -109,7 +113,7 @@ func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
 	}
 	rec.Spans().SetNode(ep.Addr())
 	gcfg.Trace = rec
-	gcfg.SpanKey = requestSpanKey
+	gcfg.SpanKey = requestSpanKey(rec.Spans())
 	cfg.Replication.Trace = rec
 	d.SetTrace(rec)
 
@@ -258,7 +262,7 @@ func StartClient(ep transport.MultiEndpoint, cfg ClientConfig) *ClientNode {
 	gcc := gcs.DefaultClientConfig(cfg.Members)
 	gcc.Model = cfg.Model
 	gcc.Spans = rec.Spans()
-	gcc.SpanKey = requestSpanKey
+	gcc.SpanKey = requestSpanKey(rec.Spans())
 	gcc.GroupID = cfg.GroupID
 	wire := interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc,
 		groupWireOptions(rec, cfg.Filter, cfg.ExpectedReplies)...)
@@ -351,7 +355,7 @@ func StartShardedClient(ep transport.MultiEndpoint, cfg ShardedClientConfig) *Cl
 		gcc := gcs.DefaultClientConfig(g.Members)
 		gcc.Model = cfg.Model
 		gcc.Spans = rec.Spans()
-		gcc.SpanKey = requestSpanKey
+		gcc.SpanKey = requestSpanKey(rec.Spans())
 		gcc.GroupID = uint32(g.ID)
 		wire := interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc,
 			groupWireOptions(rec, cfg.Filter, cfg.ExpectedReplies)...)

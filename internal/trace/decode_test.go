@@ -3,6 +3,8 @@ package trace
 import (
 	"reflect"
 	"testing"
+
+	"versadep/internal/trace/span"
 )
 
 func TestParseSnapshotJSONRoundTrip(t *testing.T) {
@@ -14,7 +16,7 @@ func TestParseSnapshotJSONRoundTrip(t *testing.T) {
 	r.Event("orb", "timeout", 10, 1)
 	sp := r.Spans()
 	sp.SetNode("replica-a")
-	sp.Add("req:c1#1", "app_execute", "Application", 5, 25)
+	sp.Add(span.RequestKey("c1", 1), "app_execute", "Application", 5, 25)
 
 	snap := r.Snapshot()
 	got, err := ParseSnapshotJSON(snap.JSON())

@@ -102,8 +102,8 @@ func TestHistogramRegistry(t *testing.T) {
 func TestSnapshotCarriesSpans(t *testing.T) {
 	r := New()
 	r.Spans().SetNode("replica-a")
-	r.Spans().Add(span.RequestTrace("c", 1), "client_marshal", span.CompORB, 0, vtime.Time(100))
-	r.Spans().Begin("switch", span.SwitchTrace(3), "switch", "", 0)
+	r.Spans().Add(span.RequestKey("c", 1), "client_marshal", span.CompORB, 0, vtime.Time(100))
+	r.Spans().Begin("switch", span.NameKey(span.SwitchTrace(3)), "switch", "", 0)
 
 	snap := r.Snapshot()
 	if len(snap.Spans) != 1 || snap.Spans[0].Node != "replica-a" {
@@ -114,7 +114,7 @@ func TestSnapshotCarriesSpans(t *testing.T) {
 	}
 
 	other := New()
-	other.Spans().Add(span.RequestTrace("c", 1), "app_execute", span.CompApp, vtime.Time(100), vtime.Time(115))
+	other.Spans().Add(span.RequestKey("c", 1), "app_execute", span.CompApp, vtime.Time(100), vtime.Time(115))
 	m := Merge(snap, other.Snapshot())
 	if len(m.Spans) != 2 || m.SpansOpen != 1 {
 		t.Fatalf("merged spans = %d open = %d", len(m.Spans), m.SpansOpen)

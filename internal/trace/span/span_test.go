@@ -14,9 +14,9 @@ func TestNilRecorderIsInert(t *testing.T) {
 		t.Fatalf("nil recorder reports On")
 	}
 	r.SetNode("x")
-	r.Add("t", "n", CompORB, vt(0), vt(1))
-	r.Annotate("t", "n", CompORB, vt(0), vt(1), 7, "note")
-	r.Begin("k", "t", "n", "", vt(0))
+	r.Add(NameKey("t"), "n", CompORB, vt(0), vt(1))
+	r.Annotate(NameKey("t"), "n", CompORB, vt(0), vt(1), 7, "note")
+	r.Begin("k", NameKey("t"), "n", "", vt(0))
 	if _, ok := r.End("k", vt(1), ""); ok {
 		t.Fatalf("nil recorder closed a span")
 	}
@@ -33,28 +33,79 @@ func TestNilRecorderIsInert(t *testing.T) {
 }
 
 // TestNilRecorderZeroAllocs is the acceptance check that span recording
-// disabled (nil Recorder) adds zero allocations on the invoke hot path:
-// the On() gate must skip trace-key construction entirely.
+// disabled (nil Recorder) adds zero allocations on the invoke hot path,
+// with no gate at the call site: a key costs nothing to build.
 func TestNilRecorderZeroAllocs(t *testing.T) {
 	var r *Recorder
 	cid := "client-1"
 	rid := uint64(4711)
 	allocs := testing.AllocsPerRun(1000, func() {
 		// The exact pattern instrumented call sites use.
-		if r.On() {
-			r.Add(RequestTrace(cid, rid), "client_marshal", CompORB, vt(0), vt(100))
-		}
+		r.Add(RequestKey(cid, rid), "client_marshal", CompORB, vt(0), vt(100))
+		r.Add(r.InternRequestKey([]byte(cid), rid), "gc_send", CompGC, vt(0), vt(100))
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-recorder record path allocates %.1f per op, want 0", allocs)
 	}
 }
 
+// TestLiveRecorderZeroAllocs: recording into a live recorder allocates
+// nothing either — the ring stores the key, and the trace name is not
+// formatted until a span is exported. The same for a key made from a
+// client id still in a wire buffer, once the recorder has met the client.
+func TestLiveRecorderZeroAllocs(t *testing.T) {
+	r := New(64)
+	cid := "client-1"
+	wire := []byte(cid)
+	rid := uint64(4711)
+	r.InternRequestKey(wire, rid)
+	allocs := testing.AllocsPerRun(1000, func() {
+		rid++
+		r.Add(RequestKey(cid, rid), "client_marshal", CompORB, vt(0), vt(100))
+		r.Add(r.InternRequestKey(wire, rid), "gc_send", CompGC, vt(0), vt(100))
+	})
+	if allocs != 0 {
+		t.Fatalf("live-recorder record path allocates %.1f per op, want 0", allocs)
+	}
+	spans, _ := r.Snapshot()
+	if got, want := spans[len(spans)-1].Trace, RequestTrace(cid, rid); got != want {
+		t.Fatalf("exported trace = %q, want %q", got, want)
+	}
+}
+
+// TestKeysExportTheirTraceName pins what a key turns into when a span
+// leaves the recorder: a request key formats as RequestTrace, a name key is
+// its name, and keys made from a string and from wire bytes are the same
+// key. The interned key must not alias the buffer it was read from.
+func TestKeysExportTheirTraceName(t *testing.T) {
+	if got := RequestKey("c1", 7).String(); got != RequestTrace("c1", 7) {
+		t.Fatalf("RequestKey exports %q, want %q", got, RequestTrace("c1", 7))
+	}
+	if got := NameKey(SwitchTrace(12)).String(); got != "switch:12" {
+		t.Fatalf("NameKey exports %q", got)
+	}
+	if !(Key{}).IsZero() || RequestKey("", 0).IsZero() || NameKey("x").IsZero() {
+		t.Fatalf("IsZero: only the zero Key names no trace")
+	}
+	r := New(8)
+	wire := []byte("c1")
+	k := r.InternRequestKey(wire, 7)
+	wire[0] = 'X'
+	if k != RequestKey("c1", 7) {
+		t.Fatalf("interned key = %v, want %v", k, RequestKey("c1", 7))
+	}
+	r.Begin("open", k, "phase", "", vt(0))
+	s, ok := r.End("open", vt(1), "")
+	if !ok || s.Trace != "req:c1#7" {
+		t.Fatalf("End exported %+v", s)
+	}
+}
+
 func TestAddSnapshotAndNode(t *testing.T) {
 	r := New(8)
 	r.SetNode("replica-a")
-	r.Add("req:c#1", "client_marshal", CompORB, vt(0), vt(100))
-	r.Annotate("req:c#1", "app_execute", CompApp, vt(100), vt(115), 3, "op=add")
+	r.Add(RequestKey("c", 1), "client_marshal", CompORB, vt(0), vt(100))
+	r.Annotate(RequestKey("c", 1), "app_execute", CompApp, vt(100), vt(115), 3, "op=add")
 	spans, dropped := r.Snapshot()
 	if dropped != 0 || len(spans) != 2 {
 		t.Fatalf("snapshot = %d spans, %d dropped", len(spans), dropped)
@@ -73,7 +124,7 @@ func TestAddSnapshotAndNode(t *testing.T) {
 func TestRingWrapsAndCountsDropped(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 7; i++ {
-		r.Annotate("t", "s", "", vt(int64(i)), vt(int64(i)), int64(i), "")
+		r.Annotate(NameKey("t"), "s", "", vt(int64(i)), vt(int64(i)), int64(i), "")
 	}
 	spans, dropped := r.Snapshot()
 	if dropped != 3 {
@@ -91,7 +142,7 @@ func TestRingWrapsAndCountsDropped(t *testing.T) {
 
 func TestBeginEnd(t *testing.T) {
 	r := New(8)
-	r.Begin("switch", "switch:9", "switch", "", vt(1000))
+	r.Begin("switch", NameKey(SwitchTrace(9)), "switch", "", vt(1000))
 	if r.OpenCount() != 1 {
 		t.Fatalf("open count = %d, want 1", r.OpenCount())
 	}
@@ -116,8 +167,8 @@ func TestBeginEnd(t *testing.T) {
 
 func TestCloseOpenAnnotates(t *testing.T) {
 	r := New(8)
-	r.Begin("a", "t1", "phase_a", "", vt(10))
-	r.Begin("b", "t2", "phase_b", "", vt(20))
+	r.Begin("a", NameKey("t1"), "phase_a", "", vt(10))
+	r.Begin("b", NameKey("t2"), "phase_b", "", vt(20))
 	if n := r.CloseOpen(vt(100), "failover"); n != 2 {
 		t.Fatalf("CloseOpen closed %d, want 2", n)
 	}
@@ -137,14 +188,14 @@ func TestCloseOpenAnnotates(t *testing.T) {
 
 func TestTimelineAndBreakdown(t *testing.T) {
 	r := New(16)
-	tr := RequestTrace("c", 1)
-	r.Add(tr, "client_unmarshal", CompORB, vt(900), vt(1000))
-	r.Add(tr, "client_marshal", CompORB, vt(0), vt(100))
-	r.Add(tr, "gc_submit", CompGC, vt(138), vt(213))
-	r.Add(tr, "intercept_submit", CompReplicator, vt(100), vt(138))
-	r.Add(tr, "app_execute", CompApp, vt(300), vt(315))
-	r.Add(tr, "invoke", "", vt(0), vt(1000)) // root: no component
-	r.Add("req:other#2", "client_marshal", CompORB, vt(0), vt(100))
+	key, tr := RequestKey("c", 1), RequestTrace("c", 1)
+	r.Add(key, "client_unmarshal", CompORB, vt(900), vt(1000))
+	r.Add(key, "client_marshal", CompORB, vt(0), vt(100))
+	r.Add(key, "gc_submit", CompGC, vt(138), vt(213))
+	r.Add(key, "intercept_submit", CompReplicator, vt(100), vt(138))
+	r.Add(key, "app_execute", CompApp, vt(300), vt(315))
+	r.Add(key, "invoke", "", vt(0), vt(1000)) // root: no component
+	r.Add(RequestKey("other", 2), "client_marshal", CompORB, vt(0), vt(100))
 
 	spans, _ := r.Snapshot()
 	tl := Timeline(spans, tr)
@@ -218,16 +269,14 @@ func BenchmarkAdd(b *testing.B) {
 	r := New(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Add("req:c#1", "client_marshal", CompORB, vt(0), vt(100))
+		r.Add(RequestKey("c", uint64(i)), "client_marshal", CompORB, vt(0), vt(100))
 	}
 }
 
-func BenchmarkNilGatedAdd(b *testing.B) {
+func BenchmarkNilAdd(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if r.On() {
-			r.Add(RequestTrace("c", uint64(i)), "client_marshal", CompORB, vt(0), vt(100))
-		}
+		r.Add(RequestKey("c", uint64(i)), "client_marshal", CompORB, vt(0), vt(100))
 	}
 }
