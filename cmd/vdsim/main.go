@@ -153,7 +153,7 @@ func run(cfg runConfig) error {
 		mu.Unlock()
 	}
 
-	scn, err := experiment.NewScenario(o, style, replicas, clients, observer)
+	scn, err := experiment.NewScenario(o, style, replicas, clients, nil, observer)
 	if err != nil {
 		return err
 	}

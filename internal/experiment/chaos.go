@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -11,10 +12,10 @@ import (
 
 	"versadep/internal/faults"
 	"versadep/internal/faults/chaos"
+	"versadep/internal/orb"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/trace"
-	"versadep/internal/vtime"
 	"versadep/internal/workload"
 )
 
@@ -35,6 +36,27 @@ type ChaosConfig struct {
 	Style    replication.Style
 	Replicas int
 	Clients  int
+}
+
+// withDefaults fills the unset fields: one run of 900 ms against three
+// active replicas and two clients.
+func (cc ChaosConfig) withDefaults() ChaosConfig {
+	if cc.Runs <= 0 {
+		cc.Runs = 1
+	}
+	if cc.Duration <= 0 {
+		cc.Duration = 900 * time.Millisecond
+	}
+	if cc.Replicas <= 0 {
+		cc.Replicas = 3
+	}
+	if cc.Clients <= 0 {
+		cc.Clients = 2
+	}
+	if cc.Style == 0 {
+		cc.Style = replication.Active
+	}
+	return cc
 }
 
 // ChaosRun is one graded campaign run.
@@ -83,21 +105,7 @@ func (r *ChaosReport) TotalCorruptDropped() int64 {
 // A violation does not stop the campaign; it is recorded per run and
 // surfaced in the report.
 func RunChaosCampaign(o Options, cc ChaosConfig) (*ChaosReport, error) {
-	if cc.Runs <= 0 {
-		cc.Runs = 1
-	}
-	if cc.Duration <= 0 {
-		cc.Duration = 900 * time.Millisecond
-	}
-	if cc.Replicas <= 0 {
-		cc.Replicas = 3
-	}
-	if cc.Clients <= 0 {
-		cc.Clients = 2
-	}
-	if cc.Style == 0 {
-		cc.Style = replication.Active
-	}
+	cc = cc.withDefaults()
 	report := &ChaosReport{Spec: cc.Spec.String(), Seed: cc.Seed}
 	for run := 0; run < cc.Runs; run++ {
 		runSeed := cc.Seed + uint64(run)
@@ -116,68 +124,40 @@ func RunChaosCampaign(o Options, cc ChaosConfig) (*ChaosReport, error) {
 func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) {
 	baseline := runtime.NumGoroutine()
 	o.Seed = runSeed
-	s, err := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil)
+	s, err := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	res := &ChaosRun{Seed: runSeed}
-	e := s.e
 
-	members := make([]string, 0, cc.Replicas)
-	for _, n := range e.nodes {
-		members = append(members, n.Addr())
-	}
+	members := s.Members()
 	plan := cc.Spec.Plan(runSeed, chaos.Targets{Replicas: members, Duration: cc.Duration})
-	inj := faults.NewInjector(e.net)
+	inj := faults.NewInjector(s.net)
 	done := inj.Run(plan)
 
 	// Closed-loop clients hammer the group for the whole fault window;
 	// every successful reply is a durability promise the grading holds the
 	// group to.
-	args, err := replicator.ToValues([]interface{}{make([]byte, o.RequestBytes)})
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
 	var (
-		wg     sync.WaitGroup
 		ackMu  sync.Mutex
 		acked  int
 		cliErr []string
 	)
-	for ci, c := range e.clients {
-		wg.Add(1)
-		go func(ci int, c *replicator.ClientNode) {
-			defer wg.Done()
-			var vt vtime.Time
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				out, err := c.ORB().Invoke("Bench", "work", args, vt)
-				if err != nil {
-					ackMu.Lock()
-					cliErr = append(cliErr, fmt.Sprintf("client %d request %d: %v", ci, i, err))
-					ackMu.Unlock()
-					return
-				}
-				vt = out.DoneVT
-				ackMu.Lock()
-				acked++
-				ackMu.Unlock()
-			}
-		}(ci, c)
-	}
-	wg.Wait()
-	<-done
+	s.hammer(done, func(ci, i int, err error) {
+		ackMu.Lock()
+		defer ackMu.Unlock()
+		if err != nil {
+			cliErr = append(cliErr, fmt.Sprintf("client %d request %d: %v", ci, i, err))
+			return
+		}
+		acked++
+	})
 	res.StepsFired = inj.Applied()
 	res.Acked = acked
 	res.Violations = append(res.Violations, cliErr...)
 
 	for _, m := range members {
-		if e.net.Crashed(m) {
+		if s.net.Crashed(m) {
 			res.Crashed++
 		}
 	}
@@ -185,58 +165,46 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 	// Invariants 1+2: every live replica converges to counter == acked
 	// with byte-identical state.
 	expectLive := len(members) - res.Crashed
-	appOf := make(map[string]*workload.BenchApp, len(e.nodes))
-	e.mu.Lock()
-	for i, n := range e.nodes {
-		appOf[n.Addr()] = e.apps[i]
-	}
-	e.mu.Unlock()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		live := e.liveNodes()
-		converged := len(live) == expectLive
+	converged := replicator.Eventually(10*time.Second, 10*time.Millisecond, func() bool {
+		live := s.group.Live()
+		if len(live) != expectLive {
+			return false
+		}
 		var refState []byte
 		for i, n := range live {
-			app := appOf[n.Addr()]
+			app := n.State().(*workload.BenchApp)
 			if app.Counter() != int64(acked) {
-				converged = false
-				break
+				return false
 			}
 			st := app.State()
 			if i == 0 {
 				refState = st
 			} else if !bytes.Equal(st, refState) {
-				converged = false
-				break
+				return false
 			}
 		}
-		if converged {
-			break
-		}
-		if time.Now().After(deadline) {
-			for _, n := range e.liveNodes() {
-				app := appOf[n.Addr()]
-				if got := app.Counter(); got != int64(acked) {
-					res.Violations = append(res.Violations,
-						fmt.Sprintf("replica %s counter %d != %d acked requests", n.Addr(), got, acked))
-				}
-			}
-			if len(e.liveNodes()) != expectLive {
+		return true
+	})
+	if !converged {
+		live := s.group.Live()
+		for _, n := range live {
+			if got := n.State().(*workload.BenchApp).Counter(); got != int64(acked) {
 				res.Violations = append(res.Violations,
-					fmt.Sprintf("%d live replicas after heal, want %d", len(e.liveNodes()), expectLive))
+					fmt.Sprintf("replica %s counter %d != %d acked requests", n.Addr(), got, acked))
 			}
-			if len(res.Violations) == len(cliErr) {
-				res.Violations = append(res.Violations, "live replica states diverged after heal")
-			}
-			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		if len(live) != expectLive {
+			res.Violations = append(res.Violations,
+				fmt.Sprintf("%d live replicas after heal, want %d", len(live), expectLive))
+		}
+		if len(res.Violations) == len(cliErr) {
+			res.Violations = append(res.Violations, "live replica states diverged after heal")
+		}
 	}
 
 	// Corruption accounting: the fabric says how many frames it damaged,
 	// the checksum layer how many it caught.
-	stats := e.net.Stats()
-	res.CorruptWire = stats.MessagesCorrupted
+	res.CorruptWire = s.net.Stats().MessagesCorrupted
 
 	// Corruption caught at checksum layers, counted across every process —
 	// crashed replicas' drops count too.
@@ -245,44 +213,52 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 	// Invariant 3: the causal-span ledger quiesces on every surviving
 	// process — no protocol phase leaked its closer. (A crashed replica
 	// legitimately dies mid-span; survivors must still close theirs.)
-	spanDeadline := time.Now().Add(5 * time.Second)
-	for {
-		snaps := make([]trace.Snapshot, 0, len(e.clients)+len(members))
-		for _, n := range e.liveNodes() {
+	var open int
+	if !replicator.Eventually(5*time.Second, 10*time.Millisecond, func() bool {
+		var snaps []trace.Snapshot
+		for _, n := range s.group.Live() {
 			snaps = append(snaps, n.TraceSnapshot())
 		}
-		for _, c := range e.clients {
+		for _, c := range s.group.Clients() {
 			snaps = append(snaps, c.TraceSnapshot())
 		}
-		merged := trace.Merge(snaps...)
-		if merged.SpansOpen == 0 {
-			break
-		}
-		if time.Now().After(spanDeadline) {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("%d causal spans still open on survivors after quiesce", merged.SpansOpen))
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+		open = trace.Merge(snaps...).SpansOpen
+		return open == 0
+	}) {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("%d causal spans still open on survivors after quiesce", open))
 	}
 
 	s.Close()
 
 	// Invariant 4: teardown returns the process to its pre-run goroutine
 	// census (small slack for runtime background churn).
-	gorDeadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= baseline+5 {
-			break
-		}
-		if time.Now().After(gorDeadline) {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("goroutines leaked: %d after teardown, baseline %d", runtime.NumGoroutine(), baseline))
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !replicator.Eventually(5*time.Second, 20*time.Millisecond, func() bool {
+		return runtime.NumGoroutine() <= baseline+5
+	}) {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("goroutines leaked: %d after teardown, baseline %d", runtime.NumGoroutine(), baseline))
 	}
 	return res, nil
+}
+
+// hammer drives every client in a closed loop until done closes or its
+// first failed request, reporting each request's end to onEnd, if set
+// (client, request index, nil or the failure; called from the client's
+// goroutine), and returns once done has closed and every client has stopped.
+func (s *Scenario) hammer(done <-chan struct{}, onEnd func(client, i int, err error)) {
+	s.drive(math.MaxInt, false, func(ci, i int, _ *orb.Outcome, err error) bool {
+		if onEnd != nil {
+			onEnd(ci, i, err)
+		}
+		select {
+		case <-done:
+			return false
+		default:
+			return err == nil
+		}
+	})
+	<-done
 }
 
 // ChaosBenchResult is the chaos/robustness perf-trajectory point: the
@@ -413,7 +389,7 @@ func MeasureDetectionLatency(o Options, replicas, runs int, seed uint64) ([]Dete
 	var out []DetectionSample
 	for run := 0; run < runs; run++ {
 		o.Seed = seed + uint64(run)
-		s, err := NewScenario(o, replication.Active, replicas, 0, nil)
+		s, err := NewScenario(o, replication.Active, replicas, 0, nil, nil)
 		if err != nil {
 			return out, err
 		}
@@ -422,24 +398,20 @@ func MeasureDetectionLatency(o Options, replicas, runs int, seed uint64) ([]Dete
 		members := s.Members()
 		victim := members[len(members)-1]
 		start := time.Now()
-		s.e.net.Crash(victim)
-		detected := false
-		deadline := start.Add(5 * time.Second)
-		for !detected && time.Now().Before(deadline) {
-			for _, n := range s.e.liveNodes() {
+		s.net.Crash(victim)
+		detected := replicator.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
+			for _, n := range s.group.Live() {
 				for _, sus := range n.Member().Suspects() {
 					if sus == victim {
-						detected = true
+						return true
 					}
 				}
 				if v, err := n.Member().View(); err == nil && !v.Contains(victim) {
-					detected = true
+					return true
 				}
 			}
-			if !detected {
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
+			return false
+		})
 		lat := time.Since(start)
 		s.Close()
 		if !detected {
@@ -459,58 +431,16 @@ func MeasureFalseSuspicion(o Options, cc ChaosConfig) (suspectRuns int, total in
 	spec := cc.Spec
 	spec.Crashes = 0
 	spec.Partitions = 0
-	if cc.Runs <= 0 {
-		cc.Runs = 1
-	}
-	if cc.Duration <= 0 {
-		cc.Duration = 900 * time.Millisecond
-	}
-	if cc.Replicas <= 0 {
-		cc.Replicas = 3
-	}
-	if cc.Clients <= 0 {
-		cc.Clients = 2
-	}
-	if cc.Style == 0 {
-		cc.Style = replication.Active
-	}
+	cc = cc.withDefaults()
 	for run := 0; run < cc.Runs; run++ {
 		o.Seed = cc.Seed + uint64(run)
-		s, serr := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil)
+		s, serr := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil, nil)
 		if serr != nil {
 			return suspectRuns, run, serr
 		}
 		members := s.Members()
 		plan := spec.Plan(o.Seed, chaos.Targets{Replicas: members, Duration: cc.Duration})
-		inj := faults.NewInjector(s.e.net)
-		done := inj.Run(plan)
-		args, verr := replicator.ToValues([]interface{}{make([]byte, o.RequestBytes)})
-		if verr != nil {
-			s.Close()
-			return suspectRuns, run, verr
-		}
-		var wg sync.WaitGroup
-		for _, c := range s.e.clients {
-			wg.Add(1)
-			go func(c *replicator.ClientNode) {
-				defer wg.Done()
-				var vt vtime.Time
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					out, err := c.ORB().Invoke("Bench", "work", args, vt)
-					if err != nil {
-						return
-					}
-					vt = out.DoneVT
-				}
-			}(c)
-		}
-		wg.Wait()
-		<-done
+		s.hammer(faults.NewInjector(s.net).Run(plan), nil)
 		snap := s.TraceSnapshot()
 		if snap.Get(trace.SubGCS, "heartbeat_misses") > 0 {
 			suspectRuns++

@@ -281,12 +281,12 @@ func TestVotingConfiguration(t *testing.T) {
 	o := quickOpts()
 	o.Requests = 50
 	o.Voting = true
-	e, err := buildEnv(o, replication.Active, 3, 1, nil, nil)
+	s, err := NewScenario(o, replication.Active, 3, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.close()
-	res := e.runClosedLoop(false)[0]
+	defer s.Close()
+	res := s.drive(o.Requests, false, nil)[0]
 	if res.Errors != 0 || res.Requests != 50 {
 		t.Fatalf("voting run: %d ok, %d errors", res.Requests, res.Errors)
 	}

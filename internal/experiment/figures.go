@@ -34,13 +34,12 @@ type Fig3Result struct {
 // RunFig3 measures the component breakdown with one client and one active
 // replica, the configuration of the paper's Figure 3.
 func RunFig3(o Options) (*Fig3Result, error) {
-	e, err := buildEnv(o, replication.Active, 1, 1, nil, nil)
+	s, err := NewScenario(o, replication.Active, 1, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer e.close()
-	results := e.runClosedLoop(true)
-	res := results[0]
+	defer s.Close()
+	res := s.drive(o.Requests, true, nil)[0]
 	return &Fig3Result{
 		Breakdown: monitor.LedgerBreakdown(res.Ledgers),
 		MeanRTT:   res.Latency.Stats().Mean,
@@ -86,12 +85,12 @@ func RunFig4(o Options) ([]Fig4Row, error) {
 	}
 
 	replicated := func(name string, style replication.Style) error {
-		e, err := buildEnv(o, style, 1, 1, nil, nil)
+		s, err := NewScenario(o, style, 1, 1, nil, nil)
 		if err != nil {
 			return err
 		}
-		defer e.close()
-		st := e.runClosedLoop(false)[0].Latency.Stats()
+		defer s.Close()
+		st := s.drive(o.Requests, false, nil)[0].Latency.Stats()
 		rows = append(rows, Fig4Row{Name: name, Mean: st.Mean, Jitter: st.Jitter})
 		return nil
 	}
@@ -270,13 +269,13 @@ func RunFig6(o Options, profile []Fig6ThinkPhase, th Fig6Thresholds) (*Fig6Resul
 // notices (filter on Notice.Addr for a single deterministic stream).
 func runFig6Profile(o Options, profile []Fig6ThinkPhase, policy replication.AdaptPolicy,
 	observer func(replication.Notice)) (float64, error) {
-	e, err := buildEnv(o, replication.WarmPassive, 2, 1, policy, observer)
+	s, err := NewScenario(o, replication.WarmPassive, 2, 1, policy, observer)
 	if err != nil {
 		return 0, err
 	}
-	defer e.close()
+	defer s.Close()
 
-	client := e.clients[0]
+	client := s.group.Clients()[0]
 	var vt vtime.Time
 	var start vtime.Time
 	total := 0
@@ -315,11 +314,6 @@ type Fig7Point struct {
 	Throughput      float64
 }
 
-// Config renders the Table 2 notation for the point.
-func (p Fig7Point) Config() knobs.LowLevel {
-	return knobs.LowLevel{Style: p.Style, Replicas: p.Replicas}
-}
-
 // RunFig7 sweeps {active, warm-passive} × replicas × clients, measuring
 // mean latency (Figure 7a) and bandwidth (Figure 7b) for each point.
 func RunFig7(o Options, maxReplicas, maxClients int) ([]Fig7Point, error) {
@@ -345,15 +339,13 @@ func RunFig7ForConfig(o Options, style replication.Style, replicas, clients int)
 }
 
 func runFig7Point(o Options, style replication.Style, replicas, clients int) (Fig7Point, error) {
-	e, err := buildEnv(o, style, replicas, clients, nil, nil)
+	s, err := NewScenario(o, style, replicas, clients, nil, nil)
 	if err != nil {
 		return Fig7Point{}, err
 	}
-	defer e.close()
-	// Exclude group bootstrap traffic from the bandwidth measurement.
-	e.net.ResetStats()
+	defer s.Close()
 
-	results := e.runClosedLoop(false)
+	results := s.drive(o.Requests, false, nil)
 	var all monitor.LatencyMonitor
 	var maxEnd vtime.Time
 	total := 0
@@ -367,7 +359,7 @@ func runFig7Point(o Options, style replication.Style, replicas, clients int) (Fi
 		all.Merge(&r.Latency)
 	}
 	stats := all.Stats()
-	bytes := e.net.Stats().BytesSent
+	bytes := s.net.Stats().BytesSent
 	span := maxEnd.Sub(0)
 	return Fig7Point{
 		Style:           style,
@@ -474,13 +466,13 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 			mu.Unlock()
 		}
 	}
-	e, err := buildEnv(o, replication.WarmPassive, 3, 1, nil, observer)
+	s, err := NewScenario(o, replication.WarmPassive, 3, 1, nil, observer)
 	if err != nil {
 		return nil, err
 	}
-	defer e.close()
+	defer s.Close()
 
-	client := e.clients[0]
+	client := s.group.Clients()[0]
 	args, err := replicator.ToValues([]interface{}{make([]byte, o.RequestBytes)})
 	if err != nil {
 		return nil, err
@@ -494,7 +486,7 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	}
 	for i := 0; i < o.Requests; i++ {
 		if per > 0 && i > 0 && i%per == 0 && len(delaysSnapshot(&mu, &delays)) < switches {
-			e.nodes[0].Engine().RequestSwitch(target, vt)
+			s.group.Nodes()[0].Engine().RequestSwitch(target, vt)
 			if target == replication.Active {
 				target = replication.WarmPassive
 			} else {

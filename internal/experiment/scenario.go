@@ -7,37 +7,121 @@ import (
 
 	"versadep/internal/faults"
 	"versadep/internal/faults/chaos"
+	"versadep/internal/interceptor"
 	"versadep/internal/monitor"
+	"versadep/internal/orb"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
+	"versadep/internal/simnet"
 	"versadep/internal/trace"
 	"versadep/internal/vtime"
+	"versadep/internal/workload"
 )
 
-// Scenario is an interactively drivable system: a replica group plus
-// clients, with hooks for mid-run events. It backs cmd/vdsim and the
-// examples.
+// Scenario is a running system the experiments and cmd/vdsim drive: a
+// fabric, one replica group of benchmark servants and its clients, with
+// hooks for mid-run events. The group mechanism is replicator.Group's; what
+// is decided here is the evaluation's own: replicas are "replica-a",
+// "replica-b", … in start order and clients "client-1", …, every joiner is
+// seeded on one member (the first at boot, the first live one later), and
+// boot waits for each replica's view before starting the next.
 type Scenario struct {
-	e       *env
-	opts    Options
-	maxEnd  vtime.Time
-	maxEndM sync.Mutex
+	net   *simnet.Network
+	group *replicator.Group
+	opts  Options
+	label string
+	// adapt and observer apply to every replica, boot-time or spawned.
+	adapt    replication.AdaptPolicy
+	observer func(replication.Notice)
+
+	// mu guards what growth and the drivers touch concurrently: the
+	// controller can spawn replicas while clients run.
+	mu     sync.Mutex
+	next   int // numbers the replicas ever started
+	maxEnd vtime.Time
 }
+
+// replicaAddr names the i-th replica ever started.
+func replicaAddr(i int) string { return fmt.Sprintf("replica-%c", 'a'+i) }
 
 // NewScenario boots a group of replicas in the given style plus clients.
+// adapt (the engine's in-stream adaptation policy) and observer, either of
+// which may be nil, apply to every replica. Group bootstrap traffic is
+// excluded from the fabric's byte counters.
 func NewScenario(o Options, style replication.Style, replicas, clients int,
-	observer func(replication.Notice)) (*Scenario, error) {
-	e, err := buildEnv(o, style, replicas, clients, nil, observer)
-	if err != nil {
-		return nil, err
+	adapt replication.AdaptPolicy, observer func(replication.Notice)) (*Scenario, error) {
+	net := simnet.New(simnet.WithCostModel(o.Model), simnet.WithSeed(o.Seed))
+	s := &Scenario{net: net, group: replicator.NewGroup(replicator.SimFabric(net)), opts: o,
+		label: fmt.Sprintf("%s-r%d-c%d", style, replicas, clients),
+		adapt: adapt, observer: observer}
+
+	var seeds []string
+	for i := 0; i < replicas; i++ {
+		_, err := s.addReplica(style, o.CheckpointEvery, seeds)
+		if err == nil {
+			err = s.group.WaitSize(i+1, 10*time.Second)
+		}
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		seeds = []string{replicaAddr(0)}
 	}
-	e.net.ResetStats()
-	return &Scenario{e: e, opts: o}, nil
+
+	cfg := replicator.ClientConfig{Members: s.group.Members(), Model: o.Model}
+	if o.Voting {
+		cfg.Filter = interceptor.FilterMajority
+		cfg.ExpectedReplies = replicas
+	}
+	for i := 0; i < clients; i++ {
+		if _, err := s.group.Client(fmt.Sprintf("client-%d", i+1), cfg); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	net.ResetStats()
+	return s, nil
 }
 
-// Close shuts the scenario down.
-func (s *Scenario) Close() { s.e.close() }
+// addReplica starts the next replica, joining through seeds, and returns
+// its address once the node runs.
+func (s *Scenario) addReplica(style replication.Style, checkpointEvery int, seeds []string) (string, error) {
+	s.mu.Lock()
+	addr := replicaAddr(s.next)
+	s.next++
+	s.mu.Unlock()
+
+	app := workload.NewBenchApp(s.opts.StateBytes, s.opts.ExecCost, s.opts.ReplyBytes)
+	node, err := s.group.Add(addr, seeds, replicator.ReplicaConfig{
+		GCS: s.opts.gcsConfig(),
+		Replication: replication.Config{
+			Style:              style,
+			CheckpointEvery:    checkpointEvery,
+			Model:              s.opts.Model,
+			State:              app,
+			Adapt:              s.adapt,
+			Observer:           s.observer,
+			TransferChunkBytes: s.opts.TransferChunkBytes,
+			TransferRetryEvery: s.opts.TransferRetryEvery,
+		},
+	})
+	if err != nil {
+		return "", err
+	}
+	node.Register("Bench", app)
+	return addr, nil
+}
+
+// Close shuts the scenario down, handing the merged cross-node trace to
+// Options.TraceSink first.
+func (s *Scenario) Close() {
+	if s.opts.TraceSink != nil {
+		s.opts.TraceSink(s.label, s.group.TraceSnapshot())
+	}
+	s.group.Close()
+	s.net.Close()
+}
 
 // Chaos parses a "SPEC[:SEED]" chaos argument (chaos.ParseSpec syntax)
 // and launches the resulting deterministic fault schedule against the
@@ -54,45 +138,62 @@ func (s *Scenario) Chaos(arg string, window time.Duration) (<-chan struct{}, []s
 	for _, st := range plan.Steps() {
 		names = append(names, fmt.Sprintf("%v %s", st.After, st.Name))
 	}
-	done := faults.NewInjector(s.e.net).Run(plan)
+	done := faults.NewInjector(s.net).Run(plan)
 	return done, names, nil
+}
+
+// drive runs every client through a closed request cycle concurrently and
+// returns their results in client order. onReply, when set, sees each
+// request's end with its client's index and may end that client's cycle
+// (workload.ClosedLoop.OnReply).
+func (s *Scenario) drive(requests int, keepLedgers bool,
+	onReply func(client, i int, out *orb.Outcome, err error) bool) []*workload.Result {
+	clients := s.group.Clients()
+	results := make([]*workload.Result, len(clients))
+	var wg sync.WaitGroup
+	for ci, c := range clients {
+		cl := workload.ClosedLoop{
+			Client:       c,
+			Requests:     requests,
+			RequestBytes: s.opts.RequestBytes,
+			KeepLedgers:  keepLedgers,
+		}
+		if onReply != nil {
+			cl.OnReply = func(i int, out *orb.Outcome, err error) bool { return onReply(ci, i, out, err) }
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[ci] = cl.Run()
+		}()
+	}
+	wg.Wait()
+	return results
 }
 
 // RunClosedLoop drives every client through the configured request cycle.
 // onReply observes the first client's replies (request index, virtual
 // completion time, round trip) so callers can inject events at specific
-// points of the run.
+// points of the run. A client stops at its first failed request.
 func (s *Scenario) RunClosedLoop(onReply func(i int, vt vtime.Time, rtt vtime.Duration)) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.e.clients))
-	args, err := replicator.ToValues([]interface{}{make([]byte, s.opts.RequestBytes)})
-	if err != nil {
-		return err
+	errs := make([]error, len(s.group.Clients()))
+	results := s.drive(s.opts.Requests, false, func(ci, i int, out *orb.Outcome, err error) bool {
+		if err != nil {
+			errs[ci] = fmt.Errorf("client %d request %d: %w", ci, i, err)
+			return false
+		}
+		if ci == 0 && onReply != nil {
+			onReply(i, out.DoneVT, out.RTT())
+		}
+		return true
+	})
+	s.mu.Lock()
+	for _, r := range results {
+		if r.EndVT.After(s.maxEnd) {
+			s.maxEnd = r.EndVT
+		}
 	}
-	for ci, c := range s.e.clients {
-		wg.Add(1)
-		go func(ci int, c *replicator.ClientNode) {
-			defer wg.Done()
-			var vt vtime.Time
-			for i := 0; i < s.opts.Requests; i++ {
-				out, err := c.ORB().Invoke("Bench", "work", args, vt)
-				if err != nil {
-					errs[ci] = fmt.Errorf("client %d request %d: %w", ci, i, err)
-					return
-				}
-				vt = out.DoneVT
-				if ci == 0 && onReply != nil {
-					onReply(i, vt, out.RTT())
-				}
-			}
-			s.maxEndM.Lock()
-			if vt.After(s.maxEnd) {
-				s.maxEnd = vt
-			}
-			s.maxEndM.Unlock()
-		}(ci, c)
-	}
-	wg.Wait()
+	s.mu.Unlock()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -103,23 +204,30 @@ func (s *Scenario) RunClosedLoop(onReply func(i int, vt vtime.Time, rtt vtime.Du
 
 // Switch requests a runtime replication-style switch.
 func (s *Scenario) Switch(target replication.Style, vt vtime.Time) {
-	if live := s.e.liveNodes(); len(live) > 0 {
+	if live := s.group.Live(); len(live) > 0 {
 		live[0].Engine().RequestSwitch(target, vt)
 	}
 }
 
 // CrashPrimary kills the rank-0 replica.
 func (s *Scenario) CrashPrimary() {
-	if live := s.e.liveNodes(); len(live) > 0 {
-		s.e.net.Crash(live[0].Addr())
+	if live := s.group.Live(); len(live) > 0 {
+		s.net.Crash(live[0].Addr())
 	}
 }
 
-// Grow spawns one fresh replica at runtime. It joins the group over the
-// totally ordered channel, receives a state transfer, and goes live; the
-// new replica's address is returned.
+// Grow spawns one fresh replica at runtime, seeded on the first live member
+// and mirroring the group's current style and checkpoint frequency. It joins
+// the group over the totally ordered channel, receives a state transfer, and
+// goes live; the new replica's address is returned once its join has been
+// proposed.
 func (s *Scenario) Grow() (string, error) {
-	return s.e.spawnReplica()
+	live := s.group.Live()
+	if len(live) == 0 {
+		return "", fmt.Errorf("experiment: no live replica to seed a join from")
+	}
+	ref := live[0]
+	return s.addReplica(ref.Engine().Style(), ref.Engine().CheckpointEvery(), []string{ref.Addr()})
 }
 
 // Retire gracefully removes addr from the group ("" retires the
@@ -127,63 +235,40 @@ func (s *Scenario) Grow() (string, error) {
 // agreed stream; the named replica takes a parting checkpoint if it is a
 // passive primary and then leaves.
 func (s *Scenario) Retire(addr string, vt vtime.Time) error {
-	live := s.e.liveNodes()
+	if addr == "" {
+		act := s.group.Actuator(nil)
+		act.Now = func() vtime.Time { return vt }
+		return act.Shrink()
+	}
+	live := s.group.Live()
 	if len(live) == 0 {
 		return fmt.Errorf("experiment: no live replica to issue retirement from")
-	}
-	if addr == "" {
-		view, err := live[0].Member().View()
-		if err != nil {
-			return err
-		}
-		if len(view.Members) <= 1 {
-			return fmt.Errorf("experiment: cannot retire the last replica")
-		}
-		addr = view.Members[len(view.Members)-1]
 	}
 	return live[0].Retire(addr, vt)
 }
 
 // Style reports the current style at the first live replica.
 func (s *Scenario) Style() replication.Style {
-	if live := s.e.liveNodes(); len(live) > 0 {
+	if live := s.group.Live(); len(live) > 0 {
 		return live[0].Engine().Style()
 	}
 	return 0
 }
 
 // Members lists live replica addresses.
-func (s *Scenario) Members() []string {
-	var out []string
-	for _, n := range s.e.liveNodes() {
-		out = append(out, n.Addr())
-	}
-	return out
-}
+func (s *Scenario) Members() []string { return s.group.Members() }
 
 // TraceSnapshot merges every node's and client's trace counters into one
 // system-wide snapshot (per-subsystem counters sum across processes).
 // Retired and crashed replicas contribute their final snapshots.
-func (s *Scenario) TraceSnapshot() trace.Snapshot {
-	s.e.mu.Lock()
-	nodes := append([]*replicator.ReplicaNode(nil), s.e.nodes...)
-	s.e.mu.Unlock()
-	snaps := make([]trace.Snapshot, 0, len(nodes)+len(s.e.clients))
-	for _, n := range nodes {
-		snaps = append(snaps, n.TraceSnapshot())
-	}
-	for _, c := range s.e.clients {
-		snaps = append(snaps, c.TraceSnapshot())
-	}
-	return trace.Merge(snaps...)
-}
+func (s *Scenario) TraceSnapshot() trace.Snapshot { return s.group.TraceSnapshot() }
 
 // Sensors returns a policy.Signals sampler over the scenario: it reads
 // the first live replica each call, so the sample survives crashes,
 // retirements and growth of individual nodes.
 func (s *Scenario) Sensors() func() policy.Signals {
 	return func() policy.Signals {
-		live := s.e.liveNodes()
+		live := s.group.Live()
 		if len(live) == 0 {
 			return policy.Signals{}
 		}
@@ -192,63 +277,17 @@ func (s *Scenario) Sensors() func() policy.Signals {
 }
 
 // Actuator returns a policy.Actuator driving this scenario: switches and
-// checkpoint retuning on the first live replica, Grow through
-// spawnReplica, Shrink through graceful retirement. Like Sensors, every
-// call re-resolves the live group, so the actuator outlives any single
-// replica.
+// checkpoint retuning on the first live replica, Grow through Scenario.Grow,
+// Shrink through graceful retirement. Like Sensors, every call re-resolves
+// the live group, so the actuator outlives any single replica.
 func (s *Scenario) Actuator() policy.Actuator {
-	return scenarioActuator{s}
-}
-
-type scenarioActuator struct{ s *Scenario }
-
-func (a scenarioActuator) elastic() (*replicator.ElasticActuator, error) {
-	live := a.s.e.liveNodes()
-	if len(live) == 0 {
-		return nil, fmt.Errorf("experiment: no live replica to actuate on")
-	}
-	return &replicator.ElasticActuator{
-		Node:  live[0],
-		Spawn: func([]string) error { _, err := a.s.e.spawnReplica(); return err },
-	}, nil
-}
-
-func (a scenarioActuator) SwitchStyle(target replication.Style) error {
-	el, err := a.elastic()
-	if err != nil {
-		return err
-	}
-	return el.SwitchStyle(target)
-}
-
-func (a scenarioActuator) SetCheckpointEvery(every int) error {
-	el, err := a.elastic()
-	if err != nil {
-		return err
-	}
-	return el.SetCheckpointEvery(every)
-}
-
-func (a scenarioActuator) Grow() error {
-	el, err := a.elastic()
-	if err != nil {
-		return err
-	}
-	return el.Grow()
-}
-
-func (a scenarioActuator) Shrink() error {
-	el, err := a.elastic()
-	if err != nil {
-		return err
-	}
-	return el.Shrink()
+	return s.group.Actuator(func([]string) error { _, err := s.Grow(); return err })
 }
 
 // BandwidthMBs reports network usage over the run's virtual makespan.
 func (s *Scenario) BandwidthMBs() float64 {
-	s.maxEndM.Lock()
+	s.mu.Lock()
 	end := s.maxEnd
-	s.maxEndM.Unlock()
-	return monitor.Bandwidth(s.e.net.Stats().BytesSent, end.Sub(0))
+	s.mu.Unlock()
+	return monitor.Bandwidth(s.net.Stats().BytesSent, end.Sub(0))
 }

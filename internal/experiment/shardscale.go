@@ -70,16 +70,14 @@ func (s *shardCtl) Invoke(op string, args []codec.Value) ([]codec.Value, error) 
 }
 
 // shardedEnv is a running sharded system: one simulated fabric carrying N
-// independent replica groups, a coordinator owning the shard map, one
-// control client per shard, and router-fronted workload clients.
+// independent replica groups — each with its control client "ctl-<shard>" —
+// a coordinator owning the shard map, and router-fronted workload clients.
 type shardedEnv struct {
 	net   *simnet.Network
 	opts  Options
 	coord *shard.Coordinator
 
-	groups  [][]*replicator.ReplicaNode // indexed by shard id
-	apps    [][]*workload.ShardApp
-	ctl     []*replicator.ClientNode // control client per shard
+	groups  []*replicator.Group      // indexed by shard id
 	clients []*replicator.ClientNode // sharded (router) clients
 
 	replicasPer int
@@ -102,23 +100,19 @@ func shardAddr(shardID, i int) string {
 	return fmt.Sprintf("s%d-%c", shardID, 'a'+i)
 }
 
-// bootShard starts one shard's replica group and its control client,
-// returning once every member sees the full view. The guard starts under
-// initial, which for runtime-added shards is already the post-add map.
+// bootShard starts one shard's replica group and its control client: each
+// replica joins through the first and is waited into the view before the
+// next starts. The guard starts under initial, which for runtime-added
+// shards is already the post-add map.
 func (e *shardedEnv) bootShard(shardID int, members []string, initial *shard.Map) error {
-	var nodes []*replicator.ReplicaNode
-	var apps []*workload.ShardApp
+	g := replicator.NewGroup(replicator.SimFabric(e.net))
+	e.groups = append(e.groups, g)
 	var seeds []string
 	for i, addr := range members {
-		ep, err := e.net.Endpoint(addr)
-		if err != nil {
-			return err
-		}
 		app := workload.NewShardApp(e.opts.StateBytes, e.opts.ExecCost, e.opts.ReplyBytes)
 		guard := shard.NewGuard(shardID, initial)
-		node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-			Seeds: seeds,
-			GCS:   shardGCS(e.opts, uint32(shardID)),
+		node, err := g.Add(addr, seeds, replicator.ReplicaConfig{
+			GCS: shardGCS(e.opts, uint32(shardID)),
 			Replication: replication.Config{
 				Style:              replication.Active,
 				CheckpointEvery:    e.opts.CheckpointEvery,
@@ -128,6 +122,9 @@ func (e *shardedEnv) bootShard(shardID int, members []string, initial *shard.Map
 				TransferRetryEvery: e.opts.TransferRetryEvery,
 			},
 		})
+		if err != nil {
+			return err
+		}
 		node.RegisterDefault(app)
 		node.Register(ShardCtlObject, &shardCtl{shardID: shardID, guard: guard, app: app})
 		node.SetRouteCheck(func(object string) error {
@@ -136,54 +133,22 @@ func (e *shardedEnv) bootShard(shardID int, members []string, initial *shard.Map
 			}
 			return guard.Check(object)
 		})
-		nodes = append(nodes, node)
-		apps = append(apps, app)
-		if i == 0 {
-			seeds = []string{addr}
-		}
-		if err := waitShardSize(nodes, i+1); err != nil {
+		seeds = members[:1]
+		if err := g.WaitSize(i+1, 10*time.Second); err != nil {
 			return err
 		}
 	}
-
-	cep, err := e.net.Endpoint(fmt.Sprintf("ctl-%d", shardID))
-	if err != nil {
-		return err
-	}
-	ctl := replicator.StartClient(cep, replicator.ClientConfig{
+	_, err := g.Client(fmt.Sprintf("ctl-%d", shardID), replicator.ClientConfig{
 		Members: members,
 		Model:   e.opts.Model,
-		Timeout: 500 * time.Millisecond,
-		Retries: 20,
 		GroupID: uint32(shardID),
 	})
-
-	e.groups = append(e.groups, nodes)
-	e.apps = append(e.apps, apps)
-	e.ctl = append(e.ctl, ctl)
-	return nil
+	return err
 }
 
-// waitShardSize blocks until every given replica reports a view of the
-// wanted size.
-func waitShardSize(nodes []*replicator.ReplicaNode, want int) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ok := 0
-		for _, n := range nodes {
-			v, err := n.Member().View()
-			if err == nil && len(v.Members) == want {
-				ok++
-			}
-		}
-		if ok == len(nodes) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: shard group did not reach %d members", want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+// ctl returns the control client of the given shard.
+func (e *shardedEnv) ctl(shardID int) *replicator.ClientNode {
+	return e.groups[shardID].Clients()[0]
 }
 
 // buildShardedEnv boots a fabric with the given number of shards (each a
@@ -214,17 +179,13 @@ func buildShardedEnv(o Options, shards, replicasPer, clients int) (*shardedEnv, 
 	}
 
 	for i := 0; i < clients; i++ {
-		ep, err := e.net.Endpoint(fmt.Sprintf("client-%d", i+1))
+		c, err := replicator.SimFabric(e.net).ShardedClient(fmt.Sprintf("client-%d", i+1),
+			replicator.ShardedClientConfig{Fetch: e.coord.Snapshot, Model: o.Model})
 		if err != nil {
 			e.close()
 			return nil, err
 		}
-		e.clients = append(e.clients, replicator.StartShardedClient(ep, replicator.ShardedClientConfig{
-			Fetch:   e.coord.Snapshot,
-			Model:   o.Model,
-			Timeout: 500 * time.Millisecond,
-			Retries: 20,
-		}))
+		e.clients = append(e.clients, c)
 	}
 	return e, nil
 }
@@ -248,14 +209,14 @@ func (e *shardedEnv) addShard() (int, error) {
 
 	nextBytes := next.Encode()
 	for donor := 0; donor < newID; donor++ {
-		out, err := e.ctl[donor].Invoke(ShardCtlObject, "prepare", []interface{}{nextBytes}, 0)
+		out, err := e.ctl(donor).Invoke(ShardCtlObject, "prepare", []interface{}{nextBytes}, 0)
 		if err != nil {
 			return 0, fmt.Errorf("experiment: prepare shard %d: %w", donor, err)
 		}
 		if len(out.Results) < 1 || out.Results[0].Kind != codec.KindBytes {
 			return 0, fmt.Errorf("experiment: prepare shard %d returned no export", donor)
 		}
-		if _, err := e.ctl[newID].Invoke(ShardCtlObject, "seed",
+		if _, err := e.ctl(newID).Invoke(ShardCtlObject, "seed",
 			[]interface{}{out.Results[0].Byt}, 0); err != nil {
 			return 0, fmt.Errorf("experiment: seed shard %d: %w", newID, err)
 		}
@@ -270,13 +231,8 @@ func (e *shardedEnv) close() {
 	for _, c := range e.clients {
 		c.Stop()
 	}
-	for _, c := range e.ctl {
-		c.Stop()
-	}
-	for _, nodes := range e.groups {
-		for _, n := range nodes {
-			n.Stop()
-		}
+	for _, g := range e.groups {
+		g.Close()
 	}
 	e.net.Close()
 }

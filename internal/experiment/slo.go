@@ -10,7 +10,6 @@ import (
 	"versadep/internal/orb"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
-	"versadep/internal/replicator"
 	"versadep/internal/vtime"
 	"versadep/internal/workload"
 )
@@ -116,7 +115,7 @@ const sloPace = 500 * time.Millisecond
 // phase regardless of wall-clock speed.
 func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) (*SLOScenarioResult, error) {
 	const replicas = 3
-	scn, err := NewScenario(o, replication.WarmPassive, replicas, 1, nil)
+	scn, err := NewScenario(o, replication.WarmPassive, replicas, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +153,7 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 		close(healed)
 	}
 	loop := workload.OpenLoop{
-		Client:       scn.e.clients[0],
+		Client:       scn.group.Clients()[0],
 		RequestBytes: o.RequestBytes,
 		Phases:       sloPhases(),
 		RealPace:     sloPace,
@@ -169,11 +168,11 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 				ctrl.Step()
 			}
 			if partition && replies == 250 {
-				scn.e.net.SetExtraDelay("*", "*", 5*vtime.Millisecond)
-				scn.e.net.Partition("replica-c", 1)
+				scn.net.SetExtraDelay("*", "*", 5*vtime.Millisecond)
+				scn.net.Partition("replica-c", 1)
 				time.AfterFunc(200*time.Millisecond, func() {
-					scn.e.net.SetExtraDelay("*", "*", 0)
-					scn.e.net.HealPartitions()
+					scn.net.SetExtraDelay("*", "*", 0)
+					scn.net.HealPartitions()
 					close(healed)
 				})
 			}
@@ -205,14 +204,11 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 	// counters (suspicions) the result reports.
 	agg := obsplane.NewAggregator(width, 512)
 	endAt := int64(out.EndVT)
-	scn.e.mu.Lock()
-	nodes := append([]*replicator.ReplicaNode(nil), scn.e.nodes...)
-	scn.e.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range scn.group.Nodes() {
 		agg.Ingest(n.Addr(), endAt, n.TraceSnapshot())
 	}
-	for i, c := range scn.e.clients {
-		agg.Ingest(fmt.Sprintf("client-%d", i+1), endAt, c.TraceSnapshot())
+	for _, c := range scn.group.Clients() {
+		agg.Ingest(c.Addr(), endAt, c.TraceSnapshot())
 	}
 	merged := agg.Merged()
 	res.Suspicions = merged.Counters["gcs.heartbeat_misses"]

@@ -48,7 +48,7 @@ func (c *crashingServant) ExecCost(op string, args []codec.Value) vtime.Duration
 func TestFailoverStitchedTimeline(t *testing.T) {
 	o := DefaultOptions()
 	o.Requests = 60
-	scn, err := NewScenario(o, replication.WarmPassive, 3, 1, nil)
+	scn, err := NewScenario(o, replication.WarmPassive, 3, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestFailoverStitchedTimeline(t *testing.T) {
 	// wrapper. The closed loop is serial, so the 30th execution on the
 	// primary is exactly the client's 30th request — deterministic under
 	// the seeded fabric.
-	primary := scn.e.nodes[0]
+	primary := scn.group.Nodes()[0]
 	primary.Register("Bench", &crashingServant{
-		inner:   scn.e.apps[0],
+		inner:   primary.State().(crashTarget),
 		crashAt: 30,
-		crash:   func() { scn.e.net.Crash(primary.Addr()) },
+		crash:   func() { scn.net.Crash(primary.Addr()) },
 	})
 
 	if err := scn.RunClosedLoop(nil); err != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"versadep/internal/replication"
+	"versadep/internal/replicator"
 	"versadep/internal/trace"
 )
 
@@ -89,41 +90,35 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 		}
 	}
 
-	e, err := buildEnv(o, replication.Active, 2, 0, nil, observer)
+	s, err := NewScenario(o, replication.Active, 2, 0, nil, observer)
 	if err != nil {
 		return nil, err
 	}
-	defer e.close()
-	netRef = func(addr string) { e.net.Partition(addr, 2) }
+	defer s.Close()
+	netRef = func(addr string) { s.net.Partition(addr, 2) }
 
-	leader := e.nodes[0]
+	leader := s.group.Nodes()[0]
 	sent := func() int64 {
 		return leader.TraceSnapshot().Get(trace.SubReplication, "transfer_bytes_sent")
 	}
 	// A fresh engine reports synced until its join view arrives, so the
 	// wait requires group membership first, then the post-transfer sync.
 	waitSynced := func(addr string, members int) error {
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			e.mu.Lock()
-			var ok bool
-			for _, n := range e.nodes {
+		synced := replicator.Eventually(30*time.Second, 5*time.Millisecond, func() bool {
+			for _, n := range s.group.Nodes() {
 				if n.Addr() != addr {
 					continue
 				}
 				if v, err := n.Member().View(); err == nil && len(v.Members) == members {
-					ok = n.Engine().StatsSnapshot().Synced
+					return n.Engine().StatsSnapshot().Synced
 				}
 			}
-			e.mu.Unlock()
-			if ok {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("experiment: joiner %s never synced", addr)
-			}
-			time.Sleep(5 * time.Millisecond)
+			return false
+		})
+		if !synced {
+			return fmt.Errorf("experiment: joiner %s never synced", addr)
 		}
+		return nil
 	}
 	// The bootstrap join (replica-b) also runs the chunked path; let it
 	// finish before measuring.
@@ -140,7 +135,7 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 	// Full run: grow by one, no faults.
 	base := sent()
 	start := time.Now()
-	addr, err := e.spawnReplica()
+	addr, err := s.Grow()
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +150,13 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 	resumesBase := leader.TraceSnapshot().Get(trace.SubReplication, "transfer_resumes")
 	skippedBase := leader.TraceSnapshot().Get(trace.SubReplication, "transfer_bytes_resumed")
 	base = sent()
-	// spawnReplica names replicas deterministically; announce the target
-	// before the join so the observer can cut its transfer.
+	// Grow names replicas deterministically; announce the target before
+	// the join so the observer can cut its transfer.
 	mu.Lock()
-	target = fmt.Sprintf("replica-%c", 'a'+e.nextReplica)
+	target = replicaAddr(len(s.group.Nodes()))
 	mu.Unlock()
 	start = time.Now()
-	addr, err = e.spawnReplica()
+	addr, err = s.Grow()
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +167,7 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 	}
 	time.Sleep(outage)
 	healAt := sent()
-	e.net.HealAddr(addr)
+	s.net.HealAddr(addr)
 	if err := waitSynced(addr, 4); err != nil {
 		return nil, err
 	}

@@ -293,15 +293,21 @@ func (c *GroupClient) tick() {
 	// that forwards to the live coordinator and corrects our hint.
 	// Only submissions whose last transmission is at least ResendInterval
 	// old go out again: one sent microseconds before the tick is not lost,
-	// its ack is on the way.
+	// its ack is on the way. pending is OSeq-ordered, so the resendBurst
+	// the tick is allowed are the oldest.
 	nowT := c.now()
 	target := c.members[c.rotate%len(c.members)]
+	sent := 0
 	for _, f := range c.pending {
+		if sent == resendBurst {
+			break
+		}
 		if nowT.Sub(f.lastSend) < c.cfg.ResendInterval {
 			continue
 		}
 		f.lastSend = nowT
 		_ = c.send.SendControl(target, c.sealed(f), f.SentVT)
+		sent++
 	}
 	c.rotate++
 }

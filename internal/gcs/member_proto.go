@@ -993,22 +993,26 @@ func (m *Member) tick() {
 	// traffic to its client — each retained frame only once ResendInterval
 	// has passed since it last went out. A tick that lands microseconds
 	// after the first transmission must not repeat it: on a healthy
-	// network the ack is already on its way back.
+	// network the ack is already on its way back. Each peer gets at most
+	// resendBurst frames a tick, lowest OSeq first.
 	if !m.blocked {
+		sent := 0
 		for _, oseq := range m.pendOrder {
+			if sent == resendBurst {
+				break
+			}
 			if f, ok := m.pending[oseq]; ok && m.resendDue(f, nowT) {
 				m.sendControl(m.currentSequencer(), f)
 				m.cRetransmit.Inc()
+				sent++
 			}
 		}
 		m.compactPendOrder()
 	}
 	for to, un := range m.directUnack {
-		for _, f := range un {
-			if m.resendDue(f, nowT) {
-				m.sendExternal(to, f, true)
-				m.cRetransmit.Inc()
-			}
+		for _, f := range m.dueDirect(un, nowT) {
+			m.sendExternal(to, f, true)
+			m.cRetransmit.Inc()
 		}
 	}
 
@@ -1035,10 +1039,31 @@ func (m *Member) tick() {
 	m.advanceProposal(nowT)
 }
 
+// resendBurst bounds the retained frames one tick re-sends to one peer. A
+// sweep over everything due grows with the backlog: once it outlasts
+// ResendInterval every frame is due again when it ends, the peer answers
+// each duplicate at once, and the storm feeds itself. The oldest frames go
+// first — they are what the peer's cumulative acknowledgement and the
+// sequencer's per-origin FIFO wait for — and successive ticks cover the rest.
+const resendBurst = 64
+
 // resendDue reports whether a retained frame's last transmission is old
 // enough to be presumed lost.
 func (m *Member) resendDue(f *frame, nowT time.Time) bool {
 	return nowT.Sub(f.lastSend) >= m.cfg.ResendInterval
+}
+
+// dueDirect returns the frames of un that are due a resend, lowest OSeq
+// first and no more than resendBurst of them.
+func (m *Member) dueDirect(un map[uint64]*frame, nowT time.Time) []*frame {
+	var due []*frame
+	for _, f := range un {
+		if m.resendDue(f, nowT) {
+			due = append(due, f)
+		}
+	}
+	sort.Slice(due, func(i, j int) bool { return due[i].OSeq < due[j].OSeq })
+	return due[:min(len(due), resendBurst)]
 }
 
 func (m *Member) compactPendOrder() {

@@ -214,3 +214,103 @@ func TestClientResendWaitsForResendInterval(t *testing.T) {
 		t.Fatalf("re-sent again half an interval after a resend: %d transmissions", n)
 	}
 }
+
+// oseqsFrom decodes the OSeqs of the frames conn was asked to send from
+// index from on, failing if one is not of the given kind.
+func oseqsFrom(t *testing.T, conn *recConn, from int, kind frameKind) []uint64 {
+	t.Helper()
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	var out []uint64
+	for _, s := range conn.sent[from:] {
+		f := decodeSent(t, s)
+		if f.Kind != kind {
+			t.Fatalf("tick sent a frame of kind %d, want %d", f.Kind, kind)
+		}
+		out = append(out, f.OSeq)
+	}
+	return out
+}
+
+func (c *recConn) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.sent)
+}
+
+// checkBurstSweep drives tick until it sends nothing and checks what each one
+// added to conn: at most resendBurst frames, lowest OSeq first, every one of
+// 1..backlog exactly once over the sweep.
+func checkBurstSweep(t *testing.T, conn *recConn, kind frameKind, backlog int, tick func()) {
+	t.Helper()
+	next := uint64(1)
+	for ticks := 0; ; ticks++ {
+		before := conn.count()
+		tick()
+		got := oseqsFrom(t, conn, before, kind)
+		if len(got) == 0 {
+			break
+		}
+		if len(got) > resendBurst {
+			t.Fatalf("tick %d re-sent %d frames, burst is %d", ticks, len(got), resendBurst)
+		}
+		for _, oseq := range got {
+			if oseq != next {
+				t.Fatalf("tick %d re-sent OSeq %d, want %d (oldest first, each once)", ticks, oseq, next)
+			}
+			next++
+		}
+	}
+	if int(next-1) != backlog {
+		t.Fatalf("sweep covered OSeqs 1..%d, want 1..%d", next-1, backlog)
+	}
+}
+
+// TestMemberResendBurstIsBounded: with thousands of unacknowledged direct
+// frames to one client all due at once, a tick re-sends the resendBurst
+// oldest and leaves the rest to the ticks that follow — the sweep's work does
+// not grow with its backlog.
+func TestMemberResendBurstIsBounded(t *testing.T) {
+	const backlog = 5000
+	cfg := quietConfig()
+	r := openRig(t, cfg, "b", "a", "b")
+	for i := 0; i < backlog; i++ {
+		r.sendDirect("client", []byte("reply"))
+	}
+	if n := r.xconn.count(); n != backlog {
+		t.Fatalf("first transmission: %d frames, want %d", n, backlog)
+	}
+	// Every frame falls due at the first tick; the clock then stands still,
+	// so a frame just re-sent is not due again while the rest are.
+	advance := cfg.ResendInterval
+	checkBurstSweep(t, r.xconn, kDirect, backlog, func() { r.tick(advance); advance = 0 })
+}
+
+// TestClientResendBurstIsBounded is the same bound on the external client's
+// submissions.
+func TestClientResendBurstIsBounded(t *testing.T) {
+	const backlog = 5000
+	conn := &recConn{addr: "client"}
+	cc := DefaultClientConfig([]string{"a"})
+	cc.ResendInterval = time.Hour // the client's own ticker stays out of the way
+	c := NewClient(conn, cc, func(Event) {})
+	defer c.Stop()
+
+	clock := time.Unix(1000, 0)
+	c.mu.Lock()
+	c.now = func() time.Time { return clock }
+	c.mu.Unlock()
+	for i := 0; i < backlog; i++ {
+		if err := c.Submit([]byte("request"), 0, vtime.Ledger{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	clock = clock.Add(cc.ResendInterval)
+	c.mu.Unlock()
+	checkBurstSweep(t, conn, kData, backlog, func() {
+		c.mu.Lock()
+		c.tick()
+		c.mu.Unlock()
+	})
+}

@@ -220,9 +220,6 @@ func (e *Engine) SetSeries(latency, good, bad string) {
 	}
 }
 
-// Spec returns the engine's parsed spec.
-func (e *Engine) Spec() Spec { return e.spec }
-
 // evalObjective grades one objective over a latency rollup and outcome
 // counts.
 func evalObjective(o Objective, lat WindowStat, good, bad int64) ObjectiveStatus {

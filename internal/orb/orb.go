@@ -84,8 +84,6 @@ var (
 	ErrTimeout = errors.New("orb: invocation timed out")
 	// ErrClosed reports use of a closed client.
 	ErrClosed = errors.New("orb: client closed")
-	// ErrNoServant reports an unknown target object.
-	ErrNoServant = errors.New("orb: no such servant")
 )
 
 // RemoteError is a servant exception propagated to the caller.

@@ -14,9 +14,9 @@ import (
 var errActuatorNoRetry = errors.New("policy: actuator does not support dial-retry tuning")
 
 // Actuator is the single surface through which a Controller turns the
-// three low-level knobs. Implementations exist for a live replica node
-// (replicator.ElasticActuator) and for the simulated experiment harness
-// (Scenario.Actuator); tests substitute fakes.
+// three low-level knobs. The implementation is replicator.ElasticActuator,
+// bound to one live node or — for an in-process group — resolving the
+// first live replica at every action; tests substitute fakes.
 type Actuator interface {
 	// SwitchStyle initiates a runtime replication-style switch (the
 	// Figure 5 protocol on the agreed stream).

@@ -73,7 +73,9 @@ func (n *ReplicaNode) PolicyGate() func() bool {
 // log suffix, and goes live in a totally ordered view); Shrink retires
 // the highest-ranked member gracefully.
 type ElasticActuator struct {
-	// Node is the replica the actuator drives (usually the primary).
+	// Node is the replica the actuator drives (usually the primary). An
+	// actuator made by Group.Actuator has none: it drives the group's
+	// first live replica, looked up at every action.
 	Node *ReplicaNode
 	// Spawn launches one fresh replica seeded on the given members.
 	// Required for Grow; the experiment harness spawns simulated nodes,
@@ -87,6 +89,8 @@ type ElasticActuator struct {
 	// transport (vdnode wires it to tcptransport.Endpoint.SetRetry). Nil
 	// on simulated fabrics, where there is nothing to dial.
 	TuneRetry func(attempts, backoffMs int) error
+
+	group *Group // set by Group.Actuator in place of Node
 }
 
 func (a *ElasticActuator) now() vtime.Time {
@@ -96,9 +100,25 @@ func (a *ElasticActuator) now() vtime.Time {
 	return 0
 }
 
+// node is the replica this action drives.
+func (a *ElasticActuator) node() (*ReplicaNode, error) {
+	if a.group == nil {
+		return a.Node, nil
+	}
+	live := a.group.Live()
+	if len(live) == 0 {
+		return nil, errors.New("replicator: no live replica to actuate on")
+	}
+	return live[0], nil
+}
+
 // SwitchStyle implements policy.Actuator.
 func (a *ElasticActuator) SwitchStyle(target replication.Style) error {
-	a.Node.Engine().RequestSwitch(target, a.now())
+	n, err := a.node()
+	if err != nil {
+		return err
+	}
+	n.Engine().RequestSwitch(target, a.now())
 	return nil
 }
 
@@ -107,7 +127,11 @@ func (a *ElasticActuator) SetCheckpointEvery(every int) error {
 	if every <= 0 {
 		return fmt.Errorf("replicator: checkpoint interval must be positive, got %d", every)
 	}
-	a.Node.Engine().SetCheckpointEvery(every, a.now())
+	n, err := a.node()
+	if err != nil {
+		return err
+	}
+	n.Engine().SetCheckpointEvery(every, a.now())
 	return nil
 }
 
@@ -117,7 +141,11 @@ func (a *ElasticActuator) Grow() error {
 	if a.Spawn == nil {
 		return errors.New("replicator: no spawn hook configured; cannot grow")
 	}
-	view, err := a.Node.Member().View()
+	n, err := a.node()
+	if err != nil {
+		return err
+	}
+	view, err := n.Member().View()
 	if err != nil {
 		return err
 	}
@@ -137,7 +165,11 @@ func (a *ElasticActuator) TuneDialRetry(attempts, backoffMs int) error {
 // highest-ranked member (never the primary, which is rank 0 — so a
 // shrink costs no handoff when it can be avoided).
 func (a *ElasticActuator) Shrink() error {
-	view, err := a.Node.Member().View()
+	n, err := a.node()
+	if err != nil {
+		return err
+	}
+	view, err := n.Member().View()
 	if err != nil {
 		return err
 	}
@@ -145,5 +177,5 @@ func (a *ElasticActuator) Shrink() error {
 		return errors.New("replicator: cannot shrink below one replica")
 	}
 	victim := view.Members[len(view.Members)-1]
-	return a.Node.Retire(victim, a.now())
+	return n.Retire(victim, a.now())
 }

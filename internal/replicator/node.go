@@ -65,6 +65,7 @@ type ReplicaNode struct {
 	member  *gcs.Member
 	adapter *orb.Adapter
 	engine  *replication.Engine
+	state   replication.Checkpointable
 	trace   *trace.Recorder
 
 	// faults accumulates crash departures observed in view changes (the
@@ -123,7 +124,7 @@ func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
 	// group gracefully. The observer runs on the engine goroutine and
 	// must not block, so Leave runs in a goroutine gated on full node
 	// assembly.
-	n := &ReplicaNode{demux: d, trace: rec,
+	n := &ReplicaNode{demux: d, trace: rec, state: cfg.Replication.State,
 		faults: policy.NewFaultMeter(0, 0), ready: make(chan struct{})}
 	self := ep.Addr()
 	inner := cfg.Replication.Observer
@@ -187,6 +188,10 @@ func (n *ReplicaNode) SetRouteCheck(fn func(object string) error) {
 // Engine exposes the replication engine (knobs, stats, switches).
 func (n *ReplicaNode) Engine() *replication.Engine { return n.engine }
 
+// State exposes the application state the node replicates (the caller's
+// ReplicaConfig.Replication.State).
+func (n *ReplicaNode) State() replication.Checkpointable { return n.state }
+
 // Member exposes the group-communication member.
 func (n *ReplicaNode) Member() *gcs.Member { return n.member }
 
@@ -218,8 +223,6 @@ func (n *ReplicaNode) Leave() {
 // router that fans out across every shard's group.
 type ClientNode struct {
 	demux  *transport.Demux
-	gw     *interceptor.GroupWire // set for single-group clients
-	router *shard.Router          // set for sharded clients
 	client *orb.Client
 	trace  *trace.Recorder
 }
@@ -234,9 +237,9 @@ type ClientConfig struct {
 	Filter interceptor.ReplyFilter
 	// ExpectedReplies is the replica count for majority voting.
 	ExpectedReplies int
-	// Timeout is the per-attempt reply timeout (real time).
+	// Timeout is the per-attempt reply timeout (real time; default 500 ms).
 	Timeout time.Duration
-	// Retries bounds retransmissions per invocation.
+	// Retries bounds retransmissions per invocation (default 20).
 	Retries int
 	// Trace receives the client's counters (ORB retransmits/timeouts and
 	// interceptor filter outcomes). When nil, the node creates its own
@@ -271,7 +274,7 @@ func StartClient(ep transport.MultiEndpoint, cfg ClientConfig) *ClientNode {
 	client := orb.NewClient(ep.Addr(), wire, cfg.Model, orbClientOptions(rec, cfg.Timeout, cfg.Retries)...)
 
 	d.Start()
-	return &ClientNode{demux: d, gw: wire, client: client, trace: rec}
+	return &ClientNode{demux: d, client: client, trace: rec}
 }
 
 // groupWireOptions and orbClientOptions translate the zero-means-default
@@ -287,15 +290,22 @@ func groupWireOptions(rec *trace.Recorder, filter interceptor.ReplyFilter, expec
 	return opts
 }
 
+// The reply timeout and retry budget of a client that names none: at ten
+// seconds per invocation it rides out a failover, a view change and a state
+// transfer, and still fails a run that is truly stuck.
+const (
+	defaultClientTimeout = 500 * time.Millisecond
+	defaultClientRetries = 20
+)
+
 func orbClientOptions(rec *trace.Recorder, timeout time.Duration, retries int) []orb.ClientOption {
-	opts := []orb.ClientOption{orb.WithClientTrace(rec)}
-	if timeout > 0 {
-		opts = append(opts, orb.WithTimeout(timeout))
+	if timeout <= 0 {
+		timeout = defaultClientTimeout
 	}
-	if retries > 0 {
-		opts = append(opts, orb.WithRetries(retries))
+	if retries <= 0 {
+		retries = defaultClientRetries
 	}
-	return opts
+	return []orb.ClientOption{orb.WithClientTrace(rec), orb.WithTimeout(timeout), orb.WithRetries(retries)}
 }
 
 // ShardedClientConfig bundles the configuration of a client that spans
@@ -313,9 +323,9 @@ type ShardedClientConfig struct {
 	Filter interceptor.ReplyFilter
 	// ExpectedReplies is the per-shard replica count for majority voting.
 	ExpectedReplies int
-	// Timeout is the per-attempt reply timeout (real time).
+	// Timeout is the per-attempt reply timeout (real time; default 500 ms).
 	Timeout time.Duration
-	// Retries bounds retransmissions per invocation.
+	// Retries bounds retransmissions per invocation (default 20).
 	Retries int
 	// Trace receives the client's counters across the ORB, router and
 	// per-shard wires.
@@ -370,7 +380,7 @@ func StartShardedClient(ep transport.MultiEndpoint, cfg ShardedClientConfig) *Cl
 	client := orb.NewClient(ep.Addr(), router, cfg.Model, orbClientOptions(rec, cfg.Timeout, cfg.Retries)...)
 
 	d.Start()
-	return &ClientNode{demux: d, router: router, client: client, trace: rec}
+	return &ClientNode{demux: d, client: client, trace: rec}
 }
 
 // Addr returns the client's transport address.
@@ -388,13 +398,6 @@ func (c *ClientNode) Invoke(object, op string, args []interface{}, now vtime.Tim
 
 // ORB exposes the underlying ORB client for typed invocations.
 func (c *ClientNode) ORB() *orb.Client { return c.client }
-
-// Wire exposes the group wire (to retune voting thresholds). Nil for
-// sharded clients, whose per-shard wires live behind the router.
-func (c *ClientNode) Wire() *interceptor.GroupWire { return c.gw }
-
-// Router exposes the shard router (nil for single-group clients).
-func (c *ClientNode) Router() *shard.Router { return c.router }
 
 // Trace exposes the client node's trace recorder.
 func (c *ClientNode) Trace() *trace.Recorder { return c.trace }

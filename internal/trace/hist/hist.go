@@ -341,11 +341,3 @@ func (s Snapshot) FractionBelow(v int64) float64 {
 	}
 	return f
 }
-
-// Mean returns the average observation, zero when empty.
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"versadep/internal/codec"
 	"versadep/internal/trace"
@@ -89,7 +88,6 @@ type Demux struct {
 	started  bool
 	done     chan struct{}
 
-	corrupt  atomic.Int64
 	cCorrupt *trace.Counter
 }
 
@@ -137,10 +135,6 @@ func (d *Demux) SetTrace(r *trace.Recorder) {
 	d.cCorrupt = r.Counter(trace.SubTransport, "corrupt_frames_dropped")
 }
 
-// CorruptDropped reports how many inbound frames failed checksum
-// verification and were discarded.
-func (d *Demux) CorruptDropped() int64 { return d.corrupt.Load() }
-
 // Close shuts down the underlying endpoint and waits for dispatch to stop.
 func (d *Demux) Close() error {
 	err := d.ep.Close()
@@ -156,7 +150,6 @@ func (d *Demux) run() {
 	for m := range d.ep.Recv() {
 		body, err := codec.VerifyChecksum(m.Payload)
 		if err != nil || len(body) == 0 {
-			d.corrupt.Add(1)
 			d.cCorrupt.Inc()
 			continue
 		}

@@ -61,24 +61,6 @@ func (a *ShardApp) InvokeObject(object, op string, args []codec.Value) ([]codec.
 // ExecCost implements orb.ExecCoster.
 func (a *ShardApp) ExecCost(string, []codec.Value) vtime.Duration { return a.execCost }
 
-// Counter returns one object's invocation count.
-func (a *ShardApp) Counter(object string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.counters[object]
-}
-
-// Total returns the sum of all counters.
-func (a *ShardApp) Total() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var t int64
-	for _, c := range a.counters {
-		t += c
-	}
-	return t
-}
-
 func (a *ShardApp) sortedKeysLocked() []string {
 	keys := make([]string, 0, len(a.counters))
 	for k := range a.counters {

@@ -135,6 +135,10 @@ type ClosedLoop struct {
 	StartVT vtime.Time
 	// KeepLedgers retains per-request cost breakdowns (Figure 3).
 	KeepLedgers bool
+	// OnReply, if set, sees every request's end before the next one
+	// leaves — its index and the reply, or the error that failed it — and
+	// ends the cycle there by returning false.
+	OnReply func(i int, out *orb.Outcome, err error) bool
 }
 
 // Run executes the cycle, returning aggregate results.
@@ -153,14 +157,17 @@ func (c ClosedLoop) Run() *Result {
 		out, err := c.Client.Invoke(object, op, args, vt)
 		if err != nil {
 			res.Errors++
-			continue
+		} else {
+			res.Requests++
+			res.Latency.Record(out.RTT())
+			if c.KeepLedgers {
+				res.Ledgers = append(res.Ledgers, out.Ledger)
+			}
+			vt = out.DoneVT.Add(c.Think)
 		}
-		res.Requests++
-		res.Latency.Record(out.RTT())
-		if c.KeepLedgers {
-			res.Ledgers = append(res.Ledgers, out.Ledger)
+		if c.OnReply != nil && !c.OnReply(i, out, err) {
+			break
 		}
-		vt = out.DoneVT.Add(c.Think)
 	}
 	res.EndVT = vt
 	return res

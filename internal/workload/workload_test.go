@@ -146,6 +146,35 @@ func TestClosedLoopDefaults(t *testing.T) {
 	}
 }
 
+// TestClosedLoopOnReply: the hook sees every request's end in order — the
+// reply, or the error for an operation the servant rejects — and its false
+// ends the cycle there.
+func TestClosedLoopOnReply(t *testing.T) {
+	client, app := liveEnv(t)
+	next := 0
+	res := workload.ClosedLoop{Client: client, Requests: 10,
+		OnReply: func(i int, out *orb.Outcome, err error) bool {
+			if i != next || err != nil || out.RTT() <= 0 {
+				t.Errorf("hook call %d: i=%d err=%v", next, i, err)
+			}
+			next++
+			return i < 3
+		}}.Run()
+	if res.Requests != 4 || next != 4 || app.Counter() != 4 {
+		t.Fatalf("stopped after %d requests, %d hook calls, counter %d; want 4 each", res.Requests, next, app.Counter())
+	}
+
+	var failed error
+	res = workload.ClosedLoop{Client: client, Op: "no-such-op", Requests: 3,
+		OnReply: func(_ int, out *orb.Outcome, err error) bool {
+			failed = err
+			return err == nil
+		}}.Run()
+	if failed == nil || res.Errors != 1 || res.Requests != 0 {
+		t.Fatalf("failing cycle: err=%v errors=%d requests=%d, want one error and a stop", failed, res.Errors, res.Requests)
+	}
+}
+
 func TestOpenLoopRun(t *testing.T) {
 	client, app := liveEnv(t)
 	ol := workload.OpenLoop{

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Flake ledger for the two virtual-time paper reproductions that real-time
-# interleaving can move (ROADMAP item 2): runs TestTable2ReproducesPaperPolicy
+# interleaving can move (ROADMAP item 1): runs TestTable2ReproducesPaperPolicy
 # and TestFig7ShapesMatchPaper N times on the working tree and N times on a
 # git ref, alternating, and prints failures/N per test for each side — the
 # comparison a PR that touches message timing pastes next to its numbers.

@@ -143,7 +143,7 @@ func (s *System) Close() {
 	}
 	s.mu.Unlock()
 	for _, g := range groups {
-		g.stopAll()
+		g.grp.Close()
 	}
 	s.net.Close()
 }
@@ -172,12 +172,10 @@ type Group struct {
 	sys  *System
 	name string
 	cfg  GroupConfig
+	grp  *replicator.Group
 
-	mu    sync.Mutex
-	nodes []*replicator.ReplicaNode
-	apps  []Application
-	gone  []bool // crashed or gracefully removed
-	next  int
+	mu   sync.Mutex
+	next int // numbers the replicas ever started
 }
 
 // StartGroup boots a replica group with n members.
@@ -203,13 +201,13 @@ func (s *System) StartGroup(name string, n int, cfg GroupConfig) (*Group, error)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("versadep: group %q already exists", name)
 	}
-	g := &Group{sys: s, name: name, cfg: cfg}
+	g := &Group{sys: s, name: name, cfg: cfg, grp: replicator.NewGroup(replicator.SimFabric(s.net))}
 	s.groups[name] = g
 	s.mu.Unlock()
 
 	for i := 0; i < n; i++ {
 		if _, err := g.AddReplica(); err != nil {
-			g.stopAll()
+			g.grp.Close()
 			return nil, err
 		}
 	}
@@ -220,19 +218,12 @@ func (s *System) StartGroup(name string, n int, cfg GroupConfig) (*Group, error)
 // knob moving up); the joiner receives a state transfer automatically.
 func (g *Group) AddReplica() (string, error) {
 	g.mu.Lock()
-	idx := g.next
+	addr := fmt.Sprintf("%s/replica-%d", g.name, g.next)
 	g.next++
-	seeds := g.liveAddrsLocked()
 	g.mu.Unlock()
 
-	addr := fmt.Sprintf("%s/replica-%d", g.name, idx)
-	ep, err := g.sys.net.Endpoint(addr)
-	if err != nil {
-		return "", err
-	}
 	app := g.cfg.NewApp()
-	node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-		Seeds: seeds,
+	node, err := g.grp.Add(addr, g.grp.Members(), replicator.ReplicaConfig{
 		Replication: replication.Config{
 			Style:           g.cfg.Style,
 			CheckpointEvery: g.cfg.CheckpointEvery,
@@ -242,6 +233,9 @@ func (g *Group) AddReplica() (string, error) {
 			Observer:        g.cfg.Observer,
 		},
 	})
+	if err != nil {
+		return "", err
+	}
 	objects := g.cfg.Objects
 	if len(objects) == 0 {
 		objects = []string{"App"}
@@ -250,91 +244,28 @@ func (g *Group) AddReplica() (string, error) {
 		node.Register(o, app)
 	}
 
-	g.mu.Lock()
-	g.nodes = append(g.nodes, node)
-	g.apps = append(g.apps, app)
-	g.gone = append(g.gone, false)
-	want := len(g.liveAddrsLocked())
-	g.mu.Unlock()
-
-	if err := g.waitSize(want); err != nil {
-		return "", err
+	if err := g.grp.WaitSize(len(g.grp.Members()), 10*time.Second); err != nil {
+		return "", fmt.Errorf("versadep: group %q: %w", g.name, err)
 	}
 	return addr, nil
 }
 
-// liveAddrsLocked lists addresses of live members (g.mu held).
-func (g *Group) liveAddrsLocked() []string {
-	var out []string
-	for i, n := range g.nodes {
-		if !g.gone[i] && !g.sys.net.Crashed(n.Addr()) {
-			out = append(out, n.Addr())
-		}
-	}
-	return out
-}
-
-// liveNodesLocked lists live nodes (g.mu held).
-func (g *Group) liveNodesLocked() []*replicator.ReplicaNode {
-	var out []*replicator.ReplicaNode
-	for i, n := range g.nodes {
-		if !g.gone[i] && !g.sys.net.Crashed(n.Addr()) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Members lists the group's live member addresses.
-func (g *Group) Members() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.liveAddrsLocked()
-}
-
-// waitSize blocks until every live member reports a view of the given
-// size.
-func (g *Group) waitSize(want int) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		g.mu.Lock()
-		nodes := g.liveNodesLocked()
-		g.mu.Unlock()
-		ok, live := 0, len(nodes)
-		for _, n := range nodes {
-			if v, err := n.Member().View(); err == nil && len(v.Members) == want {
-				ok++
-			}
-		}
-		if live > 0 && ok == live {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("versadep: group %q did not converge to %d members", g.name, want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
+func (g *Group) Members() []string { return g.grp.Members() }
 
 // SetStyle switches the group's replication style at runtime using the
 // protocol of the paper's Figure 5. It returns immediately; the switch
 // completes through the agreed stream.
 func (g *Group) SetStyle(target Style) {
-	g.mu.Lock()
-	nodes := g.liveNodesLocked()
-	g.mu.Unlock()
-	if len(nodes) > 0 {
-		nodes[0].Engine().RequestSwitch(target, 0)
+	if live := g.grp.Live(); len(live) > 0 {
+		live[0].Engine().RequestSwitch(target, 0)
 	}
 }
 
 // Style reports the current style at the first live replica.
 func (g *Group) Style() Style {
-	g.mu.Lock()
-	nodes := g.liveNodesLocked()
-	g.mu.Unlock()
-	if len(nodes) > 0 {
-		return nodes[0].Engine().Style()
+	if live := g.grp.Live(); len(live) > 0 {
+		return live[0].Engine().Style()
 	}
 	return 0
 }
@@ -343,84 +274,59 @@ func (g *Group) Style() Style {
 // the new value travels the group's agreed stream so every replica adopts
 // it at the same point.
 func (g *Group) SetCheckpointEvery(every int) {
-	g.mu.Lock()
-	nodes := g.liveNodesLocked()
-	g.mu.Unlock()
-	if len(nodes) > 0 {
-		nodes[0].Engine().SetCheckpointEvery(every, 0)
+	if live := g.grp.Live(); len(live) > 0 {
+		live[0].Engine().SetCheckpointEvery(every, 0)
 	}
+}
+
+// node returns the i-th replica ever started.
+func (g *Group) node(i int) (*replicator.ReplicaNode, error) {
+	nodes := g.grp.Nodes()
+	if i < 0 || i >= len(nodes) {
+		return nil, fmt.Errorf("versadep: no replica %d", i)
+	}
+	return nodes[i], nil
 }
 
 // RemoveReplica gracefully retires the i-th replica (the #replicas knob
 // moving down): it announces a leave, the view reconfigures, and the
 // process stops.
 func (g *Group) RemoveReplica(i int) error {
-	g.mu.Lock()
-	if i < 0 || i >= len(g.nodes) {
-		g.mu.Unlock()
-		return fmt.Errorf("versadep: no replica %d", i)
+	node, err := g.node(i)
+	if err != nil {
+		return err
 	}
-	if g.gone[i] {
-		g.mu.Unlock()
-		return fmt.Errorf("versadep: replica %d already gone", i)
-	}
-	node := g.nodes[i]
-	g.gone[i] = true
-	g.mu.Unlock()
-	node.Leave()
-	return nil
+	return g.grp.Retire(node.Addr())
 }
 
 // Crash kills the i-th replica (process crash fault). The group's
 // membership protocol detects it and fails over if needed.
 func (g *Group) Crash(i int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if i < 0 || i >= len(g.nodes) {
-		return fmt.Errorf("versadep: no replica %d", i)
+	node, err := g.node(i)
+	if err != nil {
+		return err
 	}
-	g.gone[i] = true
-	g.sys.net.Crash(g.nodes[i].Addr())
+	g.sys.net.Crash(node.Addr())
 	return nil
 }
 
 // App returns the i-th replica's application instance (for state
 // inspection in tests and examples).
 func (g *Group) App(i int) Application {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if i < 0 || i >= len(g.apps) {
+	node, err := g.node(i)
+	if err != nil {
 		return nil
 	}
-	return g.apps[i]
+	return node.State().(Application)
 }
 
 // Stats returns the i-th replica's engine statistics.
 func (g *Group) Stats(i int) (replication.Stats, error) {
-	g.mu.Lock()
-	node := (*replicator.ReplicaNode)(nil)
-	if i >= 0 && i < len(g.nodes) {
-		node = g.nodes[i]
-	}
-	g.mu.Unlock()
-	if node == nil {
-		return replication.Stats{}, fmt.Errorf("versadep: no replica %d", i)
+	node, err := g.node(i)
+	if err != nil {
+		return replication.Stats{}, err
 	}
 	return node.Engine().StatsSnapshot(), nil
-}
-
-func (g *Group) stopAll() {
-	g.mu.Lock()
-	var nodes []*replicator.ReplicaNode
-	for i, n := range g.nodes {
-		if !g.gone[i] {
-			nodes = append(nodes, n)
-		}
-	}
-	g.mu.Unlock()
-	for _, n := range nodes {
-		n.Stop()
-	}
 }
 
 // Client is a replication-transparent client of a group: its invocations
@@ -458,20 +364,15 @@ func (s *System) NewClient(g *Group, opts ...ClientOption) (*Client, error) {
 	id := s.clients
 	s.mu.Unlock()
 
-	ep, err := s.net.Endpoint(fmt.Sprintf("%s/client-%d", g.name, id))
-	if err != nil {
-		return nil, err
-	}
-	cfg := replicator.ClientConfig{
-		Members: g.Members(),
-		Model:   s.model,
-		Timeout: 500 * time.Millisecond,
-		Retries: 20,
-	}
+	cfg := replicator.ClientConfig{Members: g.Members(), Model: s.model}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Client{node: replicator.StartClient(ep, cfg)}, nil
+	node, err := g.grp.Client(fmt.Sprintf("%s/client-%d", g.name, id), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{node: node}, nil
 }
 
 // Reply is the result of an invocation with its virtual timing.
