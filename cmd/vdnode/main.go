@@ -40,7 +40,6 @@ import (
 	"versadep/internal/replicator"
 	"versadep/internal/shard"
 	"versadep/internal/transport"
-	"versadep/internal/transport/chaoswire"
 	"versadep/internal/transport/tcptransport"
 	"versadep/internal/vtime"
 	"versadep/internal/workload"
@@ -171,18 +170,18 @@ func run(role, name, bind, peersStr, seedsStr, membersStr, shardMembers, styleNa
 		return err
 	}
 
-	// The chaos wrapper perturbs this node's outbound wire traffic with
-	// the per-message fault classes of the spec; corruption is caught and
-	// dropped by the receivers' frame checksums.
+	// The chaos spec's link rule applies to every outbound message of this
+	// node; corruption is caught and dropped by the receivers' frame
+	// checksums.
 	var wire transport.MultiEndpoint = ep
-	var cw *chaoswire.Endpoint
+	var cw *transport.RuleEndpoint
 	if rep.chaos != "" {
 		spec, seed, err := cliflag.Chaos(rep.chaos)
 		if err != nil {
 			_ = ep.Close()
 			return err
 		}
-		cw = chaoswire.Wrap(ep, spec, seed)
+		cw = transport.ApplyRule(ep, spec.Rule, seed)
 		wire = cw
 		fmt.Printf("[%s] wire chaos on: %s (seed %d)\n", name, spec, seed)
 	}
@@ -191,7 +190,7 @@ func run(role, name, bind, peersStr, seedsStr, membersStr, shardMembers, styleNa
 	case "replica":
 		return runReplica(ep, wire, cw, splitList(seedsStr), styleName, traceDump, intro, pol, rep)
 	case "client":
-		return runClient(wire, cw, splitList(membersStr), shardMembers, requests, traceDump, intro)
+		return runClient(wire, splitList(membersStr), shardMembers, requests, traceDump, intro)
 	default:
 		_ = ep.Close()
 		return fmt.Errorf("unknown role %q", role)
@@ -219,7 +218,7 @@ func detectorGauges(node *replicator.ReplicaNode) func() map[string]float64 {
 // wireGauges publishes the transport's wire-integrity counters — frames
 // the CRC caught and dropped, dial/reconnect churn — plus, when chaos
 // injection is on, how many outbound messages each fault class touched.
-func wireGauges(ep *tcptransport.Endpoint, cw *chaoswire.Endpoint) func() map[string]float64 {
+func wireGauges(ep *tcptransport.Endpoint, cw *transport.RuleEndpoint) func() map[string]float64 {
 	return func() map[string]float64 {
 		st := ep.Stats()
 		g := map[string]float64{
@@ -229,10 +228,10 @@ func wireGauges(ep *tcptransport.Endpoint, cw *chaoswire.Endpoint) func() map[st
 		}
 		if cw != nil {
 			cs := cw.Stats()
-			g["versadep_chaos_injected_drops"] = float64(cs.Dropped)
-			g["versadep_chaos_injected_dups"] = float64(cs.Duplicated)
-			g["versadep_chaos_injected_delays"] = float64(cs.Delayed)
-			g["versadep_chaos_injected_corruptions"] = float64(cs.Corrupted)
+			g["versadep_chaos_injected_drops"] = float64(cs.MessagesDropped)
+			g["versadep_chaos_injected_dups"] = float64(cs.MessagesDuplicated)
+			g["versadep_chaos_injected_delays"] = float64(cs.MessagesDelayed)
+			g["versadep_chaos_injected_corruptions"] = float64(cs.MessagesCorrupted)
 		}
 		return g
 	}
@@ -313,7 +312,7 @@ func startController(node *replicator.ReplicaNode, ep *tcptransport.Endpoint, po
 	return ctrl, stop, nil
 }
 
-func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *chaoswire.Endpoint, seeds []string, styleName string, traceDump bool, intro string, pol policyOpts, rep replicaOpts) error {
+func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *transport.RuleEndpoint, seeds []string, styleName string, traceDump bool, intro string, pol policyOpts, rep replicaOpts) error {
 	style, err := replication.ParseStyle(styleName)
 	if err != nil {
 		return err
@@ -489,8 +488,7 @@ func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *cha
 	}
 }
 
-func runClient(wire transport.MultiEndpoint, cw *chaoswire.Endpoint, members []string, shardMembers string, requests int, traceDump bool, intro string) error {
-	_ = cw // chaos counters are scraped from replicas; the client just perturbs
+func runClient(wire transport.MultiEndpoint, members []string, shardMembers string, requests int, traceDump bool, intro string) error {
 	var client *replicator.ClientNode
 	sharded := shardMembers != ""
 	if sharded {

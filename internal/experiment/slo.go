@@ -10,6 +10,7 @@ import (
 	"versadep/internal/orb"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 	"versadep/internal/workload"
 )
@@ -168,11 +169,10 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 				ctrl.Step()
 			}
 			if partition && replies == 250 {
-				scn.net.SetExtraDelay("*", "*", 5*vtime.Millisecond)
+				scn.net.SetLink("*", "*", transport.Rule{Delay: 5 * vtime.Millisecond})
 				scn.net.Partition("replica-c", 1)
 				time.AfterFunc(200*time.Millisecond, func() {
-					scn.net.SetExtraDelay("*", "*", 0)
-					scn.net.HealPartitions()
+					scn.net.Heal()
 					close(healed)
 				})
 			}

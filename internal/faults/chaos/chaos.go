@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +22,7 @@ import (
 
 	"versadep/internal/faults"
 	"versadep/internal/simnet"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -28,15 +30,12 @@ import (
 // value injects nothing; DefaultSpec composes every class at moderate
 // intensity.
 type Spec struct {
-	// Drop, Dup, Reorder, Corrupt are per-message probabilities applied
-	// fabric-wide for a window of the campaign (0 disables the class).
-	Drop    float64
-	Dup     float64
-	Reorder float64
-	Corrupt float64
-	// Delay is a virtual-time performance fault added to one replica's
-	// outbound links for a window (0 disables).
-	Delay vtime.Duration
+	// Rule carries the per-message classes. Drop, Dup, Reorder and Corrupt
+	// are probabilities applied fabric-wide for a window of the campaign;
+	// Delay is added to one replica's outbound links for a window (0
+	// disables a class). On a live node the whole Rule applies to every
+	// outbound message for the whole run.
+	transport.Rule
 	// Partitions is how many transient partition blips to script.
 	Partitions int
 	// Crashes is how many replicas to kill (permanently) during the
@@ -49,11 +48,13 @@ type Spec struct {
 // tolerance, and enough survivors to converge.
 func DefaultSpec() Spec {
 	return Spec{
-		Drop:       0.10,
-		Dup:        0.10,
-		Reorder:    0.10,
-		Corrupt:    0.05,
-		Delay:      2 * vtime.Millisecond,
+		Rule: transport.Rule{
+			Drop:    0.10,
+			Dup:     0.10,
+			Reorder: 0.10,
+			Corrupt: 0.05,
+			Delay:   2 * vtime.Millisecond,
+		},
 		Partitions: 1,
 		Crashes:    1,
 	}
@@ -72,14 +73,12 @@ func (s Spec) String() string {
 	add("reorder", s.Reorder)
 	add("corrupt", s.Corrupt)
 	if s.Delay > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%g", float64(s.Delay)/float64(vtime.Millisecond)))
+		// Exact decimal milliseconds, so the delay parses back to itself.
+		ms := fmt.Sprintf("%d.%06d", int64(s.Delay/vtime.Millisecond), int64(s.Delay%vtime.Millisecond))
+		parts = append(parts, "delay="+strings.TrimSuffix(strings.TrimRight(ms, "0"), "."))
 	}
-	if s.Partitions > 0 {
-		parts = append(parts, fmt.Sprintf("partition=%d", s.Partitions))
-	}
-	if s.Crashes > 0 {
-		parts = append(parts, fmt.Sprintf("crash=%d", s.Crashes))
-	}
+	add("partition", float64(s.Partitions))
+	add("crash", float64(s.Crashes))
 	if len(parts) == 0 {
 		return "none"
 	}
@@ -88,9 +87,11 @@ func (s Spec) String() string {
 
 // ParseSpec parses "SPEC" or "SPEC:SEED" (the -chaos flag syntax). SPEC is
 // "all", "none", or a comma list of class[=value] terms: drop, dup,
-// reorder, corrupt (probabilities), delay (milliseconds), partition and
-// crash (counts). A bare class takes its DefaultSpec intensity. The seed
-// defaults to 1.
+// reorder, corrupt (probabilities in [0,1]), delay (milliseconds), partition
+// and crash (whole counts). A bare class takes its DefaultSpec intensity.
+// The seed defaults to 1. Values the campaign cannot honour — not finite,
+// negative, a probability above 1, a delay past vtime.Duration's range, a
+// fractional count — are errors.
 func ParseSpec(arg string) (Spec, uint64, error) {
 	spec := arg
 	seed := uint64(1)
@@ -108,41 +109,50 @@ func ParseSpec(arg string) (Spec, uint64, error) {
 	case "none":
 		return Spec{}, seed, nil
 	}
-	def := DefaultSpec()
+	// A bare class reads its value from DefaultSpec's rendering, which
+	// names every class.
+	defaults := map[string]string{}
+	for _, term := range strings.Split(DefaultSpec().String(), ",") {
+		name, val, _ := strings.Cut(term, "=")
+		defaults[name] = val
+	}
 	var out Spec
 	for _, term := range strings.Split(spec, ",") {
 		name, valStr, hasVal := strings.Cut(strings.TrimSpace(term), "=")
-		val := -1.0
-		if hasVal {
-			var err error
-			val, err = strconv.ParseFloat(valStr, 64)
-			if err != nil || val < 0 {
-				return Spec{}, 0, fmt.Errorf("chaos: bad value in %q", term)
-			}
+		if _, known := defaults[name]; !known {
+			return Spec{}, 0, fmt.Errorf("chaos: unknown fault class %q", name)
 		}
-		pick := func(d float64) float64 {
-			if hasVal {
-				return val
-			}
-			return d
+		if !hasVal {
+			valStr = defaults[name]
 		}
+		val, err := strconv.ParseFloat(valStr, 64)
+		if err != nil || !(val >= 0) || math.IsInf(val, 0) {
+			return Spec{}, 0, fmt.Errorf("chaos: bad value in %q", term)
+		}
+		whole := val == math.Trunc(val) && val <= math.MaxInt32
+		ns := val * float64(vtime.Millisecond)
+		var ok bool
 		switch name {
 		case "drop":
-			out.Drop = pick(def.Drop)
+			out.Drop, ok = val, val <= 1
 		case "dup":
-			out.Dup = pick(def.Dup)
+			out.Dup, ok = val, val <= 1
 		case "reorder":
-			out.Reorder = pick(def.Reorder)
+			out.Reorder, ok = val, val <= 1
 		case "corrupt":
-			out.Corrupt = pick(def.Corrupt)
+			out.Corrupt, ok = val, val <= 1
 		case "delay":
-			out.Delay = vtime.Duration(pick(float64(def.Delay) / float64(vtime.Millisecond)) * float64(vtime.Millisecond))
+			out.Delay, ok = vtime.Duration(ns), ns < math.MaxInt64
+			if d, err := time.ParseDuration(valStr + "ms"); err == nil {
+				out.Delay = d // a plain decimal converts exactly
+			}
 		case "partition":
-			out.Partitions = int(pick(float64(def.Partitions)))
+			out.Partitions, ok = int(val), whole
 		case "crash":
-			out.Crashes = int(pick(float64(def.Crashes)))
-		default:
-			return Spec{}, 0, fmt.Errorf("chaos: unknown fault class %q", name)
+			out.Crashes, ok = int(val), whole
+		}
+		if !ok {
+			return Spec{}, 0, fmt.Errorf("chaos: value out of range in %q", term)
 		}
 	}
 	return out, seed, nil
@@ -163,60 +173,58 @@ type Targets struct {
 // Plan expands the spec into a deterministic fault schedule: identical
 // (spec, seed, targets) always yield an identical script — same steps,
 // same names, same times. Transient classes get paired inject/heal steps;
-// a trailing chaos-heal-all clears every lingering probability, delay and
-// partition so the post-campaign convergence check runs on a clean fabric.
+// a trailing chaos-heal-all clears every link rule and partition so the
+// post-campaign convergence check runs on a clean fabric.
+//
+// The per-message classes open and close overlapping windows, but a link
+// carries one whole rule. So every window step sets the rules in force at
+// its instant: (*,*) gets the probabilities of the windows then open, and
+// the delay victim's (victim,*) gets those and, while its window is open,
+// the delay.
 func (s Spec) Plan(seed uint64, t Targets) *faults.Schedule {
 	r := vtime.NewRand(seed ^ 0x9e3779b97f4a7c15)
 	d := t.Duration
 	if d <= 0 {
 		d = time.Second
 	}
+	// A step either runs act or, at a window edge, edits the open rule.
 	type timed struct {
 		at   time.Duration
 		name string
 		act  faults.Action
+		edit func(*transport.Rule)
 	}
 	var steps []timed
 	at := func(when time.Duration, name string, act faults.Action) {
-		steps = append(steps, timed{when, name, act})
+		steps = append(steps, timed{at: when, name: name, act: act})
 	}
-	// window picks an onset in the first half and a span covering a
-	// quarter to a half of the campaign, clipped inside it.
-	window := func() (on, off time.Duration) {
-		on = time.Duration(r.Float64() * float64(d) / 2)
-		span := d/4 + time.Duration(r.Float64()*float64(d)/4)
-		off = on + span
-		if off > d*9/10 {
-			off = d * 9 / 10
+	// window scripts one class's window — an onset in the first half and a
+	// span covering a quarter to a half of the campaign, clipped inside it.
+	window := func(onName, offName string, on, off func(*transport.Rule)) {
+		start := time.Duration(r.Float64() * float64(d) / 2)
+		end := start + d/4 + time.Duration(r.Float64()*float64(d)/4)
+		if end > d*9/10 {
+			end = d * 9 / 10
 		}
-		return on, off
+		steps = append(steps, timed{at: start, name: onName, edit: on}, timed{at: end, name: offName, edit: off})
 	}
-
-	if s.Drop > 0 {
-		on, off := window()
-		at(on, fmt.Sprintf("chaos-drop-on(%g)", s.Drop), faults.Drop("*", "*", s.Drop))
-		at(off, "chaos-drop-off", faults.Drop("*", "*", 0))
+	prob := func(class string, p float64, field func(*transport.Rule) *float64) {
+		if p > 0 {
+			window(fmt.Sprintf("chaos-%s-on(%g)", class, p), "chaos-"+class+"-off",
+				func(rule *transport.Rule) { *field(rule) = p },
+				func(rule *transport.Rule) { *field(rule) = 0 })
+		}
 	}
-	if s.Dup > 0 {
-		on, off := window()
-		at(on, fmt.Sprintf("chaos-dup-on(%g)", s.Dup), faults.Duplicate("*", "*", s.Dup))
-		at(off, "chaos-dup-off", faults.Duplicate("*", "*", 0))
-	}
-	if s.Reorder > 0 {
-		on, off := window()
-		at(on, fmt.Sprintf("chaos-reorder-on(%g)", s.Reorder), faults.Reorder("*", "*", s.Reorder))
-		at(off, "chaos-reorder-off", faults.Reorder("*", "*", 0))
-	}
-	if s.Corrupt > 0 {
-		on, off := window()
-		at(on, fmt.Sprintf("chaos-corrupt-on(%g)", s.Corrupt), faults.Corrupt("*", "*", s.Corrupt))
-		at(off, "chaos-corrupt-off", faults.Corrupt("*", "*", 0))
-	}
+	prob("drop", s.Drop, func(rule *transport.Rule) *float64 { return &rule.Drop })
+	prob("dup", s.Dup, func(rule *transport.Rule) *float64 { return &rule.Dup })
+	prob("reorder", s.Reorder, func(rule *transport.Rule) *float64 { return &rule.Reorder })
+	prob("corrupt", s.Corrupt, func(rule *transport.Rule) *float64 { return &rule.Corrupt })
+	victim := ""
 	if s.Delay > 0 && len(t.Replicas) > 0 {
-		victim := t.Replicas[r.Intn(len(t.Replicas))]
-		on, off := window()
-		at(on, fmt.Sprintf("chaos-delay-on(%s)", victim), faults.Delay(victim, "*", s.Delay))
-		at(off, fmt.Sprintf("chaos-delay-off(%s)", victim), faults.Delay(victim, "*", 0))
+		victim = t.Replicas[r.Intn(len(t.Replicas))]
+		window(fmt.Sprintf("chaos-delay-on(%s)", victim), fmt.Sprintf("chaos-delay-off(%s)", victim),
+			func(rule *transport.Rule) { rule.Delay = s.Delay },
+			func(rule *transport.Rule) { rule.Delay = 0 })
 	}
 	for i := 0; i < s.Partitions && len(t.Replicas) > 0; i++ {
 		victim := t.Replicas[r.Intn(len(t.Replicas))]
@@ -248,24 +256,23 @@ func (s Spec) Plan(seed uint64, t Targets) *faults.Schedule {
 			at(when, fmt.Sprintf("chaos-crash(%s)", victim), faults.Crash(victim))
 		}
 	}
-
-	// Final heal-all: clear partitions and every transient dial, so
-	// convergence grading starts from a clean fabric regardless of which
-	// windows were still open.
-	at(d, "chaos-heal-all", func(n *simnet.Network) {
-		n.HealPartitions()
-		n.SetDropProb("*", "*", 0)
-		n.SetDupProb("*", "*", 0)
-		n.SetReorderProb("*", "*", 0)
-		n.SetCorruptProb("*", "*", 0)
-		for _, rep := range t.Replicas {
-			n.SetExtraDelay(rep, "*", 0)
-		}
-	})
+	at(d, "chaos-heal-all", faults.Heal())
 
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
+	var open transport.Rule
 	var sched faults.Schedule
 	for _, st := range steps {
+		if st.edit != nil {
+			st.edit(&open)
+			victimRule, fabric := open, open
+			fabric.Delay = 0
+			st.act = func(n *simnet.Network) {
+				n.SetLink("*", "*", fabric)
+				if victim != "" {
+					n.SetLink(victim, "*", victimRule)
+				}
+			}
+		}
 		sched.At(st.at, st.name, st.act)
 	}
 	return &sched

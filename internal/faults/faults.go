@@ -1,7 +1,8 @@
 // Package faults orchestrates fault injection against the simulated
 // network fabric, covering the fault classes the paper assumes (§3.1):
-// process and node crash faults, transient communication faults (message
-// loss), and performance/timing faults (added delay).
+// process and node crash faults, partitions, and — through one link rule
+// (transport.Rule) — transient communication faults (loss, duplication,
+// reordering, corruption) and performance/timing faults (added delay).
 //
 // A Schedule is a deterministic script of timed fault actions; the
 // evaluation harness and the failure-injection tests use it to crash
@@ -14,8 +15,7 @@ import (
 	"time"
 
 	"versadep/internal/simnet"
-	"versadep/internal/trace"
-	"versadep/internal/vtime"
+	"versadep/internal/transport"
 )
 
 // Action is one fault operation applied to the fabric.
@@ -26,36 +26,11 @@ func Crash(addr string) Action {
 	return func(n *simnet.Network) { n.Crash(addr) }
 }
 
-// Drop sets the loss probability on a link ("*" wildcards allowed).
-func Drop(from, to string, p float64) Action {
-	return func(n *simnet.Network) { n.SetDropProb(from, to, p) }
-}
-
-// Delay adds a fixed timing-fault delay on a link.
-func Delay(from, to string, d vtime.Duration) Action {
-	return func(n *simnet.Network) { n.SetExtraDelay(from, to, d) }
-}
-
-// Duplicate sets the probability that a message on a link is delivered
-// twice ("*" wildcards allowed) — the duplicated-datagram fault that
-// at-least-once retransmission layers already create, injected directly to
-// stress receiver-side dedup.
-func Duplicate(from, to string, p float64) Action {
-	return func(n *simnet.Network) { n.SetDupProb(from, to, p) }
-}
-
-// Reorder sets the probability that a message on a link is displaced out
-// of FIFO order ("*" wildcards allowed).
-func Reorder(from, to string, p float64) Action {
-	return func(n *simnet.Network) { n.SetReorderProb(from, to, p) }
-}
-
-// Corrupt sets the probability that a message on a link arrives with a
-// flipped payload bit ("*" wildcards allowed). Receivers are expected to
-// detect the damage via frame checksums and drop the message, converting
-// corruption into loss.
-func Corrupt(from, to string, p float64) Action {
-	return func(n *simnet.Network) { n.SetCorruptProb(from, to, p) }
+// SetLink sets the rule on a link ("*" wildcards allowed; see
+// simnet.Network.SetLink for which entry applies). A loss burst is two
+// steps: the rule, then the zero Rule.
+func SetLink(from, to string, r transport.Rule) Action {
+	return func(n *simnet.Network) { n.SetLink(from, to, r) }
 }
 
 // Partition moves addr into partition id.
@@ -63,9 +38,9 @@ func Partition(addr string, id int) Action {
 	return func(n *simnet.Network) { n.Partition(addr, id) }
 }
 
-// Heal removes all partitions.
+// Heal removes all partitions and clears every link rule.
 func Heal() Action {
-	return func(n *simnet.Network) { n.HealPartitions() }
+	return func(n *simnet.Network) { n.Heal() }
 }
 
 // HealAddr returns just addr to partition 0, leaving other partitions in
@@ -73,17 +48,6 @@ func Heal() Action {
 // node (a joiner mid-state-transfer) while a wider fault persists.
 func HealAddr(addr string) Action {
 	return func(n *simnet.Network) { n.HealAddr(addr) }
-}
-
-// Burst sets the loss probability on a link to p and schedules its return
-// to zero after dur of real time — a scripted transient loss burst ("*"
-// wildcards allowed, as in Drop). The restore fires even if the schedule
-// that applied the burst has already finished.
-func Burst(from, to string, p float64, dur time.Duration) Action {
-	return func(n *simnet.Network) {
-		n.SetDropProb(from, to, p)
-		time.AfterFunc(dur, func() { n.SetDropProb(from, to, 0) })
-	}
 }
 
 // Step is a timed action.
@@ -109,9 +73,6 @@ func (s *Schedule) At(d time.Duration, name string, a Action) *Schedule {
 	return s
 }
 
-// Len returns the number of steps.
-func (s *Schedule) Len() int { return len(s.steps) }
-
 // Steps returns a copy of the script, for logging and for comparing two
 // generated schedules (the chaos planner's determinism contract).
 func (s *Schedule) Steps() []Step {
@@ -122,36 +83,15 @@ func (s *Schedule) Steps() []Step {
 type Injector struct {
 	net *simnet.Network
 
-	tr     *trace.Recorder
-	cSteps *trace.Counter
-
 	mu      sync.Mutex
 	stopped bool
 	stop    chan struct{}
 	applied []string
 }
 
-// InjectorOption configures an Injector.
-type InjectorOption func(*Injector)
-
-// WithInjectorTrace reports fired fault steps into r.
-func WithInjectorTrace(r *trace.Recorder) InjectorOption {
-	return func(i *Injector) {
-		i.tr = r
-		i.cSteps = r.Counter(trace.SubFaults, "steps_fired")
-	}
-}
-
 // NewInjector creates an injector for net.
-func NewInjector(net *simnet.Network, opts ...InjectorOption) *Injector {
-	i := &Injector{
-		net:  net,
-		stop: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(i)
-	}
-	return i
+func NewInjector(net *simnet.Network) *Injector {
+	return &Injector{net: net, stop: make(chan struct{})}
 }
 
 // Run executes the schedule asynchronously; the returned channel closes
@@ -165,7 +105,7 @@ func (i *Injector) Run(s *Schedule) <-chan struct{} {
 	go func() {
 		defer close(done)
 		start := time.Now()
-		for n, st := range steps {
+		for _, st := range steps {
 			wait := st.After - time.Since(start)
 			if wait > 0 {
 				select {
@@ -180,8 +120,6 @@ func (i *Injector) Run(s *Schedule) <-chan struct{} {
 			default:
 			}
 			st.Do(i.net)
-			i.cSteps.Inc()
-			i.tr.Event(trace.SubFaults, "step", 0, int64(n))
 			i.mu.Lock()
 			i.applied = append(i.applied, st.Name)
 			i.mu.Unlock()

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"versadep/internal/simnet"
-	"versadep/internal/trace"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -20,11 +20,11 @@ func TestScheduleRunsInOrder(t *testing.T) {
 	}
 
 	var s Schedule
-	s.At(0, "drop", Drop("a", "b", 1.0)).
-		At(10*time.Millisecond, "delay", Delay("b", "a", 5*vtime.Millisecond)).
+	s.At(0, "drop", SetLink("a", "b", transport.Rule{Drop: 1})).
+		At(10*time.Millisecond, "delay", SetLink("b", "a", transport.Rule{Delay: 5 * vtime.Millisecond})).
 		At(20*time.Millisecond, "crash", Crash("b"))
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if n := len(s.Steps()); n != 3 {
+		t.Fatalf("%d steps", n)
 	}
 
 	inj := NewInjector(net)
@@ -83,11 +83,10 @@ func TestRunTwiceOnSameInjector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := trace.New()
-	inj := NewInjector(net, WithInjectorTrace(rec))
+	inj := NewInjector(net)
 
 	var s1 Schedule
-	s1.At(0, "drop", Drop("a", "b", 1.0))
+	s1.At(0, "drop", SetLink("a", "b", transport.Rule{Drop: 1}))
 	select {
 	case <-inj.Run(&s1):
 	case <-time.After(5 * time.Second):
@@ -104,9 +103,6 @@ func TestRunTwiceOnSameInjector(t *testing.T) {
 
 	if got := inj.Applied(); len(got) != 2 || got[0] != "drop" || got[1] != "heal" {
 		t.Fatalf("applied = %v", got)
-	}
-	if got := rec.Value(trace.SubFaults, "steps_fired"); got != 2 {
-		t.Fatalf("steps_fired = %d, want 2", got)
 	}
 }
 
@@ -207,13 +203,34 @@ func TestHealAddrIsTargeted(t *testing.T) {
 	}
 }
 
+// A loss burst is two steps of one schedule: the rule, then the zero rule.
+func lossBurst(from, to string, dur time.Duration) *Schedule {
+	var s Schedule
+	return s.At(0, "burst "+from+"->"+to, SetLink(from, to, transport.Rule{Drop: 1})).
+		At(dur, "burst over", SetLink(from, to, transport.Rule{}))
+}
+
+// waitApplied waits until inj has fired n steps.
+func waitApplied(t *testing.T, inj *Injector, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(inj.Applied()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("applied = %v, want %d steps", inj.Applied(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestBurstSetsAndRestoresLoss(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
 	epA, _ := net.Endpoint("a")
 	epB, _ := net.Endpoint("b")
 
-	Burst("a", "b", 1.0, 150*time.Millisecond)(net)
+	inj := NewInjector(net)
+	inj.Run(lossBurst("a", "b", 150*time.Millisecond))
+	waitApplied(t, inj, 1)
 	if err := epA.Send("b", []byte("lost"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -222,21 +239,17 @@ func TestBurstSetsAndRestoresLoss(t *testing.T) {
 	}
 
 	// After the burst window the link must carry traffic again.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := epA.Send("b", []byte("after"), 0); err != nil {
-			t.Fatal(err)
+	waitApplied(t, inj, 2)
+	if err := epA.Send("b", []byte("after"), 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-epB.Recv():
+		if string(m.Payload) != "after" {
+			t.Fatalf("payload %q", m.Payload)
 		}
-		select {
-		case m := <-epB.Recv():
-			if string(m.Payload) == "after" {
-				return
-			}
-		case <-time.After(50 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("burst never healed")
-		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("link dead after the burst")
 	}
 }
 
@@ -248,13 +261,8 @@ func TestBurstInSchedule(t *testing.T) {
 	_ = epB
 
 	inj := NewInjector(net)
-	var s Schedule
-	s.At(0, "burst a->b", Burst("a", "b", 1.0, 100*time.Millisecond))
-	select {
-	case <-inj.Run(&s):
-	case <-time.After(2 * time.Second):
-		t.Fatal("schedule did not complete")
-	}
+	done := inj.Run(lossBurst("a", "b", time.Hour))
+	waitApplied(t, inj, 1)
 	if got := inj.Applied(); len(got) != 1 || got[0] != "burst a->b" {
 		t.Fatalf("applied = %v", got)
 	}
@@ -263,5 +271,24 @@ func TestBurstInSchedule(t *testing.T) {
 	}
 	if net.Stats().MessagesDropped != 1 {
 		t.Fatal("scheduled burst had no effect")
+	}
+	inj.Stop()
+	<-done
+}
+
+// Heal clears link rules as well as partitions: what a campaign's final
+// heal-all relies on.
+func TestHealClearsLinkRules(t *testing.T) {
+	net := simnet.New()
+	defer net.Close()
+	SetLink("*", "*", transport.Rule{Drop: 0.5})(net)
+	SetLink("a", "*", transport.Rule{Delay: vtime.Millisecond})(net)
+	Partition("a", 1)(net)
+	Heal()(net)
+	if r := net.Rule("a", "b"); r != (transport.Rule{}) {
+		t.Fatalf("rule on a->b after Heal = %+v", r)
+	}
+	if r := net.Rule("x", "y"); r != (transport.Rule{}) {
+		t.Fatalf("rule on x->y after Heal = %+v", r)
 	}
 }

@@ -100,7 +100,7 @@ func TestTotalOrderAcrossSeeds(t *testing.T) {
 			defer net.Close()
 			nodes := startGroup(t, net, 3)
 			if cse.loss > 0 {
-				net.SetDropProb("*", "*", cse.loss)
+				net.SetLink("*", "*", transport.Rule{Drop: cse.loss})
 			}
 			const perSender = 15
 			for _, n := range nodes {

@@ -207,7 +207,7 @@ func TestAgreedUnderMessageLoss(t *testing.T) {
 	defer net.Close()
 	nodes := startGroup(t, net, 3)
 	// 15% loss on every link.
-	net.SetDropProb("*", "*", 0.15)
+	net.SetLink("*", "*", transport.Rule{Drop: 0.15})
 
 	const perSender = 20
 	for _, n := range nodes {
@@ -250,7 +250,7 @@ func TestFIFOOrderUnderLoss(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(13))
 	defer net.Close()
 	nodes := startGroup(t, net, 3)
-	net.SetDropProb("*", "*", 0.2)
+	net.SetLink("*", "*", transport.Rule{Drop: 0.2})
 
 	const count = 40
 	go func() {
@@ -299,7 +299,7 @@ func TestCausalDeliveryWithHeldPredecessor(t *testing.T) {
 	nodes := startGroup(t, net, 3)
 
 	// Block ma->mc so mc receives mb's causally-later message first.
-	net.SetDropProb("ma", "mc", 1.0)
+	net.SetLink("ma", "mc", transport.Rule{Drop: 1.0})
 	if err := nodes[0].member.Multicast([]byte("c-0"), gcs.Causal, 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCausalDeliveryWithHeldPredecessor(t *testing.T) {
 	if got := len(nodes[2].messages()); got != 0 {
 		t.Fatalf("mc delivered %d messages while predecessor missing", got)
 	}
-	net.SetDropProb("ma", "mc", 0)
+	net.SetLink("ma", "mc", transport.Rule{})
 	msgs := nodes[2].waitMessages(t, 2, 10*time.Second)
 	if string(msgs[0].Payload) != "c-0" || string(msgs[1].Payload) != "c-1" {
 		t.Fatalf("mc order: %q then %q", msgs[0].Payload, msgs[1].Payload)
@@ -394,7 +394,7 @@ func TestSubmissionSurvivesSequencerCrash(t *testing.T) {
 	// Cut mb's submissions off from the sequencer, submit, then crash the
 	// sequencer: the pending submission must be resubmitted to the new
 	// sequencer and delivered exactly once.
-	net.SetDropProb("mb", "ma", 1.0)
+	net.SetLink("mb", "ma", transport.Rule{Drop: 1.0})
 	if err := nodes[1].member.Multicast([]byte("survivor"), gcs.Agreed, 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,7 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 	d.Start()
 	defer cl.Stop()
 
-	net.SetCorruptProb("*", "*", 0.05)
-	net.SetDupProb("*", "*", 0.10)
-	net.SetReorderProb("*", "*", 0.10)
+	net.SetLink("*", "*", transport.Rule{Corrupt: 0.05, Dup: 0.10, Reorder: 0.10})
 
 	type kept struct {
 		buf []byte

@@ -351,10 +351,10 @@ func TestRetryOnLoss(t *testing.T) {
 
 	// Drop the first attempt deterministically: 100% loss, then heal
 	// after a moment.
-	net.SetDropProb("client", "server", 1.0)
+	net.SetLink("client", "server", transport.Rule{Drop: 1.0})
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		net.SetDropProb("client", "server", 0)
+		net.SetLink("client", "server", transport.Rule{})
 	}()
 	out, err := client.Invoke("Echo", "echo", []codec.Value{codec.Int(1)}, 0)
 	if err != nil {
@@ -372,7 +372,7 @@ func TestInvocationTimeout(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
 	client, _ := testPair(t, net)
-	net.SetDropProb("client", "server", 1.0)
+	net.SetLink("client", "server", transport.Rule{Drop: 1.0})
 	start := time.Now()
 	_, err := client.Invoke("Echo", "echo", nil, 0)
 	if !errors.Is(err, orb.ErrTimeout) {
@@ -434,10 +434,10 @@ func TestClientTraceCounters(t *testing.T) {
 	}
 
 	// Lossy first attempt: the retry succeeds and is counted.
-	net.SetDropProb("client", "server", 1.0)
+	net.SetLink("client", "server", transport.Rule{Drop: 1.0})
 	go func() {
 		time.Sleep(150 * time.Millisecond)
-		net.SetDropProb("client", "server", 0)
+		net.SetLink("client", "server", transport.Rule{})
 	}()
 	if _, err := client.Invoke("Echo", "echo", nil, 0); err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestClientTraceCounters(t *testing.T) {
 	}
 
 	// Permanent loss: the invocation times out and is counted.
-	net.SetDropProb("client", "server", 1.0)
+	net.SetLink("client", "server", transport.Rule{Drop: 1.0})
 	if _, err := client.Invoke("Echo", "echo", nil, 0); !errors.Is(err, orb.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"versadep/internal/faults"
 	"versadep/internal/replication"
 	"versadep/internal/simnet"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -19,7 +20,7 @@ func TestLossDuringStyleSwitch(t *testing.T) {
 
 	// 10% loss on every link while a switch runs: retransmission and the
 	// switch protocol must both cope.
-	net.SetDropProb("*", "*", 0.10)
+	net.SetLink("*", "*", transport.Rule{Drop: 0.10})
 	var vt vtime.Time
 	for i := 1; i <= 30; i++ {
 		if i == 10 {
@@ -89,7 +90,7 @@ func TestTimingFaultDoesNotBreakConsistency(t *testing.T) {
 
 	// A performance fault: +5ms virtual delay on the sequencer's
 	// outbound links slows everything but must not reorder or lose.
-	net.SetExtraDelay(c.nodes[0].Addr(), "*", 5*vtime.Millisecond)
+	net.SetLink(c.nodes[0].Addr(), "*", transport.Rule{Delay: 5 * vtime.Millisecond})
 	var vt vtime.Time
 	var lastRTT vtime.Duration
 	for i := 1; i <= 10; i++ {

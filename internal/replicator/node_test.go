@@ -12,6 +12,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -503,7 +504,7 @@ func TestSwitchSurvivesPrimaryCrashMidSwitch(t *testing.T) {
 	}
 	// Cut the primary off from the others and crash it just as the
 	// switch is requested — its closing checkpoint never arrives.
-	net.SetDropProb(c.nodes[0].Addr(), "*", 1.0)
+	net.SetLink(c.nodes[0].Addr(), "*", transport.Rule{Drop: 1.0})
 	c.nodes[1].Engine().RequestSwitch(replication.Active, vt)
 	time.Sleep(30 * time.Millisecond)
 	net.Crash(c.nodes[0].Addr())

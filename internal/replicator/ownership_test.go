@@ -11,6 +11,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -66,9 +67,7 @@ func TestServantMayScribbleOnItsArguments(t *testing.T) {
 		cfg.Retries = 40
 	})
 
-	net.SetCorruptProb("*", "*", 0.03)
-	net.SetDupProb("*", "*", 0.10)
-	net.SetReorderProb("*", "*", 0.10)
+	net.SetLink("*", "*", transport.Rule{Corrupt: 0.03, Dup: 0.10, Reorder: 0.10})
 
 	const requests = 30
 	want := make([]uint32, requests)

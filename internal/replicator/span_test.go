@@ -8,6 +8,7 @@ import (
 	"versadep/internal/simnet"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -155,7 +156,7 @@ func TestViewChangeLeavesNoOpenSpans(t *testing.T) {
 	// Cut the primary off and crash it just as the switch is requested:
 	// its closing checkpoint never arrives, so the survivors' switch spans
 	// can only be closed by the view change (Figure 5, case 1 crash branch).
-	net.SetDropProb(c.nodes[0].Addr(), "*", 1.0)
+	net.SetLink(c.nodes[0].Addr(), "*", transport.Rule{Drop: 1.0})
 	c.nodes[1].Engine().RequestSwitch(replication.Active, vt)
 	time.Sleep(30 * time.Millisecond)
 	net.Crash(c.nodes[0].Addr())

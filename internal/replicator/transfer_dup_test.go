@@ -7,6 +7,7 @@ import (
 	"versadep/internal/faults"
 	"versadep/internal/simnet"
 	"versadep/internal/trace"
+	"versadep/internal/transport"
 )
 
 // TestTransferIdempotentUnderFullDuplication: with every frame on every
@@ -29,7 +30,7 @@ func TestTransferIdempotentUnderFullDuplication(t *testing.T) {
 
 	// Every frame on every link now arrives twice — join proposals,
 	// sequenced traffic, chunks, acks and resume tokens alike.
-	faults.Duplicate("*", "*", 1.0)(net)
+	faults.SetLink("*", "*", transport.Rule{Dup: 1.0})(net)
 
 	joiner, jApp := startJoiner(t, net, "rz", nil)
 	waitSynced(t, joiner)
@@ -59,7 +60,7 @@ func TestTransferIdempotentUnderFullDuplication(t *testing.T) {
 
 	// And the group must still be healthy enough to make progress: clear
 	// the fault and let the joiner participate in a fresh view.
-	faults.Duplicate("*", "*", 0)(net)
+	faults.SetLink("*", "*", transport.Rule{})(net)
 	waitViewSize(t, ra, 3)
 	time.Sleep(50 * time.Millisecond)
 }

@@ -23,6 +23,7 @@ import (
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
 	"versadep/internal/trace"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -490,7 +491,10 @@ func TestTransferSurvivesLossBurst(t *testing.T) {
 	obs := func(n replication.Notice) {
 		if n.Kind == replication.NoticeTransfer && n.Chunk >= 8 && n.Chunk < n.Chunks {
 			burst.Do(func() {
-				faults.Burst("ra", "rz", 1.0, 300*time.Millisecond)(net)
+				var loss faults.Schedule
+				loss.At(0, "burst", faults.SetLink("ra", "rz", transport.Rule{Drop: 1})).
+					At(300*time.Millisecond, "burst-over", faults.SetLink("ra", "rz", transport.Rule{}))
+				faults.NewInjector(net).Run(&loss)
 				close(fired)
 			})
 		}

@@ -7,12 +7,15 @@
 // the *timing* of the network is virtual: each message's arrival instant is
 // computed from the vtime cost model (fixed wire latency + size/bandwidth +
 // deterministic jitter), and links preserve FIFO arrival order the way a
-// switched LAN segment does.
+// switched LAN segment does. Each link draws its jitter and faults from its
+// own streams (transport.Link), so a message's draws do not depend on
+// traffic elsewhere.
 //
-// The fabric is also the fault-injection point: per-link drop probability
-// and extra delay, network partitions, and whole-process crashes, matching
-// the fault classes assumed in §3.1 of the paper (crash faults, transient
-// communication faults, performance/timing faults).
+// The fabric is also the fault-injection point: a transport.Rule per link
+// (loss, duplication, reordering, corruption, added delay), network
+// partitions, and whole-process crashes, matching the fault classes assumed
+// in §3.1 of the paper (crash faults, transient communication faults,
+// performance/timing faults).
 package simnet
 
 import (
@@ -27,23 +30,26 @@ import (
 // Network is an in-memory transport fabric.
 type Network struct {
 	model vtime.CostModel
-	rand  *vtime.Rand
+	seed  uint64
 
-	mu          sync.Mutex
-	endpoints   map[string]*Endpoint
-	crashed     map[string]bool
-	dropProb    map[linkKey]float64
-	dupProb     map[linkKey]float64
-	reorderProb map[linkKey]float64
-	corruptProb map[linkKey]float64
-	extraDelay  map[linkKey]vtime.Duration
-	partition   map[string]int // address -> partition id; absent = 0
-	lastArrive  map[linkKey]vtime.Time
-	stats       transport.Stats
-	closed      bool
+	mu        sync.Mutex
+	endpoints map[string]*Endpoint
+	crashed   map[string]bool
+	rules     map[linkKey]transport.Rule
+	links     map[linkKey]*link
+	partition map[string]int // address -> partition id; absent = 0
+	stats     transport.Stats
+	closed    bool
 }
 
 type linkKey struct{ from, to string }
+
+// link is the fabric's state for one ordered (from,to) pair: its draw
+// streams and the latest arrival it has scheduled.
+type link struct {
+	transport.Link
+	lastArrive vtime.Time
+}
 
 // Option configures a Network.
 type Option func(*Network)
@@ -53,25 +59,21 @@ func WithCostModel(m vtime.CostModel) Option {
 	return func(n *Network) { n.model = m }
 }
 
-// WithSeed sets the deterministic jitter/drop seed.
+// WithSeed sets the seed every link's jitter and fault draws derive from.
 func WithSeed(seed uint64) Option {
-	return func(n *Network) { n.rand = vtime.NewRand(seed) }
+	return func(n *Network) { n.seed = seed }
 }
 
 // New creates an empty fabric.
 func New(opts ...Option) *Network {
 	n := &Network{
-		model:       vtime.DefaultCostModel(),
-		rand:        vtime.NewRand(1),
-		endpoints:   make(map[string]*Endpoint),
-		crashed:     make(map[string]bool),
-		dropProb:    make(map[linkKey]float64),
-		dupProb:     make(map[linkKey]float64),
-		reorderProb: make(map[linkKey]float64),
-		corruptProb: make(map[linkKey]float64),
-		extraDelay:  make(map[linkKey]vtime.Duration),
-		partition:   make(map[string]int),
-		lastArrive:  make(map[linkKey]vtime.Time),
+		model:     vtime.DefaultCostModel(),
+		seed:      1,
+		endpoints: make(map[string]*Endpoint),
+		crashed:   make(map[string]bool),
+		rules:     make(map[linkKey]transport.Rule),
+		links:     make(map[linkKey]*link),
+		partition: make(map[string]int),
 	}
 	for _, o := range opts {
 		o(n)
@@ -112,66 +114,38 @@ func (n *Network) ResetStats() {
 	n.stats = transport.Stats{}
 }
 
-// SetDropProb sets the probability that a message from 'from' to 'to' is
-// lost. Use "*" for either side as a wildcard.
-func (n *Network) SetDropProb(from, to string, p float64) {
+// SetLink sets the rule for messages from 'from' to 'to'; "*" on either
+// side is a wildcard. The most specific entry applies whole — exact, then
+// (from,*), then (*,to), then (*,*) — even when it is the zero Rule, so an
+// exact zero entry exempts one link from a wildcard rule.
+func (n *Network) SetLink(from, to string, r transport.Rule) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.dropProb[linkKey{from, to}] = p
+	n.rules[linkKey{from, to}] = r
 }
 
-// SetDupProb sets the probability that a message from 'from' to 'to' is
-// delivered twice — the duplicated-datagram fault of real UDP/multicast
-// networks. Use "*" for either side as a wildcard.
-func (n *Network) SetDupProb(from, to string, p float64) {
+// Rule returns the rule in force on from→to.
+func (n *Network) Rule(from, to string) transport.Rule {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.dupProb[linkKey{from, to}] = p
-}
-
-// SetReorderProb sets the probability that a message from 'from' to 'to'
-// is delivered out of order: the message is held back and released behind
-// later traffic to the same destination (or flushed as soon as the
-// destination's queue drains, so delivery is never lost — only displaced).
-// Use "*" for either side as a wildcard.
-func (n *Network) SetReorderProb(from, to string, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.reorderProb[linkKey{from, to}] = p
-}
-
-// SetCorruptProb sets the probability that a message from 'from' to 'to'
-// arrives with a flipped bit in its payload. The receiver sees the
-// corrupted copy; the sender's buffer is never touched. Use "*" for either
-// side as a wildcard.
-func (n *Network) SetCorruptProb(from, to string, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.corruptProb[linkKey{from, to}] = p
-}
-
-// SetExtraDelay adds a fixed timing-fault delay on a link. Use "*" as a
-// wildcard on either side.
-func (n *Network) SetExtraDelay(from, to string, d vtime.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.extraDelay[linkKey{from, to}] = d
+	return n.ruleLocked(from, to)
 }
 
 // Partition places addr in the given partition id; messages only flow
 // between endpoints in the same partition. All endpoints start in
-// partition 0. Heal with HealPartitions.
+// partition 0. Heal with Heal or HealAddr.
 func (n *Network) Partition(addr string, id int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partition[addr] = id
 }
 
-// HealPartitions returns every endpoint to partition 0.
-func (n *Network) HealPartitions() {
+// Heal returns every endpoint to partition 0 and clears every link rule.
+func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.partition = make(map[string]int)
+	clear(n.partition)
+	clear(n.rules)
 }
 
 // HealAddr returns one endpoint to partition 0, leaving any other
@@ -224,95 +198,53 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// linkParam looks up a per-link table honoring "*" wildcards.
-func linkParam[V float64 | vtime.Duration](m map[linkKey]V, from, to string) V {
-	if v, ok := m[linkKey{from, to}]; ok {
-		return v
+// ruleLocked is the rule in force on from→to: the most specific entry
+// wins whole.
+func (n *Network) ruleLocked(from, to string) transport.Rule {
+	for _, k := range [...]linkKey{{from, to}, {from, "*"}, {"*", to}, {"*", "*"}} {
+		if r, ok := n.rules[k]; ok {
+			return r
+		}
 	}
-	if v, ok := m[linkKey{from, "*"}]; ok {
-		return v
-	}
-	if v, ok := m[linkKey{"*", to}]; ok {
-		return v
-	}
-	return m[linkKey{"*", "*"}]
+	return transport.Rule{}
 }
 
-// route computes fate and arrival time of a message, updates counters, and
-// returns the destination endpoint (nil if the message dies in the network).
-func (n *Network) route(from, to string, size int, sentAt vtime.Time) (*Endpoint, vtime.Time) {
+// route decides one message's fate on from→to: fabric-level loss (unknown
+// or crashed endpoint, partition), then the link's draw under its rule,
+// then the virtual arrival time. count adds the message to the sent
+// counters. It returns the destination — nil if the message dies in the
+// network — and the message as the receiver will see it.
+func (n *Network) route(from, to string, payload []byte, size int, sentAt vtime.Time, control, count bool) (*Endpoint, transport.Message, transport.Fate) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.stats.MessagesSent++
-	n.stats.BytesSent += int64(size)
-
+	if count {
+		n.stats.MessagesSent++
+		n.stats.BytesSent += int64(size)
+	}
 	dst, ok := n.endpoints[to]
-	if !ok || n.crashed[to] || n.crashed[from] {
+	if !ok || n.crashed[to] || n.crashed[from] || n.partition[from] != n.partition[to] {
 		n.stats.MessagesDropped++
-		return nil, 0
+		return nil, transport.Message{}, transport.Fate{}
 	}
-	if n.partition[from] != n.partition[to] {
-		n.stats.MessagesDropped++
-		return nil, 0
+	lk := linkKey{from, to}
+	l := n.links[lk]
+	if l == nil {
+		l = &link{Link: transport.NewLink(n.seed, from, to)}
+		n.links[lk] = l
 	}
-	if p := linkParam(n.dropProb, from, to); p > 0 && n.rand.Float64() < p {
-		n.stats.MessagesDropped++
-		return nil, 0
+	f := l.Fate(n.ruleLocked(from, to), payload, control)
+	n.stats.Count(f)
+	if f.Drop {
+		return nil, transport.Message{}, f
 	}
-
-	d := n.model.Transmit(size)
-	d = n.model.Jitter(d, n.rand.Float64())
-	d += linkParam(n.extraDelay, from, to)
-	arrive := sentAt.Add(d)
-
+	arrive := sentAt.Add(n.model.Jitter(n.model.Transmit(size), f.Jitter) + f.Delay)
 	// A link behaves like a FIFO LAN segment: arrival times never go
 	// backwards on the same (from,to) pair.
-	lk := linkKey{from, to}
-	if last := n.lastArrive[lk]; arrive.Before(last) {
-		arrive = last
+	if arrive.Before(l.lastArrive) {
+		arrive = l.lastArrive
 	}
-	n.lastArrive[lk] = arrive
-	return dst, arrive
-}
-
-// deliver applies the payload-level wire faults (byte corruption, message
-// duplication, reordering) and hands the message to the destination
-// endpoint. Corruption copies the payload before flipping a bit, so the
-// sender's retransmission buffers always hold the pristine bytes.
-func (n *Network) deliver(dst *Endpoint, m transport.Message) {
-	n.mu.Lock()
-	if len(n.corruptProb) == 0 && len(n.dupProb) == 0 && len(n.reorderProb) == 0 {
-		n.mu.Unlock()
-		dst.enqueue(m)
-		return
-	}
-	if p := linkParam(n.corruptProb, m.From, m.To); p > 0 && len(m.Payload) > 0 && n.rand.Float64() < p {
-		corrupted := make([]byte, len(m.Payload))
-		copy(corrupted, m.Payload)
-		idx := n.rand.Intn(len(corrupted))
-		corrupted[idx] ^= byte(1) << n.rand.Intn(8)
-		m.Payload = corrupted
-		n.stats.MessagesCorrupted++
-	}
-	dup := false
-	if p := linkParam(n.dupProb, m.From, m.To); p > 0 && n.rand.Float64() < p {
-		dup = true
-		n.stats.MessagesDuplicated++
-	}
-	reorder := false
-	if p := linkParam(n.reorderProb, m.From, m.To); p > 0 && n.rand.Float64() < p {
-		reorder = true
-		n.stats.MessagesReordered++
-	}
-	n.mu.Unlock()
-	if reorder {
-		dst.enqueueDeferred(m)
-	} else {
-		dst.enqueue(m)
-	}
-	if dup {
-		dst.enqueue(m)
-	}
+	l.lastArrive = arrive
+	return dst, transport.Message{From: from, To: to, Payload: f.Payload, SentAt: sentAt, ArriveAt: arrive}, f
 }
 
 // Endpoint is a process's attachment to a Network.
@@ -365,35 +297,51 @@ func (e *Endpoint) ExcludeFraming(n int) {
 	}
 }
 
-// wireSize is the accountable size of a payload: its length net of the
-// declared framing overhead.
-func (e *Endpoint) wireSize(payload []byte) int {
-	size := len(payload) - e.framing
-	if size < 0 {
-		size = 0
-	}
-	return size
-}
-
 // Send routes payload through the fabric.
 func (e *Endpoint) Send(to string, payload []byte, sentAt vtime.Time) error {
+	return e.send(payload, sentAt, false, to)
+}
+
+// SendMulticast delivers payload to every address in tos, counting the
+// payload bytes ONCE in the traffic statistics.
+//
+// The paper's testbed ran Spread over a LAN where a multicast to a group is
+// a single physical transmission regardless of group size; the bandwidth
+// figures in the evaluation (Figure 7b, Table 2) reflect that. Faults and
+// jitter are still drawn independently per destination, as real multicast
+// receivers fail independently.
+func (e *Endpoint) SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error {
+	return e.send(payload, sentAt, false, tos...)
+}
+
+// SendControl sends a control-plane datagram (heartbeats, acks, membership
+// traffic) that is excluded from the byte counters and draws from its
+// link's control stream. Control traffic is paced in real time by the
+// failure detector; charging it against virtual seconds, or letting it
+// re-deal the data frames' jitter, would corrupt the figures. The paper's
+// evaluation likewise measures application traffic through Spread, not the
+// daemons' keep-alives.
+func (e *Endpoint) SendControl(to string, payload []byte, sentAt vtime.Time) error {
+	return e.send(payload, sentAt, true, to)
+}
+
+// send is the one path of every message: a data send is counted once, then
+// each destination gets its own route and delivery. A lost message is not
+// an error (datagram semantics).
+func (e *Endpoint) send(payload []byte, sentAt vtime.Time, control bool, tos ...string) error {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
 		return transport.ErrClosed
 	}
-	dst, arrive := e.net.route(e.addr, to, e.wireSize(payload), sentAt)
-	if dst == nil {
-		return nil // dropped: datagram semantics, no error
+	size := max(len(payload)-e.framing, 0) // accountable bytes, net of framing
+	for i, to := range tos {
+		dst, m, f := e.net.route(e.addr, to, payload, size, sentAt, control, !control && i == 0)
+		if dst != nil {
+			dst.deliver(m, f)
+		}
 	}
-	e.net.deliver(dst, transport.Message{
-		From:     e.addr,
-		To:       to,
-		Payload:  payload,
-		SentAt:   sentAt,
-		ArriveAt: arrive,
-	})
 	return nil
 }
 
@@ -422,15 +370,28 @@ func (e *Endpoint) closeLocked() {
 	close(e.done)
 }
 
-func (e *Endpoint) enqueue(m transport.Message) {
+// deliver queues a routed message as its fate says: a reordered one is
+// parked behind the next arrival, a duplicated one is queued twice. Either
+// way the pump is woken, so a parked message on a link that goes quiet is
+// flushed when the queue drains rather than waiting for traffic that may
+// never come.
+func (e *Endpoint) deliver(m transport.Message, f transport.Fate) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return
 	}
-	e.queue.Push(m)
-	// A fresh arrival releases any reorder-displaced messages behind it.
-	e.releaseDeferred()
+	if f.Reorder {
+		e.deferred = append(e.deferred, m)
+	} else {
+		e.queue.Push(m)
+		// A fresh arrival releases any reorder-displaced messages behind it.
+		e.releaseDeferred()
+	}
+	if f.Dup {
+		e.queue.Push(m)
+		e.releaseDeferred()
+	}
 	e.mu.Unlock()
 	select {
 	case e.notify <- struct{}{}:
@@ -444,18 +405,6 @@ func (e *Endpoint) releaseDeferred() {
 		e.queue.Push(m)
 	}
 	e.deferred = nil
-}
-
-// enqueueDeferred stashes a reorder-fault message without waking the pump;
-// it is released by the next enqueue or by the pump draining the queue.
-func (e *Endpoint) enqueueDeferred(m transport.Message) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.deferred = append(e.deferred, m)
-	e.mu.Unlock()
 }
 
 // pump moves queued messages to the unbuffered delivery channel. The

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -181,7 +182,7 @@ func TestPartition(t *testing.T) {
 		t.Fatal("partitioned message not dropped")
 	}
 
-	n.HealPartitions()
+	n.Heal()
 	if err := a.Send("b", []byte("y"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestDropProbability(t *testing.T) {
 	a := mustEndpoint(t, n, "a")
 	b := mustEndpoint(t, n, "b")
 
-	n.SetDropProb("a", "b", 1.0)
+	n.SetLink("a", "b", transport.Rule{Drop: 1.0})
 	for i := 0; i < 10; i++ {
 		if err := a.Send("b", []byte("x"), 0); err != nil {
 			t.Fatal(err)
@@ -209,7 +210,7 @@ func TestDropProbability(t *testing.T) {
 
 	// Wildcard drop applies to links without an exact entry.
 	mustEndpoint(t, n, "c")
-	n.SetDropProb("a", "*", 1.0)
+	n.SetLink("a", "*", transport.Rule{Drop: 1.0})
 	if err := a.Send("c", []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestDropProbability(t *testing.T) {
 		t.Fatalf("wildcard drop = %d, want 11", got)
 	}
 	// An exact entry overrides the wildcard, even when it is zero.
-	n.SetDropProb("a", "b", 0)
+	n.SetLink("a", "b", transport.Rule{})
 	if err := a.Send("b", []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestPartialDropRate(t *testing.T) {
 	a := mustEndpoint(t, n, "a")
 	b := mustEndpoint(t, n, "b")
 
-	n.SetDropProb("a", "b", 0.5)
+	n.SetLink("a", "b", transport.Rule{Drop: 0.5})
 	const total = 2000
 	for i := 0; i < total; i++ {
 		if err := a.Send("b", []byte("x"), 0); err != nil {
@@ -258,7 +259,7 @@ func TestExtraDelay(t *testing.T) {
 	a := mustEndpoint(t, n, "a")
 	b := mustEndpoint(t, n, "b")
 
-	n.SetExtraDelay("a", "b", 5*vtime.Millisecond)
+	n.SetLink("a", "b", transport.Rule{Delay: 5 * vtime.Millisecond})
 	if err := a.Send("b", []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -393,3 +394,176 @@ func TestEndpointQueueReusesItsArray(t *testing.T) {
 		t.Errorf("one message through a drained endpoint queue: %v allocations, want 0", allocs)
 	}
 }
+
+// TestMostSpecificRuleAppliesWhole: rules do not merge across wildcard
+// levels — a (from,*) entry replaces (*,*) entirely, fields it leaves zero
+// included.
+func TestMostSpecificRuleAppliesWhole(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a := mustEndpoint(t, n, "a")
+	b := mustEndpoint(t, n, "b")
+	n.SetLink("*", "*", transport.Rule{Drop: 1})
+	n.SetLink("a", "*", transport.Rule{Delay: vtime.Millisecond})
+	if got := n.Rule("a", "b"); got != (transport.Rule{Delay: vtime.Millisecond}) {
+		t.Fatalf("rule on a->b = %+v", got)
+	}
+	if err := a.Send("b", []byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, b)
+	if got := n.Rule("b", "a"); got != (transport.Rule{Drop: 1}) {
+		t.Fatalf("rule on b->a = %+v", got)
+	}
+}
+
+// Regression: a reordered message parked at an idle endpoint waited for the
+// next arrival there, which on a link that goes quiet never comes. The
+// pump is woken and flushes it once the queue drains.
+func TestReorderedMessageToIdleEndpointIsDelivered(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a := mustEndpoint(t, n, "a")
+	b := mustEndpoint(t, n, "b")
+	n.SetLink("a", "b", transport.Rule{Reorder: 1})
+	time.Sleep(10 * time.Millisecond) // b's pump is asleep
+	if err := a.Send("b", []byte("late"), 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-b.Recv():
+		if string(m.Payload) != "late" {
+			t.Fatalf("payload %q", m.Payload)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("reordered message to an idle endpoint never delivered")
+	}
+	if got := n.Stats().MessagesReordered; got != 1 {
+		t.Fatalf("reordered = %d, want 1", got)
+	}
+}
+
+// TestJitterIsAFunctionOfTheLink: the k-th data frame on a link draws the
+// same jitter whatever else the fabric carries — control frames on the same
+// link, traffic on other links, and which link sent first.
+func TestJitterIsAFunctionOfTheLink(t *testing.T) {
+	run := func(noise bool) []vtime.Duration {
+		n := New(WithSeed(5))
+		defer n.Close()
+		a := mustEndpoint(t, n, "a")
+		b := mustEndpoint(t, n, "b")
+		c := mustEndpoint(t, n, "c")
+		var out []vtime.Duration
+		for i := 0; i < 40; i++ {
+			// Frames a millisecond apart: no FIFO clamping between them.
+			at := vtime.Time(i) * vtime.Time(vtime.Millisecond)
+			if noise {
+				_ = a.Send("c", make([]byte, 64), at)
+				_ = c.SendMulticast([]string{"a", "b"}, make([]byte, 32), at)
+			}
+			if err := a.Send("b", make([]byte, 64), at); err != nil {
+				t.Fatal(err)
+			}
+			if noise {
+				// After the data frame, so FIFO order on a->b cannot hold
+				// the data frame back behind it.
+				_ = a.SendControl("b", make([]byte, 16), at)
+			}
+		}
+		for len(out) < 40 {
+			if m := recvOne(t, b); m.From == "a" && len(m.Payload) == 64 {
+				out = append(out, m.ArriveAt.Sub(m.SentAt))
+			}
+		}
+		return out
+	}
+	quiet, noisy := run(false), run(true)
+	for i := range quiet {
+		if quiet[i] != noisy[i] {
+			t.Fatalf("data frame %d on a->b: %v alone, %v with other traffic", i, quiet[i], noisy[i])
+		}
+	}
+}
+
+// TestFabricAndLiveWrapperDecideAlike: given the same rule, seed and
+// payloads, the simulated fabric and the live wrapper decide the same drop,
+// duplicate and reorder outcome and deliver the same corrupted bytes for
+// every message.
+func TestFabricAndLiveWrapperDecideAlike(t *testing.T) {
+	const seed, count = 11, 1000
+	rule := transport.Rule{Drop: 0.2, Dup: 0.2, Reorder: 0.2, Corrupt: 0.2}
+	type outcome struct {
+		drop, dup, reorder, corrupt bool
+		got                         []string
+	}
+	delta := func(before, after transport.Stats) outcome {
+		return outcome{
+			drop:    after.MessagesDropped > before.MessagesDropped,
+			dup:     after.MessagesDuplicated > before.MessagesDuplicated,
+			reorder: after.MessagesReordered > before.MessagesReordered,
+			corrupt: after.MessagesCorrupted > before.MessagesCorrupted,
+		}
+	}
+	payload := func(i int) []byte { return []byte(fmt.Sprintf("message %04d", i)) }
+
+	n := New(WithSeed(seed))
+	defer n.Close()
+	a := mustEndpoint(t, n, "a")
+	b := mustEndpoint(t, n, "b")
+	n.SetLink("a", "b", rule)
+
+	inner := &recordingEndpoint{addr: "a", sent: make(chan []byte, 2)}
+	live := transport.ApplyRule(inner, rule, seed)
+
+	for i := 0; i < count; i++ {
+		before := n.Stats()
+		if err := a.Send("b", payload(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		fab := delta(before, n.Stats())
+		before = live.Stats()
+		if err := live.Send("b", payload(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		wire := delta(before, live.Stats())
+		copies := 1
+		if fab.dup {
+			copies = 2
+		}
+		if fab.drop {
+			copies = 0
+		}
+		for k := 0; k < copies; k++ {
+			fab.got = append(fab.got, string(recvOne(t, b).Payload))
+			select {
+			case p := <-inner.sent:
+				wire.got = append(wire.got, string(p))
+			case <-time.After(2 * time.Second):
+				t.Fatalf("message %d: live wrapper emitted %d of %d copies", i, k, copies)
+			}
+		}
+		if fmt.Sprint(fab) != fmt.Sprint(wire) {
+			t.Fatalf("message %d: fabric %+v, live wrapper %+v", i, fab, wire)
+		}
+	}
+	if st := n.Stats(); st.MessagesDropped == 0 || st.MessagesDuplicated == 0 || st.MessagesReordered == 0 || st.MessagesCorrupted == 0 {
+		t.Fatalf("a fault class never fired: %+v", st)
+	}
+}
+
+// recordingEndpoint is a live endpoint stand-in that hands every emitted
+// payload to a channel.
+type recordingEndpoint struct {
+	addr string
+	sent chan []byte
+}
+
+func (r *recordingEndpoint) Addr() string { return r.addr }
+func (r *recordingEndpoint) Send(_ string, p []byte, _ vtime.Time) error {
+	r.sent <- append([]byte(nil), p...)
+	return nil
+}
+func (r *recordingEndpoint) SendMulticast([]string, []byte, vtime.Time) error { return nil }
+func (r *recordingEndpoint) SendControl(string, []byte, vtime.Time) error     { return nil }
+func (r *recordingEndpoint) Recv() <-chan transport.Message                   { return nil }
+func (r *recordingEndpoint) Close() error                                     { return nil }

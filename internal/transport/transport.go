@@ -7,7 +7,8 @@
 //
 // The abstraction mirrors what the paper's replicator assumed from the OS:
 // addressed, connection-less, FIFO-per-link datagram delivery, with the
-// network free to drop or delay messages when faults are injected.
+// network free to drop or delay messages when faults are injected — by a
+// link Rule, the one description of what a link does to a message.
 package transport
 
 import (
@@ -78,4 +79,7 @@ type Stats struct {
 	// MessagesCorrupted counts datagrams delivered with flipped payload
 	// bits by fault injection.
 	MessagesCorrupted int64
+	// MessagesDelayed counts datagrams a link rule held back: by its Delay
+	// or by a reorder displacement.
+	MessagesDelayed int64
 }

@@ -185,8 +185,8 @@ type Phase struct {
 // of completions — the workload shape of Figure 6, where the offered rate
 // ramps and the system adapts.
 type OpenLoop struct {
-	Client       *replicator.ClientNode
-	Object, Op   string
+	Client     *replicator.ClientNode
+	Object, Op string
 	// Objects, when non-empty, spreads arrivals round-robin across many
 	// object references (overriding Object) — the access pattern sharded
 	// deployments split over the consistent-hash ring.
