@@ -280,6 +280,31 @@ func (d *Decoder) need(n int) error {
 	return nil
 }
 
+// maxReserve caps the capacity a decoder reserves from a count the wire
+// supplies.
+const maxReserve = 64
+
+// Count consumes the u32 count of a sequence whose entries each encode to
+// at least minEntry bytes (minEntry ≥ 1), and rejects with ErrTooLarge a
+// count the bytes left cannot hold. reserve is the capacity to allocate for
+// the entries up front: the count, but never more than a small constant —
+// the count is outside input, so a longer sequence grows by append as its
+// entries decode, and a count that lies costs no more than the bytes that
+// back it.
+func (d *Decoder) Count(minEntry int) (n, reserve int, err error) {
+	c, err := d.Uint32()
+	if err != nil {
+		return 0, 0, err
+	}
+	if uint64(c)*uint64(minEntry) > uint64(d.Remaining()) {
+		return 0, 0, ErrTooLarge
+	}
+	return int(c), min(int(c), maxReserve), nil
+}
+
+// MinValueSize is the length of the shortest encoded Value: a null's tag.
+const MinValueSize = 1
+
 // Uint8 consumes one byte.
 func (d *Decoder) Uint8() (uint8, error) {
 	if err := d.need(1); err != nil {
@@ -444,15 +469,12 @@ func (d *Decoder) Value() (Value, error) {
 		b, err := d.BytesCopy()
 		return Bytes(b), err
 	case KindList:
-		n, err := d.Uint32()
+		n, reserve, err := d.Count(MinValueSize)
 		if err != nil {
 			return Value{}, err
 		}
-		if uint64(n) > uint64(d.Remaining()) {
-			return Value{}, ErrTooLarge
-		}
-		items := make([]Value, 0, n)
-		for i := uint32(0); i < n; i++ {
+		items := make([]Value, 0, reserve)
+		for i := 0; i < n; i++ {
 			item, err := d.Value()
 			if err != nil {
 				return Value{}, err
@@ -461,15 +483,12 @@ func (d *Decoder) Value() (Value, error) {
 		}
 		return List(items...), nil
 	case KindMap:
-		n, err := d.Uint32()
+		n, reserve, err := d.Count(4 + MinValueSize)
 		if err != nil {
 			return Value{}, err
 		}
-		if uint64(n) > uint64(d.Remaining()) {
-			return Value{}, ErrTooLarge
-		}
-		m := make(map[string]Value, n)
-		for i := uint32(0); i < n; i++ {
+		m := make(map[string]Value, reserve)
+		for i := 0; i < n; i++ {
 			k, err := d.String()
 			if err != nil {
 				return Value{}, err

@@ -1,12 +1,15 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"versadep/internal/alloctest"
 )
 
 func roundTrip(t *testing.T, v Value) Value {
@@ -131,6 +134,43 @@ func TestHostileLengthPrefix(t *testing.T) {
 	e.PutUint32(0xFFFFFFFF)
 	if _, err := DecodeValue(e.Bytes()); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("list err = %v, want ErrTooLarge", err)
+	}
+}
+
+// hostileCount is a 1 MB value of the given kind whose count claims as
+// many entries as the bytes behind it hold at minEntry bytes each, and
+// whose entries are all zero bytes — so the first one to decode fails (tag
+// 0 is no kind).
+func hostileCount(kind Kind, minEntry int) []byte {
+	const size = 1 << 20
+	b := make([]byte, size)
+	b[0] = uint8(kind)
+	binary.BigEndian.PutUint32(b[1:], uint32((size-5)/minEntry))
+	return b
+}
+
+// TestHostileCountAllocatesLittle: a count the wire supplies is an upper
+// bound an attacker picks, so a rejected list or map costs at most a few
+// times the bytes it arrived in — never a reservation sized by the count.
+func TestHostileCountAllocatesLittle(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		kind     Kind
+		minEntry int
+	}{
+		{"list", KindList, MinValueSize},
+		{"map", KindMap, 4 + MinValueSize},
+		{"map counted as a list", KindMap, MinValueSize},
+	} {
+		in := hostileCount(c.kind, c.minEntry)
+		var err error
+		got := alloctest.BytesPerRun(3, func() { _, err = DecodeValue(in) })
+		if err == nil {
+			t.Fatalf("%s: a hostile count was accepted", c.name)
+		}
+		if limit := 4 * float64(len(in)); got > limit {
+			t.Errorf("%s: rejecting %d B allocated %.0f B, want ≤ %.0f", c.name, len(in), got, limit)
+		}
 	}
 }
 

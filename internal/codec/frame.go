@@ -70,9 +70,11 @@ type Frame struct {
 const frameOverhead = 4 + 8 + 2 + 2
 
 // FrameSize is the length of f's encoded body.
-func FrameSize(f Frame) int {
-	return frameOverhead + len(f.From) + len(f.FromAddr) + len(f.Payload)
-}
+func FrameSize(f Frame) int { return FrameHeaderSize(f) + len(f.Payload) }
+
+// FrameHeaderSize is the length of f's encoded body in front of its
+// payload.
+func FrameHeaderSize(f Frame) int { return frameOverhead + len(f.From) + len(f.FromAddr) }
 
 // EncodeFrame returns the checksummed body of f:
 //
@@ -83,14 +85,16 @@ func FrameSize(f Frame) int {
 // before writing.
 func EncodeFrame(f Frame) []byte {
 	buf := make([]byte, FrameSize(f))
-	PutFrame(buf, f)
+	PutFrameHeader(buf, f)
+	copy(buf[FrameHeaderSize(f):], f.Payload)
 	return buf
 }
 
-// PutFrame writes f's body into buf, which must be exactly FrameSize(f)
-// long — typically the tail of a buffer whose head holds a stream
-// transport's length prefix, so prefix and body share one allocation.
-func PutFrame(buf []byte, f Frame) {
+// PutFrameHeader writes the FrameHeaderSize(f) bytes of f's body that
+// precede its payload into buf, their checksum covering the payload too —
+// so a stream transport can write header and payload as two pieces of one
+// frame, without copying the payload behind its header.
+func PutFrameHeader(buf []byte, f Frame) {
 	off := 4
 	binary.BigEndian.PutUint64(buf[off:], uint64(f.SentAt))
 	off += 8
@@ -102,8 +106,8 @@ func PutFrame(buf []byte, f Frame) {
 	off += 2
 	copy(buf[off:], f.FromAddr)
 	off += len(f.FromAddr)
-	copy(buf[off:], f.Payload)
-	binary.BigEndian.PutUint32(buf, crc32.Checksum(buf[4:], crcTable))
+	crc := crc32.Update(crc32.Checksum(buf[4:off], crcTable), crcTable, f.Payload)
+	binary.BigEndian.PutUint32(buf, crc)
 }
 
 // DecodeFrame parses a frame body produced by EncodeFrame. It returns

@@ -70,7 +70,7 @@ func (r *rig) deliver(from string, s recSend) {
 
 func (r *rig) sendDirect(to string, payload []byte) {
 	r.t.Helper()
-	if err := r.m.SendDirect(to, payload, 0, vtime.Ledger{}); err != nil {
+	if err := r.m.SendDirect(to, transport.CopyBuf(r.m.DirectRoom(), payload), 0, vtime.Ledger{}); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -245,7 +245,7 @@ func openClientRig(t *testing.T, members ...string) *clientRig {
 func (r *clientRig) submit(n int) {
 	r.t.Helper()
 	for i := 0; i < n; i++ {
-		if err := r.c.Submit([]byte("request"), 0, vtime.Ledger{}); err != nil {
+		if err := r.c.Submit(transport.CopyBuf(r.c.Room(), []byte("request")), 0, vtime.Ledger{}); err != nil {
 			r.t.Fatal(err)
 		}
 	}

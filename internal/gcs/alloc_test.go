@@ -18,28 +18,34 @@ func budgetFrame(payload []byte) *frame {
 
 // TestFrameEncodeOneBuffer: a frame is encoded into one buffer of exactly
 // its size — bare for frame lists, and with the transport's headroom and
-// seal room on the way to the wire, where sealing then allocates nothing.
+// seal room on the way to the wire. A payload built in the room a frame
+// needs (a submission, a direct reply) is framed and sealed where it lies:
+// no allocation, and the payload does not move.
 func TestFrameEncodeOneBuffer(t *testing.T) {
 	alloctest.OneBuffer(t, "encodeFrame", 0, func(p []byte) []byte {
 		return encodeFrame(budgetFrame(p))
 	})
 
+	conn := &recConn{addr: "a"}
 	f := budgetFrame(nil)
-	alloctest.OneBuffer(t, "appendFrame into a transport frame", codec.SealOverhead, func(p []byte) []byte {
-		f.Payload = p
-		return appendFrame(transport.NewFrame(frameSize(f)), f)
+	alloctest.OneBuffer(t, "a frame sealed for the wire", 0, func(p []byte) []byte {
+		f.Payload, f.enc, f.wire = p, nil, nil
+		return f.sealed(conn, 0)
 	})
 
-	conn := &recConn{addr: "a"}
 	for _, size := range []int{200, 64 << 10} {
-		f.Payload = make([]byte, size)
-		buf := appendFrame(transport.NewFrame(frameSize(f)), f)
+		f := budgetFrame(make([]byte, size))
+		payload := transport.CopyBuf(f.room(), f.Payload)
+		f.Payload = payload.Bytes()
 		var sealed []byte
-		if allocs := testing.AllocsPerRun(20, func() { sealed = conn.Seal(buf) }); allocs != 0 {
-			t.Errorf("sealing a %d B frame in place: %v allocations, want 0", size, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { sealed = f.sealAround(conn, 0, payload) }); allocs != 0 {
+			t.Errorf("framing and sealing a %d B payload in its room: %v allocations, want 0", size, allocs)
 		}
-		if &sealed[0] != &buf[0] || len(sealed) != cap(buf) {
-			t.Errorf("sealing a %d B frame moved or did not fill its buffer", size)
+		if &sealed[transport.Headroom+frameHeadSize(f)] != &f.Payload[0] {
+			t.Errorf("framing a %d B payload in its room moved it", size)
+		}
+		if want := sealer.Seal(transport.CopyBuf(transport.SealRoom, encodeFrame(f))); string(sealed) != string(want) {
+			t.Errorf("a %d B payload framed in its room differs from the frame encoded whole", size)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 type GroupClient struct {
 	send    transport.Conn // ProtoGCS traffic toward members
 	cfg     ClientConfig
+	room    transport.Room // what a submission's payload needs around it
 	proc    vtime.Server
 	handler func(Event)
 
@@ -91,6 +92,7 @@ func NewClient(send transport.Conn, cfg ClientConfig, handler func(Event)) *Grou
 		direct:  newDupFilter(),
 		now:     time.Now,
 	}
+	c.room = (&frame{Kind: kData, Origin: c.Addr(), Group: cfg.GroupID}).room()
 	go c.resendLoop()
 	return c
 }
@@ -122,13 +124,17 @@ func (c *GroupClient) Stop() {
 	<-c.done
 }
 
+// Room is the room a submission's payload needs around it: Submit frames
+// and seals a payload built with it in place.
+func (c *GroupClient) Room() transport.Room { return c.room }
+
 // Submit injects payload into the group's agreed stream. It is retransmitted
 // until a member reports it sequenced; duplicate submissions are suppressed
 // by the sequencer, so retries are safe. sentAt and led carry the caller's
 // virtual time and accumulated costs. The client takes ownership of payload
-// without copying it: nobody writes to it after the call (see
-// transport.Message.Payload).
-func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
+// and its room without copying it: nobody writes to it after the call, and
+// a second submission of the same message is a Clone (see transport.Buf).
+func (c *GroupClient) Submit(payload transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped() {
@@ -136,7 +142,7 @@ func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger
 	}
 	vt := c.proc.Execute(sentAt, c.cfg.Model.GCSend)
 	led.Charge(vtime.ComponentGC, c.cfg.Model.GCSend)
-	if key := c.spanKey(payload); !key.IsZero() {
+	if key := c.spanKey(payload.Bytes()); !key.IsZero() {
 		c.cfg.Spans.Add(key, "gc_submit", span.CompGC, vt.Add(-c.cfg.Model.GCSend), vt)
 	}
 	c.oseq++
@@ -147,12 +153,12 @@ func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger
 		Level:   Agreed,
 		SentVT:  vt,
 		Ledger:  led,
-		Payload: payload,
+		Payload: payload.Bytes(),
 	}
 	c.pending = append(c.pending, f)
 	if len(c.members) > 0 {
 		f.lastSend = c.now()
-		_ = c.send.Send(c.members[0], c.sealed(f), vt)
+		_ = c.send.Send(c.members[0], f.sealAround(c.send, c.cfg.GroupID, payload), vt)
 	}
 	return nil
 }

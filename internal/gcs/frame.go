@@ -130,36 +130,63 @@ func (f *frame) encoded(group uint32) []byte {
 	return f.enc
 }
 
-// sealed returns f's wire form for conn, built on first use: one
-// allocation of exactly the sealed size, filled once and sealed in place.
+// sealed returns f's wire form for conn, built on first use: one buffer of
+// exactly the sealed size, the payload copied into it once, framed and
+// sealed in place.
 func (f *frame) sealed(conn transport.Conn, group uint32) []byte {
 	if f.wire == nil {
 		if f.enc != nil {
 			f.wire = sealEncoded(conn, f.enc)
+			f.enc = f.wire[transport.Headroom : len(f.wire)-codec.SealOverhead]
 		} else {
 			f.Group = group
-			f.wire = conn.Seal(appendFrame(transport.NewFrame(frameSize(f)), f))
+			f.sealAround(conn, group, transport.CopyBuf(f.room(), f.Payload))
 		}
-		f.enc = f.wire[transport.Headroom : len(f.wire)-codec.SealOverhead]
 	}
 	return f.wire
+}
+
+// sealAround builds f's wire form, stamped with group, around payload, a
+// buffer holding f.Payload's bytes: f's header and trailer are written into
+// the room around them and the frame is sealed in place, so the payload is
+// not copied.
+func (f *frame) sealAround(conn transport.Conn, group uint32, payload transport.Buf) []byte {
+	f.Group = group
+	head, tail := payload.Wrap(frameHeadSize(f), frameTailSize(f))
+	appendFrameHead(head[:0], f)
+	appendFrameTail(tail[:0], f)
+	f.wire = conn.Seal(payload)
+	f.enc = f.wire[transport.Headroom : len(f.wire)-codec.SealOverhead]
+	return f.wire
+}
+
+// room is what f's payload needs around it to be framed and sealed in
+// place (f.Group set).
+func (f *frame) room() transport.Room {
+	return transport.SealRoom.Around(frameHeadSize(f), frameTailSize(f))
 }
 
 // sealEncoded builds the wire form of an already encoded frame: the one
 // copy a retransmission from the history (or a forward of a received
 // frame) costs.
 func sealEncoded(conn transport.Conn, enc []byte) []byte {
-	return conn.Seal(append(transport.NewFrame(len(enc)), enc...))
+	return conn.Seal(transport.CopyBuf(transport.SealRoom, enc))
 }
 
-// frameSize is the exact length of f's encoding.
-func frameSize(f *frame) int {
+// frameHeadSize is the length of f's encoding in front of its payload
+// bytes: every field before them, and their length prefix.
+func frameHeadSize(f *frame) int {
 	n := 1 + 8 + 8 + codec.SizeString(f.Origin) + 8 + 1 +
-		4 + 4 + 8*len(f.Seqs) + 8 + 4 + 8*len(f.Ledger.Slots()) +
-		codec.SizeBytes(f.Payload) + codec.SizeBytes(f.Aux) + 4
+		4 + 4 + 8*len(f.Seqs) + 8 + 4 + 8*len(f.Ledger.Slots()) + 4
 	for _, m := range f.Members {
 		n += codec.SizeString(m)
 	}
+	return n
+}
+
+// frameTailSize is the length of f's encoding behind its payload bytes.
+func frameTailSize(f *frame) int {
+	n := codec.SizeBytes(f.Aux) + 4
 	for _, m := range f.Left {
 		n += codec.SizeString(m)
 	}
@@ -169,6 +196,9 @@ func frameSize(f *frame) int {
 	return n
 }
 
+// frameSize is the exact length of f's encoding.
+func frameSize(f *frame) int { return frameHeadSize(f) + len(f.Payload) + frameTailSize(f) }
+
 // encodeFrame serializes f with the codec package.
 func encodeFrame(f *frame) []byte {
 	return appendFrame(make([]byte, 0, frameSize(f)), f)
@@ -176,6 +206,12 @@ func encodeFrame(f *frame) []byte {
 
 // appendFrame appends f's encoding to b (frameSize(f) bytes).
 func appendFrame(b []byte, f *frame) []byte {
+	return appendFrameTail(append(appendFrameHead(b, f), f.Payload...), f)
+}
+
+// appendFrameHead appends the frameHeadSize(f) bytes of f's encoding that
+// precede its payload.
+func appendFrameHead(b []byte, f *frame) []byte {
 	e := codec.AppendTo(b)
 	e.PutUint8(uint8(f.Kind))
 	e.PutUint64(f.ViewID)
@@ -197,7 +233,14 @@ func appendFrame(b []byte, f *frame) []byte {
 	for _, d := range slots {
 		e.PutInt64(int64(d))
 	}
-	e.PutBytes(f.Payload)
+	e.PutUint32(uint32(len(f.Payload)))
+	return e.Bytes()
+}
+
+// appendFrameTail appends the frameTailSize(f) bytes of f's encoding that
+// follow its payload.
+func appendFrameTail(b []byte, f *frame) []byte {
+	e := codec.AppendTo(b)
 	e.PutBytes(f.Aux)
 	e.PutUint32(uint32(len(f.Left)))
 	for _, m := range f.Left {
@@ -248,29 +291,23 @@ func decodeFrameNames(b []byte, names *codec.Names) (*frame, error) {
 		return nil, err
 	}
 	f.Level = ServiceLevel(lvl)
-	n, err := d.Uint32()
+	n, reserve, err := d.Count(4)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	f.Members = make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
+	f.Members = make([]string, 0, reserve)
+	for i := 0; i < n; i++ {
 		m, err := d.Name(names)
 		if err != nil {
 			return nil, err
 		}
 		f.Members = append(f.Members, m)
 	}
-	if n, err = d.Uint32(); err != nil {
+	if n, reserve, err = d.Count(8); err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	f.Seqs = make([]uint64, 0, n)
-	for i := uint32(0); i < n; i++ {
+	f.Seqs = make([]uint64, 0, reserve)
+	for i := 0; i < n; i++ {
 		s, err := d.Uint64()
 		if err != nil {
 			return nil, err
@@ -282,19 +319,16 @@ func decodeFrameNames(b []byte, names *codec.Names) (*frame, error) {
 		return nil, err
 	}
 	f.SentVT = vtime.Time(vt)
-	if n, err = d.Uint32(); err != nil {
+	if n, _, err = d.Count(8); err != nil {
 		return nil, err
 	}
 	slots := f.Ledger.Slots()
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		v, err := d.Int64()
 		if err != nil {
 			return nil, err
 		}
-		if int(i) < len(slots) {
+		if i < len(slots) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
@@ -304,13 +338,10 @@ func decodeFrameNames(b []byte, names *codec.Names) (*frame, error) {
 	if f.Aux, err = d.Bytes(); err != nil {
 		return nil, err
 	}
-	if n, err = d.Uint32(); err != nil {
+	if n, _, err = d.Count(4); err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m, err := d.Name(names)
 		if err != nil {
 			return nil, err
@@ -353,15 +384,12 @@ func encodeSeenData(seen map[string]uint64) []byte {
 // decodeSeenData unpacks a kView Aux payload.
 func decodeSeenData(b []byte) (map[string]uint64, error) {
 	d := codec.NewDecoder(b)
-	n, err := d.Uint32()
+	n, reserve, err := d.Count(4 + 8)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	out := make(map[string]uint64, n)
-	for i := uint32(0); i < n; i++ {
+	out := make(map[string]uint64, reserve)
+	for i := 0; i < n; i++ {
 		k, err := d.String()
 		if err != nil {
 			return nil, err
@@ -392,15 +420,12 @@ func encodeFrameList(encs [][]byte) []byte {
 // decodeFrameList unpacks a kFetchResp Aux payload.
 func decodeFrameList(b []byte) ([]*frame, error) {
 	d := codec.NewDecoder(b)
-	n, err := d.Uint32()
+	n, reserve, err := d.Count(4)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	out := make([]*frame, 0, n)
-	for i := uint32(0); i < n; i++ {
+	out := make([]*frame, 0, reserve)
+	for i := 0; i < n; i++ {
 		fb, err := d.Bytes()
 		if err != nil {
 			return nil, err

@@ -232,7 +232,7 @@ func TestStopConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := cl.Submit([]byte("x"), 0, vtime.Ledger{}); err != gcs.ErrStopped {
+	if err := cl.Submit(transport.CopyBuf(cl.Room(), []byte("x")), 0, vtime.Ledger{}); err != gcs.ErrStopped {
 		t.Fatalf("submit after stop = %v", err)
 	}
 }

@@ -99,6 +99,12 @@ func startNode(t *testing.T, net *simnet.Network, name string, seeds []string) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startNodeOn(t, ep, name, seeds)
+}
+
+// startNodeOn launches a member on ep.
+func startNodeOn(t *testing.T, ep transport.MultiEndpoint, name string, seeds []string) *node {
+	t.Helper()
 	d := transport.NewDemux(ep)
 	cfg := gcs.DefaultConfig()
 	cfg.Seeds = seeds
@@ -488,7 +494,7 @@ func TestExternalClientSubmitAndReply(t *testing.T) {
 	d.Start()
 	defer cl.Stop()
 
-	if err := cl.Submit([]byte("request-1"), 0, vtime.Ledger{}); err != nil {
+	if err := cl.Submit(transport.CopyBuf(cl.Room(), []byte("request-1")), 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
 	// All members deliver the client's submission in the agreed stream.
@@ -499,7 +505,7 @@ func TestExternalClientSubmitAndReply(t *testing.T) {
 		}
 	}
 	// A member replies directly.
-	if err := nodes[1].member.SendDirect("client", []byte("reply-1"), 0, vtime.Ledger{}); err != nil {
+	if err := nodes[1].member.SendDirect("client", transport.CopyBuf(nodes[1].member.DirectRoom(), []byte("reply-1")), 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -531,7 +537,7 @@ func TestExternalClientWrongHint(t *testing.T) {
 	d.Start()
 	defer cl.Stop()
 
-	if err := cl.Submit([]byte("via-backup"), 0, vtime.Ledger{}); err != nil {
+	if err := cl.Submit(transport.CopyBuf(cl.Room(), []byte("via-backup")), 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
 	msgs := nodes[0].waitMessages(t, 1, 5*time.Second)
@@ -569,7 +575,7 @@ func TestClientSubmitRetransmitsThroughCoordinatorCrash(t *testing.T) {
 
 	// Crash the coordinator, then submit while the view change runs.
 	net.Crash("ma")
-	if err := cl.Submit([]byte("during-change"), 0, vtime.Ledger{}); err != nil {
+	if err := cl.Submit(transport.CopyBuf(cl.Room(), []byte("during-change")), 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
 	msgs := nodes[1].waitMessages(t, 1, 10*time.Second)

@@ -24,6 +24,8 @@ type Member struct {
 	rand  *vtime.Rand
 	proc  vtime.Server // the daemon's virtual CPU
 
+	directRoom transport.Room // what a SendDirect payload needs around it
+
 	// inbox absorbs transport messages from the demux goroutine.
 	inMu     sync.Mutex
 	inbox    []transport.Message
@@ -233,6 +235,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		leaveReqs:    make(map[string]bool),
 		now:          time.Now,
 	}
+	m.directRoom = (&frame{Kind: kDirect, Origin: m.Addr(), Group: cfg.GroupID}).room()
 	if cfg.PhiThreshold > 0 {
 		// Floor the fitted mean at half a heartbeat period: under load the
 		// frame rate is far denser than heartbeats, and the detector must
@@ -327,11 +330,16 @@ func (m *Member) Multicast(payload []byte, lvl ServiceLevel, sentAt vtime.Time, 
 	return m.do(func() { m.multicastLocked(payload, lvl, sentAt, led) })
 }
 
+// DirectRoom is the room a SendDirect payload needs around it to be framed
+// and sealed in place.
+func (m *Member) DirectRoom() transport.Room { return m.directRoom }
+
 // SendDirect reliably delivers payload to an external group client at the
 // given address. Delivery is at-least-once with receiver-side duplicate
-// suppression. Ownership of payload passes as for Multicast: immutable
-// from here on.
-func (m *Member) SendDirect(to string, payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
+// suppression. The member frames payload in the room around it (see
+// DirectRoom) and takes ownership of both: immutable from here on, and a
+// second send of the same message is a Clone (see transport.Buf).
+func (m *Member) SendDirect(to string, payload transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
 	return m.do(func() { m.sendDirectLocked(to, payload, sentAt, led) })
 }
 

@@ -140,11 +140,11 @@ func (m *Member) vcSnapshot() []uint64 {
 	return out
 }
 
-func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, led vtime.Ledger) {
+func (m *Member) sendDirectLocked(to string, payload transport.Buf, sentAt vtime.Time, led vtime.Ledger) {
 	cost := m.cfg.Model.Jitter(m.cfg.Model.GCSend, m.rand.Float64())
 	vt := m.proc.Execute(sentAt, cost)
 	led.Charge(vtime.ComponentGC, cost)
-	if key := m.spanFor(payload); !key.IsZero() {
+	if key := m.spanFor(payload.Bytes()); !key.IsZero() {
 		m.spans.Add(key, "gc_send_direct", span.CompGC, vt.Add(-cost), vt)
 	}
 	m.directOut[to]++
@@ -159,7 +159,7 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 		OSeq:    m.directOut[to],
 		SentVT:  vt,
 		Ledger:  led,
-		Payload: payload,
+		Payload: payload.Bytes(),
 	}
 	if m.directUnack[to] == nil {
 		m.directUnack[to] = make(map[uint64]*frame)
@@ -168,6 +168,7 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 	if m.dataAckOwed[to] && f.Seq >= m.seqLocal[to] {
 		delete(m.dataAckOwed, to) // this frame says it all
 	}
+	f.sealAround(m.xconn, m.cfg.GroupID, payload)
 	m.sendExternal(to, f, false)
 }
 

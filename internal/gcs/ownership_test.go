@@ -5,13 +5,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sync"
 	"testing"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/gcs"
 	"versadep/internal/simnet"
 	"versadep/internal/transport"
+	"versadep/internal/transport/tcptransport"
 	"versadep/internal/vtime"
 )
 
@@ -49,15 +52,16 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 		crc uint32
 	}
 	var retained []kept
-	keep := func(sender byte, i int) []byte {
-		buf := make([]byte, size)
+	keep := func(sender byte, i int, room transport.Room) transport.Buf {
+		m := transport.NewBuf(room, size)
+		buf := m.Bytes()
 		for j := range buf {
 			buf[j] = sender + byte(i) + byte(j)
 		}
 		buf[0] = sender
 		binary.BigEndian.PutUint32(buf[1:], uint32(i))
 		retained = append(retained, kept{buf, crc32.ChecksumIEEE(buf)})
-		return buf
+		return m
 	}
 
 	// Two members multicast and the client submits, interleaved; member c
@@ -66,19 +70,19 @@ func TestPayloadImmutableAfterSend(t *testing.T) {
 	var replies [][]byte
 	for i := 0; i < perSender; i++ {
 		for s, n := range nodes[:2] {
-			buf := keep(byte('a'+s), i)
+			buf := keep(byte('a'+s), i, transport.Room{}).Bytes()
 			sent[buf[0]] = append(sent[buf[0]], buf)
 			if err := n.member.Multicast(buf, gcs.Agreed, 0, vtime.Ledger{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		buf := keep('x', i)
-		sent['x'] = append(sent['x'], buf)
+		buf := keep('x', i, cl.Room())
+		sent['x'] = append(sent['x'], buf.Bytes())
 		if err := cl.Submit(buf, 0, vtime.Ledger{}); err != nil {
 			t.Fatal(err)
 		}
-		reply := keep('r', i)
-		replies = append(replies, reply)
+		reply := keep('r', i, nodes[2].member.DirectRoom())
+		replies = append(replies, reply.Bytes())
 		if err := nodes[2].member.SendDirect("client", reply, 0, vtime.Ledger{}); err != nil {
 			t.Fatal(err)
 		}
@@ -240,5 +244,169 @@ func TestViewSharedAndNeverWritten(t *testing.T) {
 		if v, err := n.member.View(); err != nil || &v.Members[0] != slices[v.ID] {
 			t.Fatalf("%s: View() = %v, %v: not the installed view's slice", n.name, v, err)
 		}
+	}
+}
+
+// frameLog wraps an endpoint and keeps every sealed frame sent through it,
+// with the checksum it had when it was handed over, and every frame that
+// arrived at it.
+type frameLog struct {
+	transport.MultiEndpoint
+	out chan transport.Message
+
+	mu        sync.Mutex
+	sent      []sentFrame
+	multicast int // frames sent to two peers or more in one call
+	received  map[string]int
+}
+
+type sentFrame struct {
+	tos   []string
+	frame []byte
+	crc   uint32
+}
+
+func logFrames(ep transport.MultiEndpoint) *frameLog {
+	l := &frameLog{MultiEndpoint: ep, out: make(chan transport.Message, 64), received: map[string]int{}}
+	go func() {
+		defer close(l.out)
+		for m := range ep.Recv() {
+			l.mu.Lock()
+			l.received[string(m.Payload)]++
+			l.mu.Unlock()
+			l.out <- m
+		}
+	}()
+	return l
+}
+
+func (l *frameLog) record(tos []string, frame []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sent = append(l.sent, sentFrame{tos, frame, crc32.ChecksumIEEE(frame)})
+	if len(tos) > 1 {
+		l.multicast++
+	}
+}
+
+func (l *frameLog) Recv() <-chan transport.Message { return l.out }
+
+func (l *frameLog) Send(to string, frame []byte, at vtime.Time) error {
+	l.record([]string{to}, frame)
+	return l.MultiEndpoint.Send(to, frame, at)
+}
+
+func (l *frameLog) SendMulticast(tos []string, frame []byte, at vtime.Time) error {
+	l.record(append([]string(nil), tos...), frame)
+	return l.MultiEndpoint.SendMulticast(tos, frame, at)
+}
+
+func (l *frameLog) SendControl(to string, frame []byte, at vtime.Time) error {
+	l.record([]string{to}, frame)
+	return l.MultiEndpoint.SendControl(to, frame, at)
+}
+
+// TestTCPMulticastSharesOneSealedFrame is the ownership rule on the live
+// transport (run it with -race): three members on loopback TCP, where the
+// sequencer hands one sealed frame to SendMulticast for both other members
+// and the transport writes that frame from where it lies, behind a header
+// of its own, once per peer and from one sender goroutine per peer. The
+// frame is never copied, so it must never be written to either: at the end
+// every frame each member sent still has the checksum it was sent with and
+// still verifies, every multicast frame reached both peers byte for byte,
+// and every payload was delivered as sent.
+func TestTCPMulticastSharesOneSealedFrame(t *testing.T) {
+	names := []string{"ma", "mb", "mc"}
+	logs := make([]*frameLog, len(names))
+	nodes := make([]*node, len(names))
+	peers := map[string]string{} // each endpoint knows those started before it
+	for i, name := range names {
+		ep, err := tcptransport.Listen(name, "127.0.0.1:0", maps.Clone(peers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ep.Close() })
+		peers[name] = ep.BoundAddr()
+		logs[i] = logFrames(ep)
+		var seeds []string
+		if i > 0 {
+			seeds = names[:1]
+		}
+		nodes[i] = startNodeOn(t, logs[i], name, seeds)
+		for _, n := range nodes[:i+1] {
+			n.waitView(t, names[:i+1], 10*time.Second)
+		}
+	}
+
+	const perSender, size = 20, 4096
+	sent := map[byte][][]byte{}
+	for i := 0; i < perSender; i++ {
+		for s, n := range nodes {
+			buf := make([]byte, size)
+			for j := range buf {
+				buf[j] = byte(s*7 + i + j)
+			}
+			buf[0] = byte('a' + s)
+			sent[buf[0]] = append(sent[buf[0]], buf)
+			if err := n.member.Multicast(buf, gcs.Agreed, 0, vtime.Ledger{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, n := range nodes {
+		next := map[byte]int{}
+		for _, e := range n.waitMessages(t, len(nodes)*perSender, 20*time.Second) {
+			s := e.Payload[0]
+			if next[s] >= len(sent[s]) || !bytes.Equal(e.Payload, sent[s][next[s]]) {
+				t.Fatalf("%s: delivery %d from %q differs from what was sent", n.name, next[s], s)
+			}
+			next[s]++
+		}
+	}
+
+	byName := map[string]*frameLog{}
+	for i, l := range logs {
+		byName[names[i]] = l
+	}
+	multicasts := 0
+	for i, l := range logs {
+		l.mu.Lock()
+		sentFrames := append([]sentFrame(nil), l.sent...)
+		multicasts += l.multicast
+		l.mu.Unlock()
+		for k, f := range sentFrames {
+			if crc32.ChecksumIEEE(f.frame) != f.crc {
+				t.Fatalf("%s: frame %d was written to after it was sent", names[i], k)
+			}
+			if _, err := codec.VerifyChecksum(f.frame); err != nil {
+				t.Fatalf("%s: frame %d does not verify: %v", names[i], k, err)
+			}
+			if len(f.tos) < 2 {
+				continue
+			}
+			for _, to := range f.tos {
+				if waitReceived(byName[to], f.frame, 5*time.Second) == 0 {
+					t.Fatalf("%s: multicast frame %d never reached %s as sent", names[i], k, to)
+				}
+			}
+		}
+	}
+	if multicasts == 0 {
+		t.Fatal("no frame was multicast to two peers")
+	}
+}
+
+// waitReceived returns how many times l has received frame, waiting up to
+// d for the first.
+func waitReceived(l *frameLog, frame []byte, d time.Duration) int {
+	deadline := time.Now().Add(d)
+	for {
+		l.mu.Lock()
+		n := l.received[string(frame)]
+		l.mu.Unlock()
+		if n > 0 || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

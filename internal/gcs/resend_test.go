@@ -26,10 +26,11 @@ type recSend struct {
 
 func (c *recConn) Addr() string { return c.addr }
 
-func (c *recConn) Seal(buf []byte) []byte {
-	buf[0] = byte(transport.ProtoGCS)
-	return codec.AppendChecksum(buf)
-}
+// sealer seals as a member's conn does; a demux's Seal never touches its
+// endpoint.
+var sealer = transport.NewDemux(nil).Conn(transport.ProtoGCS)
+
+func (c *recConn) Seal(m transport.Buf) []byte { return sealer.Seal(m) }
 
 func (c *recConn) record(to string, frame []byte) error {
 	c.mu.Lock()
@@ -126,7 +127,7 @@ func TestMemberResendWaitsForResendInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := m.SendDirect("client", []byte("reply"), 0, vtime.Ledger{}); err != nil {
+	if err := m.SendDirect("client", transport.CopyBuf(m.DirectRoom(), []byte("reply")), 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Multicast([]byte("request"), Agreed, 0, vtime.Ledger{}); err != nil {
@@ -195,7 +196,7 @@ func TestClientResendWaitsForResendInterval(t *testing.T) {
 		c.mu.Unlock()
 	}
 
-	if err := c.Submit([]byte("request"), 0, vtime.Ledger{}); err != nil {
+	if err := c.Submit(transport.CopyBuf(c.Room(), []byte("request")), 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
 	tick(0)
@@ -301,7 +302,7 @@ func TestClientResendBurstIsBounded(t *testing.T) {
 	c.now = func() time.Time { return clock }
 	c.mu.Unlock()
 	for i := 0; i < backlog; i++ {
-		if err := c.Submit([]byte("request"), 0, vtime.Ledger{}); err != nil {
+		if err := c.Submit(transport.CopyBuf(c.Room(), []byte("request")), 0, vtime.Ledger{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,10 +67,13 @@ func NewPassthrough(inner orb.Wire, model vtime.CostModel) *PassthroughWire {
 	return w
 }
 
+// Room is the inner wire's: interception adds no bytes.
+func (w *PassthroughWire) Room() transport.Room { return w.inner.Room() }
+
 // Send charges the interception crossing and forwards.
-func (w *PassthroughWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
+func (w *PassthroughWire) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
 	led.Charge(vtime.ComponentReplicator, w.model.Intercept)
-	return w.inner.Send(reqBytes, sentAt.Add(w.model.Intercept), led)
+	return w.inner.Send(req, sentAt.Add(w.model.Intercept), led)
 }
 
 // Bind installs the reply sink.
@@ -206,16 +209,18 @@ func (w *GroupWire) SetExpectedReplies(n int) {
 // introspection).
 func (w *GroupWire) Group() *gcs.GroupClient { return w.gc }
 
-// Send wraps the request in a replication envelope and submits it into the
-// group's agreed stream. The envelope is a fresh buffer whose ownership
-// passes to the group client (which keeps it for retransmission); reqBytes
-// is only read, so the ORB may send the same bytes again on a retry.
-func (w *GroupWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
+// Room is what a request needs to be wrapped in its replication envelope
+// and submitted, framed and sealed in place.
+func (w *GroupWire) Room() transport.Room { return replication.RequestRoom(w.gc.Room()) }
+
+// Send wraps the request in a replication envelope, in place, and submits
+// it into the group's agreed stream; the group client keeps the frame for
+// retransmission.
+func (w *GroupWire) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
 	w.cCrossings.Inc()
 	led.Charge(vtime.ComponentReplicator, w.model.Intercept)
-	spanSubmit(w.spans, reqBytes, sentAt, sentAt.Add(w.model.Intercept))
-	payload := replication.WrapRequest(reqBytes)
-	return w.gc.Submit(payload, sentAt.Add(w.model.Intercept), led)
+	spanSubmit(w.spans, req.Bytes(), sentAt, sentAt.Add(w.model.Intercept))
+	return w.gc.Submit(replication.WrapRequestIn(req), sentAt.Add(w.model.Intercept), led)
 }
 
 // Bind installs the reply sink.

@@ -9,6 +9,7 @@ import (
 	"versadep/internal/gcs"
 	"versadep/internal/orb"
 	"versadep/internal/trace"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -24,8 +25,10 @@ type fakeWire struct {
 
 func newFakeWire() *fakeWire { return &fakeWire{} }
 
-func (w *fakeWire) Send(req []byte, sentAt vtime.Time, led vtime.Ledger) error {
-	w.sent = append(w.sent, req)
+func (w *fakeWire) Room() transport.Room { return transport.Room{} }
+
+func (w *fakeWire) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
+	w.sent = append(w.sent, req.Bytes())
 	w.sentAt = append(w.sentAt, sentAt)
 	w.leds = append(w.leds, led)
 	return nil
@@ -47,7 +50,7 @@ func TestPassthroughChargesBothDirections(t *testing.T) {
 	pw.Bind(func(wr orb.WireReply) { got = append(got, wr) })
 
 	var led vtime.Ledger
-	if err := pw.Send([]byte("req"), vtime.Time(1000), led); err != nil {
+	if err := pw.Send(transport.CopyBuf(pw.Room(), []byte("req")), vtime.Time(1000), led); err != nil {
 		t.Fatal(err)
 	}
 	if len(inner.sent) != 1 {
@@ -92,7 +95,7 @@ func TestPassthroughSinkContract(t *testing.T) {
 	delivered := 0
 	pw.Bind(func(wr orb.WireReply) {
 		delivered++
-		if err := pw.Send(wr.Bytes, wr.VTime, wr.Ledger); err != nil {
+		if err := pw.Send(transport.CopyBuf(pw.Room(), wr.Bytes), wr.VTime, wr.Ledger); err != nil {
 			t.Errorf("Send from inside the sink: %v", err)
 		}
 	})
@@ -119,7 +122,7 @@ func TestGroupWireSinkContract(t *testing.T) {
 		delivered++
 		// Re-enters GroupWire.Send → GroupClient.Submit: deadlocks if the
 		// up-call ran under the wire's or the group client's lock.
-		if err := w.Send(wr.Bytes, wr.VTime, wr.Ledger); err != nil {
+		if err := w.Send(transport.CopyBuf(w.Room(), wr.Bytes), wr.VTime, wr.Ledger); err != nil {
 			t.Errorf("Send from inside the sink: %v", err)
 		}
 	})
@@ -157,7 +160,7 @@ func TestGroupWireSinkContract(t *testing.T) {
 	if delivered != 1 {
 		t.Fatal("sink invoked after Close returned")
 	}
-	if err := w.Send([]byte("req"), 0, vtime.Ledger{}); err == nil {
+	if err := w.Send(transport.CopyBuf(w.Room(), []byte("req")), 0, vtime.Ledger{}); err == nil {
 		t.Fatal("Send after Close succeeded")
 	}
 }
@@ -165,8 +168,8 @@ func TestGroupWireSinkContract(t *testing.T) {
 // sendCounter is a transport.Conn that only counts data sends.
 type sendCounter struct{ sends atomic.Int64 }
 
-func (c *sendCounter) Addr() string           { return "client" }
-func (c *sendCounter) Seal(buf []byte) []byte { return buf }
+func (c *sendCounter) Addr() string                { return "client" }
+func (c *sendCounter) Seal(m transport.Buf) []byte { return m.Bytes() }
 func (c *sendCounter) Send(string, []byte, vtime.Time) error {
 	c.sends.Add(1)
 	return nil

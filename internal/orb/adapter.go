@@ -6,6 +6,7 @@ import (
 
 	"versadep/internal/codec"
 	"versadep/internal/trace/span"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -94,8 +95,9 @@ func (a *Adapter) Unregister(object string) {
 
 // InvocationResult is the adapter's output for one request.
 type InvocationResult struct {
-	// ReplyBytes is the encoded VIOP reply.
-	ReplyBytes []byte
+	// Encoded is the encoded VIOP reply, with the room HandleRequest was
+	// given around it.
+	Encoded transport.Buf
 	// Reply is the decoded form, for callers that need the contents.
 	Reply *Reply
 	// DoneVT is the virtual completion instant on cpu.
@@ -105,10 +107,11 @@ type InvocationResult struct {
 }
 
 // HandleRequest decodes reqBytes, executes the target servant on cpu
-// (virtual time; arriving at arriveVT), and returns the encoded reply.
+// (virtual time; arriving at arriveVT), and returns the reply encoded
+// inside room — what the layers that send it need around it.
 // Decode/encode each charge an ORBMarshal crossing; servant execution
 // charges its declared cost (or the model's AppProcess).
-func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, arriveVT vtime.Time, led vtime.Ledger) (*InvocationResult, error) {
+func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transport.Room, arriveVT vtime.Time, led vtime.Ledger) (*InvocationResult, error) {
 	a.mu.Lock()
 	req, err := decodeRequest(reqBytes, &a.names)
 	sp := a.spans
@@ -135,10 +138,10 @@ func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, arriveVT vti
 	sp.Add(tkey, "orb_marshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
 
 	return &InvocationResult{
-		ReplyBytes: EncodeReply(reply),
-		Reply:      reply,
-		DoneVT:     vt,
-		Ledger:     led,
+		Encoded: encodeReply(room, reply),
+		Reply:   reply,
+		DoneVT:  vt,
+		Ledger:  led,
 	}, nil
 }
 

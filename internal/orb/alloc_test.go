@@ -16,16 +16,12 @@ func budgetEnvelope(p []byte) *Envelope {
 }
 
 // TestEncodersOneBuffer: every VIOP encoder computes its size first and
-// allocates once; the envelope, which is what the direct wire hands to the
-// transport, is built behind the transport's headroom with exactly the seal
-// room spare.
+// allocates once. A message encoded in the room of the direct wire is put
+// in its envelope and sealed where it lies, allocation-free, into the frame
+// the envelope encoded whole would make.
 func TestEncodersOneBuffer(t *testing.T) {
 	alloctest.OneBuffer(t, "EncodeEnvelope", 0, func(p []byte) []byte {
 		return EncodeEnvelope(budgetEnvelope(p))
-	})
-	alloctest.OneBuffer(t, "appendEnvelope into a transport frame", codec.SealOverhead, func(p []byte) []byte {
-		env := budgetEnvelope(p)
-		return appendEnvelope(transport.NewFrame(envelopeSize(env)), env)
 	})
 	args := make([]codec.Value, 1)
 	alloctest.OneBuffer(t, "EncodeRequest", 0, func(p []byte) []byte {
@@ -37,6 +33,31 @@ func TestEncodersOneBuffer(t *testing.T) {
 		results[1] = codec.Bytes(p)
 		return EncodeReply(&Reply{ClientID: "c1", ReqID: 7, Status: StatusOK, Results: results})
 	})
+
+	conn := &lastConn{Conn: transport.NewDemux(nil).Conn(transport.ProtoVIOP)}
+	for _, size := range []int{200, 64 << 10} {
+		args[0] = codec.Bytes(make([]byte, size))
+		req := encodeRequest(envelopeRoom, &Request{ClientID: "c1", ReqID: 7, Object: "Bench", Operation: "work", Args: args})
+		env := budgetEnvelope(req.Bytes())
+		if allocs := testing.AllocsPerRun(20, func() { _ = sendEnvelope(conn, "server", env, req) }); allocs != 0 {
+			t.Errorf("enveloping and sealing a %d B request in its room: %v allocations, want 0", size, allocs)
+		}
+		want := conn.Seal(transport.CopyBuf(transport.SealRoom, EncodeEnvelope(env)))
+		if string(conn.last) != string(want) {
+			t.Errorf("a %d B request enveloped in its room differs from the envelope encoded whole", size)
+		}
+	}
+}
+
+// lastConn keeps the last frame sent on it.
+type lastConn struct {
+	transport.Conn
+	last []byte
+}
+
+func (c *lastConn) Send(_ string, sealed []byte, _ vtime.Time) error {
+	c.last = sealed
+	return nil
 }
 
 // TestEnvelopeDecodeAliases: the envelope hands on a window onto the

@@ -190,14 +190,13 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 	c.mu.Unlock()
 	defer c.release(reqID, w)
 
-	req := &Request{
+	req := encodeRequest(c.wire.Room(), &Request{
 		ClientID:  c.id,
 		ReqID:     reqID,
 		Object:    object,
 		Operation: op,
 		Args:      args,
-	}
-	reqBytes := EncodeRequest(req)
+	})
 
 	// Client-side marshal: additive virtual cost (client CPUs are not a
 	// contended resource in the paper's experiments).
@@ -212,8 +211,9 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			c.cRetransmits.Inc()
+			req = req.Clone() // the last send spent req's room
 		}
-		if err := c.wire.Send(reqBytes, sentVT, led); err != nil {
+		if err := c.wire.Send(req, sentVT, led); err != nil {
 			return nil, err
 		}
 		w.timer.Reset(c.timeout)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"versadep/internal/codec"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -98,13 +99,18 @@ func (e *RemoteError) Error() string {
 }
 
 // EncodeRequest marshals r into VIOP bytes.
-func EncodeRequest(r *Request) []byte {
+func EncodeRequest(r *Request) []byte { return encodeRequest(transport.Room{}, r).Bytes() }
+
+// encodeRequest marshals r into one buffer with room around it for the
+// layers that carry it to wrap it in place (see Wire.Room).
+func encodeRequest(room transport.Room, r *Request) transport.Buf {
 	size := 4 + 1 + codec.SizeString(r.ClientID) + 8 +
 		codec.SizeString(r.Object) + codec.SizeString(r.Operation) + 4
 	for _, a := range r.Args {
 		size += codec.SizeValue(a)
 	}
-	e := codec.NewEncoder(size)
+	m := transport.NewBuf(room, size)
+	e := codec.AppendTo(m.Bytes()[:0])
 	e.PutUint32(Magic)
 	e.PutUint8(uint8(MsgRequest))
 	e.PutString(r.ClientID)
@@ -115,7 +121,7 @@ func EncodeRequest(r *Request) []byte {
 	for _, a := range r.Args {
 		e.PutValue(a)
 	}
-	return e.Bytes()
+	return m
 }
 
 // DecodeRequest parses VIOP bytes into a Request.
@@ -143,15 +149,12 @@ func decodeRequest(b []byte, names *codec.Names) (*Request, error) {
 	if r.Operation, err = d.Name(names); err != nil {
 		return nil, err
 	}
-	n, err := d.Uint32()
+	n, reserve, err := d.Count(codec.MinValueSize)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	r.Args = make([]codec.Value, 0, n)
-	for i := uint32(0); i < n; i++ {
+	r.Args = make([]codec.Value, 0, reserve)
+	for i := 0; i < n; i++ {
 		v, err := d.Value()
 		if err != nil {
 			return nil, err
@@ -164,13 +167,18 @@ func decodeRequest(b []byte, names *codec.Names) (*Request, error) {
 // EncodeReply marshals r into VIOP bytes. The encoding is deterministic, so
 // replies from deterministic active replicas are byte-comparable — the
 // property majority voting relies on.
-func EncodeReply(r *Reply) []byte {
+func EncodeReply(r *Reply) []byte { return encodeReply(transport.Room{}, r).Bytes() }
+
+// encodeReply marshals r into one buffer with room around it for the
+// layers that carry it to wrap it in place.
+func encodeReply(room transport.Room, r *Reply) transport.Buf {
 	size := 4 + 1 + codec.SizeString(r.ClientID) + 8 + 1 +
 		codec.SizeString(r.ErrMsg) + 4
 	for _, v := range r.Results {
 		size += codec.SizeValue(v)
 	}
-	e := codec.NewEncoder(size)
+	m := transport.NewBuf(room, size)
+	e := codec.AppendTo(m.Bytes()[:0])
 	e.PutUint32(Magic)
 	e.PutUint8(uint8(MsgReply))
 	e.PutString(r.ClientID)
@@ -181,7 +189,7 @@ func EncodeReply(r *Reply) []byte {
 	for _, v := range r.Results {
 		e.PutValue(v)
 	}
-	return e.Bytes()
+	return m
 }
 
 // DecodeReply parses VIOP bytes into a Reply.
@@ -209,15 +217,12 @@ func decodeReply(b []byte, names *codec.Names) (*Reply, error) {
 	if r.ErrMsg, err = d.String(); err != nil {
 		return nil, err
 	}
-	n, err := d.Uint32()
+	n, reserve, err := d.Count(codec.MinValueSize)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	r.Results = make([]codec.Value, 0, n)
-	for i := uint32(0); i < n; i++ {
+	r.Results = make([]codec.Value, 0, reserve)
+	for i := 0; i < n; i++ {
 		v, err := d.Value()
 		if err != nil {
 			return nil, err

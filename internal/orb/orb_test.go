@@ -193,7 +193,7 @@ func TestAdapterInvocation(t *testing.T) {
 		ClientID: "c", ReqID: 1, Object: "Echo", Operation: "echo",
 		Args: []codec.Value{codec.String("hi")},
 	})
-	res, err := a.HandleRequest(&cpu, req, 0, vtime.Ledger{})
+	res, err := a.HandleRequest(&cpu, req, transport.Room{}, 0, vtime.Ledger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestAdapterExceptionAndMissingServant(t *testing.T) {
 	var cpu vtime.Server
 
 	req := orb.EncodeRequest(&orb.Request{ClientID: "c", ReqID: 1, Object: "Echo", Operation: "fail"})
-	res, err := a.HandleRequest(&cpu, req, 0, vtime.Ledger{})
+	res, err := a.HandleRequest(&cpu, req, transport.Room{}, 0, vtime.Ledger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestAdapterExceptionAndMissingServant(t *testing.T) {
 	}
 
 	req = orb.EncodeRequest(&orb.Request{ClientID: "c", ReqID: 2, Object: "Ghost", Operation: "x"})
-	res, err = a.HandleRequest(&cpu, req, 0, vtime.Ledger{})
+	res, err = a.HandleRequest(&cpu, req, transport.Room{}, 0, vtime.Ledger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestAdapterExceptionAndMissingServant(t *testing.T) {
 
 	a.Unregister("Echo")
 	req = orb.EncodeRequest(&orb.Request{ClientID: "c", ReqID: 3, Object: "Echo", Operation: "echo"})
-	res, _ = a.HandleRequest(&cpu, req, 0, vtime.Ledger{})
+	res, _ = a.HandleRequest(&cpu, req, transport.Room{}, 0, vtime.Ledger{})
 	if res.Reply.Status != orb.StatusException {
 		t.Fatal("unregistered servant still served")
 	}
@@ -251,7 +251,7 @@ func TestAdapterCustomExecCost(t *testing.T) {
 	a.Register("Slow", &slowServant{cost: 5 * vtime.Millisecond})
 	var cpu vtime.Server
 	req := orb.EncodeRequest(&orb.Request{ClientID: "c", ReqID: 1, Object: "Slow", Operation: "work"})
-	res, err := a.HandleRequest(&cpu, req, 0, vtime.Ledger{})
+	res, err := a.HandleRequest(&cpu, req, transport.Room{}, 0, vtime.Ledger{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func (s *Server) serve(msg transport.Message) {
 		vt = s.cpu.Execute(vt, s.interceptCost)
 		led.Charge(vtime.ComponentReplicator, s.interceptCost)
 	}
-	res, err := s.adapter.HandleRequest(s.cpu, env.Bytes, vt, led)
+	res, err := s.adapter.HandleRequest(s.cpu, env.Bytes, envelopeRoom, vt, led)
 	if err != nil {
 		s.cDropped.Inc()
 		return // undecodable request: drop; the client retries
@@ -144,5 +144,5 @@ func (s *Server) serve(msg transport.Message) {
 		vt = s.cpu.Execute(vt, s.interceptCost)
 		led.Charge(vtime.ComponentReplicator, s.interceptCost)
 	}
-	_ = sendEnvelope(s.conn, msg.From, &Envelope{VT: vt, Ledger: led, Bytes: res.ReplyBytes})
+	_ = sendEnvelope(s.conn, msg.From, &Envelope{VT: vt, Ledger: led, Bytes: res.Encoded.Bytes()}, res.Encoded)
 }

@@ -10,6 +10,7 @@ import (
 	"versadep/internal/codec"
 	"versadep/internal/orb"
 	"versadep/internal/trace"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -25,8 +26,10 @@ type scriptWire struct {
 	delivered int
 }
 
-func (w *scriptWire) Send(reqBytes []byte, _ vtime.Time, _ vtime.Ledger) error {
-	_, rid, err := orb.PeekRequestID(reqBytes)
+func (w *scriptWire) Room() transport.Room { return transport.Room{} }
+
+func (w *scriptWire) Send(req transport.Buf, _ vtime.Time, _ vtime.Ledger) error {
+	_, rid, err := orb.PeekRequestID(req.Bytes())
 	if err != nil {
 		return err
 	}
@@ -125,11 +128,11 @@ type failFirst struct {
 	err error
 }
 
-func (f failFirst) Send(reqBytes []byte, vt vtime.Time, led vtime.Ledger) error {
-	if err := f.scriptWire.Send(reqBytes, vt, led); err != nil {
+func (f failFirst) Send(req transport.Buf, vt vtime.Time, led vtime.Ledger) error {
+	if err := f.scriptWire.Send(req, vt, led); err != nil {
 		return err
 	}
-	if _, rid, _ := orb.PeekRequestID(reqBytes); rid == 1 {
+	if _, rid, _ := orb.PeekRequestID(req.Bytes()); rid == 1 {
 		return f.err
 	}
 	return nil

@@ -26,10 +26,15 @@ import (
 // inbound message to an up-call on whatever is stacked above it, run by the
 // transport's receiving goroutine.
 type Wire interface {
-	// Send transmits encoded request bytes at virtual time sentAt with
-	// the costs accumulated so far. reqBytes is not copied and must not
-	// be written to afterwards; the caller may send the same bytes again.
-	Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error
+	// Room is the room a request needs around it for the wire and the
+	// layers under it to carry it without copying: the client encodes
+	// each request into a buffer with that much room.
+	Room() transport.Room
+	// Send transmits an encoded request at virtual time sentAt with the
+	// costs accumulated so far, wrapping it in place in its room. The
+	// wire takes ownership of req: a second send of the same request is a
+	// Clone (see transport.Buf).
+	Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error
 	// Bind installs the sink replies are delivered to. The layer above
 	// (the client ORB, or a wire stacked on this one) calls it once, at
 	// construction; replies arriving before that are dropped.
@@ -82,18 +87,25 @@ type Envelope struct {
 	Bytes  []byte
 }
 
-// envelopeSize is the exact length of env's encoding.
-func envelopeSize(env *Envelope) int {
-	return 8 + 4 + 8*len(env.Ledger.Slots()) + codec.SizeBytes(env.Bytes)
+// envelopeHeadSize is the length of env's encoding in front of its Bytes:
+// the timing fields and the Bytes length prefix.
+func envelopeHeadSize(env *Envelope) int {
+	return 8 + 4 + 8*len(env.Ledger.Slots()) + 4
 }
+
+// envelopeRoom is the room a VIOP message needs around it to travel in an
+// envelope, sealed in place.
+var envelopeRoom = transport.SealRoom.Around(envelopeHeadSize(&Envelope{}), 0)
 
 // EncodeEnvelope serializes an envelope.
 func EncodeEnvelope(env *Envelope) []byte {
-	return appendEnvelope(make([]byte, 0, envelopeSize(env)), env)
+	b := appendEnvelopeHead(make([]byte, 0, envelopeHeadSize(env)+len(env.Bytes)), env)
+	return append(b, env.Bytes...)
 }
 
-// appendEnvelope appends env's encoding to b (envelopeSize(env) bytes).
-func appendEnvelope(b []byte, env *Envelope) []byte {
+// appendEnvelopeHead appends the envelopeHeadSize(env) bytes of env's
+// encoding that precede its Bytes.
+func appendEnvelopeHead(b []byte, env *Envelope) []byte {
 	e := codec.AppendTo(b)
 	e.PutInt64(int64(env.VT))
 	slots := env.Ledger.Slots()
@@ -101,15 +113,16 @@ func appendEnvelope(b []byte, env *Envelope) []byte {
 	for _, d := range slots {
 		e.PutInt64(int64(d))
 	}
-	e.PutBytes(env.Bytes)
+	e.PutUint32(uint32(len(env.Bytes)))
 	return e.Bytes()
 }
 
-// sendEnvelope encodes env straight into a transport frame — one buffer,
-// sealed in place — and sends it.
-func sendEnvelope(conn transport.Conn, to string, env *Envelope) error {
-	buf := appendEnvelope(transport.NewFrame(envelopeSize(env)), env)
-	return conn.Send(to, conn.Seal(buf), env.VT)
+// sendEnvelope wraps env's header around m, the buffer holding env.Bytes,
+// in place, seals it and sends it.
+func sendEnvelope(conn transport.Conn, to string, env *Envelope, m transport.Buf) error {
+	head, _ := m.Wrap(envelopeHeadSize(env), 0)
+	appendEnvelopeHead(head[:0], env)
+	return conn.Send(to, conn.Seal(m), env.VT)
 }
 
 // DecodeEnvelope parses an envelope. Bytes is a sub-slice of b, not a copy.
@@ -121,20 +134,17 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 	}
 	var env Envelope
 	env.VT = vtime.Time(vt)
-	n, err := d.Uint32()
+	n, _, err := d.Count(8)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
 	slots := env.Ledger.Slots()
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		v, err := d.Int64()
 		if err != nil {
 			return nil, err
 		}
-		if int(i) < len(slots) {
+		if i < len(slots) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
@@ -166,9 +176,12 @@ func NewDirectWire(conn transport.Conn, server string, model vtime.CostModel) *D
 // Bind installs the reply sink.
 func (w *DirectWire) Bind(sink ReplySink) { w.up.Bind(sink) }
 
+// Room is what a request needs to travel in a sealed timing envelope.
+func (w *DirectWire) Room() transport.Room { return envelopeRoom }
+
 // Send transmits the request inside a timing envelope.
-func (w *DirectWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
-	return sendEnvelope(w.conn, w.server, &Envelope{VT: sentAt, Ledger: led, Bytes: reqBytes})
+func (w *DirectWire) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
+	return sendEnvelope(w.conn, w.server, &Envelope{VT: sentAt, Ledger: led, Bytes: req.Bytes()}, req)
 }
 
 // HandleTransport turns an inbound reply message into an up-call on the

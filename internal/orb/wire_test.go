@@ -13,8 +13,8 @@ import (
 // countConn is a transport.Conn that only counts data sends.
 type countConn struct{ sends atomic.Int64 }
 
-func (c *countConn) Addr() string           { return "client" }
-func (c *countConn) Seal(buf []byte) []byte { return buf }
+func (c *countConn) Addr() string                { return "client" }
+func (c *countConn) Seal(m transport.Buf) []byte { return m.Bytes() }
 func (c *countConn) Send(string, []byte, vtime.Time) error {
 	c.sends.Add(1)
 	return nil
@@ -41,7 +41,7 @@ func TestDirectWireSinkContract(t *testing.T) {
 		if string(wr.Bytes) != "reply" {
 			t.Errorf("sink got %q", wr.Bytes)
 		}
-		if err := w.Send(wr.Bytes, wr.VTime, wr.Ledger); err != nil {
+		if err := w.Send(transport.CopyBuf(w.Room(), wr.Bytes), wr.VTime, wr.Ledger); err != nil {
 			t.Errorf("Send from inside the sink: %v", err)
 		}
 	})

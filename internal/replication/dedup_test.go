@@ -313,7 +313,7 @@ func TestLateRequestExecutesOnceAndIsAnswered(t *testing.T) {
 	}
 	submit := func(rid uint64) {
 		t.Helper()
-		if err := gc.Submit(WrapRequest(requestBytes("c1", rid)), 0, vtime.Ledger{}); err != nil {
+		if err := gc.Submit(transport.CopyBuf(gc.Room(), WrapRequest(requestBytes("c1", rid))), 0, vtime.Ledger{}); err != nil {
 			t.Fatal(err)
 		}
 	}

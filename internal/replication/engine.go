@@ -11,6 +11,7 @@ import (
 	"versadep/internal/orb"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -941,7 +942,7 @@ func (e *Engine) replayLog(vt vtime.Time) vtime.Time {
 				// crossing a failover, and an empty Comp keeps the resend
 				// out of the request's cost breakdown.
 				e.spans.Annotate(span.RequestKey(cid, rid), "reply_resend", "", vt, vt, 0, "failover")
-				_ = e.member.SendDirect(cid, cached, vt, vtime.Ledger{})
+				_ = e.member.SendDirect(cid, e.resend(cached), vt, vtime.Ledger{})
 				e.cCacheHits.Inc()
 			}
 			continue
@@ -977,7 +978,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 				// Component-less: a resend carries no ledger charge, so
 				// it must not count into the request's breakdown.
 				e.spans.Annotate(span.RequestKey(cid, rid), "reply_resend", "", ev.VTime, vt, 0, "dedup")
-				_ = e.member.SendDirect(cid, cached, vt, ev.Ledger)
+				_ = e.member.SendDirect(cid, e.resend(cached), vt, ev.Ledger)
 				e.stats.RepliesResent++
 				e.cCacheHits.Inc()
 			} else if rid <= r.floor {
@@ -1024,7 +1025,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 // reply, and transmits it if this replica is the replying one.
 func (e *Engine) executeWithLedger(viop []byte, r *clientRecord, cid string, rid uint64, vt vtime.Time, led vtime.Ledger) vtime.Time {
 	in := vt
-	res, err := e.adapter.HandleRequest(&e.cpu, viop, vt, led)
+	res, err := e.adapter.HandleRequest(&e.cpu, viop, e.member.DirectRoom(), vt, led)
 	if err != nil {
 		return vt
 	}
@@ -1034,14 +1035,28 @@ func (e *Engine) executeWithLedger(viop []byte, r *clientRecord, cid string, rid
 	e.spans.Add(span.RequestKey(cid, rid), "replicator_reply", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 	e.hExec.Observe(int64(vt.Sub(in)) / int64(vtime.Microsecond))
 	r.mark(rid)
-	if r.store(rid, res.ReplyBytes) {
+	// The cache keeps a window onto the reply's frame; sending the reply
+	// again is resend's copy.
+	if r.store(rid, res.Encoded.Bytes()) {
 		e.cCacheEvicts.Inc()
 	}
 	e.stats.RequestsExecuted++
 	if e.repliesToClients() {
-		_ = e.member.SendDirect(cid, res.ReplyBytes, vt, outLed)
+		_ = e.member.SendDirect(cid, res.Encoded, vt, outLed)
 	}
 	return vt
+}
+
+// resend returns a cached reply in a fresh buffer: the room around the
+// cached bytes was spent when the reply was first sent.
+func (e *Engine) resend(cached []byte) transport.Buf {
+	return transport.CopyBuf(e.member.DirectRoom(), cached)
+}
+
+// sendDirect encodes m straight into a frame to the member or client at to
+// and sends it.
+func (e *Engine) sendDirect(to string, m *Msg, vt vtime.Time) {
+	_ = e.member.SendDirect(to, EncodeIn(e.member.DirectRoom(), m), vt, vtime.Ledger{})
 }
 
 // execute is executeWithLedger with a fresh ledger (replay path).
@@ -1105,7 +1120,10 @@ func (e *Engine) takeCheckpoint(vt vtime.Time, final bool, switchID uint64) {
 	led.Charge(vtime.ComponentReplicator, cost)
 	_ = e.member.Multicast(Encode(marker), gcs.Agreed, vt, led)
 
-	stateMsg := Encode(&Msg{Kind: KindState, State: state, CoveredSeq: e.lastExecSeq, CkptSerial: e.ckptSerial})
+	// Encoded once, into the first backup's frame; every later backup's
+	// frame is a copy of it, as the room around it is spent by then.
+	var stateMsg transport.Buf
+	encoded := false
 	for _, m := range e.view.Members {
 		if m == e.Addr() {
 			continue
@@ -1116,6 +1134,12 @@ func (e *Engine) takeCheckpoint(vt vtime.Time, final bool, switchID uint64) {
 			// bytes (it syncs through its cursor, or asks again).
 			continue
 		}
+		if encoded {
+			_ = e.member.SendDirect(m, stateMsg.Clone(), vt, vtime.Ledger{})
+			continue
+		}
+		stateMsg = EncodeIn(e.member.DirectRoom(), &Msg{Kind: KindState, State: state, CoveredSeq: e.lastExecSeq, CkptSerial: e.ckptSerial})
+		encoded = true
 		_ = e.member.SendDirect(m, stateMsg, vt, vtime.Ledger{})
 	}
 	if e.spans.On() {

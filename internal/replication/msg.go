@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"versadep/internal/codec"
+	"versadep/internal/transport"
 )
 
 // MsgKind discriminates the messages the replication layer exchanges over
@@ -127,16 +128,24 @@ func hasChunkCursor(k MsgKind) bool {
 }
 
 // Encode serializes m into one buffer of exactly the encoded size.
-func Encode(m *Msg) []byte {
-	// Metrics in sorted order for deterministic bytes.
-	keys := make([]string, 0, len(m.Metrics))
-	for k := range m.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+func Encode(m *Msg) []byte { return EncodeIn(transport.Room{}, m).Bytes() }
 
-	size := 1 + codec.SizeBytes(m.Viop) + codec.SizeBytes(m.State) + 4 +
-		1 + 8 + 8 + 8 + 1 + 4 + 4 + codec.SizeString(m.Target)
+// EncodeIn serializes m into one buffer with room around it for the layers
+// that carry it to wrap it in place (see gcs.Member.DirectRoom).
+func EncodeIn(room transport.Room, m *Msg) transport.Buf {
+	keys := metricKeys(m)
+	b := transport.NewBuf(room, msgHead+len(m.Viop)+msgTailSize(m, keys))
+	appendMsgTail(append(appendMsgHead(b.Bytes()[:0], m), m.Viop...), m, keys)
+	return b
+}
+
+// msgHead is the length of an envelope's encoding in front of its Viop
+// bytes: the kind and their length prefix.
+const msgHead = 1 + 4
+
+// msgTailSize is the length of m's encoding behind its Viop bytes.
+func msgTailSize(m *Msg, keys []string) int {
+	size := codec.SizeBytes(m.State) + 4 + 1 + 8 + 8 + 8 + 1 + 4 + 4 + codec.SizeString(m.Target)
 	for _, c := range m.Cache {
 		size += codec.SizeString(c.Client) + 8 + codec.SizeBytes(c.Reply)
 	}
@@ -146,9 +155,33 @@ func Encode(m *Msg) []byte {
 	if hasChunkCursor(m.Kind) {
 		size += 8
 	}
-	e := codec.NewEncoder(size)
+	return size
+}
+
+// metricKeys returns m's metric names in sorted order, for deterministic
+// bytes.
+func metricKeys(m *Msg) []string {
+	keys := make([]string, 0, len(m.Metrics))
+	for k := range m.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// appendMsgHead appends the msgHead bytes of m's encoding that precede its
+// Viop bytes.
+func appendMsgHead(b []byte, m *Msg) []byte {
+	e := codec.AppendTo(b)
 	e.PutUint8(uint8(m.Kind))
-	e.PutBytes(m.Viop)
+	e.PutUint32(uint32(len(m.Viop)))
+	return e.Bytes()
+}
+
+// appendMsgTail appends the msgTailSize bytes of m's encoding that follow
+// its Viop bytes; keys are m's metric names, sorted.
+func appendMsgTail(b []byte, m *Msg, keys []string) []byte {
+	e := codec.AppendTo(b)
 	e.PutBytes(m.State)
 	e.PutUint32(uint32(len(m.Cache)))
 	for _, c := range m.Cache {
@@ -202,15 +235,12 @@ func decode(b []byte, names *codec.Names) (*Msg, error) {
 	if m.State, err = d.Bytes(); err != nil {
 		return nil, err
 	}
-	n, err := d.Uint32()
+	n, reserve, err := d.Count(4 + 8 + 4)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
-	m.Cache = make([]CacheEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
+	m.Cache = make([]CacheEntry, 0, reserve)
+	for i := 0; i < n; i++ {
 		var c CacheEntry
 		if c.Client, err = d.Name(names); err != nil {
 			return nil, err
@@ -243,15 +273,12 @@ func decode(b []byte, names *codec.Names) (*Msg, error) {
 	if m.CheckpointEvery, err = d.Uint32(); err != nil {
 		return nil, err
 	}
-	if n, err = d.Uint32(); err != nil {
+	if n, reserve, err = d.Count(4 + 8); err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
-	}
 	if n > 0 {
-		m.Metrics = make(map[string]float64, n)
-		for i := uint32(0); i < n; i++ {
+		m.Metrics = make(map[string]float64, reserve)
+		for i := 0; i < n; i++ {
 			k, err := d.Name(names)
 			if err != nil {
 				return nil, err
@@ -281,6 +308,25 @@ func decode(b []byte, names *codec.Names) (*Msg, error) {
 // request.
 func WrapRequest(viop []byte) []byte {
 	return Encode(&Msg{Kind: KindRequest, Viop: viop})
+}
+
+// requestTail is the length of a request envelope's encoding behind its
+// VIOP bytes.
+var requestTail = msgTailSize(&Msg{Kind: KindRequest}, nil)
+
+// RequestRoom is the room a VIOP request needs around it to be wrapped in
+// its envelope in place (WrapRequestIn) and then carried by a layer that
+// needs room r.
+func RequestRoom(r transport.Room) transport.Room { return r.Around(msgHead, requestTail) }
+
+// WrapRequestIn is WrapRequest done in place: the envelope's header and
+// trailer are written into the room around viop's bytes.
+func WrapRequestIn(viop transport.Buf) transport.Buf {
+	m := Msg{Kind: KindRequest, Viop: viop.Bytes()}
+	head, tail := viop.Wrap(msgHead, requestTail)
+	appendMsgHead(head[:0], &m)
+	appendMsgTail(tail[:0], &m, nil)
+	return viop
 }
 
 // PeekRequestViop extracts the wrapped VIOP bytes from an encoded request

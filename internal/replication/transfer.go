@@ -257,7 +257,7 @@ func (e *Engine) sendChunk(x *outXfer, bm *bookmark, i int, vt vtime.Time) {
 	if i == len(bm.chunks)-1 {
 		msg.Cache = bm.cache
 	}
-	_ = e.member.SendDirect(x.peer, Encode(msg), vt, vtime.Ledger{})
+	e.sendDirect(x.peer, msg, vt)
 	x.lastSend = time.Now()
 	e.cXferChunksSent.Inc()
 	e.cXferBytesSent.Add(int64(len(bm.chunks[i])))
@@ -322,7 +322,7 @@ func (e *Engine) handleResumeReq(ev gcs.Event, msg *Msg) {
 		// far our own retained state reaches so the most advanced member
 		// can promote itself (handleResumeNak).
 		nak := &Msg{Kind: KindResumeNak, CoveredSeq: e.lastExecSeq}
-		_ = e.member.SendDirect(peer, Encode(nak), ev.VTime, vtime.Ledger{})
+		e.sendDirect(peer, nak, ev.VTime)
 		return
 	}
 	if x := e.xfers[peer]; x != nil {
@@ -481,7 +481,7 @@ func (e *Engine) transferTick() {
 		if e.xferNagMiss < transferNagPatience {
 			e.xferNagMiss++
 			req := &Msg{Kind: KindResumeReq, CkptSerial: e.rx.serial, ChunkIndex: uint32(e.rx.have)}
-			_ = e.member.SendDirect(e.rx.from, Encode(req), e.lastVT, vtime.Ledger{})
+			e.sendDirect(e.rx.from, req, e.lastVT)
 			return
 		}
 		e.resetInXfer("sender unresponsive")
@@ -508,7 +508,7 @@ func (e *Engine) transferTick() {
 	}
 	target := targets[e.xferNag%len(targets)]
 	e.xferNag++
-	_ = e.member.SendDirect(target, Encode(&Msg{Kind: KindResumeReq}), e.lastVT, vtime.Ledger{})
+	e.sendDirect(target, &Msg{Kind: KindResumeReq}, e.lastVT)
 }
 
 // ---- joiner side ----
@@ -521,7 +521,7 @@ func (e *Engine) handleStateChunk(ev gcs.Event, msg *Msg) {
 		// duplicate of the final chunk after our last ack was lost): claim
 		// completion so the leader closes its cursor and stops sending.
 		ack := &Msg{Kind: KindChunkAck, CkptSerial: msg.CkptSerial, ChunkIndex: msg.ChunkCount}
-		_ = e.member.SendDirect(ev.Sender, Encode(ack), ev.VTime, vtime.Ledger{})
+		e.sendDirect(ev.Sender, ack, ev.VTime)
 		return
 	}
 	total := int(msg.ChunkCount)
@@ -561,7 +561,7 @@ func (e *Engine) handleStateChunk(ev gcs.Event, msg *Msg) {
 		rx.have++
 	}
 	ack := &Msg{Kind: KindChunkAck, CkptSerial: rx.serial, ChunkIndex: uint32(rx.have)}
-	_ = e.member.SendDirect(ev.Sender, Encode(ack), ev.VTime, vtime.Ledger{})
+	e.sendDirect(ev.Sender, ack, ev.VTime)
 	e.notify(Notice{Kind: NoticeTransfer, VT: ev.VTime, Style: e.style,
 		Peer: rx.from, Serial: rx.serial, Chunk: rx.have, Chunks: rx.total})
 	if rx.have == rx.total {

@@ -123,14 +123,25 @@ func (o *observerLog) find(k replication.NoticeKind) []replication.Notice {
 
 func startCluster(t *testing.T, net *simnet.Network, n int, style replication.Style, ckptEvery int, obs func(replication.Notice)) *cluster {
 	t.Helper()
+	return startClusterVia(t, net, n, style, ckptEvery, obs, nil)
+}
+
+// startClusterVia is startCluster with each replica's endpoint passed
+// through wrap (when not nil) before the replica starts on it.
+func startClusterVia(t *testing.T, net *simnet.Network, n int, style replication.Style, ckptEvery int, obs func(replication.Notice), wrap func(transport.MultiEndpoint) transport.MultiEndpoint) *cluster {
+	t.Helper()
 	c := &cluster{net: net}
 	model := net.CostModel()
 	var seeds []string
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("r%c", 'a'+i)
-		ep, err := net.Endpoint(addr)
+		sep, err := net.Endpoint(addr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var ep transport.MultiEndpoint = sep
+		if wrap != nil {
+			ep = wrap(ep)
 		}
 		app := newCounterApp()
 		node := replicator.StartReplica(ep, replicator.ReplicaConfig{

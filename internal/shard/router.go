@@ -6,6 +6,7 @@ import (
 
 	"versadep/internal/orb"
 	"versadep/internal/trace"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -23,7 +24,7 @@ type WireFactory func(g Group) (orb.Wire, error)
 const inflightWindow = 1024
 
 type inflightReq struct {
-	bytes  []byte
+	req    transport.Buf
 	sentAt vtime.Time
 	led    vtime.Ledger
 	// epoch is the map epoch the request was last routed under; a stale
@@ -133,8 +134,23 @@ func (r *Router) wireFor(m *Map, object string) (orb.Wire, error) {
 	return existing, nil
 }
 
+// Room implements orb.Wire: the largest room of the shard wires dialed so
+// far, which differ at most by a group's frame trailer. A request sent
+// before the first dial is copied into the room its wire needs.
+func (r *Router) Room() transport.Room {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var room transport.Room
+	for _, w := range r.wires {
+		wr := w.Room()
+		room = transport.Room{Head: max(room.Head, wr.Head), Tail: max(room.Tail, wr.Tail)}
+	}
+	return room
+}
+
 // Send implements orb.Wire: route by object reference and forward.
-func (r *Router) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
+func (r *Router) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
+	reqBytes := req.Bytes()
 	_, rid, err := orb.PeekRequestID(reqBytes)
 	if err != nil {
 		return err
@@ -149,7 +165,7 @@ func (r *Router) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) erro
 		return orb.ErrClosed
 	}
 	m := r.m
-	r.inflight[rid] = &inflightReq{bytes: reqBytes, sentAt: sentAt, led: led, epoch: m.Epoch}
+	r.inflight[rid] = &inflightReq{req: req, sentAt: sentAt, led: led, epoch: m.Epoch}
 	if len(r.inflight) > inflightWindow {
 		// Drop the oldest entries; their re-route safety net is gone but
 		// the client ORB's retransmit re-registers them on retry.
@@ -168,7 +184,7 @@ func (r *Router) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) erro
 		return err
 	}
 	r.cRouted.Inc()
-	return w.Send(reqBytes, sentAt, led)
+	return w.Send(req, sentAt, led)
 }
 
 // Bind implements orb.Wire.
@@ -232,7 +248,7 @@ func (r *Router) reroute(req *inflightReq, guardEpoch uint64) {
 	if cur.Epoch <= last {
 		return
 	}
-	object, err := orb.PeekRequestObject(req.bytes)
+	object, err := orb.PeekRequestObject(req.req.Bytes())
 	if err != nil {
 		return
 	}
@@ -244,7 +260,9 @@ func (r *Router) reroute(req *inflightReq, guardEpoch uint64) {
 		return
 	}
 	r.cReroutes.Inc()
-	_ = w.Send(req.bytes, req.sentAt, req.led) // lost sends are the ORB retransmit's to repair
+	// A second send of the request: the first spent its room. Lost sends
+	// are the ORB retransmit's to repair.
+	_ = w.Send(req.req.Clone(), req.sentAt, req.led)
 }
 
 // Close implements orb.Wire, closing every shard wire.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"versadep/internal/orb"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -20,9 +21,10 @@ type shardWire struct {
 	gotReq chan struct{} // one token per Send
 }
 
-func (w *shardWire) Send(req []byte, _ vtime.Time, _ vtime.Ledger) error {
+func (w *shardWire) Room() transport.Room { return transport.Room{} }
+func (w *shardWire) Send(req transport.Buf, _ vtime.Time, _ vtime.Ledger) error {
 	w.mu.Lock()
-	w.sent = append(w.sent, req)
+	w.sent = append(w.sent, req.Bytes())
 	w.mu.Unlock()
 	w.gotReq <- struct{}{}
 	return nil
@@ -70,8 +72,8 @@ func (rig *routerRig) wire(id int) *shardWire {
 	return rig.wires[id]
 }
 
-func request(rid uint64, object string) []byte {
-	return orb.EncodeRequest(&orb.Request{ClientID: "c", ReqID: rid, Object: object, Operation: "inc"})
+func request(rid uint64, object string) transport.Buf {
+	return transport.CopyBuf(transport.Room{}, orb.EncodeRequest(&orb.Request{ClientID: "c", ReqID: rid, Object: object, Operation: "inc"}))
 }
 
 func reply(rid uint64, status orb.Status, msg string) orb.WireReply {
@@ -205,7 +207,7 @@ func TestRouterReroutesStaleNAKOffTheReceivingGoroutine(t *testing.T) {
 	case <-deadline:
 		t.Fatal("request 1 was not re-sent to its new owner")
 	}
-	if string(w1.sent[0]) != string(request(1, moved)) {
+	if string(w1.sent[0]) != string(request(1, moved).Bytes()) {
 		t.Fatal("re-routed bytes differ from the original request")
 	}
 	if len(rig.up) != 1 {

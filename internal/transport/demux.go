@@ -30,19 +30,11 @@ const (
 // message for the demux's protocol byte.
 const Headroom = 1
 
-// NewFrame returns an empty outbound buffer for a message of exactly n
-// encoded bytes: Headroom reserved in front, and tail capacity for the
-// checksum trailer, so the outermost encoder appends the message once and
-// Conn.Seal finishes the frame in place without another allocation.
-func NewFrame(n int) []byte {
-	return make([]byte, Headroom, Headroom+n+codec.SealOverhead)
-}
-
 // Conn is the sending surface a protocol layer sees after demultiplexing.
-// A message goes out in two steps: Seal turns the buffer the outermost
-// encoder filled (see NewFrame) into a wire frame, and the send calls
-// transmit sealed frames. The split lets a layer that retransmits keep the
-// sealed frame and send the same bytes again.
+// A message goes out in two steps: Seal turns the buffer the layers above
+// filled (see Buf) into a wire frame, and the send calls transmit sealed
+// frames. The split lets a layer that retransmits keep the sealed frame and
+// send the same bytes again.
 //
 // A sealed frame is immutable: the fabric hands the slice itself to every
 // receiver, so it must not be written to — or sealed again — by anyone,
@@ -51,10 +43,9 @@ func NewFrame(n int) []byte {
 // entirely.
 type Conn interface {
 	Addr() string
-	// Seal writes the protocol byte into buf's headroom and appends the
-	// checksum trailer into its tail capacity, in place (it allocates
-	// only if buf was not built by NewFrame with the right size).
-	Seal(buf []byte) []byte
+	// Seal writes the protocol byte and the checksum trailer into the
+	// room around m (SealRoom), in place, and returns the sealed frame.
+	Seal(m Buf) []byte
 	Send(to string, sealed []byte, sentAt vtime.Time) error
 	SendMulticast(tos []string, sealed []byte, sentAt vtime.Time) error
 	SendControl(to string, sealed []byte, sentAt vtime.Time) error
@@ -181,9 +172,12 @@ var _ Conn = protoConn{}
 
 func (c protoConn) Addr() string { return c.d.ep.Addr() }
 
-func (c protoConn) Seal(buf []byte) []byte {
-	buf[0] = c.proto
-	return codec.AppendChecksum(buf)
+func (c protoConn) Seal(m Buf) []byte {
+	head, _ := m.Wrap(Headroom, codec.SealOverhead)
+	head[0] = c.proto
+	frame := m.Bytes()
+	// The checksum's window is inside the clipped capacity: appended in place.
+	return codec.AppendChecksum(frame[:len(frame)-codec.SealOverhead])
 }
 
 func (c protoConn) Send(to string, sealed []byte, sentAt vtime.Time) error {

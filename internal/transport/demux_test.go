@@ -96,33 +96,34 @@ func TestDemuxRoutesByProtocol(t *testing.T) {
 }
 
 // seal builds the wire frame for msg the way an outermost encoder does:
-// appended behind the reserved headroom, sealed in place.
+// encoded inside the room Seal fills, sealed in place.
 func seal(c transport.Conn, msg []byte) []byte {
-	return c.Seal(append(transport.NewFrame(len(msg)), msg...))
+	return c.Seal(transport.CopyBuf(transport.SealRoom, msg))
 }
 
 func sendOn(c transport.Conn, to string, msg []byte) error {
 	return c.Send(to, seal(c, msg), 0)
 }
 
-// TestSealInPlace: a buffer built by NewFrame already has the protocol
-// byte's slot in front and the checksum's room behind, so sealing it
-// allocates nothing and moves nothing.
+// TestSealInPlace: a buffer built inside SealRoom already has the
+// protocol byte's slot in front and the checksum's room behind, so sealing
+// it allocates nothing and moves nothing.
 func TestSealInPlace(t *testing.T) {
 	n := simnet.New()
 	defer n.Close()
 	ep, _ := n.Endpoint("a")
 	conn := transport.NewDemux(ep).Conn(transport.ProtoVIOP)
 	for _, size := range []int{200, 64 << 10} {
-		buf := append(transport.NewFrame(size), make([]byte, size)...)
-		if spare := cap(buf) - len(buf); spare != codec.SealOverhead {
-			t.Fatalf("NewFrame(%d) leaves %d bytes of tail room, want %d", size, spare, codec.SealOverhead)
+		m := transport.NewBuf(transport.SealRoom, size)
+		if room := m.Room(); room != transport.SealRoom {
+			t.Fatalf("NewBuf(SealRoom, %d) leaves room %+v, want %+v", size, room, transport.SealRoom)
 		}
+		buf := m.Bytes()
 		var sealed []byte
-		if allocs := testing.AllocsPerRun(20, func() { sealed = conn.Seal(buf) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { sealed = conn.Seal(m) }); allocs != 0 {
 			t.Errorf("sealing a %d B message: %v allocations, want 0", size, allocs)
 		}
-		if &sealed[0] != &buf[0] {
+		if &sealed[transport.Headroom] != &buf[0] {
 			t.Errorf("sealing a %d B message moved it", size)
 		}
 		body, err := codec.VerifyChecksum(sealed)

@@ -3,27 +3,110 @@ package tcptransport
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"math/rand"
+	"net"
 	"testing"
 
 	"versadep/internal/alloctest"
-	"versadep/internal/codec"
 	"versadep/internal/vtime"
 )
 
-// TestFramingOneBuffer: the length prefix and the checksummed body share
-// one allocation, and the stream bytes are what they always were — the
-// prefix followed by codec.EncodeFrame's body.
-func TestFramingOneBuffer(t *testing.T) {
-	alloctest.OneBuffer(t, "encodeFrame", 0, func(p []byte) []byte {
-		return encodeFrame("ra", "127.0.0.1:7301", p, vtime.Time(99))
-	})
+// streamOf is what the frames put on the stream: each one's vector entries,
+// back to back.
+func streamOf(frames ...outFrame) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = append(append(b, f.head...), f.payload...)
+	}
+	return b
+}
 
-	payload := []byte("sealed-gcs-frame")
-	body := codec.EncodeFrame(codec.Frame{From: "ra", FromAddr: "127.0.0.1:7301", Payload: payload, SentAt: 99})
-	want := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	want = append(want, body...)
-	if got := encodeFrame("ra", "127.0.0.1:7301", payload, vtime.Time(99)); !bytes.Equal(got, want) {
-		t.Fatalf("stream bytes changed:\n got %x\nwant %x", got, want)
+// oneBufferFrame is the framing the vector replaced, kept as the reference
+// the stream must match: the length prefix and the whole checksummed body
+// (u32 crc | i64 sentAt | u16 fromLen | from | u16 addrLen | addr |
+// payload, the CRC32-C covering everything after it) in one buffer.
+func oneBufferFrame(from, fromAddr string, payload []byte, sentAt int64) []byte {
+	body := make([]byte, 4, 4+8+2+len(from)+2+len(fromAddr)+len(payload))
+	body = binary.BigEndian.AppendUint64(body, uint64(sentAt))
+	body = binary.BigEndian.AppendUint16(body, uint16(len(from)))
+	body = append(body, from...)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(fromAddr)))
+	body = append(body, fromAddr...)
+	body = append(body, payload...)
+	binary.BigEndian.PutUint32(body, crc32.Checksum(body[4:], crc32.MakeTable(crc32.Castagnoli)))
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestFramingOneBuffer: framing a payload allocates one buffer, the header
+// in front of it, and hands the payload itself on as the second piece of
+// the vector — never a copy of it.
+func TestFramingOneBuffer(t *testing.T) {
+	for _, size := range []int{200, 64 << 10} {
+		payload := make([]byte, size)
+		var f outFrame
+		if allocs := testing.AllocsPerRun(20, func() {
+			f = encodeFrame("ra", "127.0.0.1:7301", payload, vtime.Time(99))
+		}); allocs != 1 {
+			t.Errorf("framing a %d B payload: %v allocations, want 1", size, allocs)
+		}
+		if want := 4 + 4 + 8 + 2 + len("ra") + 2 + len("127.0.0.1:7301"); len(f.head) != want || cap(f.head) != want {
+			t.Errorf("framing a %d B payload: header of %d bytes (cap %d), want %d", size, len(f.head), cap(f.head), want)
+		}
+		if len(f.payload) != size || &f.payload[0] != &payload[0] {
+			t.Errorf("framing a %d B payload: the payload was copied", size)
+		}
+	}
+}
+
+// TestStreamBytesUnchanged: for random frames the vector puts on the stream
+// exactly the bytes of the one-buffer framing it replaced.
+func TestStreamBytesUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	str := func(max int) string {
+		b := make([]byte, rng.Intn(max+1))
+		rng.Read(b)
+		return string(b)
+	}
+	for i := 0; i < 200; i++ {
+		from, addr := str(24), str(40)
+		payload := []byte(str(1 << rng.Intn(14)))
+		sentAt := rng.Int63() - rng.Int63()
+		got := streamOf(encodeFrame(from, addr, payload, vtime.Time(sentAt)))
+		if want := oneBufferFrame(from, addr, payload, sentAt); !bytes.Equal(got, want) {
+			t.Fatalf("frame %d (%d B payload): stream bytes changed:\n got %x\nwant %x", i, len(payload), got, want)
+		}
+	}
+}
+
+// TestSendCopiesNoPayload: Send queues the sealed payload itself; the only
+// bytes it allocates are the frame's header, whatever the payload's size.
+func TestSendCopiesNoPayload(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	e, err := Listen("a", "127.0.0.1:0", map[string]string{"b": ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	const size = 64 << 10
+	payload := make([]byte, size)
+	perSend := alloctest.BytesPerRun(50, func() { _ = e.Send("b", payload, 0) })
+	if perSend > size/8 {
+		t.Errorf("sending a %d B payload allocates %.0f B: the payload is copied", size, perSend)
 	}
 }
 
@@ -31,7 +114,7 @@ func TestFramingOneBuffer(t *testing.T) {
 // what travels upward; the payload is not copied out of it.
 func TestReadFrameHandsItsBufferUp(t *testing.T) {
 	const size = 64 << 10
-	stream := encodeFrame("ra", "127.0.0.1:7301", make([]byte, size), 0)
+	stream := streamOf(encodeFrame("ra", "127.0.0.1:7301", make([]byte, size), 0))
 	r := bytes.NewReader(stream)
 	perRead := alloctest.BytesPerRun(20, func() {
 		r.Reset(stream)

@@ -92,7 +92,7 @@ func TestCorruptFrameInsideABatch(t *testing.T) {
 	}
 	defer conn.Close()
 
-	frame := func(i int) []byte { return encodeFrame("raw", "", burstPayload(i), 0) }
+	frame := func(i int) []byte { return streamOf(encodeFrame("raw", "", burstPayload(i), 0)) }
 	damaged := frame(1)
 	damaged[len(damaged)-1] ^= 0x40
 	stream := append(frame(0), damaged...)
@@ -141,11 +141,11 @@ func (c *dyingConn) Close() error { return nil }
 // not take whole — the cut frame from its first byte — one more try; with
 // nobody listening any more it drops those frames, and counts each.
 func TestPeerRestartMidBatch(t *testing.T) {
-	batch := make([][]byte, 5)
+	batch := make([]outFrame, 5)
 	for i := range batch {
 		batch[i] = encodeFrame("b", "", burstPayload(i), 0)
 	}
-	cut := len(batch[0]) + len(batch[1]) + len(batch[2])/2
+	cut := len(streamOf(batch[:2]...)) + len(streamOf(batch[2]))/2
 
 	e, err := Listen("b", "127.0.0.1:0", map[string]string{},
 		WithRetry(RetryConfig{DialAttempts: 1, AttemptTimeout: time.Second}))
@@ -177,8 +177,8 @@ func TestPeerRestartMidBatch(t *testing.T) {
 			t.Fatalf("%d frames given up on with the peer back up", unsent)
 		}
 		_ = p.conn.Close()
-		if all := <-got; !bytes.Equal(all, bytes.Join(batch[2:], nil)) {
-			t.Fatalf("restarted peer read %d bytes, want frames 2–4 whole (%d bytes)", len(all), len(bytes.Join(batch[2:], nil)))
+		if all := <-got; !bytes.Equal(all, streamOf(batch[2:]...)) {
+			t.Fatalf("restarted peer read %d bytes, want frames 2–4 whole (%d bytes)", len(all), len(streamOf(batch[2:]...)))
 		}
 	})
 

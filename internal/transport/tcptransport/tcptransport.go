@@ -15,7 +15,8 @@
 // (the GCS retransmits). Frames that wait in a queue together leave in one
 // vectored write, and each connection is read through one buffer, so a burst
 // costs a system call each way, not three per frame; the bytes on the stream
-// are the same either way.
+// are the same either way. A frame is two pieces of that vector: a header
+// made for it, and the sealed payload itself, which is never copied.
 //
 // In live mode the virtual-time machinery is inert: messages carry their
 // virtual send instant through unchanged (ArriveAt = SentAt, a zero-cost
@@ -369,14 +370,14 @@ func (e *Endpoint) read(conn net.Conn) {
 type peerSender struct {
 	ep       *Endpoint
 	hostport string
-	ch       chan []byte
+	ch       chan outFrame
 	done     <-chan struct{}
 
 	// Owned by run: the connection, the frames of the write in progress,
 	// and the vector handed to the kernel — net.Buffers consumes the slice
 	// it is given, so iov is a fresh window onto iovBuf for every write.
 	conn   net.Conn
-	batch  [][]byte
+	batch  []outFrame
 	iovBuf [][]byte
 	iov    net.Buffers
 }
@@ -385,7 +386,7 @@ func newPeerSender(e *Endpoint, hostport string) *peerSender {
 	return &peerSender{
 		ep:       e,
 		hostport: hostport,
-		ch:       make(chan []byte, sendQueueDepth),
+		ch:       make(chan outFrame, sendQueueDepth),
 		done:     e.done,
 	}
 }
@@ -455,7 +456,7 @@ func (p *peerSender) run() {
 // of them. When the peer vanishes mid-stream (restart, crash), send redials
 // under the same budget and gives the frames the dead connection did not
 // take one more try before reverting to datagram drop semantics.
-func (p *peerSender) send(frames [][]byte) int {
+func (p *peerSender) send(frames []outFrame) int {
 	if p.conn == nil {
 		if p.conn = p.dial(); p.conn == nil {
 			return len(frames)
@@ -480,8 +481,11 @@ func (p *peerSender) send(frames [][]byte) int {
 // write hands frames to the connection in one vectored write and returns
 // how many it took whole; fewer than len(frames) means the write failed,
 // and the first frame not counted may have left in part.
-func (p *peerSender) write(frames [][]byte) int {
-	p.iovBuf = append(p.iovBuf[:0], frames...)
+func (p *peerSender) write(frames []outFrame) int {
+	p.iovBuf = p.iovBuf[:0]
+	for _, f := range frames {
+		p.iovBuf = append(p.iovBuf, f.head, f.payload)
+	}
 	p.iov = p.iovBuf
 	n, err := p.iov.WriteTo(p.conn)
 	clear(p.iovBuf)
@@ -490,7 +494,7 @@ func (p *peerSender) write(frames [][]byte) int {
 	}
 	whole := 0
 	for _, f := range frames {
-		if n -= int64(len(f)); n < 0 {
+		if n -= int64(len(f.head) + len(f.payload)); n < 0 {
 			break
 		}
 		whole++
@@ -505,13 +509,20 @@ func (p *peerSender) write(frames [][]byte) int {
 // may be desynced) and closes the connection; anything inside a valid
 // length is verified by codec.DecodeFrame and at worst drops one frame.
 
-func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) []byte {
+// outFrame is one frame on its way out: head is the length prefix and the
+// codec frame body up to the payload, made for this frame; payload is the
+// sealed frame the upper layers handed to Send — immutable and shared with
+// whoever else holds it, so it is written from where it lies.
+type outFrame struct {
+	head, payload []byte
+}
+
+func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) outFrame {
 	f := codec.Frame{From: from, FromAddr: fromAddr, Payload: payload, SentAt: int64(sentAt)}
-	size := codec.FrameSize(f)
-	buf := make([]byte, 4+size)
-	binary.BigEndian.PutUint32(buf, uint32(size))
-	codec.PutFrame(buf[4:], f)
-	return buf
+	head := make([]byte, 4+codec.FrameHeaderSize(f))
+	binary.BigEndian.PutUint32(head, uint32(codec.FrameSize(f)))
+	codec.PutFrameHeader(head[4:], f)
+	return outFrame{head: head, payload: payload}
 }
 
 // errCorruptFrame reports a frame that was correctly length-delimited but

@@ -42,8 +42,10 @@ type Endpoint interface {
 	// Send enqueues payload for delivery to the given address. sentAt is
 	// the sender's current virtual time. Send never blocks on the
 	// receiver; delivery is asynchronous. Sending to an unknown address
-	// silently drops (datagram semantics). The payload is not copied on
-	// an in-memory fabric: see Message.Payload for the immutability rule.
+	// silently drops (datagram semantics). The payload is not copied — an
+	// in-memory fabric hands the slice on, TCP writes it from where it lies
+	// behind a header of its own: see Message.Payload for the immutability
+	// rule.
 	Send(to string, payload []byte, sentAt vtime.Time) error
 	// Recv returns the channel on which inbound messages are delivered.
 	// The channel is closed when the endpoint closes or crashes.
