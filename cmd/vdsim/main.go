@@ -24,11 +24,11 @@ import (
 	"versadep/internal/cliflag"
 	"versadep/internal/experiment"
 	"versadep/internal/introspect"
-	"versadep/internal/monitor"
 	"versadep/internal/obsplane"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/trace"
+	"versadep/internal/trace/hist"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
 )
@@ -59,7 +59,6 @@ func main() {
 		intro     = flag.String("introspect", "", "host:port for a live introspection endpoint over the running simulation (/metrics, /trace, and /slo when -slo is set)")
 		sloSpec   = flag.String("slo", "", "grade the run against an SLO spec, e.g. \"p99<10ms,avail>0.999:25ms\" (windows are virtual time)")
 		timelines = flag.Int("timelines", 0, "print the first N stitched cross-node request timelines")
-		reservoir = flag.Int("reservoir", 0, "latency reservoir capacity: raw samples kept for exact percentiles before uniform subsampling kicks in (0 = default 2048; larger = exacter tails on long runs, more memory)")
 		shards    = flag.Int("shards", 1, "shard the object space over N independent replica groups (active replication, -replicas each) and drive an open-loop sharded client across them; >1 switches to sharded mode and ignores the mid-run event flags")
 	)
 	flag.Parse()
@@ -72,7 +71,7 @@ func main() {
 		adapt: *adapt, cooldown: *cooldown,
 		stateBytes: *stateB, transferChunk: *xferChunk, transferRetry: *xferRetry,
 		detector: *detector, chaos: *chaosArg, chaosFor: *chaosFor,
-		introspect: *intro, slo: *sloSpec, timelines: *timelines, reservoir: *reservoir,
+		introspect: *intro, slo: *sloSpec, timelines: *timelines,
 		shards: *shards,
 	}
 	if err := run(cfg); err != nil {
@@ -102,7 +101,6 @@ type runConfig struct {
 	introspect        string
 	slo               string
 	timelines         int
-	reservoir         int
 	shards            int
 }
 
@@ -229,9 +227,9 @@ func run(cfg runConfig) error {
 		})
 	}
 
-	lat := monitor.NewLatencyMonitor(cfg.reservoir)
+	var lat hist.Histogram
 	err = scn.RunClosedLoop(func(i int, vt vtime.Time, rtt vtime.Duration) {
-		lat.Record(rtt)
+		lat.Observe(int64(rtt))
 		if sloStore != nil {
 			sloStore.Observe(obsplane.SeriesLatencyMicros, int64(vt), rtt.Microseconds())
 			sloStore.Observe(obsplane.SeriesGood, int64(vt), 1)
@@ -272,10 +270,11 @@ func run(cfg runConfig) error {
 	}
 	time.Sleep(100 * time.Millisecond)
 
-	st := lat.Stats()
+	st := lat.Snapshot()
 	fmt.Printf("\nresults over %d requests:\n", st.Count)
 	fmt.Printf("  latency  mean %.1fµs  jitter %.1fµs  p99 %.1fµs\n",
-		st.Mean.Seconds()*1e6, st.Jitter.Seconds()*1e6, st.P99.Seconds()*1e6)
+		vtime.Duration(st.Mean()).Seconds()*1e6, vtime.Duration(st.StdDev()).Seconds()*1e6,
+		vtime.Duration(st.Quantile(0.99)).Seconds()*1e6)
 	fmt.Printf("  bandwidth %.3f MB/s\n", scn.BandwidthMBs())
 	fmt.Printf("  final style %s, faults tolerated %d\n", scn.Style(), len(scn.Members())-1)
 

@@ -13,6 +13,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
+	"versadep/internal/trace/hist"
 	"versadep/internal/transport"
 	"versadep/internal/vtime"
 	"versadep/internal/workload"
@@ -42,7 +43,7 @@ func RunFig3(o Options) (*Fig3Result, error) {
 	res := s.drive(o.Requests, true, nil)[0]
 	return &Fig3Result{
 		Breakdown: monitor.LedgerBreakdown(res.Ledgers),
-		MeanRTT:   res.Latency.Stats().Mean,
+		MeanRTT:   vtime.Duration(res.Latency.Snapshot().Mean()),
 		Requests:  res.Requests,
 	}, nil
 }
@@ -68,7 +69,7 @@ func RunFig4(o Options) ([]Fig4Row, error) {
 		if err != nil {
 			return err
 		}
-		rows = append(rows, Fig4Row{Name: name, Mean: st.Mean, Jitter: st.Jitter})
+		rows = append(rows, fig4Row(name, st))
 		return nil
 	}
 	if err := direct("no interceptor", false, false); err != nil {
@@ -90,8 +91,7 @@ func RunFig4(o Options) ([]Fig4Row, error) {
 			return err
 		}
 		defer s.Close()
-		st := s.drive(o.Requests, false, nil)[0].Latency.Stats()
-		rows = append(rows, Fig4Row{Name: name, Mean: st.Mean, Jitter: st.Jitter})
+		rows = append(rows, fig4Row(name, s.drive(o.Requests, false, nil)[0].Latency.Snapshot()))
 		return nil
 	}
 	if err := replicated("warm passive (1 replica)", replication.WarmPassive); err != nil {
@@ -103,15 +103,20 @@ func RunFig4(o Options) ([]Fig4Row, error) {
 	return rows, nil
 }
 
+// fig4Row reads a bar of Figure 4 off its round-trip population.
+func fig4Row(name string, lat hist.Snapshot) Fig4Row {
+	return Fig4Row{Name: name, Mean: vtime.Duration(lat.Mean()), Jitter: vtime.Duration(lat.StdDev())}
+}
+
 // runDirectPair measures the point-to-point (non-replicated) client/server
 // configurations of Figure 4.
-func runDirectPair(o Options, clientIntercept, serverIntercept bool) (monitor.LatencyStats, error) {
+func runDirectPair(o Options, clientIntercept, serverIntercept bool) (hist.Snapshot, error) {
 	net := simnet.New(simnet.WithCostModel(o.Model), simnet.WithSeed(o.Seed))
 	defer net.Close()
 
 	sEP, err := net.Endpoint("server")
 	if err != nil {
-		return monitor.LatencyStats{}, err
+		return hist.Snapshot{}, err
 	}
 	sd := transport.NewDemux(sEP)
 	adapter := orb.NewAdapter(o.Model)
@@ -128,7 +133,7 @@ func runDirectPair(o Options, clientIntercept, serverIntercept bool) (monitor.La
 
 	cEP, err := net.Endpoint("client")
 	if err != nil {
-		return monitor.LatencyStats{}, err
+		return hist.Snapshot{}, err
 	}
 	cd := transport.NewDemux(cEP)
 	dw := orb.NewDirectWire(cd.Conn(transport.ProtoVIOP), "server", o.Model)
@@ -141,22 +146,22 @@ func runDirectPair(o Options, clientIntercept, serverIntercept bool) (monitor.La
 	client := orb.NewClient("client", wire, o.Model, orb.WithTimeout(500*time.Millisecond))
 	defer func() { _ = client.Close(); _ = cd.Close() }()
 
-	var lat monitor.LatencyMonitor
+	var lat hist.Snapshot
 	var vt vtime.Time
 	args := []interface{}{make([]byte, o.RequestBytes)}
 	vals, err := replicator.ToValues(args)
 	if err != nil {
-		return monitor.LatencyStats{}, err
+		return hist.Snapshot{}, err
 	}
 	for i := 0; i < o.Requests; i++ {
 		out, err := client.Invoke("Bench", "work", vals, vt)
 		if err != nil {
-			return monitor.LatencyStats{}, fmt.Errorf("direct invoke %d: %w", i, err)
+			return hist.Snapshot{}, fmt.Errorf("direct invoke %d: %w", i, err)
 		}
-		lat.Record(out.RTT())
+		lat.Observe(int64(out.RTT()))
 		vt = out.DoneVT
 	}
-	return lat.Stats(), nil
+	return lat, nil
 }
 
 // ---------------------------------------------------------------- Figure 6
@@ -346,7 +351,7 @@ func runFig7Point(o Options, style replication.Style, replicas, clients int) (Fi
 	defer s.Close()
 
 	results := s.drive(o.Requests, false, nil)
-	var all monitor.LatencyMonitor
+	var all hist.Snapshot
 	var maxEnd vtime.Time
 	total := 0
 	for _, r := range results {
@@ -354,19 +359,16 @@ func runFig7Point(o Options, style replication.Style, replicas, clients int) (Fi
 		if r.EndVT.After(maxEnd) {
 			maxEnd = r.EndVT
 		}
-		// Merge folds exact aggregates + histograms; re-recording Samples()
-		// would lose precision once monitors exceed their reservoir cap.
-		all.Merge(&r.Latency)
+		all.Merge(r.Latency.Snapshot())
 	}
-	stats := all.Stats()
 	bytes := s.net.Stats().BytesSent
 	span := maxEnd.Sub(0)
 	return Fig7Point{
 		Style:           style,
 		Replicas:        replicas,
 		Clients:         clients,
-		MeanLatency:     stats.Mean,
-		Jitter:          stats.Jitter,
+		MeanLatency:     vtime.Duration(all.Mean()),
+		Jitter:          vtime.Duration(all.StdDev()),
 		BandwidthMBs:    monitor.Bandwidth(bytes, span),
 		FaultsTolerated: replicas - 1,
 		Throughput:      float64(total) / span.Seconds(),
@@ -477,7 +479,7 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lat monitor.LatencyMonitor
+	var lat hist.Snapshot
 	var vt vtime.Time
 	target := replication.Active
 	per := o.Requests / (switches + 1)
@@ -497,12 +499,12 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		lat.Record(out.RTT())
+		lat.Observe(int64(out.RTT()))
 		vt = out.DoneVT
 	}
 	time.Sleep(100 * time.Millisecond)
 	return &SwitchDelayResult{
-		MeanRTT:      lat.Stats().Mean,
+		MeanRTT:      vtime.Duration(lat.Mean()),
 		SwitchDelays: delaysSnapshot(&mu, &delays),
 	}, nil
 }

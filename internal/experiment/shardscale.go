@@ -9,12 +9,12 @@ import (
 
 	"versadep/internal/codec"
 	"versadep/internal/gcs"
-	"versadep/internal/monitor"
 	"versadep/internal/orb"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/shard"
 	"versadep/internal/simnet"
+	"versadep/internal/trace/hist"
 	"versadep/internal/vtime"
 	"versadep/internal/workload"
 )
@@ -296,8 +296,7 @@ func RunShardPoint(o Options, shards, replicasPer int) (ShardScalePoint, error) 
 
 	objects := shardObjects(shardScaleObjects)
 	ring := e.coord.Snapshot().Ring()
-	perShard := make(map[int]*monitor.LatencyMonitor, shards)
-	perCount := make(map[int]int, shards)
+	perShard := make(map[int]*hist.Histogram, shards)
 
 	var lmu sync.Mutex
 	ol := workload.OpenLoop{
@@ -313,14 +312,13 @@ func RunShardPoint(o Options, shards, replicasPer int) (ShardScalePoint, error) 
 		OnObjectReply: func(object string, _ vtime.Time, out *orb.Outcome) {
 			s := ring.Lookup(object)
 			lmu.Lock()
-			lm := perShard[s]
-			if lm == nil {
-				lm = &monitor.LatencyMonitor{}
-				perShard[s] = lm
+			h := perShard[s]
+			if h == nil {
+				h = &hist.Histogram{}
+				perShard[s] = h
 			}
-			lm.Record(out.RTT())
-			perCount[s]++
 			lmu.Unlock()
+			h.Observe(int64(out.RTT()))
 		},
 	}
 	res := ol.Run()
@@ -338,12 +336,12 @@ func RunShardPoint(o Options, shards, replicasPer int) (ShardScalePoint, error) 
 	}
 	sort.Ints(ids)
 	for _, s := range ids {
-		st := perShard[s].Stats()
+		st := perShard[s].Snapshot()
 		point.PerShard = append(point.PerShard, ShardLoad{
 			Shard:      s,
-			Requests:   perCount[s],
-			MeanMicros: st.Mean.Seconds() * 1e6,
-			P99Micros:  st.P99.Seconds() * 1e6,
+			Requests:   int(st.Count),
+			MeanMicros: vtime.Duration(st.Mean()).Seconds() * 1e6,
+			P99Micros:  vtime.Duration(st.Quantile(0.99)).Seconds() * 1e6,
 		})
 	}
 	return point, nil

@@ -4,226 +4,17 @@
 // working environment."
 //
 // All metrics are collected in virtual time, matching the evaluation
-// substrate: latency and jitter aggregate round-trip outcomes; rate meters
-// derive arrival rates from virtual timestamps; the bandwidth meter turns
-// the network fabric's byte counters into MB/s over a virtual span —
-// exactly the quantities Figures 3, 4, 6 and 7 report.
+// substrate: rate meters derive arrival rates from virtual timestamps; the
+// bandwidth meter turns the network fabric's byte counters into MB/s over
+// a virtual span — with latency and jitter, which a trace/hist Snapshot
+// carries, exactly the quantities Figures 3, 4, 6 and 7 report.
 package monitor
 
 import (
-	"math"
-	"slices"
 	"sync"
 
-	"versadep/internal/trace/hist"
 	"versadep/internal/vtime"
 )
-
-// LatencyStats summarizes a latency population.
-type LatencyStats struct {
-	Count  int
-	Mean   vtime.Duration
-	Min    vtime.Duration
-	Max    vtime.Duration
-	Jitter vtime.Duration // standard deviation, the paper's error bars
-	P99    vtime.Duration
-}
-
-// ReservoirCap is the default bound on the raw samples a LatencyMonitor
-// retains (overridable via NewLatencyMonitor). Up to the cap the
-// reservoir holds every observation (so small-run percentiles stay
-// exact); beyond it, a deterministic Algorithm-R reservoir keeps a
-// uniform subset for figure rendering while Stats switches to the
-// log-bucketed histogram for P99. This is the documented memory bound: a
-// LatencyMonitor never grows past its cap in samples plus one fixed-size
-// histogram, no matter how long the run.
-//
-// The cap is the quantile-accuracy knob: while Count <= cap, P99 is
-// exact; past it, P99 degrades to the histogram's ≤12.5% relative error
-// (and the reservoir-rendered figures to a cap-sized uniform subsample,
-// with quantile standard error ~ sqrt(q(1-q)/cap) — ≈0.2% of rank at the
-// default 2048). Raising the cap buys exactness on longer runs at 8
-// bytes per sample; lowering it trades tail fidelity for memory on
-// constrained deployments.
-const ReservoirCap = 2048
-
-// LatencyMonitor aggregates round-trip latencies under bounded memory:
-// exact running aggregates (count/sum/min/max/variance), a log-bucketed
-// histogram, and a capped uniform reservoir of raw samples. It is safe for
-// concurrent use (clients record from their own goroutines); the zero
-// value is ready to use.
-type LatencyMonitor struct {
-	mu    sync.Mutex
-	count int64
-	sum   float64
-	sumsq float64
-	min   vtime.Duration
-	max   vtime.Duration
-	// reservoir is a uniform sample of all observations. Replacement uses
-	// a seeded LCG rather than math/rand so runs stay deterministic.
-	reservoir []vtime.Duration
-	rng       uint64
-	hist      hist.Histogram
-	// capOverride replaces ReservoirCap when positive (NewLatencyMonitor).
-	capOverride int
-}
-
-// NewLatencyMonitor returns a monitor retaining up to capacity raw
-// samples; capacity <= 0 uses the ReservoirCap default. See ReservoirCap
-// for the accuracy/memory tradeoff the capacity controls.
-func NewLatencyMonitor(capacity int) *LatencyMonitor {
-	return &LatencyMonitor{capOverride: capacity}
-}
-
-// resCap returns the effective reservoir capacity. Caller holds m.mu (or
-// has exclusive access).
-func (m *LatencyMonitor) resCap() int64 {
-	if m.capOverride > 0 {
-		return int64(m.capOverride)
-	}
-	return ReservoirCap
-}
-
-// Record adds one round-trip observation.
-func (m *LatencyMonitor) Record(d vtime.Duration) {
-	m.hist.Observe(int64(d))
-	m.mu.Lock()
-	m.count++
-	m.sum += float64(d)
-	m.sumsq += float64(d) * float64(d)
-	if m.count == 1 || d < m.min {
-		m.min = d
-	}
-	if m.count == 1 || d > m.max {
-		m.max = d
-	}
-	if rc := m.resCap(); int64(len(m.reservoir)) < rc {
-		m.reservoir = append(m.reservoir, d)
-	} else {
-		// Algorithm R: keep each observation with probability cap/count.
-		m.rng = m.rng*6364136223846793005 + 1442695040888963407
-		if j := m.rng % uint64(m.count); j < uint64(rc) {
-			m.reservoir[j] = d
-		}
-	}
-	m.mu.Unlock()
-}
-
-// Samples returns a copy of the retained reservoir — every observation
-// while Count() <= ReservoirCap, a uniform subset afterwards. Callers that
-// need cross-monitor aggregates should use Merge rather than re-recording
-// another monitor's Samples.
-func (m *LatencyMonitor) Samples() []vtime.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]vtime.Duration(nil), m.reservoir...)
-}
-
-// Count returns the number of observations.
-func (m *LatencyMonitor) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return int(m.count)
-}
-
-// Histogram returns the bucketed distribution of all observations (not
-// just the reservoir).
-func (m *LatencyMonitor) Histogram() hist.Snapshot {
-	return m.hist.Snapshot()
-}
-
-// Merge folds every observation of other into m: aggregates and histogram
-// merge exactly; the reservoirs concatenate up to the cap. Other is left
-// unchanged.
-func (m *LatencyMonitor) Merge(other *LatencyMonitor) {
-	if other == nil || m == other {
-		return
-	}
-	other.mu.Lock()
-	count, sum, sumsq := other.count, other.sum, other.sumsq
-	omin, omax := other.min, other.max
-	res := append([]vtime.Duration(nil), other.reservoir...)
-	hs := other.hist.Snapshot()
-	other.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	m.mu.Lock()
-	if m.count == 0 {
-		m.min, m.max = omin, omax
-	} else {
-		if omin < m.min {
-			m.min = omin
-		}
-		if omax > m.max {
-			m.max = omax
-		}
-	}
-	m.count += count
-	m.sum += sum
-	m.sumsq += sumsq
-	rc := m.resCap()
-	for _, d := range res {
-		if int64(len(m.reservoir)) >= rc {
-			break
-		}
-		m.reservoir = append(m.reservoir, d)
-	}
-	m.mu.Unlock()
-	m.hist.AddSnapshot(hs)
-}
-
-// Stats computes the summary. An empty monitor returns zeros. P99 is
-// exact while the reservoir still holds every sample (Count <=
-// ReservoirCap) and histogram-estimated afterwards (≤12.5% relative
-// error, clamped to the observed max).
-func (m *LatencyMonitor) Stats() LatencyStats {
-	m.mu.Lock()
-	count, sum, sumsq := m.count, m.sum, m.sumsq
-	min, max := m.min, m.max
-	var res []vtime.Duration
-	if count <= m.resCap() {
-		res = append([]vtime.Duration(nil), m.reservoir...)
-	}
-	m.mu.Unlock()
-	if count == 0 {
-		return LatencyStats{}
-	}
-	mean := sum / float64(count)
-	variance := sumsq/float64(count) - mean*mean
-	if variance < 0 { // float rounding
-		variance = 0
-	}
-	st := LatencyStats{
-		Count:  int(count),
-		Mean:   vtime.Duration(mean),
-		Min:    min,
-		Max:    max,
-		Jitter: vtime.Duration(math.Sqrt(variance)),
-	}
-	if len(res) > 0 {
-		st.P99 = percentile(res, 0.99)
-	} else {
-		p := vtime.Duration(m.hist.Quantile(0.99))
-		if p > max {
-			p = max
-		}
-		if p < min {
-			p = min
-		}
-		st.P99 = p
-	}
-	return st
-}
-
-// percentile computes the q-quantile (0..1) over a sorted copy of the
-// samples.
-func percentile(samples []vtime.Duration, q float64) vtime.Duration {
-	s := append([]vtime.Duration(nil), samples...)
-	slices.Sort(s)
-	idx := int(math.Ceil(q * float64(len(s)-1)))
-	return s[idx]
-}
 
 // RateMeter derives an arrival rate from virtual timestamps over a sliding
 // window of observations.
@@ -297,24 +88,4 @@ type TimePoint struct {
 	VT    vtime.Time
 	Value float64
 	Label string
-}
-
-// Series is an append-only virtual-time series, safe for concurrent use.
-type Series struct {
-	mu     sync.Mutex
-	points []TimePoint
-}
-
-// Add appends a point.
-func (s *Series) Add(vt vtime.Time, value float64, label string) {
-	s.mu.Lock()
-	s.points = append(s.points, TimePoint{VT: vt, Value: value, Label: label})
-	s.mu.Unlock()
-}
-
-// Points returns a copy of the series.
-func (s *Series) Points() []TimePoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]TimePoint(nil), s.points...)
 }

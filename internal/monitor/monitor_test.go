@@ -1,67 +1,10 @@
 package monitor
 
 import (
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"versadep/internal/vtime"
 )
-
-func TestLatencyStats(t *testing.T) {
-	var m LatencyMonitor
-	if st := m.Stats(); st.Count != 0 || st.Mean != 0 {
-		t.Fatalf("empty stats = %+v", st)
-	}
-	for _, d := range []vtime.Duration{100, 200, 300} {
-		m.Record(d * vtime.Microsecond)
-	}
-	st := m.Stats()
-	if st.Count != 3 || m.Count() != 3 {
-		t.Fatalf("count = %d", st.Count)
-	}
-	if st.Mean != 200*vtime.Microsecond {
-		t.Fatalf("mean = %v", st.Mean)
-	}
-	if st.Min != 100*vtime.Microsecond || st.Max != 300*vtime.Microsecond {
-		t.Fatalf("min/max = %v/%v", st.Min, st.Max)
-	}
-	// stddev of {100,200,300} = sqrt(20000/3)µs ≈ 81.6µs
-	if st.Jitter < 81*vtime.Microsecond || st.Jitter > 83*vtime.Microsecond {
-		t.Fatalf("jitter = %v", st.Jitter)
-	}
-	if st.P99 != 300*vtime.Microsecond {
-		t.Fatalf("p99 = %v", st.P99)
-	}
-}
-
-func TestLatencyMonitorConcurrent(t *testing.T) {
-	var m LatencyMonitor
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				m.Record(vtime.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Count() != 1000 {
-		t.Fatalf("count = %d", m.Count())
-	}
-}
-
-func TestJitterZeroForConstant(t *testing.T) {
-	var m LatencyMonitor
-	for i := 0; i < 10; i++ {
-		m.Record(500 * vtime.Microsecond)
-	}
-	if st := m.Stats(); st.Jitter != 0 {
-		t.Fatalf("jitter = %v, want 0", st.Jitter)
-	}
-}
 
 func TestRateMeter(t *testing.T) {
 	m := NewRateMeter(10)
@@ -125,59 +68,5 @@ func TestLedgerBreakdown(t *testing.T) {
 	}
 	if len(LedgerBreakdown(nil)) != 0 {
 		t.Fatal("empty breakdown should be empty")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(0, 1.0, "a")
-	s.Add(vtime.Time(vtime.Second), 2.0, "b")
-	pts := s.Points()
-	if len(pts) != 2 || pts[1].Value != 2.0 || pts[1].Label != "b" {
-		t.Fatalf("points = %+v", pts)
-	}
-	// Points returns a copy.
-	pts[0].Value = 99
-	if s.Points()[0].Value != 1.0 {
-		t.Fatal("Points aliases internal storage")
-	}
-}
-
-func TestPercentileProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var m LatencyMonitor
-		max := vtime.Duration(0)
-		for _, r := range raw {
-			d := vtime.Duration(r)
-			if d > max {
-				max = d
-			}
-			m.Record(d)
-		}
-		st := m.Stats()
-		return st.P99 <= st.Max && st.Min <= st.Mean && st.Mean <= st.Max && st.Max == max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The seed's insertion-sort percentile was O(n²) — a 10k-sample Stats call
-// dominated experiment teardown. This pins the sort-based replacement.
-func BenchmarkPercentile10k(b *testing.B) {
-	samples := make([]vtime.Duration, 10_000)
-	for i := range samples {
-		// Descending input: the insertion sort's worst case.
-		samples[i] = vtime.Duration(len(samples) - i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := percentile(samples, 0.99); got != 9901 {
-			b.Fatalf("p99 = %d", got)
-		}
 	}
 }

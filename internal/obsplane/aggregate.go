@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"versadep/internal/trace"
-	"versadep/internal/trace/hist"
 )
 
 // Target is one remote node the aggregator scrapes.
@@ -117,34 +116,6 @@ func (a *Aggregator) AddTarget(name, baseURL string) {
 	a.mu.Unlock()
 }
 
-// histDelta returns the bucket-wise difference cur-prev, clamped at zero
-// (a restarted node's counters reset; the clamp treats that as a fresh
-// start rather than a negative window).
-func histDelta(cur, prev hist.Snapshot) hist.Snapshot {
-	d := hist.Snapshot{
-		Count: cur.Count - prev.Count,
-		Sum:   cur.Sum - prev.Sum,
-		Min:   cur.Min,
-		Max:   cur.Max,
-	}
-	if d.Count <= 0 {
-		return hist.Snapshot{}
-	}
-	if d.Sum < 0 {
-		d.Sum = 0
-	}
-	pb := make(map[int]int64, len(prev.Buckets))
-	for _, b := range prev.Buckets {
-		pb[b.Index] = b.Count
-	}
-	for _, b := range cur.Buckets {
-		if n := b.Count - pb[b.Index]; n > 0 {
-			d.Buckets = append(d.Buckets, hist.Bucket{Index: b.Index, Count: n})
-		}
-	}
-	return d
-}
-
 // Ingest folds one node's snapshot into the plane at instant at: the
 // node's newest snapshot replaces its previous one for span stitching
 // and Merged(), and the counter/histogram deltas since the previous
@@ -163,29 +134,11 @@ func (a *Aggregator) Ingest(node string, at int64, snap trace.Snapshot) {
 		}
 		return v
 	}
-	var prevH, curH hist.Snapshot
-	if prev.Histograms != nil {
-		prevH = prev.Histograms["orb.rtt_us"]
-	}
-	if snap.Histograms != nil {
-		curH = snap.Histograms["orb.rtt_us"]
-	}
-	rtt := histDelta(curH, prevH)
-	if rtt.Count > 0 {
+	if rtt := snap.Histograms["orb.rtt_us"].Sub(prev.Histograms["orb.rtt_us"]); rtt.Count > 0 {
 		a.store.ObserveHist(SeriesLatencyMicros, at, rtt)
 		a.store.Observe(SeriesGood, at, rtt.Count)
 	}
-	if prev.Histograms != nil {
-		prevH = prev.Histograms["replication.exec_us"]
-	} else {
-		prevH = hist.Snapshot{}
-	}
-	if snap.Histograms != nil {
-		curH = snap.Histograms["replication.exec_us"]
-	} else {
-		curH = hist.Snapshot{}
-	}
-	if exec := histDelta(curH, prevH); exec.Count > 0 {
+	if exec := snap.Histograms["replication.exec_us"].Sub(prev.Histograms["replication.exec_us"]); exec.Count > 0 {
 		a.store.ObserveHist(SeriesExecMicros, at, exec)
 	}
 	if n := d("orb.timeouts"); n > 0 {

@@ -22,35 +22,21 @@ import (
 	"versadep/internal/trace/hist"
 )
 
-// WindowStat is one fixed-width window's rollup of a series: event count,
-// value sum, min/max/last, and a bucketed distribution for quantiles.
+// Hist names the latency record a WindowStat embeds, so a window reads
+// both as its population (w.Count, w.Quantile(q)) and as one value
+// (w.Hist).
+type Hist = hist.Snapshot
+
+// WindowStat is one fixed-width window's rollup of a series: the window's
+// start, its last observation, and the population of its values.
 type WindowStat struct {
 	// Start is the window's inclusive start instant in nanoseconds
 	// (virtual or wall — the store is clock-agnostic; callers pick one
 	// and stay consistent).
 	Start int64 `json:"start"`
-	// Count is the number of observations in the window.
-	Count int64 `json:"count"`
-	// Sum is the sum of observed values.
-	Sum int64 `json:"sum"`
-	// Min and Max bound the observed values.
-	Min int64 `json:"min"`
-	Max int64 `json:"max"`
 	// Last is the most recent observation (gauge semantics).
 	Last int64 `json:"last"`
-	// Hist is the window's value distribution.
-	Hist hist.Snapshot `json:"hist"`
-}
-
-// Quantile estimates the q-quantile of the window's values.
-func (w WindowStat) Quantile(q float64) int64 { return w.Hist.Quantile(q) }
-
-// Mean returns the window's average value, zero when empty.
-func (w WindowStat) Mean() float64 {
-	if w.Count == 0 {
-		return 0
-	}
-	return float64(w.Sum) / float64(w.Count)
+	Hist
 }
 
 // Merge folds other into w (cross-window or cross-node rollup). Start
@@ -59,21 +45,9 @@ func (w *WindowStat) Merge(other WindowStat) {
 	if other.Count == 0 {
 		return
 	}
-	if w.Count == 0 {
-		*w = other
-		return
-	}
-	if other.Start < w.Start {
+	if w.Count == 0 || other.Start < w.Start {
 		w.Start = other.Start
 	}
-	if other.Min < w.Min {
-		w.Min = other.Min
-	}
-	if other.Max > w.Max {
-		w.Max = other.Max
-	}
-	w.Count += other.Count
-	w.Sum += other.Sum
 	w.Last = other.Last
 	w.Hist.Merge(other.Hist)
 }
@@ -86,8 +60,8 @@ type series struct {
 }
 
 // Store is a bounded ring time-series store: every named series keeps the
-// most recent `retain` fixed-width windows, each holding count/sum/min/
-// max/last plus a log-bucketed histogram, so rollups answer both "how
+// most recent `retain` fixed-width windows, each holding its last value
+// plus a hist.Snapshot of its values, so rollups answer both "how
 // many and how fast" and "which quantile" per window. Observations carry
 // their own timestamps (virtual in simulation, wall-clock nanos live);
 // out-of-order arrivals within the retained horizon land in the right
@@ -195,17 +169,8 @@ func (s *Store) Observe(name string, at, v int64) {
 	if w == nil {
 		return
 	}
-	if w.Count == 0 || v < w.Min {
-		w.Min = v
-	}
-	if w.Count == 0 || v > w.Max {
-		w.Max = v
-	}
-	w.Count++
-	w.Sum += v
 	w.Last = v
-	w.Hist.Merge(hist.Snapshot{Count: 1, Sum: v, Min: v, Max: v,
-		Buckets: []hist.Bucket{{Index: hist.BucketIndex(v), Count: 1}}})
+	w.Hist.Observe(v)
 }
 
 // ObserveHist folds a histogram delta (e.g. the bucket-wise difference of
@@ -222,14 +187,6 @@ func (s *Store) ObserveHist(name string, at int64, h hist.Snapshot) {
 	if w == nil {
 		return
 	}
-	if w.Count == 0 || h.Min < w.Min {
-		w.Min = h.Min
-	}
-	if w.Count == 0 || h.Max > w.Max {
-		w.Max = h.Max
-	}
-	w.Count += h.Count
-	w.Sum += h.Sum
 	w.Last = h.Max
 	w.Hist.Merge(h)
 }

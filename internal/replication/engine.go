@@ -8,6 +8,7 @@ import (
 
 	"versadep/internal/codec"
 	"versadep/internal/gcs"
+	"versadep/internal/monitor"
 	"versadep/internal/orb"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
@@ -147,9 +148,6 @@ type Config struct {
 	State Checkpointable
 	// Adapt, if set, is evaluated after every request delivery.
 	Adapt AdaptPolicy
-	// RateWindow is the number of requests in the arrival-rate sliding
-	// window (default 32).
-	RateWindow int
 	// Observer, if set, receives notices. It is called on the engine
 	// goroutine and must not block.
 	Observer func(Notice)
@@ -286,7 +284,7 @@ type Engine struct {
 	ckptSerial      uint64
 	pendMarkers     map[ckptKey]*pendingMarker
 	pendStates      map[ckptKey]*Msg
-	rateWin         []vtime.Time
+	arrivals        *monitor.RateMeter // request send stamps, rateWindow deep
 	sysState        map[string]map[string]float64
 	switchRequested Style
 	stats           Stats
@@ -319,9 +317,6 @@ type Engine struct {
 // NewEngine starts a replica engine on member. The adapter carries the
 // registered servants; cfg.State captures their collective state.
 func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = 32
-	}
 	if cfg.CacheDepth <= 0 {
 		cfg.CacheDepth = 8
 	}
@@ -354,6 +349,7 @@ func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
 		sysState:    make(map[string]map[string]float64),
 		pendMarkers: make(map[ckptKey]*pendingMarker),
 		pendStates:  make(map[ckptKey]*Msg),
+		arrivals:    monitor.NewRateMeter(rateWindow),
 		xfers:       make(map[string]*outXfer),
 		xferNaks:    make(map[string]uint64),
 	}
@@ -408,7 +404,7 @@ type finalState struct {
 // goroutine as it exits.
 func (e *Engine) captureFinal() {
 	s := e.stats
-	s.Rate = e.rate()
+	s.Rate = e.arrivals.Rate()
 	s.Style = e.style
 	s.Role = e.role()
 	s.Synced = e.synced
@@ -495,7 +491,7 @@ func (e *Engine) StatsSnapshot() Stats {
 	var s Stats
 	ok := e.do(func() {
 		s = e.stats
-		s.Rate = e.rate()
+		s.Rate = e.arrivals.Rate()
 		s.Style = e.style
 		s.Role = e.role()
 		s.Synced = e.synced
@@ -962,7 +958,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 	if !ok {
 		return
 	}
-	e.recordRate(ev.SentVT)
+	e.arrivals.Record(ev.SentVT)
 
 	executor := e.isExecutor()
 	// During a passive→active switch window the old roles persist until
@@ -1366,32 +1362,17 @@ func (e *Engine) handleMetrics(ev gcs.Event, msg *Msg) {
 	e.maybeAdapt(ev.VTime)
 }
 
-func (e *Engine) recordRate(sentVT vtime.Time) {
-	e.rateWin = append(e.rateWin, sentVT)
-	if len(e.rateWin) > e.cfg.RateWindow {
-		e.rateWin = e.rateWin[len(e.rateWin)-e.cfg.RateWindow:]
-	}
-}
-
-// rate computes the deterministic arrival rate over the window, in
-// requests per virtual second.
-func (e *Engine) rate() float64 {
-	if len(e.rateWin) < 2 {
-		return 0
-	}
-	span := e.rateWin[len(e.rateWin)-1].Sub(e.rateWin[0])
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(e.rateWin)-1) / span.Seconds()
-}
+// rateWindow is how many requests' send stamps the arrival rate spans. The
+// stamps come off the agreed stream, so every replica computes the same rate
+// at the same stream position.
+const rateWindow = 32
 
 func (e *Engine) maybeAdapt(vt vtime.Time) {
 	if e.cfg.Adapt == nil || e.switching != nil {
 		return
 	}
 	in := AdaptInput{
-		Rate:     e.rate(),
+		Rate:     e.arrivals.Rate(),
 		Style:    e.style,
 		Replicas: len(e.view.Members),
 		Metrics:  e.sysState,

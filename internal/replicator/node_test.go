@@ -653,7 +653,6 @@ func TestAdaptivePolicySwitchesOnRate(t *testing.T) {
 				Model:           model,
 				State:           app,
 				Adapt:           policy,
-				RateWindow:      8,
 			},
 		})
 		node.Register("Counter", app)
@@ -686,8 +685,9 @@ func TestAdaptivePolicySwitchesOnRate(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Low-rate phase: requests 10ms apart (100 req/s) — switch back.
-	for i := 0; i < 20; i++ {
+	// Low-rate phase: requests 10ms apart (100 req/s) — switch back once
+	// the engine's 32-request rate window is mostly low-rate stamps.
+	for i := 0; i < 40; i++ {
 		if _, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt); err != nil {
 			t.Fatal(err)
 		}

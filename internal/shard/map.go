@@ -106,7 +106,19 @@ func (m *Map) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeMap parses Encode's output.
+// MaxVnodes and MaxShards bound the map DecodeMap accepts. A map arrives as
+// an invocation argument (the ShardCtl servant's prepare op), and Ring then
+// allocates a point per vnode per shard: unbounded counts would let one
+// message exhaust the heap of every replica that executes it. The
+// repository uses at most 1,000 vnodes and a handful of shards.
+const (
+	MaxVnodes = 4096
+	MaxShards = 256
+)
+
+// DecodeMap parses Encode's output. It rejects a map with more than
+// MaxVnodes vnodes or MaxShards shards, or with two shards of one ID (a
+// ring collapses them while Lookup would return whichever sorts first).
 func DecodeMap(b []byte) (*Map, error) {
 	d := codec.NewDecoder(b)
 	m := &Map{}
@@ -118,10 +130,16 @@ func DecodeMap(b []byte) (*Map, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: decode map: %w", err)
 	}
+	if vn > MaxVnodes {
+		return nil, fmt.Errorf("shard: decode map: %d vnodes, limit %d", vn, MaxVnodes)
+	}
 	m.Vnodes = int(vn)
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, fmt.Errorf("shard: decode map: %w", err)
+	}
+	if n > MaxShards {
+		return nil, fmt.Errorf("shard: decode map: %d shards, limit %d", n, MaxShards)
 	}
 	if uint64(n) > uint64(d.Remaining()) {
 		return nil, codec.ErrTooLarge
@@ -150,6 +168,11 @@ func DecodeMap(b []byte) (*Map, error) {
 		m.Shards = append(m.Shards, g)
 	}
 	m.normalize()
+	for i := 1; i < len(m.Shards); i++ {
+		if m.Shards[i].ID == m.Shards[i-1].ID {
+			return nil, fmt.Errorf("shard: decode map: shard %d listed twice", m.Shards[i].ID)
+		}
+	}
 	return m, nil
 }
 

@@ -1,22 +1,29 @@
-// Package hist provides a fixed-size, log-bucketed latency histogram.
+// Package hist provides a fixed-size, log-bucketed latency histogram and
+// its Snapshot, the one record of a latency population in this repository.
 //
-// It is the bounded-memory backbone of the observability layer: the
-// monitor package records round trips into it instead of retaining every
-// raw sample, and the trace package registers named histograms next to its
-// counters so /metrics can expose quantile summaries. The package sits
-// below both (it imports nothing from versadep), which is what lets the
-// two share one implementation without an import cycle.
+// A Snapshot carries count, sum, sum of squares, min, max and buckets, so
+// it answers the mean and jitter of Figures 3, 4 and 7 exactly and every
+// quantile to the bucket resolution, and it merges across clients,
+// windows and processes. The workload generators and figures record round
+// trips into a Histogram, the trace package registers named histograms
+// next to its counters so /metrics can expose quantile summaries, and the
+// observability plane's windows are Snapshots. The package sits below all
+// of them (it imports nothing from versadep), which is what lets them
+// share one implementation without an import cycle.
 //
 // The bucket layout is log-linear: values below 2^subBits land in exact
 // unit buckets; above that, each power-of-two octave is split into
 // 2^subBits equal sub-buckets, bounding the relative quantile error at
 // 1/2^subBits (12.5%) while keeping the whole histogram at a few KB of
-// atomic counters. Recording is lock-free (one atomic add plus min/max
-// CAS), so it is safe on the invoke hot path.
+// atomic counters. Recording is lock-free (atomic adds plus CAS loops for
+// the sum of squares and min/max) and allocates nothing, so it is safe on
+// the invoke hot path.
 package hist
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -36,6 +43,8 @@ const nBuckets = (63-subBits)*(1<<subBits) + (1 << subBits)
 type Histogram struct {
 	count atomic.Int64
 	sum   atomic.Int64
+	// sumSq holds the float64 bits of the sum of squared observations.
+	sumSq atomic.Uint64
 	// min and max store observation+1 so that zero means "unset" while a
 	// genuine 0 observation remains representable.
 	minP1   atomic.Int64
@@ -81,43 +90,50 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.addSumSq(float64(v) * float64(v))
 	h.buckets[bucketIndex(v)].Add(1)
-	for {
-		cur := h.minP1.Load()
-		if cur != 0 && cur <= v+1 || h.minP1.CompareAndSwap(cur, v+1) {
-			break
-		}
-	}
-	for {
-		cur := h.maxP1.Load()
-		if cur >= v+1 || h.maxP1.CompareAndSwap(cur, v+1) {
-			break
-		}
-	}
+	h.widen(v, v)
 }
 
 // AddSnapshot folds a previously captured snapshot (typically from
-// another process or monitor) into the live histogram.
+// another client or process) into the live histogram.
 func (h *Histogram) AddSnapshot(s Snapshot) {
 	if h == nil || s.Count == 0 {
 		return
 	}
 	h.count.Add(s.Count)
 	h.sum.Add(s.Sum)
+	h.addSumSq(s.SumSq)
 	for _, b := range s.Buckets {
 		if b.Index >= 0 && b.Index < nBuckets {
 			h.buckets[b.Index].Add(b.Count)
 		}
 	}
+	h.widen(s.Min, s.Max)
+}
+
+// addSumSq adds d to the sum of squares, a float64 kept as bits.
+func (h *Histogram) addSumSq(d float64) {
+	for {
+		cur := h.sumSq.Load()
+		if h.sumSq.CompareAndSwap(cur, math.Float64bits(math.Float64frombits(cur)+d)) {
+			return
+		}
+	}
+}
+
+// widen lowers the recorded min to lo and raises the recorded max to hi
+// where they extend the range.
+func (h *Histogram) widen(lo, hi int64) {
 	for {
 		cur := h.minP1.Load()
-		if cur != 0 && cur <= s.Min+1 || h.minP1.CompareAndSwap(cur, s.Min+1) {
+		if cur != 0 && cur <= lo+1 || h.minP1.CompareAndSwap(cur, lo+1) {
 			break
 		}
 	}
 	for {
 		cur := h.maxP1.Load()
-		if cur >= s.Max+1 || h.maxP1.CompareAndSwap(cur, s.Max+1) {
+		if cur >= hi+1 || h.maxP1.CompareAndSwap(cur, hi+1) {
 			break
 		}
 	}
@@ -168,8 +184,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // BucketIndex maps a value to the bucket it lands in (negatives clamp to
-// zero) — the inverse of BucketRange, letting external stores build
-// mergeable Snapshots one observation at a time.
+// zero) — the inverse of BucketRange.
 func BucketIndex(v int64) int {
 	if v < 0 {
 		v = 0
@@ -198,13 +213,16 @@ type Bucket struct {
 	Count int64 `json:"n"`
 }
 
-// Snapshot is a point-in-time copy of a histogram, sparse and mergeable
-// across processes.
+// Snapshot is a latency population: a point-in-time copy of a histogram,
+// or a window an owner records into itself with Observe. It is sparse and
+// mergeable across windows and processes; the zero value is empty.
 type Snapshot struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
+	// SumSq is the sum of squared observations, for StdDev.
+	SumSq float64 `json:"sumsq"`
+	Min   int64   `json:"min"`
+	Max   int64   `json:"max"`
 	// Buckets lists non-empty buckets in ascending index order.
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
@@ -218,6 +236,7 @@ func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
+		SumSq: math.Float64frombits(h.sumSq.Load()),
 		Min:   h.Min(),
 		Max:   h.Max(),
 	}
@@ -251,6 +270,7 @@ func (s *Snapshot) Merge(other Snapshot) {
 	}
 	s.Count += other.Count
 	s.Sum += other.Sum
+	s.SumSq += other.SumSq
 	merged := make(map[int]int64, len(s.Buckets)+len(other.Buckets))
 	for _, b := range s.Buckets {
 		merged[b.Index] += b.Count
@@ -276,9 +296,82 @@ func (s Snapshot) Clone() Snapshot {
 	return out
 }
 
-// Quantile estimates the q-quantile of the snapshot's population. The
-// result is the upper bound of the bucket holding the target rank, clamped
-// to the observed [Min, Max], so Quantile(1) == Max and Quantile(0) == Min.
+// Observe records one value into the snapshot: Histogram.Observe for an
+// owner that records from a single goroutine, such as a store window.
+// Negative values count as zero. It updates the bucket list in place, so
+// s must own its bucket array; Clone a shallow copy before observing.
+func (s *Snapshot) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	if s.Count == 0 || v < s.Min {
+		s.Min = v
+	}
+	if s.Count == 0 || v > s.Max {
+		s.Max = v
+	}
+	s.Count++
+	s.Sum += v
+	s.SumSq += float64(v) * float64(v)
+	i := bucketIndex(v)
+	k, found := slices.BinarySearchFunc(s.Buckets, i, func(b Bucket, i int) int { return b.Index - i })
+	if found {
+		s.Buckets[k].Count++
+		return
+	}
+	s.Buckets = slices.Insert(s.Buckets, k, Bucket{Index: i, Count: 1})
+}
+
+// Sub returns what s holds beyond prev, an earlier snapshot of the same
+// histogram: counts, sums and buckets subtract, clamped at zero (a
+// restarted node's counters reset; the clamp reads that as a fresh start
+// rather than a negative window). Min and Max cannot be taken apart, so
+// the difference keeps s's.
+func (s Snapshot) Sub(prev Snapshot) Snapshot {
+	d := Snapshot{
+		Count: s.Count - prev.Count,
+		Sum:   max(0, s.Sum-prev.Sum),
+		SumSq: max(0, s.SumSq-prev.SumSq),
+		Min:   s.Min,
+		Max:   s.Max,
+	}
+	if d.Count <= 0 {
+		return Snapshot{}
+	}
+	pb := make(map[int]int64, len(prev.Buckets))
+	for _, b := range prev.Buckets {
+		pb[b.Index] = b.Count
+	}
+	for _, b := range s.Buckets {
+		if n := b.Count - pb[b.Index]; n > 0 {
+			d.Buckets = append(d.Buckets, Bucket{Index: b.Index, Count: n})
+		}
+	}
+	return d
+}
+
+// Mean returns the average observation, zero when empty.
+func (s Snapshot) Mean() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(s.Count)
+}
+
+// StdDev returns the population standard deviation — the jitter of the
+// paper's error bars — from the running sums, zero when empty.
+func (s Snapshot) StdDev() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	mean := s.Mean()
+	return math.Sqrt(max(0, s.SumSq/float64(s.Count)-mean*mean)) // max: float rounding
+}
+
+// Quantile estimates the q-quantile of the snapshot's population: the
+// nearest rank ⌈q·n⌉ (at least 1), read as the upper bound of the bucket
+// holding it — at most 12.5 % high — clamped to the observed [Min, Max],
+// so Quantile(1) == Max and Quantile(0) == Min.
 func (s Snapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
@@ -289,10 +382,7 @@ func (s Snapshot) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	target := int64(q * float64(s.Count))
-	if target < 1 {
-		target = 1
-	}
+	target := max(1, int64(math.Ceil(q*float64(s.Count))))
 	var seen int64
 	for _, b := range s.Buckets {
 		seen += b.Count

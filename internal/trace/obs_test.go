@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"versadep/internal/monitor"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
 )
@@ -37,34 +36,6 @@ func TestMergeConflictingCounterNames(t *testing.T) {
 	}
 	if len(m.Counters) != 4 {
 		t.Fatalf("merged registry has %d keys, want 4: %v", len(m.Counters), m.Counters)
-	}
-}
-
-// TestEmptyRecorderSeriesBridge is the regression test for the
-// monitor.Series bridge on nil and empty recorders: neither may panic,
-// and neither may add points.
-func TestEmptyRecorderSeriesBridge(t *testing.T) {
-	var s monitor.Series
-
-	var nilRec *Recorder
-	nilRec.SampleSeries(&s, vtime.Time(0)) // must not panic
-	if pts := s.Points(); len(pts) != 0 {
-		t.Fatalf("nil recorder added %d points", len(pts))
-	}
-
-	empty := New() // registered nothing
-	empty.SampleSeries(&s, vtime.Time(0))
-	if pts := s.Points(); len(pts) != 0 {
-		t.Fatalf("empty recorder added %d points", len(pts))
-	}
-
-	empty.SampleSeries(nil, vtime.Time(0)) // nil series must not panic either
-
-	// Sanity: once a counter exists the bridge does add a point.
-	empty.Counter(SubORB, "invocations").Inc()
-	empty.SampleSeries(&s, vtime.Time(42))
-	if pts := s.Points(); len(pts) != 1 || pts[0].Label != "orb.invocations" {
-		t.Fatalf("bridge points = %+v", pts)
 	}
 }
 

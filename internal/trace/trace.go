@@ -5,13 +5,12 @@
 //
 // The paper's adaptation loop begins with "monitoring various system
 // metrics … to evaluate the conditions in the working environment" (§2,
-// step 1). The monitor package covers the client-visible quantities
-// (latency, jitter, bandwidth); this package covers the stack's internals:
+// step 1). The client-visible quantities (latency and jitter in a
+// trace/hist Snapshot, bandwidth and rate in the monitor package) are
+// measured beside it; this package covers the stack's internals:
 // retransmissions, duplicate suppressions, view changes, checkpoint and
-// switch activity, failover replay lengths. Experiments plot these next to
-// the Figure 6-style series via the monitor.Series bridge, and tests assert
-// on them directly instead of inferring internal behavior from end-to-end
-// timing.
+// switch activity, failover replay lengths. Tests assert on them directly
+// instead of inferring internal behavior from end-to-end timing.
 //
 // Design constraints, in order:
 //
@@ -31,7 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"versadep/internal/monitor"
 	"versadep/internal/trace/hist"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
@@ -330,25 +328,6 @@ func (s Snapshot) JSON() []byte {
 		return []byte(fmt.Sprintf("%q", err.Error()))
 	}
 	return out
-}
-
-// SampleSeries appends every counter's current value to s at virtual time
-// vt, labeled "sub.name" — the bridge that lets experiments plot internal
-// counters as time series next to Figure 6-style data. No-op on nil.
-func (r *Recorder) SampleSeries(s *monitor.Series, vt vtime.Time) {
-	if r == nil || s == nil {
-		return
-	}
-	r.mu.Lock()
-	keys := append([]string(nil), r.order...)
-	vals := make([]int64, len(keys))
-	for i, k := range keys {
-		vals[i] = r.counters[k].Load()
-	}
-	r.mu.Unlock()
-	for i, k := range keys {
-		s.Add(vt, float64(vals[i]), k)
-	}
 }
 
 // Merge sums every counter of each snapshot into one aggregate — the

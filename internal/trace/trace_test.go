@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"versadep/internal/monitor"
 	"versadep/internal/vtime"
 )
 
@@ -27,7 +26,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Events) != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", snap)
 	}
-	r.SampleSeries(&monitor.Series{}, 0)
 }
 
 func TestCountersAndSnapshot(t *testing.T) {
@@ -103,27 +101,6 @@ func TestJSONDeterministicAndParses(t *testing.T) {
 	}
 	if len(decoded.Events) != 1 || decoded.Events[0].Name != "step" {
 		t.Fatalf("unexpected events: %+v", decoded.Events)
-	}
-}
-
-func TestSampleSeriesBridge(t *testing.T) {
-	r := New()
-	r.Counter(SubReplication, "checkpoints").Add(5)
-	r.Counter(SubGCS, "view_changes").Add(2)
-	var s monitor.Series
-	r.SampleSeries(&s, 100)
-	r.Counter(SubReplication, "checkpoints").Inc()
-	r.SampleSeries(&s, 200)
-
-	pts := s.Points()
-	if len(pts) != 4 {
-		t.Fatalf("series has %d points, want 4", len(pts))
-	}
-	if pts[0].Label != "replication.checkpoints" || pts[0].Value != 5 || pts[0].VT != 100 {
-		t.Fatalf("first point = %+v", pts[0])
-	}
-	if pts[2].Label != "replication.checkpoints" || pts[2].Value != 6 || pts[2].VT != 200 {
-		t.Fatalf("third point = %+v", pts[2])
 	}
 }
 

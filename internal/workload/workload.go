@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"versadep/internal/codec"
-	"versadep/internal/monitor"
 	"versadep/internal/orb"
 	"versadep/internal/replicator"
+	"versadep/internal/trace/hist"
 	"versadep/internal/vtime"
 )
 
@@ -94,8 +94,8 @@ func (a *BenchApp) Restore(state []byte) error {
 
 // Result aggregates a load generator run.
 type Result struct {
-	// Latency collects per-request round-trip times.
-	Latency monitor.LatencyMonitor
+	// Latency collects per-request round-trip times, virtual ns.
+	Latency hist.Histogram
 	// Ledgers are the per-request cost breakdowns (kept when requested).
 	Ledgers []vtime.Ledger
 	// Requests is the number of completed requests.
@@ -159,7 +159,7 @@ func (c ClosedLoop) Run() *Result {
 			res.Errors++
 		} else {
 			res.Requests++
-			res.Latency.Record(out.RTT())
+			res.Latency.Observe(int64(out.RTT()))
 			if c.KeepLedgers {
 				res.Ledgers = append(res.Ledgers, out.Ledger)
 			}
@@ -281,7 +281,7 @@ func (o OpenLoop) Run() *Result {
 					return
 				}
 				res.Requests++
-				res.Latency.Record(out.RTT())
+				res.Latency.Observe(int64(out.RTT()))
 				if out.DoneVT.After(res.EndVT) {
 					res.EndVT = out.DoneVT
 				}

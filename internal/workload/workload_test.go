@@ -118,8 +118,8 @@ func TestClosedLoopRun(t *testing.T) {
 	if len(res.Ledgers) != 25 {
 		t.Fatalf("ledgers = %d", len(res.Ledgers))
 	}
-	st := res.Latency.Stats()
-	if st.Count != 25 || st.Mean <= 0 {
+	st := res.Latency.Snapshot()
+	if st.Count != 25 || st.Mean() <= 0 {
 		t.Fatalf("latency stats = %+v", st)
 	}
 	// Closed loop: makespan ≈ Σ(RTT + think); throughput consistent.
@@ -131,7 +131,7 @@ func TestClosedLoopRun(t *testing.T) {
 		t.Fatalf("throughput = %v", thr)
 	}
 	// Think time must appear in the makespan.
-	minSpan := vtime.Duration(25) * (st.Min + 100*vtime.Microsecond)
+	minSpan := vtime.Duration(25) * (vtime.Duration(st.Min) + 100*vtime.Microsecond)
 	if res.Makespan() < minSpan/2 {
 		t.Fatalf("makespan %v below think-time floor", res.Makespan())
 	}
