@@ -76,24 +76,15 @@ func FrameSize(f Frame) int { return FrameHeaderSize(f) + len(f.Payload) }
 // payload.
 func FrameHeaderSize(f Frame) int { return frameOverhead + len(f.From) + len(f.FromAddr) }
 
-// EncodeFrame returns the checksummed body of f:
+// PutFrameHeader writes the FrameHeaderSize(f) bytes of f's body that
+// precede its payload into buf. The body is
 //
 //	u32 crc | i64 sentAt | u16 fromLen | from | u16 addrLen | addr | payload
 //
-// where crc is the CRC32-C of everything after it. The body carries no
-// outer length prefix; stream transports add their own (and bound it)
-// before writing.
-func EncodeFrame(f Frame) []byte {
-	buf := make([]byte, FrameSize(f))
-	PutFrameHeader(buf, f)
-	copy(buf[FrameHeaderSize(f):], f.Payload)
-	return buf
-}
-
-// PutFrameHeader writes the FrameHeaderSize(f) bytes of f's body that
-// precede its payload into buf, their checksum covering the payload too —
-// so a stream transport can write header and payload as two pieces of one
-// frame, without copying the payload behind its header.
+// where crc is the CRC32-C of everything after it, payload included — so a
+// stream transport writes header and payload as two pieces of one frame,
+// without copying the payload behind its header. The body carries no outer
+// length prefix; stream transports add their own (and bound it).
 func PutFrameHeader(buf []byte, f Frame) {
 	off := 4
 	binary.BigEndian.PutUint64(buf[off:], uint64(f.SentAt))
@@ -110,11 +101,12 @@ func PutFrameHeader(buf []byte, f Frame) {
 	binary.BigEndian.PutUint32(buf, crc)
 }
 
-// DecodeFrame parses a frame body produced by EncodeFrame. It returns
-// ErrFrame for structural damage (truncation, internal lengths exceeding
-// the body) and ErrChecksum when the structure is intact but the CRC does
-// not cover the bytes. The returned payload aliases buf.
-func DecodeFrame(buf []byte) (Frame, error) {
+// DecodeFrame parses a frame body, reading its sender's names through names
+// (see Names; nil makes fresh copies). It returns ErrFrame for structural
+// damage (truncation, internal lengths exceeding the body) and ErrChecksum
+// when the structure is intact but the CRC does not cover the bytes. The
+// returned payload aliases buf.
+func DecodeFrame(buf []byte, names *Names) (Frame, error) {
 	if len(buf) < frameOverhead {
 		return Frame{}, ErrFrame
 	}
@@ -140,8 +132,8 @@ func DecodeFrame(buf []byte) (Frame, error) {
 		return Frame{}, ErrChecksum
 	}
 	return Frame{
-		From:     string(from),
-		FromAddr: string(addr),
+		From:     names.Intern(from),
+		FromAddr: names.Intern(addr),
 		Payload:  body[off:],
 		SentAt:   sentAt,
 	}, nil

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// encodeFrame is f's body in one buffer: PutFrameHeader's header, then the
+// payload.
+func encodeFrame(f Frame) []byte {
+	buf := make([]byte, FrameSize(f))
+	PutFrameHeader(buf, f)
+	copy(buf[FrameHeaderSize(f):], f.Payload)
+	return buf
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	f := Frame{
 		From:     "replica-a",
@@ -13,8 +22,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		Payload:  []byte("the payload bytes"),
 		SentAt:   123456789,
 	}
-	buf := EncodeFrame(f)
-	got, err := DecodeFrame(buf)
+	buf := encodeFrame(f)
+	got, err := DecodeFrame(buf, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -27,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTripEmpty(t *testing.T) {
-	got, err := DecodeFrame(EncodeFrame(Frame{}))
+	got, err := DecodeFrame(encodeFrame(Frame{}), nil)
 	if err != nil {
 		t.Fatalf("decode empty frame: %v", err)
 	}
@@ -40,7 +49,7 @@ func TestFrameRoundTripEmpty(t *testing.T) {
 // as a checksum miss when the structure survives, or as a structural error
 // when a length field breaks, but never as a silent success.
 func TestFrameDetectsEveryBitFlip(t *testing.T) {
-	buf := EncodeFrame(Frame{
+	buf := encodeFrame(Frame{
 		From:     "node-1",
 		FromAddr: "10.0.0.1:9",
 		Payload:  []byte{0xde, 0xad, 0xbe, 0xef},
@@ -51,7 +60,7 @@ func TestFrameDetectsEveryBitFlip(t *testing.T) {
 			dam := make([]byte, len(buf))
 			copy(dam, buf)
 			dam[i] ^= 1 << bit
-			if _, err := DecodeFrame(dam); err == nil {
+			if _, err := DecodeFrame(dam, nil); err == nil {
 				t.Fatalf("flip of byte %d bit %d went undetected", i, bit)
 			}
 		}
@@ -59,9 +68,9 @@ func TestFrameDetectsEveryBitFlip(t *testing.T) {
 }
 
 func TestFrameTruncation(t *testing.T) {
-	buf := EncodeFrame(Frame{From: "a", Payload: []byte("xyz")})
+	buf := encodeFrame(Frame{From: "a", Payload: []byte("xyz")})
 	for n := 0; n < len(buf); n++ {
-		if _, err := DecodeFrame(buf[:n]); err == nil {
+		if _, err := DecodeFrame(buf[:n], nil); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
 	}
@@ -90,16 +99,16 @@ func TestChecksumHelpers(t *testing.T) {
 // frame (decode∘encode is the identity on valid frames).
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeFrame(Frame{From: "replica-a", FromAddr: "127.0.0.1:7001",
+	f.Add(encodeFrame(Frame{From: "replica-a", FromAddr: "127.0.0.1:7001",
 		Payload: []byte("payload"), SentAt: 99}))
-	f.Add(EncodeFrame(Frame{}))
+	f.Add(encodeFrame(Frame{}))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data)
+		fr, err := DecodeFrame(data, nil)
 		if err != nil {
 			return
 		}
-		back, err2 := DecodeFrame(EncodeFrame(fr))
+		back, err2 := DecodeFrame(encodeFrame(fr), nil)
 		if err2 != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err2)
 		}

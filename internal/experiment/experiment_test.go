@@ -93,7 +93,7 @@ func TestFig7ShapesMatchPaper(t *testing.T) {
 	o := quickOpts()
 	get := func(style replication.Style, r, c int) Fig7Point {
 		t.Helper()
-		p, err := runFig7Point(o, style, r, c)
+		p, err := RunFig7ForConfig(o, style, r, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestTable2ReproducesPaperPolicy(t *testing.T) {
 		{replication.WarmPassive, 3},
 	} {
 		for c := 1; c <= 5; c++ {
-			p, err := runFig7Point(o, cfg.style, cfg.r, c)
+			p, err := RunFig7ForConfig(o, cfg.style, cfg.r, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestVotingConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res := s.drive(o.Requests, false, nil)[0]
+	res := s.drive(o.Requests, true, nil)[0]
 	if res.Errors != 0 || res.Requests != 50 {
 		t.Fatalf("voting run: %d ok, %d errors", res.Requests, res.Errors)
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,9 +41,15 @@ func RunFig3(o Options) (*Fig3Result, error) {
 		return nil, err
 	}
 	defer s.Close()
-	res := s.drive(o.Requests, true, nil)[0]
+	var ledgers []vtime.Ledger
+	res := s.drive(o.Requests, true, func(_, _ int, out *orb.Outcome, err error) bool {
+		if err == nil {
+			ledgers = append(ledgers, out.Ledger)
+		}
+		return true
+	})[0]
 	return &Fig3Result{
-		Breakdown: monitor.LedgerBreakdown(res.Ledgers),
+		Breakdown: monitor.LedgerBreakdown(ledgers),
 		MeanRTT:   vtime.Duration(res.Latency.Snapshot().Mean()),
 		Requests:  res.Requests,
 	}, nil
@@ -63,42 +70,34 @@ type Fig4Row struct {
 // and active replication.
 func RunFig4(o Options) ([]Fig4Row, error) {
 	rows := make([]Fig4Row, 0, 6)
-
-	direct := func(name string, clientIntercept, serverIntercept bool) error {
-		st, err := runDirectPair(o, clientIntercept, serverIntercept)
+	for _, d := range []struct {
+		name                             string
+		clientIntercept, serverIntercept bool
+	}{
+		{"no interceptor", false, false},
+		{"client intercepted", true, false},
+		{"server intercepted", false, true},
+		{"server & client intercepted", true, true},
+	} {
+		st, err := runDirectPair(o, d.clientIntercept, d.serverIntercept)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows = append(rows, fig4Row(name, st))
-		return nil
+		rows = append(rows, fig4Row(d.name, st))
 	}
-	if err := direct("no interceptor", false, false); err != nil {
-		return nil, err
-	}
-	if err := direct("client intercepted", true, false); err != nil {
-		return nil, err
-	}
-	if err := direct("server intercepted", false, true); err != nil {
-		return nil, err
-	}
-	if err := direct("server & client intercepted", true, true); err != nil {
-		return nil, err
-	}
-
-	replicated := func(name string, style replication.Style) error {
-		s, err := NewScenario(o, style, 1, 1, nil, nil)
+	for _, r := range []struct {
+		name  string
+		style replication.Style
+	}{
+		{"warm passive (1 replica)", replication.WarmPassive},
+		{"active (1 replica)", replication.Active},
+	} {
+		s, err := NewScenario(o, r.style, 1, 1, nil, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer s.Close()
-		rows = append(rows, fig4Row(name, s.drive(o.Requests, false, nil)[0].Latency.Snapshot()))
-		return nil
-	}
-	if err := replicated("warm passive (1 replica)", replication.WarmPassive); err != nil {
-		return nil, err
-	}
-	if err := replicated("active (1 replica)", replication.Active); err != nil {
-		return nil, err
+		rows = append(rows, fig4Row(r.name, s.drive(o.Requests, true, nil)[0].Latency.Snapshot()))
+		s.Close()
 	}
 	return rows, nil
 }
@@ -326,7 +325,7 @@ func RunFig7(o Options, maxReplicas, maxClients int) ([]Fig7Point, error) {
 	for _, style := range []replication.Style{replication.Active, replication.WarmPassive} {
 		for r := 1; r <= maxReplicas; r++ {
 			for c := 1; c <= maxClients; c++ {
-				p, err := runFig7Point(o, style, r, c)
+				p, err := RunFig7ForConfig(o, style, r, c)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 %s r=%d c=%d: %w", style, r, c, err)
 				}
@@ -337,20 +336,15 @@ func RunFig7(o Options, maxReplicas, maxClients int) ([]Fig7Point, error) {
 	return points, nil
 }
 
-// RunFig7ForConfig measures a single configuration of the sweep (used by
-// the ablation benchmarks).
+// RunFig7ForConfig measures a single configuration of the sweep.
 func RunFig7ForConfig(o Options, style replication.Style, replicas, clients int) (Fig7Point, error) {
-	return runFig7Point(o, style, replicas, clients)
-}
-
-func runFig7Point(o Options, style replication.Style, replicas, clients int) (Fig7Point, error) {
 	s, err := NewScenario(o, style, replicas, clients, nil, nil)
 	if err != nil {
 		return Fig7Point{}, err
 	}
 	defer s.Close()
 
-	results := s.drive(o.Requests, false, nil)
+	results := s.drive(o.Requests, true, nil)
 	var all hist.Snapshot
 	var maxEnd vtime.Time
 	total := 0
@@ -361,6 +355,14 @@ func runFig7Point(o Options, style replication.Style, replicas, clients int) (Fi
 		}
 		all.Merge(r.Latency.Snapshot())
 	}
+	// Replicas off the clients' critical path may still be replying, in
+	// real time, when the last client finishes; that traffic is the run's.
+	sent := int64(-1)
+	replicator.Eventually(time.Second, 10*time.Millisecond, func() bool {
+		prev := sent
+		sent = s.net.Stats().MessagesSent
+		return sent == prev
+	})
 	bytes := s.net.Stats().BytesSent
 	span := maxEnd.Sub(0)
 	return Fig7Point{
@@ -468,6 +470,11 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 			mu.Unlock()
 		}
 	}
+	switched := func() []vtime.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(delays)
+	}
 	s, err := NewScenario(o, replication.WarmPassive, 3, 1, nil, observer)
 	if err != nil {
 		return nil, err
@@ -482,12 +489,9 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	var lat hist.Snapshot
 	var vt vtime.Time
 	target := replication.Active
-	per := o.Requests / (switches + 1)
-	if per < 5 {
-		per = 5
-	}
+	per := max(o.Requests/(switches+1), 5)
 	for i := 0; i < o.Requests; i++ {
-		if per > 0 && i > 0 && i%per == 0 && len(delaysSnapshot(&mu, &delays)) < switches {
+		if i > 0 && i%per == 0 && len(switched()) < switches {
 			s.group.Nodes()[0].Engine().RequestSwitch(target, vt)
 			if target == replication.Active {
 				target = replication.WarmPassive
@@ -505,12 +509,6 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	time.Sleep(100 * time.Millisecond)
 	return &SwitchDelayResult{
 		MeanRTT:      vtime.Duration(lat.Mean()),
-		SwitchDelays: delaysSnapshot(&mu, &delays),
+		SwitchDelays: switched(),
 	}, nil
-}
-
-func delaysSnapshot(mu *sync.Mutex, delays *[]vtime.Duration) []vtime.Duration {
-	mu.Lock()
-	defer mu.Unlock()
-	return append([]vtime.Duration(nil), (*delays)...)
 }

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,32 +145,80 @@ func (s *Scenario) Chaos(arg string, window time.Duration) (<-chan struct{}, []s
 }
 
 // drive runs every client through a closed request cycle concurrently and
-// returns their results in client order. onReply, when set, sees each
-// request's end with its client's index and may end that client's cycle
-// (workload.ClosedLoop.OnReply).
-func (s *Scenario) drive(requests int, keepLedgers bool,
+// returns their results in client order, pacing their virtual clocks if
+// paced (see pacer; a run that measures no virtual time need not). onReply,
+// when set, sees each request's end with its client's index and may end that
+// client's cycle (workload.ClosedLoop.OnReply).
+func (s *Scenario) drive(requests int, paced bool,
 	onReply func(client, i int, out *orb.Outcome, err error) bool) []*workload.Result {
 	clients := s.group.Clients()
 	results := make([]*workload.Result, len(clients))
+	pace := newPacer(len(clients))
 	var wg sync.WaitGroup
 	for ci, c := range clients {
-		cl := workload.ClosedLoop{
-			Client:       c,
-			Requests:     requests,
-			RequestBytes: s.opts.RequestBytes,
-			KeepLedgers:  keepLedgers,
-		}
-		if onReply != nil {
-			cl.OnReply = func(i int, out *orb.Outcome, err error) bool { return onReply(ci, i, out, err) }
+		cl := workload.ClosedLoop{Client: c, Requests: requests, RequestBytes: s.opts.RequestBytes}
+		cl.OnReply = func(i int, out *orb.Outcome, err error) bool {
+			if onReply != nil && !onReply(ci, i, out, err) {
+				return false
+			}
+			if err == nil && paced {
+				pace.advance(ci, out.DoneVT)
+			}
+			return true
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer pace.stop(ci)
 			results[ci] = cl.Run()
 		}()
 	}
 	wg.Wait()
 	return results
+}
+
+// lagWindow is how far a paced client's virtual clock may run ahead of the
+// slowest running client's: a few round trips.
+const lagWindow = 5 * vtime.Millisecond
+
+// pacer keeps closed-loop clients' virtual clocks together. A client's clock
+// advances only as fast as the Go scheduler runs its goroutine, so one client
+// may issue many requests while another waits for a processor. Its requests
+// are then ordered first, and the other client's later deliveries inherit its
+// virtual time: a latency the model never put there, sized by the scheduler.
+// The pacer holds a client that would send more than lagWindow ahead of
+// another running client until that one catches up or stops; the client with
+// the earliest clock is never held.
+type pacer struct {
+	mu    sync.Mutex
+	moved *sync.Cond
+	clock []vtime.Time // each client's next send; a stopped one's is the end of time
+}
+
+func newPacer(clients int) *pacer {
+	p := &pacer{clock: make([]vtime.Time, clients)}
+	p.moved = sync.NewCond(&p.mu)
+	return p
+}
+
+// advance records that client i sends next at t, and returns once no client
+// is more than lagWindow behind it.
+func (p *pacer) advance(i int, t vtime.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.clock[i] = t
+	p.moved.Broadcast()
+	for slices.Min(p.clock) < t.Add(-lagWindow) {
+		p.moved.Wait()
+	}
+}
+
+// stop takes client i, whose cycle has ended, out of the pacing.
+func (p *pacer) stop(i int) {
+	p.mu.Lock()
+	p.clock[i] = math.MaxInt64
+	p.moved.Broadcast()
+	p.mu.Unlock()
 }
 
 // RunClosedLoop drives every client through the configured request cycle.
@@ -177,7 +227,7 @@ func (s *Scenario) drive(requests int, keepLedgers bool,
 // points of the run. A client stops at its first failed request.
 func (s *Scenario) RunClosedLoop(onReply func(i int, vt vtime.Time, rtt vtime.Duration)) error {
 	errs := make([]error, len(s.group.Clients()))
-	results := s.drive(s.opts.Requests, false, func(ci, i int, out *orb.Outcome, err error) bool {
+	results := s.drive(s.opts.Requests, true, func(ci, i int, out *orb.Outcome, err error) bool {
 		if err != nil {
 			errs[ci] = fmt.Errorf("client %d request %d: %w", ci, i, err)
 			return false

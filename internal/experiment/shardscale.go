@@ -95,9 +95,13 @@ func shardGCS(o Options, groupID uint32) *gcs.Config {
 	return g
 }
 
-// shardAddr names replica i of the given shard on the fabric.
-func shardAddr(shardID, i int) string {
-	return fmt.Sprintf("s%d-%c", shardID, 'a'+i)
+// shardMembers names the n replicas of the given shard on the fabric.
+func shardMembers(shardID, n int) []string {
+	members := make([]string, n)
+	for i := range members {
+		members[i] = fmt.Sprintf("s%d-%c", shardID, 'a'+i)
+	}
+	return members
 }
 
 // bootShard starts one shard's replica group and its control client: each
@@ -161,12 +165,8 @@ func buildShardedEnv(o Options, shards, replicasPer, clients int) (*shardedEnv, 
 	}
 
 	groups := make([]shard.Group, shards)
-	for s := 0; s < shards; s++ {
-		members := make([]string, replicasPer)
-		for i := range members {
-			members[i] = shardAddr(s, i)
-		}
-		groups[s] = shard.Group{ID: s, Members: members}
+	for s := range groups {
+		groups[s] = shard.Group{ID: s, Members: shardMembers(s, replicasPer)}
 	}
 	initial := shard.NewMap(shard.DefaultVnodes, groups...)
 	e.coord = shard.NewCoordinator(initial)
@@ -198,10 +198,7 @@ func buildShardedEnv(o Options, shards, replicasPer, clients int) (*shardedEnv, 
 // request is lost.
 func (e *shardedEnv) addShard() (int, error) {
 	newID := len(e.groups)
-	members := make([]string, e.replicasPer)
-	for i := range members {
-		members[i] = shardAddr(newID, i)
-	}
+	members := shardMembers(newID, e.replicasPer)
 	next := e.coord.Snapshot().WithShard(shard.Group{ID: newID, Members: members})
 	if err := e.bootShard(newID, members, next); err != nil {
 		return 0, err
@@ -458,13 +455,11 @@ func RunShardGrow(o Options, shards int) (*ShardGrowResult, error) {
 
 	res := &ShardGrowResult{AddedShard: newID}
 	ring := e.coord.Snapshot().Ring()
+	// Audit through the router: reads follow the same routing as writes.
 	for _, obj := range objects {
 		if ring.Lookup(obj) == newID {
 			res.MovedToNew++
 		}
-	}
-	// Audit through the router: reads follow the same routing as writes.
-	for _, obj := range objects {
 		out, err := e.clients[0].Invoke(obj, "read", nil, r2.EndVT)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: audit read %s: %w", obj, err)

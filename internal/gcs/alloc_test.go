@@ -71,7 +71,7 @@ func TestFrameSealedOnce(t *testing.T) {
 // it arrived in, so history and forwarding re-send what was received.
 func TestReceivedFrameKeepsItsBytes(t *testing.T) {
 	in := encodeFrame(budgetFrame(make([]byte, 4096)))
-	f, err := decodeFrame(in)
+	f, err := decodeFrame(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReceivedFrameKeepsItsBytes(t *testing.T) {
 func TestFrameDecodeAliases(t *testing.T) {
 	encode := func(p []byte) []byte { return encodeFrame(budgetFrame(p)) }
 	alloctest.SizeBlind(t, "decodeFrame", encode, func(b []byte) {
-		if _, err := decodeFrame(b); err != nil {
+		if _, err := decodeFrame(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -108,7 +108,7 @@ func TestFrameDecodeKnownOrigin(t *testing.T) {
 		in := encodeFrame(f)
 		decode := func(names *codec.Names) float64 {
 			return testing.AllocsPerRun(100, func() {
-				got, err := decodeFrameNames(in, names)
+				got, err := decodeFrame(in, names)
 				if err != nil || got.Origin != "client-1" {
 					t.Fatalf("decoded %+v, %v", got, err)
 				}

@@ -203,7 +203,7 @@ func (c *GroupClient) sealed(f *frame) []byte {
 // never blocks.
 func (c *GroupClient) HandleTransport(msg transport.Message) {
 	c.mu.Lock()
-	f, err := decodeFrameNames(msg.Payload, &c.names)
+	f, err := decodeFrame(msg.Payload, &c.names)
 	// A frame of another group is another shard's traffic on the shared
 	// transport.
 	if err != nil || f.Group != c.cfg.GroupID || c.stopped() {

@@ -258,15 +258,12 @@ func appendFrameTail(b []byte, f *frame) []byte {
 // stream. Payload and Aux are sub-slices of b, not copies, and the frame
 // keeps b itself as its encoding: b is a verified receive buffer nobody
 // writes to again, and a payload is about as large as the frame that
-// carries it, so retaining either costs what a copy would.
-func decodeFrame(b []byte) (*frame, error) { return decodeFrameNames(b, nil) }
-
-// decodeFrameNames is decodeFrame reading the addresses a frame carries —
-// its origin, a membership — through names: a receiver hears from the same
-// few peers frame after frame and materialises each address once (see
-// codec.Names). The table belongs to the caller, which is what serialises
-// its decoding.
-func decodeFrameNames(b []byte, names *codec.Names) (*frame, error) {
+// carries it, so retaining either costs what a copy would. The addresses a
+// frame carries — its origin, a membership — are read through names: a
+// receiver hears from the same few peers frame after frame and materialises
+// each address once (see codec.Names; nil makes fresh copies). The table
+// belongs to the caller, which is what serialises its decoding.
+func decodeFrame(b []byte, names *codec.Names) (*frame, error) {
 	d := codec.NewDecoder(b)
 	var f frame
 	kind, err := d.Uint8()
@@ -430,7 +427,7 @@ func decodeFrameList(b []byte) ([]*frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := decodeFrame(fb)
+		f, err := decodeFrame(fb, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -105,7 +105,7 @@ func TestFrameGroupRoundTrip(t *testing.T) {
 		if len(b) != len(base)+4 {
 			t.Fatalf("kind %d: group stamp added %d bytes, want 4", f.Kind, len(b)-len(base))
 		}
-		dec, err := decodeFrame(b)
+		dec, err := decodeFrame(b, nil)
 		if err != nil {
 			t.Fatalf("kind %d: decode stamped frame: %v", f.Kind, err)
 		}
@@ -114,7 +114,7 @@ func TestFrameGroupRoundTrip(t *testing.T) {
 		}
 		f.Group = 0
 
-		dec, err = decodeFrame(legacyEncodeFrame(f))
+		dec, err = decodeFrame(legacyEncodeFrame(f), nil)
 		if err != nil {
 			t.Fatalf("kind %d: decode legacy frame: %v", f.Kind, err)
 		}
@@ -134,14 +134,14 @@ func TestGroupMismatchDropped(t *testing.T) {
 	f.Group = 0
 	native := encodeFrame(f)
 
-	dec, err := decodeFrame(foreign)
+	dec, err := decodeFrame(foreign, nil)
 	if err != nil {
 		t.Fatalf("decode foreign: %v", err)
 	}
 	if dec.Group != 3 {
 		t.Fatalf("foreign frame group = %d, want 3", dec.Group)
 	}
-	dec, err = decodeFrame(native)
+	dec, err = decodeFrame(native, nil)
 	if err != nil {
 		t.Fatalf("decode native: %v", err)
 	}

@@ -27,7 +27,7 @@ func FuzzGCSFrameDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		fr, err := decodeFrame(in)
+		fr, err := decodeFrame(in, nil)
 		if err != nil {
 			return
 		}
@@ -38,7 +38,7 @@ func FuzzGCSFrameDecode(f *testing.F) {
 		if golden[string(in)] && !bytes.Equal(canon, in) {
 			t.Fatalf("golden frame re-encoded differently:\n in: %x\nout: %x", in, canon)
 		}
-		again, err := decodeFrame(canon)
+		again, err := decodeFrame(canon, nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

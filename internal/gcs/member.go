@@ -26,7 +26,8 @@ type Member struct {
 
 	directRoom transport.Room // what a SendDirect payload needs around it
 
-	// inbox absorbs transport messages from the demux goroutine.
+	// inbox absorbs transport messages from the endpoint's receiving
+	// goroutines.
 	inMu     sync.Mutex
 	inbox    []transport.Message
 	inSpare  []transport.Message // the drained batch, swapped back in by the next drain

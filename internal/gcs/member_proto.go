@@ -181,7 +181,7 @@ func (m *Member) currentSequencer() string {
 // ---- inbound dispatch ----
 
 func (m *Member) handleMessage(msg transport.Message) {
-	f, err := decodeFrameNames(msg.Payload, &m.names)
+	f, err := decodeFrame(msg.Payload, &m.names)
 	if err != nil {
 		return // corrupt frame: drop, retransmission recovers
 	}
@@ -536,17 +536,22 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 	if f.Origin == m.Addr() {
 		delete(m.pending, f.OSeq)
 	}
-	vt := rf.vt.Max(m.deliverVT)
-	m.deliverVT = vt
+	m.deliverMessage(rf, Agreed, f.Seq)
+}
+
+// deliverMessage hands rf up at level, at the later of its arrival and the
+// previous delivery: delivery instants never go backwards.
+func (m *Member) deliverMessage(rf *rxFrame, level ServiceLevel, seq uint64) {
+	m.deliverVT = rf.vt.Max(m.deliverVT)
 	m.emit(Event{
 		Kind:    EventMessage,
-		Sender:  f.Origin,
-		Payload: f.Payload,
-		Level:   Agreed,
-		Seq:     f.Seq,
+		Sender:  rf.f.Origin,
+		Payload: rf.f.Payload,
+		Level:   level,
+		Seq:     seq,
 		View:    m.view,
-		VTime:   vt,
-		SentVT:  f.SentVT,
+		VTime:   m.deliverVT,
+		SentVT:  rf.f.SentVT,
 		Ledger:  rf.led,
 	})
 }
@@ -610,18 +615,7 @@ func (m *Member) handleFifo(msg transport.Message, f *frame) {
 		}
 		delete(hold, exp)
 		m.fifoExp[f.Origin] = exp
-		vt := rf.vt.Max(m.deliverVT)
-		m.deliverVT = vt
-		m.emit(Event{
-			Kind:    EventMessage,
-			Sender:  rf.f.Origin,
-			Payload: rf.f.Payload,
-			Level:   FIFO,
-			View:    m.view,
-			VTime:   vt,
-			SentVT:  rf.f.SentVT,
-			Ledger:  rf.led,
-		})
+		m.deliverMessage(rf, FIFO, 0)
 	}
 	m.nackFifoGap(f.Origin)
 }
@@ -776,18 +770,7 @@ func (m *Member) drainCausal() {
 			}
 			m.causalHold = append(m.causalHold[:i], m.causalHold[i+1:]...)
 			m.vc[rf.f.Origin] = rf.f.OSeq
-			vt := rf.vt.Max(m.deliverVT)
-			m.deliverVT = vt
-			m.emit(Event{
-				Kind:    EventMessage,
-				Sender:  rf.f.Origin,
-				Payload: rf.f.Payload,
-				Level:   Causal,
-				View:    m.view,
-				VTime:   vt,
-				SentVT:  rf.f.SentVT,
-				Ledger:  rf.led,
-			})
+			m.deliverMessage(rf, Causal, 0)
 			progressed = true
 			break
 		}
@@ -834,19 +817,7 @@ func (m *Member) handleBestEffort(msg transport.Message, f *frame) {
 	if !m.installed || f.ViewID != m.view.ID {
 		return
 	}
-	rf := m.rx(msg, f, 0)
-	vt := rf.vt.Max(m.deliverVT)
-	m.deliverVT = vt
-	m.emit(Event{
-		Kind:    EventMessage,
-		Sender:  f.Origin,
-		Payload: f.Payload,
-		Level:   BestEffort,
-		View:    m.view,
-		VTime:   vt,
-		SentVT:  f.SentVT,
-		Ledger:  rf.led,
-	})
+	m.deliverMessage(m.rx(msg, f, 0), BestEffort, 0)
 }
 
 // ---- reliable direct unicast (to external clients and between members) ----

@@ -252,7 +252,6 @@ func TestViewSharedAndNeverWritten(t *testing.T) {
 // arrived at it.
 type frameLog struct {
 	transport.MultiEndpoint
-	out chan transport.Message
 
 	mu        sync.Mutex
 	sent      []sentFrame
@@ -267,17 +266,17 @@ type sentFrame struct {
 }
 
 func logFrames(ep transport.MultiEndpoint) *frameLog {
-	l := &frameLog{MultiEndpoint: ep, out: make(chan transport.Message, 64), received: map[string]int{}}
-	go func() {
-		defer close(l.out)
-		for m := range ep.Recv() {
-			l.mu.Lock()
-			l.received[string(m.Payload)]++
-			l.mu.Unlock()
-			l.out <- m
-		}
-	}()
-	return l
+	return &frameLog{MultiEndpoint: ep, received: map[string]int{}}
+}
+
+// Serve counts every frame that arrives before fn sees it.
+func (l *frameLog) Serve(fn func(transport.Message)) {
+	l.MultiEndpoint.Serve(func(m transport.Message) {
+		l.mu.Lock()
+		l.received[string(m.Payload)]++
+		l.mu.Unlock()
+		fn(m)
+	})
 }
 
 func (l *frameLog) record(tos []string, frame []byte) {
@@ -288,8 +287,6 @@ func (l *frameLog) record(tos []string, frame []byte) {
 		l.multicast++
 	}
 }
-
-func (l *frameLog) Recv() <-chan transport.Message { return l.out }
 
 func (l *frameLog) Send(to string, frame []byte, at vtime.Time) error {
 	l.record([]string{to}, frame)

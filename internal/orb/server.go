@@ -17,7 +17,6 @@ type Server struct {
 	conn    transport.Conn
 	adapter *Adapter
 	cpu     *vtime.Server
-	model   vtime.CostModel
 
 	// interceptCost, when non-zero, simulates the library-interposition
 	// shim sitting under the ORB without modifying messages: each request
@@ -28,12 +27,8 @@ type Server struct {
 	cServed  *trace.Counter
 	cDropped *trace.Counter
 
-	mu       sync.Mutex
-	inbox    []transport.Message
-	inNotify chan struct{}
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	mu      sync.Mutex // serialises serving: the adapter is single-threaded
+	stopped bool
 }
 
 // ServerOption configures a Server.
@@ -53,67 +48,34 @@ func WithServerTrace(r *trace.Recorder) ServerOption {
 	}
 }
 
-// NewServer starts a baseline server. The caller must route inbound
+// NewServer makes a baseline server. The caller must route inbound
 // ProtoVIOP messages to HandleTransport. cpu is the hosting process's
 // virtual CPU (shared with anything else the process does).
 func NewServer(conn transport.Conn, adapter *Adapter, cpu *vtime.Server, model vtime.CostModel, opts ...ServerOption) *Server {
-	s := &Server{
-		conn:     conn,
-		adapter:  adapter,
-		cpu:      cpu,
-		model:    model,
-		inNotify: make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	s := &Server{conn: conn, adapter: adapter, cpu: cpu}
 	for _, o := range opts {
 		o(s)
 	}
-	go s.run()
 	return s
 }
 
-// HandleTransport ingests an inbound request message; safe from any
-// goroutine, never blocks.
+// HandleTransport serves an inbound request on the caller's goroutine —
+// the transport's receiving one — and sends the reply. Safe from any
+// goroutine; requests are served one at a time, in the order they get in.
 func (s *Server) HandleTransport(msg transport.Message) {
 	s.mu.Lock()
-	s.inbox = append(s.inbox, msg)
-	s.mu.Unlock()
-	select {
-	case s.inNotify <- struct{}{}:
-	default:
+	defer s.mu.Unlock()
+	if !s.stopped {
+		s.serve(msg)
 	}
 }
 
-// Stop shuts the server down. Safe from several goroutines; every call
-// returns only once the run goroutine has exited.
+// Stop shuts the server down: once it has returned, no request is served.
+// Safe from several goroutines.
 func (s *Server) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-func (s *Server) run() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.inNotify:
-			for {
-				s.mu.Lock()
-				if len(s.inbox) == 0 {
-					s.mu.Unlock()
-					break
-				}
-				batch := s.inbox
-				s.inbox = nil
-				s.mu.Unlock()
-				for _, msg := range batch {
-					s.serve(msg)
-				}
-			}
-		}
-	}
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
 }
 
 func (s *Server) serve(msg transport.Message) {

@@ -71,7 +71,7 @@ func TestDirectWireSinkContract(t *testing.T) {
 }
 
 // TestServerStopConcurrent: Stop from several goroutines at once neither
-// panics on a double close nor returns before the run goroutine has exited.
+// panics nor deadlocks.
 func TestServerStopConcurrent(t *testing.T) {
 	model := vtime.DefaultCostModel()
 	var cpu vtime.Server

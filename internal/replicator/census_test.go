@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/shard"
 	"versadep/internal/simnet"
@@ -41,10 +42,10 @@ func baseline() int {
 }
 
 // TestClientGoroutineCensus pins what a client costs in goroutines now that
-// replies are pushed up the stack as calls: on a simnet endpoint, three —
-// the endpoint's pump, the demux, and the group client's resend ticker —
-// and for a sharded client over N dialed shards, 2+N (one ticker per shard).
-// Stop returns the process to where it started.
+// replies are pushed up the stack as calls and the endpoint's pump runs the
+// demux itself: on a simnet endpoint, two — the pump and the group client's
+// resend ticker — and for a sharded client over N dialed shards, 1+N (one
+// ticker per shard). Stop returns the process to where it started.
 func TestClientGoroutineCensus(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
@@ -57,8 +58,8 @@ func TestClientGoroutineCensus(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := replicator.StartClient(ep, replicator.ClientConfig{Members: []string{"ra", "rb", "rc"}, Model: model})
-		if got := settle(base + 3); got > base+3 {
-			t.Errorf("StartClient added %d goroutines, want at most 3", got-base)
+		if got := settle(base + 2); got > base+2 {
+			t.Errorf("StartClient added %d goroutines, want at most 2", got-base)
 		}
 		c.Stop()
 		if got := settle(base); got > base {
@@ -95,12 +96,46 @@ func TestClientGoroutineCensus(t *testing.T) {
 				_, _ = c.Invoke(key, "inc", nil, 0)
 			}
 		}
-		if got := settle(base + 2 + shards); got > base+2+shards {
-			t.Errorf("sharded client over %d shards added %d goroutines, want at most %d", shards, got-base, 2+shards)
+		if got := settle(base + 1 + shards); got > base+1+shards {
+			t.Errorf("sharded client over %d shards added %d goroutines, want at most %d", shards, got-base, 1+shards)
 		}
 		c.Stop()
 		if got := settle(base); got > base {
 			t.Errorf("%d goroutines left after Stop", got-base)
 		}
 	})
+}
+
+// TestReplicaGoroutineCensus pins what a replica costs in goroutines on a
+// simnet endpoint: four — the endpoint's pump, which runs the demux and
+// hands frames to the member's inbox, the member's protocol loop and its
+// event pump, and the engine's loop. A hand-off added between the transport
+// and the engine shows up here. Stop returns the process to where it
+// started.
+func TestReplicaGoroutineCensus(t *testing.T) {
+	net := simnet.New()
+	defer net.Close()
+	base := baseline()
+	ep, err := net.Endpoint("ra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := newCounterApp()
+	n := replicator.StartReplica(ep, replicator.ReplicaConfig{
+		Replication: replication.Config{Style: replication.Active, Model: net.CostModel(), State: app},
+	})
+	n.Register("Counter", app)
+	if !replicator.Eventually(5*time.Second, time.Millisecond, func() bool {
+		_, err := n.Member().View()
+		return err == nil
+	}) {
+		t.Fatal("the replica installed no view")
+	}
+	if got := settle(base + 4); got > base+4 {
+		t.Errorf("StartReplica added %d goroutines, want at most 4", got-base)
+	}
+	n.Stop()
+	if got := settle(base); got > base {
+		t.Errorf("%d goroutines left after Stop", got-base)
+	}
 }

@@ -96,7 +96,7 @@ type ReplicaConfig struct {
 
 // StartReplica launches a replica node on ep.
 func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
-	d := transport.NewDemux(ep)
+	d, rec := nodeDemux(ep, cfg.Trace)
 
 	gcfg := gcs.DefaultConfig()
 	if cfg.GCS != nil {
@@ -107,16 +107,9 @@ func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
 	if gcfg.Seed == 0 {
 		gcfg.Seed = uint64(len(ep.Addr())) + 11
 	}
-
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.New()
-	}
-	rec.Spans().SetNode(ep.Addr())
 	gcfg.Trace = rec
 	gcfg.SpanKey = requestSpanKey(rec.Spans())
 	cfg.Replication.Trace = rec
-	d.SetTrace(rec)
 
 	// The node observes its own engine before the caller's observer:
 	// crashes seen in view changes feed the fault meter, and a
@@ -253,22 +246,8 @@ type ClientConfig struct {
 
 // StartClient launches a client node on ep.
 func StartClient(ep transport.MultiEndpoint, cfg ClientConfig) *ClientNode {
-	d := transport.NewDemux(ep)
-
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.New()
-	}
-	rec.Spans().SetNode(ep.Addr())
-	d.SetTrace(rec)
-
-	gcc := gcs.DefaultClientConfig(cfg.Members)
-	gcc.Model = cfg.Model
-	gcc.Spans = rec.Spans()
-	gcc.SpanKey = requestSpanKey(rec.Spans())
-	gcc.GroupID = cfg.GroupID
-	wire := interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc,
-		groupWireOptions(rec, cfg.Filter, cfg.ExpectedReplies)...)
+	d, rec := nodeDemux(ep, cfg.Trace)
+	wire := groupWire(d, rec, cfg.Members, cfg.GroupID, cfg.Model, cfg.Filter, cfg.ExpectedReplies)
 	d.Handle(transport.ProtoGroupClient, wire.Group().HandleTransport)
 
 	client := orb.NewClient(ep.Addr(), wire, cfg.Model, orbClientOptions(rec, cfg.Timeout, cfg.Retries)...)
@@ -277,9 +256,28 @@ func StartClient(ep transport.MultiEndpoint, cfg ClientConfig) *ClientNode {
 	return &ClientNode{demux: d, client: client, trace: rec}
 }
 
-// groupWireOptions and orbClientOptions translate the zero-means-default
-// fields shared by ClientConfig and ShardedClientConfig.
-func groupWireOptions(rec *trace.Recorder, filter interceptor.ReplyFilter, expected int) []interceptor.GroupWireOption {
+// nodeDemux wraps a node's endpoint in its demux, reporting to rec (a fresh
+// recorder when nil) as the node at ep's address.
+func nodeDemux(ep transport.MultiEndpoint, rec *trace.Recorder) (*transport.Demux, *trace.Recorder) {
+	if rec == nil {
+		rec = trace.New()
+	}
+	rec.Spans().SetNode(ep.Addr())
+	d := transport.NewDemux(ep)
+	d.SetTrace(rec)
+	return d, rec
+}
+
+// groupWire and orbClientOptions translate the zero-means-default fields
+// shared by ClientConfig and ShardedClientConfig; groupWire opens a client's
+// interposed wire to one group over d.
+func groupWire(d *transport.Demux, rec *trace.Recorder, members []string, group uint32,
+	model vtime.CostModel, filter interceptor.ReplyFilter, expected int) *interceptor.GroupWire {
+	gcc := gcs.DefaultClientConfig(members)
+	gcc.Model = model
+	gcc.Spans = rec.Spans()
+	gcc.SpanKey = requestSpanKey(rec.Spans())
+	gcc.GroupID = group
 	opts := []interceptor.GroupWireOption{interceptor.WithGroupTrace(rec)}
 	if filter != 0 {
 		opts = append(opts, interceptor.WithFilter(filter))
@@ -287,7 +285,7 @@ func groupWireOptions(rec *trace.Recorder, filter interceptor.ReplyFilter, expec
 	if expected > 0 {
 		opts = append(opts, interceptor.WithExpectedReplies(expected))
 	}
-	return opts
+	return interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc, opts...)
 }
 
 // The reply timeout and retry budget of a client that names none: at ten
@@ -338,14 +336,7 @@ type ShardedClientConfig struct {
 // reply traffic shares the endpoint's ProtoGroupClient stream; each
 // shard's GroupClient keeps only the frames stamped with its group id.
 func StartShardedClient(ep transport.MultiEndpoint, cfg ShardedClientConfig) *ClientNode {
-	d := transport.NewDemux(ep)
-
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.New()
-	}
-	rec.Spans().SetNode(ep.Addr())
-	d.SetTrace(rec)
+	d, rec := nodeDemux(ep, cfg.Trace)
 
 	// Inbound ProtoGroupClient messages fan out to every shard's group
 	// client; the per-frame group id filter makes each keep only its own
@@ -362,13 +353,7 @@ func StartShardedClient(ep transport.MultiEndpoint, cfg ShardedClientConfig) *Cl
 	})
 
 	factory := func(g shard.Group) (orb.Wire, error) {
-		gcc := gcs.DefaultClientConfig(g.Members)
-		gcc.Model = cfg.Model
-		gcc.Spans = rec.Spans()
-		gcc.SpanKey = requestSpanKey(rec.Spans())
-		gcc.GroupID = uint32(g.ID)
-		wire := interceptor.NewGroupWire(d.Conn(transport.ProtoGCS), gcc,
-			groupWireOptions(rec, cfg.Filter, cfg.ExpectedReplies)...)
+		wire := groupWire(d, rec, g.Members, uint32(g.ID), cfg.Model, cfg.Filter, cfg.ExpectedReplies)
 		dialMu.Lock()
 		next := append(append([]*gcs.GroupClient(nil), *groupClients.Load()...), wire.Group())
 		groupClients.Store(&next)

@@ -159,7 +159,8 @@ func (n *Network) HealAddr(addr string) {
 
 // Crash kills the process at addr: its endpoint stops receiving and its
 // sends are discarded. Crash is permanent for that endpoint (a recovered
-// process re-attaches under a new incarnation address).
+// process re-attaches under a new incarnation address). Like Close, it
+// returns once the endpoint's pump has stopped.
 func (n *Network) Crash(addr string) {
 	n.mu.Lock()
 	ep := n.endpoints[addr]
@@ -167,7 +168,7 @@ func (n *Network) Crash(addr string) {
 	delete(n.endpoints, addr)
 	n.mu.Unlock()
 	if ep != nil {
-		ep.closeLocked()
+		ep.stop()
 	}
 }
 
@@ -193,7 +194,7 @@ func (n *Network) Close() error {
 	n.endpoints = make(map[string]*Endpoint)
 	n.mu.Unlock()
 	for _, ep := range eps {
-		ep.closeLocked()
+		ep.stop()
 	}
 	return nil
 }
@@ -258,12 +259,14 @@ type Endpoint struct {
 	// application-visible bytes. Set once before traffic flows.
 	framing int
 
-	mu     sync.Mutex
-	queue  fifo.Queue[transport.Message]
-	notify chan struct{}
-	out    chan transport.Message
-	closed bool
-	done   chan struct{}
+	mu      sync.Mutex
+	queue   fifo.Queue[transport.Message]
+	notify  chan struct{}
+	closed  bool
+	serving bool
+	done    chan struct{}
+	pumping sync.WaitGroup // the pump, once Serve has started it
+	recv    transport.RecvChan
 
 	// deferred holds messages displaced by the reordering fault: they are
 	// released behind the next arrival, or flushed when the queue drains,
@@ -274,15 +277,12 @@ type Endpoint struct {
 var _ transport.Endpoint = (*Endpoint)(nil)
 
 func newEndpoint(n *Network, addr string) *Endpoint {
-	ep := &Endpoint{
+	return &Endpoint{
 		net:    n,
 		addr:   addr,
 		notify: make(chan struct{}, 1),
-		out:    make(chan transport.Message),
 		done:   make(chan struct{}),
 	}
-	go ep.pump()
-	return ep
 }
 
 // Addr returns the endpoint's address.
@@ -345,29 +345,45 @@ func (e *Endpoint) send(payload []byte, sentAt vtime.Time, control bool, tos ...
 	return nil
 }
 
-// Recv returns the delivery channel.
-func (e *Endpoint) Recv() <-chan transport.Message { return e.out }
+// Serve starts the endpoint's pump, which calls fn for every queued message
+// in turn (see transport.MultiEndpoint.Serve).
+func (e *Endpoint) Serve(fn func(transport.Message)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.closed && !e.serving {
+		e.serving = true
+		e.pumping.Add(1)
+		go e.pump(fn)
+	}
+}
 
-// Close detaches the endpoint and closes its delivery channel.
+// Recv returns the delivery channel (see transport.Endpoint.Recv).
+func (e *Endpoint) Recv() <-chan transport.Message { return e.recv.Get(e, e.done) }
+
+// Close detaches the endpoint. It returns once its pump has stopped.
 func (e *Endpoint) Close() error {
 	e.net.mu.Lock()
 	if e.net.endpoints[e.addr] == e {
 		delete(e.net.endpoints, e.addr)
 	}
 	e.net.mu.Unlock()
-	e.closeLocked()
+	e.stop()
 	return nil
 }
 
-func (e *Endpoint) closeLocked() {
+// stop ends delivery, crashed or closed: every call returns once the pump
+// has stopped.
+func (e *Endpoint) stop() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
+	first := !e.closed
 	e.closed = true
 	e.mu.Unlock()
-	close(e.done)
+	if first {
+		close(e.done)
+		e.wake() // the pump sees closed
+		defer e.recv.Close()
+	}
+	e.pumping.Wait()
 }
 
 // deliver queues a routed message as its fate says: a reordered one is
@@ -393,6 +409,11 @@ func (e *Endpoint) deliver(m transport.Message, f transport.Fate) {
 		e.releaseDeferred()
 	}
 	e.mu.Unlock()
+	e.wake()
+}
+
+// wake rouses the pump if it waits for work.
+func (e *Endpoint) wake() {
 	select {
 	case e.notify <- struct{}{}:
 	default:
@@ -407,11 +428,11 @@ func (e *Endpoint) releaseDeferred() {
 	e.deferred = nil
 }
 
-// pump moves queued messages to the unbuffered delivery channel. The
-// internal queue absorbs bursts so senders never block on slow receivers
-// (a crashed or wedged process must not back-pressure the whole fabric).
-func (e *Endpoint) pump() {
-	defer close(e.out)
+// pump calls fn for each queued message in arrival order. The queue absorbs
+// bursts so senders never block on slow receivers (a crashed or wedged
+// process must not back-pressure the whole fabric).
+func (e *Endpoint) pump(fn func(transport.Message)) {
+	defer e.pumping.Done()
 	for {
 		e.mu.Lock()
 		if e.queue.Len() == 0 {
@@ -420,19 +441,15 @@ func (e *Endpoint) pump() {
 			e.releaseDeferred()
 		}
 		m, have := e.queue.Pop()
+		closed := e.closed
 		e.mu.Unlock()
-		if !have {
-			select {
-			case <-e.notify:
-				continue
-			case <-e.done:
-				return
-			}
-		}
-		select {
-		case e.out <- m:
-		case <-e.done:
+		switch {
+		case closed:
 			return
+		case have:
+			fn(m)
+		default:
+			<-e.notify
 		}
 	}
 }

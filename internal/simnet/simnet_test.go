@@ -565,5 +565,5 @@ func (r *recordingEndpoint) Send(_ string, p []byte, _ vtime.Time) error {
 }
 func (r *recordingEndpoint) SendMulticast([]string, []byte, vtime.Time) error { return nil }
 func (r *recordingEndpoint) SendControl(string, []byte, vtime.Time) error     { return nil }
-func (r *recordingEndpoint) Recv() <-chan transport.Message                   { return nil }
+func (r *recordingEndpoint) Serve(func(transport.Message))                    {}
 func (r *recordingEndpoint) Close() error                                     { return nil }

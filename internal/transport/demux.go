@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sync"
-
 	"versadep/internal/codec"
 	"versadep/internal/trace"
 	"versadep/internal/vtime"
@@ -51,15 +49,23 @@ type Conn interface {
 	SendControl(to string, sealed []byte, sentAt vtime.Time) error
 }
 
-// MultiEndpoint is the full sending surface demux requires from a
-// transport implementation. *simnet.Endpoint satisfies it; TCP endpoints
-// provide degenerate multicast/control implementations.
+// MultiEndpoint is the full surface demux requires from a transport
+// implementation. *simnet.Endpoint satisfies it; TCP endpoints provide
+// degenerate multicast/control implementations.
 type MultiEndpoint interface {
 	Addr() string
 	Send(to string, payload []byte, sentAt vtime.Time) error
 	SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error
 	SendControl(to string, payload []byte, sentAt vtime.Time) error
-	Recv() <-chan Message
+	// Serve hands every inbound message to fn on the goroutine that
+	// received it: simnet's pump for the endpoint, or the reader of the TCP
+	// connection the frame arrived on. Messages that arrive before Serve
+	// wait, and reach fn in arrival order once it is called; only the first
+	// call counts. fn must not block. Messages of one link reach it in the
+	// order they were sent, but on TCP, frames from different peers may be
+	// in fn at once. Close returns with no call of fn running, and none
+	// starts after it, so fn must not close the endpoint it serves.
+	Serve(fn func(Message))
 	Close() error
 }
 
@@ -73,11 +79,8 @@ type MultiEndpoint interface {
 // protocol decoder.
 type Demux struct {
 	ep MultiEndpoint
-
-	mu       sync.Mutex
-	handlers map[Protocol]func(Message)
-	started  bool
-	done     chan struct{}
+	// handlers, by protocol byte, is written only before Start.
+	handlers [256]func(Message)
 
 	cCorrupt *trace.Counter
 }
@@ -92,33 +95,17 @@ func NewDemux(ep MultiEndpoint) *Demux {
 	if fx, ok := ep.(interface{ ExcludeFraming(bytes int) }); ok {
 		fx.ExcludeFraming(codec.SealOverhead)
 	}
-	return &Demux{
-		ep:       ep,
-		handlers: make(map[Protocol]func(Message)),
-		done:     make(chan struct{}),
-	}
+	return &Demux{ep: ep}
 }
 
-// Handle registers fn for proto. Handlers run on the demux goroutine and
-// must not block for long; layers queue internally. Handle must be called
-// before Start.
+// Handle registers fn for proto, before Start. A handler runs on the
+// endpoint's receiving goroutines (see MultiEndpoint.Serve).
 func (d *Demux) Handle(proto Protocol, fn func(Message)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.handlers[proto] = fn
 }
 
-// Start launches the dispatch goroutine.
-func (d *Demux) Start() {
-	d.mu.Lock()
-	if d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.mu.Unlock()
-	go d.run()
-}
+// Start begins delivery: the endpoint calls dispatch for every message.
+func (d *Demux) Start() { d.ep.Serve(d.dispatch) }
 
 // SetTrace registers the corrupt-frame drop counter with r
 // (transport/corrupt_frames_dropped). Call before Start.
@@ -126,51 +113,37 @@ func (d *Demux) SetTrace(r *trace.Recorder) {
 	d.cCorrupt = r.Counter(trace.SubTransport, "corrupt_frames_dropped")
 }
 
-// Close shuts down the underlying endpoint and waits for dispatch to stop.
-func (d *Demux) Close() error {
-	err := d.ep.Close()
-	<-d.done
-	return err
-}
+// Close shuts down the underlying endpoint; no handler runs once it returns.
+func (d *Demux) Close() error { return d.ep.Close() }
 
 // Addr returns the underlying endpoint address.
 func (d *Demux) Addr() string { return d.ep.Addr() }
 
-func (d *Demux) run() {
-	defer close(d.done)
-	for m := range d.ep.Recv() {
-		body, err := codec.VerifyChecksum(m.Payload)
-		if err != nil || len(body) == 0 {
-			d.cCorrupt.Inc()
-			continue
-		}
-		proto := Protocol(body[0])
-		// Capacity clipped: the buffer is shared (other receivers, the
-		// sender's retransmission copy), so an append by a holder must
-		// reallocate rather than run over the checksum behind the payload.
-		m.Payload = body[Headroom:len(body):len(body)]
-		d.mu.Lock()
-		fn := d.handlers[proto]
-		d.mu.Unlock()
-		if fn != nil {
-			fn(m)
-		}
+// dispatch verifies one inbound message and hands it to its protocol's
+// handler.
+func (d *Demux) dispatch(m Message) {
+	body, err := codec.VerifyChecksum(m.Payload)
+	if err != nil || len(body) == 0 {
+		d.cCorrupt.Inc()
+		return
+	}
+	// Capacity clipped: the buffer is shared (other receivers, the sender's
+	// retransmission copy), so an append by a holder must reallocate rather
+	// than run over the checksum behind the payload.
+	m.Payload = body[Headroom:len(body):len(body)]
+	if fn := d.handlers[body[0]]; fn != nil {
+		fn(m)
 	}
 }
 
-// Conn returns the sending surface for proto.
-func (d *Demux) Conn(proto Protocol) Conn {
-	return protoConn{d: d, proto: byte(proto)}
-}
+// Conn returns the sending surface for proto: the endpoint's sends, and a
+// Seal that writes proto.
+func (d *Demux) Conn(proto Protocol) Conn { return protoConn{d.ep, byte(proto)} }
 
 type protoConn struct {
-	d     *Demux
+	MultiEndpoint
 	proto byte
 }
-
-var _ Conn = protoConn{}
-
-func (c protoConn) Addr() string { return c.d.ep.Addr() }
 
 func (c protoConn) Seal(m Buf) []byte {
 	head, _ := m.Wrap(Headroom, codec.SealOverhead)
@@ -178,16 +151,4 @@ func (c protoConn) Seal(m Buf) []byte {
 	frame := m.Bytes()
 	// The checksum's window is inside the clipped capacity: appended in place.
 	return codec.AppendChecksum(frame[:len(frame)-codec.SealOverhead])
-}
-
-func (c protoConn) Send(to string, sealed []byte, sentAt vtime.Time) error {
-	return c.d.ep.Send(to, sealed, sentAt)
-}
-
-func (c protoConn) SendMulticast(tos []string, sealed []byte, sentAt vtime.Time) error {
-	return c.d.ep.SendMulticast(tos, sealed, sentAt)
-}
-
-func (c protoConn) SendControl(to string, sealed []byte, sentAt vtime.Time) error {
-	return c.d.ep.SendControl(to, sealed, sentAt)
 }

@@ -33,8 +33,8 @@ func (f *fakeEndpoint) SendControl(to string, payload []byte, sentAt vtime.Time)
 	return f.Send(to, payload, sentAt)
 }
 
-func (f *fakeEndpoint) Recv() <-chan transport.Message { return nil }
-func (f *fakeEndpoint) Close() error                   { return nil }
+func (f *fakeEndpoint) Serve(func(transport.Message)) {}
+func (f *fakeEndpoint) Close() error                  { return nil }
 
 func (f *fakeEndpoint) snapshot() [][]byte {
 	f.mu.Lock()

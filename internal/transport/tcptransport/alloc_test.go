@@ -1,15 +1,19 @@
 package tcptransport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"versadep/internal/alloctest"
+	"versadep/internal/codec"
 	"versadep/internal/vtime"
 )
 
@@ -80,23 +84,39 @@ func TestStreamBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestSendCopiesNoPayload: Send queues the sealed payload itself; the only
-// bytes it allocates are the frame's header, whatever the payload's size.
-func TestSendCopiesNoPayload(t *testing.T) {
+// sink listens on loopback and reads whatever is sent to it, counting the
+// bytes; it allocates nothing per read.
+func sink(t *testing.T) (addr string, got *atomic.Int64) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { _ = ln.Close() })
+	got = new(atomic.Int64)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		_, _ = io.Copy(io.Discard, conn)
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := conn.Read(buf)
+			got.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
 	}()
-	e, err := Listen("a", "127.0.0.1:0", map[string]string{"b": ln.Addr().String()})
+	return ln.Addr().String(), got
+}
+
+// TestSendCopiesNoPayload: Send queues the sealed payload itself; the only
+// bytes it allocates are the frame's header, whatever the payload's size.
+func TestSendCopiesNoPayload(t *testing.T) {
+	addr, _ := sink(t)
+	e, err := Listen("a", "127.0.0.1:0", map[string]string{"b": addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +130,41 @@ func TestSendCopiesNoPayload(t *testing.T) {
 	}
 }
 
+// TestSendAllocatesOnlyTheHeader: on a connected endpoint a send allocates
+// one thing, the frame's header. The endpoint's own address, which every
+// frame carries, is formatted once and not per frame.
+func TestSendAllocatesOnlyTheHeader(t *testing.T) {
+	addr, got := sink(t)
+	e, err := Listen("a", "127.0.0.1:0", map[string]string{"b": addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	payload := make([]byte, 200)
+	deadline := time.Now().Add(5 * time.Second)
+	for got.Load() == 0 { // dialed, and the sender's buffers grown
+		if time.Now().After(deadline) {
+			t.Fatal("the peer never received a frame")
+		}
+		_ = e.Send("b", payload, 0)
+		time.Sleep(time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = e.Send("b", payload, 0) }); allocs != 1 {
+		t.Errorf("a send on a connected endpoint: %v allocations, want 1 (the frame header)", allocs)
+	}
+}
+
 // TestReadFrameHandsItsBufferUp: the one buffer a frame is read into is
 // what travels upward; the payload is not copied out of it.
 func TestReadFrameHandsItsBufferUp(t *testing.T) {
 	const size = 64 << 10
 	stream := streamOf(encodeFrame("ra", "127.0.0.1:7301", make([]byte, size), 0))
 	r := bytes.NewReader(stream)
+	br := bufio.NewReader(r)
 	perRead := alloctest.BytesPerRun(20, func() {
 		r.Reset(stream)
-		f, err := readFrame(r)
+		br.Reset(r)
+		f, err := readFrame(br, nil)
 		if err != nil || len(f.Payload) != size {
 			t.Fatalf("readFrame: %d payload bytes, err %v", len(f.Payload), err)
 		}
@@ -127,5 +173,33 @@ func TestReadFrameHandsItsBufferUp(t *testing.T) {
 	// allocator; a second copy of the payload would double it.
 	if perRead > size*3/2 {
 		t.Errorf("reading a %d B frame allocates %.0f B: the payload is copied", size, perRead)
+	}
+}
+
+// TestWarmReaderAllocatesOnlyTheFrame: a connection's reader decodes its
+// senders' names through one table, so once it has met them a frame costs
+// one allocation, the buffer it is read into, and every frame of a sender
+// carries the same name strings.
+func TestWarmReaderAllocatesOnlyTheFrame(t *testing.T) {
+	stream := streamOf(encodeFrame("ra", "127.0.0.1:7301", make([]byte, 200), 0))
+	r := bytes.NewReader(stream)
+	br := bufio.NewReader(r)
+	var names codec.Names
+	read := func() codec.Frame {
+		r.Reset(stream)
+		br.Reset(r)
+		f, err := readFrame(br, &names)
+		if err != nil || f.From != "ra" || f.FromAddr != "127.0.0.1:7301" {
+			t.Fatalf("readFrame: %+v, err %v", f, err)
+		}
+		return f
+	}
+	first := read()
+	if allocs := testing.AllocsPerRun(100, func() { read() }); allocs != 1 {
+		t.Errorf("a frame through a warmed reader: %v allocations, want 1 (the frame buffer)", allocs)
+	}
+	if next := read(); unsafe.StringData(next.From) != unsafe.StringData(first.From) ||
+		unsafe.StringData(next.FromAddr) != unsafe.StringData(first.FromAddr) {
+		t.Error("a sender's names were made again for a later frame")
 	}
 }

@@ -16,7 +16,9 @@
 // vectored write, and each connection is read through one buffer, so a burst
 // costs a system call each way, not three per frame; the bytes on the stream
 // are the same either way. A frame is two pieces of that vector: a header
-// made for it, and the sealed payload itself, which is never copied.
+// made for it, and the sealed payload itself, which is never copied. Each
+// connection's reader hands its frames up itself, so one peer's frames keep
+// their order and two peers' frames are handled side by side.
 //
 // In live mode the virtual-time machinery is inert: messages carry their
 // virtual send instant through unchanged (ArriveAt = SentAt, a zero-cost
@@ -142,6 +144,7 @@ func WithRetry(c RetryConfig) Option {
 type Endpoint struct {
 	name  string
 	ln    net.Listener
+	bound string // ln's address, formatted once: every frame carries it
 	peers map[string]string
 	retry atomic.Value // RetryConfig
 
@@ -156,7 +159,9 @@ type Endpoint struct {
 	dropped       atomic.Uint64
 	corruptFrames atomic.Uint64
 
-	out  chan transport.Message
+	serve func(transport.Message) // set by Serve, before any reader starts
+	recv  transport.RecvChan
+
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -173,18 +178,16 @@ func Listen(name, bind string, peers map[string]string, opts ...Option) (*Endpoi
 	e := &Endpoint{
 		name:    name,
 		ln:      ln,
+		bound:   ln.Addr().String(),
 		peers:   peers,
 		senders: make(map[string]*peerSender),
 		inbound: make(map[net.Conn]bool),
-		out:     make(chan transport.Message, 256),
 		done:    make(chan struct{}),
 	}
 	e.retry.Store(DefaultRetry())
 	for _, o := range opts {
 		o(e)
 	}
-	e.wg.Add(1)
-	go e.accept()
 	return e, nil
 }
 
@@ -211,16 +214,29 @@ func (e *Endpoint) Stats() Stats {
 func (e *Endpoint) Addr() string { return e.name }
 
 // BoundAddr returns the actual listening address (useful with ":0").
-func (e *Endpoint) BoundAddr() string { return e.ln.Addr().String() }
+func (e *Endpoint) BoundAddr() string { return e.bound }
 
-// Recv returns the inbound message stream.
-func (e *Endpoint) Recv() <-chan transport.Message { return e.out }
+// Serve starts accepting connections; each one's reader hands every frame
+// it decodes to fn (see transport.MultiEndpoint.Serve). Peers that connect
+// earlier wait in the listen backlog.
+func (e *Endpoint) Serve(fn func(transport.Message)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.closed && e.serve == nil {
+		e.serve = fn
+		e.wg.Add(1)
+		go e.accept()
+	}
+}
+
+// Recv returns the inbound message stream (see transport.Endpoint.Recv).
+func (e *Endpoint) Recv() <-chan transport.Message { return e.recv.Get(e, e.done) }
 
 // Send enqueues payload for the named peer. It never blocks: unknown
 // peers, closed endpoints with pending work, and overflowing queues all
 // drop the frame.
 func (e *Endpoint) Send(to string, payload []byte, sentAt vtime.Time) error {
-	frame := encodeFrame(e.name, e.BoundAddr(), payload, sentAt)
+	frame := encodeFrame(e.name, e.bound, payload, sentAt)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -269,11 +285,13 @@ func (e *Endpoint) SendControl(to string, payload []byte, sentAt vtime.Time) err
 }
 
 // Close shuts the endpoint down: the listener, every inbound connection,
-// and every peer sender.
+// and every peer sender. It returns once every reader has stopped, so no
+// call of the served function starts after it.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
+		e.wg.Wait()
 		return nil
 	}
 	e.closed = true
@@ -289,7 +307,7 @@ func (e *Endpoint) Close() error {
 		_ = c.Close()
 	}
 	e.wg.Wait()
-	close(e.out)
+	e.recv.Close()
 	return err
 }
 
@@ -322,8 +340,9 @@ func (e *Endpoint) read(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, readBufSize)
+	var names codec.Names // this connection's senders, each name made once
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, &names)
 		if err == errCorruptFrame {
 			// Damaged but correctly length-framed: drop just this frame
 			// and keep the connection — the stream is still in sync and
@@ -351,18 +370,13 @@ func (e *Endpoint) read(conn net.Conn) {
 			}
 			e.mu.Unlock()
 		}
-		msg := transport.Message{
+		e.serve(transport.Message{
 			From:     from,
 			To:       e.name,
 			Payload:  payload,
 			SentAt:   sentAt,
 			ArriveAt: sentAt, // live mode: virtual wire is free
-		}
-		select {
-		case e.out <- msg:
-		case <-e.done:
-			return
-		}
+		})
 	}
 }
 
@@ -529,12 +543,15 @@ func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) outFr
 // failed checksum or structural verification: droppable without closing.
 var errCorruptFrame = errors.New("tcptransport: corrupt frame dropped")
 
-func readFrame(r io.Reader) (codec.Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads r's next frame; once names holds its sender's names, the
+// frame's buffer is all it allocates.
+func readFrame(r *bufio.Reader, names *codec.Names) (codec.Frame, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return codec.Frame{}, err
 	}
-	total := binary.BigEndian.Uint32(hdr[:])
+	total := binary.BigEndian.Uint32(hdr)
+	_, _ = r.Discard(4)
 	if total > maxFrame {
 		return codec.Frame{}, fmt.Errorf("tcptransport: frame length %d exceeds limit", total)
 	}
@@ -542,7 +559,7 @@ func readFrame(r io.Reader) (codec.Frame, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return codec.Frame{}, err
 	}
-	f, err := codec.DecodeFrame(buf)
+	f, err := codec.DecodeFrame(buf, names)
 	if err != nil {
 		return codec.Frame{}, errCorruptFrame
 	}

@@ -9,10 +9,15 @@
 // addressed, connection-less, FIFO-per-link datagram delivery, with the
 // network free to drop or delay messages when faults are injected — by a
 // link Rule, the one description of what a link does to a message.
+//
+// Delivery is a call on the goroutine that received the message (see
+// MultiEndpoint.Serve): no inbound message waits for a second goroutine
+// before protocol code sees it.
 package transport
 
 import (
 	"errors"
+	"sync"
 
 	"versadep/internal/vtime"
 )
@@ -48,10 +53,40 @@ type Endpoint interface {
 	// rule.
 	Send(to string, payload []byte, sentAt vtime.Time) error
 	// Recv returns the channel on which inbound messages are delivered.
-	// The channel is closed when the endpoint closes or crashes.
+	// The channel is closed when the endpoint closes or crashes. It is the
+	// endpoint's Serve adapted to a channel: use one of the two, not both.
 	Recv() <-chan Message
 	// Close detaches the endpoint.
 	Close() error
+}
+
+// RecvChan is an endpoint's Recv, adding no delivery path: the goroutine
+// that serves the endpoint hands each message to the channel's reader, or
+// gives up once done closes.
+type RecvChan struct {
+	once sync.Once
+	ch   chan Message
+}
+
+// Get returns the channel, serving ep into it on the first call.
+func (r *RecvChan) Get(ep interface{ Serve(func(Message)) }, done <-chan struct{}) <-chan Message {
+	r.once.Do(func() {
+		r.ch = make(chan Message)
+		ep.Serve(func(m Message) {
+			select {
+			case r.ch <- m:
+			case <-done:
+			}
+		})
+	})
+	return r.ch
+}
+
+// Close closes the channel; the endpoint calls it once, after its last
+// delivery.
+func (r *RecvChan) Close() {
+	r.once.Do(func() { r.ch = make(chan Message) })
+	close(r.ch)
 }
 
 // Errors shared by transport implementations.

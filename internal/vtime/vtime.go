@@ -7,10 +7,10 @@
 // real (goroutines, channels, real message exchanges) while *performance* is
 // tracked in virtual time: each message carries a virtual timestamp, every
 // layer charges its modeled cost, and servers serialize work through a
-// busy-until queue. Reported latencies and bandwidths are virtual-time
-// quantities, which makes experiments deterministic and instantaneous while
-// preserving the relational results of the paper (orderings, ratios,
-// crossovers).
+// schedule of busy intervals (see Server). Reported latencies and bandwidths
+// are virtual-time quantities, which makes experiments deterministic and
+// instantaneous while preserving the relational results of the paper
+// (orderings, ratios, crossovers).
 //
 // The default cost model is calibrated to the component costs the paper
 // reports in Figure 3: application 15 µs, ORB 398 µs, group communication
@@ -19,6 +19,8 @@ package vtime
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 )
@@ -175,35 +177,52 @@ func (m CostModel) Jitter(d Duration, u float64) Duration {
 }
 
 // Server models a sequential resource in virtual time (a CPU executing
-// requests one at a time). Work arriving while the server is busy queues:
-// start = max(arrival, busyUntil). This is what produces the near-linear
-// latency growth with client count in Figure 7.
+// requests one at a time). A job waits out the work under way when it
+// arrives, and queues: this is what produces the near-linear latency growth
+// with client count in Figure 7. Goroutines reach a server in real-time
+// order, not virtual order, so work that arrives later may already be
+// scheduled; a job then runs in the idle gap before that work if it fits
+// there, and only otherwise queues behind everything scheduled, instead of
+// waiting for whichever goroutine ran first.
 type Server struct {
-	mu        sync.Mutex
-	busyUntil Time
+	mu    sync.Mutex
+	busy  []busySpan // disjoint, in time order; a job queued behind one extends it
+	floor Time       // where the forgotten intervals ended: no job starts before it
 }
+
+type busySpan struct{ start, end Time }
+
+// maxBusy bounds a Server's schedule; at it the older half is forgotten.
+const maxBusy = 4096
 
 // Execute schedules a job arriving at 'arrive' that takes 'cost', returning
 // its virtual completion instant.
 func (s *Server) Execute(arrive Time, cost Duration) Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := arrive.Max(s.busyUntil)
+	if len(s.busy) == maxBusy {
+		s.floor = s.busy[maxBusy/2-1].end
+		s.busy = append(s.busy[:0], s.busy[maxBusy/2:]...)
+	}
+	start := arrive.Max(s.floor)
+	n := len(s.busy)
+	i := n
+	if n > 0 && start < s.busy[n-1].end {
+		i = sort.Search(n, func(j int) bool { return s.busy[j].end > start })
+		if start.Add(cost) > s.busy[i].start {
+			start, i = s.busy[i].end, i+1
+		}
+		if i < n && start.Add(cost) > s.busy[i].start {
+			start, i = s.busy[n-1].end, n
+		}
+	}
 	done := start.Add(cost)
-	s.busyUntil = done
+	switch {
+	case cost <= 0:
+	case i > 0 && s.busy[i-1].end == start:
+		s.busy[i-1].end = done
+	default:
+		s.busy = slices.Insert(s.busy, i, busySpan{start, done})
+	}
 	return done
-}
-
-// BusyUntil reports the instant the server becomes idle.
-func (s *Server) BusyUntil() Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.busyUntil
-}
-
-// Reset clears accumulated queueing (used between experiment phases).
-func (s *Server) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.busyUntil = 0
 }

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -146,23 +148,19 @@ func TestServerQueueing(t *testing.T) {
 	if d3 != Time(60*Microsecond) {
 		t.Fatalf("idle-start job done at %v, want 60µs", d3)
 	}
-	if s.BusyUntil() != d3 {
-		t.Fatalf("BusyUntil = %v, want %v", s.BusyUntil(), d3)
-	}
-	s.Reset()
-	if s.BusyUntil() != 0 {
-		t.Fatalf("Reset did not clear busyUntil")
-	}
 }
 
 func TestServerCompletionMonotonic(t *testing.T) {
-	// Completions must be non-decreasing regardless of arrival pattern.
+	// Jobs that reach the server in arrival order are served as a FIFO
+	// queue: start = max(arrival, previous completion), so completions are
+	// non-decreasing.
 	f := func(arrivals []uint32) bool {
+		slices.Sort(arrivals)
 		var s Server
 		var last Time
 		for _, a := range arrivals {
 			done := s.Execute(Time(a), 5*Microsecond)
-			if done < last {
+			if done != Time(a).Max(last).Add(5*Microsecond) {
 				return false
 			}
 			last = done
@@ -171,6 +169,65 @@ func TestServerCompletionMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerFillsIdleGaps: a job whose call comes after work that arrives
+// later in virtual time runs in the idle gap before that work if it fits,
+// and queues behind it if it does not.
+func TestServerFillsIdleGaps(t *testing.T) {
+	var s Server
+	if d := s.Execute(Time(100*Microsecond), 10*Microsecond); d != Time(110*Microsecond) {
+		t.Fatalf("first job done at %v", d)
+	}
+	if d := s.Execute(Time(20*Microsecond), 10*Microsecond); d != Time(30*Microsecond) {
+		t.Fatalf("a job arriving in the idle gap done at %v, want 30µs", d)
+	}
+	if d := s.Execute(Time(85*Microsecond), 10*Microsecond); d != Time(95*Microsecond) {
+		t.Fatalf("a job that fits before the later one done at %v, want 95µs", d)
+	}
+	if d := s.Execute(Time(90*Microsecond), 10*Microsecond); d != Time(120*Microsecond) {
+		t.Fatalf("a job overlapping the later one done at %v, want 120µs", d)
+	}
+	if d := s.Execute(Time(30*Microsecond), 60*Microsecond); d != Time(180*Microsecond) {
+		t.Fatalf("a job longer than every gap done at %v, want 180µs", d)
+	}
+}
+
+// TestServerOrderFreeWhenIdle: jobs that never overlap complete at arrival
+// plus cost in whatever order they reach the server.
+func TestServerOrderFreeWhenIdle(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var s Server
+		for _, i := range r.Perm(200) {
+			at := Time(i) * Time(10*Microsecond)
+			if s.Execute(at, 5*Microsecond) != at.Add(5*Microsecond) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerScheduleBounded: a server keeps at most maxBusy intervals; a job
+// arriving before the forgotten ones ended starts after them.
+func TestServerScheduleBounded(t *testing.T) {
+	var s Server
+	for i := 0; i < 3*maxBusy; i++ {
+		s.Execute(Time(i)*Time(10*Microsecond), Microsecond)
+	}
+	if len(s.busy) > maxBusy {
+		t.Fatalf("%d intervals kept, want at most %d", len(s.busy), maxBusy)
+	}
+	if s.floor == 0 {
+		t.Fatal("nothing was forgotten")
+	}
+	if d := s.Execute(0, Microsecond); d != s.floor.Add(Microsecond) {
+		t.Fatalf("a job arriving before the floor done at %v, want floor %v + 1µs", d, s.floor)
 	}
 }
 

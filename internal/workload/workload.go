@@ -96,8 +96,6 @@ func (a *BenchApp) Restore(state []byte) error {
 type Result struct {
 	// Latency collects per-request round-trip times, virtual ns.
 	Latency hist.Histogram
-	// Ledgers are the per-request cost breakdowns (kept when requested).
-	Ledgers []vtime.Ledger
 	// Requests is the number of completed requests.
 	Requests int
 	// Errors counts failed invocations.
@@ -133,8 +131,6 @@ type ClosedLoop struct {
 	RequestBytes int
 	// StartVT is the virtual start instant.
 	StartVT vtime.Time
-	// KeepLedgers retains per-request cost breakdowns (Figure 3).
-	KeepLedgers bool
 	// OnReply, if set, sees every request's end before the next one
 	// leaves — its index and the reply, or the error that failed it — and
 	// ends the cycle there by returning false.
@@ -160,9 +156,6 @@ func (c ClosedLoop) Run() *Result {
 		} else {
 			res.Requests++
 			res.Latency.Observe(int64(out.RTT()))
-			if c.KeepLedgers {
-				res.Ledgers = append(res.Ledgers, out.Ledger)
-			}
 			vt = out.DoneVT.Add(c.Think)
 		}
 		if c.OnReply != nil && !c.OnReply(i, out, err) {
