@@ -19,7 +19,8 @@ const (
 	kJoin frameKind = iota + 1
 	// kLeave: Origin leaves the group gracefully.
 	kLeave
-	// kHB: heartbeat (control).
+	// kHB: heartbeat (control); Seq is the sender's delivered-through
+	// sequence number. OSeq and Seqs are empty.
 	kHB
 	// kData: submission to the sequencer. Origin/OSeq identify the
 	// message; Level records the requested service (Agreed).
@@ -29,16 +30,13 @@ const (
 	kSeq
 	// kNack: receiver is missing sequence numbers listed in Seqs.
 	kNack
-	// kFifo: direct FIFO multicast; OSeq is the per-sender sequence in
-	// the current view.
-	kFifo
-	// kFifoNack: receiver missing FIFO OSeqs from Origin.
-	kFifoNack
-	// kCausal: causal multicast; Seqs carries the sender's vector clock
-	// aligned with view membership order.
-	kCausal
-	// kBE: best-effort multicast.
-	kBE
+	// 7–10 are retired (they carried Spread's FIFO, causal and best-effort
+	// services): a frame of one is ignored like any unknown kind, and no
+	// kind reuses them.
+	_
+	_
+	_
+	_
 	// kPrepare: view-change proposal; ViewID is the proposed id, Members
 	// the proposed membership.
 	kPrepare

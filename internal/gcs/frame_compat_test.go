@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"versadep/internal/codec"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -60,11 +61,6 @@ func compatFrames() []*frame {
 		{Kind: kSeq, ViewID: 3, Seq: 99, Origin: "client-1", OSeq: 42,
 			Level: Agreed, Payload: []byte("request-bytes")},
 		{Kind: kNack, Origin: "rb", Seqs: []uint64{7, 9, 11}},
-		{Kind: kFifo, Origin: "rc", OSeq: 5, Level: FIFO, Payload: []byte("f")},
-		{Kind: kFifoNack, Origin: "rc", Seqs: []uint64{2}},
-		{Kind: kCausal, Origin: "ra", Level: Causal, Seqs: []uint64{1, 0, 2},
-			Payload: []byte("c")},
-		{Kind: kBE, Origin: "ra", Level: BestEffort, Payload: []byte("b")},
 		{Kind: kPrepare, ViewID: 4, Origin: "rb", Members: []string{"rb", "rc"}},
 		{Kind: kPrepareAck, ViewID: 4, Origin: "rc", Seq: 97, Seqs: []uint64{99}},
 		{Kind: kFetch, Origin: "rb", Seqs: []uint64{98}},
@@ -76,6 +72,83 @@ func compatFrames() []*frame {
 		{Kind: kDirectAck, Origin: "client-1", OSeq: 8},
 		{Kind: kViewHint, Members: []string{"rb", "rc"}},
 		{Kind: kDataAck, Origin: "rb", OSeq: 42},
+	}
+}
+
+// retiredFrames are frames of the four retired kinds (7–10: FIFO, FIFO
+// NACK, causal, best-effort) as a peer that still spoke them encoded them.
+// They decode like any frame, and a member ignores them.
+func retiredFrames() []*frame {
+	return []*frame{
+		{Kind: 7, Origin: "rc", OSeq: 5, Level: 2, Payload: []byte("f")},
+		{Kind: 8, Origin: "rc", Seqs: []uint64{2}},
+		{Kind: 9, Origin: "ra", Level: 3, Seqs: []uint64{1, 0, 2}, Payload: []byte("c")},
+		{Kind: 10, Origin: "ra", Level: 1, Payload: []byte("b")},
+	}
+}
+
+// TestFrameKindWireValues pins the byte of every frame kind, and of the
+// agreed level, independently of the encoder: the byte-identity tests
+// compare two encoders that both read f.Kind, so a renumbering would pass
+// them.
+func TestFrameKindWireValues(t *testing.T) {
+	for _, c := range []struct {
+		kind frameKind
+		wire byte
+	}{
+		{kJoin, 1}, {kLeave, 2}, {kHB, 3}, {kData, 4}, {kSeq, 5}, {kNack, 6},
+		{kPrepare, 11}, {kPrepareAck, 12}, {kFetch, 13}, {kFetchResp, 14},
+		{kView, 15}, {kDirect, 16}, {kDirectAck, 17}, {kViewHint, 18}, {kDataAck, 19},
+	} {
+		if b := encodeFrame(&frame{Kind: c.kind})[0]; b != c.wire {
+			t.Errorf("kind %d encodes as byte %d, want %d", c.kind, b, c.wire)
+		}
+	}
+	if Agreed != 4 {
+		t.Errorf("Agreed = %d, want 4", Agreed)
+	}
+	// The level byte follows kind, ViewID, Seq, an empty Origin and OSeq.
+	if b := encodeFrame(&frame{Kind: kData, Level: Agreed})[1+8+8+4+8]; b != 4 {
+		t.Errorf("an agreed frame's level byte is %d, want 4", b)
+	}
+}
+
+// TestHeartbeatLegacyLayout: a heartbeat in a 3-member view carries its
+// agreed frontier alone — the legacy layout with OSeq zero and an empty
+// Seqs list.
+func TestHeartbeatLegacyLayout(t *testing.T) {
+	cfg := deferConfig()
+	a := openRig(t, cfg, "a", "a", "b", "c")
+	a.tick(cfg.HBInterval)
+	hbs := a.conn.sends(t, kHB)
+	if len(hbs) != 2 {
+		t.Fatalf("%d heartbeats sent, want one each to b and c", len(hbs))
+	}
+	want := legacyEncodeFrame(&frame{Kind: kHB, ViewID: 1, Origin: "a"})
+	for _, s := range hbs {
+		if got := unseal(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("heartbeat to %s diverged from the legacy layout\n got: %x\nwant: %x", s.to, got, want)
+		}
+	}
+}
+
+// TestRetiredKindsIgnored: a frame of a retired kind from a view member
+// makes a member send nothing and deliver nothing.
+func TestRetiredKindsIgnored(t *testing.T) {
+	a := openRig(t, deferConfig(), "a", "a", "b")
+	for _, f := range retiredFrames() {
+		f.ViewID = 1
+		msg := transport.Message{From: "b", To: "a", Payload: encodeFrame(f)}
+		a.do(func() { a.m.handleMessage(msg) })
+	}
+	if n := sentCount(a.conn) + sentCount(a.xconn); n != 0 {
+		t.Fatalf("retired frames provoked %d sends", n)
+	}
+	// Events come out in order, so anything the retired frames delivered
+	// would come before the next agreed message.
+	a.multicast(1)
+	if got := a.messagesUntil(func(e Event) bool { return e.Kind == EventMessage }); len(got) != 1 || got[0] != "m0" {
+		t.Fatalf("delivered %q, want only the agreed m0", got)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // FuzzGCSFrameDecode drives the frame decoder — which hands out windows
 // onto its input rather than copies — with arbitrary bytes, seeded from the
-// golden frames of frame_compat_test.go. It must never panic; whatever it
+// golden frames of frame_compat_test.go and the frames of the retired kinds
+// a peer that still spoke them sends. It must never panic; whatever it
 // accepts must alias only the input; and its encoding must be stable: the
 // golden frames re-encode to the very bytes they were decoded from, and any
 // other accepted input (the decoder tolerates a foreign ledger width and an
@@ -18,7 +19,7 @@ import (
 // same frame and re-encodes to itself.
 func FuzzGCSFrameDecode(f *testing.F) {
 	golden := map[string]bool{}
-	for _, fr := range compatFrames() {
+	for _, fr := range append(compatFrames(), retiredFrames()...) {
 		for _, group := range []uint32{0, 7} {
 			fr.Group = group
 			b := encodeFrame(fr)

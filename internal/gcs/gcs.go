@@ -5,8 +5,8 @@
 //
 //   - group membership with join/leave and crash detection, delivered as
 //     view-change events;
-//   - reliable multicast with the four Spread service levels: best-effort,
-//     FIFO (by sender), causal, and agreed (total order);
+//   - reliable, totally ordered multicast (Spread's agreed service), and
+//     reliable point-to-point delivery;
 //   - virtual synchrony: view changes are totally ordered with respect to
 //     agreed messages, so every surviving member observes crashes at the
 //     same point in the message stream — the property the runtime
@@ -38,39 +38,15 @@ import (
 	"versadep/internal/vtime"
 )
 
-// ServiceLevel selects the delivery guarantee of a multicast, mirroring
-// Spread's service levels.
+// ServiceLevel names the delivery guarantee of a multicast, after Spread's
+// service levels. The replicator needs one of them, Agreed, and it is the
+// only one the GCS offers.
 type ServiceLevel uint8
 
-// Delivery guarantees, weakest to strongest.
-const (
-	// BestEffort delivers with no ordering or reliability guarantee.
-	BestEffort ServiceLevel = iota + 1
-	// FIFO delivers each sender's messages in the order they were sent.
-	FIFO
-	// Causal delivers messages respecting potential causality
-	// (vector-clock happened-before).
-	Causal
-	// Agreed delivers all messages in one total order, identical at every
-	// member, with view changes ordered consistently within the stream.
-	Agreed
-)
-
-// String returns the service level's name.
-func (s ServiceLevel) String() string {
-	switch s {
-	case BestEffort:
-		return "best-effort"
-	case FIFO:
-		return "fifo"
-	case Causal:
-		return "causal"
-	case Agreed:
-		return "agreed"
-	default:
-		return "unknown"
-	}
-}
+// Agreed delivers all messages in one total order, identical at every
+// member, with view changes ordered consistently within the stream. Its
+// value is the level byte agreed frames carry on the wire.
+const Agreed ServiceLevel = 4
 
 // View is an installed membership view. Members are sorted ascending; the
 // first member is the coordinator (and the sequencer for agreed traffic).
@@ -106,16 +82,6 @@ func (v View) Contains(addr string) bool {
 	return false
 }
 
-// Rank returns addr's position in the sorted membership, or -1.
-func (v View) Rank(addr string) int {
-	for i, m := range v.Members {
-		if m == addr {
-			return i
-		}
-	}
-	return -1
-}
-
 // EventKind discriminates Event.
 type EventKind uint8
 
@@ -137,8 +103,6 @@ type Event struct {
 	Sender string
 	// Payload is the application bytes (message and direct events).
 	Payload []byte
-	// Level is the service level the message was sent with.
-	Level ServiceLevel
 	// Seq is the global sequence number (agreed messages and views).
 	Seq uint64
 	// View is the installed view (view events) or the view in which a
@@ -299,4 +263,6 @@ var (
 	// ErrNoView reports an operation requiring an installed view before
 	// the join completed.
 	ErrNoView = errors.New("gcs: no view installed")
+	// ErrServiceLevel reports a multicast at a level other than Agreed.
+	ErrServiceLevel = errors.New("gcs: unsupported service level")
 )

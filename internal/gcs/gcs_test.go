@@ -1,6 +1,7 @@
 package gcs_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -189,9 +190,6 @@ func TestAgreedTotalOrder(t *testing.T) {
 		msgs := n.waitMessages(t, total, 10*time.Second)
 		seq := make([]string, 0, total)
 		for _, e := range msgs {
-			if e.Level != gcs.Agreed {
-				t.Fatalf("%s: unexpected level %v", n.name, e.Level)
-			}
 			seq = append(seq, string(e.Payload))
 		}
 		sequences = append(sequences, seq)
@@ -252,6 +250,9 @@ func TestAgreedUnderMessageLoss(t *testing.T) {
 	}
 }
 
+// TestFIFOOrderUnderLoss: agreed delivery keeps each sender's order — one
+// sender's messages reach every other member in the order they were sent,
+// at 20 % loss on every link.
 func TestFIFOOrderUnderLoss(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(13))
 	defer net.Close()
@@ -261,7 +262,7 @@ func TestFIFOOrderUnderLoss(t *testing.T) {
 	const count = 40
 	go func() {
 		for i := 0; i < count; i++ {
-			_ = nodes[0].member.Multicast([]byte(fmt.Sprintf("f-%d", i)), gcs.FIFO, 0, vtime.Ledger{})
+			_ = nodes[0].member.Multicast([]byte(fmt.Sprintf("f-%d", i)), gcs.Agreed, 0, vtime.Ledger{})
 		}
 	}()
 	for _, n := range nodes[1:] {
@@ -271,71 +272,28 @@ func TestFIFOOrderUnderLoss(t *testing.T) {
 			if string(e.Payload) != want {
 				t.Fatalf("%s: position %d = %q, want %q", n.name, i, e.Payload, want)
 			}
-			if e.Level != gcs.FIFO {
-				t.Fatalf("level = %v", e.Level)
-			}
 		}
 	}
 }
 
-func TestCausalDelivery(t *testing.T) {
-	net := simnet.New(simnet.WithSeed(17))
-	defer net.Close()
-	nodes := startGroup(t, net, 3)
-
-	// ma sends c-0; mb, upon seeing it, sends c-1 (causally after).
-	if err := nodes[0].member.Multicast([]byte("c-0"), gcs.Causal, 0, vtime.Ledger{}); err != nil {
-		t.Fatal(err)
-	}
-	nodes[1].waitMessages(t, 1, 5*time.Second)
-	if err := nodes[1].member.Multicast([]byte("c-1"), gcs.Causal, 0, vtime.Ledger{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*node{nodes[0], nodes[2]} {
-		msgs := n.waitMessages(t, 2, 5*time.Second)
-		if string(msgs[0].Payload) != "c-0" || string(msgs[1].Payload) != "c-1" {
-			t.Fatalf("%s: causal order violated: %q then %q", n.name, msgs[0].Payload, msgs[1].Payload)
-		}
-	}
-}
-
-func TestCausalDeliveryWithHeldPredecessor(t *testing.T) {
-	net := simnet.New(simnet.WithSeed(19))
-	defer net.Close()
-	nodes := startGroup(t, net, 3)
-
-	// Block ma->mc so mc receives mb's causally-later message first.
-	net.SetLink("ma", "mc", transport.Rule{Drop: 1.0})
-	if err := nodes[0].member.Multicast([]byte("c-0"), gcs.Causal, 0, vtime.Ledger{}); err != nil {
-		t.Fatal(err)
-	}
-	nodes[1].waitMessages(t, 1, 5*time.Second)
-	if err := nodes[1].member.Multicast([]byte("c-1"), gcs.Causal, 0, vtime.Ledger{}); err != nil {
-		t.Fatal(err)
-	}
-	// mc must hold c-1 until it recovers c-0 (via nack to ma once the
-	// link heals).
-	time.Sleep(100 * time.Millisecond)
-	if got := len(nodes[2].messages()); got != 0 {
-		t.Fatalf("mc delivered %d messages while predecessor missing", got)
-	}
-	net.SetLink("ma", "mc", transport.Rule{})
-	msgs := nodes[2].waitMessages(t, 2, 10*time.Second)
-	if string(msgs[0].Payload) != "c-0" || string(msgs[1].Payload) != "c-1" {
-		t.Fatalf("mc order: %q then %q", msgs[0].Payload, msgs[1].Payload)
-	}
-}
-
-func TestBestEffortDelivery(t *testing.T) {
+// TestMulticastRejectsOtherLevels: Agreed is the one service level; any
+// other is refused, not quietly served as agreed.
+func TestMulticastRejectsOtherLevels(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
-	nodes := startGroup(t, net, 2)
-	if err := nodes[0].member.Multicast([]byte("be"), gcs.BestEffort, 0, vtime.Ledger{}); err != nil {
+	n := startNode(t, net, "solo", nil)
+	n.waitView(t, []string{"solo"}, time.Second)
+	for _, lvl := range []gcs.ServiceLevel{0, 1, 2, 3, 5} {
+		if err := n.member.Multicast([]byte("x"), lvl, 0, vtime.Ledger{}); !errors.Is(err, gcs.ErrServiceLevel) {
+			t.Fatalf("multicast at level %d = %v, want ErrServiceLevel", lvl, err)
+		}
+	}
+	// Nothing refused went out: the next agreed message is the first one.
+	if err := n.member.Multicast([]byte("agreed"), gcs.Agreed, 0, vtime.Ledger{}); err != nil {
 		t.Fatal(err)
 	}
-	msgs := nodes[1].waitMessages(t, 1, 5*time.Second)
-	if string(msgs[0].Payload) != "be" || msgs[0].Level != gcs.BestEffort {
-		t.Fatalf("got %+v", msgs[0])
+	if msgs := n.waitMessages(t, 1, 5*time.Second); string(msgs[0].Payload) != "agreed" || msgs[0].Seq != 1 {
+		t.Fatalf("first delivery %q at seq %d, want \"agreed\" at 1", msgs[0].Payload, msgs[0].Seq)
 	}
 }
 

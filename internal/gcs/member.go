@@ -92,17 +92,6 @@ type Member struct {
 	// missing OSeq; after DataGapTimeout the sequencer skips the gap.
 	dataGapSince map[string]time.Time
 
-	// FIFO (reset per view).
-	fifoOut  uint64
-	fifoSent map[uint64]*frame
-	fifoExp  map[string]uint64
-	fifoHold map[string]map[uint64]*rxFrame
-
-	// Causal (reset per view).
-	vc         map[string]uint64
-	causalSent map[uint64]*frame
-	causalHold []*rxFrame
-
 	// Reliable direct unicast.
 	directOut   map[string]uint64
 	directUnack map[string]map[uint64]*frame
@@ -219,11 +208,6 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		seqLocal:     make(map[string]uint64),
 		dataHold:     make(map[string]map[uint64]*rxFrame),
 		dataGapSince: make(map[string]time.Time),
-		fifoSent:     make(map[uint64]*frame),
-		fifoExp:      make(map[string]uint64),
-		fifoHold:     make(map[string]map[uint64]*rxFrame),
-		vc:           make(map[string]uint64),
-		causalSent:   make(map[uint64]*frame),
 		directOut:    make(map[string]uint64),
 		directUnack:  make(map[string]map[uint64]*frame),
 		directIn:     newDupFilter(),
@@ -317,18 +301,21 @@ func (m *Member) View() (View, error) {
 	return v, nil
 }
 
-// Multicast sends payload to the group at the given service level. sentAt
-// is the caller's virtual time and led carries costs already charged by
-// upper layers. Agreed messages survive sequencer crashes (they are
-// retransmitted and resubmitted across view changes); FIFO and causal
-// messages are retransmitted within a view.
+// Multicast sends payload to the group in the agreed total order. lvl must
+// be Agreed (ErrServiceLevel otherwise). sentAt is the caller's virtual
+// time and led carries costs already charged by upper layers. The message
+// survives sequencer crashes: it is retransmitted and resubmitted across
+// view changes until it is sequenced.
 //
 // The member takes ownership of payload without copying it: the caller
 // may keep the slice and read it, but nobody writes to it again (see
 // transport.Message.Payload). The same slice is what local delivery hands
 // back in Event.Payload.
 func (m *Member) Multicast(payload []byte, lvl ServiceLevel, sentAt vtime.Time, led vtime.Ledger) error {
-	return m.do(func() { m.multicastLocked(payload, lvl, sentAt, led) })
+	if lvl != Agreed {
+		return ErrServiceLevel
+	}
+	return m.do(func() { m.multicastLocked(payload, sentAt, led) })
 }
 
 // DirectRoom is the room a SendDirect payload needs around it to be framed
@@ -476,18 +463,9 @@ func (m *Member) sendData(to string, f *frame) {
 	_ = m.conn.Send(to, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 }
 
-// castData multicasts a data frame to all view members (including self via
-// loopback, which costs no wire time).
+// castData multicasts a data frame to all view members: the others first,
+// then self via loopback, which costs no wire time.
 func (m *Member) castData(f *frame) {
-	self := m.castDataOthers(f)
-	if self {
-		m.handleFrame(transport.Message{From: m.Addr(), To: m.Addr(), SentAt: f.SentVT, ArriveAt: f.SentVT}, f)
-	}
-}
-
-// castDataOthers multicasts to every view member except self, reporting
-// whether self is a member.
-func (m *Member) castDataOthers(f *frame) bool {
 	others := make([]string, 0, len(m.view.Members))
 	self := false
 	for _, mm := range m.view.Members {
@@ -501,7 +479,9 @@ func (m *Member) castDataOthers(f *frame) bool {
 		f.lastSend = m.now()
 		_ = m.conn.SendMulticast(others, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 	}
-	return self
+	if self {
+		m.handleFrame(transport.Message{From: m.Addr(), To: m.Addr(), SentAt: f.SentVT, ArriveAt: f.SentVT}, f)
+	}
 }
 
 // historyAt returns the retained frame with sequence number seq, if the
@@ -568,16 +548,6 @@ func (m *Member) installBootstrapView() {
 }
 
 func (m *Member) resetPerViewState() {
-	m.fifoOut = 0
-	m.fifoSent = make(map[uint64]*frame)
-	m.fifoExp = make(map[string]uint64)
-	m.fifoHold = make(map[string]map[uint64]*rxFrame)
-	m.vc = make(map[string]uint64)
-	for _, mm := range m.view.Members {
-		m.vc[mm] = 0
-	}
-	m.causalSent = make(map[uint64]*frame)
-	m.causalHold = nil
 	nowT := m.now()
 	if m.det != nil {
 		// Departed peers take their interval history with them: a peer

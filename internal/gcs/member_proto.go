@@ -29,12 +29,6 @@ func rxSpanName(k frameKind) string {
 		return "gc_recv_submit"
 	case kSeq:
 		return "gc_recv_agreed"
-	case kFifo:
-		return "gc_recv_fifo"
-	case kCausal:
-		return "gc_recv_causal"
-	case kBE:
-		return "gc_recv_besteffort"
 	case kDirect:
 		return "gc_recv_direct"
 	default:
@@ -44,7 +38,9 @@ func rxSpanName(k frameKind) string {
 
 // ---- submission paths ----
 
-func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.Time, led vtime.Ledger) {
+// multicastLocked submits payload to the sequencer and keeps it pending
+// until it comes back sequenced.
+func (m *Member) multicastLocked(payload []byte, sentAt vtime.Time, led vtime.Ledger) {
 	// The daemon charges its per-crossing cost on the sending side
 	// (jittered: daemon scheduling noise is a real contributor to the
 	// paper's error bars).
@@ -55,89 +51,21 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 		m.spans.Add(key, "gc_send", span.CompGC, vt.Add(-cost), vt)
 	}
 
-	switch lvl {
-	case Agreed:
-		m.localSeq++
-		f := &frame{
-			Kind:    kData,
-			Origin:  m.Addr(),
-			OSeq:    m.localSeq,
-			Level:   Agreed,
-			SentVT:  vt,
-			Ledger:  led,
-			Payload: payload,
-		}
-		m.pending[f.OSeq] = f
-		m.pendOrder = append(m.pendOrder, f.OSeq)
-		if m.installed && !m.blocked {
-			m.sendData(m.currentSequencer(), f)
-		}
-	case FIFO:
-		m.fifoOut++
-		f := &frame{
-			Kind:    kFifo,
-			ViewID:  m.view.ID,
-			Origin:  m.Addr(),
-			OSeq:    m.fifoOut,
-			Level:   FIFO,
-			SentVT:  vt,
-			Ledger:  led,
-			Payload: payload,
-		}
-		m.fifoSent[f.OSeq] = f
-		m.castData(f)
-	case Causal:
-		m.vc[m.Addr()]++
-		f := &frame{
-			Kind:    kCausal,
-			ViewID:  m.view.ID,
-			Origin:  m.Addr(),
-			OSeq:    m.vc[m.Addr()],
-			Level:   Causal,
-			SentVT:  vt,
-			Ledger:  led,
-			Seqs:    m.vcSnapshot(),
-			Payload: payload,
-		}
-		m.causalSent[f.OSeq] = f
-		// The sender's own vector entry already advanced, so the message
-		// is delivered locally at once and multicast to the others only
-		// (running it through the receive path would double-count).
-		m.castDataOthers(f)
-		dvt := vt.Max(m.deliverVT)
-		m.deliverVT = dvt
-		m.emit(Event{
-			Kind:    EventMessage,
-			Sender:  m.Addr(),
-			Payload: f.Payload,
-			Level:   Causal,
-			View:    m.view,
-			VTime:   dvt,
-			SentVT:  vt,
-			Ledger:  led,
-		})
-	default: // BestEffort
-		f := &frame{
-			Kind:    kBE,
-			ViewID:  m.view.ID,
-			Origin:  m.Addr(),
-			Level:   BestEffort,
-			SentVT:  vt,
-			Ledger:  led,
-			Payload: payload,
-		}
-		m.castData(f)
+	m.localSeq++
+	f := &frame{
+		Kind:    kData,
+		Origin:  m.Addr(),
+		OSeq:    m.localSeq,
+		Level:   Agreed,
+		SentVT:  vt,
+		Ledger:  led,
+		Payload: payload,
 	}
-}
-
-// vcSnapshot serializes the vector clock aligned with view membership
-// order.
-func (m *Member) vcSnapshot() []uint64 {
-	out := make([]uint64, len(m.view.Members))
-	for i, mm := range m.view.Members {
-		out[i] = m.vc[mm]
+	m.pending[f.OSeq] = f
+	m.pendOrder = append(m.pendOrder, f.OSeq)
+	if m.installed && !m.blocked {
+		m.sendData(m.currentSequencer(), f)
 	}
-	return out
 }
 
 func (m *Member) sendDirectLocked(to string, payload transport.Buf, sentAt vtime.Time, led vtime.Ledger) {
@@ -231,14 +159,6 @@ func (m *Member) handleFrame(msg transport.Message, f *frame) {
 		m.handleSequenced(msg, f)
 	case kNack:
 		m.handleNack(msg.From, f)
-	case kFifo:
-		m.handleFifo(msg, f)
-	case kFifoNack:
-		m.handleFifoNack(msg.From, f)
-	case kCausal:
-		m.handleCausal(msg, f)
-	case kBE:
-		m.handleBestEffort(msg, f)
 	case kPrepare:
 		m.handlePrepare(msg.From, f)
 	case kPrepareAck:
@@ -536,22 +456,17 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 	if f.Origin == m.Addr() {
 		delete(m.pending, f.OSeq)
 	}
-	m.deliverMessage(rf, Agreed, f.Seq)
-}
-
-// deliverMessage hands rf up at level, at the later of its arrival and the
-// previous delivery: delivery instants never go backwards.
-func (m *Member) deliverMessage(rf *rxFrame, level ServiceLevel, seq uint64) {
+	// The message goes up at the later of its arrival and the previous
+	// delivery: delivery instants never go backwards.
 	m.deliverVT = rf.vt.Max(m.deliverVT)
 	m.emit(Event{
 		Kind:    EventMessage,
-		Sender:  rf.f.Origin,
-		Payload: rf.f.Payload,
-		Level:   level,
-		Seq:     seq,
+		Sender:  f.Origin,
+		Payload: f.Payload,
+		Seq:     f.Seq,
 		View:    m.view,
 		VTime:   m.deliverVT,
-		SentVT:  rf.f.SentVT,
+		SentVT:  f.SentVT,
 		Ledger:  rf.led,
 	})
 }
@@ -589,74 +504,9 @@ func (m *Member) handleNack(from string, f *frame) {
 	}
 }
 
-// ---- FIFO path ----
-
-func (m *Member) handleFifo(msg transport.Message, f *frame) {
-	if !m.installed || f.ViewID != m.view.ID {
-		return
-	}
-	exp := m.fifoExp[f.Origin] + 1
-	if f.OSeq < exp {
-		return // duplicate
-	}
-	hold := m.fifoHold[f.Origin]
-	if hold == nil {
-		hold = make(map[uint64]*rxFrame)
-		m.fifoHold[f.Origin] = hold
-	}
-	if _, dup := hold[f.OSeq]; !dup {
-		hold[f.OSeq] = m.rx(msg, f, 0)
-	}
-	for {
-		exp = m.fifoExp[f.Origin] + 1
-		rf, ok := hold[exp]
-		if !ok {
-			break
-		}
-		delete(hold, exp)
-		m.fifoExp[f.Origin] = exp
-		m.deliverMessage(rf, FIFO, 0)
-	}
-	m.nackFifoGap(f.Origin)
-}
-
-func (m *Member) nackFifoGap(origin string) {
-	hold := m.fifoHold[origin]
-	if len(hold) == 0 || origin == m.Addr() {
-		return
-	}
-	low := uint64(0)
-	for s := range hold {
-		if low == 0 || s < low {
-			low = s
-		}
-	}
-	exp := m.fifoExp[origin] + 1
-	if low <= exp {
-		return
-	}
-	missing := make([]uint64, 0, 32)
-	for s := exp; s < low && len(missing) < 64; s++ {
-		missing = append(missing, s)
-	}
-	m.sendControl(origin, &frame{Kind: kFifoNack, Origin: m.Addr(), Seqs: missing})
-}
-
-func (m *Member) handleFifoNack(from string, f *frame) {
-	sent := m.fifoSent
-	if f.Level == Causal {
-		sent = m.causalSent
-	}
-	for _, s := range f.Seqs {
-		if sf, ok := sent[s]; ok {
-			m.sendControl(from, sf)
-		}
-	}
-}
-
-// handleHeartbeat detects tail losses: heartbeats carry the sender's FIFO
-// and causal frontiers so a receiver notices a dropped final message even
-// when no later message reveals the gap.
+// handleHeartbeat detects tail losses: a heartbeat carries the sender's
+// agreed frontier, so a receiver notices a dropped final message even when
+// no later message reveals the gap.
 func (m *Member) handleHeartbeat(from string, f *frame) {
 	if !m.installed || from == m.Addr() {
 		return
@@ -687,137 +537,6 @@ func (m *Member) handleHeartbeat(from string, f *frame) {
 			m.sendControl(m.view.Coordinator(), &frame{Kind: kNack, Origin: m.Addr(), Seqs: missing})
 		}
 	}
-	// FIFO tail gap.
-	if f.OSeq > m.fifoExp[from] {
-		hold := m.fifoHold[from]
-		missing := make([]uint64, 0, 16)
-		for s := m.fifoExp[from] + 1; s <= f.OSeq && len(missing) < 64; s++ {
-			if hold != nil {
-				if _, ok := hold[s]; ok {
-					continue
-				}
-			}
-			missing = append(missing, s)
-		}
-		if len(missing) > 0 {
-			m.sendControl(from, &frame{Kind: kFifoNack, Origin: m.Addr(), Seqs: missing})
-		}
-	}
-	// Causal tail gap: the sender's own vector entry tells us how many of
-	// its causal messages exist.
-	rank := m.view.Rank(from)
-	if rank >= 0 && rank < len(f.Seqs) && f.Seqs[rank] > m.vc[from] {
-		missing := make([]uint64, 0, 16)
-	causalScan:
-		for s := m.vc[from] + 1; s <= f.Seqs[rank] && len(missing) < 64; s++ {
-			for _, rf := range m.causalHold {
-				if rf.f.Origin == from && rf.f.OSeq == s {
-					continue causalScan
-				}
-			}
-			missing = append(missing, s)
-		}
-		if len(missing) > 0 {
-			m.sendControl(from, &frame{Kind: kFifoNack, Origin: m.Addr(), Seqs: missing, Level: Causal})
-		}
-	}
-}
-
-// ---- causal path ----
-
-func (m *Member) handleCausal(msg transport.Message, f *frame) {
-	if !m.installed || f.ViewID != m.view.ID {
-		return
-	}
-	if f.OSeq <= m.vc[f.Origin] {
-		return // duplicate
-	}
-	for _, held := range m.causalHold {
-		if held.f.Origin == f.Origin && held.f.OSeq == f.OSeq {
-			return
-		}
-	}
-	m.causalHold = append(m.causalHold, m.rx(msg, f, 0))
-	m.drainCausal()
-}
-
-// causallyReady reports whether f's vector clock is satisfied locally.
-func (m *Member) causallyReady(f *frame) bool {
-	if len(f.Seqs) != len(m.view.Members) {
-		return false
-	}
-	for i, mm := range m.view.Members {
-		want := f.Seqs[i]
-		if mm == f.Origin {
-			if m.vc[mm]+1 != want {
-				return false
-			}
-			continue
-		}
-		if m.vc[mm] < want {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Member) drainCausal() {
-	for {
-		progressed := false
-		for i, rf := range m.causalHold {
-			if !m.causallyReady(rf.f) {
-				continue
-			}
-			m.causalHold = append(m.causalHold[:i], m.causalHold[i+1:]...)
-			m.vc[rf.f.Origin] = rf.f.OSeq
-			m.deliverMessage(rf, Causal, 0)
-			progressed = true
-			break
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-// nackCausalGaps periodically requests missing causal predecessors.
-func (m *Member) nackCausalGaps() {
-	if len(m.causalHold) == 0 {
-		return
-	}
-	// For every held frame, ask each origin for the slots we lack.
-	needed := make(map[string]map[uint64]bool)
-	for _, rf := range m.causalHold {
-		for i, mm := range m.view.Members {
-			if mm == m.Addr() || i >= len(rf.f.Seqs) {
-				continue
-			}
-			want := rf.f.Seqs[i]
-			for s := m.vc[mm] + 1; s <= want && s <= m.vc[mm]+32; s++ {
-				if needed[mm] == nil {
-					needed[mm] = make(map[uint64]bool)
-				}
-				needed[mm][s] = true
-			}
-		}
-	}
-	for origin, set := range needed {
-		seqs := make([]uint64, 0, len(set))
-		for s := range set {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		m.sendControl(origin, &frame{Kind: kFifoNack, Origin: m.Addr(), Seqs: seqs, Level: Causal})
-	}
-}
-
-// ---- best effort ----
-
-func (m *Member) handleBestEffort(msg transport.Message, f *frame) {
-	if !m.installed || f.ViewID != m.view.ID {
-		return
-	}
-	m.deliverMessage(m.rx(msg, f, 0), BestEffort, 0)
 }
 
 // ---- reliable direct unicast (to external clients and between members) ----
@@ -908,18 +627,11 @@ func (m *Member) tick() {
 		return
 	}
 
-	// Heartbeats, carrying the agreed, FIFO and causal frontiers for
-	// tail-loss detection: a receiver that missed the last messages of a
-	// burst (or a healed partition) has no later message to reveal the
-	// gap, so the frontier advertisement is what triggers recovery.
-	hb := &frame{
-		Kind:   kHB,
-		ViewID: m.view.ID,
-		Origin: m.Addr(),
-		Seq:    m.nextDeliver - 1,
-		OSeq:   m.fifoOut,
-		Seqs:   m.vcSnapshot(),
-	}
+	// Heartbeats, carrying the agreed frontier for tail-loss detection: a
+	// receiver that missed the last messages of a burst (or a healed
+	// partition) has no later message to reveal the gap, so the frontier
+	// advertisement is what triggers recovery.
+	hb := &frame{Kind: kHB, ViewID: m.view.ID, Origin: m.Addr(), Seq: m.nextDeliver - 1}
 	for _, mm := range m.view.Members {
 		if mm != m.Addr() {
 			m.sendControl(mm, hb)
@@ -1002,10 +714,6 @@ func (m *Member) tick() {
 		m.tryInstallHeldView()
 	}
 	m.maybeNack()
-	for origin := range m.fifoHold {
-		m.nackFifoGap(origin)
-	}
-	m.nackCausalGaps()
 
 	// Drive an in-flight proposal.
 	m.advanceProposal(nowT)
