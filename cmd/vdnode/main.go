@@ -80,7 +80,7 @@ func main() {
 		requests = flag.Int("requests", 100, "requests to issue (client role)")
 		traceDmp = flag.Bool("trace", false, "dump the trace-counter registry as JSON on exit")
 		intro    = flag.String("introspect", "", "host:port for the live introspection endpoint (/metrics, /trace, /policy, /debug/pprof)")
-		polSpec  = flag.String("policy", "", "autonomic policy stack in priority order, e.g. \"avail=0.995:5,rate=500:250,bwcap=3:2,linkretry=0.99\" (replica role)")
+		polSpec  = flag.String("policy", "", "autonomic policy stack in priority order, e.g. \"avail=0.995:5,rate=500:250,linkretry=0.99\" (replica role; bwcap has no bandwidth to read here)")
 		cooldown = flag.Duration("cooldown", 5*time.Second, "minimum time between actuations of the same knob (flap damping)")
 		adaptEv  = flag.Duration("adapt-every", time.Second, "controller sampling period")
 		spawnCmd = flag.String("spawn-cmd", "", "shell command launching one fresh replica (gets VDNODE_SEEDS in its environment); enables the grow knob")
@@ -288,7 +288,7 @@ func startController(node *replicator.ReplicaNode, ep *tcptransport.Endpoint, po
 			return c.Start()
 		}
 	}
-	sample := node.Sensors(nil)
+	sample := node.Sensors()
 	if slo != nil {
 		sample = slo.Signals(sample)
 	}

@@ -151,7 +151,7 @@ func run(cfg runConfig) error {
 		mu.Unlock()
 	}
 
-	scn, err := experiment.NewScenario(o, style, replicas, clients, nil, observer)
+	scn, err := experiment.NewScenario(o, style, replicas, clients, observer)
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,7 @@ func TestEndpointNamesArePinned(t *testing.T) {
 	o := DefaultOptions()
 	o.StateBytes = 512
 
-	s, err := NewScenario(o, replication.Active, 2, 2, nil, nil)
+	s, err := NewScenario(o, replication.Active, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func RunChaosCampaign(o Options, cc ChaosConfig) (*ChaosReport, error) {
 func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) {
 	baseline := runtime.NumGoroutine()
 	o.Seed = runSeed
-	s, err := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil, nil)
+	s, err := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +389,7 @@ func MeasureDetectionLatency(o Options, replicas, runs int, seed uint64) ([]Dete
 	var out []DetectionSample
 	for run := 0; run < runs; run++ {
 		o.Seed = seed + uint64(run)
-		s, err := NewScenario(o, replication.Active, replicas, 0, nil, nil)
+		s, err := NewScenario(o, replication.Active, replicas, 0, nil)
 		if err != nil {
 			return out, err
 		}
@@ -434,7 +434,7 @@ func MeasureFalseSuspicion(o Options, cc ChaosConfig) (suspectRuns int, total in
 	cc = cc.withDefaults()
 	for run := 0; run < cc.Runs; run++ {
 		o.Seed = cc.Seed + uint64(run)
-		s, serr := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil, nil)
+		s, serr := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil)
 		if serr != nil {
 			return suspectRuns, run, serr
 		}

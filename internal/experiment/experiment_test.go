@@ -3,8 +3,10 @@ package experiment
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"versadep/internal/knobs"
+	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/vtime"
 )
@@ -224,25 +226,41 @@ func TestTable2ReproducesPaperPolicy(t *testing.T) {
 func TestFig6AdaptiveReplication(t *testing.T) {
 	o := quickOpts()
 	o.Requests = 240
-	res, err := RunFig6(o, DefaultFig6Profile(o.Requests), DefaultFig6Thresholds())
+	profile := DefaultFig6Profile(o.Requests)
+	res, err := RunFig6(o, profile, DefaultFig6Thresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The style must have switched up (to active) and back down.
-	if len(res.Switches) < 2 {
-		t.Fatalf("switches = %d, want >= 2:\n%s", len(res.Switches), RenderFig6(res, 10))
-	}
-	sawActive, sawPassive := false, false
-	for _, sw := range res.Switches {
-		if sw.Style == replication.Active {
-			sawActive = true
+	// The style switches up to active in the no-think peak (phase 2) and
+	// back down to warm passive as the load ramps down (phase 3). A switch's
+	// phase is that of the last request delivered before it.
+	phase := func(sw StyleChange) int {
+		n := 0
+		for _, p := range res.Points {
+			if !p.VT.After(sw.VT) {
+				n++
+			}
 		}
-		if sw.Style == replication.WarmPassive && sawActive {
-			sawPassive = true
+		for i, ph := range profile {
+			if n -= ph.Requests; n <= 0 {
+				return i
+			}
 		}
+		return len(profile)
 	}
-	if !sawActive || !sawPassive {
-		t.Fatalf("did not observe up+down switches: %+v", res.Switches)
+	want := []struct {
+		style replication.Style
+		phase int
+	}{{replication.Active, 2}, {replication.WarmPassive, 3}}
+	if len(res.Switches) != len(want) {
+		t.Fatalf("switches = %d, want %d:\n%s", len(res.Switches), len(want), RenderFig6(res, 10))
+	}
+	for i, w := range want {
+		sw := res.Switches[i]
+		if sw.Style != w.style || phase(sw) != w.phase {
+			t.Fatalf("switch %d = %v in phase %d, want %v in phase %d: %+v",
+				i, sw.Style, phase(sw), w.style, w.phase, res.Switches)
+		}
 	}
 	// Adaptive throughput beats static passive (paper: +4.1%).
 	if res.GainPct <= 0 {
@@ -281,7 +299,7 @@ func TestVotingConfiguration(t *testing.T) {
 	o := quickOpts()
 	o.Requests = 50
 	o.Voting = true
-	s, err := NewScenario(o, replication.Active, 3, 1, nil, nil)
+	s, err := NewScenario(o, replication.Active, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,5 +307,50 @@ func TestVotingConfiguration(t *testing.T) {
 	res := s.drive(o.Requests, true, nil)[0]
 	if res.Errors != 0 || res.Requests != 50 {
 		t.Fatalf("voting run: %d ok, %d errors", res.Requests, res.Errors)
+	}
+}
+
+// The scenario's sensors meter the fabric's bandwidth, so a bandwidth cap
+// under the run's traffic stretches a passive group's checkpoint interval.
+// The floor of three replicas and the cap on the interval leave that one
+// doubling as the only thing the policy can do.
+func TestBandwidthCapStretchesCheckpoints(t *testing.T) {
+	o := quickOpts()
+	o.Requests = 60
+	o.CheckpointEvery = 5
+	s, err := NewScenario(o, replication.WarmPassive, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	ctrl := policy.New(policy.Config{
+		Policies: []policy.Policy{policy.ResourceCap{BandwidthMBs: 0.001, MinReplicas: 3, MaxCheckpointEvery: 10}},
+		Sample:   s.Sensors(),
+		Actuator: s.Actuator(),
+	})
+	err = s.RunClosedLoop(func(i int, vt vtime.Time, rtt vtime.Duration) {
+		if i > 0 && i%10 == 0 {
+			ctrl.Step()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.BandwidthMBs() <= 0.001 {
+		t.Fatalf("bandwidth %.4f MB/s is not over the cap", s.BandwidthMBs())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, n := range s.group.Live() {
+		for n.Engine().CheckpointEvery() != 10 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s checkpoints every %d, want 10; decisions %+v",
+					n.Addr(), n.Engine().CheckpointEvery(), ctrl.Status().Decisions)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if st := ctrl.Status(); st.Actuations == 0 || st.Decisions[0].Policy != "resource-cap" {
+		t.Fatalf("controller status = %+v", st)
 	}
 }

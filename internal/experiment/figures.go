@@ -36,7 +36,7 @@ type Fig3Result struct {
 // RunFig3 measures the component breakdown with one client and one active
 // replica, the configuration of the paper's Figure 3.
 func RunFig3(o Options) (*Fig3Result, error) {
-	s, err := NewScenario(o, replication.Active, 1, 1, nil, nil)
+	s, err := NewScenario(o, replication.Active, 1, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func RunFig4(o Options) ([]Fig4Row, error) {
 		{"warm passive (1 replica)", replication.WarmPassive},
 		{"active (1 replica)", replication.Active},
 	} {
-		s, err := NewScenario(o, r.style, 1, 1, nil, nil)
+		s, err := NewScenario(o, r.style, 1, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -223,13 +223,9 @@ type Fig6Thresholds struct {
 func DefaultFig6Thresholds() Fig6Thresholds { return Fig6Thresholds{High: 500, Low: 250} }
 
 // RunFig6 runs the adaptive-replication experiment and its static-passive
-// control.
+// control. The switching rule is the policy layer's RateStyle, run by a
+// policy.Controller as on a live node.
 func RunFig6(o Options, profile []Fig6ThinkPhase, th Fig6Thresholds) (*Fig6Result, error) {
-	// The switching rule is the policy layer's RateStyle — the same code
-	// a live controller runs — adapted to the engine's in-stream hook so
-	// every replica evaluates it at identical stream positions.
-	adapt := policy.RateStyle{High: th.High, Low: th.Low}.AdaptPolicy()
-
 	res := &Fig6Result{}
 	var mu sync.Mutex
 	rate := monitor.NewRateMeter(24)
@@ -252,7 +248,7 @@ func RunFig6(o Options, profile []Fig6ThinkPhase, th Fig6Thresholds) (*Fig6Resul
 		}
 	}
 
-	adaptive, err := runFig6Profile(o, profile, adapt, observer)
+	adaptive, err := runFig6Profile(o, profile, policy.RateStyle{High: th.High, Low: th.Low}, observer)
 	if err != nil {
 		return nil, err
 	}
@@ -269,15 +265,27 @@ func RunFig6(o Options, profile []Fig6ThinkPhase, th Fig6Thresholds) (*Fig6Resul
 }
 
 // runFig6Profile drives the think-time profile against a 2-replica group
-// and returns the achieved throughput. The observer sees every replica's
+// and returns the achieved throughput. A controller running rule, if it is
+// not nil, steps after every reply. The observer sees every replica's
 // notices (filter on Notice.Addr for a single deterministic stream).
-func runFig6Profile(o Options, profile []Fig6ThinkPhase, policy replication.AdaptPolicy,
+func runFig6Profile(o Options, profile []Fig6ThinkPhase, rule policy.Policy,
 	observer func(replication.Notice)) (float64, error) {
-	s, err := NewScenario(o, replication.WarmPassive, 2, 1, policy, observer)
+	s, err := NewScenario(o, replication.WarmPassive, 2, 1, observer)
 	if err != nil {
 		return 0, err
 	}
 	defer s.Close()
+
+	// The rate the rule reads is the engine's, over the send stamps of the
+	// agreed stream, so it is the same at every replica; a switch is sent
+	// stamped with the reply that prompted it.
+	var ctrl *policy.Controller
+	var replied vtime.Time
+	if rule != nil {
+		act := s.group.Actuator(nil)
+		act.Now = func() vtime.Time { return replied }
+		ctrl = policy.New(policy.Config{Policies: []policy.Policy{rule}, Sample: s.Sensors(), Actuator: act})
+	}
 
 	client := s.group.Clients()[0]
 	var vt vtime.Time
@@ -294,6 +302,10 @@ func runFig6Profile(o Options, profile []Fig6ThinkPhase, policy replication.Adap
 				return 0, fmt.Errorf("fig6 invoke: %w", err)
 			}
 			total++
+			if ctrl != nil {
+				replied = out.DoneVT
+				ctrl.Step()
+			}
 			vt = out.DoneVT.Add(ph.Think)
 		}
 	}
@@ -338,7 +350,7 @@ func RunFig7(o Options, maxReplicas, maxClients int) ([]Fig7Point, error) {
 
 // RunFig7ForConfig measures a single configuration of the sweep.
 func RunFig7ForConfig(o Options, style replication.Style, replicas, clients int) (Fig7Point, error) {
-	s, err := NewScenario(o, style, replicas, clients, nil, nil)
+	s, err := NewScenario(o, style, replicas, clients, nil)
 	if err != nil {
 		return Fig7Point{}, err
 	}
@@ -475,7 +487,7 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 		defer mu.Unlock()
 		return slices.Clone(delays)
 	}
-	s, err := NewScenario(o, replication.WarmPassive, 3, 1, nil, observer)
+	s, err := NewScenario(o, replication.WarmPassive, 3, 1, observer)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ import (
 func TestScrapeDuringViewChange(t *testing.T) {
 	o := DefaultOptions()
 	o.Requests = 120
-	scn, err := NewScenario(o, replication.WarmPassive, 3, 1, nil, nil)
+	scn, err := NewScenario(o, replication.WarmPassive, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,30 +33,27 @@ type Scenario struct {
 	group *replicator.Group
 	opts  Options
 	label string
-	// adapt and observer apply to every replica, boot-time or spawned.
-	adapt    replication.AdaptPolicy
+	// observer applies to every replica, boot-time or spawned.
 	observer func(replication.Notice)
 
 	// mu guards what growth and the drivers touch concurrently: the
 	// controller can spawn replicas while clients run.
 	mu     sync.Mutex
-	next   int // numbers the replicas ever started
-	maxEnd vtime.Time
+	next   int        // numbers the replicas ever started
+	maxEnd vtime.Time // the latest reply of RunClosedLoop so far
 }
 
 // replicaAddr names the i-th replica ever started.
 func replicaAddr(i int) string { return fmt.Sprintf("replica-%c", 'a'+i) }
 
 // NewScenario boots a group of replicas in the given style plus clients.
-// adapt (the engine's in-stream adaptation policy) and observer, either of
-// which may be nil, apply to every replica. Group bootstrap traffic is
-// excluded from the fabric's byte counters.
+// observer, which may be nil, applies to every replica. Group bootstrap
+// traffic is excluded from the fabric's byte counters.
 func NewScenario(o Options, style replication.Style, replicas, clients int,
-	adapt replication.AdaptPolicy, observer func(replication.Notice)) (*Scenario, error) {
+	observer func(replication.Notice)) (*Scenario, error) {
 	net := simnet.New(simnet.WithCostModel(o.Model), simnet.WithSeed(o.Seed))
 	s := &Scenario{net: net, group: replicator.NewGroup(replicator.SimFabric(net)), opts: o,
-		label: fmt.Sprintf("%s-r%d-c%d", style, replicas, clients),
-		adapt: adapt, observer: observer}
+		label: fmt.Sprintf("%s-r%d-c%d", style, replicas, clients), observer: observer}
 
 	var seeds []string
 	for i := 0; i < replicas; i++ {
@@ -102,7 +99,6 @@ func (s *Scenario) addReplica(style replication.Style, checkpointEvery int, seed
 			CheckpointEvery:    checkpointEvery,
 			Model:              s.opts.Model,
 			State:              app,
-			Adapt:              s.adapt,
 			Observer:           s.observer,
 			TransferChunkBytes: s.opts.TransferChunkBytes,
 			TransferRetryEvery: s.opts.TransferRetryEvery,
@@ -227,23 +223,21 @@ func (p *pacer) stop(i int) {
 // points of the run. A client stops at its first failed request.
 func (s *Scenario) RunClosedLoop(onReply func(i int, vt vtime.Time, rtt vtime.Duration)) error {
 	errs := make([]error, len(s.group.Clients()))
-	results := s.drive(s.opts.Requests, true, func(ci, i int, out *orb.Outcome, err error) bool {
+	s.drive(s.opts.Requests, true, func(ci, i int, out *orb.Outcome, err error) bool {
 		if err != nil {
 			errs[ci] = fmt.Errorf("client %d request %d: %w", ci, i, err)
 			return false
 		}
+		s.mu.Lock()
+		if out.DoneVT.After(s.maxEnd) {
+			s.maxEnd = out.DoneVT
+		}
+		s.mu.Unlock()
 		if ci == 0 && onReply != nil {
 			onReply(i, out.DoneVT, out.RTT())
 		}
 		return true
 	})
-	s.mu.Lock()
-	for _, r := range results {
-		if r.EndVT.After(s.maxEnd) {
-			s.maxEnd = r.EndVT
-		}
-	}
-	s.mu.Unlock()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -315,14 +309,17 @@ func (s *Scenario) TraceSnapshot() trace.Snapshot { return s.group.TraceSnapshot
 
 // Sensors returns a policy.Signals sampler over the scenario: it reads
 // the first live replica each call, so the sample survives crashes,
-// retirements and growth of individual nodes.
+// retirements and growth of individual nodes. The bandwidth is the
+// fabric's, metered as BandwidthMBs does over the run so far.
 func (s *Scenario) Sensors() func() policy.Signals {
 	return func() policy.Signals {
 		live := s.group.Live()
 		if len(live) == 0 {
 			return policy.Signals{}
 		}
-		return live[0].Sensors(nil)()
+		sig := live[0].Sensors()()
+		sig.BandwidthMBs = s.BandwidthMBs()
+		return sig
 	}
 }
 
@@ -334,7 +331,8 @@ func (s *Scenario) Actuator() policy.Actuator {
 	return s.group.Actuator(func([]string) error { _, err := s.Grow(); return err })
 }
 
-// BandwidthMBs reports network usage over the run's virtual makespan.
+// BandwidthMBs reports the fabric's bytes sent over the virtual time
+// RunClosedLoop has covered so far (0 before its first reply).
 func (s *Scenario) BandwidthMBs() float64 {
 	s.mu.Lock()
 	end := s.maxEnd

@@ -116,7 +116,7 @@ const sloPace = 500 * time.Millisecond
 // phase regardless of wall-clock speed.
 func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) (*SLOScenarioResult, error) {
 	const replicas = 3
-	scn, err := NewScenario(o, replication.WarmPassive, replicas, 1, nil, nil)
+	scn, err := NewScenario(o, replication.WarmPassive, replicas, 1, nil)
 	if err != nil {
 		return nil, err
 	}

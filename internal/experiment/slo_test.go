@@ -48,7 +48,7 @@ func (c *crashingServant) ExecCost(op string, args []codec.Value) vtime.Duration
 func TestFailoverStitchedTimeline(t *testing.T) {
 	o := DefaultOptions()
 	o.Requests = 60
-	scn, err := NewScenario(o, replication.WarmPassive, 3, 1, nil, nil)
+	scn, err := NewScenario(o, replication.WarmPassive, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

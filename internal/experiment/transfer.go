@@ -90,7 +90,7 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 		}
 	}
 
-	s, err := NewScenario(o, replication.Active, 2, 0, nil, observer)
+	s, err := NewScenario(o, replication.Active, 2, 0, observer)
 	if err != nil {
 		return nil, err
 	}

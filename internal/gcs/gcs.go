@@ -156,9 +156,6 @@ type Config struct {
 	// most 10^-t of being a normal delay). Zero or negative falls back to
 	// the fixed SuspectAfter timeout alone.
 	PhiThreshold float64
-	// PhiWindow is the accrual detector's inter-arrival sample window per
-	// peer (0 = detector.DefaultWindow).
-	PhiWindow int
 	// ResendInterval is the retransmission period for unacknowledged
 	// traffic (real time). Receivers sit on an acknowledgement for up to
 	// one HBInterval; at the defaults that is half of this, which keeps a
@@ -223,7 +220,6 @@ func DefaultConfig() Config {
 		HBInterval:     15 * time.Millisecond,
 		SuspectAfter:   90 * time.Millisecond,
 		PhiThreshold:   8,
-		PhiWindow:      32,
 		ResendInterval: 30 * time.Millisecond,
 		PrepareTimeout: 200 * time.Millisecond,
 		MinorityGrace:  450 * time.Millisecond,

@@ -225,7 +225,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		// Floor the fitted mean at half a heartbeat period: under load the
 		// frame rate is far denser than heartbeats, and the detector must
 		// not learn an expectation no idle group can meet.
-		m.det = detector.New(cfg.PhiWindow, cfg.HBInterval/2)
+		m.det = detector.New(detector.DefaultWindow, cfg.HBInterval/2)
 	}
 	m.tr = cfg.Trace
 	m.cViews = cfg.Trace.Counter(trace.SubGCS, "view_changes")

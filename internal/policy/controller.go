@@ -69,12 +69,13 @@ type Config struct {
 	// Gate, when set, must return true for a step to run — e.g. restrict
 	// actuation to the primary so a group runs exactly one control loop.
 	Gate func() bool
-	// LogDepth bounds the decision log (default 64).
-	LogDepth int
 	// OnEntry, when set, observes every appended log entry (called
 	// outside the controller lock).
 	OnEntry func(Entry)
 }
+
+// logDepth bounds the decision log.
+const logDepth = 64
 
 // Controller runs the closed adaptation loop: sample → decide → merge →
 // actuate, with per-knob cooldown and a bounded decision log.
@@ -94,9 +95,6 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.LogDepth <= 0 {
-		cfg.LogDepth = 64
 	}
 	return &Controller{cfg: cfg, lastAct: make(map[string]time.Time)}
 }
@@ -236,7 +234,7 @@ func (c *Controller) Step() []Entry {
 			}
 			c.log = append(c.log, e)
 		}
-		if over := len(c.log) - c.cfg.LogDepth; over > 0 {
+		if over := len(c.log) - logDepth; over > 0 {
 			c.log = append([]Entry(nil), c.log[over:]...)
 		}
 		c.mu.Unlock()

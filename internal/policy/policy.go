@@ -80,9 +80,9 @@ type Decision struct {
 }
 
 // Policy is one adaptation rule. Decide must be a pure function of its
-// input: the controller calls it on every step, and the engine-side
-// variant (RateStyle.AdaptPolicy) is evaluated at identical stream
-// positions on every replica.
+// input: the controller calls it on every step, and a decision over
+// signals derived from the agreed stream (the request rate) is then the
+// same wherever and whenever it is taken at one stream position.
 type Policy interface {
 	Name() string
 	Decide(sig Signals) Decision
@@ -120,17 +120,6 @@ func (p RateStyle) Decide(sig Signals) Decision {
 		}
 	}
 	return Decision{}
-}
-
-// AdaptPolicy adapts the rule to the replication engine's in-stream
-// adaptation hook, where every replica evaluates it at the same agreed
-// stream position (the paper's deterministic distributed adaptation).
-// RunFig6 and a live controller share this exact code path.
-func (p RateStyle) AdaptPolicy() replication.AdaptPolicy {
-	return func(in replication.AdaptInput) (replication.Style, bool) {
-		d := p.Decide(Signals{Rate: in.Rate, Style: in.Style, Replicas: in.Replicas})
-		return d.Style, d.Style != 0
-	}
 }
 
 // ------------------------------------------------------- AvailabilityTarget

@@ -42,23 +42,6 @@ func TestRateStyleDecisionGrid(t *testing.T) {
 	}
 }
 
-func TestRateStyleAdaptPolicyMirrorsDecide(t *testing.T) {
-	// The engine-side hook and the controller-side Decide must agree at
-	// every rate, or RunFig6 and a live controller would diverge.
-	p := policy.RateStyle{High: 400, Low: 150}
-	adapt := p.AdaptPolicy()
-	for _, style := range []replication.Style{replication.Active, replication.WarmPassive} {
-		for rate := float64(0); rate <= 600; rate += 25 {
-			d := p.Decide(policy.Signals{Rate: rate, Style: style})
-			target, ok := adapt(replication.AdaptInput{Rate: rate, Style: style})
-			if ok != (d.Style != 0) || (ok && target != d.Style) {
-				t.Fatalf("rate=%v style=%v: adapt=(%v,%v) but Decide=%v",
-					rate, style, target, ok, d.Style)
-			}
-		}
-	}
-}
-
 func TestAvailabilityTargetPlansReplicaCount(t *testing.T) {
 	p := policy.AvailabilityTarget{Target: 0.995}
 	p.Knob.MaxReplicas = 5
@@ -396,7 +379,6 @@ func TestControllerGateAndBoundedLog(t *testing.T) {
 		},
 		Actuator: act,
 		Gate:     func() bool { return !gated },
-		LogDepth: 4,
 	})
 	// Gated: no sampling, no actuation.
 	for i := 0; i < 5; i++ {
@@ -408,17 +390,20 @@ func TestControllerGateAndBoundedLog(t *testing.T) {
 		t.Fatal("gated controller acted")
 	}
 	// Ungated with no cooldown: every oscillation actuates, but the log
-	// stays bounded at LogDepth with the newest entries retained.
+	// stays bounded at 64 entries with the newest retained.
 	gated = false
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 71; i++ {
 		ctrl.Step()
 	}
 	st := ctrl.Status()
-	if len(st.Decisions) != 4 {
-		t.Fatalf("log depth = %d, want 4", len(st.Decisions))
+	if len(st.Decisions) != 64 {
+		t.Fatalf("log depth = %d, want 64", len(st.Decisions))
 	}
-	if st.Actuations != 10 || act.switchCount() != 10 {
-		t.Fatalf("actuations = %d/%d, want 10", st.Actuations, act.switchCount())
+	if st.Actuations != 71 || act.switchCount() != 71 {
+		t.Fatalf("actuations = %d/%d, want 71", st.Actuations, act.switchCount())
+	}
+	if last := st.Decisions[63].Action; last != "switch to active" {
+		t.Fatalf("newest entry = %q, want the 71st step's switch to active", last)
 	}
 	if st.Knobs.Replicas != 2 || len(st.Policies) != 1 || st.Policies[0] != "rate-style" {
 		t.Fatalf("status = %+v", st)

@@ -30,7 +30,7 @@ type clientRecord struct {
 	// that alias modulo the window never share a live bit.
 	bits [dedupWindow / 64]uint64
 	// replies is indexed rid%len and holds the replies of the len ids
-	// ending at high (Config.CacheDepth of them).
+	// ending at high (cacheDepth of them).
 	replies []cachedReply
 }
 

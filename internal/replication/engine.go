@@ -30,28 +30,6 @@ type Checkpointable interface {
 	Restore(state []byte) error
 }
 
-// AdaptInput is what an adaptation policy sees after each request delivery.
-// Every field is derived from the agreed stream, so every replica computes
-// identical inputs and reaches identical decisions — the paper's
-// deterministic distributed adaptation over replicated state.
-type AdaptInput struct {
-	// Rate is the request arrival rate (requests per virtual second)
-	// over the engine's sliding window.
-	Rate float64
-	// Style is the current replication style.
-	Style Style
-	// Replicas is the current group size.
-	Replicas int
-	// Metrics is the replicated system-state object: per-replica
-	// monitored values published with PublishMetrics.
-	Metrics map[string]map[string]float64
-}
-
-// AdaptPolicy decides whether to switch styles. Returning (target, true)
-// initiates a switch; policies must be deterministic functions of their
-// input.
-type AdaptPolicy func(in AdaptInput) (Style, bool)
-
 // NoticeKind discriminates engine notifications.
 type NoticeKind uint8
 
@@ -146,14 +124,9 @@ type Config struct {
 	Model vtime.CostModel
 	// State is the application's checkpoint interface.
 	State Checkpointable
-	// Adapt, if set, is evaluated after every request delivery.
-	Adapt AdaptPolicy
 	// Observer, if set, receives notices. It is called on the engine
 	// goroutine and must not block.
 	Observer func(Notice)
-	// CacheDepth is how many replies are retained per client for
-	// duplicate suppression (default 8).
-	CacheDepth int
 	// Trace, when non-nil, receives the engine's counters and events
 	// (checkpoints, switch latency, failover replay length, reply-cache
 	// activity). A nil recorder costs nothing on the hot paths.
@@ -169,10 +142,11 @@ type Config struct {
 	// cursor, unsynced joiners re-offer their resume token (default
 	// 120ms).
 	TransferRetryEvery time.Duration
-	// TransferBookmarks is how many transfer checkpoints the leader
-	// retains for resumption (default 3; active transfers pin theirs).
-	TransferBookmarks int
 }
+
+// cacheDepth is how many replies are retained per client for duplicate
+// suppression.
+const cacheDepth = 8
 
 type logEntry struct {
 	viop   []byte
@@ -280,14 +254,12 @@ type Engine struct {
 	// their removal must not count as a crash.
 	retiring map[string]bool
 
-	ckptCounter     int
-	ckptSerial      uint64
-	pendMarkers     map[ckptKey]*pendingMarker
-	pendStates      map[ckptKey]*Msg
-	arrivals        *monitor.RateMeter // request send stamps, rateWindow deep
-	sysState        map[string]map[string]float64
-	switchRequested Style
-	stats           Stats
+	ckptCounter int
+	ckptSerial  uint64
+	pendMarkers map[ckptKey]*pendingMarker
+	pendStates  map[ckptKey]*Msg
+	arrivals    *monitor.RateMeter // request send stamps, rateWindow deep
+	stats       Stats
 
 	// chunked joiner state transfer (transfer.go): retained bookmark
 	// checkpoints, per-joiner outgoing cursors, and this replica's own
@@ -317,9 +289,6 @@ type Engine struct {
 // NewEngine starts a replica engine on member. The adapter carries the
 // registered servants; cfg.State captures their collective state.
 func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
-	if cfg.CacheDepth <= 0 {
-		cfg.CacheDepth = 8
-	}
 	if cfg.Style == 0 {
 		cfg.Style = Active
 	}
@@ -332,9 +301,6 @@ func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
 	if cfg.TransferRetryEvery <= 0 {
 		cfg.TransferRetryEvery = 120 * time.Millisecond
 	}
-	if cfg.TransferBookmarks <= 0 {
-		cfg.TransferBookmarks = 3
-	}
 	e := &Engine{
 		member:      member,
 		adapter:     adapter,
@@ -346,7 +312,6 @@ func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
 		synced:      true, // bootstrap members are synced; joiners reset below
 		clients:     make(map[string]*clientRecord),
 		retiring:    make(map[string]bool),
-		sysState:    make(map[string]map[string]float64),
 		pendMarkers: make(map[ckptKey]*pendingMarker),
 		pendStates:  make(map[ckptKey]*Msg),
 		arrivals:    monitor.NewRateMeter(rateWindow),
@@ -397,7 +362,6 @@ type finalState struct {
 	style     Style
 	role      Role
 	ckptEvery int
-	sysState  map[string]map[string]float64
 }
 
 // captureFinal snapshots getter-visible state; runs on the protocol
@@ -408,21 +372,12 @@ func (e *Engine) captureFinal() {
 	s.Style = e.style
 	s.Role = e.role()
 	s.Synced = e.synced
-	sys := make(map[string]map[string]float64, len(e.sysState))
-	for addr, m := range e.sysState {
-		cp := make(map[string]float64, len(m))
-		for k, v := range m {
-			cp[k] = v
-		}
-		sys[addr] = cp
-	}
 	e.finalMu.Lock()
 	e.final = &finalState{
 		stats:     s,
 		style:     e.style,
 		role:      e.role(),
 		ckptEvery: e.cfg.CheckpointEvery,
-		sysState:  sys,
 	}
 	e.finalMu.Unlock()
 }
@@ -502,34 +457,14 @@ func (e *Engine) StatsSnapshot() Stats {
 	return e.finalSnap().stats
 }
 
-// SystemState returns a copy of the identically-replicated system-state
-// object (§3.1): per-replica metric maps accumulated from KindMetrics
-// messages. All replicas hold identical copies at the same stream
-// position, which is what makes policy decisions over it deterministic.
-// After Stop it returns the final copy.
-func (e *Engine) SystemState() map[string]map[string]float64 {
-	out := make(map[string]map[string]float64)
-	ok := e.do(func() {
-		for addr, m := range e.sysState {
-			cp := make(map[string]float64, len(m))
-			for k, v := range m {
-				cp[k] = v
-			}
-			out[addr] = cp
-		}
-	})
-	if ok {
-		return out
-	}
-	return e.finalSnap().sysState
-}
-
 // RequestSwitch initiates a style switch (the low-level replication-style
 // knob, usable at runtime). The switch message travels the agreed stream;
-// duplicates and no-op switches are discarded on delivery.
+// duplicates and no-op switches are discarded on delivery. A request made
+// while a switch is in flight is dropped: the style it would compare
+// against is about to change.
 func (e *Engine) RequestSwitch(target Style, now vtime.Time) {
 	e.do(func() {
-		if e.style == target {
+		if e.style == target || e.switching != nil {
 			return
 		}
 		msg := Encode(&Msg{Kind: KindSwitch, Style: target})
@@ -586,15 +521,6 @@ func (e *Engine) RequestRetire(addr string, now vtime.Time) error {
 		return errors.New("replication: engine stopped")
 	}
 	return err
-}
-
-// PublishMetrics multicasts this replica's monitored values into the
-// replicated system-state object.
-func (e *Engine) PublishMetrics(metrics map[string]float64, now vtime.Time) {
-	e.do(func() {
-		msg := Encode(&Msg{Kind: KindMetrics, Metrics: metrics})
-		_ = e.member.Multicast(msg, gcs.Agreed, now, vtime.Ledger{})
-	})
 }
 
 // ---- run loop ----
@@ -663,8 +589,6 @@ func (e *Engine) handleEvent(ev gcs.Event) {
 			e.handleCheckpoint(ev, msg)
 		case KindSwitch:
 			e.handleSwitch(ev, msg)
-		case KindMetrics:
-			e.handleMetrics(ev, msg)
 		case KindConfig:
 			if msg.CheckpointEvery > 0 {
 				e.cfg.CheckpointEvery = int(msg.CheckpointEvery)
@@ -1013,8 +937,6 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 		e.stats.RequestsLogged++
 		e.notify(Notice{Kind: NoticeRequest, VT: ev.VTime, Style: e.style, Executed: false})
 	}
-
-	e.maybeAdapt(ev.VTime)
 }
 
 // executeWithLedger runs one request through the adapter, caches the
@@ -1078,7 +1000,7 @@ func (e *Engine) peekRequest(viop []byte) (cid string, rid uint64, ok bool) {
 func (e *Engine) client(cid string) *clientRecord {
 	r := e.clients[cid]
 	if r == nil {
-		r = &clientRecord{replies: make([]cachedReply, e.cfg.CacheDepth)}
+		r = &clientRecord{replies: make([]cachedReply, cacheDepth)}
 		e.clients[cid] = r
 	}
 	return r
@@ -1302,7 +1224,6 @@ func (e *Engine) setCache(entries []CacheEntry) {
 
 func (e *Engine) handleSwitch(ev gcs.Event, msg *Msg) {
 	target := msg.Style
-	e.switchRequested = 0
 	if e.switching != nil || target == e.style || target == 0 {
 		return // duplicate or no-op switch: discarded (Figure 5, step I)
 	}
@@ -1330,10 +1251,6 @@ func (e *Engine) handleSwitch(ev gcs.Event, msg *Msg) {
 		if e.synced && e.role() == RolePrimary {
 			e.takeCheckpoint(ev.VTime, true, ev.Seq)
 		}
-		if len(e.view.Members) == 1 {
-			// No backups to synchronize: the switch is immediate (the
-			// final checkpoint will still close it for bookkeeping).
-		}
 	case e.style.AllExecute() && target.IsPassive():
 		// Case 2: choose the new primary (deterministically: rank 0) and
 		// become passive at this point in the stream; there are no
@@ -1352,42 +1269,10 @@ func (e *Engine) handleSwitch(ev gcs.Event, msg *Msg) {
 	}
 }
 
-// ---- metrics & adaptation ----
-
-func (e *Engine) handleMetrics(ev gcs.Event, msg *Msg) {
-	if msg.Metrics == nil {
-		return
-	}
-	e.sysState[ev.Sender] = msg.Metrics
-	e.maybeAdapt(ev.VTime)
-}
-
 // rateWindow is how many requests' send stamps the arrival rate spans. The
 // stamps come off the agreed stream, so every replica computes the same rate
 // at the same stream position.
 const rateWindow = 32
-
-func (e *Engine) maybeAdapt(vt vtime.Time) {
-	if e.cfg.Adapt == nil || e.switching != nil {
-		return
-	}
-	in := AdaptInput{
-		Rate:     e.arrivals.Rate(),
-		Style:    e.style,
-		Replicas: len(e.view.Members),
-		Metrics:  e.sysState,
-	}
-	target, ok := e.cfg.Adapt(in)
-	if !ok || target == e.style || target == e.switchRequested {
-		return
-	}
-	// Every replica reaches this decision at the same stream position;
-	// all may send the switch, and delivery-side dedup keeps one.
-	// switchRequested suppresses re-sending while ours is in flight.
-	e.switchRequested = target
-	msg := Encode(&Msg{Kind: KindSwitch, Style: target})
-	_ = e.member.Multicast(msg, gcs.Agreed, vt, vtime.Ledger{})
-}
 
 func (e *Engine) notify(n Notice) {
 	if e.cfg.Observer != nil {

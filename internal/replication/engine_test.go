@@ -77,8 +77,8 @@ func TestEngineStopConcurrent(t *testing.T) {
 
 // Regression: on the seed code every getter went through do(), which
 // silently no-ops once the engine is stopped, so Style/Role/StatsSnapshot/
-// CheckpointEvery/SystemState all returned zero values after Stop. The
-// engine must retain a final snapshot instead.
+// CheckpointEvery all returned zero values after Stop. The engine must
+// retain a final snapshot instead.
 func TestGettersSurviveStop(t *testing.T) {
 	e, _ := startEngine(t, "g1", Config{Style: WarmPassive, CheckpointEvery: 5})
 
@@ -87,14 +87,6 @@ func TestGettersSurviveStop(t *testing.T) {
 	for e.Role() != RolePrimary {
 		if time.Now().After(deadline) {
 			t.Fatal("engine never became primary of its singleton group")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	e.PublishMetrics(map[string]float64{"load": 1.5}, 0)
-	// Wait for the metrics multicast to come back through the stream.
-	for len(e.SystemState()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("metrics never delivered")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -113,20 +105,58 @@ func TestGettersSurviveStop(t *testing.T) {
 	if got := e.StatsSnapshot(); got.Style != WarmPassive || got.Role != RolePrimary || !got.Synced {
 		t.Fatalf("StatsSnapshot after Stop = %+v", got)
 	}
-	if got := e.SystemState(); got["g1"]["load"] != 1.5 {
-		t.Fatalf("SystemState after Stop = %v", got)
-	}
 	// Mutators after Stop must return without hanging.
 	done := make(chan struct{})
 	go func() {
 		e.RequestSwitch(Active, 0)
-		e.PublishMetrics(map[string]float64{"x": 1}, 0)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("mutator hung after Stop")
+	}
+}
+
+// A switch requested while a passive→active switch is in flight is
+// dropped at the requester: it multicasts nothing. Delivery would discard
+// it too (Figure 5, step I), but a request sent then is one more agreed
+// message for every controller step of the switch window.
+func TestRequestSwitchDuringSwitchMulticastsNothing(t *testing.T) {
+	e, _ := startEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100})
+	waitPrimary(t, e)
+
+	// A synced backup of a warm-passive pair accepts a switch to active and
+	// waits for the closing checkpoint of the primary "aa".
+	view := gcs.View{ID: 7, Members: []string{"aa", "mw"}}
+	e.do(func() {
+		e.view = view
+		e.handleSwitch(gcs.Event{Kind: gcs.EventMessage, Seq: 41, VTime: vtime.Time(vtime.Millisecond), View: view},
+			&Msg{Kind: KindSwitch, Style: Active})
+	})
+
+	// Stamped far past anything else in the run: a delivery of the request
+	// would carry the engine's clock past the stamp.
+	stamp := vtime.Time(3600 * vtime.Second)
+	e.RequestSwitch(ColdPassive, stamp)
+	// A member's own multicasts are delivered in the order it sent them, so
+	// once this later one is in, an earlier one would be in too.
+	e.SetCheckpointEvery(9, 0)
+	deadline := time.Now().Add(2 * time.Second)
+	for e.CheckpointEvery() != 9 {
+		if time.Now().After(deadline) {
+			t.Fatal("checkpoint interval never delivered")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	var last vtime.Time
+	var switching bool
+	e.do(func() { last, switching = e.lastVT, e.switching != nil })
+	if !last.Before(stamp) {
+		t.Fatalf("a switch requested mid-switch was multicast (engine clock %v)", last)
+	}
+	if !switching || e.Style() != WarmPassive {
+		t.Fatalf("in-flight switch disturbed: switching=%v style=%v", switching, e.Style())
 	}
 }
 

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"errors"
-	"sort"
 
 	"versadep/internal/codec"
 	"versadep/internal/transport"
@@ -23,9 +22,9 @@ const (
 	KindCheckpoint
 	// KindSwitch announces a replication-style switch (Figure 5, step I).
 	KindSwitch
-	// KindMetrics carries one replica's monitored metrics into the
-	// identically-replicated system-state object (§3.1).
-	KindMetrics
+	// Kind 4 is retired (replica metrics); the value stays reserved so
+	// that no later kind reuses it.
+	_
 	// KindConfig retunes low-level knobs at runtime: a new checkpointing
 	// frequency travels the agreed stream so every replica adopts it at
 	// the same point (Table 1's checkpointing-frequency knob).
@@ -94,8 +93,6 @@ type Msg struct {
 	CkptSerial uint64
 	// Final marks the closing checkpoint of a passive→active switch.
 	Final bool
-	// Metrics carries monitored values by name (KindMetrics).
-	Metrics map[string]float64
 	// CheckpointEvery is the new checkpointing frequency (KindConfig;
 	// zero leaves it unchanged).
 	CheckpointEvery uint32
@@ -133,9 +130,8 @@ func Encode(m *Msg) []byte { return EncodeIn(transport.Room{}, m).Bytes() }
 // EncodeIn serializes m into one buffer with room around it for the layers
 // that carry it to wrap it in place (see gcs.Member.DirectRoom).
 func EncodeIn(room transport.Room, m *Msg) transport.Buf {
-	keys := metricKeys(m)
-	b := transport.NewBuf(room, msgHead+len(m.Viop)+msgTailSize(m, keys))
-	appendMsgTail(append(appendMsgHead(b.Bytes()[:0], m), m.Viop...), m, keys)
+	b := transport.NewBuf(room, msgHead+len(m.Viop)+msgTailSize(m))
+	appendMsgTail(append(appendMsgHead(b.Bytes()[:0], m), m.Viop...), m)
 	return b
 }
 
@@ -144,29 +140,15 @@ func EncodeIn(room transport.Room, m *Msg) transport.Buf {
 const msgHead = 1 + 4
 
 // msgTailSize is the length of m's encoding behind its Viop bytes.
-func msgTailSize(m *Msg, keys []string) int {
+func msgTailSize(m *Msg) int {
 	size := codec.SizeBytes(m.State) + 4 + 1 + 8 + 8 + 8 + 1 + 4 + 4 + codec.SizeString(m.Target)
 	for _, c := range m.Cache {
 		size += codec.SizeString(c.Client) + 8 + codec.SizeBytes(c.Reply)
-	}
-	for _, k := range keys {
-		size += codec.SizeString(k) + 8
 	}
 	if hasChunkCursor(m.Kind) {
 		size += 8
 	}
 	return size
-}
-
-// metricKeys returns m's metric names in sorted order, for deterministic
-// bytes.
-func metricKeys(m *Msg) []string {
-	keys := make([]string, 0, len(m.Metrics))
-	for k := range m.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // appendMsgHead appends the msgHead bytes of m's encoding that precede its
@@ -179,8 +161,8 @@ func appendMsgHead(b []byte, m *Msg) []byte {
 }
 
 // appendMsgTail appends the msgTailSize bytes of m's encoding that follow
-// its Viop bytes; keys are m's metric names, sorted.
-func appendMsgTail(b []byte, m *Msg, keys []string) []byte {
+// its Viop bytes.
+func appendMsgTail(b []byte, m *Msg) []byte {
 	e := codec.AppendTo(b)
 	e.PutBytes(m.State)
 	e.PutUint32(uint32(len(m.Cache)))
@@ -195,11 +177,9 @@ func appendMsgTail(b []byte, m *Msg, keys []string) []byte {
 	e.PutUint64(m.CkptSerial)
 	e.PutBool(m.Final)
 	e.PutUint32(m.CheckpointEvery)
-	e.PutUint32(uint32(len(keys)))
-	for _, k := range keys {
-		e.PutString(k)
-		e.PutFloat64(m.Metrics[k])
-	}
+	// The retired metrics count: always zero, kept so that every envelope
+	// encodes to the bytes it always has.
+	e.PutUint32(0)
 	e.PutString(m.Target)
 	// The chunk cursor trails the envelope only for the transfer kinds,
 	// so the hot request path carries no extra bytes.
@@ -218,7 +198,7 @@ func appendMsgTail(b []byte, m *Msg, keys []string) []byte {
 func Decode(b []byte) (*Msg, error) { return decode(b, nil) }
 
 // decode is Decode reading the names an envelope carries — the clients of
-// the cache entries, the metric names, the retirement target — through
+// the cache entries and the retirement target — through
 // names (see codec.Names): a backup is sent the same clients' entries with
 // every checkpoint.
 func decode(b []byte, names *codec.Names) (*Msg, error) {
@@ -273,22 +253,8 @@ func decode(b []byte, names *codec.Names) (*Msg, error) {
 	if m.CheckpointEvery, err = d.Uint32(); err != nil {
 		return nil, err
 	}
-	if n, reserve, err = d.Count(4 + 8); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.Metrics = make(map[string]float64, reserve)
-		for i := 0; i < n; i++ {
-			k, err := d.Name(names)
-			if err != nil {
-				return nil, err
-			}
-			v, err := d.Float64()
-			if err != nil {
-				return nil, err
-			}
-			m.Metrics[k] = v
-		}
+	if metrics, err := d.Uint32(); err != nil || metrics != 0 {
+		return nil, errBadMsg
 	}
 	if m.Target, err = d.Name(names); err != nil {
 		return nil, errBadMsg
@@ -312,7 +278,7 @@ func WrapRequest(viop []byte) []byte {
 
 // requestTail is the length of a request envelope's encoding behind its
 // VIOP bytes.
-var requestTail = msgTailSize(&Msg{Kind: KindRequest}, nil)
+var requestTail = msgTailSize(&Msg{Kind: KindRequest})
 
 // RequestRoom is the room a VIOP request needs around it to be wrapped in
 // its envelope in place (WrapRequestIn) and then carried by a layer that
@@ -325,7 +291,7 @@ func WrapRequestIn(viop transport.Buf) transport.Buf {
 	m := Msg{Kind: KindRequest, Viop: viop.Bytes()}
 	head, tail := viop.Wrap(msgHead, requestTail)
 	appendMsgHead(head[:0], &m)
-	appendMsgTail(tail[:0], &m, nil)
+	appendMsgTail(tail[:0], &m)
 	return viop
 }
 

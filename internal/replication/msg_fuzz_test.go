@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"versadep/internal/alloctest"
@@ -12,9 +13,9 @@ import (
 // from the envelope fixtures of msg_test.go and transfer_test.go. It must
 // never panic; whatever it accepts must alias only the input; the fixtures
 // re-encode to the very bytes they were decoded from; and any other
-// accepted input (a non-canonical boolean, a repeated metric name, trailing
-// bytes) re-encodes to a canonical form that is a fixed point of
-// decode-then-encode. PeekRequestViop must agree with the full decode.
+// accepted input (a non-canonical boolean, trailing bytes) re-encodes to a
+// canonical form that is a fixed point of decode-then-encode.
+// PeekRequestViop must agree with the full decode.
 func FuzzReplicationDecode(f *testing.F) {
 	fixtures := []*Msg{
 		{Kind: KindRequest, Viop: []byte("viop-bytes")},
@@ -22,7 +23,6 @@ func FuzzReplicationDecode(f *testing.F) {
 			CoveredSeq: 41, CkptSerial: 7, SwitchID: 3, Final: true},
 		{Kind: KindState, State: bytes.Repeat([]byte{0xAB}, 300), CoveredSeq: 12, CkptSerial: 2},
 		{Kind: KindSwitch, Style: Active},
-		{Kind: KindMetrics, Metrics: map[string]float64{"latency": 1234.5, "rate": 800}},
 		{Kind: KindConfig, CheckpointEvery: 25},
 		{Kind: KindRetire, Target: "replica-b"},
 		{Kind: KindStateChunk, State: []byte("chunk"), CkptSerial: 5, ChunkIndex: 3, ChunkCount: 8,
@@ -38,6 +38,14 @@ func FuzzReplicationDecode(f *testing.F) {
 		golden[string(b)] = true
 		f.Add(b)
 	}
+	// The retired kind 4 as it was last sent: two metrics, "latency" 1234.5
+	// and "rate" 800. A nonzero metrics count is refused.
+	retired, _ := hex.DecodeString("040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+		"0002000000076c6174656e637940934a00000000000000000472617465408900000000000000000000")
+	if _, err := Decode(retired); err == nil {
+		f.Fatal("the retired metrics envelope decoded")
+	}
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		viop, peeked := PeekRequestViop(in)
 		if peeked && !alloctest.Inside(in, viop) {

@@ -65,30 +65,6 @@ func TestMsgRoundTripSwitch(t *testing.T) {
 	}
 }
 
-func TestMsgRoundTripMetrics(t *testing.T) {
-	m := &Msg{Kind: KindMetrics, Metrics: map[string]float64{
-		"latency": 1234.5, "rate": 800,
-	}}
-	got, err := Decode(Encode(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Metrics["latency"] != 1234.5 || got.Metrics["rate"] != 800 {
-		t.Fatalf("metrics lost: %+v", got.Metrics)
-	}
-}
-
-func TestMsgMetricsEncodingDeterministic(t *testing.T) {
-	m := &Msg{Kind: KindMetrics, Metrics: map[string]float64{
-		"z": 1, "a": 2, "m": 3, "b": 4,
-	}}
-	b1 := Encode(m)
-	b2 := Encode(m)
-	if !reflect.DeepEqual(b1, b2) {
-		t.Fatal("metrics encoding nondeterministic")
-	}
-}
-
 func TestMsgDecodeTruncated(t *testing.T) {
 	full := Encode(&Msg{
 		Kind:  KindCheckpoint,

@@ -15,7 +15,7 @@ package replication
 //   - A cursor only ever names a prefix: the joiner acks the count of
 //     contiguously received chunks, so resuming at the cursor can never
 //     skip a hole.
-//   - Bookmarks are retained (bounded by Config.TransferBookmarks, pinned
+//   - Bookmarks are retained (bounded by transferBookmarks, pinned
 //     while a transfer is active), so a joiner lagging across a checkpoint
 //     boundary can still finish the serial it started — convergence is
 //     monotone under repeated invocation.
@@ -134,14 +134,14 @@ func (e *Engine) captureBookmark(vt vtime.Time) *bookmark {
 	return bm
 }
 
+// transferBookmarks is how many transfer checkpoints a leader retains for
+// resumption; active transfers pin theirs beyond it.
+const transferBookmarks = 3
+
 // pruneBookmarks drops the oldest bookmarks beyond the retention cap,
 // never evicting one pinned by an active transfer.
 func (e *Engine) pruneBookmarks() {
-	limit := e.cfg.TransferBookmarks
-	if limit <= 0 {
-		limit = 3
-	}
-	for len(e.bookmarks) > limit {
+	for len(e.bookmarks) > transferBookmarks {
 		evicted := false
 		for i, bm := range e.bookmarks {
 			if !e.bookmarkPinned(bm.serial) {

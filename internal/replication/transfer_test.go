@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -85,34 +86,36 @@ func TestSplitChunks(t *testing.T) {
 
 func TestBookmarkPruneKeepsPinned(t *testing.T) {
 	e := &Engine{xfers: make(map[string]*outXfer)}
-	e.cfg.TransferBookmarks = 2
 	e.initTrace(nil)
-	for s := uint64(1); s <= 4; s++ {
+	for s := uint64(1); s <= transferBookmarks+2; s++ {
 		e.bookmarks = append(e.bookmarks, &bookmark{serial: s})
 	}
 	// Serial 1 is pinned by an active transfer; pruning must evict the
 	// oldest unpinned bookmarks instead.
 	e.xfers["joiner"] = &outXfer{peer: "joiner", serial: 1}
 	e.pruneBookmarks()
-	if len(e.bookmarks) != 2 {
-		t.Fatalf("bookmarks = %d, want 2", len(e.bookmarks))
+	if len(e.bookmarks) != transferBookmarks {
+		t.Fatalf("bookmarks = %d, want %d", len(e.bookmarks), transferBookmarks)
 	}
 	if e.findBookmark(1) == nil {
 		t.Fatal("pinned bookmark 1 was evicted")
 	}
-	if e.findBookmark(4) == nil {
-		t.Fatal("newest bookmark 4 was evicted")
+	if e.findBookmark(2) != nil || e.findBookmark(3) != nil {
+		t.Fatal("the oldest unpinned bookmarks were kept")
+	}
+	if e.findBookmark(transferBookmarks+2) == nil {
+		t.Fatal("newest bookmark was evicted")
 	}
 
 	// All pinned: pruning refuses to evict and tolerates the excess.
-	e.bookmarks = []*bookmark{{serial: 10}, {serial: 11}, {serial: 12}}
-	e.xfers = map[string]*outXfer{
-		"a": {peer: "a", serial: 10},
-		"b": {peer: "b", serial: 11},
-		"c": {peer: "c", serial: 12},
+	e.bookmarks = nil
+	e.xfers = map[string]*outXfer{}
+	for s := uint64(10); s <= 10+transferBookmarks; s++ {
+		e.bookmarks = append(e.bookmarks, &bookmark{serial: s})
+		e.xfers[fmt.Sprint(s)] = &outXfer{peer: fmt.Sprint(s), serial: s}
 	}
 	e.pruneBookmarks()
-	if len(e.bookmarks) != 3 {
-		t.Fatalf("all-pinned bookmarks = %d, want 3", len(e.bookmarks))
+	if len(e.bookmarks) != transferBookmarks+1 {
+		t.Fatalf("all-pinned bookmarks = %d, want %d", len(e.bookmarks), transferBookmarks+1)
 	}
 }

@@ -30,10 +30,9 @@ func (n *ReplicaNode) Retire(addr string, now vtime.Time) error {
 // Sensors builds a policy.Signals sampler over this node's live state:
 // request rate and style from the engine, group size from the installed
 // view, tail latency from the execution histogram, per-replica
-// availability from the fault meter. bandwidth, when non-nil, supplies a
-// measured MB/s figure (e.g. from transport stats); nil leaves the
-// signal unmetered.
-func (n *ReplicaNode) Sensors(bandwidth func() float64) func() policy.Signals {
+// availability from the fault meter. A node does not meter bandwidth; a
+// harness that owns the fabric fills that signal in (experiment.Scenario).
+func (n *ReplicaNode) Sensors() func() policy.Signals {
 	execHist := n.trace.Histogram(trace.SubReplication, "exec_us")
 	return func() policy.Signals {
 		st := n.engine.StatsSnapshot()
@@ -48,9 +47,6 @@ func (n *ReplicaNode) Sensors(bandwidth func() float64) func() policy.Signals {
 		}
 		if view, err := n.member.View(); err == nil {
 			sig.Replicas = len(view.Members)
-		}
-		if bandwidth != nil {
-			sig.BandwidthMBs = bandwidth()
 		}
 		return sig
 	}

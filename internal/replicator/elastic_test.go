@@ -224,7 +224,7 @@ func TestClusterFlapDampingBoundsSwitchSpans(t *testing.T) {
 	cl := startTestClient(t, net, "client", c.members())
 
 	primary := c.nodes[0]
-	base := primary.Sensors(nil)
+	base := primary.Sensors()
 	flip := false
 	sample := func() policy.Signals {
 		sig := base()
@@ -326,7 +326,7 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 	// land, and without damping every intermediate step would re-grow.
 	ctrl := policy.New(policy.Config{
 		Policies: []policy.Policy{avail},
-		Sample:   primary.Sensors(nil),
+		Sample:   primary.Sensors(),
 		Actuator: &replicator.ElasticActuator{Node: primary, Spawn: spawn},
 		Gate:     primary.PolicyGate(),
 		Cooldown: time.Second,

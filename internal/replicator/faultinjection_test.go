@@ -1,7 +1,6 @@
 package replicator_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -231,46 +230,5 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := c.nodes[0].Engine().CheckpointEvery(); got != 2 {
 		t.Fatalf("invalid retune applied: %d", got)
-	}
-}
-
-func TestReplicatedSystemStateConverges(t *testing.T) {
-	net := simnet.New(simnet.WithSeed(241))
-	defer net.Close()
-	c := startCluster(t, net, 3, replication.Active, 0, nil)
-
-	// Each replica publishes its own metrics; the replicated state
-	// object must converge to identical contents everywhere (§3.1).
-	for i, node := range c.nodes {
-		node.Engine().PublishMetrics(map[string]float64{
-			"cpu":  float64(10 * (i + 1)),
-			"rate": 100,
-		}, 0)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		states := make([]map[string]map[string]float64, len(c.nodes))
-		complete := true
-		for i, node := range c.nodes {
-			states[i] = node.Engine().SystemState()
-			if len(states[i]) != 3 {
-				complete = false
-			}
-		}
-		if complete {
-			for i := 1; i < len(states); i++ {
-				if fmt.Sprint(states[i]) != fmt.Sprint(states[0]) {
-					t.Fatalf("replicated state diverged:\n%v\nvs\n%v", states[i], states[0])
-				}
-			}
-			if states[0][c.nodes[1].Addr()]["cpu"] != 20 {
-				t.Fatalf("metric content wrong: %v", states[0])
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replicated state incomplete: %d/%d origins", len(states[0]), 3)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -86,7 +86,7 @@ type ReplicaConfig struct {
 	// Seeds and Model are filled in from this config).
 	GCS *gcs.Config
 	// Replication is the engine configuration (style, checkpoints,
-	// state, adaptation policy, observer).
+	// state, observer).
 	Replication replication.Config
 	// Trace receives the node's counters and events across every layer
 	// (GCS member + replication engine). When nil, the node creates its

@@ -9,6 +9,7 @@ import (
 
 	"versadep/internal/codec"
 	"versadep/internal/interceptor"
+	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
@@ -620,62 +621,37 @@ func TestMajorityVotingFilter(t *testing.T) {
 }
 
 func TestAdaptivePolicySwitchesOnRate(t *testing.T) {
-	// The Figure 6 mechanism in miniature: a threshold policy switches
-	// to active replication when the arrival rate crosses a threshold.
+	// The Figure 6 mechanism in miniature: a controller running a threshold
+	// policy on the primary switches to active replication when the arrival
+	// rate crosses a threshold, stepping after every reply.
 	net := simnet.New(simnet.WithSeed(83))
 	defer net.Close()
-	model := net.CostModel()
+	c := startCluster(t, net, 2, replication.WarmPassive, 5, nil)
+	nodes := c.nodes
+	cl := startTestClient(t, net, "client", c.members())
 
-	policy := func(in replication.AdaptInput) (replication.Style, bool) {
-		if in.Rate > 400 && in.Style != replication.Active {
-			return replication.Active, true
-		}
-		if in.Rate > 0 && in.Rate < 150 && in.Style != replication.WarmPassive {
-			return replication.WarmPassive, true
-		}
-		return 0, false
-	}
-
-	var seeds []string
-	var nodes []*replicator.ReplicaNode
-	for i := 0; i < 2; i++ {
-		addr := fmt.Sprintf("r%c", 'a'+i)
-		ep, err := net.Endpoint(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app := newCounterApp()
-		node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-			Seeds: seeds,
-			Replication: replication.Config{
-				Style:           replication.WarmPassive,
-				CheckpointEvery: 5,
-				Model:           model,
-				State:           app,
-				Adapt:           policy,
-			},
-		})
-		node.Register("Counter", app)
-		nodes = append(nodes, node)
-		seeds = []string{addr}
-		time.Sleep(100 * time.Millisecond)
-	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
+	var replied vtime.Time
+	ctrl := policy.New(policy.Config{
+		Policies: []policy.Policy{policy.RateStyle{High: 400, Low: 150}},
+		Sample:   nodes[0].Sensors(),
+		Actuator: &replicator.ElasticActuator{Node: nodes[0], Now: func() vtime.Time { return replied }},
+		Gate:     nodes[0].PolicyGate(),
 	})
-	cl := startTestClient(t, net, "client", []string{"ra", "rb"})
-
-	// High-rate phase: requests 1ms apart in virtual time (1000 req/s).
-	var vt vtime.Time
-	for i := 0; i < 20; i++ {
+	invoke := func(vt vtime.Time) {
+		t.Helper()
 		out, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		replied = out.DoneVT
+		ctrl.Step()
+	}
+
+	// High-rate phase: requests 1ms apart in virtual time (1000 req/s).
+	var vt vtime.Time
+	for i := 0; i < 20; i++ {
+		invoke(vt)
 		vt = vt.Add(vtime.Millisecond)
-		_ = out
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for nodes[0].Engine().Style() != replication.Active {
@@ -688,9 +664,7 @@ func TestAdaptivePolicySwitchesOnRate(t *testing.T) {
 	// Low-rate phase: requests 10ms apart (100 req/s) — switch back once
 	// the engine's 32-request rate window is mostly low-rate stamps.
 	for i := 0; i < 40; i++ {
-		if _, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt); err != nil {
-			t.Fatal(err)
-		}
+		invoke(vt)
 		vt = vt.Add(10 * vtime.Millisecond)
 	}
 	deadline = time.Now().Add(3 * time.Second)

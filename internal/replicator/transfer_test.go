@@ -409,7 +409,7 @@ func TestConcurrentJoinersUnderPolicyController(t *testing.T) {
 
 	ctrl := policy.New(policy.Config{
 		Policies: []policy.Policy{fixedReplicas{4}},
-		Sample:   ra.Sensors(nil),
+		Sample:   ra.Sensors(),
 		Actuator: &replicator.ElasticActuator{Node: ra, Spawn: spawn},
 		Gate:     ra.PolicyGate(),
 	})

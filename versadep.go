@@ -160,9 +160,6 @@ type GroupConfig struct {
 	// Objects maps object names to accessors on the application; when
 	// empty the application is registered under "App".
 	Objects []string
-	// Adapt, if set, is the runtime adaptation policy evaluated on the
-	// replicated state after every request.
-	Adapt replication.AdaptPolicy
 	// Observer, if set, receives replication-engine notices.
 	Observer func(replication.Notice)
 }
@@ -229,7 +226,6 @@ func (g *Group) AddReplica() (string, error) {
 			CheckpointEvery: g.cfg.CheckpointEvery,
 			Model:           g.sys.model,
 			State:           app,
-			Adapt:           g.cfg.Adapt,
 			Observer:        g.cfg.Observer,
 		},
 	})
