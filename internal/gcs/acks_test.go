@@ -89,9 +89,7 @@ func frames(t *testing.T, conn *recConn, kind frameKind) []*frame {
 func (r *rig) unacked(peer string) []uint64 {
 	var out []uint64
 	r.do(func() {
-		for oseq := range r.m.directUnack[peer] {
-			out = append(out, oseq)
-		}
+		out = r.m.directUnack[peer].retained()
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -34,8 +34,8 @@ type GroupClient struct {
 	mu      sync.Mutex // guards everything below
 	members []string
 	oseq    uint64
-	pending []*frame // submissions not known to be sequenced, in OSeq order
-	rotate  int      // resend target rotation across ticks
+	pending outbox // submissions not known to be sequenced
+	rotate  int    // resend target rotation across ticks
 	direct  dupFilter
 	names   codec.Names // member addresses met in decoded frames, each made once
 	now     func() time.Time
@@ -155,7 +155,7 @@ func (c *GroupClient) Submit(payload transport.Buf, sentAt vtime.Time, led vtime
 		Ledger:  led,
 		Payload: payload.Bytes(),
 	}
-	c.pending = append(c.pending, f)
+	c.pending.push(f)
 	if len(c.members) > 0 {
 		f.lastSend = c.now()
 		_ = c.send.Send(c.members[0], f.sealAround(c.send, c.cfg.GroupID, payload), vt)
@@ -212,12 +212,15 @@ func (c *GroupClient) HandleTransport(msg transport.Message) {
 	}
 	var e Event
 	fresh := false
+	// A member has seen the submissions up to a kDirect's Seq or a
+	// kDataAck's OSeq sequenced: the news arrives on the reply itself or,
+	// failing that, in a kDataAck; zero is no news.
 	switch f.Kind {
 	case kDirect:
-		c.sequencedThrough(f.Seq)
+		c.pending.ackThrough(f.Seq)
 		e, fresh = c.handleDirect(msg, f)
 	case kDataAck:
-		c.sequencedThrough(f.OSeq)
+		c.pending.ackThrough(f.OSeq)
 	case kViewHint:
 		if len(f.Members) > 0 {
 			c.members = append([]string(nil), f.Members...)
@@ -229,24 +232,6 @@ func (c *GroupClient) HandleTransport(msg transport.Message) {
 	}
 }
 
-// sequencedThrough drops every pending submission up to oseq: a member has
-// seen them sequenced (c.mu held). The news arrives on the reply itself
-// (kDirect's Seq) or, failing that, in a kDataAck; zero is no news.
-func (c *GroupClient) sequencedThrough(oseq uint64) {
-	n := 0
-	for n < len(c.pending) && c.pending[n].OSeq <= oseq {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	// Shift down, not re-slice: the list is a few frames long, and its
-	// array is then reused from the start instead of re-grown.
-	rest := copy(c.pending, c.pending[n:])
-	clear(c.pending[rest:])
-	c.pending = c.pending[:rest]
-}
-
 // handleDirect acknowledges a direct frame and, unless it is a duplicate,
 // returns the delivery event for it (c.mu held).
 func (c *GroupClient) handleDirect(msg transport.Message, f *frame) (Event, bool) {
@@ -256,14 +241,7 @@ func (c *GroupClient) handleDirect(msg transport.Message, f *frame) (Event, bool
 		return Event{}, false
 	}
 	led := f.Ledger
-	arrive := msg.ArriveAt
-	var wire vtime.Duration
-	if msg.SentAt == f.SentVT && msg.ArriveAt >= msg.SentAt {
-		wire = msg.ArriveAt.Sub(msg.SentAt)
-	} else {
-		wire = c.cfg.Model.Transmit(len(f.Payload) + 64)
-		arrive = f.SentVT.Add(wire)
-	}
+	arrive, wire := arrival(msg, f, &c.cfg.Model)
 	led.Charge(vtime.ComponentGC, wire)
 	vt := c.proc.Execute(arrive, c.cfg.Model.GCSend)
 	led.Charge(vtime.ComponentGC, c.cfg.Model.GCSend)
@@ -297,23 +275,11 @@ func (c *GroupClient) tick() {
 	// Rotate through hints across ticks so a dead coordinator hint does
 	// not wedge the client: retransmissions eventually reach a member
 	// that forwards to the live coordinator and corrects our hint.
-	// Only submissions whose last transmission is at least ResendInterval
-	// old go out again: one sent microseconds before the tick is not lost,
-	// its ack is on the way. pending is OSeq-ordered, so the resendBurst
-	// the tick is allowed are the oldest.
 	nowT := c.now()
 	target := c.members[c.rotate%len(c.members)]
-	sent := 0
-	for _, f := range c.pending {
-		if sent == resendBurst {
-			break
-		}
-		if nowT.Sub(f.lastSend) < c.cfg.ResendInterval {
-			continue
-		}
+	c.pending.resend(nowT, c.cfg.ResendInterval, func(f *frame) {
 		f.lastSend = nowT
 		_ = c.send.SendControl(target, c.sealed(f), f.SentVT)
-		sent++
-	}
+	})
 	c.rotate++
 }

@@ -1,5 +1,11 @@
 package gcs
 
+import (
+	"cmp"
+	"slices"
+	"time"
+)
+
 // dupFilter suppresses duplicates of the reliable direct unicast stream,
 // per sending peer: every sequence number at or below high[peer] has been
 // seen, and sparse[peer] holds the ones seen above it (arrivals past a
@@ -100,4 +106,76 @@ func (o *owedAcks) settle(high uint64) []uint64 {
 	}
 	o.seqs, o.bytes = o.seqs[:0], 0
 	return above
+}
+
+// outbox is the send side of a reliable stream: the frames sent and not yet
+// acknowledged, in ascending OSeq order — every stream numbers its frames
+// upward and pushes them as it numbers them — each sent again until an
+// acknowledgement removes it. A member keeps one for its own submissions
+// and one per direct peer; a GroupClient keeps one for its submissions. In
+// steady state it holds the few frames in flight, so removal shifts a
+// handful of pointers down and the array is reused from the start.
+type outbox []*frame
+
+// resendBurst bounds the retained frames one tick re-sends to one peer. A
+// sweep over everything due grows with the backlog: once it outlasts
+// ResendInterval every frame is due again when it ends, the peer answers
+// each duplicate at once, and the storm feeds itself. The oldest frames go
+// first — they are what the peer's cumulative acknowledgement and the
+// sequencer's per-origin FIFO wait for — and successive ticks cover the rest.
+const resendBurst = 64
+
+// push retains f, whose OSeq is above every retained frame's.
+func (o *outbox) push(f *frame) { *o = append(*o, f) }
+
+// search returns the index of the first retained frame numbered oseq or
+// above, and whether that frame is oseq.
+func (o outbox) search(oseq uint64) (int, bool) {
+	return slices.BinarySearchFunc(o, oseq, func(f *frame, oseq uint64) int { return cmp.Compare(f.OSeq, oseq) })
+}
+
+// ackThrough drops every retained frame up to oseq: a cumulative
+// acknowledgement. Zero acknowledges nothing.
+func (o *outbox) ackThrough(oseq uint64) {
+	i, found := o.search(oseq)
+	if found {
+		i++
+	}
+	*o = slices.Delete(*o, 0, i)
+}
+
+// ack drops the retained frame numbered oseq, if there is one.
+func (o *outbox) ack(oseq uint64) {
+	if i, found := o.search(oseq); found {
+		*o = slices.Delete(*o, i, i+1)
+	}
+}
+
+// resend hands send at most resendBurst retained frames, lowest OSeq first,
+// each only once interval has passed since its lastSend: a frame sent
+// microseconds before the tick is not lost, its acknowledgement is on the
+// way. send stamps lastSend when the frame goes on the wire, and may
+// acknowledge frames as it goes (a sequencer's own submission comes back
+// delivered at once).
+func (o *outbox) resend(now time.Time, interval time.Duration, send func(*frame)) {
+	for i, sent := 0, 0; i < len(*o) && sent < resendBurst; {
+		f := (*o)[i]
+		if now.Sub(f.lastSend) < interval {
+			i++
+			continue
+		}
+		send(f)
+		sent++
+		i, _ = o.search(f.OSeq + 1)
+	}
+}
+
+// each hands send every retained frame, lowest OSeq first, on resend's
+// terms but with no interval and no burst bound.
+func (o *outbox) each(send func(*frame)) {
+	for i := 0; i < len(*o); {
+		f := (*o)[i]
+		send(f)
+		i, _ = o.search(f.OSeq + 1)
+	}
 }

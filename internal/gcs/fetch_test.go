@@ -17,7 +17,8 @@ import (
 // fetchRig is the view {a, b, c} after a, the sequencer, multicast m0 m1 m2
 // as 1–3 and fell silent: b got 1 and 2, c got 1 and 3. b has proposed
 // {b, c}; c's flush acknowledgement reported 3 held, so b, which lacks 3,
-// has sent c one kFetch for it.
+// has sent c one kFetch for it. A tick ResendInterval on, before
+// PrepareTimeout, resends an unanswered kFetch.
 type fetchRig struct {
 	cfg   Config
 	b, c  *rig
@@ -28,6 +29,7 @@ func openFetchRig(t *testing.T) *fetchRig {
 	t.Helper()
 	view := []string{"a", "b", "c"}
 	cfg := deferConfig()
+	cfg.ResendInterval = cfg.PrepareTimeout / 4
 	a := openRig(t, cfg, "a", view...)
 	b := openRig(t, cfg, "b", view...)
 	c := openRig(t, cfg, "c", view...)
@@ -167,7 +169,7 @@ func TestFetchIgnoresAStaleResponse(t *testing.T) {
 	r.b.do(func() {
 		r.b.m.handleMessage(msg)
 		_, held = r.b.m.holdback[3]
-		fetching = r.b.m.proposal != nil && r.b.m.proposal.fetching
+		fetching = r.b.m.proposal != nil && len(r.b.m.proposal.fetchWait) > 0
 		viewID = r.b.m.view.ID
 	})
 	if held || !fetching || viewID != 1 {
@@ -176,5 +178,52 @@ func TestFetchIgnoresAStaleResponse(t *testing.T) {
 	r.b.deliver("c", resp[0])
 	if got := r.b.messagesUntil(viewInstalled(2)); fmt.Sprint(got) != "[m0 m1 m2]" {
 		t.Fatalf("b delivered %q before view 2, want [m0 m1 m2]", got)
+	}
+}
+
+// TestFetchIsResentUntilAnswered: b's kFetch is lost on its way to c; b's
+// tick a ResendInterval on sends the same frame again, c answers that one,
+// and the view both install delivers a's third message at b and at c.
+func TestFetchIsResentUntilAnswered(t *testing.T) {
+	r := openFetchRig(t)
+	mark := sentCount(r.b.conn)
+	r.b.tick(r.cfg.ResendInterval)
+	again := sentTo(t, r.b.conn, mark, "c", kFetch)
+	if len(again) != 1 || !sameBytes(again[0].frame, r.fetch.frame) {
+		t.Fatalf("b re-sent %d fetches to c, want the retained one once", len(again))
+	}
+	r.c.deliver("b", again[0])
+	resp := sentTo(t, r.c.conn, 0, "b", kFetchResp)
+	if len(resp) != 1 {
+		t.Fatalf("%d fetch responses from c, want 1", len(resp))
+	}
+	mark = sentCount(r.b.conn)
+	r.b.deliver("c", resp[0])
+	carry(t, r.b, mark, r.c)
+	for _, x := range []*rig{r.b, r.c} {
+		if got := x.messagesUntil(viewInstalled(2)); fmt.Sprint(got) != "[m0 m1 m2]" {
+			t.Errorf("%s delivered %q before view 2, want [m0 m1 m2]", x.m.Addr(), got)
+		}
+	}
+	mark = sentCount(r.b.conn)
+	r.b.tick(r.cfg.ResendInterval)
+	if n := len(sentTo(t, r.b.conn, mark, "c", kFetch)); n != 0 {
+		t.Errorf("b sent %d fetches after the view installed", n)
+	}
+}
+
+// TestFetchTimeoutFillerReachesTheHolder: c answers, but the answer is lost.
+// b fills 3 with a no-op once PrepareTimeout has passed and sends the filler
+// to c as well, though c holds 3: c delivers what b delivers, not m2.
+func TestFetchTimeoutFillerReachesTheHolder(t *testing.T) {
+	r := openFetchRig(t)
+	r.c.deliver("b", r.fetch) // c's kFetchResp never reaches b
+	mark := sentCount(r.b.conn)
+	r.b.tick(r.cfg.PrepareTimeout + time.Millisecond)
+	carry(t, r.b, mark, r.c)
+	for _, x := range []*rig{r.b, r.c} {
+		if got := x.messagesUntil(viewInstalled(2)); fmt.Sprint(got) != "[m0 m1]" {
+			t.Errorf("%s delivered %q before view 2, want [m0 m1]", x.m.Addr(), got)
+		}
 	}
 }

@@ -70,9 +70,8 @@ type Member struct {
 	lastView  *frame // last kView frame, re-sent to confused joiners
 
 	// Agreed: submission side.
-	localSeq  uint64
-	pending   map[uint64]*frame // my unsequenced submissions by OSeq
-	pendOrder []uint64
+	localSeq uint64
+	pending  outbox // my unsequenced submissions
 
 	// Agreed: delivery side.
 	nextDeliver uint64
@@ -94,7 +93,7 @@ type Member struct {
 
 	// Reliable direct unicast.
 	directOut   map[string]uint64
-	directUnack map[string]map[uint64]*frame
+	directUnack map[string]*outbox
 	directIn    dupFilter // inbound direct frames already delivered
 	// directSkip is how far the numbering to a member had got when a view
 	// excluded it and its unacknowledged frames were dropped. Every later
@@ -167,9 +166,8 @@ type proposal struct {
 	need     map[string]bool
 	deadline time.Time
 
-	// fetch phase
-	fetching   bool
-	fetchSeqs  map[uint64]string // seq -> member that has it
+	// fetch phase: in progress while fetchWait is not empty
+	fetches    map[string]*frame // owner -> its kFetch, until it answers
 	fetchWait  map[uint64]bool
 	fetchUntil time.Time
 	maxSeq     uint64
@@ -201,7 +199,6 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		outNotify:    make(chan struct{}, 1),
 		out:          make(chan Event),
 		outDone:      make(chan struct{}),
-		pending:      make(map[uint64]*frame),
 		holdback:     make(map[uint64]*rxFrame),
 		history:      make([]sequenced, max(min(cfg.HistorySize, historyStart), 1)),
 		seenData:     make(map[string]uint64),
@@ -209,7 +206,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		dataHold:     make(map[string]map[uint64]*rxFrame),
 		dataGapSince: make(map[string]time.Time),
 		directOut:    make(map[string]uint64),
-		directUnack:  make(map[string]map[uint64]*frame),
+		directUnack:  make(map[string]*outbox),
 		directIn:     newDupFilter(),
 		directSkip:   make(map[string]uint64),
 		ackOwed:      make(map[string]*owedAcks),
@@ -513,9 +510,14 @@ func (m *Member) recordHistory(f *frame) {
 	m.history[f.Seq%uint64(len(m.history))] = sequenced{seq: f.Seq, enc: f.encoded(m.cfg.GroupID), sentVT: f.SentVT}
 }
 
-// resend retransmits a frame from the history to a member that lacks it.
-func (m *Member) resend(to string, h sequenced) {
-	_ = m.conn.SendControl(to, sealEncoded(m.conn, h.enc), h.sentVT)
+// resend retransmits sequenced frame seq to a member that lacks it, from the
+// history or, not delivered yet, the holdback.
+func (m *Member) resend(to string, seq uint64) {
+	if h, ok := m.historyAt(seq); ok {
+		_ = m.conn.SendControl(to, sealEncoded(m.conn, h.enc), h.sentVT)
+	} else if rf, ok := m.holdback[seq]; ok {
+		m.sendControl(to, rf.f)
+	}
 }
 
 // sendExternal routes a frame to an external (non-member) address.

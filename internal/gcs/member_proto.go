@@ -1,9 +1,6 @@
 package gcs
 
 import (
-	"sort"
-	"time"
-
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
 	"versadep/internal/transport"
@@ -61,10 +58,9 @@ func (m *Member) multicastLocked(payload []byte, sentAt vtime.Time, led vtime.Le
 		Ledger:  led,
 		Payload: payload,
 	}
-	m.pending[f.OSeq] = f
-	m.pendOrder = append(m.pendOrder, f.OSeq)
+	m.pending.push(f)
 	if m.installed && !m.blocked {
-		m.sendData(m.currentSequencer(), f)
+		m.sendData(m.view.Coordinator(), f)
 	}
 }
 
@@ -89,21 +85,17 @@ func (m *Member) sendDirectLocked(to string, payload transport.Buf, sentAt vtime
 		Ledger:  led,
 		Payload: payload.Bytes(),
 	}
-	if m.directUnack[to] == nil {
-		m.directUnack[to] = make(map[uint64]*frame)
+	un := m.directUnack[to]
+	if un == nil {
+		un = &outbox{}
+		m.directUnack[to] = un
 	}
-	m.directUnack[to][f.OSeq] = f
+	un.push(f)
 	if m.dataAckOwed[to] && f.Seq >= m.seqLocal[to] {
 		delete(m.dataAckOwed, to) // this frame says it all
 	}
 	f.sealAround(m.xconn, m.cfg.GroupID, payload)
 	m.sendExternal(to, f, false)
-}
-
-// currentSequencer is the coordinator of the installed view, or the highest
-// proposer while blocked.
-func (m *Member) currentSequencer() string {
-	return m.view.Coordinator()
 }
 
 // ---- inbound dispatch ----
@@ -174,21 +166,23 @@ func (m *Member) handleFrame(msg transport.Message, f *frame) {
 	}
 }
 
-// rx computes receiver-side timing and ledger for a data frame.
-func (m *Member) rx(msg transport.Message, f *frame, extra vtime.Duration) *rxFrame {
-	led := f.Ledger
-	arrive := msg.ArriveAt
-	var wire vtime.Duration
+// arrival is when f, received as msg, reached this process and what its
+// wire hop cost. A retransmitted or locally re-injected frame is charged a
+// nominal wire time from its original virtual send instant.
+func arrival(msg transport.Message, f *frame, model *vtime.CostModel) (vtime.Time, vtime.Duration) {
 	if msg.SentAt == f.SentVT && msg.ArriveAt >= msg.SentAt {
-		wire = msg.ArriveAt.Sub(msg.SentAt)
-	} else {
-		// Retransmission or locally re-injected frame: charge a nominal
-		// wire time from the original virtual send instant.
-		wire = m.cfg.Model.Transmit(len(f.Payload) + 64)
-		arrive = f.SentVT.Add(wire)
+		return msg.ArriveAt, msg.ArriveAt.Sub(msg.SentAt)
 	}
+	wire := model.Transmit(len(f.Payload) + 64)
+	return f.SentVT.Add(wire), wire
+}
+
+// rx computes receiver-side timing and ledger for a data frame.
+func (m *Member) rx(msg transport.Message, f *frame) *rxFrame {
+	led := f.Ledger
+	arrive, wire := arrival(msg, f, &m.cfg.Model)
 	led.Charge(vtime.ComponentGC, wire)
-	cost := m.cfg.Model.Jitter(m.cfg.Model.GCSend, m.rand.Float64()) + extra
+	cost := m.cfg.Model.Jitter(m.cfg.Model.GCSend, m.rand.Float64())
 	vt := m.proc.Execute(arrive, cost)
 	led.Charge(vtime.ComponentGC, cost)
 	if key := m.spanFor(f.Payload); !key.IsZero() {
@@ -267,7 +261,7 @@ func (m *Member) handleData(msg transport.Message, f *frame) {
 		m.dataHold[f.Origin] = hold
 	}
 	if _, dup := hold[f.OSeq]; !dup {
-		hold[f.OSeq] = m.rx(msg, f, 0)
+		hold[f.OSeq] = m.rx(msg, f)
 	}
 	m.sequenceReady(f.Origin)
 }
@@ -407,10 +401,12 @@ func (m *Member) handleSequenced(msg transport.Message, f *frame) {
 	if f.Seq < m.nextDeliver {
 		return // duplicate
 	}
-	if _, dup := m.holdback[f.Seq]; dup {
+	// A proposer's no-op filler wins a slot held by a data frame, as the
+	// view does a squatted one: the proposer delivers the filler.
+	if rf, dup := m.holdback[f.Seq]; dup && (f.Origin != "" || rf.f.Kind == kView) {
 		return
 	}
-	m.holdback[f.Seq] = m.rx(msg, f, 0)
+	m.holdback[f.Seq] = m.rx(msg, f)
 	m.drainHoldback()
 }
 
@@ -454,7 +450,7 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 		m.seenData[f.Origin] = f.OSeq
 	}
 	if f.Origin == m.Addr() {
-		delete(m.pending, f.OSeq)
+		m.pending.ack(f.OSeq)
 	}
 	// The message goes up at the later of its arrival and the previous
 	// delivery: delivery instants never go backwards.
@@ -482,25 +478,30 @@ func (m *Member) maybeNack() {
 			low = s
 		}
 	}
-	if low <= m.nextDeliver {
-		return
+	m.requestGap(low-1, m.view.Coordinator())
+}
+
+// requestGap asks from to retransmit the sequenced frames up to through that
+// this member has neither delivered nor holds, at most 64 of them, lowest
+// first, and reports whether it found any to ask for.
+func (m *Member) requestGap(through uint64, from string) bool {
+	var missing []uint64
+	for s := m.nextDeliver; s <= through && len(missing) < 64; s++ {
+		if _, held := m.holdback[s]; !held {
+			missing = append(missing, s)
+		}
 	}
-	missing := make([]uint64, 0, 32)
-	for s := m.nextDeliver; s < low && len(missing) < 64; s++ {
-		missing = append(missing, s)
+	if len(missing) == 0 {
+		return false
 	}
-	nack := &frame{Kind: kNack, Origin: m.Addr(), Seqs: missing}
 	m.cNacks.Inc()
-	m.sendControl(m.view.Coordinator(), nack)
+	m.sendControl(from, &frame{Kind: kNack, Origin: m.Addr(), Seqs: missing})
+	return true
 }
 
 func (m *Member) handleNack(from string, f *frame) {
 	for _, s := range f.Seqs {
-		if h, ok := m.historyAt(s); ok {
-			m.resend(from, h)
-		} else if rf, ok := m.holdback[s]; ok {
-			m.sendControl(from, rf.f)
-		}
+		m.resend(from, s)
 	}
 }
 
@@ -525,17 +526,8 @@ func (m *Member) handleHeartbeat(from string, f *frame) {
 		return
 	}
 	// Agreed tail gap: the peer has delivered beyond our frontier.
-	if f.Seq >= m.nextDeliver && !m.blocked {
-		missing := make([]uint64, 0, 16)
-		for s := m.nextDeliver; s <= f.Seq && len(missing) < 64; s++ {
-			if _, held := m.holdback[s]; !held {
-				missing = append(missing, s)
-			}
-		}
-		if len(missing) > 0 {
-			m.cNacks.Inc()
-			m.sendControl(m.view.Coordinator(), &frame{Kind: kNack, Origin: m.Addr(), Seqs: missing})
-		}
+	if !m.blocked {
+		m.requestGap(f.Seq, m.view.Coordinator())
 	}
 }
 
@@ -557,7 +549,7 @@ func (m *Member) handleDirect(msg transport.Message, f *frame) {
 	if dup {
 		return
 	}
-	rf := m.rx(msg, f, 0)
+	rf := m.rx(msg, f)
 	vt := rf.vt.Max(m.deliverVT)
 	m.deliverVT = vt
 	m.emit(Event{
@@ -597,17 +589,14 @@ func (m *Member) handleDirectAck(from string, f *frame) {
 		delete(m.directSkip, from)
 	}
 	un := m.directUnack[from]
-	if f.Seq > 0 {
-		for oseq := range un {
-			if oseq <= f.Seq {
-				delete(un, oseq)
-			}
-		}
+	if un == nil {
+		return
 	}
+	un.ackThrough(f.Seq)
 	for _, oseq := range f.Seqs {
-		delete(un, oseq)
+		un.ack(oseq)
 	}
-	delete(un, f.OSeq)
+	un.ack(f.OSeq)
 }
 
 // ---- periodic work ----
@@ -674,37 +663,25 @@ func (m *Member) tick() {
 	}
 
 	// Resend unsequenced submissions to the sequencer, and unacked direct
-	// traffic to its client — each retained frame only once ResendInterval
-	// has passed since it last went out. A tick that lands microseconds
-	// after the first transmission must not repeat it: on a healthy
-	// network the ack is already on its way back. Each peer gets at most
-	// resendBurst frames a tick, lowest OSeq first.
+	// traffic to its peer, under the outbox's rule (see outbox.resend).
 	if !m.blocked {
-		sent := 0
-		for _, oseq := range m.pendOrder {
-			if sent == resendBurst {
-				break
-			}
-			if f, ok := m.pending[oseq]; ok && m.resendDue(f, nowT) {
-				m.sendControl(m.currentSequencer(), f)
-				m.cRetransmit.Inc()
-				sent++
-			}
-		}
-		m.compactPendOrder()
+		m.pending.resend(nowT, m.cfg.ResendInterval, func(f *frame) {
+			m.sendControl(m.view.Coordinator(), f)
+			m.cRetransmit.Inc()
+		})
 	}
 	for to, un := range m.directUnack {
-		for _, f := range m.dueDirect(un, nowT) {
+		un.resend(nowT, m.cfg.ResendInterval, func(f *frame) {
 			m.sendExternal(to, f, true)
 			m.cRetransmit.Inc()
-		}
+		})
 	}
 
 	// Record the high-water retransmit-queue depth: unsequenced agreed
 	// submissions plus unacked direct frames awaiting resend.
 	depth := int64(len(m.pending))
 	for _, un := range m.directUnack {
-		depth += int64(len(un))
+		depth += int64(len(*un))
 	}
 	m.cRetxDepth.Max(depth)
 
@@ -717,44 +694,4 @@ func (m *Member) tick() {
 
 	// Drive an in-flight proposal.
 	m.advanceProposal(nowT)
-}
-
-// resendBurst bounds the retained frames one tick re-sends to one peer. A
-// sweep over everything due grows with the backlog: once it outlasts
-// ResendInterval every frame is due again when it ends, the peer answers
-// each duplicate at once, and the storm feeds itself. The oldest frames go
-// first — they are what the peer's cumulative acknowledgement and the
-// sequencer's per-origin FIFO wait for — and successive ticks cover the rest.
-const resendBurst = 64
-
-// resendDue reports whether a retained frame's last transmission is old
-// enough to be presumed lost.
-func (m *Member) resendDue(f *frame, nowT time.Time) bool {
-	return nowT.Sub(f.lastSend) >= m.cfg.ResendInterval
-}
-
-// dueDirect returns the frames of un that are due a resend, lowest OSeq
-// first and no more than resendBurst of them.
-func (m *Member) dueDirect(un map[uint64]*frame, nowT time.Time) []*frame {
-	var due []*frame
-	for _, f := range un {
-		if m.resendDue(f, nowT) {
-			due = append(due, f)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].OSeq < due[j].OSeq })
-	return due[:min(len(due), resendBurst)]
-}
-
-func (m *Member) compactPendOrder() {
-	if len(m.pendOrder) == 0 || len(m.pending) == len(m.pendOrder) {
-		return
-	}
-	keep := m.pendOrder[:0]
-	for _, oseq := range m.pendOrder {
-		if _, ok := m.pending[oseq]; ok {
-			keep = append(keep, oseq)
-		}
-	}
-	m.pendOrder = keep
 }

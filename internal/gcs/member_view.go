@@ -79,7 +79,7 @@ func (m *Member) maybePropose() {
 		ackFrom:   make(map[string]*ackInfo),
 		need:      need,
 		deadline:  m.now().Add(m.cfg.PrepareTimeout),
-		fetchSeqs: make(map[uint64]string),
+		fetches:   make(map[string]*frame),
 		fetchWait: make(map[uint64]bool),
 	}
 	m.proposal = p
@@ -226,7 +226,7 @@ func (m *Member) handlePrepareAck(from string, f *frame) {
 // acknowledged the flush.
 func (m *Member) checkProposalReady() {
 	p := m.proposal
-	if p == nil || p.fetching {
+	if p == nil || len(p.fetchWait) > 0 {
 		return
 	}
 	for mm := range p.need {
@@ -283,7 +283,6 @@ func (m *Member) beginRecovery() {
 		return
 	}
 	// Ask the members that reported having each sequence.
-	p.fetching = true
 	p.fetchUntil = m.now().Add(m.cfg.PrepareTimeout)
 	req := make(map[string][]uint64)
 	for _, s := range missing {
@@ -308,12 +307,12 @@ func (m *Member) beginRecovery() {
 		req[owner] = append(req[owner], s)
 	}
 	if len(p.fetchWait) == 0 {
-		p.fetching = false
 		m.redistributeAndInstall()
 		return
 	}
 	for owner, seqs := range req {
-		m.sendControl(owner, &frame{Kind: kFetch, ViewID: p.viewID, Origin: m.Addr(), Seqs: seqs})
+		p.fetches[owner] = &frame{Kind: kFetch, ViewID: p.viewID, Origin: m.Addr(), Seqs: seqs}
+		m.sendControl(owner, p.fetches[owner])
 	}
 }
 
@@ -332,24 +331,24 @@ func (m *Member) handleFetch(from string, f *frame) {
 
 func (m *Member) handleFetchResp(f *frame) {
 	p := m.proposal
-	if p == nil || !p.fetching || f.ViewID != p.viewID {
+	if p == nil || len(p.fetchWait) == 0 || f.ViewID != p.viewID {
 		return
 	}
 	frames, err := decodeFrameList(f.Aux)
 	if err != nil {
 		return
 	}
+	delete(p.fetches, f.Origin)
 	for _, sf := range frames {
 		if sf.Kind != kSeq && sf.Kind != kView {
 			continue
 		}
 		if _, ok := m.holdback[sf.Seq]; !ok && sf.Seq >= m.nextDeliver {
-			m.holdback[sf.Seq] = m.rx(transport.Message{SentAt: -1}, sf, 0)
+			m.holdback[sf.Seq] = m.rx(transport.Message{SentAt: -1}, sf)
 		}
 		delete(p.fetchWait, sf.Seq)
 	}
 	if len(p.fetchWait) == 0 {
-		p.fetching = false
 		m.redistributeAndInstall()
 	}
 }
@@ -363,6 +362,7 @@ func (m *Member) redistributeAndInstall() {
 
 	// Synthesize fillers for sequences nobody possesses. Their origins
 	// still hold the payload in pending and will resubmit in the new view.
+	filled := make(map[uint64]bool)
 	for s := m.nextDeliver; s <= maxSeq; s++ {
 		if _, ok := m.holdback[s]; ok {
 			continue
@@ -372,6 +372,7 @@ func (m *Member) redistributeAndInstall() {
 		}
 		filler := &frame{Kind: kSeq, ViewID: m.view.ID, Seq: s, Level: Agreed}
 		m.holdback[s] = &rxFrame{f: filler}
+		filled[s] = true
 	}
 
 	// Joiners inherit the per-origin dedup watermarks as they will be
@@ -398,7 +399,9 @@ func (m *Member) redistributeAndInstall() {
 	}
 
 	// Send missing frames + the view to each survivor; joiners get only
-	// the view (they install directly and start at the new frontier).
+	// the view (they install directly and start at the new frontier). A
+	// filler goes to holders too: a survivor whose fetch answer was lost
+	// holds a frame this member will not deliver, and the filler wins.
 	for _, mm := range p.members {
 		if p.joiners[mm] {
 			m.sendControl(mm, viewFrame)
@@ -411,14 +414,10 @@ func (m *Member) redistributeAndInstall() {
 				held[s] = true
 			}
 			for s := ack.high + 1; s <= maxSeq; s++ {
-				if held[s] {
+				if held[s] && !filled[s] {
 					continue
 				}
-				if h, ok := m.historyAt(s); ok {
-					m.resend(mm, h)
-				} else if rf, ok := m.holdback[s]; ok {
-					m.sendControl(mm, rf.f)
-				}
+				m.resend(mm, s)
 			}
 		}
 		if mm == m.Addr() {
@@ -463,16 +462,11 @@ func (m *Member) handleViewFrame(msg transport.Message, f *frame) {
 	if f.ViewID <= m.view.ID || f.Seq < m.nextDeliver {
 		return
 	}
-	if _, dup := m.holdback[f.Seq]; dup {
-		// A data frame may squat on the view's sequence slot (assigned by
-		// a dead sequencer and reported by nobody): the view wins.
-		if m.holdback[f.Seq].f.Kind != kView {
-			m.holdback[f.Seq] = &rxFrame{f: f}
-		}
-		m.tryInstallHeldView()
-		return
+	// A data frame may squat on the view's sequence slot (assigned by a dead
+	// sequencer and reported by nobody): the view wins.
+	if rf, dup := m.holdback[f.Seq]; !dup || rf.f.Kind != kView {
+		m.holdback[f.Seq] = &rxFrame{f: f}
 	}
-	m.holdback[f.Seq] = &rxFrame{f: f}
 	m.tryInstallHeldView()
 }
 
@@ -490,21 +484,10 @@ func (m *Member) tryInstallHeldView() {
 	if vs == 0 {
 		return
 	}
-	// Deliver everything below it if contiguous.
-	for s := m.nextDeliver; s < vs; s++ {
-		if _, ok := m.holdback[s]; !ok {
-			// Gap: ask the proposer for it.
-			rf := m.holdback[vs]
-			missing := make([]uint64, 0, 8)
-			for q := m.nextDeliver; q < vs && len(missing) < 64; q++ {
-				if _, ok := m.holdback[q]; !ok {
-					missing = append(missing, q)
-				}
-			}
-			m.cNacks.Inc()
-			m.sendControl(rf.f.Origin, &frame{Kind: kNack, Origin: m.Addr(), Seqs: missing})
-			return
-		}
+	// Deliver everything below it once that is contiguous; ask the proposer
+	// for any gap first.
+	if m.requestGap(vs-1, m.holdback[vs].f.Origin) {
+		return
 	}
 	for m.nextDeliver <= vs {
 		s := m.nextDeliver
@@ -624,11 +607,7 @@ func (m *Member) installJoinedView(f *frame, joined bool) {
 	}
 
 	// Resubmit unsequenced agreed traffic to the new sequencer.
-	for _, oseq := range m.pendOrder {
-		if pf, ok := m.pending[oseq]; ok {
-			m.sendControl(m.currentSequencer(), pf)
-		}
-	}
+	m.pending.each(func(pf *frame) { m.sendControl(m.view.Coordinator(), pf) })
 }
 
 // advanceProposal enforces deadlines on an in-flight proposal.
@@ -637,12 +616,18 @@ func (m *Member) advanceProposal(nowT time.Time) {
 	if p == nil {
 		return
 	}
-	if p.fetching {
+	if len(p.fetchWait) > 0 {
 		if nowT.After(p.fetchUntil) {
 			// Treat unfetchable frames as unrecoverable.
-			p.fetchWait = make(map[uint64]bool)
-			p.fetching = false
+			clear(p.fetchWait)
 			m.redistributeAndInstall()
+			return
+		}
+		// A kFetch or its answer may be lost while its owner lives.
+		for owner, fetch := range p.fetches {
+			if nowT.Sub(fetch.lastSend) >= m.cfg.ResendInterval {
+				m.sendControl(owner, fetch)
+			}
 		}
 		return
 	}

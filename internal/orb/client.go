@@ -86,9 +86,6 @@ func NewClient(id string, wire Wire, model vtime.CostModel, opts ...ClientOption
 	return c
 }
 
-// ID returns the client's process identifier.
-func (c *Client) ID() string { return c.id }
-
 // Close shuts the client down; in-flight invocations fail with ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()

@@ -384,9 +384,6 @@ func (c *ClientNode) Invoke(object, op string, args []interface{}, now vtime.Tim
 // ORB exposes the underlying ORB client for typed invocations.
 func (c *ClientNode) ORB() *orb.Client { return c.client }
 
-// Trace exposes the client node's trace recorder.
-func (c *ClientNode) Trace() *trace.Recorder { return c.trace }
-
 // TraceSnapshot returns a consistent snapshot of the client's counters
 // and recent events.
 func (c *ClientNode) TraceSnapshot() trace.Snapshot { return c.trace.Snapshot() }

@@ -64,16 +64,6 @@ func (m *Map) Lookup(objectRef string) (Group, bool) {
 	return Group{}, false
 }
 
-// Shard returns the group with the given shard ID.
-func (m *Map) Shard(id int) (Group, bool) {
-	for _, g := range m.Shards {
-		if g.ID == id {
-			return g, true
-		}
-	}
-	return Group{}, false
-}
-
 // WithShard returns a new map at epoch+1 that adds (or replaces) the
 // given group.
 func (m *Map) WithShard(g Group) *Map {

@@ -92,7 +92,7 @@ type CostModel struct {
 	GCSend Duration
 
 	// GCOrder is the extra cost of agreed (totally ordered) delivery per
-	// message: the sequencer round. Best-effort/FIFO/causal skip it.
+	// message: the sequencer round, charged once per sequenced message.
 	GCOrder Duration
 
 	// Intercept is charged by the library-interposition layer each time a
