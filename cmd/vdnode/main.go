@@ -39,6 +39,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/shard"
+	"versadep/internal/trace"
 	"versadep/internal/transport"
 	"versadep/internal/transport/tcptransport"
 	"versadep/internal/vtime"
@@ -342,6 +343,7 @@ func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *tra
 	node := replicator.StartReplica(wire, replicator.ReplicaConfig{
 		Seeds: seeds,
 		GCS:   gcsCfg,
+		Trace: trace.New(), // served on /trace and dumped at exit
 		Replication: replication.Config{
 			Style:              style,
 			CheckpointEvery:    5,
@@ -507,6 +509,7 @@ func runClient(wire transport.MultiEndpoint, members []string, shardMembers stri
 			Model:   vtime.DefaultCostModel(),
 			Timeout: 2 * time.Second,
 			Retries: 10,
+			Trace:   trace.New(),
 		})
 		fmt.Printf("sharded client over %d shards\n", len(groups))
 	} else {
@@ -519,6 +522,7 @@ func runClient(wire transport.MultiEndpoint, members []string, shardMembers stri
 			Model:   vtime.DefaultCostModel(),
 			Timeout: 2 * time.Second,
 			Retries: 10,
+			Trace:   trace.New(),
 		})
 	}
 	defer client.Stop()

@@ -74,6 +74,7 @@ func NewScenario(o Options, style replication.Style, replicas, clients int,
 		cfg.ExpectedReplies = replicas
 	}
 	for i := 0; i < clients; i++ {
+		cfg.Trace = trace.New() // each client records its own spans
 		if _, err := s.group.Client(fmt.Sprintf("client-%d", i+1), cfg); err != nil {
 			s.Close()
 			return nil, err
@@ -93,7 +94,8 @@ func (s *Scenario) addReplica(style replication.Style, checkpointEvery int, seed
 
 	app := workload.NewBenchApp(s.opts.StateBytes, s.opts.ExecCost, s.opts.ReplyBytes)
 	node, err := s.group.Add(addr, seeds, replicator.ReplicaConfig{
-		GCS: s.opts.gcsConfig(),
+		GCS:   s.opts.gcsConfig(),
+		Trace: trace.New(),
 		Replication: replication.Config{
 			Style:              style,
 			CheckpointEvery:    checkpointEvery,

@@ -14,6 +14,7 @@ import (
 	"versadep/internal/replicator"
 	"versadep/internal/shard"
 	"versadep/internal/simnet"
+	"versadep/internal/trace"
 	"versadep/internal/trace/hist"
 	"versadep/internal/vtime"
 	"versadep/internal/workload"
@@ -116,7 +117,8 @@ func (e *shardedEnv) bootShard(shardID int, members []string, initial *shard.Map
 		app := workload.NewShardApp(e.opts.StateBytes, e.opts.ExecCost, e.opts.ReplyBytes)
 		guard := shard.NewGuard(shardID, initial)
 		node, err := g.Add(addr, seeds, replicator.ReplicaConfig{
-			GCS: shardGCS(e.opts, uint32(shardID)),
+			GCS:   shardGCS(e.opts, uint32(shardID)),
+			Trace: trace.New(),
 			Replication: replication.Config{
 				Style:              replication.Active,
 				CheckpointEvery:    e.opts.CheckpointEvery,
@@ -146,6 +148,7 @@ func (e *shardedEnv) bootShard(shardID int, members []string, initial *shard.Map
 		Members: members,
 		Model:   e.opts.Model,
 		GroupID: uint32(shardID),
+		Trace:   trace.New(),
 	})
 	return err
 }
@@ -180,7 +183,7 @@ func buildShardedEnv(o Options, shards, replicasPer, clients int) (*shardedEnv, 
 
 	for i := 0; i < clients; i++ {
 		c, err := replicator.SimFabric(e.net).ShardedClient(fmt.Sprintf("client-%d", i+1),
-			replicator.ShardedClientConfig{Fetch: e.coord.Snapshot, Model: o.Model})
+			replicator.ShardedClientConfig{Fetch: e.coord.Snapshot, Model: o.Model, Trace: trace.New()})
 		if err != nil {
 			e.close()
 			return nil, err

@@ -1,13 +1,17 @@
 package gcs_test
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"versadep/internal/gcs"
 	"versadep/internal/simnet"
 	"versadep/internal/trace"
+	"versadep/internal/trace/span"
 	"versadep/internal/transport"
+	"versadep/internal/vtime"
 )
 
 // startTracedNode is startNode with a trace recorder wired into the member.
@@ -78,5 +82,45 @@ func TestMemberTraceCounters(t *testing.T) {
 	}
 	if views < 3 {
 		t.Fatalf("view_change events = %d, want >= 3", views)
+	}
+}
+
+// TestSpanKeyUnusedWithoutSpanRing: a member whose recorder has no span
+// ring never peeks a payload for its trace key; one with a ring does.
+func TestSpanKeyUnusedWithoutSpanRing(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		rec    func() *trace.Recorder
+		peeked bool
+	}{
+		{"composed", trace.New, true},
+		{"uncomposed", trace.NewWithoutSpans, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := simnet.New(simnet.WithSeed(13))
+			defer net.Close()
+			var calls atomic.Int64
+			shape := func(cfg *gcs.Config) {
+				cfg.Trace = c.rec()
+				cfg.SpanKey = func([]byte) span.Key {
+					calls.Add(1)
+					return span.Key{}
+				}
+			}
+			a := startNodeCfg(t, net, "ka", nil, shape)
+			b := startNodeCfg(t, net, "kb", []string{"ka"}, shape)
+			a.waitView(t, []string{"ka", "kb"}, 5*time.Second)
+			b.waitView(t, []string{"ka", "kb"}, 5*time.Second)
+			for i := 0; i < 20; i++ {
+				if err := a.member.Multicast([]byte(fmt.Sprintf("m-%d", i)), gcs.Agreed, 0, vtime.Ledger{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.waitMessages(t, 20, 5*time.Second)
+			b.waitMessages(t, 20, 5*time.Second)
+			if got := calls.Load(); (got > 0) != c.peeked {
+				t.Fatalf("SpanKey called %d times", got)
+			}
+		})
 	}
 }

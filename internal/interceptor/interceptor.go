@@ -35,16 +35,22 @@ import (
 
 // spanSubmit records the outbound interception crossing of a request
 // (client ORB → replicator shim), keyed by the VIOP identity that already
-// rides the frame.
+// rides the frame. Without a recorder it does not peek.
 func spanSubmit(sp *span.Recorder, reqBytes []byte, start, end vtime.Time) {
+	if !sp.On() {
+		return
+	}
 	if cid, rid, err := orb.PeekRequestID(reqBytes); err == nil {
 		sp.Add(sp.InternRequestKey(cid, rid), "intercept_submit", span.CompReplicator, start, end)
 	}
 }
 
 // spanDeliver records the inbound interception crossing of a delivered
-// reply.
+// reply. Without a recorder it does not peek.
 func spanDeliver(sp *span.Recorder, replyBytes []byte, start, end vtime.Time) {
+	if !sp.On() {
+		return
+	}
 	if cid, rid, err := orb.PeekReplyID(replyBytes); err == nil {
 		sp.Add(sp.InternRequestKey(cid, rid), "intercept_deliver", span.CompReplicator, start, end)
 	}

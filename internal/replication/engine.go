@@ -820,7 +820,10 @@ func (e *Engine) handoff(vt vtime.Time) {
 // last checkpoint are replayed (Figure 5's rollback).
 func (e *Engine) failover(vt vtime.Time) {
 	start := vt
-	fkey := span.NameKey(span.FailoverTrace(e.Addr(), uint64(e.stats.Failovers)+1))
+	var fkey span.Key // the cold name is formatted only for a recorder
+	if e.spans.On() {
+		fkey = span.NameKey(span.FailoverTrace(e.Addr(), uint64(e.stats.Failovers)+1))
+	}
 	e.spans.Add(fkey, "crash_detect", "", start, start)
 	if e.style == ColdPassive {
 		vt = e.cpu.Execute(vt, e.cfg.Model.ColdStart)

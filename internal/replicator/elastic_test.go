@@ -170,6 +170,7 @@ func TestCrashDuringJoinKeepsServiceAndClosesSpans(t *testing.T) {
 			Model:           net.CostModel(),
 			State:           app,
 		},
+		Trace: trace.New(),
 	})
 	joiner.Register("Counter", app)
 	t.Cleanup(joiner.Stop)

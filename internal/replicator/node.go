@@ -88,9 +88,10 @@ type ReplicaConfig struct {
 	// Replication is the engine configuration (style, checkpoints,
 	// state, observer).
 	Replication replication.Config
-	// Trace receives the node's counters and events across every layer
-	// (GCS member + replication engine). When nil, the node creates its
-	// own recorder; either way it is reachable via ReplicaNode.Trace.
+	// Trace receives the node's counters, events and causal spans across
+	// every layer (GCS member + replication engine). When nil, the node
+	// creates its own recorder without spans (trace.NewWithoutSpans);
+	// either way it is reachable via ReplicaNode.Trace.
 	Trace *trace.Recorder
 }
 
@@ -235,8 +236,8 @@ type ClientConfig struct {
 	// Retries bounds retransmissions per invocation (default 20).
 	Retries int
 	// Trace receives the client's counters (ORB retransmits/timeouts and
-	// interceptor filter outcomes). When nil, the node creates its own
-	// recorder; either way it is reachable via ClientNode.Trace.
+	// interceptor filter outcomes) and causal spans. When nil, the node
+	// creates its own recorder without spans (trace.NewWithoutSpans).
 	Trace *trace.Recorder
 	// GroupID selects which shard's group this client speaks to when
 	// several groups share the transport (see gcs.Config.GroupID). Zero —
@@ -256,11 +257,13 @@ func StartClient(ep transport.MultiEndpoint, cfg ClientConfig) *ClientNode {
 	return &ClientNode{demux: d, client: client, trace: rec}
 }
 
-// nodeDemux wraps a node's endpoint in its demux, reporting to rec (a fresh
-// recorder when nil) as the node at ep's address.
+// nodeDemux wraps a node's endpoint in its demux, reporting to rec as the
+// node at ep's address. A node records spans only into a recorder its caller
+// hands it: when rec is nil the node makes one without a span ring, so it
+// keeps counters, events and histograms and does no span work at all.
 func nodeDemux(ep transport.MultiEndpoint, rec *trace.Recorder) (*transport.Demux, *trace.Recorder) {
 	if rec == nil {
-		rec = trace.New()
+		rec = trace.NewWithoutSpans()
 	}
 	rec.Spans().SetNode(ep.Addr())
 	d := transport.NewDemux(ep)
@@ -325,8 +328,9 @@ type ShardedClientConfig struct {
 	Timeout time.Duration
 	// Retries bounds retransmissions per invocation (default 20).
 	Retries int
-	// Trace receives the client's counters across the ORB, router and
-	// per-shard wires.
+	// Trace receives the client's counters and causal spans across the
+	// ORB, router and per-shard wires. When nil, the node creates its own
+	// recorder without spans (trace.NewWithoutSpans).
 	Trace *trace.Recorder
 }
 

@@ -13,6 +13,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
+	"versadep/internal/trace"
 	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
@@ -154,6 +155,7 @@ func startClusterVia(t *testing.T, net *simnet.Network, n int, style replication
 				State:           app,
 				Observer:        obs,
 			},
+			Trace: trace.New(),
 		})
 		node.Register("Counter", app)
 		c.nodes = append(c.nodes, node)
@@ -223,6 +225,7 @@ func startTestClient(t *testing.T, net *simnet.Network, name string, members []s
 		Model:   net.CostModel(),
 		Timeout: 300 * time.Millisecond,
 		Retries: 10,
+		Trace:   trace.New(),
 	}
 	for _, o := range opts {
 		o(&cfg)

@@ -143,7 +143,7 @@ func startTransferPair(t *testing.T, net *simnet.Network, padBytes int) (primary
 	}
 	cfgA := transferCfg(app, nil)
 	cfgA.Model = model
-	ra := replicator.StartReplica(epA, replicator.ReplicaConfig{GCS: patientGCS(), Replication: cfgA})
+	ra := replicator.StartReplica(epA, replicator.ReplicaConfig{GCS: patientGCS(), Replication: cfgA, Trace: trace.New()})
 	ra.Register("Counter", app)
 	t.Cleanup(ra.Stop)
 
@@ -154,7 +154,7 @@ func startTransferPair(t *testing.T, net *simnet.Network, padBytes int) (primary
 	appB := newBlobApp(0)
 	cfgB := transferCfg(appB, nil)
 	cfgB.Model = model
-	rb := replicator.StartReplica(epB, replicator.ReplicaConfig{Seeds: []string{"ra"}, GCS: patientGCS(), Replication: cfgB})
+	rb := replicator.StartReplica(epB, replicator.ReplicaConfig{Seeds: []string{"ra"}, GCS: patientGCS(), Replication: cfgB, Trace: trace.New()})
 	rb.Register("Counter", appB)
 	t.Cleanup(rb.Stop)
 
@@ -196,7 +196,7 @@ func startJoiner(t *testing.T, net *simnet.Network, addr string, obs func(replic
 	cfg := transferCfg(app, obs)
 	cfg.Model = net.CostModel()
 	node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-		Seeds: []string{"ra", "rb"}, GCS: patientGCS(), Replication: cfg,
+		Seeds: []string{"ra", "rb"}, GCS: patientGCS(), Replication: cfg, Trace: trace.New(),
 	})
 	node.Register("Counter", app)
 	t.Cleanup(node.Stop)
@@ -392,7 +392,7 @@ func TestConcurrentJoinersUnderPolicyController(t *testing.T) {
 		cfg := transferCfg(japp, nil)
 		cfg.Model = net.CostModel()
 		node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-			Seeds: seeds, GCS: patientGCS(), Replication: cfg,
+			Seeds: seeds, GCS: patientGCS(), Replication: cfg, Trace: trace.New(),
 		})
 		node.Register("Counter", japp)
 		joiners = append(joiners, node)

@@ -16,11 +16,15 @@
 // id and the request id, unformatted), and the ring stores the key; the
 // trace's string — Span.Trace, what RequestTrace returns, what Timeline
 // and Breakdown select by — is formatted when a span leaves the recorder
-// (Snapshot, End). So a call site records unconditionally: there is no
+// (Snapshot, End). So a call site records without a guard: there is no
 // string to guard against building.
 //
 // The Recorder follows the same nil-safe discipline as trace.Counter: a
-// nil *Recorder is inert and recording into one allocates nothing.
+// nil *Recorder is inert and recording into one allocates nothing. That is
+// what a node holds unless its caller composed spans (trace.New): a node
+// left to make its own recorder gets one without a ring, so a call site
+// that would peek a payload or format a name only for spans checks On
+// first.
 package span
 
 import (

@@ -138,18 +138,30 @@ type Recorder struct {
 	spans *span.Recorder
 }
 
-// New creates a recorder with the default event capacity.
+// New creates a recorder with the default event capacity and a span ring:
+// what a caller that reads spans composes into the nodes it starts.
 func New() *Recorder { return NewWithCap(DefaultEventCap) }
 
-// NewWithCap creates a recorder retaining up to cap events (older events
-// are overwritten). cap <= 0 disables event retention; counters still work.
-func NewWithCap(cap int) *Recorder {
+// NewWithoutSpans creates a recorder with the default event capacity and no
+// span ring: counters, events and histograms work, Spans is nil, so every
+// span site is inert and a snapshot carries no spans. It is what a node
+// makes for itself when its caller hands it no recorder.
+func NewWithoutSpans() *Recorder {
 	return &Recorder{
 		counters: make(map[string]*Counter),
-		evCap:    cap,
+		evCap:    DefaultEventCap,
 		hists:    make(map[string]*Histogram),
-		spans:    span.New(0),
 	}
+}
+
+// NewWithCap creates a recorder with a span ring, retaining up to cap
+// events (older events are overwritten). cap <= 0 disables event
+// retention; counters still work.
+func NewWithCap(cap int) *Recorder {
+	r := NewWithoutSpans()
+	r.evCap = cap
+	r.spans = span.New(0)
+	return r
 }
 
 // Counter returns the register for sub.name, creating it on first use.
@@ -203,7 +215,7 @@ func (r *Recorder) Histogram(sub, name string) *Histogram {
 }
 
 // Spans returns the recorder's causal span layer (nil, and therefore
-// inert, on a nil Recorder).
+// inert, on a nil Recorder or one made by NewWithoutSpans).
 func (r *Recorder) Spans() *span.Recorder {
 	if r == nil {
 		return nil
