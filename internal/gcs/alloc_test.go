@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"sync"
 	"testing"
 
 	"versadep/internal/alloctest"
@@ -142,5 +143,168 @@ func TestInboxReusesItsArrays(t *testing.T) {
 	})
 	if len(arrays) > 2 {
 		t.Errorf("100 messages went through %d inbox arrays, want 2", len(arrays))
+	}
+}
+
+// dropConn is a member's conn that seals as a demux does and sends nowhere:
+// what a member allocates is then its own.
+type dropConn struct{ addr string }
+
+func (c dropConn) Addr() string                                     { return c.addr }
+func (c dropConn) Seal(m transport.Buf) []byte                      { return sealer.Seal(m) }
+func (c dropConn) Send(string, []byte, vtime.Time) error            { return nil }
+func (c dropConn) SendControl(string, []byte, vtime.Time) error     { return nil }
+func (c dropConn) SendMulticast([]string, []byte, vtime.Time) error { return nil }
+
+// openQuiet starts member addr of the view {a, b}, a the sequencer, on
+// conns that send nowhere, with its events drained.
+func openQuiet(t *testing.T, addr string) *Member {
+	t.Helper()
+	cfg := deferConfig()
+	cfg.HistorySize = historyStart // the ring never grows under the measurement
+	m := Open(dropConn{addr}, dropConn{addr}, cfg)
+	t.Cleanup(m.Stop)
+	go func() {
+		for range m.Out() {
+		}
+	}()
+	if err := m.do(func() {
+		m.view = View{ID: 1, Members: []string{"a", "b"}}
+		m.resetPerViewState()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// inOrder measures what handling frame(i) for i = 1, 2, ... allocates on
+// m's protocol goroutine, once warmed by the first hundred.
+func inOrder(t *testing.T, m *Member, from string, frame func(i uint64) *frame) float64 {
+	t.Helper()
+	const warm, runs = 100, 200
+	msgs := make([]transport.Message, warm+runs+1)
+	for i := range msgs {
+		msgs[i] = transport.Message{From: from, To: m.Addr(), Payload: encodeFrame(frame(uint64(i + 1)))}
+	}
+	var allocs float64
+	if err := m.do(func() {
+		for _, msg := range msgs[:warm] {
+			m.handleMessage(msg)
+		}
+		next := msgs[warm:]
+		allocs = testing.AllocsPerRun(runs, func() {
+			m.handleMessage(next[0])
+			next = next[1:]
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
+// TestInOrderFrameAllocatesItsFrame: a received frame is held by value, so
+// an in-order kSeq at a member allocates its decoded frame and nothing else
+// (the history keeps a window onto the bytes it arrived in). An in-order
+// kData at the sequencer allocates its decoded frame, and then what
+// sequencing it costs: the kSeq frame, the sealed buffer the history keeps,
+// and the destination list castData hands the transport. Each read 2 and 6
+// while every received frame was wrapped in a record of its own.
+func TestInOrderFrameAllocatesItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	payload := make([]byte, 200)
+	seq := inOrder(t, openQuiet(t, "b"), "a", func(i uint64) *frame {
+		return &frame{Kind: kSeq, ViewID: 1, Seq: i, Origin: "a", OSeq: i, Level: Agreed, Payload: payload}
+	})
+	if seq != 1 {
+		t.Errorf("an in-order kSeq at a member: %v allocations, want 1 (the decoded frame)", seq)
+	}
+	sub := inOrder(t, openQuiet(t, "a"), "b", func(i uint64) *frame {
+		return &frame{Kind: kData, ViewID: 1, Origin: "b", OSeq: i, Level: Agreed, Payload: payload}
+	})
+	if sub != 4 {
+		t.Errorf("an in-order kData at the sequencer: %v allocations, want 4 (the decoded frame, the kSeq frame, its sealed buffer, the destination list)", sub)
+	}
+}
+
+// TestCallAllocatesOnlyItsClosure: a call from another goroutine onto the
+// protocol goroutine reuses a pooled call record, so it allocates nothing of
+// its own, and a SendDirect costs its closure and what the send costs on the
+// protocol goroutine (the frame the outbox keeps). The wrapper closure and
+// completion channel each call used to make were two more.
+func TestCallAllocatesOnlyItsClosure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	m := openQuiet(t, "a")
+	noop := func() {}
+	if allocs := testing.AllocsPerRun(200, func() { _ = m.do(noop) }); allocs != 0 {
+		t.Errorf("a call with a ready-made function: %v allocations, want 0", allocs)
+	}
+
+	const runs = 200
+	room := m.DirectRoom()
+	bufs := func() []transport.Buf {
+		out := make([]transport.Buf, runs+1)
+		for i := range out {
+			out[i] = transport.CopyBuf(room, make([]byte, 160))
+		}
+		return out
+	}
+	next := bufs()
+	direct := testing.AllocsPerRun(runs, func() {
+		_ = m.SendDirect("client", next[0], 0, vtime.Ledger{})
+		next = next[1:]
+	})
+	next = bufs()
+	var locked float64
+	if err := m.do(func() {
+		locked = testing.AllocsPerRun(runs, func() {
+			m.sendDirectLocked("client", next[0], 0, vtime.Ledger{})
+			next = next[1:]
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if direct != locked+1 {
+		t.Errorf("a SendDirect from another goroutine: %v allocations, want %v (its closure and the send's %v)", direct, locked+1, locked)
+	}
+}
+
+// TestCallsFromManyGoroutines: pooled call records go back and forth
+// between goroutines; every caller's function runs exactly once per call,
+// and each call returns only after its own function has run.
+func TestCallsFromManyGoroutines(t *testing.T) {
+	m := openQuiet(t, "a")
+	const callers, calls = 8, 200
+	var counts [callers]int // each written on the protocol goroutine only
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= calls; i++ {
+				var ran bool
+				if err := m.do(func() { counts[c]++; ran = true }); err != nil {
+					t.Error(err)
+					return
+				}
+				if !ran {
+					t.Errorf("caller %d: call %d returned before its function ran", c, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := m.do(func() {
+		for c, n := range counts {
+			if n != calls {
+				t.Errorf("caller %d: %d runs for %d calls", c, n, calls)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -33,7 +33,7 @@ type Member struct {
 	inSpare  []transport.Message // the drained batch, swapped back in by the next drain
 	inNotify chan struct{}
 
-	cmds     chan func()
+	cmds     chan *call
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -76,7 +76,7 @@ type Member struct {
 	// Agreed: delivery side.
 	nextDeliver uint64
 	deliverVT   vtime.Time
-	holdback    map[uint64]*rxFrame
+	holdback    map[uint64]rxFrame
 	history     []sequenced       // delivered sequenced frames, for retransmission: slot seq%len
 	seenData    map[string]uint64 // origin -> highest OSeq delivered
 
@@ -86,7 +86,7 @@ type Member struct {
 	// prevents double-sequencing of duplicate submissions in that window.
 	nextSeq  uint64
 	seqLocal map[string]uint64
-	dataHold map[string]map[uint64]*rxFrame // out-of-order submissions
+	dataHold map[string]map[uint64]rxFrame // out-of-order submissions
 	// dataGapSince marks when an external origin's hold first stalled on a
 	// missing OSeq; after DataGapTimeout the sequencer skips the gap.
 	dataGapSince map[string]time.Time
@@ -150,6 +150,8 @@ type sequenced struct {
 }
 
 // rxFrame is a received data frame with its receiver-side virtual timing.
+// Held by value in the holdback and the sequencer's hold: nothing writes
+// through a held record, so it costs its map slot and no allocation.
 type rxFrame struct {
 	f   *frame
 	vt  vtime.Time
@@ -193,17 +195,17 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		cfg:          cfg,
 		rand:         vtime.NewRand(cfg.Seed),
 		inNotify:     make(chan struct{}, 1),
-		cmds:         make(chan func()),
+		cmds:         make(chan *call),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 		outNotify:    make(chan struct{}, 1),
 		out:          make(chan Event),
 		outDone:      make(chan struct{}),
-		holdback:     make(map[uint64]*rxFrame),
+		holdback:     make(map[uint64]rxFrame),
 		history:      make([]sequenced, max(min(cfg.HistorySize, historyStart), 1)),
 		seenData:     make(map[string]uint64),
 		seqLocal:     make(map[string]uint64),
-		dataHold:     make(map[string]map[uint64]*rxFrame),
+		dataHold:     make(map[string]map[uint64]rxFrame),
 		dataGapSince: make(map[string]time.Time),
 		directOut:    make(map[string]uint64),
 		directUnack:  make(map[string]*outbox),
@@ -273,16 +275,30 @@ func (m *Member) Stop() {
 	<-m.outDone
 }
 
+// call is one request to run a function on the protocol goroutine. Call
+// records are pooled, so a call from another goroutine allocates only the
+// closure it carries.
+type call struct {
+	fn   func()
+	done chan struct{} // buffered 1: run signals it once fn returns
+}
+
+var calls = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
 // do runs fn on the protocol goroutine and waits for it.
 func (m *Member) do(fn func()) error {
-	donec := make(chan struct{})
+	c := calls.Get().(*call)
+	c.fn = fn
+	var err error
 	select {
-	case m.cmds <- func() { fn(); close(donec) }:
-		<-donec
-		return nil
+	case m.cmds <- c:
+		<-c.done
 	case <-m.stop:
-		return ErrStopped
+		err = ErrStopped
 	}
+	c.fn = nil
+	calls.Put(c)
+	return err
 }
 
 // View returns the currently installed view.
@@ -369,8 +385,9 @@ func (m *Member) run() {
 		select {
 		case <-m.stop:
 			return
-		case fn := <-m.cmds:
-			fn()
+		case c := <-m.cmds:
+			c.fn()
+			c.done <- struct{}{}
 		case <-m.inNotify:
 			m.drainInbox()
 		case <-ticker.C:

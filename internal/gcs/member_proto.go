@@ -178,7 +178,7 @@ func arrival(msg transport.Message, f *frame, model *vtime.CostModel) (vtime.Tim
 }
 
 // rx computes receiver-side timing and ledger for a data frame.
-func (m *Member) rx(msg transport.Message, f *frame) *rxFrame {
+func (m *Member) rx(msg transport.Message, f *frame) rxFrame {
 	led := f.Ledger
 	arrive, wire := arrival(msg, f, &m.cfg.Model)
 	led.Charge(vtime.ComponentGC, wire)
@@ -190,7 +190,7 @@ func (m *Member) rx(msg transport.Message, f *frame) *rxFrame {
 		// charged: wire transit plus the daemon's receive crossing.
 		m.spans.Add(key, rxSpanName(f.Kind), span.CompGC, vt.Add(-(wire + cost)), vt)
 	}
-	return &rxFrame{f: f, vt: vt, led: led}
+	return rxFrame{f: f, vt: vt, led: led}
 }
 
 // ---- join handling ----
@@ -257,7 +257,7 @@ func (m *Member) handleData(msg transport.Message, f *frame) {
 	}
 	hold := m.dataHold[f.Origin]
 	if hold == nil {
-		hold = make(map[uint64]*rxFrame)
+		hold = make(map[uint64]rxFrame)
 		m.dataHold[f.Origin] = hold
 	}
 	if _, dup := hold[f.OSeq]; !dup {
@@ -341,7 +341,7 @@ func (m *Member) sequenceReady(origin string) {
 // below the lowest held OSeq and let the upper layer's request-id retries
 // re-carry whatever the lost submission held. Member origins keep strict
 // FIFO — they resend until kSeq delivery, so their gaps always fill.
-func (m *Member) maybeSkipDataGap(origin string, hold map[uint64]*rxFrame) {
+func (m *Member) maybeSkipDataGap(origin string, hold map[uint64]rxFrame) {
 	if m.cfg.DataGapTimeout <= 0 || !m.isExternal(origin) {
 		return
 	}
@@ -436,7 +436,7 @@ func (m *Member) drainHoldback() {
 	}
 }
 
-func (m *Member) deliverSequenced(rf *rxFrame) {
+func (m *Member) deliverSequenced(rf rxFrame) {
 	f := rf.f
 	m.recordHistory(f)
 	if f.Kind == kView {

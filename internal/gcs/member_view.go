@@ -371,7 +371,7 @@ func (m *Member) redistributeAndInstall() {
 			continue
 		}
 		filler := &frame{Kind: kSeq, ViewID: m.view.ID, Seq: s, Level: Agreed}
-		m.holdback[s] = &rxFrame{f: filler}
+		m.holdback[s] = rxFrame{f: filler}
 		filled[s] = true
 	}
 
@@ -465,7 +465,7 @@ func (m *Member) handleViewFrame(msg transport.Message, f *frame) {
 	// A data frame may squat on the view's sequence slot (assigned by a dead
 	// sequencer and reported by nobody): the view wins.
 	if rf, dup := m.holdback[f.Seq]; !dup || rf.f.Kind != kView {
-		m.holdback[f.Seq] = &rxFrame{f: f}
+		m.holdback[f.Seq] = rxFrame{f: f}
 	}
 	m.tryInstallHeldView()
 }
@@ -603,7 +603,7 @@ func (m *Member) installJoinedView(f *frame, joined bool) {
 		}
 	} else {
 		m.seqLocal = make(map[string]uint64)
-		m.dataHold = make(map[string]map[uint64]*rxFrame)
+		m.dataHold = make(map[string]map[uint64]rxFrame)
 	}
 
 	// Resubmit unsequenced agreed traffic to the new sequencer.

@@ -17,11 +17,13 @@ import (
 )
 
 // RateMeter derives an arrival rate from virtual timestamps over a sliding
-// window of observations.
+// window of observations. The window is a fixed ring: recording overwrites
+// the oldest stamp and allocates nothing.
 type RateMeter struct {
 	mu     sync.Mutex
-	window int
-	stamps []vtime.Time
+	stamps []vtime.Time // window slots, filled in insertion order
+	n      int          // stamps recorded so far, at most len(stamps)
+	next   int          // the slot the next stamp goes into
 }
 
 // NewRateMeter creates a meter with the given window size (minimum 2).
@@ -29,32 +31,35 @@ func NewRateMeter(window int) *RateMeter {
 	if window < 2 {
 		window = 2
 	}
-	return &RateMeter{window: window}
+	return &RateMeter{stamps: make([]vtime.Time, window)}
 }
 
 // Record notes one arrival at virtual time vt.
 func (m *RateMeter) Record(vt vtime.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stamps = append(m.stamps, vt)
-	if len(m.stamps) > m.window {
-		m.stamps = m.stamps[len(m.stamps)-m.window:]
-	}
+	m.stamps[m.next] = vt
+	m.next = (m.next + 1) % len(m.stamps)
+	m.n = min(m.n+1, len(m.stamps))
 }
 
 // Rate returns the arrival rate in events per virtual second, or zero
-// before two observations.
+// before two observations. The span runs from the oldest stamp in the
+// window to the newest, in the order they were recorded.
 func (m *RateMeter) Rate() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.stamps) < 2 {
+	if m.n < 2 {
 		return 0
 	}
-	span := m.stamps[len(m.stamps)-1].Sub(m.stamps[0])
+	w := len(m.stamps)
+	oldest := m.stamps[(m.next-m.n+w)%w]
+	newest := m.stamps[(m.next-1+w)%w]
+	span := newest.Sub(oldest)
 	if span <= 0 {
 		return 0
 	}
-	return float64(len(m.stamps)-1) / span.Seconds()
+	return float64(m.n-1) / span.Seconds()
 }
 
 // Bandwidth converts a byte count over a virtual span into MB/s (the

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math/rand"
 	"testing"
 
 	"versadep/internal/vtime"
@@ -68,5 +69,70 @@ func TestLedgerBreakdown(t *testing.T) {
 	}
 	if len(LedgerBreakdown(nil)) != 0 {
 		t.Fatal("empty breakdown should be empty")
+	}
+}
+
+// sliceRateMeter is the meter the ring replaced, kept as the oracle: the
+// last window stamps in a slice that append grows and re-slices.
+type sliceRateMeter struct {
+	window int
+	stamps []vtime.Time
+}
+
+func (m *sliceRateMeter) Record(vt vtime.Time) {
+	m.stamps = append(m.stamps, vt)
+	if len(m.stamps) > m.window {
+		m.stamps = m.stamps[len(m.stamps)-m.window:]
+	}
+}
+
+func (m *sliceRateMeter) Rate() float64 {
+	if len(m.stamps) < 2 {
+		return 0
+	}
+	span := m.stamps[len(m.stamps)-1].Sub(m.stamps[0])
+	if span <= 0 {
+		return 0
+	}
+	return float64(len(m.stamps)-1) / span.Seconds()
+}
+
+// TestRateMeterMatchesSlice: over 1,000 seeded streams — windows from the
+// minimum up, stamps that repeat and go backwards — the ring reads exactly
+// what the slice meter read after every stamp.
+func TestRateMeterMatchesSlice(t *testing.T) {
+	for seed := int64(1); seed <= 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		window := rng.Intn(30) // below the minimum too
+		ring := NewRateMeter(window)
+		oracle := &sliceRateMeter{window: max(window, 2)}
+		vt := vtime.Time(rng.Int63n(1e9))
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			switch rng.Intn(8) {
+			case 0: // out of order
+				vt -= vtime.Time(rng.Int63n(int64(vtime.Millisecond)))
+			case 1: // the same instant again
+			default:
+				vt += vtime.Time(rng.Int63n(int64(vtime.Millisecond)))
+			}
+			ring.Record(vt)
+			oracle.Record(vt)
+			if got, want := ring.Rate(), oracle.Rate(); got != want {
+				t.Fatalf("seed %d, window %d, stamp %d: rate %v, the slice meter read %v", seed, window, i, got, want)
+			}
+		}
+	}
+}
+
+// TestRateMeterRecordAllocatesNothing: a full window records by
+// overwriting its oldest stamp.
+func TestRateMeterRecordAllocatesNothing(t *testing.T) {
+	m := NewRateMeter(16)
+	vt := vtime.Time(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		vt += vtime.Time(vtime.Microsecond)
+		m.Record(vt)
+	}); allocs != 0 {
+		t.Errorf("Record: %v allocations, want 0", allocs)
 	}
 }

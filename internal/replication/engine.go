@@ -270,6 +270,7 @@ type Engine struct {
 	xfers     map[string]*outXfer
 	rx        *inXfer
 	lastVT    vtime.Time
+	retry     *time.Ticker // the retry driver; nil while no transfer is pending
 
 	// viewJoiners marks members that joined in the latest view change
 	// (unsynced until their transfer lands); xferNag rotates an unsynced
@@ -531,16 +532,21 @@ func (e *Engine) run() {
 	defer e.stopTransfers()
 	// The transfer retry driver runs on real time, like the GCS liveness
 	// machinery: virtual time only advances with protocol events, and a
-	// partitioned transfer has none.
-	retry := time.NewTicker(e.cfg.TransferRetryEvery)
-	defer retry.Stop()
+	// partitioned transfer has none. Its ticker is armed only while a
+	// transfer is pending; an idle replica's loop never wakes for it.
+	defer e.armRetry(false)
 	for {
+		e.armRetry(e.transferPending())
+		var retry <-chan time.Time // nil, and never ready, while disarmed
+		if e.retry != nil {
+			retry = e.retry.C
+		}
 		select {
 		case <-e.stop:
 			return
 		case fn := <-e.cmds:
 			fn()
-		case <-retry.C:
+		case <-retry:
 			e.transferTick()
 		case ev, ok := <-e.member.Out():
 			if !ok {

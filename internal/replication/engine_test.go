@@ -32,17 +32,32 @@ func startEngine(t *testing.T, addr string, cfg Config) (*Engine, *gcs.Member) {
 // startEngineOn is startEngine on a network the test shares with clients.
 func startEngineOn(t *testing.T, net *simnet.Network, addr string, cfg Config) (*Engine, *gcs.Member) {
 	t.Helper()
+	m := openMemberOn(t, net, addr)
+	return engineOn(t, m, cfg), m
+}
+
+// openMemberOn opens a group member on net that joins through seeds, or
+// bootstraps a singleton group with none.
+func openMemberOn(t *testing.T, net *simnet.Network, addr string, seeds ...string) *gcs.Member {
+	t.Helper()
 	ep, err := net.Endpoint(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := transport.NewDemux(ep)
 	gcfg := gcs.DefaultConfig()
+	gcfg.Seeds = seeds
 	m := gcs.Open(d.Conn(transport.ProtoGCS), d.Conn(transport.ProtoGroupClient), gcfg)
 	d.Handle(transport.ProtoGCS, m.HandleTransport)
 	d.Handle(transport.ProtoGroupClient, m.HandleTransport)
 	d.Start()
 	t.Cleanup(m.Stop)
+	return m
+}
+
+// engineOn starts an engine on member m.
+func engineOn(t *testing.T, m *gcs.Member, cfg Config) *Engine {
+	t.Helper()
 	adapter := orb.NewAdapter(vtime.DefaultCostModel())
 	if cfg.Model == (vtime.CostModel{}) {
 		cfg.Model = vtime.DefaultCostModel()
@@ -52,7 +67,7 @@ func startEngineOn(t *testing.T, net *simnet.Network, addr string, cfg Config) (
 	}
 	e := NewEngine(m, adapter, cfg)
 	t.Cleanup(e.Stop)
-	return e, m
+	return e
 }
 
 // TestEngineStopConcurrent: the replica node's self-retire goroutine and a

@@ -431,6 +431,24 @@ func (e *Engine) endTransferSpan(x *outXfer, vt vtime.Time, why string) {
 	}
 }
 
+// transferPending reports whether the retry driver has work: a transfer
+// this replica is sending or receiving, or, unsynced in a group with
+// others, one it has yet to ask for.
+func (e *Engine) transferPending() bool {
+	return len(e.xfers) > 0 || e.rx != nil || (!e.synced && len(e.view.Members) > 1)
+}
+
+// armRetry starts the retry driver's ticker when on and stops it when not.
+func (e *Engine) armRetry(on bool) {
+	switch {
+	case on && e.retry == nil:
+		e.retry = time.NewTicker(e.cfg.TransferRetryEvery)
+	case !on && e.retry != nil:
+		e.retry.Stop()
+		e.retry = nil
+	}
+}
+
 // transferTick is the real-time retry driver, run from the engine loop.
 // The leader re-sends the window of any stalled transfer and abandons
 // joiners that have made no progress for transferAbandonAfter; an unsynced

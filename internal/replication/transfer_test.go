@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"versadep/internal/simnet"
 )
 
 func TestMsgRoundTripStateChunk(t *testing.T) {
@@ -117,5 +120,65 @@ func TestBookmarkPruneKeepsPinned(t *testing.T) {
 	e.pruneBookmarks()
 	if len(e.bookmarks) != transferBookmarks+1 {
 		t.Fatalf("all-pinned bookmarks = %d, want %d", len(e.bookmarks), transferBookmarks+1)
+	}
+}
+
+// TestTransferRetryArmedOnlyWhilePending: the transfer retry driver's
+// ticker is armed only while a transfer is pending. An idle engine holds
+// none; a leader serving a joiner holds one while the joiner has not caught
+// up, and both disarm once the transfer completes.
+func TestTransferRetryArmedOnlyWhilePending(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(3))
+	t.Cleanup(func() { net.Close() })
+	armed := func(e *Engine) (on bool) {
+		e.do(func() { on = e.retry != nil })
+		return on
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	cfg := Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}}
+	leader, _ := startEngineOn(t, net, "r1", cfg)
+	waitFor("the leader is primary", func() bool { return leader.Role() == RolePrimary })
+	if armed(leader) {
+		t.Fatal("an idle engine holds an armed retry ticker")
+	}
+
+	// The joiner's member joins, but no engine reads its deliveries yet:
+	// the leader's transfer waits on acknowledgements that cannot come.
+	joiner := openMemberOn(t, net, "r2", "r1")
+	serving := func() (n int) {
+		leader.do(func() { n = len(leader.xfers) })
+		return n
+	}
+	waitFor("the leader serves the joiner", func() bool { return serving() == 1 })
+	if !armed(leader) {
+		t.Fatal("a leader serving a joiner holds no armed retry ticker")
+	}
+
+	late := engineOn(t, joiner, Config{Style: WarmPassive, State: &memState{}})
+	waitFor("the transfer completes", func() bool { return serving() == 0 && late.StatsSnapshot().Synced })
+	waitFor("the leader disarms", func() bool { return !armed(leader) })
+	if armed(late) {
+		t.Error("the synced joiner still holds an armed retry ticker")
+	}
+
+	// Unsynced in a group of more than one, a replica has a transfer to
+	// ask for before any chunk reaches it (its sender may have crashed
+	// first): the ticker that drives the asking is armed for that too.
+	late.do(func() { late.synced = false })
+	if !armed(late) {
+		t.Error("an unsynced replica that has received nothing holds no armed retry ticker")
+	}
+	late.do(func() { late.synced = true })
+	if armed(late) {
+		t.Error("a resynced replica still holds an armed retry ticker")
 	}
 }

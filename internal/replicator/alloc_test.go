@@ -12,15 +12,17 @@ import (
 )
 
 // requestAllocBudget is what one request may allocate end to end, summed
-// over the client and three active replicas: 57.3 in most runs when the
-// budget was set (56.4 to 61.7 over six), plus a tenth for the timers and
+// over the client and three active replicas: 47.1 in most runs when the
+// budget was set (47.1 to 48.0 over six), plus a tenth for the timers and
 // heartbeats that run beside the requests. The wall-clock benchmark reports
 // the same quantity as allocs_per_req on active3_simnet_c1; this holds it in
-// tier-1. With every layer copying the payload into a buffer of its own
-// (the envelope, the client's frame, each replica's reply frame) the same
-// test read 62; with a trace name formatted at every layer crossing and
-// every address decoded afresh from every frame it read 157.
-const requestAllocBudget = 63
+// tier-1. While every received group frame was wrapped in a record of its
+// own and every call onto a member's goroutine made a closure and a channel
+// the same test read 57.3; with every layer copying the payload into a
+// buffer of its own (the envelope, the client's frame, each replica's reply
+// frame) 62; with a trace name formatted at every layer crossing and every
+// address decoded afresh from every frame 157.
+const requestAllocBudget = 52
 
 // payloadBufferBudget is how many payload-sized buffers one 4 KB request
 // and its 4 KB reply may allocate end to end through three active

@@ -17,9 +17,25 @@ import (
 	"versadep/internal/vtime"
 )
 
-// streamOf is what the frames put on the stream: each one's vector entries,
-// back to back.
-func streamOf(frames ...outFrame) []byte {
+// wireFrame is a frame as it lies on the stream: its head — the length
+// prefix and the codec frame body up to the payload — then its payload.
+type wireFrame struct {
+	head, payload []byte
+}
+
+// encodeFrame is the framing a sender used to make per frame, a header
+// buffer of its own, kept as the reference the sender's stream must match.
+func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) wireFrame {
+	f := codec.Frame{From: from, FromAddr: fromAddr, Payload: payload, SentAt: int64(sentAt)}
+	head := make([]byte, 4+codec.FrameHeaderSize(f))
+	binary.BigEndian.PutUint32(head, uint32(codec.FrameSize(f)))
+	codec.PutFrameHeader(head[4:], f)
+	return wireFrame{head: head, payload: payload}
+}
+
+// streamOf is what the frames put on the stream: each one's head and
+// payload, back to back.
+func streamOf(frames ...wireFrame) []byte {
 	var b []byte
 	for _, f := range frames {
 		b = append(append(b, f.head...), f.payload...)
@@ -43,29 +59,47 @@ func oneBufferFrame(from, fromAddr string, payload []byte, sentAt int64) []byte 
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-// TestFramingOneBuffer: framing a payload allocates one buffer, the header
-// in front of it, and hands the payload itself on as the second piece of
-// the vector — never a copy of it.
+// recorder is a connection that keeps what is written to it.
+type recorder struct {
+	net.Conn
+	got bytes.Buffer
+}
+
+func (c *recorder) Write(b []byte) (int, error) { return c.got.Write(b) }
+func (c *recorder) Close() error                { return nil }
+
+// TestFramingOneBuffer: a sender formats the heads of a batch into one
+// buffer it keeps, so once that buffer has grown framing a batch allocates
+// nothing, and each payload is the vector entry after its head — never a
+// copy of it.
 func TestFramingOneBuffer(t *testing.T) {
-	for _, size := range []int{200, 64 << 10} {
-		payload := make([]byte, size)
-		var f outFrame
-		if allocs := testing.AllocsPerRun(20, func() {
-			f = encodeFrame("ra", "127.0.0.1:7301", payload, vtime.Time(99))
-		}); allocs != 1 {
-			t.Errorf("framing a %d B payload: %v allocations, want 1", size, allocs)
+	e := &Endpoint{name: "ra", bound: "127.0.0.1:7301"}
+	p := newPeerSender(e, "")
+	batch := make([]outFrame, 8)
+	for i := range batch {
+		batch[i] = outFrame{payload: make([]byte, 200<<i), sentAt: vtime.Time(i)}
+	}
+	var iov [][]byte
+	if allocs := testing.AllocsPerRun(20, func() { iov = p.vector(batch) }); allocs != 0 {
+		t.Errorf("framing a batch of %d: %v allocations, want 0", len(batch), allocs)
+	}
+	head := 4 + 4 + 8 + 2 + len("ra") + 2 + len("127.0.0.1:7301")
+	if e.headSize() != head || len(p.heads) != head*len(batch) {
+		t.Errorf("heads of %d bytes in a %d byte buffer, want %d each", e.headSize(), len(p.heads), head)
+	}
+	for i, f := range batch {
+		if &iov[2*i][0] != &p.heads[i*head] || len(iov[2*i]) != head {
+			t.Errorf("frame %d: its head is not its slot of the sender's buffer", i)
 		}
-		if want := 4 + 4 + 8 + 2 + len("ra") + 2 + len("127.0.0.1:7301"); len(f.head) != want || cap(f.head) != want {
-			t.Errorf("framing a %d B payload: header of %d bytes (cap %d), want %d", size, len(f.head), cap(f.head), want)
-		}
-		if len(f.payload) != size || &f.payload[0] != &payload[0] {
-			t.Errorf("framing a %d B payload: the payload was copied", size)
+		if &iov[2*i+1][0] != &f.payload[0] || len(iov[2*i+1]) != len(f.payload) {
+			t.Errorf("frame %d: the payload was copied", i)
 		}
 	}
 }
 
-// TestStreamBytesUnchanged: for random frames the vector puts on the stream
-// exactly the bytes of the one-buffer framing it replaced.
+// TestStreamBytesUnchanged: for random batches the sender puts on the
+// stream, frame by frame, exactly the bytes of the per-frame framing it
+// replaced, and those are the bytes of the one-buffer framing before it.
 func TestStreamBytesUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	str := func(max int) string {
@@ -73,13 +107,33 @@ func TestStreamBytesUnchanged(t *testing.T) {
 		rng.Read(b)
 		return string(b)
 	}
-	for i := 0; i < 200; i++ {
-		from, addr := str(24), str(40)
-		payload := []byte(str(1 << rng.Intn(14)))
-		sentAt := rng.Int63() - rng.Int63()
-		got := streamOf(encodeFrame(from, addr, payload, vtime.Time(sentAt)))
-		if want := oneBufferFrame(from, addr, payload, sentAt); !bytes.Equal(got, want) {
-			t.Fatalf("frame %d (%d B payload): stream bytes changed:\n got %x\nwant %x", i, len(payload), got, want)
+	for i := 0; i < 50; i++ {
+		e := &Endpoint{name: str(24), bound: str(40)}
+		p := newPeerSender(e, "")
+		conn := &recorder{}
+		p.conn = conn
+		batch := make([]outFrame, 1+rng.Intn(8))
+		for j := range batch {
+			batch[j] = outFrame{payload: []byte(str(1 << rng.Intn(14))), sentAt: vtime.Time(rng.Int63() - rng.Int63())}
+		}
+		if unsent := p.send(batch); unsent != 0 {
+			t.Fatalf("batch %d: %d frames unsent", i, unsent)
+		}
+		stream := conn.got.Bytes()
+		for j, f := range batch {
+			ref := encodeFrame(e.name, e.bound, f.payload, f.sentAt)
+			want := streamOf(ref)
+			if !bytes.Equal(want, oneBufferFrame(e.name, e.bound, f.payload, int64(f.sentAt))) {
+				t.Fatalf("batch %d frame %d: the reference framing changed", i, j)
+			}
+			if len(stream) < len(want) || !bytes.Equal(stream[:len(want)], want) {
+				t.Fatalf("batch %d frame %d (%d B payload): stream bytes changed:\n got %x\nwant %x",
+					i, j, len(f.payload), stream[:min(len(stream), len(want))], want)
+			}
+			stream = stream[len(want):]
+		}
+		if len(stream) != 0 {
+			t.Fatalf("batch %d: %d bytes after the last frame", i, len(stream))
 		}
 	}
 }
@@ -130,10 +184,11 @@ func TestSendCopiesNoPayload(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesOnlyTheHeader: on a connected endpoint a send allocates
-// one thing, the frame's header. The endpoint's own address, which every
-// frame carries, is formatted once and not per frame.
-func TestSendAllocatesOnlyTheHeader(t *testing.T) {
+// TestSendAllocatesNothing: on a connected endpoint a send allocates
+// nothing. The frame waits in the queue as its payload and send instant;
+// its head is formatted by the sender, into a buffer it reuses, and the
+// endpoint's own address, which every frame carries, is formatted once.
+func TestSendAllocatesNothing(t *testing.T) {
 	addr, got := sink(t)
 	e, err := Listen("a", "127.0.0.1:0", map[string]string{"b": addr})
 	if err != nil {
@@ -149,8 +204,8 @@ func TestSendAllocatesOnlyTheHeader(t *testing.T) {
 		_ = e.Send("b", payload, 0)
 		time.Sleep(time.Millisecond)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { _ = e.Send("b", payload, 0) }); allocs != 1 {
-		t.Errorf("a send on a connected endpoint: %v allocations, want 1 (the frame header)", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { _ = e.Send("b", payload, 0) }); allocs != 0 {
+		t.Errorf("a send on a connected endpoint: %v allocations, want 0", allocs)
 	}
 }
 

@@ -141,18 +141,20 @@ func (c *dyingConn) Close() error { return nil }
 // not take whole — the cut frame from its first byte — one more try; with
 // nobody listening any more it drops those frames, and counts each.
 func TestPeerRestartMidBatch(t *testing.T) {
-	batch := make([]outFrame, 5)
-	for i := range batch {
-		batch[i] = encodeFrame("b", "", burstPayload(i), 0)
-	}
-	cut := len(streamOf(batch[:2]...)) + len(streamOf(batch[2]))/2
-
 	e, err := Listen("b", "127.0.0.1:0", map[string]string{},
 		WithRetry(RetryConfig{DialAttempts: 1, AttemptTimeout: time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+
+	batch := make([]outFrame, 5)
+	wire := make([]wireFrame, len(batch))
+	for i := range batch {
+		batch[i] = outFrame{payload: burstPayload(i), sentAt: vtime.Time(i)}
+		wire[i] = encodeFrame(e.Addr(), e.BoundAddr(), burstPayload(i), vtime.Time(i))
+	}
+	cut := len(streamOf(wire[:2]...)) + len(streamOf(wire[2]))/2
 
 	t.Run("restarted peer gets the rest", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -177,8 +179,8 @@ func TestPeerRestartMidBatch(t *testing.T) {
 			t.Fatalf("%d frames given up on with the peer back up", unsent)
 		}
 		_ = p.conn.Close()
-		if all := <-got; !bytes.Equal(all, streamOf(batch[2:]...)) {
-			t.Fatalf("restarted peer read %d bytes, want frames 2–4 whole (%d bytes)", len(all), len(streamOf(batch[2:]...)))
+		if all := <-got; !bytes.Equal(all, streamOf(wire[2:]...)) {
+			t.Fatalf("restarted peer read %d bytes, want frames 2–4 whole (%d bytes)", len(all), len(streamOf(wire[2:]...)))
 		}
 	})
 

@@ -16,9 +16,10 @@
 // vectored write, and each connection is read through one buffer, so a burst
 // costs a system call each way, not three per frame; the bytes on the stream
 // are the same either way. A frame is two pieces of that vector: a header
-// made for it, and the sealed payload itself, which is never copied. Each
-// connection's reader hands its frames up itself, so one peer's frames keep
-// their order and two peers' frames are handled side by side.
+// formatted into the sender's reused buffer, and the sealed payload itself,
+// which is never copied. Each connection's reader hands its frames up
+// itself, so one peer's frames keep their order and two peers' frames are
+// handled side by side.
 //
 // In live mode the virtual-time machinery is inert: messages carry their
 // virtual send instant through unchanged (ArriveAt = SentAt, a zero-cost
@@ -236,7 +237,6 @@ func (e *Endpoint) Recv() <-chan transport.Message { return e.recv.Get(e, e.done
 // peers, closed endpoints with pending work, and overflowing queues all
 // drop the frame.
 func (e *Endpoint) Send(to string, payload []byte, sentAt vtime.Time) error {
-	frame := encodeFrame(e.name, e.bound, payload, sentAt)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -260,7 +260,7 @@ func (e *Endpoint) Send(to string, payload []byte, sentAt vtime.Time) error {
 	e.mu.Unlock()
 
 	select {
-	case ps.ch <- frame:
+	case ps.ch <- outFrame{payload: payload, sentAt: sentAt}:
 	default:
 		// Queue full: drop; the upper layers retransmit.
 		e.dropped.Add(1)
@@ -388,10 +388,12 @@ type peerSender struct {
 	done     <-chan struct{}
 
 	// Owned by run: the connection, the frames of the write in progress,
-	// and the vector handed to the kernel — net.Buffers consumes the slice
-	// it is given, so iov is a fresh window onto iovBuf for every write.
+	// their heads formatted back to back, and the vector handed to the
+	// kernel — net.Buffers consumes the slice it is given, so iov is a
+	// fresh window onto iovBuf for every write.
 	conn   net.Conn
 	batch  []outFrame
+	heads  []byte
 	iovBuf [][]byte
 	iov    net.Buffers
 }
@@ -496,24 +498,38 @@ func (p *peerSender) send(frames []outFrame) int {
 // how many it took whole; fewer than len(frames) means the write failed,
 // and the first frame not counted may have left in part.
 func (p *peerSender) write(frames []outFrame) int {
-	p.iovBuf = p.iovBuf[:0]
-	for _, f := range frames {
-		p.iovBuf = append(p.iovBuf, f.head, f.payload)
-	}
-	p.iov = p.iovBuf
+	p.iov = p.vector(frames)
 	n, err := p.iov.WriteTo(p.conn)
 	clear(p.iovBuf)
 	if err == nil {
 		return len(frames)
 	}
+	head := p.ep.headSize()
 	whole := 0
 	for _, f := range frames {
-		if n -= int64(len(f.head) + len(f.payload)); n < 0 {
+		if n -= int64(head + len(f.payload)); n < 0 {
 			break
 		}
 		whole++
 	}
 	return whole
+}
+
+// vector formats every frame's head into the sender's one head buffer,
+// grown only when a batch outgrows it, and returns the vector that puts
+// each head in front of its payload.
+func (p *peerSender) vector(frames []outFrame) [][]byte {
+	size := p.ep.headSize()
+	if need := size * len(frames); cap(p.heads) < need {
+		p.heads = make([]byte, need)
+	}
+	p.iovBuf = p.iovBuf[:0]
+	for i, f := range frames {
+		head := p.heads[i*size : (i+1)*size : (i+1)*size]
+		p.ep.putHead(head, f)
+		p.iovBuf = append(p.iovBuf, head, f.payload)
+	}
+	return p.iovBuf
 }
 
 // Wire format: u32 total | codec frame body (which begins with its own
@@ -523,20 +539,28 @@ func (p *peerSender) write(frames []outFrame) int {
 // may be desynced) and closes the connection; anything inside a valid
 // length is verified by codec.DecodeFrame and at worst drops one frame.
 
-// outFrame is one frame on its way out: head is the length prefix and the
-// codec frame body up to the payload, made for this frame; payload is the
-// sealed frame the upper layers handed to Send — immutable and shared with
-// whoever else holds it, so it is written from where it lies.
+// outFrame is one frame on its way out: payload is the sealed frame the
+// upper layers handed to Send — immutable and shared with whoever else
+// holds it, so it is written from where it lies — and sentAt the virtual
+// instant its head carries. The head is formatted only when the frame is
+// written (see peerSender.vector).
 type outFrame struct {
-	head, payload []byte
+	payload []byte
+	sentAt  vtime.Time
 }
 
-func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) outFrame {
-	f := codec.Frame{From: from, FromAddr: fromAddr, Payload: payload, SentAt: int64(sentAt)}
-	head := make([]byte, 4+codec.FrameHeaderSize(f))
-	binary.BigEndian.PutUint32(head, uint32(codec.FrameSize(f)))
-	codec.PutFrameHeader(head[4:], f)
-	return outFrame{head: head, payload: payload}
+// headSize is the length of every frame head this endpoint writes: the
+// length prefix and the codec frame body up to the payload. It depends
+// only on the endpoint's name and address.
+func (e *Endpoint) headSize() int {
+	return 4 + codec.FrameHeaderSize(codec.Frame{From: e.name, FromAddr: e.bound})
+}
+
+// putHead formats f's head into head, headSize bytes long.
+func (e *Endpoint) putHead(head []byte, f outFrame) {
+	cf := codec.Frame{From: e.name, FromAddr: e.bound, Payload: f.payload, SentAt: int64(f.sentAt)}
+	binary.BigEndian.PutUint32(head, uint32(codec.FrameSize(cf)))
+	codec.PutFrameHeader(head[4:], cf)
 }
 
 // errCorruptFrame reports a frame that was correctly length-delimited but

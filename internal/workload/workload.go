@@ -69,14 +69,17 @@ func (a *BenchApp) Counter() int64 {
 }
 
 // State implements replication.Checkpointable: the counter plus padding
-// up to the configured state size.
+// up to the configured state size, serialised once. The padding is a
+// length-prefixed run of zeros, which the buffer already holds past the
+// prefix.
 func (a *BenchApp) State() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	e := codec.NewEncoder(16 + a.stateBytes)
+	e := codec.NewEncoder(8 + 4 + a.stateBytes)
 	e.PutInt64(a.counter)
-	e.PutBytes(make([]byte, a.stateBytes))
-	return e.Bytes()
+	e.PutUint32(uint32(a.stateBytes))
+	b := e.Bytes()
+	return b[:len(b)+a.stateBytes]
 }
 
 // Restore implements replication.Checkpointable.

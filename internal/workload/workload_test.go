@@ -1,10 +1,12 @@
 package workload_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/orb"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
@@ -228,5 +230,32 @@ func TestOpenLoopOnReply(t *testing.T) {
 	}
 	if lastRTT <= 0 {
 		t.Fatal("callback saw no RTT")
+	}
+}
+
+// TestBenchAppStateOneBuffer: a snapshot is serialised once, into one
+// buffer, and its bytes are the counter and the length-prefixed zero
+// padding as the codec encodes them.
+func TestBenchAppStateOneBuffer(t *testing.T) {
+	for _, size := range []int{0, 6144, 64 << 10} {
+		app := workload.NewBenchApp(size, 0, 0)
+		for i := 0; i < 3; i++ {
+			if _, err := app.Invoke("work", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := codec.NewEncoder(0)
+		want.PutInt64(3)
+		want.PutBytes(make([]byte, size))
+		if got := app.State(); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("state of %d B: %d bytes differ from the codec's %d", size, len(got), want.Len())
+		}
+		if allocs := testing.AllocsPerRun(20, func() { app.State() }); allocs != 1 {
+			t.Errorf("state of %d B: %v allocations, want 1", size, allocs)
+		}
+		other := workload.NewBenchApp(size, 0, 0)
+		if err := other.Restore(app.State()); err != nil || other.Counter() != 3 {
+			t.Errorf("state of %d B: restored counter %d, err %v", size, other.Counter(), err)
+		}
 	}
 }
