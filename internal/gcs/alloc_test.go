@@ -3,6 +3,7 @@ package gcs
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"versadep/internal/alloctest"
 	"versadep/internal/codec"
@@ -72,7 +73,7 @@ func TestFrameSealedOnce(t *testing.T) {
 // it arrived in, so history and forwarding re-send what was received.
 func TestReceivedFrameKeepsItsBytes(t *testing.T) {
 	in := encodeFrame(budgetFrame(make([]byte, 4096)))
-	f, err := decodeFrame(in, nil)
+	f, err := decodeNew(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,18 +90,20 @@ func TestReceivedFrameKeepsItsBytes(t *testing.T) {
 // size, and the payload it returns is a window onto the input.
 func TestFrameDecodeAliases(t *testing.T) {
 	encode := func(p []byte) []byte { return encodeFrame(budgetFrame(p)) }
+	var f frame
 	alloctest.SizeBlind(t, "decodeFrame", encode, func(b []byte) {
-		if _, err := decodeFrame(b, nil); err != nil {
+		if err := decodeFrame(b, nil, &f); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 // TestFrameDecodeKnownOrigin: decoding a submission or a direct frame from
-// an origin the receiver has heard from before allocates the frame and
-// nothing else — the origin's address is in the receiver's name table, the
-// payload is a window onto the input. Without a table the address is a
-// second allocation per frame.
+// an origin the receiver has heard from before allocates nothing — the
+// frame is the caller's, the origin's address is in the receiver's name
+// table, the payload is a window onto the input. Without a table the
+// address is the one allocation per frame. Each read one more while the
+// decoder returned a frame of its own.
 func TestFrameDecodeKnownOrigin(t *testing.T) {
 	var names codec.Names
 	for _, kind := range []frameKind{kData, kDirect} {
@@ -108,18 +111,18 @@ func TestFrameDecodeKnownOrigin(t *testing.T) {
 		f.Kind = kind
 		in := encodeFrame(f)
 		decode := func(names *codec.Names) float64 {
+			var got frame
 			return testing.AllocsPerRun(100, func() {
-				got, err := decodeFrame(in, names)
-				if err != nil || got.Origin != "client-1" {
+				if err := decodeFrame(in, names, &got); err != nil || got.Origin != "client-1" {
 					t.Fatalf("decoded %+v, %v", got, err)
 				}
 			})
 		}
-		if allocs := decode(&names); allocs != 1 {
-			t.Errorf("kind %d from a known origin: %v allocations, want 1 (the frame)", kind, allocs)
+		if allocs := decode(&names); allocs != 0 {
+			t.Errorf("kind %d from a known origin: %v allocations, want 0", kind, allocs)
 		}
-		if allocs := decode(nil); allocs != 2 {
-			t.Errorf("kind %d without a table: %v allocations, want 2", kind, allocs)
+		if allocs := decode(nil); allocs != 1 {
+			t.Errorf("kind %d without a table: %v allocations, want 1 (the origin)", kind, allocs)
 		}
 	}
 }
@@ -202,29 +205,66 @@ func inOrder(t *testing.T, m *Member, from string, frame func(i uint64) *frame) 
 	return allocs
 }
 
-// TestInOrderFrameAllocatesItsFrame: a received frame is held by value, so
-// an in-order kSeq at a member allocates its decoded frame and nothing else
-// (the history keeps a window onto the bytes it arrived in). An in-order
-// kData at the sequencer allocates its decoded frame, and then what
-// sequencing it costs: the kSeq frame, the sealed buffer the history keeps,
-// and the destination list castData hands the transport. Each read 2 and 6
-// while every received frame was wrapped in a record of its own.
+// TestInOrderFrameAllocatesItsFrame: a frame that need not wait is handled
+// straight from its decode, so an in-order kSeq at a member allocates
+// nothing (the history keeps a window onto the bytes it arrived in), and an
+// in-order kData at the sequencer allocates only the sealed buffer of its
+// kSeq, which the history keeps. They read 1 and 4 while every received
+// frame was decoded into a frame of its own, the kSeq frame was allocated
+// and castData built its destination list per frame; 2 and 6 while every
+// received frame was also wrapped in a record of its own.
 func TestInOrderFrameAllocatesItsFrame(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	payload := make([]byte, 200)
 	seq := inOrder(t, openQuiet(t, "b"), "a", func(i uint64) *frame {
 		return &frame{Kind: kSeq, ViewID: 1, Seq: i, Origin: "a", OSeq: i, Level: Agreed, Payload: payload}
 	})
-	if seq != 1 {
-		t.Errorf("an in-order kSeq at a member: %v allocations, want 1 (the decoded frame)", seq)
+	if seq != 0 {
+		t.Errorf("an in-order kSeq at a member: %v allocations, want 0", seq)
 	}
 	sub := inOrder(t, openQuiet(t, "a"), "b", func(i uint64) *frame {
 		return &frame{Kind: kData, ViewID: 1, Origin: "b", OSeq: i, Level: Agreed, Payload: payload}
 	})
-	if sub != 4 {
-		t.Errorf("an in-order kData at the sequencer: %v allocations, want 4 (the decoded frame, the kSeq frame, its sealed buffer, the destination list)", sub)
+	if sub != 1 {
+		t.Errorf("an in-order kData at the sequencer: %v allocations, want 1 (the kSeq's sealed buffer)", sub)
+	}
+}
+
+// TestClientDirectAllocatesItsAck: a group client hands a fresh kDirect to
+// its handler straight from the decode and acknowledges it with a frame on
+// its stack, so handling one allocates the ack's sealed buffer and nothing
+// else. It read 3 while the decoded frame and the ack were allocated.
+func TestClientDirectAllocatesItsAck(t *testing.T) {
+	if alloctest.Race {
+		t.Skip("the race detector allocates on its own account")
+	}
+	cfg := DefaultClientConfig([]string{"a"})
+	cfg.ResendInterval = time.Hour // no resend tick under the measurement
+	delivered := 0
+	c := NewClient(dropConn{"c"}, cfg, func(Event) { delivered++ })
+	t.Cleanup(c.Stop)
+	const warm, runs = 100, 200
+	payload := make([]byte, 200)
+	msgs := make([]transport.Message, warm+runs+1)
+	for i := range msgs {
+		f := &frame{Kind: kDirect, Origin: "a", OSeq: uint64(i + 1), Payload: payload}
+		msgs[i] = transport.Message{From: "a", To: "c", Payload: encodeFrame(f)}
+	}
+	for _, msg := range msgs[:warm] {
+		c.HandleTransport(msg)
+	}
+	next := msgs[warm:]
+	allocs := testing.AllocsPerRun(runs, func() {
+		c.HandleTransport(next[0])
+		next = next[1:]
+	})
+	if delivered != len(msgs) {
+		t.Fatalf("%d of %d direct frames delivered", delivered, len(msgs))
+	}
+	if allocs != 1 {
+		t.Errorf("a fresh kDirect at a client: %v allocations, want 1 (its ack's sealed buffer)", allocs)
 	}
 }
 
@@ -234,7 +274,7 @@ func TestInOrderFrameAllocatesItsFrame(t *testing.T) {
 // protocol goroutine (the frame the outbox keeps). The wrapper closure and
 // completion channel each call used to make were two more.
 func TestCallAllocatesOnlyItsClosure(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	m := openQuiet(t, "a")

@@ -203,7 +203,8 @@ func (c *GroupClient) sealed(f *frame) []byte {
 // never blocks.
 func (c *GroupClient) HandleTransport(msg transport.Message) {
 	c.mu.Lock()
-	f, err := decodeFrame(msg.Payload, &c.names)
+	var f frame
+	err := decodeFrame(msg.Payload, &c.names, &f)
 	// A frame of another group is another shard's traffic on the shared
 	// transport.
 	if err != nil || f.Group != c.cfg.GroupID || c.stopped() {
@@ -218,7 +219,7 @@ func (c *GroupClient) HandleTransport(msg transport.Message) {
 	switch f.Kind {
 	case kDirect:
 		c.pending.ackThrough(f.Seq)
-		e, fresh = c.handleDirect(msg, f)
+		e, fresh = c.handleDirect(msg, &f)
 	case kDataAck:
 		c.pending.ackThrough(f.OSeq)
 	case kViewHint:
@@ -233,10 +234,11 @@ func (c *GroupClient) HandleTransport(msg transport.Message) {
 }
 
 // handleDirect acknowledges a direct frame and, unless it is a duplicate,
-// returns the delivery event for it (c.mu held).
+// returns the delivery event for it (c.mu held). Neither f nor the ack
+// outlives the call: the ack costs its sealed buffer.
 func (c *GroupClient) handleDirect(msg transport.Message, f *frame) (Event, bool) {
-	ack := &frame{Kind: kDirectAck, Origin: c.Addr(), OSeq: f.OSeq}
-	_ = c.send.SendControl(f.Origin, c.sealed(ack), 0)
+	ack := frame{Kind: kDirectAck, Origin: c.Addr(), OSeq: f.OSeq}
+	_ = c.send.SendControl(f.Origin, c.sealed(&ack), 0)
 	if c.direct.seen(f.Origin, f.OSeq) {
 		return Event{}, false
 	}

@@ -147,7 +147,7 @@ func TestFetchTimesOutToAFiller(t *testing.T) {
 	if !ok {
 		t.Fatal("b does not retain 3")
 	}
-	if f, err := decodeFrame(h.enc, nil); err != nil || f.Origin != "" || len(f.Payload) != 0 {
+	if f, err := decodeNew(h.enc); err != nil || f.Origin != "" || len(f.Payload) != 0 {
 		t.Fatalf("3 at b is not a no-op filler: %+v (%v)", f, err)
 	}
 }

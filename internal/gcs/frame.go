@@ -118,6 +118,14 @@ type frame struct {
 	lastSend time.Time
 }
 
+// clone returns a copy of f on the heap. A handler is handed a frame its
+// caller owns — often a local the caller decoded into — so whatever keeps a
+// frame past the call keeps a clone.
+func (f *frame) clone() *frame {
+	c := *f
+	return &c
+}
+
 // encoded returns f's encoding, stamped with the sender's group id and
 // built on first use.
 func (f *frame) encoded(group uint32) []byte {
@@ -252,106 +260,109 @@ func appendFrameTail(b []byte, f *frame) []byte {
 	return e.Bytes()
 }
 
-// decodeFrame parses a frame, validating length prefixes against the
-// stream. Payload and Aux are sub-slices of b, not copies, and the frame
-// keeps b itself as its encoding: b is a verified receive buffer nobody
-// writes to again, and a payload is about as large as the frame that
-// carries it, so retaining either costs what a copy would. The addresses a
-// frame carries — its origin, a membership — are read through names: a
-// receiver hears from the same few peers frame after frame and materialises
-// each address once (see codec.Names; nil makes fresh copies). The table
-// belongs to the caller, which is what serialises its decoding.
-func decodeFrame(b []byte, names *codec.Names) (*frame, error) {
+// decodeFrame parses b into *f, which the caller owns: a handler decodes
+// into a local and copies it only if it must keep it (see rxFrame), so the
+// common path allocates no frame. Every field of *f is overwritten, whatever
+// it held before. Length prefixes are validated against the stream. Payload
+// and Aux are sub-slices of b, not copies, and the frame keeps b itself as
+// its encoding: b is a verified receive buffer nobody writes to again, and a
+// payload is about as large as the frame that carries it, so retaining
+// either costs what a copy would. The addresses a frame carries — its
+// origin, a membership — are read through names: a receiver hears from the
+// same few peers frame after frame and materialises each address once (see
+// codec.Names; nil makes fresh copies). The table belongs to the caller,
+// which is what serialises its decoding.
+func decodeFrame(b []byte, names *codec.Names, f *frame) error {
+	*f = frame{}
 	d := codec.NewDecoder(b)
-	var f frame
 	kind, err := d.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("gcs: frame kind: %w", err)
+		return fmt.Errorf("gcs: frame kind: %w", err)
 	}
 	f.Kind = frameKind(kind)
 	if f.ViewID, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if f.Seq, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if f.Origin, err = d.Name(names); err != nil {
-		return nil, err
+		return err
 	}
 	if f.OSeq, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	lvl, err := d.Uint8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.Level = ServiceLevel(lvl)
 	n, reserve, err := d.Count(4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.Members = make([]string, 0, reserve)
 	for i := 0; i < n; i++ {
 		m, err := d.Name(names)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Members = append(f.Members, m)
 	}
 	if n, reserve, err = d.Count(8); err != nil {
-		return nil, err
+		return err
 	}
 	f.Seqs = make([]uint64, 0, reserve)
 	for i := 0; i < n; i++ {
 		s, err := d.Uint64()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Seqs = append(f.Seqs, s)
 	}
 	vt, err := d.Int64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.SentVT = vtime.Time(vt)
 	if n, _, err = d.Count(8); err != nil {
-		return nil, err
+		return err
 	}
 	slots := f.Ledger.Slots()
 	for i := 0; i < n; i++ {
 		v, err := d.Int64()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if i < len(slots) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
 	if f.Payload, err = d.Bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	if f.Aux, err = d.Bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	if n, _, err = d.Count(4); err != nil {
-		return nil, err
+		return err
 	}
 	for i := 0; i < n; i++ {
 		m, err := d.Name(names)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Left = append(f.Left, m)
 	}
 	if d.Remaining() > 0 {
 		g, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Group = g
 	}
 	f.enc = b
-	return &f, nil
+	return nil
 }
 
 // encodeSeenData packs per-origin dedup watermarks for kView Aux payloads.
@@ -412,24 +423,24 @@ func encodeFrameList(encs [][]byte) []byte {
 	return e.Bytes()
 }
 
-// decodeFrameList unpacks a kFetchResp Aux payload.
-func decodeFrameList(b []byte) ([]*frame, error) {
+// decodeFrameList unpacks a kFetchResp Aux payload into frames the caller
+// keeps.
+func decodeFrameList(b []byte) ([]frame, error) {
 	d := codec.NewDecoder(b)
 	n, reserve, err := d.Count(4)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*frame, 0, reserve)
+	out := make([]frame, 0, reserve)
 	for i := 0; i < n; i++ {
 		fb, err := d.Bytes()
 		if err != nil {
 			return nil, err
 		}
-		f, err := decodeFrame(fb, nil)
-		if err != nil {
+		out = append(out, frame{})
+		if err := decodeFrame(fb, nil, &out[i]); err != nil {
 			return nil, err
 		}
-		out = append(out, f)
 	}
 	return out, nil
 }

@@ -9,6 +9,12 @@ import (
 	"versadep/internal/vtime"
 )
 
+// decodeNew decodes b into a frame of its own.
+func decodeNew(b []byte) (*frame, error) {
+	f := new(frame)
+	return f, decodeFrame(b, nil, f)
+}
+
 // legacyEncodeFrame is a frozen copy of the frame encoder as it stood
 // before the Group field existed. The regression test below pins the
 // sharding contract: a group-0 frame (every frame in an unsharded or
@@ -178,7 +184,7 @@ func TestFrameGroupRoundTrip(t *testing.T) {
 		if len(b) != len(base)+4 {
 			t.Fatalf("kind %d: group stamp added %d bytes, want 4", f.Kind, len(b)-len(base))
 		}
-		dec, err := decodeFrame(b, nil)
+		dec, err := decodeNew(b)
 		if err != nil {
 			t.Fatalf("kind %d: decode stamped frame: %v", f.Kind, err)
 		}
@@ -187,7 +193,7 @@ func TestFrameGroupRoundTrip(t *testing.T) {
 		}
 		f.Group = 0
 
-		dec, err = decodeFrame(legacyEncodeFrame(f), nil)
+		dec, err = decodeNew(legacyEncodeFrame(f))
 		if err != nil {
 			t.Fatalf("kind %d: decode legacy frame: %v", f.Kind, err)
 		}
@@ -207,14 +213,14 @@ func TestGroupMismatchDropped(t *testing.T) {
 	f.Group = 0
 	native := encodeFrame(f)
 
-	dec, err := decodeFrame(foreign, nil)
+	dec, err := decodeNew(foreign)
 	if err != nil {
 		t.Fatalf("decode foreign: %v", err)
 	}
 	if dec.Group != 3 {
 		t.Fatalf("foreign frame group = %d, want 3", dec.Group)
 	}
-	dec, err = decodeFrame(native, nil)
+	dec, err = decodeNew(native)
 	if err != nil {
 		t.Fatalf("decode native: %v", err)
 	}

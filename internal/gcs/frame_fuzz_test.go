@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"versadep/internal/alloctest"
+	"versadep/internal/vtime"
 )
 
 // FuzzGCSFrameDecode drives the frame decoder — which hands out windows
@@ -16,8 +17,16 @@ import (
 // golden frames re-encode to the very bytes they were decoded from, and any
 // other accepted input (the decoder tolerates a foreign ledger width and an
 // explicit zero group) re-encodes to a canonical form that decodes to the
-// same frame and re-encodes to itself.
+// same frame and re-encodes to itself. Decoding into a frame that held
+// another decoded frame — every field set — must give what a fresh decode
+// gives, field for field, and accept or refuse the same inputs.
 func FuzzGCSFrameDecode(f *testing.F) {
+	var led vtime.Ledger
+	led.Charge(vtime.ComponentGC, 25*vtime.Microsecond)
+	led.Charge(vtime.ComponentApp, 3*vtime.Microsecond)
+	full := encodeFrame(&frame{Kind: kView, ViewID: 9, Seq: 8, Origin: "ra", OSeq: 7, Level: Agreed,
+		Members: []string{"ra", "rb"}, Seqs: []uint64{1, 2}, SentVT: 6, Ledger: led,
+		Payload: []byte("payload"), Aux: []byte("aux"), Left: []string{"rc"}, Group: 5})
 	golden := map[string]bool{}
 	for _, fr := range append(compatFrames(), retiredFrames()...) {
 		for _, group := range []uint32{0, 7} {
@@ -28,9 +37,19 @@ func FuzzGCSFrameDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		fr, err := decodeFrame(in, nil)
+		fr, err := decodeNew(in)
+		var reused frame
+		if err := decodeFrame(full, nil, &reused); err != nil {
+			t.Fatal(err)
+		}
+		if again := decodeFrame(in, nil, &reused); (again == nil) != (err == nil) {
+			t.Fatalf("a fresh decode says %v, a decode into a used frame %v", err, again)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(*fr, reused) {
+			t.Fatalf("decoded into a used frame:\n got: %+v\nwant: %+v", reused, *fr)
 		}
 		if !alloctest.Inside(in, fr.Payload) || !alloctest.Inside(in, fr.Aux) {
 			t.Fatal("a decoded field lies outside the input")
@@ -39,7 +58,7 @@ func FuzzGCSFrameDecode(f *testing.F) {
 		if golden[string(in)] && !bytes.Equal(canon, in) {
 			t.Fatalf("golden frame re-encoded differently:\n in: %x\nout: %x", in, canon)
 		}
-		again, err := decodeFrame(canon, nil)
+		again, err := decodeNew(canon)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

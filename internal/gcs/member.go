@@ -64,6 +64,7 @@ type Member struct {
 	names codec.Names // addresses met in decoded frames, each made once
 
 	view      View
+	others    []string // the view's members but this one: castData's destinations
 	installed bool
 	joining   bool
 	seedIdx   int
@@ -150,8 +151,10 @@ type sequenced struct {
 }
 
 // rxFrame is a received data frame with its receiver-side virtual timing.
-// Held by value in the holdback and the sequencer's hold: nothing writes
-// through a held record, so it costs its map slot and no allocation.
+// While a frame is delivered or sequenced straight from its decode, f points
+// at the handler's frame; a frame that must wait is held by value in the
+// holdback or the sequencer's hold with f pointing at a clone — the one
+// allocation holding costs.
 type rxFrame struct {
 	f   *frame
 	vt  vtime.Time
@@ -480,20 +483,11 @@ func (m *Member) sendData(to string, f *frame) {
 // castData multicasts a data frame to all view members: the others first,
 // then self via loopback, which costs no wire time.
 func (m *Member) castData(f *frame) {
-	others := make([]string, 0, len(m.view.Members))
-	self := false
-	for _, mm := range m.view.Members {
-		if mm == m.Addr() {
-			self = true
-			continue
-		}
-		others = append(others, mm)
-	}
-	if len(others) > 0 {
+	if len(m.others) > 0 {
 		f.lastSend = m.now()
-		_ = m.conn.SendMulticast(others, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
+		_ = m.conn.SendMulticast(m.others, f.sealed(m.conn, m.cfg.GroupID), f.SentVT)
 	}
-	if self {
+	if len(m.others) < len(m.view.Members) {
 		m.handleFrame(transport.Message{From: m.Addr(), To: m.Addr(), SentAt: f.SentVT, ArriveAt: f.SentVT}, f)
 	}
 }
@@ -568,6 +562,14 @@ func (m *Member) installBootstrapView() {
 
 func (m *Member) resetPerViewState() {
 	nowT := m.now()
+	// A fresh slice per view: a transport does not retain tos (see
+	// transport.Conn), and one that did would still see the old view.
+	m.others = make([]string, 0, len(m.view.Members))
+	for _, mm := range m.view.Members {
+		if mm != m.Addr() {
+			m.others = append(m.others, mm)
+		}
+	}
 	if m.det != nil {
 		// Departed peers take their interval history with them: a peer
 		// that later rejoins under the same name is a fresh incarnation

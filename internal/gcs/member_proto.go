@@ -101,8 +101,8 @@ func (m *Member) sendDirectLocked(to string, payload transport.Buf, sentAt vtime
 // ---- inbound dispatch ----
 
 func (m *Member) handleMessage(msg transport.Message) {
-	f, err := decodeFrame(msg.Payload, &m.names)
-	if err != nil {
+	var f frame
+	if err := decodeFrame(msg.Payload, &m.names, &f); err != nil {
 		return // corrupt frame: drop, retransmission recovers
 	}
 	if f.Group != m.cfg.GroupID {
@@ -111,9 +111,11 @@ func (m *Member) handleMessage(msg transport.Message) {
 		m.cGroupDrops.Inc()
 		return
 	}
-	m.handleFrame(msg, f)
+	m.handleFrame(msg, &f)
 }
 
+// handleFrame handles one inbound frame. f belongs to the caller: a handler
+// that keeps it, or anything it points to as a frame, keeps a clone.
 func (m *Member) handleFrame(msg transport.Message, f *frame) {
 	if msg.From != "" {
 		nowT := m.now()
@@ -178,7 +180,7 @@ func arrival(msg transport.Message, f *frame, model *vtime.CostModel) (vtime.Tim
 }
 
 // rx computes receiver-side timing and ledger for a data frame.
-func (m *Member) rx(msg transport.Message, f *frame) rxFrame {
+func (m *Member) rx(msg transport.Message, f *frame) (vtime.Time, vtime.Ledger) {
 	led := f.Ledger
 	arrive, wire := arrival(msg, f, &m.cfg.Model)
 	led.Charge(vtime.ComponentGC, wire)
@@ -190,7 +192,7 @@ func (m *Member) rx(msg transport.Message, f *frame) rxFrame {
 		// charged: wire transit plus the daemon's receive crossing.
 		m.spans.Add(key, rxSpanName(f.Kind), span.CompGC, vt.Add(-(wire + cost)), vt)
 	}
-	return rxFrame{f: f, vt: vt, led: led}
+	return vt, led
 }
 
 // ---- join handling ----
@@ -260,9 +262,19 @@ func (m *Member) handleData(msg transport.Message, f *frame) {
 		hold = make(map[uint64]rxFrame)
 		m.dataHold[f.Origin] = hold
 	}
-	if _, dup := hold[f.OSeq]; !dup {
-		hold[f.OSeq] = m.rx(msg, f)
+	if _, dup := hold[f.OSeq]; dup {
+		m.sequenceReady(f.Origin)
+		return
 	}
+	vt, led := m.rx(msg, f)
+	// Next from its origin with nothing held: sequenced straight from the
+	// decode while sequencing is open. Anything else waits in the hold.
+	if len(hold) == 0 && f.OSeq == m.effectiveSeen(f.Origin)+1 && m.sequencing() {
+		m.maybeSkipDataGap(f.Origin, hold)
+		m.sequence(rxFrame{f: f, vt: vt, led: led})
+		return
+	}
+	hold[f.OSeq] = rxFrame{f: f.clone(), vt: vt, led: led}
 	m.sequenceReady(f.Origin)
 }
 
@@ -276,17 +288,19 @@ func (m *Member) effectiveSeen(origin string) uint64 {
 	return seen
 }
 
+// sequencing reports whether this member may order submissions now.
+func (m *Member) sequencing() bool {
+	// A minority-side sequencer must not order new submissions: replies
+	// would acknowledge requests the primary partition never saw.
+	// Submissions stay buffered in dataHold and sequence after contact
+	// resumes (or die with this fragment when it rejoins).
+	return !m.blocked && m.installed && m.primaryPartition()
+}
+
 // sequenceReady assigns sequence numbers to contiguous held submissions
 // from origin.
 func (m *Member) sequenceReady(origin string) {
-	if m.blocked || !m.installed {
-		return
-	}
-	if !m.primaryPartition() {
-		// A minority-side sequencer must not order new submissions: replies
-		// would acknowledge requests the primary partition never saw.
-		// Submissions stay buffered in dataHold and sequence after contact
-		// resumes (or die with this fragment when it rejoins).
+	if !m.sequencing() {
 		return
 	}
 	hold := m.dataHold[origin]
@@ -304,32 +318,39 @@ func (m *Member) sequenceReady(origin string) {
 			return
 		}
 		delete(hold, next)
-		f := rf.f
-		// The sequencer charges its ordering cost on its virtual CPU.
-		vt := m.proc.Execute(rf.vt, m.cfg.Model.GCOrder)
-		led := rf.led
-		led.Charge(vtime.ComponentGC, m.cfg.Model.GCOrder)
-		if key := m.spanFor(f.Payload); !key.IsZero() {
-			m.spans.Add(key, "gc_order", span.CompGC, vt.Add(-m.cfg.Model.GCOrder), vt)
-		}
-		sf := &frame{
-			Kind:    kSeq,
-			ViewID:  m.view.ID,
-			Seq:     m.nextSeq,
-			Origin:  f.Origin,
-			OSeq:    f.OSeq,
-			Level:   Agreed,
-			SentVT:  vt,
-			Ledger:  led,
-			Payload: f.Payload,
-		}
-		m.nextSeq++
-		m.seqLocal[f.Origin] = f.OSeq
-		if m.isExternal(f.Origin) {
-			m.dataAckOwed[f.Origin] = true
-		}
-		m.castData(sf)
+		m.sequence(rf)
 	}
+}
+
+// sequence assigns the next sequence number to rf, the next submission of
+// its origin, and multicasts the kSeq frame. The kSeq frame is a local:
+// what outlives the call is its sealed buffer, which the history keeps.
+func (m *Member) sequence(rf rxFrame) {
+	f := rf.f
+	// The sequencer charges its ordering cost on its virtual CPU.
+	vt := m.proc.Execute(rf.vt, m.cfg.Model.GCOrder)
+	led := rf.led
+	led.Charge(vtime.ComponentGC, m.cfg.Model.GCOrder)
+	if key := m.spanFor(f.Payload); !key.IsZero() {
+		m.spans.Add(key, "gc_order", span.CompGC, vt.Add(-m.cfg.Model.GCOrder), vt)
+	}
+	sf := frame{
+		Kind:    kSeq,
+		ViewID:  m.view.ID,
+		Seq:     m.nextSeq,
+		Origin:  f.Origin,
+		OSeq:    f.OSeq,
+		Level:   Agreed,
+		SentVT:  vt,
+		Ledger:  led,
+		Payload: f.Payload,
+	}
+	m.nextSeq++
+	m.seqLocal[f.Origin] = f.OSeq
+	if m.isExternal(f.Origin) {
+		m.dataAckOwed[f.Origin] = true
+	}
+	m.castData(&sf)
 }
 
 // maybeSkipDataGap unwedges an external origin whose hold is stalled on a
@@ -403,10 +424,22 @@ func (m *Member) handleSequenced(msg transport.Message, f *frame) {
 	}
 	// A proposer's no-op filler wins a slot held by a data frame, as the
 	// view does a squatted one: the proposer delivers the filler.
-	if rf, dup := m.holdback[f.Seq]; dup && (f.Origin != "" || rf.f.Kind == kView) {
+	rf, dup := m.holdback[f.Seq]
+	if dup && (f.Origin != "" || rf.f.Kind == kView) {
 		return
 	}
-	m.holdback[f.Seq] = m.rx(msg, f)
+	vt, led := m.rx(msg, f)
+	if f.Seq != m.nextDeliver || m.blocked {
+		// It must wait: for the frames below it, or for the flush to end.
+		m.holdback[f.Seq] = rxFrame{f: f.clone(), vt: vt, led: led}
+		m.drainHoldback()
+		return
+	}
+	// Next in order with delivery open: delivered straight from the
+	// decode, then whatever it was holding up.
+	delete(m.holdback, f.Seq)
+	m.nextDeliver++
+	m.deliverSequenced(rxFrame{f: f, vt: vt, led: led})
 	m.drainHoldback()
 }
 
@@ -549,8 +582,8 @@ func (m *Member) handleDirect(msg transport.Message, f *frame) {
 	if dup {
 		return
 	}
-	rf := m.rx(msg, f)
-	vt := rf.vt.Max(m.deliverVT)
+	vt, led := m.rx(msg, f)
+	vt = vt.Max(m.deliverVT)
 	m.deliverVT = vt
 	m.emit(Event{
 		Kind:    EventDirect,
@@ -558,7 +591,7 @@ func (m *Member) handleDirect(msg transport.Message, f *frame) {
 		Payload: f.Payload,
 		VTime:   vt,
 		SentVT:  f.SentVT,
-		Ledger:  rf.led,
+		Ledger:  led,
 	})
 }
 

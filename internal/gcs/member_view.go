@@ -339,12 +339,14 @@ func (m *Member) handleFetchResp(f *frame) {
 		return
 	}
 	delete(p.fetches, f.Origin)
-	for _, sf := range frames {
+	for i := range frames {
+		sf := &frames[i]
 		if sf.Kind != kSeq && sf.Kind != kView {
 			continue
 		}
 		if _, ok := m.holdback[sf.Seq]; !ok && sf.Seq >= m.nextDeliver {
-			m.holdback[sf.Seq] = m.rx(transport.Message{SentAt: -1}, sf)
+			vt, led := m.rx(transport.Message{SentAt: -1}, sf)
+			m.holdback[sf.Seq] = rxFrame{f: sf, vt: vt, led: led}
 		}
 		delete(p.fetchWait, sf.Seq)
 	}
@@ -465,7 +467,7 @@ func (m *Member) handleViewFrame(msg transport.Message, f *frame) {
 	// A data frame may squat on the view's sequence slot (assigned by a dead
 	// sequencer and reported by nobody): the view wins.
 	if rf, dup := m.holdback[f.Seq]; !dup || rf.f.Kind != kView {
-		m.holdback[f.Seq] = rxFrame{f: f}
+		m.holdback[f.Seq] = rxFrame{f: f.clone()}
 	}
 	m.tryInstallHeldView()
 }
@@ -544,7 +546,7 @@ func (m *Member) installJoinedView(f *frame, joined bool) {
 	m.joining = false
 	m.blocked = false
 	m.proposal = nil
-	m.lastView = f
+	m.lastView = f.clone()
 	if f.ViewID > m.highProposed {
 		m.highProposed = f.ViewID
 	}

@@ -75,7 +75,7 @@ func unseal(t *testing.T, s recSend) []byte {
 
 func decodeSent(t *testing.T, s recSend) *frame {
 	t.Helper()
-	f, err := decodeFrame(unseal(t, s), nil)
+	f, err := decodeNew(unseal(t, s))
 	if err != nil {
 		t.Fatalf("sent frame does not decode: %v", err)
 	}

@@ -99,7 +99,7 @@ type InvocationResult struct {
 	// given around it.
 	Encoded transport.Buf
 	// Reply is the decoded form, for callers that need the contents.
-	Reply *Reply
+	Reply Reply
 	// DoneVT is the virtual completion instant on cpu.
 	DoneVT vtime.Time
 	// Ledger is the input ledger plus the ORB and application charges.
@@ -110,14 +110,18 @@ type InvocationResult struct {
 // (virtual time; arriving at arriveVT), and returns the reply encoded
 // inside room — what the layers that send it need around it.
 // Decode/encode each charge an ORBMarshal crossing; servant execution
-// charges its declared cost (or the model's AppProcess).
-func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transport.Room, arriveVT vtime.Time, led vtime.Ledger) (*InvocationResult, error) {
+// charges its declared cost (or the model's AppProcess). The decoded
+// request and the reply are values, not records: what serving allocates is
+// the arguments the servant is handed, whatever the servant allocates, and
+// the reply's buffer.
+func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transport.Room, arriveVT vtime.Time, led vtime.Ledger) (InvocationResult, error) {
+	var req Request
 	a.mu.Lock()
-	req, err := decodeRequest(reqBytes, &a.names)
+	err := decodeRequest(reqBytes, &a.names, &req)
 	sp := a.spans
 	a.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("orb: adapter decode: %w", err)
+		return InvocationResult{}, fmt.Errorf("orb: adapter decode: %w", err)
 	}
 	tkey := span.RequestKey(req.ClientID, req.ReqID)
 
@@ -128,7 +132,7 @@ func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transpo
 	led.Charge(vtime.ComponentORB, a.model.ORBMarshal)
 	sp.Add(tkey, "orb_unmarshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
 
-	reply, execCost := a.execute(req)
+	reply, execCost := a.execute(&req)
 	vt = cpu.Execute(vt, execCost)
 	led.Charge(vtime.ComponentApp, execCost)
 	sp.Add(tkey, "app_execute", span.CompApp, vt.Add(-execCost), vt)
@@ -137,8 +141,8 @@ func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transpo
 	led.Charge(vtime.ComponentORB, a.model.ORBMarshal)
 	sp.Add(tkey, "orb_marshal", span.CompORB, vt.Add(-a.model.ORBMarshal), vt)
 
-	return &InvocationResult{
-		Encoded: encodeReply(room, reply),
+	return InvocationResult{
+		Encoded: encodeReply(room, &reply),
 		Reply:   reply,
 		DoneVT:  vt,
 		Ledger:  led,
@@ -146,14 +150,14 @@ func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transpo
 }
 
 // execute runs the servant, mapping errors to exception replies.
-func (a *Adapter) execute(req *Request) (*Reply, vtime.Duration) {
+func (a *Adapter) execute(req *Request) (Reply, vtime.Duration) {
 	a.mu.Lock()
 	s := a.servants[req.Object]
 	fallback := a.fallback
 	check := a.routeCheck
 	a.mu.Unlock()
 
-	reply := &Reply{ClientID: req.ClientID, ReqID: req.ReqID}
+	reply := Reply{ClientID: req.ClientID, ReqID: req.ReqID}
 	if check != nil {
 		if err := check(req.Object); err != nil {
 			// A misrouted request must not reach any servant: the check

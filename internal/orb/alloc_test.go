@@ -73,11 +73,12 @@ func TestEnvelopeDecodeAliases(t *testing.T) {
 }
 
 // TestRequestDecodeKnownNames: decoding a request from a client the
-// receiver has met, for an object and operation it has met, allocates the
-// request, its argument list and the argument's own bytes (the one copy on
-// the receive path) — no name. Without a table the three names are three
-// more. Peeking an identity allocates nothing at all: the client id is a
-// window onto the message.
+// receiver has met, for an object and operation it has met, into a request
+// the caller owns allocates the argument list and the argument's own bytes
+// (the one copy on the receive path) — no request, no name. Without a table
+// the three names are three more. Decoding a reply into the caller's reply
+// allocates its result list. Peeking an identity allocates nothing at all:
+// the client id is a window onto the message.
 func TestRequestDecodeKnownNames(t *testing.T) {
 	req := EncodeRequest(&Request{ClientID: "c1", ReqID: 7, Object: "Bench", Operation: "work",
 		Args: []codec.Value{codec.Bytes(make([]byte, 200))}})
@@ -85,25 +86,26 @@ func TestRequestDecodeKnownNames(t *testing.T) {
 		Results: []codec.Value{codec.Int(7)}})
 	var names codec.Names
 	decode := func(names *codec.Names) float64 {
+		var r Request
 		return testing.AllocsPerRun(100, func() {
-			r, err := decodeRequest(req, names)
-			if err != nil || r.ClientID != "c1" || r.Object != "Bench" || r.Operation != "work" {
+			if err := decodeRequest(req, names, &r); err != nil || r.ClientID != "c1" || r.Object != "Bench" || r.Operation != "work" {
 				t.Fatalf("decoded %+v, %v", r, err)
 			}
 		})
 	}
-	if allocs := decode(&names); allocs != 3 {
-		t.Errorf("decodeRequest with known names: %v allocations, want 3 (request, args, argument bytes)", allocs)
+	if allocs := decode(&names); allocs != 2 {
+		t.Errorf("decodeRequest with known names: %v allocations, want 2 (args, argument bytes)", allocs)
 	}
-	if allocs := decode(nil); allocs != 6 {
-		t.Errorf("DecodeRequest without a table: %v allocations, want 6", allocs)
+	if allocs := decode(nil); allocs != 5 {
+		t.Errorf("decodeRequest without a table: %v allocations, want 5", allocs)
 	}
+	var r Reply
 	if allocs := testing.AllocsPerRun(100, func() {
-		if r, err := decodeReply(rep, &names); err != nil || r.ClientID != "c1" {
+		if err := decodeReply(rep, &names, &r); err != nil || r.ClientID != "c1" {
 			t.Fatalf("decoded %+v, %v", r, err)
 		}
-	}); allocs != 2 {
-		t.Errorf("decodeReply with a known client: %v allocations, want 2 (reply, results)", allocs)
+	}); allocs != 1 {
+		t.Errorf("decodeReply with a known client: %v allocations, want 1 (results)", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		cid, rid, err := PeekRequestID(req)
@@ -116,5 +118,41 @@ func TestRequestDecodeKnownNames(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("PeekRequestID + PeekReplyID: %v allocations, want 0", allocs)
+	}
+}
+
+// lengthServant answers with the length of its first argument: one
+// allocation, its result list.
+type lengthServant struct{}
+
+func (lengthServant) Invoke(_ string, args []codec.Value) ([]codec.Value, error) {
+	return []codec.Value{codec.Int(int64(len(args[0].Byt)))}, nil
+}
+
+// TestHandleRequestAllocatesWhatItHandsOn: serving a request whose client,
+// object and operation the adapter has met allocates what outlives the
+// call and nothing else — the argument list and the argument's bytes the
+// servant is handed, the servant's own results, and the reply's buffer.
+// The decoded request, the reply and the result record are values on the
+// stack; they were three allocations more while each was returned by
+// pointer.
+func TestHandleRequestAllocatesWhatItHandsOn(t *testing.T) {
+	if alloctest.Race {
+		t.Skip("the race detector allocates on its own account")
+	}
+	a := NewAdapter(vtime.DefaultCostModel())
+	a.Register("Bench", lengthServant{})
+	req := EncodeRequest(&Request{ClientID: "c1", ReqID: 7, Object: "Bench", Operation: "work",
+		Args: []codec.Value{codec.Bytes(make([]byte, 200))}})
+	var cpu vtime.Server
+	serve := func() {
+		res, err := a.HandleRequest(&cpu, req, envelopeRoom, 0, vtime.Ledger{})
+		if err != nil || res.Reply.Status != StatusOK || res.Reply.Results[0].Int != 200 {
+			t.Fatalf("served %+v, %v", res.Reply, err)
+		}
+	}
+	serve() // meets the names
+	if allocs := testing.AllocsPerRun(100, serve); allocs != 4 {
+		t.Errorf("HandleRequest: %v allocations, want 4 (args, argument bytes, results, reply buffer)", allocs)
 	}
 }

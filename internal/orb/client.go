@@ -217,8 +217,8 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 		select {
 		case wr := <-w.ch:
 			w.stopTimer()
-			reply, err := decodeReply(wr.Bytes, &w.names)
-			if err != nil {
+			reply := new(Reply) // the outcome keeps it
+			if err := decodeReply(wr.Bytes, &w.names, reply); err != nil {
 				return nil, err
 			}
 			outLed := wr.Ledger

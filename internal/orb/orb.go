@@ -125,43 +125,51 @@ func encodeRequest(room transport.Room, r *Request) transport.Buf {
 }
 
 // DecodeRequest parses VIOP bytes into a Request.
-func DecodeRequest(b []byte) (*Request, error) { return decodeRequest(b, nil) }
+func DecodeRequest(b []byte) (*Request, error) {
+	var r Request
+	if err := decodeRequest(b, nil, &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
 
-// decodeRequest is DecodeRequest reading the client, object and operation
-// names through names: a receiver that decodes request after request from
-// the same few clients materialises each name once (see codec.Names).
-func decodeRequest(b []byte, names *codec.Names) (*Request, error) {
+// decodeRequest is DecodeRequest into *r, a request the caller owns (every
+// field overwritten), reading the client, object and operation names
+// through names: a receiver that decodes request after request from the
+// same few clients materialises each name once (see codec.Names). The
+// arguments are a fresh slice of values user code owns (codec.Decoder.Value).
+func decodeRequest(b []byte, names *codec.Names, r *Request) error {
+	*r = Request{}
 	d := codec.NewDecoder(b)
 	if err := checkHeader(d, MsgRequest); err != nil {
-		return nil, err
+		return err
 	}
-	var r Request
 	var err error
 	if r.ClientID, err = d.Name(names); err != nil {
-		return nil, err
+		return err
 	}
 	if r.ReqID, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Object, err = d.Name(names); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Operation, err = d.Name(names); err != nil {
-		return nil, err
+		return err
 	}
 	n, reserve, err := d.Count(codec.MinValueSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Args = make([]codec.Value, 0, reserve)
 	for i := 0; i < n; i++ {
 		v, err := d.Value()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.Args = append(r.Args, v)
 	}
-	return &r, nil
+	return nil
 }
 
 // EncodeReply marshals r into VIOP bytes. The encoding is deterministic, so
@@ -193,43 +201,50 @@ func encodeReply(room transport.Room, r *Reply) transport.Buf {
 }
 
 // DecodeReply parses VIOP bytes into a Reply.
-func DecodeReply(b []byte) (*Reply, error) { return decodeReply(b, nil) }
+func DecodeReply(b []byte) (*Reply, error) {
+	var r Reply
+	if err := decodeReply(b, nil, &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
 
-// decodeReply is DecodeReply reading the client id through names.
-func decodeReply(b []byte, names *codec.Names) (*Reply, error) {
+// decodeReply is DecodeReply into *r, a reply the caller owns (every field
+// overwritten), reading the client id through names.
+func decodeReply(b []byte, names *codec.Names, r *Reply) error {
+	*r = Reply{}
 	d := codec.NewDecoder(b)
 	if err := checkHeader(d, MsgReply); err != nil {
-		return nil, err
+		return err
 	}
-	var r Reply
 	var err error
 	if r.ClientID, err = d.Name(names); err != nil {
-		return nil, err
+		return err
 	}
 	if r.ReqID, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	st, err := d.Uint8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Status = Status(st)
 	if r.ErrMsg, err = d.String(); err != nil {
-		return nil, err
+		return err
 	}
 	n, reserve, err := d.Count(codec.MinValueSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Results = make([]codec.Value, 0, reserve)
 	for i := 0; i < n; i++ {
 		v, err := d.Value()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.Results = append(r.Results, v)
 	}
-	return &r, nil
+	return nil
 }
 
 // PeekRequestID extracts the (ClientID, ReqID) pair from encoded request

@@ -224,7 +224,7 @@ func TestAdapterExceptionAndMissingServant(t *testing.T) {
 	if res.Reply.Status != orb.StatusException || res.Reply.ErrMsg != "deliberate failure" {
 		t.Fatalf("reply = %+v", res.Reply)
 	}
-	if _, err := orb.ResultsOrError("fail", res.Reply); err == nil {
+	if _, err := orb.ResultsOrError("fail", &res.Reply); err == nil {
 		t.Fatal("ResultsOrError did not map exception")
 	}
 

@@ -79,8 +79,8 @@ func (s *Server) Stop() {
 }
 
 func (s *Server) serve(msg transport.Message) {
-	env, err := DecodeEnvelope(msg.Payload)
-	if err != nil {
+	var env Envelope
+	if decodeEnvelope(msg.Payload, &env) != nil {
 		s.cDropped.Inc()
 		return
 	}

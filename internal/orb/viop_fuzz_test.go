@@ -3,6 +3,7 @@ package orb
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"versadep/internal/alloctest"
@@ -30,7 +31,9 @@ const (
 // accepted input (trailing bytes, a non-canonical ledger) re-encodes to a
 // canonical form that is a fixed point of decode-then-encode. The request
 // peeks must agree with the full decode, and the envelope must hand on a
-// window onto its input, not a copy.
+// window onto its input, not a copy. Decoding into a request, reply or
+// envelope that held another decoded fixture must give what a fresh decode
+// gives, field for field, and accept or refuse the same inputs.
 func FuzzVIOPDecode(f *testing.F) {
 	blob := bytes.Repeat([]byte{0x5A}, 300)
 	args := []codec.Value{
@@ -60,6 +63,9 @@ func FuzzVIOPDecode(f *testing.F) {
 	hostile := append([]byte(nil), golden[1]...)
 	binary.BigEndian.PutUint32(hostile[len(hostile)-4:], 1<<10)
 	f.Add(append(hostile, make([]byte, 1<<10)...))
+	// An envelope that carries no ledger slots: decoded into a used
+	// envelope, it must not keep the slots that envelope had.
+	f.Add(make([]byte, 8+4+4))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var req *Request
@@ -74,6 +80,16 @@ func FuzzVIOPDecode(f *testing.F) {
 		if limit := float64(decodeAllocFactor*len(in) + decodeAllocSlack); used > limit {
 			t.Fatalf("decoding %d B allocated %.0f B, limit %.0f", len(in), used, limit)
 		}
+		var usedReq Request
+		var usedRep Reply
+		var usedEnv Envelope
+		if decodeRequest(golden[0], nil, &usedReq) != nil || decodeReply(golden[2], nil, &usedRep) != nil ||
+			decodeEnvelope(golden[4], &usedEnv) != nil {
+			t.Fatal("a fixture does not decode")
+		}
+		sameDecode(t, "request", req, reqErr, &usedReq, decodeRequest(in, nil, &usedReq))
+		sameDecode(t, "reply", rep, repErr, &usedRep, decodeReply(in, nil, &usedRep))
+		sameDecode(t, "envelope", env, envErr, &usedEnv, decodeEnvelope(in, &usedEnv))
 		if reqErr == nil {
 			if cid, rid, err := PeekRequestID(in); err != nil || string(cid) != req.ClientID || rid != req.ReqID {
 				t.Fatalf("request id peek (%q, %d, %v) disagrees with the decode (%q, %d)", cid, rid, err, req.ClientID, req.ReqID)
@@ -111,6 +127,19 @@ func FuzzVIOPDecode(f *testing.F) {
 			})
 		}
 	})
+}
+
+// sameDecode checks that a decode into a used value (got, gotErr) agrees
+// with a fresh one (want, wantErr): both refuse the input, or both accept it
+// with equal fields.
+func sameDecode[T any](t *testing.T, what string, want *T, wantErr error, got *T, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: a fresh decode says %v, a decode into a used value %v", what, wantErr, gotErr)
+	}
+	if wantErr == nil && !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s decoded into a used value:\n got: %+v\nwant: %+v", what, got, want)
+	}
 }
 
 // checkCanonical checks that canon, an accepted input re-encoded, equals

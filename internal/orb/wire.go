@@ -127,31 +127,39 @@ func sendEnvelope(conn transport.Conn, to string, env *Envelope, m transport.Buf
 
 // DecodeEnvelope parses an envelope. Bytes is a sub-slice of b, not a copy.
 func DecodeEnvelope(b []byte) (*Envelope, error) {
+	var env Envelope
+	if err := decodeEnvelope(b, &env); err != nil {
+		return nil, err
+	}
+	return &env, nil
+}
+
+// decodeEnvelope is DecodeEnvelope into *env, an envelope the caller owns
+// (every field overwritten).
+func decodeEnvelope(b []byte, env *Envelope) error {
+	*env = Envelope{}
 	d := codec.NewDecoder(b)
 	vt, err := d.Int64()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var env Envelope
 	env.VT = vtime.Time(vt)
 	n, _, err := d.Count(8)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	slots := env.Ledger.Slots()
 	for i := 0; i < n; i++ {
 		v, err := d.Int64()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if i < len(slots) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
-	if env.Bytes, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	return &env, nil
+	env.Bytes, err = d.Bytes()
+	return err
 }
 
 // DirectWire is the unreplicated point-to-point connection to one server
@@ -187,8 +195,8 @@ func (w *DirectWire) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger
 // HandleTransport turns an inbound reply message into an up-call on the
 // bound sink, charging the wire time to the ORB component.
 func (w *DirectWire) HandleTransport(msg transport.Message) {
-	env, err := DecodeEnvelope(msg.Payload)
-	if err != nil {
+	var env Envelope
+	if decodeEnvelope(msg.Payload, &env) != nil {
 		return
 	}
 	led := env.Ledger

@@ -162,7 +162,7 @@ type ckptKey struct {
 
 // pendingMarker is a checkpoint marker awaiting its state bytes.
 type pendingMarker struct {
-	msg *Msg
+	msg Msg
 	vt  vtime.Time
 }
 
@@ -565,42 +565,43 @@ func (e *Engine) handleEvent(ev gcs.Event) {
 	case gcs.EventView:
 		e.handleView(ev)
 	case gcs.EventDirect:
-		msg, err := decode(ev.Payload, &e.names)
-		if err != nil {
+		var msg Msg
+		if decode(ev.Payload, &e.names, &msg) != nil {
 			return
 		}
 		switch msg.Kind {
 		case KindState:
-			e.pendStates[ckptKey{ev.Sender, msg.CkptSerial}] = msg
+			held := msg // pendStates keeps it past this event: a copy
+			e.pendStates[ckptKey{ev.Sender, msg.CkptSerial}] = &held
 			e.notePendingCkpts()
 			e.tryApplyCheckpoint(ev.Sender, msg.CkptSerial)
 		case KindStateChunk:
-			e.handleStateChunk(ev, msg)
+			e.handleStateChunk(ev, &msg)
 		case KindChunkAck:
-			e.handleChunkAck(ev, msg)
+			e.handleChunkAck(ev, &msg)
 		case KindResumeReq:
-			e.handleResumeReq(ev, msg)
+			e.handleResumeReq(ev, &msg)
 		case KindResumeNak:
-			e.handleResumeNak(ev, msg)
+			e.handleResumeNak(ev, &msg)
 		}
 	case gcs.EventMessage:
-		msg, err := decode(ev.Payload, &e.names)
-		if err != nil {
+		var msg Msg
+		if decode(ev.Payload, &e.names, &msg) != nil {
 			return
 		}
 		switch msg.Kind {
 		case KindRequest:
-			e.handleRequest(ev, msg)
+			e.handleRequest(ev, &msg)
 		case KindCheckpoint:
-			e.handleCheckpoint(ev, msg)
+			e.handleCheckpoint(ev, &msg)
 		case KindSwitch:
-			e.handleSwitch(ev, msg)
+			e.handleSwitch(ev, &msg)
 		case KindConfig:
 			if msg.CheckpointEvery > 0 {
 				e.cfg.CheckpointEvery = int(msg.CheckpointEvery)
 			}
 		case KindRetire:
-			e.handleRetire(ev, msg)
+			e.handleRetire(ev, &msg)
 		}
 	}
 }
@@ -1101,7 +1102,7 @@ func (e *Engine) handleCheckpoint(ev gcs.Event, msg *Msg) {
 		}
 		return
 	}
-	e.pendMarkers[ckptKey{ev.Sender, msg.CkptSerial}] = &pendingMarker{msg: msg, vt: ev.VTime}
+	e.pendMarkers[ckptKey{ev.Sender, msg.CkptSerial}] = &pendingMarker{msg: *msg, vt: ev.VTime}
 	e.notePendingCkpts()
 	e.tryApplyCheckpoint(ev.Sender, msg.CkptSerial)
 }
@@ -1135,7 +1136,7 @@ func (e *Engine) tryApplyCheckpoint(sender string, serial uint64) {
 		}
 	}
 	e.notePendingCkpts()
-	marker := pm.msg
+	marker := &pm.msg
 
 	if e.style == ColdPassive && e.synced {
 		// Cold backups store but do not apply; the log keeps only

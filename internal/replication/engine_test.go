@@ -196,7 +196,7 @@ func TestCheckpointOrphansPruned(t *testing.T) {
 	e.do(func() {
 		e.view = gcs.View{ID: 2, Members: []string{"r1", "r2"}}
 		e.pendStates[ckptKey{"r2", 1}] = &Msg{Kind: KindState, State: []byte("old"), CkptSerial: 1}
-		e.pendMarkers[ckptKey{"r2", 2}] = &pendingMarker{msg: &Msg{Kind: KindCheckpoint, CkptSerial: 2}}
+		e.pendMarkers[ckptKey{"r2", 2}] = &pendingMarker{msg: Msg{Kind: KindCheckpoint, CkptSerial: 2}}
 		e.pendStates[ckptKey{"r2", 2}] = &Msg{Kind: KindState, State: []byte("new"), CkptSerial: 2}
 		e.notePendingCkpts() // insertion sites normally record the gauge
 		e.tryApplyCheckpoint("r2", 2)
@@ -214,7 +214,7 @@ func TestCheckpointOrphansPruned(t *testing.T) {
 	// Crash mid-checkpoint: r2's marker arrived, its state never will; the
 	// view change that removes r2 prunes the orphan.
 	e.do(func() {
-		e.pendMarkers[ckptKey{"r2", 3}] = &pendingMarker{msg: &Msg{Kind: KindCheckpoint, CkptSerial: 3}}
+		e.pendMarkers[ckptKey{"r2", 3}] = &pendingMarker{msg: Msg{Kind: KindCheckpoint, CkptSerial: 3}}
 		e.handleView(gcs.Event{Kind: gcs.EventView, View: gcs.View{ID: 3, Members: []string{"r1"}}})
 	})
 	if n := e.PendingCheckpoints(); n != 0 {

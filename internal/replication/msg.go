@@ -195,79 +195,86 @@ func appendMsgTail(b []byte, m *Msg) []byte {
 // That is free where the field is about as large as the envelope (a logged
 // request, a pending state, a transfer chunk); a holder that keeps a small
 // field of a large envelope copies it (Engine.setCache).
-func Decode(b []byte) (*Msg, error) { return decode(b, nil) }
-
-// decode is Decode reading the names an envelope carries — the clients of
-// the cache entries and the retirement target — through
-// names (see codec.Names): a backup is sent the same clients' entries with
-// every checkpoint.
-func decode(b []byte, names *codec.Names) (*Msg, error) {
-	d := codec.NewDecoder(b)
+func Decode(b []byte) (*Msg, error) {
 	var m Msg
+	if err := decode(b, nil, &m); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// decode is Decode into *m, an envelope the caller owns (every field
+// overwritten), reading the names an envelope carries — the clients of the
+// cache entries and the retirement target — through names (see
+// codec.Names): a backup is sent the same clients' entries with every
+// checkpoint.
+func decode(b []byte, names *codec.Names, m *Msg) error {
+	*m = Msg{}
+	d := codec.NewDecoder(b)
 	kind, err := d.Uint8()
 	if err != nil {
-		return nil, errBadMsg
+		return errBadMsg
 	}
 	m.Kind = MsgKind(kind)
 	if m.Viop, err = d.Bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.State, err = d.Bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	n, reserve, err := d.Count(4 + 8 + 4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Cache = make([]CacheEntry, 0, reserve)
 	for i := 0; i < n; i++ {
 		var c CacheEntry
 		if c.Client, err = d.Name(names); err != nil {
-			return nil, err
+			return err
 		}
 		if c.ReqID, err = d.Uint64(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.Reply, err = d.Bytes(); err != nil {
-			return nil, err
+			return err
 		}
 		m.Cache = append(m.Cache, c)
 	}
 	st, err := d.Uint8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Style = Style(st)
 	if m.SwitchID, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.CoveredSeq, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.CkptSerial, err = d.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Final, err = d.Bool(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.CheckpointEvery, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if metrics, err := d.Uint32(); err != nil || metrics != 0 {
-		return nil, errBadMsg
+		return errBadMsg
 	}
 	if m.Target, err = d.Name(names); err != nil {
-		return nil, errBadMsg
+		return errBadMsg
 	}
 	if hasChunkCursor(m.Kind) {
 		if m.ChunkIndex, err = d.Uint32(); err != nil {
-			return nil, errBadMsg
+			return errBadMsg
 		}
 		if m.ChunkCount, err = d.Uint32(); err != nil {
-			return nil, errBadMsg
+			return errBadMsg
 		}
 	}
-	return &m, nil
+	return nil
 }
 
 // WrapRequest builds the envelope the interceptor submits for a client

@@ -3,6 +3,7 @@ package replication
 import (
 	"bytes"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"versadep/internal/alloctest"
@@ -15,7 +16,10 @@ import (
 // re-encode to the very bytes they were decoded from; and any other
 // accepted input (a non-canonical boolean, trailing bytes) re-encodes to a
 // canonical form that is a fixed point of decode-then-encode.
-// PeekRequestViop must agree with the full decode.
+// PeekRequestViop must agree with the full decode. Decoding into an
+// envelope that held another decoded fixture — every field set — must give
+// what a fresh decode gives, field for field, and accept or refuse the same
+// inputs.
 func FuzzReplicationDecode(f *testing.F) {
 	fixtures := []*Msg{
 		{Kind: KindRequest, Viop: []byte("viop-bytes")},
@@ -32,6 +36,9 @@ func FuzzReplicationDecode(f *testing.F) {
 		{Kind: KindResumeReq},
 		{Kind: KindResumeNak, CoveredSeq: 19},
 	}
+	full := Encode(&Msg{Kind: KindStateChunk, Viop: []byte("v"), State: []byte("s"),
+		Cache: []CacheEntry{{Client: "c", ReqID: 2, Reply: []byte("r")}}, Style: Active, SwitchID: 3,
+		CoveredSeq: 4, CkptSerial: 5, Final: true, CheckpointEvery: 6, Target: "t", ChunkIndex: 7, ChunkCount: 8})
 	golden := map[string]bool{}
 	for _, m := range fixtures {
 		b := Encode(m)
@@ -52,8 +59,18 @@ func FuzzReplicationDecode(f *testing.F) {
 			t.Fatal("peeked request lies outside the input")
 		}
 		m, err := Decode(in)
+		var used Msg
+		if err := decode(full, nil, &used); err != nil {
+			t.Fatal(err)
+		}
+		if again := decode(in, nil, &used); (again == nil) != (err == nil) {
+			t.Fatalf("a fresh decode says %v, a decode into a used envelope %v", err, again)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(*m, used) {
+			t.Fatalf("decoded into a used envelope:\n got: %+v\nwant: %+v", used, *m)
 		}
 		if !alloctest.Inside(in, m.Viop) || !alloctest.Inside(in, m.State) {
 			t.Fatal("a decoded field lies outside the input")

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"versadep/internal/alloctest"
 	"versadep/internal/codec"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
@@ -12,17 +13,19 @@ import (
 )
 
 // requestAllocBudget is what one request may allocate end to end, summed
-// over the client and three active replicas: 47.1 in most runs when the
-// budget was set (47.1 to 48.0 over six), plus a tenth for the timers and
+// over the client and three active replicas: 24.1 in most runs when the
+// budget was set (23.0 to 24.2 over six), plus a tenth for the timers and
 // heartbeats that run beside the requests. The wall-clock benchmark reports
 // the same quantity as allocs_per_req on active3_simnet_c1; this holds it in
-// tier-1. While every received group frame was wrapped in a record of its
-// own and every call onto a member's goroutine made a closure and a channel
-// the same test read 57.3; with every layer copying the payload into a
-// buffer of its own (the envelope, the client's frame, each replica's reply
-// frame) 62; with a trace name formatted at every layer crossing and every
-// address decoded afresh from every frame 157.
-const requestAllocBudget = 52
+// tier-1. While every decoder returned a record of its own — each received
+// group frame, replication envelope, VIOP request and reply — the same test
+// read 47.1 to 48.0; while every received group frame was also wrapped in a
+// record of its own and every call onto a member's goroutine made a closure
+// and a channel 57.3; with every layer copying the payload into a buffer of
+// its own (the envelope, the client's frame, each replica's reply frame)
+// 62; with a trace name formatted at every layer crossing and every address
+// decoded afresh from every frame 157.
+const requestAllocBudget = 27
 
 // payloadBufferBudget is how many payload-sized buffers one 4 KB request
 // and its 4 KB reply may allocate end to end through three active
@@ -68,7 +71,7 @@ func measureRequests(t *testing.T, cl *replicator.ClientNode, object, op string,
 // the in-memory network, after 500 requests of warm-up (tables filled,
 // queues and rings grown).
 func TestRequestAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	net := simnet.New(simnet.WithSeed(5))
@@ -89,7 +92,7 @@ func TestRequestAllocationBudget(t *testing.T) {
 // writes its header around the payload instead of copying it, so the count
 // is fixed by who must hold a copy, not by how many layers there are.
 func TestRequestPayloadBufferBudget(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	net := simnet.New(simnet.WithSeed(5))

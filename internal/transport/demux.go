@@ -37,8 +37,9 @@ const Headroom = 1
 // A sealed frame is immutable: the fabric hands the slice itself to every
 // receiver, so it must not be written to — or sealed again — by anyone,
 // for as long as anyone holds it. Multicast counts payload bytes once (LAN
-// multicast semantics); control sends are excluded from traffic accounting
-// entirely.
+// multicast semantics) and does not retain tos, so a caller may send to
+// the same list every time; control sends are excluded from traffic
+// accounting entirely.
 type Conn interface {
 	Addr() string
 	// Seal writes the protocol byte and the checksum trailer into the
@@ -55,6 +56,9 @@ type Conn interface {
 type MultiEndpoint interface {
 	Addr() string
 	Send(to string, payload []byte, sentAt vtime.Time) error
+	// SendMulticast sends payload to every address in tos. It reads tos
+	// during the call and does not retain it: the caller keeps the list
+	// and may send to it again.
 	SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error
 	SendControl(to string, payload []byte, sentAt vtime.Time) error
 	// Serve hands every inbound message to fn on the goroutine that
