@@ -268,7 +268,9 @@ func run(cfg runConfig) error {
 	if chaosDone != nil {
 		<-chaosDone // let the schedule finish its heal-all before reporting
 	}
-	time.Sleep(100 * time.Millisecond)
+	if err := scn.Settle(10 * time.Second); err != nil {
+		return err
+	}
 
 	st := lat.Snapshot()
 	fmt.Printf("\nresults over %d requests:\n", st.Count)

@@ -163,42 +163,25 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 	}
 
 	// Invariants 1+2: every live replica converges to counter == acked
-	// with byte-identical state.
+	// with byte-identical state. They are checked once the survivors have
+	// caught up with each other.
 	expectLive := len(members) - res.Crashed
-	converged := replicator.Eventually(10*time.Second, 10*time.Millisecond, func() bool {
-		live := s.group.Live()
-		if len(live) != expectLive {
-			return false
-		}
-		var refState []byte
-		for i, n := range live {
-			app := n.State().(*workload.BenchApp)
-			if app.Counter() != int64(acked) {
-				return false
-			}
-			st := app.State()
-			if i == 0 {
-				refState = st
-			} else if !bytes.Equal(st, refState) {
-				return false
-			}
-		}
-		return true
-	})
-	if !converged {
-		live := s.group.Live()
-		for _, n := range live {
-			if got := n.State().(*workload.BenchApp).Counter(); got != int64(acked) {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("replica %s counter %d != %d acked requests", n.Addr(), got, acked))
-			}
-		}
-		if len(live) != expectLive {
+	if err := s.group.Await(10*time.Second, func(recs map[string]replication.Stats) bool {
+		return len(recs) == expectLive && replicator.CaughtUp(recs)
+	}); err != nil {
+		res.Violations = append(res.Violations, err.Error())
+	}
+	var refState []byte
+	for i, n := range s.group.Live() {
+		app := n.State().(*workload.BenchApp)
+		if got := app.Counter(); got != int64(acked) {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("%d live replicas after heal, want %d", len(live), expectLive))
+				fmt.Sprintf("replica %s counter %d != %d acked requests", n.Addr(), got, acked))
 		}
-		if len(res.Violations) == len(cliErr) {
-			res.Violations = append(res.Violations, "live replica states diverged after heal")
+		if st := app.State(); i == 0 {
+			refState = st
+		} else if !bytes.Equal(st, refState) {
+			res.Violations = append(res.Violations, fmt.Sprintf("replica %s state diverged after heal", n.Addr()))
 		}
 	}
 
@@ -213,18 +196,14 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 	// Invariant 3: the causal-span ledger quiesces on every surviving
 	// process — no protocol phase leaked its closer. (A crashed replica
 	// legitimately dies mid-span; survivors must still close theirs.)
-	var open int
-	if !replicator.Eventually(5*time.Second, 10*time.Millisecond, func() bool {
-		var snaps []trace.Snapshot
-		for _, n := range s.group.Live() {
-			snaps = append(snaps, n.TraceSnapshot())
-		}
-		for _, c := range s.group.Clients() {
-			snaps = append(snaps, c.TraceSnapshot())
-		}
-		open = trace.Merge(snaps...).SpansOpen
-		return open == 0
-	}) {
+	var snaps []trace.Snapshot
+	for _, n := range s.group.Live() {
+		snaps = append(snaps, n.TraceSnapshot())
+	}
+	for _, c := range s.group.Clients() {
+		snaps = append(snaps, c.TraceSnapshot())
+	}
+	if open := trace.Merge(snaps...).SpansOpen; open != 0 {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("%d causal spans still open on survivors after quiesce", open))
 	}
@@ -233,7 +212,7 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 
 	// Invariant 4: teardown returns the process to its pre-run goroutine
 	// census (small slack for runtime background churn).
-	if !replicator.Eventually(5*time.Second, 20*time.Millisecond, func() bool {
+	if !poll(5*time.Second, 20*time.Millisecond, func() bool {
 		return runtime.NumGoroutine() <= baseline+5
 	}) {
 		res.Violations = append(res.Violations,
@@ -399,7 +378,7 @@ func MeasureDetectionLatency(o Options, replicas, runs int, seed uint64) ([]Dete
 		victim := members[len(members)-1]
 		start := time.Now()
 		s.net.Crash(victim)
-		detected := replicator.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
+		detected := poll(5*time.Second, 2*time.Millisecond, func() bool {
 			for _, n := range s.group.Live() {
 				for _, sus := range n.Member().Suspects() {
 					if sus == victim {

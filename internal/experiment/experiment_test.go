@@ -340,15 +340,16 @@ func TestBandwidthCapStretchesCheckpoints(t *testing.T) {
 	if s.BandwidthMBs() <= 0.001 {
 		t.Fatalf("bandwidth %.4f MB/s is not over the cap", s.BandwidthMBs())
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for _, n := range s.group.Live() {
-		for n.Engine().CheckpointEvery() != 10 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s checkpoints every %d, want 10; decisions %+v",
-					n.Addr(), n.Engine().CheckpointEvery(), ctrl.Status().Decisions)
+	// The retune rides the agreed stream; its delivery is a progress move.
+	if err := s.group.Await(2*time.Second, func(map[string]replication.Stats) bool {
+		for _, n := range s.group.Live() {
+			if n.Engine().CheckpointEvery() != 10 {
+				return false
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
+		return true
+	}); err != nil {
+		t.Fatalf("%v; decisions %+v", err, ctrl.Status().Decisions)
 	}
 	if st := ctrl.Status(); st.Actuations == 0 || st.Decisions[0].Policy != "resource-cap" {
 		t.Fatalf("controller status = %+v", st)

@@ -369,12 +369,11 @@ func RunFig7ForConfig(o Options, style replication.Style, replicas, clients int)
 	}
 	// Replicas off the clients' critical path may still be replying, in
 	// real time, when the last client finishes; that traffic is the run's.
-	sent := int64(-1)
-	replicator.Eventually(time.Second, 10*time.Millisecond, func() bool {
-		prev := sent
-		sent = s.net.Stats().MessagesSent
-		return sent == prev
-	})
+	// A reply leaves inside the execution that makes it, so the bytes are
+	// all counted once every replica has caught up.
+	if err := s.Settle(10 * time.Second); err != nil {
+		return Fig7Point{}, err
+	}
 	bytes := s.net.Stats().BytesSent
 	span := maxEnd.Sub(0)
 	return Fig7Point{
@@ -500,11 +499,13 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	}
 	var lat hist.Snapshot
 	var vt vtime.Time
-	target := replication.Active
+	target, last := replication.Active, replication.WarmPassive
+	var requested int
 	per := max(o.Requests/(switches+1), 5)
 	for i := 0; i < o.Requests; i++ {
 		if i > 0 && i%per == 0 && len(switched()) < switches {
 			s.group.Nodes()[0].Engine().RequestSwitch(target, vt)
+			requested, last = requested+1, target
 			if target == replication.Active {
 				target = replication.WarmPassive
 			} else {
@@ -518,7 +519,18 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 		lat.Observe(int64(out.RTT()))
 		vt = out.DoneVT
 	}
-	time.Sleep(100 * time.Millisecond)
+	// The last switch may still be completing at replicas off the
+	// client's path; its delay is the run's.
+	if err := s.group.Await(10*time.Second, func(recs map[string]replication.Stats) bool {
+		for _, r := range recs {
+			if r.Switches < requested || r.Style != last {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		return nil, err
+	}
 	return &SwitchDelayResult{
 		MeanRTT:      vtime.Duration(lat.Mean()),
 		SwitchDelays: switched(),

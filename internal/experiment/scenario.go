@@ -301,6 +301,27 @@ func (s *Scenario) Style() replication.Style {
 	return 0
 }
 
+// Settle waits until the group has caught up with itself
+// (replicator.CaughtUp), so what is read next — state, counters, the
+// fabric's bytes — is final.
+func (s *Scenario) Settle(timeout time.Duration) error {
+	return s.group.Await(timeout, replicator.CaughtUp)
+}
+
+// poll checks cond every step until it holds or timeout passes. It serves
+// only the waits that read no replica's progress, so no notice wakes them:
+// the goroutine census after a chaos run's teardown, and the crash-to-
+// suspicion sample of MeasureDetectionLatency, a wall-clock measurement
+// whose resolution is its step.
+func poll(timeout, step time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(step) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // Members lists live replica addresses.
 func (s *Scenario) Members() []string { return s.group.Members() }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"versadep/internal/replication"
-	"versadep/internal/replicator"
 	"versadep/internal/trace"
 )
 
@@ -102,21 +101,15 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 		return leader.TraceSnapshot().Get(trace.SubReplication, "transfer_bytes_sent")
 	}
 	// A fresh engine reports synced until its join view arrives, so the
-	// wait requires group membership first, then the post-transfer sync.
+	// wait requires group membership first, then the post-transfer sync;
+	// the transfer is over once the leader has the joiner's last ack too.
 	waitSynced := func(addr string, members int) error {
-		synced := replicator.Eventually(30*time.Second, 5*time.Millisecond, func() bool {
-			for _, n := range s.group.Nodes() {
-				if n.Addr() != addr {
-					continue
-				}
-				if v, err := n.Member().View(); err == nil && len(v.Members) == members {
-					return n.Engine().StatsSnapshot().Synced
-				}
-			}
-			return false
+		err := s.group.Await(30*time.Second, func(recs map[string]replication.Stats) bool {
+			j := recs[addr]
+			return j.Members == members && j.Synced && !recs[leader.Addr()].Transferring
 		})
-		if !synced {
-			return fmt.Errorf("experiment: joiner %s never synced", addr)
+		if err != nil {
+			return fmt.Errorf("experiment: joiner %s never synced: %w", addr, err)
 		}
 		return nil
 	}

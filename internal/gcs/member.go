@@ -129,8 +129,10 @@ type Member struct {
 	leaveReqs    map[string]bool
 	// leaving marks that this member announced its own graceful
 	// departure: exclusion from the next view is expected and must not
-	// trigger the false-suspicion rejoin path.
+	// trigger the false-suspicion rejoin path. left, while Leave waits, is
+	// closed when that view installs.
 	leaving bool
+	left    chan struct{}
 
 	now func() time.Time
 }
@@ -353,11 +355,14 @@ func (m *Member) SendDirect(to string, payload transport.Buf, sentAt vtime.Time,
 // the departure is then recorded in the view's Left annotation rather than
 // detected as a crash. A leaving coordinator proposes its own exclusion.
 func (m *Member) Leave() {
-	_ = m.do(func() {
+	left := make(chan struct{})
+	err := m.do(func() {
 		m.leaving = true
 		if !m.installed {
+			close(left)
 			return
 		}
+		m.left = left
 		f := &frame{Kind: kLeave, Origin: m.Addr()}
 		for _, mm := range m.view.Members {
 			if mm == m.Addr() {
@@ -367,13 +372,12 @@ func (m *Member) Leave() {
 			}
 		}
 	})
-	deadline := m.now().Add(6 * m.cfg.HBInterval)
-	for m.now().Before(deadline) {
-		var in bool
-		if err := m.do(func() { in = m.installed && m.view.Contains(m.Addr()) }); err != nil || !in {
-			break
+	if err == nil {
+		select {
+		case <-left:
+		case <-m.done:
+		case <-time.After(6 * m.cfg.HBInterval):
 		}
-		time.Sleep(m.cfg.HBInterval / 4)
 	}
 	m.Stop()
 }

@@ -561,10 +561,14 @@ func (m *Member) installJoinedView(f *frame, joined bool) {
 
 	if !m.view.Contains(m.Addr()) {
 		if m.leaving {
-			// Graceful departure confirmed: stop participating; Leave's
-			// poll observes the exclusion and stops the daemon.
+			// Graceful departure confirmed: stop participating, and
+			// wake Leave to stop the daemon.
 			m.installed = false
 			m.joining = false
+			if m.left != nil {
+				close(m.left)
+				m.left = nil
+			}
 			return
 		}
 		// We were excluded (false suspicion): rejoin as a fresh

@@ -64,17 +64,20 @@ const (
 	// assembled state is applied. Peer names the other end; Serial, Chunk
 	// and Chunks carry the cursor; Resumed marks cursor restorations.
 	NoticeTransfer
+	// NoticeProgress fires after an event moved this replica's progress
+	// (Stats from Style on) when no notice has reported the move, so an
+	// observer that rereads Stats on every notice misses none.
+	NoticeProgress
 )
 
 // Notice is an engine observation delivered to the configured observer.
 type Notice struct {
 	Kind NoticeKind
 	// Addr identifies the reporting replica.
-	Addr     string
-	VT       vtime.Time
-	Delay    vtime.Duration
-	Style    Style
-	Executed bool
+	Addr  string
+	VT    vtime.Time
+	Delay vtime.Duration
+	Style Style
 	// Peer is the retiring replica (NoticeRetire).
 	Peer string
 	// Members is the group size after a view change (NoticeView).
@@ -107,9 +110,21 @@ type Stats struct {
 	Handoffs        int
 	LastSwitchDelay vtime.Duration
 	Rate            float64
-	Style           Style
-	Role            Role
-	Synced          bool
+
+	// Progress: where the replica stands in the agreed stream. View and
+	// Members are the installed view's id and size; Delivered is the seq
+	// of the last agreed message or view handled; Executed that of the
+	// last request the state reflects (at a backup, the last one an
+	// applied checkpoint or transfer covers); Transferring reports a
+	// transfer sent, received, or, unsynced, yet to ask for.
+	Style        Style
+	Role         Role
+	Synced       bool
+	View         uint64
+	Members      int
+	Delivered    uint64
+	Executed     uint64
+	Transferring bool
 }
 
 // Config parameterizes an Engine.
@@ -191,12 +206,6 @@ type Engine struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	// final is the snapshot the run goroutine takes as it exits, so the
-	// public getters keep answering truthfully after Stop instead of
-	// silently returning zero values.
-	finalMu sync.Mutex
-	final   *finalState
-
 	// trace counters (nil-safe no-ops when Config.Trace is unset).
 	tr              *trace.Recorder
 	cCheckpoints    *trace.Counter
@@ -239,6 +248,7 @@ type Engine struct {
 	switching *switchState
 
 	log         []logEntry
+	delivered   uint64 // stream position of the last delivered message
 	lastExecSeq uint64 // stream position of the last executed request
 	lastCkpt    *Msg   // retained state for cold-passive failover
 
@@ -260,6 +270,7 @@ type Engine struct {
 	pendStates  map[ckptKey]*Msg
 	arrivals    *monitor.RateMeter // request send stamps, rateWindow deep
 	stats       Stats
+	noticed     Stats // the progress the last notice reported (see noteProgress)
 
 	// chunked joiner state transfer (transfer.go): retained bookmark
 	// checkpoints, per-joiner outgoing cursors, and this replica's own
@@ -357,43 +368,6 @@ func (e *Engine) initTrace(r *trace.Recorder) {
 	e.hExec = r.Histogram(trace.SubReplication, "exec_us")
 }
 
-// finalState is the terminal getter snapshot (see Engine.final).
-type finalState struct {
-	stats     Stats
-	style     Style
-	role      Role
-	ckptEvery int
-}
-
-// captureFinal snapshots getter-visible state; runs on the protocol
-// goroutine as it exits.
-func (e *Engine) captureFinal() {
-	s := e.stats
-	s.Rate = e.arrivals.Rate()
-	s.Style = e.style
-	s.Role = e.role()
-	s.Synced = e.synced
-	e.finalMu.Lock()
-	e.final = &finalState{
-		stats:     s,
-		style:     e.style,
-		role:      e.role(),
-		ckptEvery: e.cfg.CheckpointEvery,
-	}
-	e.finalMu.Unlock()
-}
-
-// finalSnap returns the terminal snapshot; do() guarantees it is set
-// before any getter falls back to it.
-func (e *Engine) finalSnap() *finalState {
-	e.finalMu.Lock()
-	defer e.finalMu.Unlock()
-	if e.final == nil {
-		return &finalState{}
-	}
-	return e.final
-}
-
 // Addr returns the replica's group address.
 func (e *Engine) Addr() string { return e.member.Addr() }
 
@@ -407,8 +381,7 @@ func (e *Engine) Stop() {
 
 // do runs fn on the protocol goroutine, reporting false once the engine
 // has stopped. On the false path it first waits for the run goroutine to
-// exit, which guarantees the terminal snapshot is in place for the caller
-// to fall back on.
+// exit.
 func (e *Engine) do(fn func()) bool {
 	donec := make(chan struct{})
 	select {
@@ -423,39 +396,42 @@ func (e *Engine) do(fn func()) bool {
 	}
 }
 
+// read runs fn on the protocol goroutine, or, once the engine has
+// stopped, on the caller's: the run goroutine has exited then, so nothing
+// else touches the state, and a getter reports the last value, not zero.
+func (e *Engine) read(fn func()) {
+	if !e.do(fn) {
+		fn()
+	}
+}
+
 // Style returns the current replication style (the last one, after Stop).
 func (e *Engine) Style() Style {
 	var s Style
-	if e.do(func() { s = e.style }) {
-		return s
-	}
-	return e.finalSnap().style
+	e.read(func() { s = e.style })
+	return s
 }
 
-// Role returns this replica's current role (the last one, after Stop).
-func (e *Engine) Role() Role {
-	var r Role
-	if e.do(func() { r = e.role() }) {
-		return r
-	}
-	return e.finalSnap().role
-}
-
-// StatsSnapshot returns current statistics; after Stop it returns the
-// final statistics rather than zeros.
+// StatsSnapshot returns current statistics (the last ones, after Stop).
 func (e *Engine) StatsSnapshot() Stats {
 	var s Stats
-	ok := e.do(func() {
-		s = e.stats
-		s.Rate = e.arrivals.Rate()
-		s.Style = e.style
-		s.Role = e.role()
-		s.Synced = e.synced
-	})
-	if ok {
-		return s
-	}
-	return e.finalSnap().stats
+	e.read(func() { s = e.snapshot() })
+	return s
+}
+
+func (e *Engine) snapshot() Stats {
+	s := e.stats
+	s.Rate = e.arrivals.Rate()
+	e.progress(&s)
+	return s
+}
+
+// progress fills in where this replica stands (see Stats).
+func (e *Engine) progress(s *Stats) {
+	s.Style, s.Role, s.Synced = e.style, e.role(), e.synced
+	s.View, s.Members = e.view.ID, len(e.view.Members)
+	s.Delivered, s.Executed = e.delivered, e.lastExecSeq
+	s.Transferring = e.transferPending()
 }
 
 // RequestSwitch initiates a style switch (the low-level replication-style
@@ -491,10 +467,8 @@ func (e *Engine) SetCheckpointEvery(every int, now vtime.Time) {
 // agreed value, after Stop).
 func (e *Engine) CheckpointEvery() int {
 	var out int
-	if e.do(func() { out = e.cfg.CheckpointEvery }) {
-		return out
-	}
-	return e.finalSnap().ckptEvery
+	e.read(func() { out = e.cfg.CheckpointEvery })
+	return out
 }
 
 // RequestRetire turns the replica-count knob downward at runtime: a
@@ -528,7 +502,6 @@ func (e *Engine) RequestRetire(addr string, now vtime.Time) error {
 
 func (e *Engine) run() {
 	defer close(e.done)
-	defer e.captureFinal()
 	defer e.stopTransfers()
 	// The transfer retry driver runs on real time, like the GCS liveness
 	// machinery: virtual time only advances with protocol events, and a
@@ -548,11 +521,13 @@ func (e *Engine) run() {
 			fn()
 		case <-retry:
 			e.transferTick()
+			e.noteProgress()
 		case ev, ok := <-e.member.Out():
 			if !ok {
 				return
 			}
 			e.handleEvent(ev)
+			e.noteProgress()
 		}
 	}
 }
@@ -563,6 +538,7 @@ func (e *Engine) handleEvent(ev gcs.Event) {
 	}
 	switch ev.Kind {
 	case gcs.EventView:
+		e.delivered = ev.Seq
 		e.handleView(ev)
 	case gcs.EventDirect:
 		var msg Msg
@@ -585,6 +561,7 @@ func (e *Engine) handleEvent(ev gcs.Event) {
 			e.handleResumeNak(ev, &msg)
 		}
 	case gcs.EventMessage:
+		e.delivered = ev.Seq
 		var msg Msg
 		if decode(ev.Payload, &e.names, &msg) != nil {
 			return
@@ -927,7 +904,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 		e.spans.Add(span.RequestKey(cid, rid), "replicator_deliver", span.CompReplicator, vt.Add(-e.cfg.Model.Intercept), vt)
 		vt = e.executeWithLedger(msg.Viop, r, cid, rid, vt, led)
 		e.lastExecSeq = ev.Seq
-		e.notify(Notice{Kind: NoticeRequest, VT: vt, Style: e.style, Executed: true})
+		e.notify(Notice{Kind: NoticeRequest, VT: vt, Style: e.style})
 
 		if e.style.IsPassive() && e.role() == RolePrimary &&
 			e.cfg.CheckpointEvery > 0 && len(e.view.Members) > 1 {
@@ -945,7 +922,7 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 		e.spans.Add(span.RequestKey(cid, rid), "request_logged", "", ev.VTime, ev.VTime)
 		e.log = append(e.log, logEntry{viop: msg.Viop, seq: ev.Seq, sentVT: ev.SentVT})
 		e.stats.RequestsLogged++
-		e.notify(Notice{Kind: NoticeRequest, VT: ev.VTime, Style: e.style, Executed: false})
+		e.notify(Notice{Kind: NoticeRequest, VT: ev.VTime, Style: e.style})
 	}
 }
 
@@ -1287,6 +1264,7 @@ const rateWindow = 32
 func (e *Engine) notify(n Notice) {
 	if e.cfg.Observer != nil {
 		n.Addr = e.Addr()
+		e.progress(&e.noticed)
 		e.cfg.Observer(n)
 	}
 	switch n.Kind {
@@ -1299,6 +1277,20 @@ func (e *Engine) notify(n Notice) {
 		e.cSwitchDones.Inc()
 		e.cSwitchDelay.Store(n.Delay.Microseconds())
 		e.tr.Event(trace.SubReplication, "switch_done", n.VT, n.Delay.Microseconds())
+	}
+}
+
+// noteProgress raises NoticeProgress if the event just handled moved this
+// replica's progress after its last notice. Without an observer nobody
+// hears it, and it costs nothing.
+func (e *Engine) noteProgress() {
+	if e.cfg.Observer == nil {
+		return
+	}
+	var p Stats
+	e.progress(&p)
+	if p != e.noticed {
+		e.notify(Notice{Kind: NoticeProgress, VT: e.lastVT, Style: e.style})
 	}
 }
 

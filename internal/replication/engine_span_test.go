@@ -14,7 +14,7 @@ import (
 func waitPrimary(t *testing.T, e *Engine) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for e.Role() != RolePrimary {
+	for e.StatsSnapshot().Role != RolePrimary {
 		if time.Now().After(deadline) {
 			t.Fatal("engine never became primary of its singleton group")
 		}

@@ -99,7 +99,7 @@ func TestGettersSurviveStop(t *testing.T) {
 
 	// Wait until the engine has processed its bootstrap view.
 	deadline := time.Now().Add(2 * time.Second)
-	for e.Role() != RolePrimary {
+	for e.StatsSnapshot().Role != RolePrimary {
 		if time.Now().After(deadline) {
 			t.Fatal("engine never became primary of its singleton group")
 		}
@@ -111,7 +111,7 @@ func TestGettersSurviveStop(t *testing.T) {
 	if got := e.Style(); got != WarmPassive {
 		t.Fatalf("Style after Stop = %v, want %v", got, WarmPassive)
 	}
-	if got := e.Role(); got != RolePrimary {
+	if got := e.StatsSnapshot().Role; got != RolePrimary {
 		t.Fatalf("Role after Stop = %v, want %v", got, RolePrimary)
 	}
 	if got := e.CheckpointEvery(); got != 5 {
@@ -183,7 +183,7 @@ func TestCheckpointOrphansPruned(t *testing.T) {
 	e, _ := startEngine(t, "r1", Config{Style: WarmPassive, Trace: rec})
 
 	deadline := time.Now().Add(2 * time.Second)
-	for e.Role() != RolePrimary {
+	for e.StatsSnapshot().Role != RolePrimary {
 		if time.Now().After(deadline) {
 			t.Fatal("engine never processed its bootstrap view")
 		}

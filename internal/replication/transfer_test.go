@@ -146,7 +146,7 @@ func TestTransferRetryArmedOnlyWhilePending(t *testing.T) {
 	}
 	cfg := Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}}
 	leader, _ := startEngineOn(t, net, "r1", cfg)
-	waitFor("the leader is primary", func() bool { return leader.Role() == RolePrimary })
+	waitFor("the leader is primary", func() bool { return leader.StatsSnapshot().Role == RolePrimary })
 	if armed(leader) {
 		t.Fatal("an idle engine holds an armed retry ticker")
 	}

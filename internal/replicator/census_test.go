@@ -116,20 +116,17 @@ func TestReplicaGoroutineCensus(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
 	base := baseline()
-	ep, err := net.Endpoint("ra")
+	app := newCounterApp()
+	g := replicator.NewGroup(replicator.SimFabric(net))
+	n, err := g.Add("ra", nil, replicator.ReplicaConfig{
+		Replication: replication.Config{Style: replication.Active, Model: net.CostModel(), State: app},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := newCounterApp()
-	n := replicator.StartReplica(ep, replicator.ReplicaConfig{
-		Replication: replication.Config{Style: replication.Active, Model: net.CostModel(), State: app},
-	})
 	n.Register("Counter", app)
-	if !replicator.Eventually(5*time.Second, time.Millisecond, func() bool {
-		_, err := n.Member().View()
-		return err == nil
-	}) {
-		t.Fatal("the replica installed no view")
+	if err := g.WaitSize(1, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	if got := settle(base + 4); got > base+4 {
 		t.Errorf("StartReplica added %d goroutines, want at most 4", got-base)

@@ -28,10 +28,10 @@ func (n *ReplicaNode) Retire(addr string, now vtime.Time) error {
 }
 
 // Sensors builds a policy.Signals sampler over this node's live state:
-// request rate and style from the engine, group size from the installed
-// view, tail latency from the execution histogram, per-replica
-// availability from the fault meter. A node does not meter bandwidth; a
-// harness that owns the fabric fills that signal in (experiment.Scenario).
+// request rate, style and group size from the engine, tail latency from
+// the execution histogram, per-replica availability from the fault meter.
+// A node does not meter bandwidth; a harness that owns the fabric fills
+// that signal in (experiment.Scenario).
 func (n *ReplicaNode) Sensors() func() policy.Signals {
 	execHist := n.trace.Histogram(trace.SubReplication, "exec_us")
 	return func() policy.Signals {
@@ -39,14 +39,12 @@ func (n *ReplicaNode) Sensors() func() policy.Signals {
 		sig := policy.Signals{
 			Rate:                st.Rate,
 			Style:               st.Style,
+			Replicas:            st.Members,
 			CheckpointEvery:     n.engine.CheckpointEvery(),
 			ReplicaAvailability: n.faults.Availability(),
 		}
 		if execHist != nil {
 			sig.P99Micros = execHist.Quantile(0.99)
-		}
-		if view, err := n.member.View(); err == nil {
-			sig.Replicas = len(view.Members)
 		}
 		return sig
 	}

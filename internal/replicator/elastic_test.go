@@ -17,22 +17,6 @@ import (
 	"versadep/internal/vtime"
 )
 
-// waitViewSize polls one node's installed view until it reaches want.
-func waitViewSize(t *testing.T, node *replicator.ReplicaNode, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, err := node.Member().View()
-		if err == nil && len(v.Members) == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never saw a %d-member view (last: %v, err %v)", node.Addr(), want, v.Members, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestGracefulRetireBackup(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(89))
 	defer net.Close()
@@ -53,7 +37,7 @@ func TestGracefulRetireBackup(t *testing.T) {
 	if err := c.nodes[0].Retire("rc", vt); err != nil {
 		t.Fatal(err)
 	}
-	waitViewSize(t, c.nodes[0], 2)
+	c.waitGroupSize(t, 2)
 
 	// Service continues, state intact.
 	for i := 6; i <= 10; i++ {
@@ -107,7 +91,7 @@ func TestGracefulRetirePrimaryHandsOff(t *testing.T) {
 	if err := c.nodes[1].Retire("ra", vt); err != nil {
 		t.Fatal(err)
 	}
-	waitViewSize(t, c.nodes[1], 2)
+	c.waitGroupSize(t, 2)
 
 	out, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt)
 	if err != nil {
@@ -157,29 +141,13 @@ func TestCrashDuringJoinKeepsServiceAndClosesSpans(t *testing.T) {
 		vt = out.DoneVT
 	}
 
-	ep, err := net.Endpoint("rz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := newCounterApp()
-	joiner := replicator.StartReplica(ep, replicator.ReplicaConfig{
-		Seeds: c.members(),
-		Replication: replication.Config{
-			Style:           replication.WarmPassive,
-			CheckpointEvery: 3,
-			Model:           net.CostModel(),
-			State:           app,
-		},
-		Trace: trace.New(),
-	})
-	joiner.Register("Counter", app)
-	t.Cleanup(joiner.Stop)
+	joiner, app := c.add(t, "rz", c.members(), replication.WarmPassive, 3, nil)
 
 	// Crash the primary while the join is still settling.
 	time.Sleep(5 * time.Millisecond)
 	net.Crash(c.nodes[0].Addr())
 
-	waitViewSize(t, c.nodes[1], 2)
+	c.waitGroupSize(t, 2)
 	for i := 7; i <= 10; i++ {
 		out, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt)
 		if err != nil {
@@ -193,13 +161,7 @@ func TestCrashDuringJoinKeepsServiceAndClosesSpans(t *testing.T) {
 	// The joiner converges to the transferred state plus post-crash
 	// traffic; as a passive backup it applies state at checkpoint
 	// boundaries (every 3 requests), so request 9's checkpoint must land.
-	deadline := time.Now().Add(5 * time.Second)
-	for app.value("x") < 9 {
-		if time.Now().After(deadline) {
-			t.Fatalf("joiner state = %d, want >= 9", app.value("x"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 5*time.Second, func(map[string]replication.Stats) bool { return app.value("x") >= 9 })
 
 	// The survivor observed a genuine crash (it feeds the fault meter).
 	if got := c.nodes[1].Faults().Crashes(); got == 0 {
@@ -254,7 +216,15 @@ func TestClusterFlapDampingBoundsSwitchSpans(t *testing.T) {
 		vt = out.DoneVT
 		ctrl.Step()
 	}
-	time.Sleep(100 * time.Millisecond) // let the one switch complete
+	// Let the one switch complete.
+	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
+		for _, r := range recs {
+			if r.Switches != 1 || r.Style != replication.Active {
+				return false
+			}
+		}
+		return true
+	})
 
 	switches := map[string]bool{}
 	merged := trace.Merge(c.nodes[0].TraceSnapshot(), c.nodes[1].TraceSnapshot())
@@ -298,28 +268,10 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 	spawn := func(seeds []string) error {
 		addr := fmt.Sprintf("rx%d", spawned)
 		spawned++
-		ep, err := net.Endpoint(addr)
-		if err != nil {
-			return err
-		}
-		app := newCounterApp()
-		node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-			Seeds: seeds,
-			Replication: replication.Config{
-				Style: replication.Active,
-				Model: net.CostModel(),
-				State: app,
-			},
-		})
-		node.Register("Counter", app)
+		node, _ := c.add(t, addr, seeds, replication.Active, 0, nil)
 		joiners = append(joiners, node)
 		return nil
 	}
-	t.Cleanup(func() {
-		for _, j := range joiners {
-			j.Stop()
-		}
-	})
 
 	avail := policy.AvailabilityTarget{Target: 0.995}
 	avail.Knob.MaxReplicas = 3
@@ -383,13 +335,10 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 	}
 	// The joiner catches up to the live state (checkpoint + log suffix).
 	invoke()
-	deadline = time.Now().Add(5 * time.Second)
-	for !joiners[0].Engine().StatsSnapshot().Synced {
-		if time.Now().After(deadline) {
-			t.Fatal("joiner never synced after the live state transfer")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 5*time.Second, func(recs map[string]replication.Stats) bool {
+		j := recs[joiners[0].Addr()]
+		return j.Members == 3 && j.Synced
+	})
 
 	// Phase 3 — recovery: the fault observations age out (Reset models
 	// the window passing), availability returns to the prior, and the

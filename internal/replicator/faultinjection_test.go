@@ -6,6 +6,7 @@ import (
 
 	"versadep/internal/faults"
 	"versadep/internal/replication"
+	"versadep/internal/replicator"
 	"versadep/internal/simnet"
 	"versadep/internal/transport"
 	"versadep/internal/vtime"
@@ -34,13 +35,7 @@ func TestLossDuringStyleSwitch(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.nodes[2].Engine().Style() != replication.Active {
-		if time.Now().After(deadline) {
-			t.Fatal("switch never completed under loss")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 5*time.Second, allStyle(replication.Active))
 }
 
 func TestPartitionedBackupCatchesUpAfterHeal(t *testing.T) {
@@ -72,12 +67,11 @@ func TestPartitionedBackupCatchesUpAfterHeal(t *testing.T) {
 
 	// rc converges to the full state (directly, or via exclusion +
 	// rejoin + state transfer).
-	deadline := time.Now().Add(10 * time.Second)
-	for c.apps[2].value("x") != 15 {
-		if time.Now().After(deadline) {
-			t.Fatalf("partitioned replica stuck at %d/15", c.apps[2].value("x"))
-		}
-		time.Sleep(20 * time.Millisecond)
+	c.await(t, 10*time.Second, func(recs map[string]replication.Stats) bool {
+		return len(recs) == 3 && replicator.CaughtUp(recs)
+	})
+	if got := c.apps[2].value("x"); got != 15 {
+		t.Fatalf("partitioned replica stuck at %d/15", got)
 	}
 }
 
@@ -207,13 +201,9 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 	}
 	// Retune the knob through the agreed stream; both replicas adopt it.
 	c.nodes[1].Engine().SetCheckpointEvery(2, vt)
-	deadline := time.Now().Add(3 * time.Second)
-	for c.nodes[0].Engine().CheckpointEvery() != 2 || c.nodes[1].Engine().CheckpointEvery() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint-frequency knob did not propagate")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, func(map[string]replication.Stats) bool {
+		return c.nodes[0].Engine().CheckpointEvery() == 2 && c.nodes[1].Engine().CheckpointEvery() == 2
+	})
 	for i := 7; i <= 12; i++ {
 		out, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt)
 		if err != nil {
@@ -221,13 +211,11 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	time.Sleep(100 * time.Millisecond)
-	if ck := c.nodes[0].Engine().StatsSnapshot().Checkpoints; ck < baseline+2 {
-		t.Fatalf("checkpoints after retune = %d, want >= %d", ck, baseline+2)
-	}
+	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
+		return recs["ra"].Checkpoints >= baseline+2
+	})
 	// Invalid values are ignored.
 	c.nodes[0].Engine().SetCheckpointEvery(0, vt)
-	time.Sleep(50 * time.Millisecond)
 	if got := c.nodes[0].Engine().CheckpointEvery(); got != 2 {
 		t.Fatalf("invalid retune applied: %d", got)
 	}

@@ -3,7 +3,6 @@ package replicator_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"versadep/internal/replication"
 	"versadep/internal/simnet"
@@ -20,13 +19,12 @@ func TestFaultMeterAgreesWithInjectedCrashes(t *testing.T) {
 	defer net.Close()
 	c := startCluster(t, net, 5, replication.WarmPassive, 4, nil)
 
+	// The meter counts a crash on the view's notice, before the group's
+	// wait hears it.
 	net.Crash("re")
 	c.waitGroupSize(t, 4)
-	time.Sleep(100 * time.Millisecond)
 	net.Crash("rd")
 	c.waitGroupSize(t, 3)
-	// Let straggling view notices drain.
-	time.Sleep(100 * time.Millisecond)
 
 	for _, node := range c.nodes[:3] {
 		m := node.Faults()
@@ -45,18 +43,7 @@ func TestFaultMeterAgreesWithInjectedCrashes(t *testing.T) {
 	// Graceful departures are not crashes: retiring a replica must leave
 	// the meter untouched.
 	c.nodes[2].Leave()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, err := c.nodes[0].Member().View()
-		if err == nil && len(v.Members) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("group did not shrink to 2 after graceful leave")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	time.Sleep(100 * time.Millisecond)
+	c.waitGroupSize(t, 2)
 	for _, node := range c.nodes[:2] {
 		if got := node.Faults().Crashes(); got != 2 {
 			t.Fatalf("%s: meter observed %d crashes after graceful leave, want 2", node.Addr(), got)

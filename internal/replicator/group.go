@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"versadep/internal/gcs"
+	"versadep/internal/replication"
 	"versadep/internal/simnet"
 	"versadep/internal/trace"
 	"versadep/internal/transport"
@@ -50,19 +52,6 @@ func (f Fabric) ShardedClient(addr string, cfg ShardedClientConfig) (*ClientNode
 	return StartShardedClient(ep, cfg), nil
 }
 
-// Eventually polls cond every step until it holds or timeout has passed,
-// and reports whether it held.
-func Eventually(timeout, step time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(step)
-	}
-	return true
-}
-
 // Group is one replica group and its clients, run in this process on a
 // Fabric. Methods are safe for concurrent use: a policy controller grows
 // the group while clients and observers walk it.
@@ -74,21 +63,26 @@ type Group struct {
 	// ones included: their counters stay readable and belong in a snapshot.
 	nodes   []*ReplicaNode
 	clients []*ClientNode
+	closed  bool
+	// wake is closed, and replaced, to wake the Awaits in progress, which
+	// waiters counts; with nobody waiting a notice costs one atomic load.
+	wake    chan struct{}
+	waiters atomic.Int32
 }
 
 // NewGroup returns an empty group on f.
-func NewGroup(f Fabric) *Group { return &Group{fab: f} }
+func NewGroup(f Fabric) *Group { return &Group{fab: f, wake: make(chan struct{})} }
 
 // Add starts a replica on the endpoint named addr, joining through seeds
 // (none bootstraps the group). It returns as soon as the node runs; the
-// caller registers its servants and waits for what it needs (WaitSize).
+// caller registers its servants and waits for what it needs (Await).
 func (g *Group) Add(addr string, seeds []string, cfg ReplicaConfig) (*ReplicaNode, error) {
 	ep, err := g.fab.Endpoint(addr)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Seeds = seeds
-	node := StartReplica(ep, cfg)
+	node := startReplica(ep, cfg, g.notice)
 	g.mu.Lock()
 	g.nodes = append(g.nodes, node)
 	g.mu.Unlock()
@@ -130,19 +124,81 @@ func (g *Group) Members() []string {
 
 // WaitSize blocks until every live replica reports a view of n members.
 func (g *Group) WaitSize(n int, timeout time.Duration) error {
-	ok := Eventually(timeout, 5*time.Millisecond, func() bool {
-		live := g.Live()
-		for _, node := range live {
-			if v, err := node.Member().View(); err != nil || len(v.Members) != n {
+	return g.Await(timeout, func(recs map[string]replication.Stats) bool {
+		for _, r := range recs {
+			if r.Members != n {
 				return false
 			}
 		}
-		return len(live) > 0
+		return len(recs) > 0
 	})
-	if !ok {
-		return fmt.Errorf("replicator: group did not converge on %d members within %v", n, timeout)
+}
+
+// Await blocks until pred holds of the live replicas' progress records
+// (replication.Stats, keyed by address), or timeout passes. It evaluates
+// pred once at the start and again only when a replica's engine raises a
+// notice or a replica stops: nothing polls. On timeout the error prints
+// every record pred last saw; on a closed group it returns at once.
+func (g *Group) Await(timeout time.Duration, pred func(map[string]replication.Stats) bool) error {
+	g.waiters.Add(1)
+	defer g.waiters.Add(-1)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Taken before the records are read: a move after the reading
+		// closes this channel, so none goes unseen.
+		g.mu.Lock()
+		wake, closed := g.wake, g.closed
+		g.mu.Unlock()
+		if closed {
+			return errors.New("replicator: group closed")
+		}
+		recs := make(map[string]replication.Stats)
+		for _, n := range g.Live() {
+			recs[n.Addr()] = n.Engine().StatsSnapshot()
+		}
+		if pred(recs) {
+			return nil
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			return fmt.Errorf("replicator: group did not reach the awaited state within %v: %+v", timeout, recs)
+		}
 	}
-	return nil
+}
+
+// CaughtUp is the Await predicate that holds when the live replicas stand
+// at one point of the agreed stream: one view that holds them all, the
+// same last delivered seq, every executor at the last request any replica
+// executed, and no state transfer pending.
+func CaughtUp(recs map[string]replication.Stats) bool {
+	var ref replication.Stats
+	for _, r := range recs {
+		ref.View, ref.Delivered = r.View, r.Delivered
+		ref.Executed = max(ref.Executed, r.Executed)
+	}
+	for _, r := range recs {
+		if r.View != ref.View || r.Members != len(recs) || r.Delivered != ref.Delivered || r.Transferring {
+			return false
+		}
+		executor := r.Synced && (r.Style.AllExecute() || r.Role == replication.RolePrimary)
+		if executor && r.Executed != ref.Executed {
+			return false
+		}
+	}
+	return len(recs) > 0
+}
+
+// notice wakes every Await in progress.
+func (g *Group) notice() {
+	if g.waiters.Load() == 0 {
+		return
+	}
+	g.mu.Lock()
+	close(g.wake)
+	g.wake = make(chan struct{})
+	g.mu.Unlock()
 }
 
 // Retire gracefully removes the live replica at addr: it announces a leave,
@@ -197,6 +253,10 @@ func (g *Group) TraceSnapshot() trace.Snapshot {
 // Close stops the clients, then every replica ever added. The fabric, which
 // may carry other groups, is the caller's to close.
 func (g *Group) Close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	g.notice()
 	for _, c := range g.Clients() {
 		c.Stop()
 	}

@@ -3,6 +3,9 @@ package replicator_test
 import (
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,8 +124,11 @@ func TestGroupLifecycle(t *testing.T) {
 	if got := len(g.Nodes()); got != 4 {
 		t.Fatalf("Nodes() lists %d replicas, want all 4 ever added", got)
 	}
-	if !replicator.Eventually(3*time.Second, 5*time.Millisecond, func() bool { return apps["rb"].value("x") == total }) {
-		t.Fatalf("survivor holds %d, want %d", apps["rb"].value("x"), total)
+	if err := g.Await(3*time.Second, replicator.CaughtUp); err != nil {
+		t.Fatal(err)
+	}
+	if got := apps["rb"].value("x"); got != total {
+		t.Fatalf("survivor holds %d, want %d", got, total)
 	}
 	// One snapshot of everything: the client's counters and those of the
 	// replicas, departed ones included.
@@ -138,5 +144,116 @@ func TestGroupLifecycle(t *testing.T) {
 	net.Close()
 	if got := settle(base); got > base {
 		t.Errorf("%d goroutines left after Close", got-base)
+	}
+}
+
+// TestAwait pins the group's one progress wait: it is woken by notices, not
+// by a clock, and a wait that fails says where every replica stood.
+func TestAwait(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// act runs while Await waits; pred and timeout are Await's.
+		act     func(g *replicator.Group, cl *replicator.ClientNode)
+		pred    func(recs map[string]replication.Stats) bool
+		timeout time.Duration
+		// wantErr lists what the error must say; nil wants none.
+		wantErr []string
+		// evals, when set, is how often pred must have been evaluated.
+		evals int64
+	}{{
+		name:    "already true",
+		pred:    replicator.CaughtUp,
+		timeout: time.Minute,
+		evals:   1,
+	}, {
+		name: "woken by progress",
+		act: func(_ *replicator.Group, cl *replicator.ClientNode) {
+			_, _ = cl.Invoke("Counter", "add", []interface{}{"x", 1}, 0)
+		},
+		pred: func(recs map[string]replication.Stats) bool {
+			return recs["ra"].Executed > 0 && recs["rb"].Executed > 0
+		},
+		timeout: time.Minute,
+	}, {
+		name:    "timeout prints the records",
+		pred:    func(map[string]replication.Stats) bool { return false },
+		timeout: 50 * time.Millisecond,
+		wantErr: []string{"within 50ms", "ra:{", "rb:{", "Delivered:", "Executed:"},
+	}, {
+		name:    "stopped group",
+		act:     func(g *replicator.Group, _ *replicator.ClientNode) { g.Close() },
+		pred:    func(map[string]replication.Stats) bool { return false },
+		timeout: time.Minute,
+		wantErr: []string{"group closed"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := simnet.New(simnet.WithSeed(67))
+			defer net.Close()
+			g := replicator.NewGroup(replicator.SimFabric(net))
+			defer g.Close()
+			var notices atomic.Int64
+			var seeds []string
+			for _, addr := range []string{"ra", "rb"} {
+				app := newCounterApp()
+				node, err := g.Add(addr, seeds, replicator.ReplicaConfig{
+					Replication: replication.Config{Style: replication.Active, Model: net.CostModel(), State: app,
+						Observer: func(replication.Notice) { notices.Add(1) }},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				node.Register("Counter", app)
+				seeds = []string{"ra"}
+				if err := g.Await(5*time.Second, replicator.CaughtUp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl, err := g.Client("c1", replicator.ClientConfig{Members: g.Members(), Model: net.CostModel()})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Two waiters at once: each is woken, and each evaluates its
+			// own pred.
+			const waiters = 2
+			var wg sync.WaitGroup
+			errs, evals := make([]error, waiters), make([]int64, waiters)
+			before := notices.Load()
+			start := time.Now()
+			for w := range errs {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					errs[w] = g.Await(tc.timeout, func(recs map[string]replication.Stats) bool {
+						evals[w]++
+						return tc.pred(recs)
+					})
+				}(w)
+			}
+			if tc.act != nil {
+				tc.act(g, cl)
+			}
+			wg.Wait()
+			took, woken := time.Since(start), notices.Load()-before
+
+			if took > 10*time.Second {
+				t.Fatalf("Await took %v", took)
+			}
+			for w, err := range errs {
+				if tc.wantErr == nil && err != nil {
+					t.Fatal(err)
+				}
+				for _, want := range tc.wantErr {
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %v does not say %q", err, want)
+					}
+				}
+				// One evaluation up front, then at most one per notice: a
+				// wait that polled would evaluate on its own clock.
+				if evals[w] > 1+woken || (tc.evals != 0 && evals[w] != tc.evals) {
+					t.Fatalf("pred evaluated %d times over %d notices", evals[w], woken)
+				}
+			}
+		})
 	}
 }

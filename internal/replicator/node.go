@@ -76,6 +76,9 @@ type ReplicaNode struct {
 	ready chan struct{}
 	// retire ensures a retirement directive triggers at most one Leave.
 	retire sync.Once
+	// moved, when set, runs after every engine notice and once the node
+	// has stopped: whenever its progress, or whether it is live, changes.
+	moved func()
 }
 
 // ReplicaConfig bundles the per-replica configuration.
@@ -97,6 +100,11 @@ type ReplicaConfig struct {
 
 // StartReplica launches a replica node on ep.
 func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
+	return startReplica(ep, cfg, nil)
+}
+
+// startReplica is StartReplica with a hook (ReplicaNode.moved).
+func startReplica(ep transport.MultiEndpoint, cfg ReplicaConfig, moved func()) *ReplicaNode {
 	d, rec := nodeDemux(ep, cfg.Trace)
 
 	gcfg := gcs.DefaultConfig()
@@ -119,7 +127,7 @@ func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
 	// must not block, so Leave runs in a goroutine gated on full node
 	// assembly.
 	n := &ReplicaNode{demux: d, trace: rec, state: cfg.Replication.State,
-		faults: policy.NewFaultMeter(0, 0), ready: make(chan struct{})}
+		faults: policy.NewFaultMeter(0, 0), ready: make(chan struct{}), moved: moved}
 	self := ep.Addr()
 	inner := cfg.Replication.Observer
 	cfg.Replication.Observer = func(nt replication.Notice) {
@@ -140,6 +148,9 @@ func StartReplica(ep transport.MultiEndpoint, cfg ReplicaConfig) *ReplicaNode {
 		}
 		if inner != nil {
 			inner(nt)
+		}
+		if moved != nil {
+			moved()
 		}
 	}
 
@@ -202,14 +213,22 @@ func (n *ReplicaNode) TraceSnapshot() trace.Snapshot { return n.trace.Snapshot()
 func (n *ReplicaNode) Stop() {
 	n.engine.Stop()
 	n.member.Stop()
-	_ = n.demux.Close()
+	n.finishStop()
 }
 
 // Leave gracefully removes the node from the group, then stops it.
 func (n *ReplicaNode) Leave() {
 	n.engine.Stop()
 	n.member.Leave()
+	n.finishStop()
+}
+
+// finishStop closes the node's transport and reports that it has gone.
+func (n *ReplicaNode) finishStop() {
 	_ = n.demux.Close()
+	if n.moved != nil {
+		n.moved()
+	}
 }
 
 // ClientNode is one client process: an ORB client whose connection is

@@ -96,6 +96,7 @@ func (a *counterApp) value(key string) int64 {
 // cluster bundles a replica group plus apps for assertions.
 type cluster struct {
 	net   *simnet.Network
+	group *replicator.Group
 	nodes []*replicator.ReplicaNode
 	apps  []*counterApp
 }
@@ -132,75 +133,80 @@ func startCluster(t *testing.T, net *simnet.Network, n int, style replication.St
 // through wrap (when not nil) before the replica starts on it.
 func startClusterVia(t *testing.T, net *simnet.Network, n int, style replication.Style, ckptEvery int, obs func(replication.Notice), wrap func(transport.MultiEndpoint) transport.MultiEndpoint) *cluster {
 	t.Helper()
-	c := &cluster{net: net}
-	model := net.CostModel()
+	fab := replicator.SimFabric(net)
+	if wrap != nil {
+		fab.Endpoint = func(addr string) (transport.MultiEndpoint, error) {
+			ep, err := net.Endpoint(addr)
+			if err != nil {
+				return nil, err
+			}
+			return wrap(ep), nil
+		}
+	}
+	c := &cluster{net: net, group: replicator.NewGroup(fab)}
+	t.Cleanup(c.group.Close)
 	var seeds []string
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("r%c", 'a'+i)
-		sep, err := net.Endpoint(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ep transport.MultiEndpoint = sep
-		if wrap != nil {
-			ep = wrap(ep)
-		}
-		app := newCounterApp()
-		node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-			Seeds: seeds,
-			Replication: replication.Config{
-				Style:           style,
-				CheckpointEvery: ckptEvery,
-				Model:           model,
-				State:           app,
-				Observer:        obs,
-			},
-			Trace: trace.New(),
+		c.add(t, addr, seeds, style, ckptEvery, obs)
+		seeds = []string{"ra"}
+		// Let each join settle before the next: the view installed
+		// everywhere and the joiner's state transfer done.
+		c.await(t, 5*time.Second, func(recs map[string]replication.Stats) bool {
+			return len(recs) == i+1 && replicator.CaughtUp(recs)
 		})
-		node.Register("Counter", app)
-		c.nodes = append(c.nodes, node)
-		c.apps = append(c.apps, app)
-		if i == 0 {
-			seeds = []string{addr}
-		}
-		// Let each join settle before the next (view convergence).
-		c.waitGroupSize(t, i+1)
 	}
-	t.Cleanup(func() {
-		for _, node := range c.nodes {
-			node.Stop()
-		}
-	})
 	return c
+}
+
+// add starts one more counter replica in the cluster's group.
+func (c *cluster) add(t *testing.T, addr string, seeds []string, style replication.Style, ckptEvery int, obs func(replication.Notice)) (*replicator.ReplicaNode, *counterApp) {
+	t.Helper()
+	app := newCounterApp()
+	node, err := c.group.Add(addr, seeds, replicator.ReplicaConfig{
+		Replication: replication.Config{
+			Style:           style,
+			CheckpointEvery: ckptEvery,
+			Model:           c.net.CostModel(),
+			State:           app,
+			Observer:        obs,
+		},
+		Trace: trace.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Register("Counter", app)
+	c.nodes = append(c.nodes, node)
+	c.apps = append(c.apps, app)
+	return node, app
 }
 
 func (c *cluster) waitGroupSize(t *testing.T, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ok := 0
-		for _, node := range c.nodes {
-			if c.net.Crashed(node.Addr()) {
-				continue
+	if err := c.group.WaitSize(want, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// await fails the test unless pred comes to hold of the live replicas'
+// progress records within timeout.
+func (c *cluster) await(t *testing.T, timeout time.Duration, pred func(map[string]replication.Stats) bool) {
+	t.Helper()
+	if err := c.group.Await(timeout, pred); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allStyle is an Await predicate: every live replica runs style.
+func allStyle(style replication.Style) func(map[string]replication.Stats) bool {
+	return func(recs map[string]replication.Stats) bool {
+		for _, r := range recs {
+			if r.Style != style {
+				return false
 			}
-			v, err := node.Member().View()
-			if err == nil && len(v.Members) == want {
-				ok++
-			}
 		}
-		alive := 0
-		for _, node := range c.nodes {
-			if !c.net.Crashed(node.Addr()) {
-				alive++
-			}
-		}
-		if ok == alive && alive > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("group did not converge to %d members", want)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return true
 	}
 }
 
@@ -253,13 +259,10 @@ func TestActiveReplicationBasic(t *testing.T) {
 		vt = out.DoneVT
 	}
 	// Every replica executed every request (state-machine replication).
-	deadline := time.Now().Add(3 * time.Second)
+	c.await(t, 3*time.Second, replicator.CaughtUp)
 	for _, app := range c.apps {
-		for app.value("x") != 10 {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica state = %d, want 10", app.value("x"))
-			}
-			time.Sleep(5 * time.Millisecond)
+		if got := app.value("x"); got != 10 {
+			t.Fatalf("replica state = %d, want 10", got)
 		}
 	}
 	for _, node := range c.nodes {
@@ -316,7 +319,10 @@ func TestWarmPassivePrimaryExecutesBackupsLog(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	time.Sleep(100 * time.Millisecond)
+	// The backups hold the state of the last checkpoint (request 8).
+	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
+		return replicator.CaughtUp(recs) && c.apps[1].value("x") >= 8
+	})
 	prim := c.nodes[0].Engine().StatsSnapshot()
 	if prim.Role != replication.RolePrimary || prim.RequestsExecuted != 10 {
 		t.Fatalf("primary stats: %+v", prim)
@@ -434,22 +440,7 @@ func TestSwitchPassiveToActiveUnderTraffic(t *testing.T) {
 			t.Fatalf("result %d = %d; switch broke linearity", i, got)
 		}
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		allActive := true
-		for _, node := range c.nodes {
-			if node.Engine().Style() != replication.Active {
-				allActive = false
-			}
-		}
-		if allActive {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("switch never completed at all replicas")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.Active))
 	dones := obs.find(replication.NoticeSwitchDone)
 	if len(dones) < 3 {
 		t.Fatalf("switch-done notices = %d, want >= 3", len(dones))
@@ -483,12 +474,9 @@ func TestSwitchActiveToPassiveUnderTraffic(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	time.Sleep(200 * time.Millisecond)
-	for _, node := range c.nodes {
-		if got := node.Engine().Style(); got != replication.WarmPassive {
-			t.Fatalf("%s style = %v", node.Addr(), got)
-		}
-	}
+	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
+		return allStyle(replication.WarmPassive)(recs) && replicator.CaughtUp(recs)
+	})
 	// After the switch only the primary executes.
 	exec0 := c.nodes[0].Engine().StatsSnapshot().RequestsExecuted
 	exec1 := c.nodes[1].Engine().StatsSnapshot().RequestsExecuted
@@ -531,18 +519,7 @@ func TestSwitchSurvivesPrimaryCrashMidSwitch(t *testing.T) {
 	if got := out.Results[0].Int; got != 9 {
 		t.Fatalf("post-crash add returned %d, want 9 (log replay lost state?)", got)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		s1 := c.nodes[1].Engine().Style()
-		s2 := c.nodes[2].Engine().Style()
-		if s1 == replication.Active && s2 == replication.Active {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors stuck: styles %v %v", s1, s2)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.Active))
 }
 
 func TestJoinerReceivesStateTransfer(t *testing.T) {
@@ -561,29 +538,15 @@ func TestJoinerReceivesStateTransfer(t *testing.T) {
 	}
 
 	// Add a third replica at runtime (the #replicas knob moving up).
-	ep, err := net.Endpoint("rz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := newCounterApp()
-	node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-		Seeds: c.members(),
-		Replication: replication.Config{
-			Style: replication.Active,
-			Model: net.CostModel(),
-			State: app,
-		},
-	})
-	node.Register("Counter", app)
-	t.Cleanup(node.Stop)
+	_, app := c.add(t, "rz", c.members(), replication.Active, 0, nil)
 
 	// The joiner must converge to the pre-join state plus new traffic.
-	deadline := time.Now().Add(5 * time.Second)
-	for app.value("x") < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("joiner state = %d, want >= 6", app.value("x"))
-		}
-		time.Sleep(10 * time.Millisecond)
+	settled := func(recs map[string]replication.Stats) bool {
+		return len(recs) == 3 && replicator.CaughtUp(recs)
+	}
+	c.await(t, 5*time.Second, settled)
+	if got := app.value("x"); got != 6 {
+		t.Fatalf("joiner state = %d, want 6", got)
 	}
 	out, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt)
 	if err != nil {
@@ -592,12 +555,9 @@ func TestJoinerReceivesStateTransfer(t *testing.T) {
 	if got := out.Results[0].Int; got != 7 {
 		t.Fatalf("post-join add returned %d", got)
 	}
-	deadline = time.Now().Add(3 * time.Second)
-	for app.value("x") != 7 {
-		if time.Now().After(deadline) {
-			t.Fatalf("joiner missed post-join traffic: %d", app.value("x"))
-		}
-		time.Sleep(10 * time.Millisecond)
+	c.await(t, 3*time.Second, settled)
+	if got := app.value("x"); got != 7 {
+		t.Fatalf("joiner missed post-join traffic: %d", got)
 	}
 }
 
@@ -656,13 +616,7 @@ func TestAdaptivePolicySwitchesOnRate(t *testing.T) {
 		invoke(vt)
 		vt = vt.Add(vtime.Millisecond)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for nodes[0].Engine().Style() != replication.Active {
-		if time.Now().After(deadline) {
-			t.Fatalf("high rate did not trigger switch to active (style %v)", nodes[0].Engine().Style())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.Active))
 
 	// Low-rate phase: requests 10ms apart (100 req/s) — switch back once
 	// the engine's 32-request rate window is mostly low-rate stamps.
@@ -670,11 +624,5 @@ func TestAdaptivePolicySwitchesOnRate(t *testing.T) {
 		invoke(vt)
 		vt = vt.Add(10 * vtime.Millisecond)
 	}
-	deadline = time.Now().Add(3 * time.Second)
-	for nodes[0].Engine().Style() != replication.WarmPassive {
-		if time.Now().After(deadline) {
-			t.Fatalf("low rate did not trigger switch back (style %v)", nodes[0].Engine().Style())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.WarmPassive))
 }

@@ -93,14 +93,8 @@ func TestServantMayScribbleOnItsArguments(t *testing.T) {
 		vt = out.DoneVT
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
+	c.await(t, 10*time.Second, replicator.CaughtUp)
 	for i, app := range apps {
-		for len(app.sums()) < requests {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %d executed %d of %d requests", i, len(app.sums()), requests)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
 		got := app.sums()
 		if len(got) != requests {
 			t.Fatalf("replica %d executed %d requests, want %d", i, len(got), requests)
@@ -234,19 +228,21 @@ func TestSecondSendsCopy(t *testing.T) {
 			}
 			done <- err
 		}()
-		waitFor(t, "ORB retry in a buffer of its own", func() bool { return len(clientLog.sent("ra", carries(request))) >= 2 })
+		// The retry reaches the replicas as a duplicate, which the replying
+		// replicas answer from the reply cache.
+		c.await(t, 10*time.Second, func(recs map[string]replication.Stats) bool {
+			return recs["ra"].RepliesResent > 0
+		})
+		if n := len(clientLog.sent("ra", carries(request))); n < 2 {
+			t.Fatalf("the request went out %d times, want a retry", n)
+		}
 		net.SetLink("*", "client", transport.Rule{})
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "reply-cache resend in a buffer of its own", func() bool {
-			for _, l := range logs {
-				if len(l.sent("client", carries(reply))) >= 2 {
-					return true
-				}
-			}
-			return false
-		})
+		if n := len(logs[0].sent("client", carries(reply))); n < 2 {
+			t.Fatalf("ra sent the reply %d times, want a resend from the cache", n)
+		}
 		for i, l := range append(logs, clientLog) {
 			l.checkUnwritten(t, fmt.Sprintf("endpoint %d", i))
 		}
@@ -274,17 +270,19 @@ func TestSecondSendsCopy(t *testing.T) {
 			// What the checkpoint carrying this state starts with: its
 			// kind, an empty request, the state.
 			head := replication.Encode(&replication.Msg{Kind: replication.KindState, State: state})[:1+4+4+len(state)]
-			got := map[string][]byte{} // backup -> the message sent to it, and what follows
-			waitFor(t, fmt.Sprintf("checkpoint %d at both backups", i), func() bool {
-				for _, l := range logs {
-					for _, to := range c.members() {
-						for _, f := range l.sent(to, func(f []byte) bool { return bytes.Contains(f, head) }) {
-							got[to] = f[bytes.Index(f, head):]
-						}
-					}
-				}
-				return len(got) == 2
+			// Both backups have applied the checkpoint.
+			c.await(t, 10*time.Second, func(recs map[string]replication.Stats) bool {
+				return recs["rb"].Executed == recs["ra"].Executed && recs["rc"].Executed == recs["ra"].Executed
 			})
+			got := map[string][]byte{} // backup -> the message sent to it, and what follows
+			for _, to := range c.members() {
+				for _, f := range logs[0].sent(to, func(f []byte) bool { return bytes.Contains(f, head) }) {
+					got[to] = f[bytes.Index(f, head):]
+				}
+			}
+			if len(got) != 2 {
+				t.Fatalf("checkpoint %d went to %d backups, want 2", i, len(got))
+			}
 			var first []byte
 			for to, b := range got {
 				m, err := replication.Decode(b)
@@ -306,16 +304,4 @@ func TestSecondSendsCopy(t *testing.T) {
 			l.checkUnwritten(t, fmt.Sprintf("replica %d", i))
 		}
 	})
-}
-
-// waitFor polls cond for up to ten seconds and fails t if it never holds.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("no %s within 10 s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }

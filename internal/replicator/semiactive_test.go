@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"versadep/internal/replication"
+	"versadep/internal/replicator"
 	"versadep/internal/simnet"
 	"versadep/internal/vtime"
 )
@@ -26,7 +27,7 @@ func TestSemiActiveOnlyLeaderReplies(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.await(t, 3*time.Second, replicator.CaughtUp)
 	// Every replica executed everything (hot followers)...
 	for i, node := range c.nodes {
 		st := node.Engine().StatsSnapshot()
@@ -61,17 +62,11 @@ func TestSemiActiveUsesLessBandwidthThanActive(t *testing.T) {
 			vt = out.DoneVT
 		}
 		// The client returns on the first reply; the other replicas' replies
-		// to the last requests may still be on their way out. Heartbeats and
-		// acks are control sends and not accounted, so the count settles.
-		bytes := net.Stats().BytesSent
-		for {
-			time.Sleep(20 * time.Millisecond)
-			next := net.Stats().BytesSent
-			if next == bytes {
-				return bytes
-			}
-			bytes = next
-		}
+		// to the last requests may still be on their way out. A reply leaves
+		// inside the execution that makes it, so once every replica has
+		// caught up the count is final.
+		c.await(t, 3*time.Second, replicator.CaughtUp)
+		return net.Stats().BytesSent
 	}
 	active := run(replication.Active)
 	semi := run(replication.SemiActive)
@@ -132,22 +127,7 @@ func TestSwitchActiveToSemiActiveInstant(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		ok := true
-		for _, n := range c.nodes {
-			if n.Engine().Style() != replication.SemiActive {
-				ok = false
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("A->SA switch never completed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.SemiActive))
 }
 
 func TestSwitchWarmPassiveToSemiActive(t *testing.T) {
@@ -172,19 +152,11 @@ func TestSwitchWarmPassiveToSemiActive(t *testing.T) {
 		}
 		vt = out.DoneVT
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for c.nodes[2].Engine().Style() != replication.SemiActive {
-		if time.Now().After(deadline) {
-			t.Fatalf("WP->SA switch stuck at %v", c.nodes[2].Engine().Style())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	// After completion, the erstwhile backups execute everything.
-	deadline = time.Now().Add(3 * time.Second)
-	for c.apps[2].value("x") != 24 {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower state = %d after switch, want 24", c.apps[2].value("x"))
-		}
-		time.Sleep(10 * time.Millisecond)
+	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
+		return allStyle(replication.SemiActive)(recs) && replicator.CaughtUp(recs)
+	})
+	if got := c.apps[2].value("x"); got != 24 {
+		t.Fatalf("follower state = %d after switch, want 24", got)
 	}
 }

@@ -70,22 +70,7 @@ func TestSwitchSpanMatchesDelayCounter(t *testing.T) {
 		vt = out.DoneVT
 	}
 	c.nodes[0].Engine().RequestSwitch(replication.Active, vt)
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		done := 0
-		for _, n := range c.nodes {
-			if n.Engine().Style() == replication.Active {
-				done++
-			}
-		}
-		if done == len(c.nodes) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("switch incomplete: %d/%d replicas active", done, len(c.nodes))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.Active))
 
 	snaps := make([]trace.Snapshot, 0, len(c.nodes))
 	for i, n := range c.nodes {
@@ -164,14 +149,7 @@ func TestViewChangeLeavesNoOpenSpans(t *testing.T) {
 	if _, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt); err != nil {
 		t.Fatalf("invoke after mid-switch crash: %v", err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for c.nodes[1].Engine().Style() != replication.Active ||
-		c.nodes[2].Engine().Style() != replication.Active {
-		if time.Now().After(deadline) {
-			t.Fatal("survivors never finished the aborted switch")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.await(t, 3*time.Second, allStyle(replication.Active))
 
 	var snaps []trace.Snapshot
 	for i, n := range c.nodes[1:] {

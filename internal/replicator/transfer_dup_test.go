@@ -22,7 +22,8 @@ func TestTransferIdempotentUnderFullDuplication(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(4177))
 	defer net.Close()
 	const pad = 32 << 10
-	ra, app := startTransferPair(t, net, pad)
+	g := startTransferPair(t, net, pad)
+	ra := g.ra
 
 	base := ra.TraceSnapshot()
 	baseSent := base.Get(trace.SubReplication, "transfer_bytes_sent")
@@ -32,9 +33,9 @@ func TestTransferIdempotentUnderFullDuplication(t *testing.T) {
 	// sequenced traffic, chunks, acks and resume tokens alike.
 	faults.SetLink("*", "*", transport.Rule{Dup: 1.0})(net)
 
-	joiner, jApp := startJoiner(t, net, "rz", nil)
-	waitSynced(t, joiner)
-	waitEqualState(t, app, jApp, "joiner under full duplication")
+	_, jApp := g.join(t, "rz", nil)
+	g.waitSynced(t, "rz")
+	g.waitEqualState(t, "rz", jApp, "joiner under full duplication")
 
 	if dups := net.Stats().MessagesDuplicated; dups == 0 {
 		t.Fatal("duplication fault never fired")
@@ -61,6 +62,7 @@ func TestTransferIdempotentUnderFullDuplication(t *testing.T) {
 	// And the group must still be healthy enough to make progress: clear
 	// the fault and let the joiner participate in a fresh view.
 	faults.SetLink("*", "*", transport.Rule{})(net)
-	waitViewSize(t, ra, 3)
-	time.Sleep(50 * time.Millisecond)
+	if err := g.WaitSize(3, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 }

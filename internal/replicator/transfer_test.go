@@ -130,77 +130,79 @@ func transferCfg(app *blobApp, obs func(replication.Notice)) replication.Config 
 	}
 }
 
+// xferGroup is the replica group of a transfer test: ra holds the state,
+// and every other replica receives it through the chunked path at join.
+type xferGroup struct {
+	*replicator.Group
+	net *simnet.Network
+	ra  *replicator.ReplicaNode
+	app *blobApp // ra's state
+}
+
 // startTransferPair boots a two-node group (ra holds padBytes of state; rb
 // receives it through the chunked path at join).
-func startTransferPair(t *testing.T, net *simnet.Network, padBytes int) (primary *replicator.ReplicaNode, app *blobApp) {
+func startTransferPair(t *testing.T, net *simnet.Network, padBytes int) *xferGroup {
 	t.Helper()
-	app = newBlobApp(padBytes)
-	model := net.CostModel()
-
-	epA, err := net.Endpoint("ra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgA := transferCfg(app, nil)
-	cfgA.Model = model
-	ra := replicator.StartReplica(epA, replicator.ReplicaConfig{GCS: patientGCS(), Replication: cfgA, Trace: trace.New()})
-	ra.Register("Counter", app)
-	t.Cleanup(ra.Stop)
-
-	epB, err := net.Endpoint("rb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	appB := newBlobApp(0)
-	cfgB := transferCfg(appB, nil)
-	cfgB.Model = model
-	rb := replicator.StartReplica(epB, replicator.ReplicaConfig{Seeds: []string{"ra"}, GCS: patientGCS(), Replication: cfgB, Trace: trace.New()})
-	rb.Register("Counter", appB)
-	t.Cleanup(rb.Stop)
-
-	waitViewSize(t, ra, 2)
-	waitSynced(t, rb)
-	return ra, app
+	g := &xferGroup{Group: replicator.NewGroup(replicator.SimFabric(net)), net: net, app: newBlobApp(padBytes)}
+	t.Cleanup(g.Close)
+	g.ra = g.add(t, "ra", nil, g.app, nil)
+	g.add(t, "rb", []string{"ra"}, newBlobApp(0), nil)
+	g.waitSynced(t, "rb")
+	return g
 }
 
-func waitSynced(t *testing.T, node *replicator.ReplicaNode) {
+// add starts a replica holding app, joining through seeds.
+func (g *xferGroup) add(t *testing.T, addr string, seeds []string, app *blobApp, obs func(replication.Notice)) *replicator.ReplicaNode {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for !node.Engine().StatsSnapshot().Synced {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never reached Synced", node.Addr())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func waitEqualState(t *testing.T, want, got *blobApp, what string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !bytes.Equal(want.State(), got.State()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: state hash never converged (want %d bytes, got %d)",
-				what, len(want.State()), len(got.State()))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func startJoiner(t *testing.T, net *simnet.Network, addr string, obs func(replication.Notice)) (*replicator.ReplicaNode, *blobApp) {
-	t.Helper()
-	ep, err := net.Endpoint(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := newBlobApp(0)
 	cfg := transferCfg(app, obs)
-	cfg.Model = net.CostModel()
-	node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-		Seeds: []string{"ra", "rb"}, GCS: patientGCS(), Replication: cfg, Trace: trace.New(),
-	})
+	cfg.Model = g.net.CostModel()
+	node, err := g.Add(addr, seeds, replicator.ReplicaConfig{GCS: patientGCS(), Replication: cfg, Trace: trace.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	node.Register("Counter", app)
-	t.Cleanup(node.Stop)
-	return node, app
+	return node
+}
+
+// join starts an empty replica at addr that joins through ra and rb.
+func (g *xferGroup) join(t *testing.T, addr string, obs func(replication.Notice)) (*replicator.ReplicaNode, *blobApp) {
+	t.Helper()
+	app := newBlobApp(0)
+	return g.add(t, addr, []string{"ra", "rb"}, app, obs), app
+}
+
+// waitSynced waits until the replica at addr is synced in a view of every
+// live replica and no transfer is pending anywhere: the joiner holds its
+// state, and the leader has had the joiner's last ack.
+func (g *xferGroup) waitSynced(t *testing.T, addr string) {
+	t.Helper()
+	if err := g.Await(15*time.Second, func(recs map[string]replication.Stats) bool {
+		if j, ok := recs[addr]; !ok || !j.Synced || j.Members != len(recs) {
+			return false
+		}
+		for _, r := range recs {
+			if r.Transferring {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("%s never synced: %v", addr, err)
+	}
+}
+
+// waitEqualState waits until the replica at addr has executed as far as ra,
+// then requires its state, app, to be ra's byte for byte.
+func (g *xferGroup) waitEqualState(t *testing.T, addr string, app *blobApp, what string) {
+	t.Helper()
+	if err := g.Await(10*time.Second, func(recs map[string]replication.Stats) bool {
+		return recs[addr].Synced && recs[addr].Executed == recs["ra"].Executed
+	}); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if want, got := g.app.State(), app.State(); !bytes.Equal(want, got) {
+		t.Fatalf("%s: state differs (want %d bytes, got %d)", what, len(want), len(got))
+	}
 }
 
 func TestTransferResumesAfterPartitionHeal(t *testing.T) {
@@ -211,7 +213,8 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	// state hash identical to the primary's.
 	net := simnet.New(simnet.WithSeed(3301))
 	defer net.Close()
-	ra, app := startTransferPair(t, net, 64<<10)
+	g := startTransferPair(t, net, 64<<10)
+	ra, app := g.ra, g.app
 	cl := startTestClient(t, net, "client", []string{"ra", "rb"})
 
 	var vt vtime.Time
@@ -238,7 +241,7 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 			})
 		}
 	}
-	joiner, jApp := startJoiner(t, net, "rz", obs)
+	joiner, jApp := g.join(t, "rz", obs)
 
 	select {
 	case <-partitioned:
@@ -255,14 +258,9 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	sentAtHeal := ra.TraceSnapshot().Get(trace.SubReplication, "transfer_bytes_sent")
 	faults.HealAddr("rz")(net)
 
-	waitSynced(t, joiner)
-	// The joiner is synced once it holds the last chunk; the leader counts
-	// the transfer complete once the ack for it has travelled back.
+	// The wait ends once the leader has the ack for the last chunk too.
+	g.waitSynced(t, "rz")
 	snap := ra.TraceSnapshot()
-	for deadline := time.Now().Add(5 * time.Second); snap.Get(trace.SubReplication, "transfer_completes") < 2 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-		snap = ra.TraceSnapshot()
-	}
 	resentAfterHeal := snap.Get(trace.SubReplication, "transfer_bytes_sent") - sentAtHeal
 	if resentAfterHeal <= 0 {
 		t.Fatal("no bytes sent after heal; transfer finished before the partition?")
@@ -279,7 +277,7 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	}
 
 	// Identical state hash: the joiner holds exactly the primary's bytes.
-	waitEqualState(t, app, jApp, "joiner after resume")
+	g.waitEqualState(t, "rz", jApp, "joiner after resume")
 
 	// The resume was visible at the protocol level: a Resumed notice with a
 	// non-zero cursor (the transfer did not restart from chunk 0).
@@ -308,7 +306,8 @@ func TestTransferMonotonicAcrossRepeatedInterruptions(t *testing.T) {
 	// joiner still converges to the primary's exact state.
 	net := simnet.New(simnet.WithSeed(3307))
 	defer net.Close()
-	ra, app := startTransferPair(t, net, 64<<10)
+	g := startTransferPair(t, net, 64<<10)
+	ra := g.ra
 
 	// The observer cuts the link synchronously as the cursor crosses each
 	// threshold — polling from the test goroutine would race a transfer
@@ -329,7 +328,7 @@ func TestTransferMonotonicAcrossRepeatedInterruptions(t *testing.T) {
 			idx++
 		}
 	}
-	joiner, jApp := startJoiner(t, net, "rz", obs)
+	joiner, jApp := g.join(t, "rz", obs)
 
 	for cycle := 0; cycle < len(cutAt); cycle++ {
 		select {
@@ -343,8 +342,8 @@ func TestTransferMonotonicAcrossRepeatedInterruptions(t *testing.T) {
 		}
 		faults.HealAddr("rz")(net)
 	}
-	waitSynced(t, joiner)
-	waitEqualState(t, app, jApp, "joiner after three interruptions")
+	g.waitSynced(t, "rz")
+	g.waitEqualState(t, "rz", jApp, "joiner after three interruptions")
 
 	// Monotonic convergence: one serial end to end, cursor non-decreasing.
 	serials := map[uint64]bool{}
@@ -370,7 +369,8 @@ func TestConcurrentJoinersUnderPolicyController(t *testing.T) {
 	// not cross-talk (distinct per-joiner transfer traces, both applied).
 	net := simnet.New(simnet.WithSeed(3313))
 	defer net.Close()
-	ra, app := startTransferPair(t, net, 16<<10)
+	g := startTransferPair(t, net, 16<<10)
+	ra := g.ra
 
 	var mu sync.Mutex
 	var joiners []*replicator.ReplicaNode
@@ -384,28 +384,11 @@ func TestConcurrentJoinersUnderPolicyController(t *testing.T) {
 		}
 		addr := fmt.Sprintf("rx%d", spawned)
 		spawned++
-		ep, err := net.Endpoint(addr)
-		if err != nil {
-			return err
-		}
 		japp := newBlobApp(0)
-		cfg := transferCfg(japp, nil)
-		cfg.Model = net.CostModel()
-		node := replicator.StartReplica(ep, replicator.ReplicaConfig{
-			Seeds: seeds, GCS: patientGCS(), Replication: cfg, Trace: trace.New(),
-		})
-		node.Register("Counter", japp)
-		joiners = append(joiners, node)
+		joiners = append(joiners, g.add(t, addr, seeds, japp, nil))
 		apps = append(apps, japp)
 		return nil
 	}
-	t.Cleanup(func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, j := range joiners {
-			j.Stop()
-		}
-	})
 
 	ctrl := policy.New(policy.Config{
 		Policies: []policy.Policy{fixedReplicas{4}},
@@ -424,14 +407,16 @@ func TestConcurrentJoinersUnderPolicyController(t *testing.T) {
 		t.Fatalf("controller spawned %d joiners, want 2", n)
 	}
 
-	waitViewSize(t, ra, 4)
+	if err := g.WaitSize(4, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	js := append([]*replicator.ReplicaNode(nil), joiners...)
 	as := append([]*blobApp(nil), apps...)
 	mu.Unlock()
 	for i, j := range js {
-		waitSynced(t, j)
-		waitEqualState(t, app, as[i], j.Addr())
+		g.waitSynced(t, j.Addr())
+		g.waitEqualState(t, j.Addr(), as[i], j.Addr())
 	}
 
 	// Both transfers completed and their causal traces are distinct — one
@@ -484,7 +469,8 @@ func TestTransferSurvivesLossBurst(t *testing.T) {
 	// completes once the burst passes.
 	net := simnet.New(simnet.WithSeed(3319))
 	defer net.Close()
-	ra, app := startTransferPair(t, net, 32<<10)
+	g := startTransferPair(t, net, 32<<10)
+	ra := g.ra
 
 	var burst sync.Once
 	fired := make(chan struct{})
@@ -499,15 +485,15 @@ func TestTransferSurvivesLossBurst(t *testing.T) {
 			})
 		}
 	}
-	joiner, jApp := startJoiner(t, net, "rz", obs)
+	_, jApp := g.join(t, "rz", obs)
 
 	select {
 	case <-fired:
 	case <-time.After(10 * time.Second):
 		t.Fatal("transfer never reached chunk 8")
 	}
-	waitSynced(t, joiner)
-	waitEqualState(t, app, jApp, "joiner after loss burst")
+	g.waitSynced(t, "rz")
+	g.waitEqualState(t, "rz", jApp, "joiner after loss burst")
 	if got := ra.TraceSnapshot().Get(trace.SubReplication, "transfer_completes"); got < 2 {
 		t.Fatalf("transfer_completes = %d", got)
 	}
