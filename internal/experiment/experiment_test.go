@@ -341,9 +341,9 @@ func TestBandwidthCapStretchesCheckpoints(t *testing.T) {
 		t.Fatalf("bandwidth %.4f MB/s is not over the cap", s.BandwidthMBs())
 	}
 	// The retune rides the agreed stream; its delivery is a progress move.
-	if err := s.group.Await(2*time.Second, func(map[string]replication.Stats) bool {
-		for _, n := range s.group.Live() {
-			if n.Engine().CheckpointEvery() != 10 {
+	if err := s.group.Await(2*time.Second, func(recs map[string]replication.Stats) bool {
+		for _, st := range recs {
+			if st.CheckpointEvery != 10 {
 				return false
 			}
 		}

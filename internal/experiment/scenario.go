@@ -273,7 +273,8 @@ func (s *Scenario) Grow() (string, error) {
 		return "", fmt.Errorf("experiment: no live replica to seed a join from")
 	}
 	ref := live[0]
-	return s.addReplica(ref.Engine().Style(), ref.Engine().CheckpointEvery(), []string{ref.Addr()})
+	st := ref.Engine().StatsSnapshot()
+	return s.addReplica(st.Style, st.CheckpointEvery, []string{ref.Addr()})
 }
 
 // Retire gracefully removes addr from the group ("" retires the
@@ -296,7 +297,7 @@ func (s *Scenario) Retire(addr string, vt vtime.Time) error {
 // Style reports the current style at the first live replica.
 func (s *Scenario) Style() replication.Style {
 	if live := s.group.Live(); len(live) > 0 {
-		return live[0].Engine().Style()
+		return live[0].Engine().StatsSnapshot().Style
 	}
 	return 0
 }

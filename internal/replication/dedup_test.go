@@ -272,10 +272,20 @@ func TestLateRequestExecutesOnceAndIsAnswered(t *testing.T) {
 	rec := trace.New()
 	net := simnet.New(simnet.WithSeed(3))
 	t.Cleanup(func() { net.Close() })
-	e, _ := startEngineOn(t, net, "r1", Config{Style: Active, Trace: rec})
+	viewed := make(chan struct{})
+	var once sync.Once
+	e, _ := startEngineOn(t, net, "r1", Config{Style: Active, Trace: rec, Observer: func(n Notice) {
+		if n.Kind == NoticeView {
+			once.Do(func() { close(viewed) })
+		}
+	}})
 	servant := &countingServant{count: map[int64]int{}}
 	e.adapter.Register("ctr", servant)
-	waitPrimary(t, e)
+	select {
+	case <-viewed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the engine never installed its bootstrap view")
+	}
 
 	ep, err := net.Endpoint("c1")
 	if err != nil {
@@ -354,58 +364,56 @@ func TestLateRequestExecutesOnceAndIsAnswered(t *testing.T) {
 // duplicate at or below the mark that has no reply to resend is counted.
 func TestCheckpointCacheResetsRecordsInPlace(t *testing.T) {
 	rec := trace.New()
-	e, _ := startEngine(t, "r1", Config{Style: Active, Trace: rec})
+	e, _ := portEngine(t, "r1", Config{Style: Active, Trace: rec})
 	e.adapter.Register("ctr", &countingServant{count: map[int64]int{}})
-	waitPrimary(t, e)
+	e.step(viewEvent(1, "r1"))
 
 	deliver := func(cid string, rid uint64) {
-		e.handleRequest(gcs.Event{Kind: gcs.EventMessage, Sender: cid}, &Msg{Kind: KindRequest, Viop: requestBytes(cid, rid)})
+		e.step(gcs.Event{Kind: gcs.EventMessage, Sender: cid, Payload: WrapRequest(requestBytes(cid, rid))})
 	}
-	e.do(func() {
-		for _, rid := range []uint64{1, 2, 3, 7, 5} {
-			deliver("c1", rid)
-		}
-		deliver("c2", 1)
-		c1, c2 := e.clients["c1"], e.clients["c2"]
+	for _, rid := range []uint64{1, 2, 3, 7, 5} {
+		deliver("c1", rid)
+	}
+	deliver("c2", 1)
+	c1, c2 := e.clients["c1"], e.clients["c2"]
 
-		cache := e.captureCache()
-		if len(cache) != 2 {
-			t.Fatalf("captured %d entries, want one per client: %+v", len(cache), cache)
+	cache := e.captureCache()
+	if len(cache) != 2 {
+		t.Fatalf("captured %d entries, want one per client: %+v", len(cache), cache)
+	}
+	for _, c := range cache {
+		want := map[string]uint64{"c1": 7, "c2": 1}[c.Client]
+		if _, rid, err := orb.PeekReplyID(c.Reply); c.ReqID != want || err != nil || rid != want {
+			t.Errorf("captured %s: ReqID %d with the reply to %d (%v), want %d", c.Client, c.ReqID, rid, err, want)
 		}
-		for _, c := range cache {
-			want := map[string]uint64{"c1": 7, "c2": 1}[c.Client]
-			if _, rid, err := orb.PeekReplyID(c.Reply); c.ReqID != want || err != nil || rid != want {
-				t.Errorf("captured %s: ReqID %d with the reply to %d (%v), want %d", c.Client, c.ReqID, rid, err, want)
-			}
-		}
+	}
 
-		e.setCache([]CacheEntry{{Client: "c1", ReqID: 6, Reply: []byte("six")}})
-		if e.clients["c1"] != c1 || e.clients["c2"] != c2 {
-			t.Error("installing a checkpoint cache replaced the records")
-		}
-		if c1.floor != 6 || c1.high != 6 || c1.bits != [dedupWindow / 64]uint64{} {
-			t.Errorf("c1 after install: floor %d high %d, or bits left set", c1.floor, c1.high)
-		}
-		if got, ok := c1.reply(6); !ok || string(got) != "six" {
-			t.Errorf("c1 reply(6) = %q, %v", got, ok)
-		}
-		if _, ok := c1.reply(7); ok || c1.executed(7) {
-			t.Error("c1 still remembers rid 7, which the checkpoint does not cover")
-		}
-		if c2.floor != 0 || c2.high != 0 || c2.executed(1) {
-			t.Errorf("c2 is not in the checkpoint but kept floor %d high %d", c2.floor, c2.high)
-		}
-		if _, ok := c2.reply(1); ok {
-			t.Error("c2 kept a reply the checkpoint does not carry")
-		}
+	e.setCache([]CacheEntry{{Client: "c1", ReqID: 6, Reply: []byte("six")}})
+	if e.clients["c1"] != c1 || e.clients["c2"] != c2 {
+		t.Error("installing a checkpoint cache replaced the records")
+	}
+	if c1.floor != 6 || c1.high != 6 || c1.bits != [dedupWindow / 64]uint64{} {
+		t.Errorf("c1 after install: floor %d high %d, or bits left set", c1.floor, c1.high)
+	}
+	if got, ok := c1.reply(6); !ok || string(got) != "six" {
+		t.Errorf("c1 reply(6) = %q, %v", got, ok)
+	}
+	if _, ok := c1.reply(7); ok || c1.executed(7) {
+		t.Error("c1 still remembers rid 7, which the checkpoint does not cover")
+	}
+	if c2.floor != 0 || c2.high != 0 || c2.executed(1) {
+		t.Errorf("c2 is not in the checkpoint but kept floor %d high %d", c2.floor, c2.high)
+	}
+	if _, ok := c2.reply(1); ok {
+		t.Error("c2 kept a reply the checkpoint does not carry")
+	}
 
-		executed := e.stats.RequestsExecuted
-		deliver("c1", 4) // at or below the mark, no reply retained
-		deliver("c1", 6) // the mark itself: answered from the cache
-		if e.stats.RequestsExecuted != executed {
-			t.Error("a request at or below the checkpoint's mark executed again")
-		}
-	})
+	executed := e.stats.RequestsExecuted
+	deliver("c1", 4) // at or below the mark, no reply retained
+	deliver("c1", 6) // the mark itself: answered from the cache
+	if e.stats.RequestsExecuted != executed {
+		t.Error("a request at or below the checkpoint's mark executed again")
+	}
 	if got := rec.Value(trace.SubReplication, "dedup_assumed"); got != 1 {
 		t.Errorf("dedup_assumed = %d, want 1", got)
 	}

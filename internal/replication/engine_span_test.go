@@ -2,25 +2,11 @@ package replication
 
 import (
 	"testing"
-	"time"
 
-	"versadep/internal/gcs"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
 )
-
-// waitPrimary blocks until the engine has processed its bootstrap view.
-func waitPrimary(t *testing.T, e *Engine) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for e.StatsSnapshot().Role != RolePrimary {
-		if time.Now().After(deadline) {
-			t.Fatal("engine never became primary of its singleton group")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 // The Figure 5 case-1 crash branch, driven event-by-event: a backup that
 // accepted a passive→active switch and is awaiting the old primary's
@@ -30,21 +16,13 @@ func waitPrimary(t *testing.T, e *Engine) {
 // the normal close in notify.
 func TestMidSwitchCrashClosesSwitchSpanWithFailoverNote(t *testing.T) {
 	rec := trace.New()
-	e, _ := startEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100, Trace: rec})
-	waitPrimary(t, e)
-
-	// Install a pretend two-member view in which a remote node "aa"
-	// outranks us: we are a synced backup of a warm-passive pair.
-	oldView := gcs.View{ID: 7, Members: []string{"aa", "mw"}}
-	if ok := e.do(func() {
-		e.view = oldView
-		e.synced = true
-		e.handleSwitch(
-			gcs.Event{Kind: gcs.EventMessage, Seq: 41, VTime: vtime.Time(1000 * vtime.Microsecond), View: oldView},
-			&Msg{Kind: KindSwitch, Style: Active})
-	}); !ok {
-		t.Fatal("engine stopped")
-	}
+	e, _ := portEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100, Trace: rec})
+	// A remote node "aa" outranks us: we are a synced backup of a
+	// warm-passive pair.
+	e.step(viewEvent(7, "aa", "mw"))
+	start := agreedEvent("aa", 41, &Msg{Kind: KindSwitch, Style: Active})
+	start.VTime = vtime.Time(1000 * vtime.Microsecond)
+	e.step(start)
 	if got := rec.Spans().OpenCount(); got != 1 {
 		t.Fatalf("open spans after SWITCH_START = %d, want 1 (the switch phase)", got)
 	}
@@ -52,14 +30,12 @@ func TestMidSwitchCrashClosesSwitchSpanWithFailoverNote(t *testing.T) {
 	// The primary crashes before its closing checkpoint: the view change
 	// that removes it is where the switch resolves.
 	crashVT := vtime.Time(5000 * vtime.Microsecond)
-	if ok := e.do(func() {
-		e.handleView(gcs.Event{Kind: gcs.EventView, View: gcs.View{ID: 8, Members: []string{"mw"}}, VTime: crashVT})
-	}); !ok {
-		t.Fatal("engine stopped")
-	}
+	crash := viewEvent(8, "mw")
+	crash.VTime = crashVT
+	e.step(crash)
 
-	if got := e.Style(); got != Active {
-		t.Fatalf("style after aborted switch = %v, want %v", got, Active)
+	if e.style != Active {
+		t.Fatalf("style after aborted switch = %v, want %v", e.style, Active)
 	}
 	snap := rec.Snapshot()
 	if snap.SpansOpen != 0 {

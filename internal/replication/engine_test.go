@@ -72,8 +72,8 @@ func engineOn(t *testing.T, m *gcs.Member, cfg Config) *Engine {
 
 // TestEngineStopConcurrent: the replica node's self-retire goroutine and a
 // harness shutdown may both stop the engine; neither may panic on a double
-// close of the stop channel, and getters must answer from the final snapshot
-// as soon as any Stop call has returned (run with -race).
+// close of the stop channel, and StatsSnapshot must answer with the last
+// state as soon as any Stop call has returned (run with -race).
 func TestEngineStopConcurrent(t *testing.T) {
 	e, _ := startEngine(t, "g1", Config{Style: WarmPassive, CheckpointEvery: 5})
 	var wg sync.WaitGroup
@@ -82,7 +82,7 @@ func TestEngineStopConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			e.Stop()
-			if got := e.CheckpointEvery(); got != 5 {
+			if got := e.StatsSnapshot().CheckpointEvery; got != 5 {
 				t.Errorf("CheckpointEvery right after Stop returned = %d, want 5", got)
 			}
 		}()
@@ -91,33 +91,15 @@ func TestEngineStopConcurrent(t *testing.T) {
 }
 
 // Regression: on the seed code every getter went through do(), which
-// silently no-ops once the engine is stopped, so Style/Role/StatsSnapshot/
-// CheckpointEvery all returned zero values after Stop. The engine must
-// retain a final snapshot instead.
+// silently no-ops once the engine is stopped, so the getters returned zero
+// values after Stop. StatsSnapshot must report the last state instead.
 func TestGettersSurviveStop(t *testing.T) {
-	e, _ := startEngine(t, "g1", Config{Style: WarmPassive, CheckpointEvery: 5})
-
-	// Wait until the engine has processed its bootstrap view.
-	deadline := time.Now().Add(2 * time.Second)
-	for e.StatsSnapshot().Role != RolePrimary {
-		if time.Now().After(deadline) {
-			t.Fatal("engine never became primary of its singleton group")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
+	e, _ := portEngine(t, "g1", Config{Style: WarmPassive, CheckpointEvery: 5})
+	runPort(t, e)(viewEvent(1, "g1"))
 	e.Stop()
 
-	if got := e.Style(); got != WarmPassive {
-		t.Fatalf("Style after Stop = %v, want %v", got, WarmPassive)
-	}
-	if got := e.StatsSnapshot().Role; got != RolePrimary {
-		t.Fatalf("Role after Stop = %v, want %v", got, RolePrimary)
-	}
-	if got := e.CheckpointEvery(); got != 5 {
-		t.Fatalf("CheckpointEvery after Stop = %d, want 5", got)
-	}
-	if got := e.StatsSnapshot(); got.Style != WarmPassive || got.Role != RolePrimary || !got.Synced {
+	if got := e.StatsSnapshot(); got.Style != WarmPassive || got.Role != RolePrimary || !got.Synced ||
+		got.CheckpointEvery != 5 || got.View != 1 {
 		t.Fatalf("StatsSnapshot after Stop = %+v", got)
 	}
 	// Mutators after Stop must return without hanging.
@@ -138,40 +120,27 @@ func TestGettersSurviveStop(t *testing.T) {
 // it too (Figure 5, step I), but a request sent then is one more agreed
 // message for every controller step of the switch window.
 func TestRequestSwitchDuringSwitchMulticastsNothing(t *testing.T) {
-	e, _ := startEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100})
-	waitPrimary(t, e)
+	e, p := portEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100})
+	feed := runPort(t, e)
+	// A synced backup of a warm-passive pair, with "aa" the primary.
+	feed(viewEvent(7, "aa", "mw"))
 
-	// A synced backup of a warm-passive pair accepts a switch to active and
-	// waits for the closing checkpoint of the primary "aa".
-	view := gcs.View{ID: 7, Members: []string{"aa", "mw"}}
-	e.do(func() {
-		e.view = view
-		e.handleSwitch(gcs.Event{Kind: gcs.EventMessage, Seq: 41, VTime: vtime.Time(vtime.Millisecond), View: view},
-			&Msg{Kind: KindSwitch, Style: Active})
-	})
-
-	// Stamped far past anything else in the run: a delivery of the request
-	// would carry the engine's clock past the stamp.
-	stamp := vtime.Time(3600 * vtime.Second)
-	e.RequestSwitch(ColdPassive, stamp)
-	// A member's own multicasts are delivered in the order it sent them, so
-	// once this later one is in, an earlier one would be in too.
-	e.SetCheckpointEvery(9, 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for e.CheckpointEvery() != 9 {
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint interval never delivered")
-		}
-		time.Sleep(2 * time.Millisecond)
+	e.RequestSwitch(ColdPassive, 0)
+	if got := p.take(KindSwitch); len(got) != 1 || got[0].to != "" || got[0].msg.Style != ColdPassive {
+		t.Fatalf("a switch requested with none in flight sent %+v, want one multicast", got)
 	}
-	var last vtime.Time
+
+	// It accepts a switch to active and waits for the primary's closing
+	// checkpoint.
+	feed(agreedEvent("aa", 41, &Msg{Kind: KindSwitch, Style: Active}))
+	e.RequestSwitch(ColdPassive, 0)
+	if got := p.take(KindSwitch); len(got) != 0 {
+		t.Fatalf("a switch requested mid-switch was multicast: %+v", got)
+	}
 	var switching bool
-	e.do(func() { last, switching = e.lastVT, e.switching != nil })
-	if !last.Before(stamp) {
-		t.Fatalf("a switch requested mid-switch was multicast (engine clock %v)", last)
-	}
-	if !switching || e.Style() != WarmPassive {
-		t.Fatalf("in-flight switch disturbed: switching=%v style=%v", switching, e.Style())
+	e.do(func() { switching = e.switching != nil })
+	if st := e.StatsSnapshot(); !switching || st.Style != WarmPassive {
+		t.Fatalf("in-flight switch disturbed: switching=%v style=%v", switching, st.Style)
 	}
 }
 
@@ -180,28 +149,16 @@ func TestRequestSwitchDuringSwitchMulticastsNothing(t *testing.T) {
 // by a newer completed checkpoint) must be pruned, not retained forever.
 func TestCheckpointOrphansPruned(t *testing.T) {
 	rec := trace.New()
-	e, _ := startEngine(t, "r1", Config{Style: WarmPassive, Trace: rec})
-
-	deadline := time.Now().Add(2 * time.Second)
-	for e.StatsSnapshot().Role != RolePrimary {
-		if time.Now().After(deadline) {
-			t.Fatal("engine never processed its bootstrap view")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	e, _ := portEngine(t, "r1", Config{Style: WarmPassive, Trace: rec})
+	e.step(viewEvent(2, "r1", "r2"))
 
 	// Superseded serial: an orphaned state half (serial 1, marker lost)
 	// must be dropped when serial 2 from the same sender completes. On the
 	// seed code it survived indefinitely.
-	e.do(func() {
-		e.view = gcs.View{ID: 2, Members: []string{"r1", "r2"}}
-		e.pendStates[ckptKey{"r2", 1}] = &Msg{Kind: KindState, State: []byte("old"), CkptSerial: 1}
-		e.pendMarkers[ckptKey{"r2", 2}] = &pendingMarker{msg: Msg{Kind: KindCheckpoint, CkptSerial: 2}}
-		e.pendStates[ckptKey{"r2", 2}] = &Msg{Kind: KindState, State: []byte("new"), CkptSerial: 2}
-		e.notePendingCkpts() // insertion sites normally record the gauge
-		e.tryApplyCheckpoint("r2", 2)
-	})
-	if n := e.PendingCheckpoints(); n != 0 {
+	e.step(directEvent("r2", &Msg{Kind: KindState, State: []byte("old"), CkptSerial: 1}))
+	e.step(agreedEvent("r2", 3, &Msg{Kind: KindCheckpoint, CkptSerial: 2}))
+	e.step(directEvent("r2", &Msg{Kind: KindState, State: []byte("new"), CkptSerial: 2}))
+	if n := len(e.pending); n != 0 {
 		t.Fatalf("pending checkpoint halves after superseding apply = %d, want 0", n)
 	}
 	if got := rec.Value(trace.SubReplication, "ckpt_orphans_pruned"); got != 1 {
@@ -213,18 +170,16 @@ func TestCheckpointOrphansPruned(t *testing.T) {
 
 	// Crash mid-checkpoint: r2's marker arrived, its state never will; the
 	// view change that removes r2 prunes the orphan.
-	e.do(func() {
-		e.pendMarkers[ckptKey{"r2", 3}] = &pendingMarker{msg: Msg{Kind: KindCheckpoint, CkptSerial: 3}}
-		e.handleView(gcs.Event{Kind: gcs.EventView, View: gcs.View{ID: 3, Members: []string{"r1"}}})
-	})
-	if n := e.PendingCheckpoints(); n != 0 {
+	e.step(agreedEvent("r2", 4, &Msg{Kind: KindCheckpoint, CkptSerial: 3}))
+	e.step(viewEvent(5, "r1"))
+	if n := len(e.pending); n != 0 {
 		t.Fatalf("pending checkpoint halves after crash view = %d, want 0", n)
 	}
 	if got := rec.Value(trace.SubReplication, "ckpt_orphans_pruned"); got != 2 {
 		t.Fatalf("ckpt_orphans_pruned = %d, want 2", got)
 	}
 	// The high-water gauge saw all three in-flight halves at once.
-	if got := rec.Value(trace.SubReplication, "pending_checkpoints"); got < 3 {
-		t.Fatalf("pending_checkpoints high-water = %d, want >= 3", got)
+	if got := rec.Value(trace.SubReplication, "pending_checkpoints"); got != 3 {
+		t.Fatalf("pending_checkpoints high-water = %d, want 3", got)
 	}
 }

@@ -8,7 +8,9 @@ package replication
 // "bookmark" checkpoint, splits it into ordered chunks, and streams them
 // point-to-point under a bounded send window. The joiner acks cumulative
 // contiguous progress, so after a network fault the leader resumes at the
-// (CkptSerial, ChunkIndex) cursor instead of re-sending everything.
+// (CkptSerial, ChunkIndex) cursor instead of re-sending everything. Both
+// ends share the checkpoint path's two halves (checkpoint.go): the
+// bookmark is a capture, and the assembled state goes through install.
 //
 // Invariants:
 //
@@ -49,15 +51,12 @@ const transferAbandonAfter = 30 * time.Second
 // partial state and courting the other members fresh.
 const transferNagPatience = 4
 
-// bookmark is a retained transfer checkpoint: the split state plus the
-// metadata a joiner needs to splice itself into the stream.
+// bookmark is a retained transfer checkpoint: the capture, with the
+// metadata a joiner needs to splice itself into the stream, and its state
+// split into chunks.
 type bookmark struct {
-	serial     uint64
-	chunks     [][]byte
-	size       int
-	coveredSeq uint64
-	cache      []CacheEntry
-	vt         vtime.Time
+	ckpt
+	chunks [][]byte
 }
 
 // outXfer is the leader's cursor for one joiner's in-flight transfer.
@@ -72,7 +71,6 @@ type outXfer struct {
 	resumes      int
 	lastProgress time.Time
 	lastSend     time.Time
-	startVT      vtime.Time
 }
 
 // inXfer is the joiner's reassembly state for one incoming transfer.
@@ -91,16 +89,9 @@ type inXfer struct {
 // splitChunks slices state into chunkBytes-sized pieces (at least one
 // chunk, so zero-length states still complete the protocol).
 func splitChunks(state []byte, chunkBytes int) [][]byte {
-	if chunkBytes <= 0 {
-		chunkBytes = 4096
-	}
 	var chunks [][]byte
 	for off := 0; off < len(state); off += chunkBytes {
-		end := off + chunkBytes
-		if end > len(state) {
-			end = len(state)
-		}
-		chunks = append(chunks, state[off:end])
+		chunks = append(chunks, state[off:min(off+chunkBytes, len(state))])
 	}
 	if len(chunks) == 0 {
 		chunks = [][]byte{{}}
@@ -115,22 +106,11 @@ func splitChunks(state []byte, chunkBytes int) [][]byte {
 // but it is not a periodic checkpoint: no agreed-stream marker, no
 // Stats.Checkpoints increment, no checkpoint-counter reset.
 func (e *Engine) captureBookmark(vt vtime.Time) *bookmark {
-	state := e.cfg.State.State()
-	cost := e.cfg.Model.CheckpointCost(len(state))
-	vt = e.cpu.Execute(vt, cost)
-
-	e.ckptSerial++
-	bm := &bookmark{
-		serial:     e.ckptSerial,
-		chunks:     splitChunks(state, e.cfg.TransferChunkBytes),
-		size:       len(state),
-		coveredSeq: e.lastExecSeq,
-		cache:      e.captureCache(),
-		vt:         vt,
-	}
+	bm := &bookmark{ckpt: e.capture(vt, 0)}
+	bm.chunks = splitChunks(bm.state, e.cfg.TransferChunkBytes)
 	e.bookmarks = append(e.bookmarks, bm)
 	e.pruneBookmarks()
-	e.tr.Event(trace.SubReplication, "bookmark", vt, int64(bm.serial))
+	e.tr.Event(trace.SubReplication, "bookmark", bm.vt, int64(bm.serial))
 	return bm
 }
 
@@ -141,19 +121,17 @@ const transferBookmarks = 3
 // pruneBookmarks drops the oldest bookmarks beyond the retention cap,
 // never evicting one pinned by an active transfer.
 func (e *Engine) pruneBookmarks() {
-	for len(e.bookmarks) > transferBookmarks {
-		evicted := false
-		for i, bm := range e.bookmarks {
-			if !e.bookmarkPinned(bm.serial) {
-				e.bookmarks = append(e.bookmarks[:i], e.bookmarks[i+1:]...)
-				evicted = true
-				break
-			}
+	excess := len(e.bookmarks) - transferBookmarks // pinned ones may stay over
+	kept := e.bookmarks[:0]
+	for _, bm := range e.bookmarks {
+		if excess > 0 && !e.bookmarkPinned(bm.serial) {
+			excess--
+			continue
 		}
-		if !evicted {
-			return // every bookmark is pinned; allow the excess
-		}
+		kept = append(kept, bm)
 	}
+	clear(e.bookmarks[len(kept):])
+	e.bookmarks = kept
 }
 
 func (e *Engine) bookmarkPinned(serial uint64) bool {
@@ -190,11 +168,9 @@ func (e *Engine) startTransfers(joiners []string, vt vtime.Time) {
 // offset and pumps the first window. resumed marks cursors restored from a
 // resume token rather than started fresh.
 func (e *Engine) beginTransfer(peer string, bm *bookmark, vt vtime.Time, from int, resumed bool) {
-	if from > len(bm.chunks) {
-		from = len(bm.chunks)
-	}
+	from = min(from, len(bm.chunks))
 	if old := e.xfers[peer]; old != nil {
-		e.endTransferSpan(old, vt, "superseded")
+		e.spans.End("transfer:"+old.peer, vt, "superseded")
 	}
 	x := &outXfer{
 		peer:         peer,
@@ -203,7 +179,6 @@ func (e *Engine) beginTransfer(peer string, bm *bookmark, vt vtime.Time, from in
 		next:         from,
 		sentHigh:     from,
 		lastProgress: time.Now(),
-		startVT:      vt,
 	}
 	e.xfers[peer] = x
 	e.cXferActive.Store(int64(len(e.xfers)))
@@ -211,7 +186,7 @@ func (e *Engine) beginTransfer(peer string, bm *bookmark, vt vtime.Time, from in
 	if resumed {
 		x.resumes++
 		e.cXferResumes.Inc()
-		e.cXferBytesResumed.Add(e.bytesBefore(bm, from))
+		e.cXferBytesResumed.Add(bm.bytesBefore(from))
 	}
 	if e.spans.On() {
 		e.spans.Begin("transfer:"+peer, span.NameKey(span.TransferTrace(e.Addr(), peer, bm.serial)),
@@ -224,22 +199,15 @@ func (e *Engine) beginTransfer(peer string, bm *bookmark, vt vtime.Time, from in
 	// joiner's final ack like any other; nothing special to do here.
 }
 
-// bytesBefore sums the chunk bytes a resume skips re-sending.
-func (e *Engine) bytesBefore(bm *bookmark, n int) int64 {
-	var total int64
-	for i := 0; i < n && i < len(bm.chunks); i++ {
-		total += int64(len(bm.chunks[i]))
-	}
-	return total
+// bytesBefore is the bytes of the first n chunks, which a resume at n skips
+// re-sending. Every chunk but the last is as long as the first.
+func (bm *bookmark) bytesBefore(n int) int64 {
+	return int64(min(n*len(bm.chunks[0]), len(bm.state)))
 }
 
 // pumpTransfer sends chunks up to the window limit past the acked cursor.
 func (e *Engine) pumpTransfer(x *outXfer, bm *bookmark, vt vtime.Time) {
-	window := e.cfg.TransferWindow
-	if window <= 0 {
-		window = 4
-	}
-	for x.next < len(bm.chunks) && x.next < x.acked+window {
+	for x.next < len(bm.chunks) && x.next < x.acked+e.cfg.TransferWindow {
 		e.sendChunk(x, bm, x.next, vt)
 		x.next++
 	}
@@ -280,11 +248,7 @@ func (e *Engine) handleChunkAck(ev gcs.Event, msg *Msg) {
 		e.abortTransfer(x, ev.VTime, "bookmark evicted")
 		return
 	}
-	have := int(msg.ChunkIndex)
-	if have > len(bm.chunks) {
-		have = len(bm.chunks)
-	}
-	if have > x.acked {
+	if have := min(int(msg.ChunkIndex), len(bm.chunks)); have > x.acked {
 		x.acked = have
 		x.lastProgress = time.Now()
 		e.notify(Notice{Kind: NoticeTransfer, VT: ev.VTime, Style: e.style,
@@ -294,7 +258,7 @@ func (e *Engine) handleChunkAck(ev gcs.Event, msg *Msg) {
 		delete(e.xfers, x.peer)
 		e.cXferActive.Store(int64(len(e.xfers)))
 		e.cXferCompletes.Inc()
-		e.tr.Event(trace.SubReplication, "transfer_complete", ev.VTime, int64(bm.size))
+		e.tr.Event(trace.SubReplication, "transfer_complete", ev.VTime, int64(len(bm.state)))
 		if e.spans.On() {
 			e.spans.End("transfer:"+x.peer, ev.VTime,
 				fmt.Sprintf("chunks=%d resumes=%d", len(bm.chunks), x.resumes))
@@ -387,16 +351,22 @@ func (e *Engine) handleResumeNak(ev gcs.Event, msg *Msg) {
 		}
 	}
 	e.synced = true
-	e.resetInXfer("self-promoted")
+	e.resetInXfer()
 	e.cXferPromotes.Inc()
 	e.tr.Event(trace.SubReplication, "transfer_self_promote", ev.VTime, int64(e.lastExecSeq))
-	var peers []string
+	e.startTransfers(e.peers(nil), ev.VTime)
+}
+
+// peers lists the view's members other than this replica and those in
+// skip, in rank order.
+func (e *Engine) peers(skip map[string]bool) []string {
+	var out []string
 	for _, m := range e.view.Members {
-		if m != e.Addr() {
-			peers = append(peers, m)
+		if m != e.Addr() && !skip[m] {
+			out = append(out, m)
 		}
 	}
-	e.startTransfers(peers, ev.VTime)
+	return out
 }
 
 // resumeTransfer rewinds the send window to the acked cursor after a
@@ -406,7 +376,7 @@ func (e *Engine) resumeTransfer(x *outXfer, bm *bookmark, vt vtime.Time) {
 	x.resumes++
 	x.lastProgress = time.Now()
 	e.cXferResumes.Inc()
-	e.cXferBytesResumed.Add(e.bytesBefore(bm, x.acked))
+	e.cXferBytesResumed.Add(bm.bytesBefore(x.acked))
 	e.notify(Notice{Kind: NoticeTransfer, VT: vt, Style: e.style,
 		Peer: x.peer, Serial: x.serial, Chunk: x.acked, Chunks: len(bm.chunks), Resumed: true})
 	e.pumpTransfer(x, bm, vt)
@@ -421,14 +391,8 @@ func (e *Engine) abortTransfer(x *outXfer, vt vtime.Time, why string) {
 	delete(e.xfers, x.peer)
 	e.cXferActive.Store(int64(len(e.xfers)))
 	e.cXferAborts.Inc()
-	e.endTransferSpan(x, vt, why)
+	e.spans.End("transfer:"+x.peer, vt, why)
 	e.pruneBookmarks()
-}
-
-func (e *Engine) endTransferSpan(x *outXfer, vt vtime.Time, why string) {
-	if e.spans.On() {
-		e.spans.End("transfer:"+x.peer, vt, why)
-	}
 }
 
 // transferPending reports whether the retry driver has work: a transfer
@@ -449,12 +413,11 @@ func (e *Engine) armRetry(on bool) {
 	}
 }
 
-// transferTick is the real-time retry driver, run from the engine loop.
-// The leader re-sends the window of any stalled transfer and abandons
-// joiners that have made no progress for transferAbandonAfter; an unsynced
-// joiner keeps offering its resume token to the current coordinator.
-func (e *Engine) transferTick() {
-	now := time.Now()
+// transferTick is the real-time retry driver, run by tick as of now. The
+// leader re-sends the window of any stalled transfer and abandons joiners
+// that have made no progress for transferAbandonAfter; an unsynced joiner
+// keeps offering its resume token to the current coordinator.
+func (e *Engine) transferTick(now time.Time) {
 	stall := e.transferStallAfter()
 	for _, x := range e.xfers {
 		if now.Sub(x.lastProgress) > transferAbandonAfter {
@@ -479,7 +442,7 @@ func (e *Engine) transferTick() {
 		// meaningless to any successor (serials are per-sender), and
 		// deliveries may have been missed between memberships — discard
 		// and ask for a fresh transfer.
-		e.resetInXfer("sender left view")
+		e.resetInXfer()
 	}
 	if e.rx != nil && now.Sub(e.rx.lastRecv) < stall {
 		return // chunks are flowing; no need to nag
@@ -502,24 +465,15 @@ func (e *Engine) transferTick() {
 			e.sendDirect(e.rx.from, req, e.lastVT)
 			return
 		}
-		e.resetInXfer("sender unresponsive")
+		e.resetInXfer()
 	}
 	// Nothing in flight: rotate fresh requests across members that did not
 	// just join, starting from the transfer leader (lowest rank). Any
 	// synced one answers. Fixed targeting could starve — the coordinator
 	// itself may be an unsynced rejoiner with nothing to serve.
-	var targets []string
-	for _, m := range e.view.Members {
-		if m != e.Addr() && !e.viewJoiners[m] {
-			targets = append(targets, m)
-		}
-	}
+	targets := e.peers(e.viewJoiners)
 	if len(targets) == 0 {
-		for _, m := range e.view.Members {
-			if m != e.Addr() {
-				targets = append(targets, m)
-			}
-		}
+		targets = e.peers(nil)
 	}
 	if len(targets) == 0 {
 		return
@@ -553,7 +507,7 @@ func (e *Engine) handleStateChunk(ev gcs.Event, msg *Msg) {
 			if rx.from == ev.Sender && msg.CkptSerial < rx.serial {
 				return // stale chunk of an older serial
 			}
-			e.resetInXfer("superseded")
+			e.resetInXfer()
 		}
 		rx = &inXfer{
 			from:   ev.Sender,
@@ -587,46 +541,32 @@ func (e *Engine) handleStateChunk(ev gcs.Event, msg *Msg) {
 	}
 }
 
-// applyTransfer restores the assembled state and splices this replica into
-// the stream, mirroring the checkpoint-apply path for joiners.
-func (e *Engine) applyTransfer(vtArr vtime.Time) {
+// applyTransfer installs the assembled state, splicing this replica into
+// the stream as a joiner applying a full checkpoint does.
+func (e *Engine) applyTransfer(arrived vtime.Time) {
 	rx := e.rx
-	state := make([]byte, 0, rx.bytes)
-	for _, c := range rx.chunks {
-		state = append(state, c...)
+	c := ckpt{state: make([]byte, 0, rx.bytes), cache: rx.cache, serial: rx.serial, coveredSeq: rx.coveredSeq}
+	for _, chunk := range rx.chunks {
+		c.state = append(c.state, chunk...)
 	}
-	vt := e.cpu.Execute(vtArr, vtime.Duration(len(state))*e.cfg.Model.CheckpointPerByte)
-	if err := e.cfg.State.Restore(state); err != nil {
-		e.resetInXfer("restore failed")
+	vt, err := e.install(&c, rx.from, arrived, true)
+	if err != nil {
+		e.resetInXfer()
 		return
 	}
-	if e.spans.On() {
-		e.spans.Annotate(span.NameKey(span.TransferTrace(rx.from, e.Addr(), rx.serial)), "transfer_apply",
-			span.CompReplicator, vtArr, vt, int64(len(state)), "")
-	}
-	e.setCache(rx.cache)
-	e.lastExecSeq = rx.coveredSeq
-	e.trimLog(rx.coveredSeq)
-	e.synced = true
+	e.rx = nil
 	e.cXferApplied.Inc()
-	e.tr.Event(trace.SubReplication, "transfer_applied", vt, int64(len(state)))
+	e.tr.Event(trace.SubReplication, "transfer_applied", vt, int64(len(c.state)))
 	e.notify(Notice{Kind: NoticeTransfer, VT: vt, Style: e.style,
 		Peer: rx.from, Serial: rx.serial, Chunk: rx.total, Chunks: rx.total})
-	e.rx = nil
-	if e.style.AllExecute() {
-		// Catch up to the stream head before executing live traffic, like
-		// a joiner applying a full checkpoint.
-		e.replayLog(vt)
-	}
 }
 
 // resetInXfer discards a partial incoming transfer.
-func (e *Engine) resetInXfer(why string) {
+func (e *Engine) resetInXfer() {
 	if e.rx == nil {
 		return
 	}
 	e.tr.Event(trace.SubReplication, "transfer_rx_reset", e.lastVT, int64(e.rx.have))
-	_ = why
 	e.rx = nil
 }
 
@@ -634,7 +574,7 @@ func (e *Engine) resetInXfer(why string) {
 // down, so no transfer span outlives its engine.
 func (e *Engine) stopTransfers() {
 	for _, x := range e.xfers {
-		e.endTransferSpan(x, e.lastVT, "engine stopped")
+		e.spans.End("transfer:"+x.peer, e.lastVT, "engine stopped")
 	}
 	e.xfers = make(map[string]*outXfer)
 	e.cXferActive.Store(0)

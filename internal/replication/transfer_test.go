@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"versadep/internal/simnet"
+	"versadep/internal/trace"
 )
 
 func TestMsgRoundTripStateChunk(t *testing.T) {
@@ -91,7 +91,7 @@ func TestBookmarkPruneKeepsPinned(t *testing.T) {
 	e := &Engine{xfers: make(map[string]*outXfer)}
 	e.initTrace(nil)
 	for s := uint64(1); s <= transferBookmarks+2; s++ {
-		e.bookmarks = append(e.bookmarks, &bookmark{serial: s})
+		e.bookmarks = append(e.bookmarks, &bookmark{ckpt: ckpt{serial: s}})
 	}
 	// Serial 1 is pinned by an active transfer; pruning must evict the
 	// oldest unpinned bookmarks instead.
@@ -114,7 +114,7 @@ func TestBookmarkPruneKeepsPinned(t *testing.T) {
 	e.bookmarks = nil
 	e.xfers = map[string]*outXfer{}
 	for s := uint64(10); s <= 10+transferBookmarks; s++ {
-		e.bookmarks = append(e.bookmarks, &bookmark{serial: s})
+		e.bookmarks = append(e.bookmarks, &bookmark{ckpt: ckpt{serial: s}})
 		e.xfers[fmt.Sprint(s)] = &outXfer{peer: fmt.Sprint(s), serial: s}
 	}
 	e.pruneBookmarks()
@@ -128,44 +128,47 @@ func TestBookmarkPruneKeepsPinned(t *testing.T) {
 // none; a leader serving a joiner holds one while the joiner has not caught
 // up, and both disarm once the transfer completes.
 func TestTransferRetryArmedOnlyWhilePending(t *testing.T) {
-	net := simnet.New(simnet.WithSeed(3))
-	t.Cleanup(func() { net.Close() })
 	armed := func(e *Engine) (on bool) {
 		e.do(func() { on = e.retry != nil })
 		return on
 	}
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting until %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	cfg := Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}}
-	leader, _ := startEngineOn(t, net, "r1", cfg)
-	waitFor("the leader is primary", func() bool { return leader.StatsSnapshot().Role == RolePrimary })
+	// The retry period is long enough that no tick fires: the test moves
+	// every chunk and ack itself.
+	cfg := Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}, TransferRetryEvery: time.Hour}
+	leader, lp := portEngine(t, "r1", cfg)
+	toLeader := runPort(t, leader)
+	toLeader(viewEvent(1, "r1"))
 	if armed(leader) {
 		t.Fatal("an idle engine holds an armed retry ticker")
 	}
 
-	// The joiner's member joins, but no engine reads its deliveries yet:
-	// the leader's transfer waits on acknowledgements that cannot come.
-	joiner := openMemberOn(t, net, "r2", "r1")
-	serving := func() (n int) {
-		leader.do(func() { n = len(leader.xfers) })
-		return n
-	}
-	waitFor("the leader serves the joiner", func() bool { return serving() == 1 })
+	// The joiner joins, and the leader's transfer waits on acknowledgements
+	// no one has sent yet.
+	toLeader(viewEvent(2, "r1", "r2"))
 	if !armed(leader) {
 		t.Fatal("a leader serving a joiner holds no armed retry ticker")
 	}
 
-	late := engineOn(t, joiner, Config{Style: WarmPassive, State: &memState{}})
-	waitFor("the transfer completes", func() bool { return serving() == 0 && late.StatsSnapshot().Synced })
-	waitFor("the leader disarms", func() bool { return !armed(leader) })
+	cfg.State = &memState{}
+	late, jp := portEngine(t, "r2", cfg)
+	toLate := runPort(t, late)
+	joined := viewEvent(2, "r1", "r2")
+	joined.Joined = true
+	toLate(joined)
+	for round := 0; !late.StatsSnapshot().Synced; round++ {
+		if round > 64 {
+			t.Fatal("the transfer never completes")
+		}
+		for _, s := range lp.take(KindStateChunk) {
+			toLate(directEvent("r1", s.msg))
+		}
+		for _, s := range jp.take(KindChunkAck) {
+			toLeader(directEvent("r2", s.msg))
+		}
+	}
+	if armed(leader) {
+		t.Error("the leader still holds an armed retry ticker after the transfer completed")
+	}
 	if armed(late) {
 		t.Error("the synced joiner still holds an armed retry ticker")
 	}
@@ -180,5 +183,156 @@ func TestTransferRetryArmedOnlyWhilePending(t *testing.T) {
 	late.do(func() { late.synced = true })
 	if armed(late) {
 		t.Error("a resynced replica still holds an armed retry ticker")
+	}
+}
+
+// TestTotalFailureSelfPromotion pins handleResumeNak, the total-failure
+// recovery rule: once every other member of the view has declared itself
+// unsynced, the member whose state reaches furthest promotes itself and
+// serves the rest; ties go to the lowest rank. A member that has not
+// answered (a synced one serves instead of declaring) blocks it.
+func TestTotalFailureSelfPromotion(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		naks    map[string]uint64 // how far each peer's state reaches
+		promote bool
+	}{
+		{"furthest state wins", map[string]uint64{"a": 5, "c": 7}, true},
+		{"a peer reaches further", map[string]uint64{"a": 5, "c": 12}, false},
+		{"a tie goes to the lower rank", map[string]uint64{"a": 10, "c": 3}, false},
+		{"a tie with a higher rank is won", map[string]uint64{"a": 3, "c": 10}, true},
+		{"a peer that has not declared blocks", map[string]uint64{"a": 3}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := trace.New()
+			e, p := portEngine(t, "b", Config{Style: WarmPassive, Trace: rec})
+			e.step(viewEvent(1, "a", "b", "c"))
+			e.synced, e.lastExecSeq = false, 10
+			for _, m := range []string{"a", "c"} {
+				if seq, ok := tc.naks[m]; ok {
+					e.step(directEvent(m, &Msg{Kind: KindResumeNak, CoveredSeq: seq}))
+				}
+			}
+			if e.synced != tc.promote {
+				t.Fatalf("synced = %v, want %v", e.synced, tc.promote)
+			}
+			want := int64(0)
+			if tc.promote {
+				want = 1
+			}
+			if got := rec.Value(trace.SubReplication, "transfer_self_promotes"); got != want {
+				t.Errorf("transfer_self_promotes = %d, want %d", got, want)
+			}
+			served := map[string]bool{}
+			for _, s := range p.take(KindStateChunk) {
+				served[s.to] = true
+			}
+			if tc.promote != (served["a"] && served["c"]) || len(served) > 2 {
+				t.Errorf("promote %v, but chunks went to %v", tc.promote, served)
+			}
+		})
+	}
+
+	// What blocks it: a synced member answers a resume request with a
+	// transfer, never with a declaration; an unsynced one declares.
+	for _, synced := range []bool{true, false} {
+		e, p := portEngine(t, "c", Config{Style: WarmPassive})
+		e.step(viewEvent(1, "a", "b", "c"))
+		e.synced, e.lastExecSeq = synced, 4
+		e.step(directEvent("b", &Msg{Kind: KindResumeReq}))
+		naks, chunks := p.take(KindResumeNak), p.take(KindStateChunk)
+		if synced && (len(naks) != 0 || len(chunks) == 0 || chunks[0].to != "b") {
+			t.Errorf("a synced member answered with %d declarations and %d chunks, want a transfer to b", len(naks), len(chunks))
+		}
+		if !synced && (len(naks) != 1 || naks[0].to != "b" || naks[0].msg.CoveredSeq != 4 || len(chunks) != 0) {
+			t.Errorf("an unsynced member answered %+v and %d chunks, want one declaration reaching 4", naks, len(chunks))
+		}
+	}
+}
+
+// TestTransferAborts pins abortTransfer: the leader drops a joiner's cursor
+// when it stops leading transfers, when the joiner leaves the view, and
+// when the cursor's bookmark is gone, and closes the transfer span with the
+// reason.
+func TestTransferAborts(t *testing.T) {
+	for _, tc := range []struct {
+		why  string
+		then func(e *Engine)
+	}{
+		{"demoted", func(e *Engine) { e.step(viewEvent(3, "b", "a", "j")) }},
+		{"joiner left view", func(e *Engine) { e.step(viewEvent(3, "a", "b")) }},
+		{"bookmark evicted", func(e *Engine) {
+			serial := e.xfers["j"].serial
+			e.bookmarks = nil
+			e.step(directEvent("j", &Msg{Kind: KindChunkAck, CkptSerial: serial, ChunkIndex: 1}))
+		}},
+	} {
+		t.Run(tc.why, func(t *testing.T) {
+			rec := trace.New()
+			e, _ := portEngine(t, "a", Config{Style: WarmPassive, Trace: rec})
+			e.step(viewEvent(1, "a", "b"))
+			e.step(viewEvent(2, "a", "b", "j"))
+			if e.xfers["j"] == nil {
+				t.Fatal("the leader serves no transfer to the joiner")
+			}
+			tc.then(e)
+			if len(e.xfers) != 0 {
+				t.Fatalf("cursors left after the abort: %v", e.xfers)
+			}
+			if got := rec.Value(trace.SubReplication, "transfer_aborts"); got != 1 {
+				t.Errorf("transfer_aborts = %d, want 1", got)
+			}
+			var notes []string
+			for _, s := range rec.Snapshot().Spans {
+				if s.Name == "state_transfer" {
+					notes = append(notes, s.Note)
+				}
+			}
+			if len(notes) != 1 || notes[0] != tc.why {
+				t.Errorf("transfer spans closed with %q, want one with %q", notes, tc.why)
+			}
+		})
+	}
+}
+
+// TestTickRunsOnTheCallersClock: tick, the transfer clock's entry, takes
+// the time from its caller. An unsynced joiner asks for a transfer at most
+// once a stall period, rotating across the members; a leader re-sends a
+// stalled window, and abandons a joiner silent for transferAbandonAfter.
+func TestTickRunsOnTheCallersClock(t *testing.T) {
+	j, jp := portEngine(t, "j", Config{Style: WarmPassive, TransferRetryEvery: time.Second})
+	joined := viewEvent(1, "a", "b", "j")
+	joined.Joined = true
+	j.step(joined)
+	now := time.Now()
+	var asked []string
+	for _, at := range []time.Duration{0, time.Second, 2 * time.Second, 4 * time.Second} {
+		j.tick(now.Add(at))
+		for _, s := range jp.take(KindResumeReq) {
+			asked = append(asked, s.to)
+		}
+	}
+	if want := []string{"a", "b", "a"}; !reflect.DeepEqual(asked, want) {
+		t.Errorf("the joiner asked %v, want %v", asked, want)
+	}
+
+	rec := trace.New()
+	a, ap := portEngine(t, "a", Config{Style: WarmPassive, State: &memState{state: make([]byte, 10000)},
+		TransferRetryEvery: time.Second, Trace: rec})
+	a.step(viewEvent(1, "a"))
+	a.step(viewEvent(2, "a", "j"))
+	now = time.Now()
+	sent := len(ap.take(KindStateChunk))
+	a.tick(now)
+	if n := len(ap.take(KindStateChunk)); sent != 3 || n != 0 {
+		t.Fatalf("chunks sent %d, then %d more before any stall; want 3, then 0", sent, n)
+	}
+	a.tick(now.Add(3 * time.Second))
+	if n := len(ap.take(KindStateChunk)); n != 3 || rec.Value(trace.SubReplication, "transfer_chunk_resends") != 3 {
+		t.Errorf("a stalled window re-sent %d chunks, want 3", n)
+	}
+	a.tick(now.Add(time.Minute))
+	if len(a.xfers) != 0 || rec.Value(trace.SubReplication, "transfer_aborts") != 1 {
+		t.Errorf("a joiner silent for a minute still has a cursor: %v", a.xfers)
 	}
 }

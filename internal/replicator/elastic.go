@@ -40,7 +40,7 @@ func (n *ReplicaNode) Sensors() func() policy.Signals {
 			Rate:                st.Rate,
 			Style:               st.Style,
 			Replicas:            st.Members,
-			CheckpointEvery:     n.engine.CheckpointEvery(),
+			CheckpointEvery:     st.CheckpointEvery,
 			ReplicaAvailability: n.faults.Availability(),
 		}
 		if execHist != nil {

@@ -201,8 +201,8 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 	}
 	// Retune the knob through the agreed stream; both replicas adopt it.
 	c.nodes[1].Engine().SetCheckpointEvery(2, vt)
-	c.await(t, 3*time.Second, func(map[string]replication.Stats) bool {
-		return c.nodes[0].Engine().CheckpointEvery() == 2 && c.nodes[1].Engine().CheckpointEvery() == 2
+	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
+		return recs["ra"].CheckpointEvery == 2 && recs["rb"].CheckpointEvery == 2
 	})
 	for i := 7; i <= 12; i++ {
 		out, err := cl.Invoke("Counter", "add", []interface{}{"x", 1}, vt)
@@ -216,7 +216,7 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 	})
 	// Invalid values are ignored.
 	c.nodes[0].Engine().SetCheckpointEvery(0, vt)
-	if got := c.nodes[0].Engine().CheckpointEvery(); got != 2 {
+	if got := c.nodes[0].Engine().StatsSnapshot().CheckpointEvery; got != 2 {
 		t.Fatalf("invalid retune applied: %d", got)
 	}
 }

@@ -261,7 +261,7 @@ func (g *Group) SetStyle(target Style) {
 // Style reports the current style at the first live replica.
 func (g *Group) Style() Style {
 	if live := g.grp.Live(); len(live) > 0 {
-		return live[0].Engine().Style()
+		return live[0].Engine().StatsSnapshot().Style
 	}
 	return 0
 }
