@@ -95,11 +95,9 @@ func sloPhases() []workload.Phase {
 }
 
 // sloPace is the open-loop real-time pacing: half real speed keeps the
-// whole 2.2s-virtual profile under ~1.1s of wall clock while preserving
-// the arrival order the virtual stamps promise (an unpaced burst lets
-// late-stamped arrivals drag the replicas' monotonic virtual clocks
-// ahead of earlier-stamped requests, which then absorb the jump as
-// spurious queueing delay).
+// whole 2.2s-virtual profile under ~1.1s of wall clock, long enough that
+// the degraded scenario's real-time fault hold overlaps the load it is
+// meant to degrade.
 const sloPace = 500 * time.Millisecond
 
 // RunSLOScenario drives the surge profile against a warm-passive group

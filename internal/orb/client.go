@@ -7,6 +7,7 @@ import (
 	"versadep/internal/codec"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -171,47 +172,94 @@ func (w *waiter) stopTimer() {
 	}
 }
 
+// call is one invocation from its first send to its outcome.
+type call struct {
+	reqID  uint64
+	w      *waiter
+	req    transport.Buf
+	op     string
+	now    vtime.Time
+	sentVT vtime.Time
+	led    vtime.Ledger
+	tkey   span.Key
+}
+
 // Invoke performs a synchronous invocation starting at virtual time now.
 // It retries transparently on loss; duplicate replies (from active
 // replicas or retries) are filtered by request id. The returned error is
 // ErrTimeout, ErrClosed, or a *RemoteError for servant exceptions.
 func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (*Outcome, error) {
+	var k call
+	if err := c.start(&k, object, op, args, now); err != nil {
+		return nil, err
+	}
+	return c.finish(&k)
+}
+
+// Go starts an invocation and returns once its request has been sent;
+// done receives what Invoke would have returned, on a goroutine of its
+// own. Requests started by one goroutine's successive Go calls therefore
+// reach the wire in call order — the order an open-loop caller stamps
+// them in — however the waiting goroutines are scheduled.
+func (c *Client) Go(object, op string, args []codec.Value, now vtime.Time, done func(*Outcome, error)) {
+	k := new(call)
+	if err := c.start(k, object, op, args, now); err != nil {
+		done(nil, err)
+		return
+	}
+	go func() { done(c.finish(k)) }()
+}
+
+// start registers k's waiter, marshals the request and sends its first
+// attempt. On error nothing is left registered.
+func (c *Client) start(k *call, object, op string, args []codec.Value, now vtime.Time) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	c.nextReq++
-	reqID := c.nextReq
-	w := c.acquire(reqID)
+	k.reqID = c.nextReq
+	k.w = c.acquire(k.reqID)
 	c.mu.Unlock()
-	defer c.release(reqID, w)
 
-	req := encodeRequest(c.wire.Room(), &Request{
+	k.req = encodeRequest(c.wire.Room(), &Request{
 		ClientID:  c.id,
-		ReqID:     reqID,
+		ReqID:     k.reqID,
 		Object:    object,
 		Operation: op,
 		Args:      args,
 	})
+	k.op, k.now = op, now
 
 	// Client-side marshal: additive virtual cost (client CPUs are not a
 	// contended resource in the paper's experiments).
-	var led vtime.Ledger
-	led.Charge(vtime.ComponentORB, c.model.ORBMarshal)
-	sentVT := now.Add(c.model.ORBMarshal)
+	k.led.Charge(vtime.ComponentORB, c.model.ORBMarshal)
+	k.sentVT = now.Add(c.model.ORBMarshal)
 
-	tkey := span.RequestKey(c.id, reqID)
-	c.spans.Add(tkey, "client_marshal", span.CompORB, now, sentVT)
+	k.tkey = span.RequestKey(c.id, k.reqID)
+	c.spans.Add(k.tkey, "client_marshal", span.CompORB, now, k.sentVT)
 
 	c.cInvocations.Inc()
+	if err := c.wire.Send(k.req, k.sentVT, k.led); err != nil {
+		c.release(k.reqID, k.w)
+		return err
+	}
+	return nil
+}
+
+// finish waits for the reply to k, retransmitting on each attempt timeout,
+// and releases its waiter.
+func (c *Client) finish(k *call) (*Outcome, error) {
+	w := k.w
+	defer c.release(k.reqID, w)
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			c.cRetransmits.Inc()
-			req = req.Clone() // the last send spent req's room
-		}
-		if err := c.wire.Send(req, sentVT, led); err != nil {
-			return nil, err
+			k.req = k.req.Clone() // the last send spent req's room
+			if err := c.wire.Send(k.req, k.sentVT, k.led); err != nil {
+				return nil, err
+			}
 		}
 		w.timer.Reset(c.timeout)
 		select {
@@ -224,18 +272,18 @@ func (c *Client) Invoke(object, op string, args []codec.Value, now vtime.Time) (
 			outLed := wr.Ledger
 			outLed.Charge(vtime.ComponentORB, c.model.ORBMarshal)
 			doneVT := wr.VTime.Add(c.model.ORBMarshal)
-			c.spans.Add(tkey, "client_unmarshal", span.CompORB, wr.VTime, doneVT)
+			c.spans.Add(k.tkey, "client_unmarshal", span.CompORB, wr.VTime, doneVT)
 			// Root span: the whole invocation, component-less so the
 			// per-component breakdown never double-counts it.
-			c.spans.Add(tkey, "invoke", "", now, doneVT)
-			c.hRTT.Observe(int64(doneVT.Sub(now)) / int64(vtime.Microsecond))
+			c.spans.Add(k.tkey, "invoke", "", k.now, doneVT)
+			c.hRTT.Observe(int64(doneVT.Sub(k.now)) / int64(vtime.Microsecond))
 			out := &Outcome{
 				Reply:  reply,
-				SentVT: now,
+				SentVT: k.now,
 				DoneVT: doneVT,
 				Ledger: outLed,
 			}
-			results, err := ResultsOrError(op, reply)
+			results, err := ResultsOrError(k.op, reply)
 			if err != nil {
 				return out, err
 			}

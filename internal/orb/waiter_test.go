@@ -196,3 +196,50 @@ func TestFiredTimerCannotWakeTheNextAttempt(t *testing.T) {
 		t.Errorf("%d replies delivered, %d returned by invocations, %d counted as duplicates", w.delivered, n, dups)
 	}
 }
+
+// TestGoSendsBeforeReturning: Go returns only once its request is on the
+// wire, so one goroutine's successive Go calls send in call order; each
+// done then receives its own reply whatever order the replies come in, and
+// a Go on a closed client reports ErrClosed without sending.
+func TestGoSendsBeforeReturning(t *testing.T) {
+	c, w, _ := newScriptClient(func(*scriptWire, uint64, int) {}, time.Second, 0)
+	const n = 8
+	var wg sync.WaitGroup
+	got := make([]uint64, n+1)
+	for rid := uint64(1); rid <= n; rid++ {
+		wg.Add(1)
+		c.Go("Echo", "echo", nil, vtime.Time(rid), func(out *orb.Outcome, err error) {
+			defer wg.Done()
+			if err != nil {
+				t.Errorf("request %d: %v", rid, err)
+				return
+			}
+			got[rid] = out.Results[0].Uint
+		})
+		w.mu.Lock()
+		sent := len(w.sends)
+		w.mu.Unlock()
+		if sent != int(rid) {
+			t.Fatalf("after Go of request %d the wire has seen %d requests", rid, sent)
+		}
+	}
+	for rid := uint64(n); rid >= 1; rid-- {
+		w.reply(rid)
+	}
+	wg.Wait()
+	for rid := uint64(1); rid <= n; rid++ {
+		if got[rid] != rid {
+			t.Errorf("request %d was handed the reply to request %d", rid, got[rid])
+		}
+	}
+
+	c.Close()
+	var closedErr error
+	c.Go("Echo", "echo", nil, 0, func(_ *orb.Outcome, err error) { closedErr = err })
+	if !errors.Is(closedErr, orb.ErrClosed) {
+		t.Fatalf("Go on a closed client: err = %v, want ErrClosed", closedErr)
+	}
+	if len(w.sends) != n {
+		t.Fatalf("Go on a closed client sent: the wire has seen %d requests, want %d", len(w.sends), n)
+	}
+}

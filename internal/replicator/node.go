@@ -404,6 +404,18 @@ func (c *ClientNode) Invoke(object, op string, args []interface{}, now vtime.Tim
 	return c.client.Invoke(object, op, vals, now)
 }
 
+// Go starts one replicated invocation at virtual time now and returns
+// once its request is sent; done receives the outcome on another
+// goroutine (see orb.Client.Go).
+func (c *ClientNode) Go(object, op string, args []interface{}, now vtime.Time, done func(*orb.Outcome, error)) {
+	vals, err := ToValues(args)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	c.client.Go(object, op, vals, now, done)
+}
+
 // ORB exposes the underlying ORB client for typed invocations.
 func (c *ClientNode) ORB() *orb.Client { return c.client }
 

@@ -195,12 +195,12 @@ type OpenLoop struct {
 	MaxOutstanding int
 	// RealPace throttles submission in real time: one virtual second of
 	// arrival schedule takes this much real time to offer. Zero submits
-	// as fast as MaxOutstanding allows — fine for throughput runs, but a
-	// burst reaches the fabric in an order unrelated to the virtual
-	// stamps, so later-stamped arrivals drag every node's monotonic
-	// virtual clock forward and earlier-stamped requests absorb the jump
-	// as spurious latency. Runs whose virtual latencies are graded (SLO
-	// experiments) must pace.
+	// as fast as MaxOutstanding allows. Either way each request is sent
+	// before the next is started, so requests reach the fabric in
+	// arrival order: a FIFO link charges an earlier-stamped request that
+	// trails a later-stamped one the gap as wire time. Pacing keeps the
+	// run's real-time machinery (failure detectors, timed fault holds) in
+	// step with the arrival schedule.
 	RealPace time.Duration
 	// OnReply, if set, observes each completed request (virtual arrival
 	// time of the request and its outcome). Called from worker
@@ -263,10 +263,11 @@ func (o OpenLoop) Run() *Result {
 			}
 			sem <- struct{}{}
 			wg.Add(1)
-			go func() {
+			// Go sends before it returns, so requests reach the fabric in
+			// arrival order even when a late pacer starts several at once.
+			o.Client.Go(target, op, args, arrive, func(out *orb.Outcome, err error) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				out, err := o.Client.Invoke(target, op, args, arrive)
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -287,7 +288,7 @@ func (o OpenLoop) Run() *Result {
 				if o.OnObjectReply != nil {
 					o.OnObjectReply(target, arrive, out)
 				}
-			}()
+			})
 		}
 	}
 	wg.Wait()
