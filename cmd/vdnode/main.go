@@ -81,7 +81,7 @@ func main() {
 		requests = flag.Int("requests", 100, "requests to issue (client role)")
 		traceDmp = flag.Bool("trace", false, "dump the trace-counter registry as JSON on exit")
 		intro    = flag.String("introspect", "", "host:port for the live introspection endpoint (/metrics, /trace, /policy, /debug/pprof)")
-		polSpec  = flag.String("policy", "", "autonomic policy stack in priority order, e.g. \"avail=0.995:5,rate=500:250,linkretry=0.99\" (replica role; bwcap has no bandwidth to read here)")
+		polSpec  = flag.String("policy", "", "autonomic policy stack in priority order, e.g. \"avail=0.995:5,rate=500:250\" (replica role; bwcap has no bandwidth to read here)")
 		cooldown = flag.Duration("cooldown", 5*time.Second, "minimum time between actuations of the same knob (flap damping)")
 		adaptEv  = flag.Duration("adapt-every", time.Second, "controller sampling period")
 		spawnCmd = flag.String("spawn-cmd", "", "shell command launching one fresh replica (gets VDNODE_SEEDS in its environment); enables the grow knob")
@@ -260,7 +260,7 @@ func serveIntrospect(addr string, src introspect.Source, opts ...introspect.Opti
 // itself against an SLO (-slo), the engine's attainment and burn-rate
 // signals decorate the sensor sample so burn-driven policies (burn=…)
 // can act on them.
-func startController(node *replicator.ReplicaNode, ep *tcptransport.Endpoint, pol policyOpts, slo *obsplane.Engine) (*policy.Controller, func(), error) {
+func startController(node *replicator.ReplicaNode, pol policyOpts, slo *obsplane.Engine) (*policy.Controller, func(), error) {
 	if pol.spec == "" {
 		return nil, func() {}, nil
 	}
@@ -268,18 +268,7 @@ func startController(node *replicator.ReplicaNode, ep *tcptransport.Endpoint, po
 	if err != nil {
 		return nil, nil, err
 	}
-	act := &replicator.ElasticActuator{
-		Node: node,
-		// The dial-retry knob lands on the live transport: the LinkRetry
-		// policy hardens reconnect budgets when availability sags.
-		TuneRetry: func(attempts, backoffMs int) error {
-			rc := ep.Retry()
-			rc.DialAttempts = attempts
-			rc.BackoffBase = time.Duration(backoffMs) * time.Millisecond
-			ep.SetRetry(rc)
-			return nil
-		},
-	}
+	act := &replicator.ElasticActuator{Node: node}
 	if pol.spawnCmd != "" {
 		cmd := pol.spawnCmd
 		act.Spawn = func(seeds []string) error {
@@ -426,7 +415,7 @@ func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *tra
 	}
 	defer stopPlane()
 
-	ctrl, stopCtrl, err := startController(node, ep, pol, sloEng)
+	ctrl, stopCtrl, err := startController(node, pol, sloEng)
 	if err != nil {
 		node.Leave()
 		return err

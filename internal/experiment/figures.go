@@ -504,12 +504,15 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	per := max(o.Requests/(switches+1), 5)
 	for i := 0; i < o.Requests; i++ {
 		if i > 0 && i%per == 0 && len(switched()) < switches {
-			s.group.Nodes()[0].Engine().RequestSwitch(target, vt)
-			requested, last = requested+1, target
-			if target == replication.Active {
-				target = replication.WarmPassive
-			} else {
-				target = replication.Active
+			// A refused request (a switch still in flight) multicasts
+			// nothing, so only an accepted one is waited for.
+			if s.group.Nodes()[0].Engine().RequestSwitch(target, vt) == nil {
+				requested, last = requested+1, target
+				if target == replication.Active {
+					target = replication.WarmPassive
+				} else {
+					target = replication.Active
+				}
 			}
 		}
 		out, err := client.ORB().Invoke("Bench", "work", args, vt)

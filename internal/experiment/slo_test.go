@@ -128,3 +128,27 @@ func TestRunSLOScenarioSurge(t *testing.T) {
 		t.Fatalf("clean surge saw %d suspicions", res.Suspicions)
 	}
 }
+
+// TestRunSLOScenarioPartition grades the partition during the surge: the
+// partition misses every request of a window, and the budget-burn rule
+// must act on that burn rather than read the window's zero attainment as
+// no evaluation.
+func TestRunSLOScenarioPartition(t *testing.T) {
+	spec, err := obsplane.ParseSLO(DefaultSLOSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSLOScenario(DefaultOptions(), spec, "partition-surge", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 400 || res.Errors != 0 {
+		t.Fatalf("requests = %d errors = %d, want 400 and 0", res.Requests, res.Errors)
+	}
+	if res.PeakBurnRate < 2 {
+		t.Fatalf("peak burn %.2f: the partition never burned the budget", res.PeakBurnRate)
+	}
+	if res.Actuations < 1 {
+		t.Fatalf("actuations = %d at peak burn %.2f, want at least 1", res.Actuations, res.PeakBurnRate)
+	}
+}

@@ -163,46 +163,6 @@ func ScalabilityPolicy(measurements []Measurement, maxClients int, req Requireme
 	return rows, infeasible
 }
 
-// Contract is a behavioral contract for the running system (§2, step 2):
-// violated contracts trigger adaptation or operator warnings.
-type Contract struct {
-	Name            string
-	MaxLatency      vtime.Duration
-	MaxBandwidthMBs float64
-	MinFaults       int
-}
-
-// Violation describes a broken contract term.
-type Violation struct {
-	Contract string
-	Term     string
-	Detail   string
-}
-
-// Check evaluates the contract against a measurement.
-func (c Contract) Check(m Measurement) []Violation {
-	var out []Violation
-	if c.MaxLatency > 0 && m.Latency > c.MaxLatency {
-		out = append(out, Violation{
-			Contract: c.Name, Term: "latency",
-			Detail: fmt.Sprintf("%.1fµs > %.1fµs", m.Latency.Seconds()*1e6, c.MaxLatency.Seconds()*1e6),
-		})
-	}
-	if c.MaxBandwidthMBs > 0 && m.Bandwidth > c.MaxBandwidthMBs {
-		out = append(out, Violation{
-			Contract: c.Name, Term: "bandwidth",
-			Detail: fmt.Sprintf("%.3fMB/s > %.3fMB/s", m.Bandwidth, c.MaxBandwidthMBs),
-		})
-	}
-	if m.Config.FaultsTolerated() < c.MinFaults {
-		out = append(out, Violation{
-			Contract: c.Name, Term: "fault-tolerance",
-			Detail: fmt.Sprintf("tolerates %d < %d", m.Config.FaultsTolerated(), c.MinFaults),
-		})
-	}
-	return out
-}
-
 // AvailabilityKnob is the Table 1 "availability" high-level knob: given a
 // per-replica availability (fraction of time a single replica is up), it
 // computes the smallest replica count whose group availability meets the

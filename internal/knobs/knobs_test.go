@@ -165,37 +165,6 @@ func TestLowLevelString(t *testing.T) {
 	}
 }
 
-func TestContractCheck(t *testing.T) {
-	c := Contract{
-		Name:            "gold",
-		MaxLatency:      us(5000),
-		MaxBandwidthMBs: 2.0,
-		MinFaults:       1,
-	}
-	good := Measurement{
-		Config:  LowLevel{Style: replication.Active, Replicas: 2},
-		Latency: us(3000), Bandwidth: 1.0,
-	}
-	if v := c.Check(good); len(v) != 0 {
-		t.Fatalf("violations = %+v", v)
-	}
-	bad := Measurement{
-		Config:  LowLevel{Style: replication.Active, Replicas: 1},
-		Latency: us(9000), Bandwidth: 3.0,
-	}
-	v := c.Check(bad)
-	if len(v) != 3 {
-		t.Fatalf("violations = %+v", v)
-	}
-	terms := map[string]bool{}
-	for _, x := range v {
-		terms[x.Term] = true
-	}
-	if !terms["latency"] || !terms["bandwidth"] || !terms["fault-tolerance"] {
-		t.Fatalf("terms = %v", terms)
-	}
-}
-
 func TestAvailabilityKnob(t *testing.T) {
 	k := AvailabilityKnob{ReplicaAvailability: 0.99, MaxReplicas: 5}
 

@@ -9,9 +9,10 @@ import (
 func TestBudgetBurnDecide(t *testing.T) {
 	p := BudgetBurn{} // defaults: hot 2, calm 0.25, max 5
 
-	// No SLO evaluation in the signals: no opinion.
-	if d := p.Decide(Signals{SLOBurnRate: 10}); d.Style != 0 || d.Replicas != 0 {
-		t.Fatalf("no-attainment decision = %+v", d)
+	// No SLO evaluation in the signals (attainment and burn both zero):
+	// no opinion.
+	if d := p.Decide(Signals{Style: replication.WarmPassive, Replicas: 3}); d != (Decision{}) {
+		t.Fatalf("unevaluated decision = %+v", d)
 	}
 
 	// Hot burn under passive replication: switch to active first.
@@ -19,6 +20,14 @@ func TestBudgetBurnDecide(t *testing.T) {
 		Style: replication.WarmPassive, Replicas: 3})
 	if d.Style != replication.Active {
 		t.Fatalf("hot passive decision = %+v, want switch to active", d)
+	}
+
+	// Every request in the window missed: attainment is exactly zero at
+	// the hottest burn, which is an evaluation, not its absence.
+	d = p.Decide(Signals{SLOAttainment: 0, SLOBurnRate: 100,
+		Style: replication.WarmPassive, Replicas: 3})
+	if d.Style != replication.Active {
+		t.Fatalf("all-miss decision = %+v, want switch to active", d)
 	}
 
 	// Already active and still burning: grow, with a floor at the new size.

@@ -1,17 +1,12 @@
 package policy
 
 import (
-	"errors"
 	"strconv"
 	"sync"
 	"time"
 
 	"versadep/internal/replication"
 )
-
-// errActuatorNoRetry reports a dial-retry decision against an actuator
-// that does not implement RetryTuner.
-var errActuatorNoRetry = errors.New("policy: actuator does not support dial-retry tuning")
 
 // Actuator is the single surface through which a Controller turns the
 // three low-level knobs. The implementation is replicator.ElasticActuator,
@@ -30,18 +25,8 @@ type Actuator interface {
 	Shrink() error
 }
 
-// RetryTuner is the optional fourth knob: an Actuator that also
-// implements it can retune the transport's dial-retry budget (attempts
-// and base backoff in ms). Kept separate from Actuator so existing
-// actuators and test fakes stay source-compatible; the controller
-// type-asserts at actuation time and logs an error entry when a LinkRetry
-// decision lands on an actuator without the surface.
-type RetryTuner interface {
-	TuneDialRetry(attempts, backoffMs int) error
-}
-
-// Entry is one decision-log record: an actuation (or failed actuation)
-// with the policy and reasoning behind it.
+// Entry is one decision-log record: an actuation, or one the actuator
+// refused or failed (Err says why), with the policy and reasoning behind it.
 type Entry struct {
 	At     time.Time `json:"at"`
 	Policy string    `json:"policy"`
@@ -123,9 +108,8 @@ func (c *Controller) Step() []Entry {
 	floor := 0
 	var style replication.Style
 	var replicas, ckpt int
-	var retryAttempts, retryBackoff int
-	var styleBy, replBy, ckptBy, retryBy Policy
-	var styleWhy, replWhy, ckptWhy, retryWhy string
+	var styleBy, replBy, ckptBy Policy
+	var styleWhy, replWhy, ckptWhy string
 	for _, p := range c.cfg.Policies {
 		d := p.Decide(sig)
 		if d.MinReplicas > floor {
@@ -139,10 +123,6 @@ func (c *Controller) Step() []Entry {
 		}
 		if ckpt == 0 && d.CheckpointEvery != 0 && d.CheckpointEvery != sig.CheckpointEvery {
 			ckpt, ckptBy, ckptWhy = d.CheckpointEvery, p, d.Reason
-		}
-		if retryAttempts == 0 && d.DialAttempts != 0 &&
-			(d.DialAttempts != sig.DialAttempts || d.DialBackoffMs != sig.DialBackoffMs) {
-			retryAttempts, retryBackoff, retryBy, retryWhy = d.DialAttempts, d.DialBackoffMs, p, d.Reason
 		}
 	}
 	// Fault-tolerance floors beat resource pressure: a shed below the
@@ -159,47 +139,29 @@ func (c *Controller) Step() []Entry {
 	now := c.cfg.Now()
 	var pending []knobDecision
 	if style != 0 {
-		target := style
 		pending = append(pending, knobDecision{
 			knob: "style", policy: styleBy.Name(),
-			action: "switch to " + target.String(), reason: styleWhy,
-			apply: func() error { return c.cfg.Actuator.SwitchStyle(target) },
+			action: "switch to " + style.String(), reason: styleWhy,
+			apply: func() error { return c.cfg.Actuator.SwitchStyle(style) },
 		})
 	}
 	if replicas != 0 {
-		kd := knobDecision{knob: "replicas", policy: replBy.Name(), reason: replWhy}
+		// One step per iteration: each grow/shrink re-samples before the
+		// next, so the group converges without overshooting.
+		verb, apply := "shrink ", c.cfg.Actuator.Shrink
 		if replicas > sig.Replicas {
-			// One step per iteration: each grow/shrink re-samples before
-			// the next, so the group converges without overshooting.
-			kd.action = growAction(sig.Replicas, replicas)
-			kd.apply = c.cfg.Actuator.Grow
-		} else {
-			kd.action = shrinkAction(sig.Replicas, replicas)
-			kd.apply = c.cfg.Actuator.Shrink
+			verb, apply = "grow ", c.cfg.Actuator.Grow
 		}
-		pending = append(pending, kd)
-	}
-	if ckpt != 0 {
-		every := ckpt
 		pending = append(pending, knobDecision{
-			knob: "checkpoint", policy: ckptBy.Name(),
-			action: "set checkpoint interval " + strconv.Itoa(every), reason: ckptWhy,
-			apply: func() error { return c.cfg.Actuator.SetCheckpointEvery(every) },
+			knob: "replicas", policy: replBy.Name(), reason: replWhy, apply: apply,
+			action: verb + strconv.Itoa(sig.Replicas) + "→" + strconv.Itoa(replicas),
 		})
 	}
-	if retryAttempts != 0 {
-		attempts, backoff := retryAttempts, retryBackoff
+	if ckpt != 0 {
 		pending = append(pending, knobDecision{
-			knob: "dial-retry", policy: retryBy.Name(),
-			action: "set dial retry " + strconv.Itoa(attempts) + "x/" + strconv.Itoa(backoff) + "ms",
-			reason: retryWhy,
-			apply: func() error {
-				rt, ok := c.cfg.Actuator.(RetryTuner)
-				if !ok {
-					return errActuatorNoRetry
-				}
-				return rt.TuneDialRetry(attempts, backoff)
-			},
+			knob: "checkpoint", policy: ckptBy.Name(),
+			action: "set checkpoint interval " + strconv.Itoa(ckpt), reason: ckptWhy,
+			apply: func() error { return c.cfg.Actuator.SetCheckpointEvery(ckpt) },
 		})
 	}
 
@@ -319,12 +281,4 @@ func (c *Controller) Status() Status {
 		Suppressed: c.suppressed,
 		Decisions:  append([]Entry(nil), c.log...),
 	}
-}
-
-func growAction(from, to int) string {
-	return "grow " + strconv.Itoa(from) + "→" + strconv.Itoa(to)
-}
-
-func shrinkAction(from, to int) string {
-	return "shrink " + strconv.Itoa(from) + "→" + strconv.Itoa(to)
 }

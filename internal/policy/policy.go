@@ -43,11 +43,6 @@ type Signals struct {
 	// estimate in (0,1], derived from the crash rate seen in view changes
 	// (0 = no observation yet).
 	ReplicaAvailability float64 `json:"replica_availability"`
-	// DialAttempts and DialBackoffMs are the transport's current dial
-	// retry settings (0 = unknown/unmetered, e.g. the simulated fabric,
-	// which has no dials).
-	DialAttempts  int `json:"dial_attempts,omitempty"`
-	DialBackoffMs int `json:"dial_backoff_ms,omitempty"`
 	// SLOAttainment and SLOBurnRate are the observability plane's SLO
 	// evaluation over the last window: the worst objective attainment in
 	// [0,1] and the hottest error-budget burn rate (1.0 = consuming the
@@ -70,11 +65,6 @@ type Decision struct {
 	MinReplicas int
 	// CheckpointEvery is the checkpoint interval to adopt (0 = unchanged).
 	CheckpointEvery int
-	// DialAttempts and DialBackoffMs retune the transport's dial retry
-	// budget (0 = no opinion). Only actuators implementing RetryTuner can
-	// apply them; others log the decision as unactuatable.
-	DialAttempts  int
-	DialBackoffMs int
 	// Reason explains the decision for the decision log.
 	Reason string
 }
@@ -237,76 +227,6 @@ func (p ResourceCap) Decide(sig Signals) Decision {
 	return Decision{}
 }
 
-// --------------------------------------------------------------- LinkRetry
-
-// LinkRetry hardens the wire when the observed fault rate says the
-// network is misbehaving: below the availability threshold it widens the
-// transport's dial-retry budget (more attempts, longer backoff — riding
-// out peer restarts and partitions instead of dropping frames), and it
-// relaxes back to the calm profile once the availability estimate
-// recovers. This is Table 1's knob discipline applied to the transport
-// layer: the retry budget is a low-level dependability knob, and the
-// policy layer — not a hand-edited config — turns it at runtime.
-type LinkRetry struct {
-	// FaultyBelow is the per-replica availability threshold under which
-	// the faulty profile is adopted (e.g. 0.99).
-	FaultyBelow float64
-	// FaultyAttempts/FaultyBackoffMs is the hardened profile
-	// (defaults 12 attempts, 250ms base backoff).
-	FaultyAttempts  int
-	FaultyBackoffMs int
-	// CalmAttempts/CalmBackoffMs is the relaxed profile
-	// (defaults 4 attempts, 50ms base backoff).
-	CalmAttempts  int
-	CalmBackoffMs int
-}
-
-// Name implements Policy.
-func (LinkRetry) Name() string { return "link-retry" }
-
-// Decide implements Policy. With no fault observations yet there is no
-// opinion; with an unknown current setting (Signals.DialAttempts == 0,
-// e.g. before the first actuation) the chosen profile is asserted and the
-// controller's cooldown damps re-assertion.
-func (p LinkRetry) Decide(sig Signals) Decision {
-	a := sig.ReplicaAvailability
-	if a <= 0 {
-		return Decision{}
-	}
-	fa, fb := p.FaultyAttempts, p.FaultyBackoffMs
-	if fa <= 0 {
-		fa = 12
-	}
-	if fb <= 0 {
-		fb = 250
-	}
-	ca, cb := p.CalmAttempts, p.CalmBackoffMs
-	if ca <= 0 {
-		ca = 4
-	}
-	if cb <= 0 {
-		cb = 50
-	}
-	if a < p.FaultyBelow {
-		if sig.DialAttempts == fa && sig.DialBackoffMs == fb {
-			return Decision{}
-		}
-		return Decision{
-			DialAttempts: fa, DialBackoffMs: fb,
-			Reason: fmt.Sprintf("availability %.4f below %.4f: hardening dial retry to %d attempts / %dms backoff",
-				a, p.FaultyBelow, fa, fb),
-		}
-	}
-	if sig.DialAttempts == ca && sig.DialBackoffMs == cb {
-		return Decision{}
-	}
-	return Decision{
-		DialAttempts: ca, DialBackoffMs: cb,
-		Reason: fmt.Sprintf("availability %.4f at or above %.4f: relaxing dial retry to %d attempts / %dms backoff",
-			a, p.FaultyBelow, ca, cb),
-	}
-}
-
 // -------------------------------------------------------------- BudgetBurn
 
 // BudgetBurn reacts to SLO error-budget burn rather than raw rates: when
@@ -331,9 +251,11 @@ type BudgetBurn struct {
 func (BudgetBurn) Name() string { return "budget-burn" }
 
 // Decide implements Policy. Without an SLO evaluation in the signals
-// (attainment zero) there is no opinion.
+// there is no opinion. That is the one case where attainment and burn
+// are both zero: a window in which every request missed reads attainment
+// 0 at the hottest burn, and is the case this rule exists for.
 func (p BudgetBurn) Decide(sig Signals) Decision {
-	if sig.SLOAttainment <= 0 {
+	if sig.SLOAttainment <= 0 && sig.SLOBurnRate <= 0 {
 		return Decision{}
 	}
 	hot := p.Hot
@@ -380,16 +302,37 @@ func (p BudgetBurn) Decide(sig Signals) Decision {
 
 // ---------------------------------------------------------------- ParseSpec
 
+// specs is the policy grammar, one entry per rule name. Every argument
+// is a number. The last of max arguments is an integer of at least 1 when
+// intArg labels it; build receives it as n (0 when omitted) and the rest
+// in f, padded with zeros to max, so an omitted field takes its default.
+var specs = map[string]struct {
+	usage    string
+	min, max int
+	intArg   string
+	build    func(f []float64, n int) Policy
+}{
+	"rate": {"HIGH:LOW", 2, 2, "", func(f []float64, _ int) Policy {
+		return RateStyle{High: f[0], Low: f[1]}
+	}},
+	"avail": {"TARGET[:MAXREPLICAS]", 1, 2, "max replicas", func(f []float64, n int) Policy {
+		return AvailabilityTarget{Target: f[0], Knob: knobs.AvailabilityKnob{MaxReplicas: n}}
+	}},
+	"bwcap": {"MBS[:MINREPLICAS]", 1, 2, "min replicas", func(f []float64, n int) Policy {
+		return ResourceCap{BandwidthMBs: f[0], MinReplicas: n}
+	}},
+	"burn": {"HOT[:CALM[:MAXREPLICAS]]", 1, 3, "max replicas", func(f []float64, n int) Policy {
+		return BudgetBurn{Hot: f[0], Calm: f[1], MaxReplicas: n}
+	}},
+}
+
 // ParseSpec builds a policy stack from a comma-separated spec in priority
 // order (first entry = highest priority). Entries:
 //
-//	avail=TARGET[:MAXREPLICAS]  AvailabilityTarget (e.g. avail=0.995:5)
-//	rate=HIGH:LOW               RateStyle          (e.g. rate=500:250)
-//	bwcap=MBS[:MINREPLICAS]     ResourceCap        (e.g. bwcap=3:2)
-//	linkretry=THRESH[:FAULTY[:CALM]]
-//	                            LinkRetry          (e.g. linkretry=0.99:12:4)
-//	burn=HOT[:CALM[:MAXREPLICAS]]
-//	                            BudgetBurn         (e.g. burn=2:0.25:5)
+//	avail=TARGET[:MAXREPLICAS]     AvailabilityTarget (e.g. avail=0.995:5)
+//	rate=HIGH:LOW                  RateStyle          (e.g. rate=500:250)
+//	bwcap=MBS[:MINREPLICAS]        ResourceCap        (e.g. bwcap=3:2)
+//	burn=HOT[:CALM[:MAXREPLICAS]]  BudgetBurn         (e.g. burn=2:0.25:5)
 //
 // Put avail before bwcap so the availability floor caps the shedding.
 func ParseSpec(spec string) ([]Policy, error) {
@@ -399,120 +342,42 @@ func ParseSpec(spec string) ([]Policy, error) {
 		if entry == "" {
 			continue
 		}
-		name, args, ok := strings.Cut(entry, "=")
-		if !ok {
-			return nil, fmt.Errorf("policy: bad spec entry %q (want name=args)", entry)
+		p, err := parseEntry(entry)
+		if err != nil {
+			return nil, err
 		}
-		parts := strings.Split(args, ":")
-		num := func(i int) (float64, error) {
-			v, err := strconv.ParseFloat(parts[i], 64)
-			if err != nil {
-				return 0, fmt.Errorf("policy: bad number %q in %q", parts[i], entry)
-			}
-			return v, nil
-		}
-		switch name {
-		case "rate":
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("policy: rate wants HIGH:LOW in %q", entry)
-			}
-			high, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			low, err := num(1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, RateStyle{High: high, Low: low})
-		case "avail":
-			if len(parts) < 1 || len(parts) > 2 {
-				return nil, fmt.Errorf("policy: avail wants TARGET[:MAXREPLICAS] in %q", entry)
-			}
-			target, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			p := AvailabilityTarget{Target: target}
-			if len(parts) == 2 {
-				maxR, err := strconv.Atoi(parts[1])
-				if err != nil || maxR < 1 {
-					return nil, fmt.Errorf("policy: bad max replicas %q in %q", parts[1], entry)
-				}
-				p.Knob.MaxReplicas = maxR
-			}
-			out = append(out, p)
-		case "bwcap":
-			if len(parts) < 1 || len(parts) > 2 {
-				return nil, fmt.Errorf("policy: bwcap wants MBS[:MINREPLICAS] in %q", entry)
-			}
-			budget, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			p := ResourceCap{BandwidthMBs: budget}
-			if len(parts) == 2 {
-				minR, err := strconv.Atoi(parts[1])
-				if err != nil || minR < 1 {
-					return nil, fmt.Errorf("policy: bad min replicas %q in %q", parts[1], entry)
-				}
-				p.MinReplicas = minR
-			}
-			out = append(out, p)
-		case "linkretry":
-			if len(parts) < 1 || len(parts) > 3 {
-				return nil, fmt.Errorf("policy: linkretry wants THRESH[:FAULTY[:CALM]] in %q", entry)
-			}
-			thresh, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			p := LinkRetry{FaultyBelow: thresh}
-			if len(parts) >= 2 {
-				fa, err := strconv.Atoi(parts[1])
-				if err != nil || fa < 1 {
-					return nil, fmt.Errorf("policy: bad faulty attempts %q in %q", parts[1], entry)
-				}
-				p.FaultyAttempts = fa
-			}
-			if len(parts) == 3 {
-				ca, err := strconv.Atoi(parts[2])
-				if err != nil || ca < 1 {
-					return nil, fmt.Errorf("policy: bad calm attempts %q in %q", parts[2], entry)
-				}
-				p.CalmAttempts = ca
-			}
-			out = append(out, p)
-		case "burn":
-			if len(parts) < 1 || len(parts) > 3 {
-				return nil, fmt.Errorf("policy: burn wants HOT[:CALM[:MAXREPLICAS]] in %q", entry)
-			}
-			hot, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			p := BudgetBurn{Hot: hot}
-			if len(parts) >= 2 {
-				calm, err := num(1)
-				if err != nil {
-					return nil, err
-				}
-				p.Calm = calm
-			}
-			if len(parts) == 3 {
-				maxR, err := strconv.Atoi(parts[2])
-				if err != nil || maxR < 1 {
-					return nil, fmt.Errorf("policy: bad max replicas %q in %q", parts[2], entry)
-				}
-				p.MaxReplicas = maxR
-			}
-			out = append(out, p)
-		default:
-			return nil, fmt.Errorf("policy: unknown policy %q (want rate, avail, bwcap, linkretry, or burn)", name)
-		}
+		out = append(out, p)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("policy: empty spec")
 	}
 	return out, nil
+}
+
+// parseEntry builds the policy one name=args entry names.
+func parseEntry(entry string) (Policy, error) {
+	name, args, ok := strings.Cut(entry, "=")
+	if !ok {
+		return nil, fmt.Errorf("policy: bad spec entry %q (want name=args)", entry)
+	}
+	s, ok := specs[name]
+	if !ok {
+		return nil, fmt.Errorf("policy: unknown policy %q (want rate, avail, bwcap, or burn)", name)
+	}
+	parts := strings.Split(args, ":")
+	if len(parts) < s.min || len(parts) > s.max {
+		return nil, fmt.Errorf("policy: %s wants %s in %q", name, s.usage, entry)
+	}
+	f, n := make([]float64, s.max), 0
+	for i, part := range parts {
+		var err error
+		if i == s.max-1 && s.intArg != "" {
+			if n, err = strconv.Atoi(part); err != nil || n < 1 {
+				return nil, fmt.Errorf("policy: bad %s %q in %q", s.intArg, part, entry)
+			}
+		} else if f[i], err = strconv.ParseFloat(part, 64); err != nil {
+			return nil, fmt.Errorf("policy: bad number %q in %q", part, entry)
+		}
+	}
+	return s.build(f, n), nil
 }

@@ -409,119 +409,3 @@ func TestControllerGateAndBoundedLog(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 }
-
-func TestLinkRetryProfiles(t *testing.T) {
-	p := policy.LinkRetry{FaultyBelow: 0.99}
-
-	// No observations yet: no opinion.
-	if d := p.Decide(policy.Signals{}); d.DialAttempts != 0 {
-		t.Fatalf("no-observation decision = %+v", d)
-	}
-	// Faulty network: hardened profile (defaults).
-	d := p.Decide(policy.Signals{ReplicaAvailability: 0.95})
-	if d.DialAttempts != 12 || d.DialBackoffMs != 250 {
-		t.Fatalf("faulty decision = %+v", d)
-	}
-	// Already at the hardened profile: no opinion (idempotence).
-	d = p.Decide(policy.Signals{ReplicaAvailability: 0.95, DialAttempts: 12, DialBackoffMs: 250})
-	if d.DialAttempts != 0 {
-		t.Fatalf("repeat faulty decision = %+v", d)
-	}
-	// Healthy network: relax back.
-	d = p.Decide(policy.Signals{ReplicaAvailability: 0.999, DialAttempts: 12, DialBackoffMs: 250})
-	if d.DialAttempts != 4 || d.DialBackoffMs != 50 {
-		t.Fatalf("calm decision = %+v", d)
-	}
-	// Custom profiles survive.
-	p = policy.LinkRetry{FaultyBelow: 0.99, FaultyAttempts: 20, FaultyBackoffMs: 500, CalmAttempts: 2, CalmBackoffMs: 10}
-	d = p.Decide(policy.Signals{ReplicaAvailability: 0.5})
-	if d.DialAttempts != 20 || d.DialBackoffMs != 500 {
-		t.Fatalf("custom faulty decision = %+v", d)
-	}
-}
-
-// retryFake extends fakeActuator with the optional RetryTuner surface.
-type retryFake struct {
-	fakeActuator
-	mu      sync.Mutex
-	retries [][2]int
-}
-
-func (a *retryFake) TuneDialRetry(attempts, backoffMs int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.retries = append(a.retries, [2]int{attempts, backoffMs})
-	return nil
-}
-
-func TestControllerActuatesDialRetry(t *testing.T) {
-	clk := time.Unix(0, 0)
-	act := &retryFake{}
-	sig := policy.Signals{Replicas: 3, Style: replication.Active, ReplicaAvailability: 0.9}
-	c := policy.New(policy.Config{
-		Policies: []policy.Policy{policy.LinkRetry{FaultyBelow: 0.99}},
-		Sample:   func() policy.Signals { return sig },
-		Actuator: act,
-		Cooldown: 10 * time.Second,
-		Now:      func() time.Time { return clk },
-	})
-	entries := c.Step()
-	if len(entries) != 1 || entries[0].Knob != "dial-retry" || entries[0].Err != "" {
-		t.Fatalf("entries = %+v", entries)
-	}
-	if len(act.retries) != 1 || act.retries[0] != [2]int{12, 250} {
-		t.Fatalf("retries = %v", act.retries)
-	}
-	// The sensor now reports the hardened profile; no further actuation.
-	sig.DialAttempts, sig.DialBackoffMs = 12, 250
-	clk = clk.Add(time.Minute)
-	if entries := c.Step(); len(entries) != 0 {
-		t.Fatalf("idempotent step produced %+v", entries)
-	}
-	// Recovery relaxes the profile after cooldown.
-	sig.ReplicaAvailability = 0.999
-	clk = clk.Add(time.Minute)
-	entries = c.Step()
-	if len(entries) != 1 || len(act.retries) != 2 || act.retries[1] != [2]int{4, 50} {
-		t.Fatalf("relax entries=%+v retries=%v", entries, act.retries)
-	}
-}
-
-func TestControllerDialRetryOnPlainActuatorLogsError(t *testing.T) {
-	act := &fakeActuator{} // no RetryTuner surface
-	c := policy.New(policy.Config{
-		Policies: []policy.Policy{policy.LinkRetry{FaultyBelow: 0.99}},
-		Sample: func() policy.Signals {
-			return policy.Signals{Replicas: 3, ReplicaAvailability: 0.9}
-		},
-		Actuator: act,
-		Now:      func() time.Time { return time.Unix(0, 0) },
-	})
-	entries := c.Step()
-	if len(entries) != 1 || entries[0].Err == "" {
-		t.Fatalf("entries = %+v, want one error entry", entries)
-	}
-}
-
-func TestParseSpecLinkRetry(t *testing.T) {
-	ps, err := policy.ParseSpec("avail=0.995:5, linkretry=0.99:20:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 || ps[1].Name() != "link-retry" {
-		t.Fatalf("parsed %+v", ps)
-	}
-	d := ps[1].Decide(policy.Signals{ReplicaAvailability: 0.5})
-	if d.DialAttempts != 20 {
-		t.Fatalf("faulty attempts = %d, want 20", d.DialAttempts)
-	}
-	d = ps[1].Decide(policy.Signals{ReplicaAvailability: 0.9999, DialAttempts: 20, DialBackoffMs: 250})
-	if d.DialAttempts != 2 {
-		t.Fatalf("calm attempts = %d, want 2", d.DialAttempts)
-	}
-	for _, bad := range []string{"linkretry=", "linkretry=a", "linkretry=0.99:0", "linkretry=0.99:5:0", "linkretry=0.99:1:2:3"} {
-		if _, err := policy.ParseSpec(bad); err == nil {
-			t.Fatalf("ParseSpec(%q) accepted", bad)
-		}
-	}
-}

@@ -4,6 +4,8 @@ package replication
 // capture and install.
 
 import (
+	"errors"
+
 	"versadep/internal/gcs"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
@@ -36,15 +38,18 @@ type pendingCkpt struct {
 	vt            vtime.Time // the marker's delivery
 }
 
+// ErrBadInterval refuses a checkpoint interval below one request.
+var ErrBadInterval = errors.New("replication: checkpoint interval must be positive")
+
 // SetCheckpointEvery retunes the checkpointing-frequency knob at runtime.
 // The new value travels the agreed stream, so every replica adopts it at
 // the same position (and a failed-over primary checkpoints at the rate the
 // group agreed on, not a stale local one).
-func (e *Engine) SetCheckpointEvery(every int, now vtime.Time) {
+func (e *Engine) SetCheckpointEvery(every int, now vtime.Time) error {
 	if every <= 0 {
-		return
+		return ErrBadInterval
 	}
-	_ = e.control(now, func() (*Msg, error) {
+	return e.control(now, func() (*Msg, error) {
 		return &Msg{Kind: KindConfig, CheckpointEvery: uint32(every)}, nil
 	})
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -115,32 +116,69 @@ func TestGettersSurviveStop(t *testing.T) {
 	}
 }
 
-// A switch requested while a passive→active switch is in flight is
-// dropped at the requester: it multicasts nothing. Delivery would discard
-// it too (Figure 5, step I), but a request sent then is one more agreed
-// message for every controller step of the switch window.
+// A control request the requester can already tell is void is refused
+// with its reason, and multicasts nothing. A switch requested while a
+// passive→active switch is in flight would be discarded on delivery too
+// (Figure 5, step I), but a request sent then is one more agreed message
+// for every controller step of the switch window.
 func TestRequestSwitchDuringSwitchMulticastsNothing(t *testing.T) {
+	cases := []struct {
+		name    string
+		inState func(feed func(gcs.Event)) // brings the backup to the refusing state
+		request func(e *Engine) error
+		want    error
+	}{
+		{"switch in flight", func(feed func(gcs.Event)) {
+			// It accepts a switch to active and waits for the primary's
+			// closing checkpoint.
+			feed(agreedEvent("aa", 41, &Msg{Kind: KindSwitch, Style: Active}))
+		}, func(e *Engine) error { return e.RequestSwitch(ColdPassive, 0) }, ErrSwitchInFlight},
+		{"already that style", nil,
+			func(e *Engine) error { return e.RequestSwitch(WarmPassive, 0) }, ErrAlreadyStyle},
+		{"checkpoint interval zero", nil,
+			func(e *Engine) error { return e.SetCheckpointEvery(0, 0) }, ErrBadInterval},
+		{"checkpoint interval negative", nil,
+			func(e *Engine) error { return e.SetCheckpointEvery(-3, 0) }, ErrBadInterval},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, p := portEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100})
+			feed := runPort(t, e)
+			// A synced backup of a warm-passive pair, with "aa" the primary.
+			feed(viewEvent(7, "aa", "mw"))
+			if c.inState != nil {
+				c.inState(feed)
+			}
+			p.mu.Lock()
+			before := len(p.sent)
+			p.mu.Unlock()
+			if err := c.request(e); !errors.Is(err, c.want) {
+				t.Fatalf("request returned %v, want %v", err, c.want)
+			}
+			p.mu.Lock()
+			sent := p.sent[before:]
+			p.mu.Unlock()
+			if len(sent) != 0 {
+				t.Fatalf("a refused request sent %+v", sent)
+			}
+			var switching bool
+			e.do(func() { switching = e.switching != nil })
+			if st := e.StatsSnapshot(); st.Style != WarmPassive || st.CheckpointEvery != 100 ||
+				switching != (c.inState != nil) {
+				t.Fatalf("a refused request disturbed the engine: switching=%v %+v", switching, st)
+			}
+		})
+	}
+
+	// With none in flight, a switch is accepted and multicast once.
 	e, p := portEngine(t, "mw", Config{Style: WarmPassive, CheckpointEvery: 100})
 	feed := runPort(t, e)
-	// A synced backup of a warm-passive pair, with "aa" the primary.
 	feed(viewEvent(7, "aa", "mw"))
-
-	e.RequestSwitch(ColdPassive, 0)
+	if err := e.RequestSwitch(ColdPassive, 0); err != nil {
+		t.Fatalf("a switch requested with none in flight refused: %v", err)
+	}
 	if got := p.take(KindSwitch); len(got) != 1 || got[0].to != "" || got[0].msg.Style != ColdPassive {
 		t.Fatalf("a switch requested with none in flight sent %+v, want one multicast", got)
-	}
-
-	// It accepts a switch to active and waits for the primary's closing
-	// checkpoint.
-	feed(agreedEvent("aa", 41, &Msg{Kind: KindSwitch, Style: Active}))
-	e.RequestSwitch(ColdPassive, 0)
-	if got := p.take(KindSwitch); len(got) != 0 {
-		t.Fatalf("a switch requested mid-switch was multicast: %+v", got)
-	}
-	var switching bool
-	e.do(func() { switching = e.switching != nil })
-	if st := e.StatsSnapshot(); !switching || st.Style != WarmPassive {
-		t.Fatalf("in-flight switch disturbed: switching=%v style=%v", switching, st.Style)
 	}
 }
 

@@ -3,6 +3,8 @@ package replication
 // The runtime switch between replication styles (Figure 5).
 
 import (
+	"errors"
+
 	"versadep/internal/gcs"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
@@ -18,15 +20,26 @@ type switchState struct {
 	oldPrimary string
 }
 
+// The refusals of RequestSwitch.
+var (
+	// ErrSwitchInFlight refuses a switch requested while another is in
+	// flight: the style it would compare against is about to change.
+	ErrSwitchInFlight = errors.New("replication: switch refused: a switch is in flight")
+	// ErrAlreadyStyle refuses a switch to the style the group already has.
+	ErrAlreadyStyle = errors.New("replication: switch refused: already that style")
+)
+
 // RequestSwitch initiates a style switch (the low-level replication-style
 // knob, usable at runtime). The switch message travels the agreed stream;
-// duplicates and no-op switches are discarded on delivery. A request made
-// while a switch is in flight is dropped: the style it would compare
-// against is about to change.
-func (e *Engine) RequestSwitch(target Style, now vtime.Time) {
-	_ = e.control(now, func() (*Msg, error) {
-		if e.style == target || e.switching != nil {
-			return nil, nil
+// duplicates and no-op switches are discarded on delivery. A request this
+// replica can already tell is void is refused, and nothing is multicast.
+func (e *Engine) RequestSwitch(target Style, now vtime.Time) error {
+	return e.control(now, func() (*Msg, error) {
+		if e.switching != nil {
+			return nil, ErrSwitchInFlight
+		}
+		if e.style == target {
+			return nil, ErrAlreadyStyle
 		}
 		return &Msg{Kind: KindSwitch, Style: target}, nil
 	})

@@ -2,7 +2,6 @@ package replicator
 
 import (
 	"errors"
-	"fmt"
 
 	"versadep/internal/policy"
 	"versadep/internal/replication"
@@ -79,10 +78,6 @@ type ElasticActuator struct {
 	// (default: zero, fine for live deployments where virtual time is
 	// unused).
 	Now func() vtime.Time
-	// TuneRetry, when set, applies a dial-retry decision to the node's
-	// transport (vdnode wires it to tcptransport.Endpoint.SetRetry). Nil
-	// on simulated fabrics, where there is nothing to dial.
-	TuneRetry func(attempts, backoffMs int) error
 
 	group *Group // set by Group.Actuator in place of Node
 }
@@ -112,21 +107,16 @@ func (a *ElasticActuator) SwitchStyle(target replication.Style) error {
 	if err != nil {
 		return err
 	}
-	n.Engine().RequestSwitch(target, a.now())
-	return nil
+	return n.Engine().RequestSwitch(target, a.now())
 }
 
 // SetCheckpointEvery implements policy.Actuator.
 func (a *ElasticActuator) SetCheckpointEvery(every int) error {
-	if every <= 0 {
-		return fmt.Errorf("replicator: checkpoint interval must be positive, got %d", every)
-	}
 	n, err := a.node()
 	if err != nil {
 		return err
 	}
-	n.Engine().SetCheckpointEvery(every, a.now())
-	return nil
+	return n.Engine().SetCheckpointEvery(every, a.now())
 }
 
 // Grow implements policy.Actuator: one new replica, seeded on the
@@ -144,15 +134,6 @@ func (a *ElasticActuator) Grow() error {
 		return err
 	}
 	return a.Spawn(append([]string(nil), view.Members...))
-}
-
-// TuneDialRetry implements policy.RetryTuner by delegating to the
-// TuneRetry hook.
-func (a *ElasticActuator) TuneDialRetry(attempts, backoffMs int) error {
-	if a.TuneRetry == nil {
-		return errors.New("replicator: no retry tuner configured (simulated transport has no dials)")
-	}
-	return a.TuneRetry(attempts, backoffMs)
 }
 
 // Shrink implements policy.Actuator: gracefully retire the

@@ -2,6 +2,7 @@ package replicator_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -411,5 +412,36 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 	}
 	if status.Knobs.Replicas != 2 {
 		t.Fatalf("/policy reports %d replicas", status.Knobs.Replicas)
+	}
+}
+
+// A control request the engine refuses reaches the decision log with its
+// reason instead of passing for an actuation. The sensor here reports a
+// stale warm-passive style, so the rule asks for the active style the
+// group already has.
+func TestRefusedActuationIsLoggedWithReason(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(91))
+	defer net.Close()
+	c := startCluster(t, net, 2, replication.Active, 0, nil)
+	act := &replicator.ElasticActuator{Node: c.nodes[0]}
+	sense := c.nodes[0].Sensors()
+	ctrl := policy.New(policy.Config{
+		Policies: []policy.Policy{policy.RateStyle{High: 100, Low: 10}},
+		Sample: func() policy.Signals {
+			sig := sense()
+			sig.Rate, sig.Style = 1000, replication.WarmPassive
+			return sig
+		},
+		Actuator: act,
+	})
+	entries := ctrl.Step()
+	if len(entries) != 1 || entries[0].Err != replication.ErrAlreadyStyle.Error() {
+		t.Fatalf("entries = %+v, want one refusal: %v", entries, replication.ErrAlreadyStyle)
+	}
+	if st := ctrl.Status(); st.Actuations != 0 || len(st.Decisions) != 1 {
+		t.Fatalf("status = %+v, want the refusal logged and not counted", st)
+	}
+	if err := act.SetCheckpointEvery(0); !errors.Is(err, replication.ErrBadInterval) {
+		t.Fatalf("SetCheckpointEvery(0) = %v, want %v", err, replication.ErrBadInterval)
 	}
 }

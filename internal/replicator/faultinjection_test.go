@@ -1,6 +1,7 @@
 package replicator_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -214,8 +215,10 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 	c.await(t, 3*time.Second, func(recs map[string]replication.Stats) bool {
 		return recs["ra"].Checkpoints >= baseline+2
 	})
-	// Invalid values are ignored.
-	c.nodes[0].Engine().SetCheckpointEvery(0, vt)
+	// Invalid values are refused.
+	if err := c.nodes[0].Engine().SetCheckpointEvery(0, vt); !errors.Is(err, replication.ErrBadInterval) {
+		t.Fatalf("SetCheckpointEvery(0) = %v, want %v", err, replication.ErrBadInterval)
+	}
 	if got := c.nodes[0].Engine().StatsSnapshot().CheckpointEvery; got != 2 {
 		t.Fatalf("invalid retune applied: %d", got)
 	}

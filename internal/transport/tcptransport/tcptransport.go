@@ -70,8 +70,8 @@ type RetryConfig struct {
 	BackoffMax     time.Duration
 }
 
-// DefaultRetry is the retry policy used unless overridden by WithRetry or
-// SetRetry: a handful of attempts spanning roughly two seconds, matching
+// DefaultRetry is the retry policy used unless overridden by WithRetry:
+// a handful of attempts spanning roughly two seconds, matching
 // the single 2s dial timeout the transport shipped with historically.
 func DefaultRetry() RetryConfig {
 	return RetryConfig{
@@ -138,7 +138,7 @@ type Option func(*Endpoint)
 
 // WithRetry sets the initial dial-retry policy.
 func WithRetry(c RetryConfig) Option {
-	return func(e *Endpoint) { e.retry.Store(c.sanitize()) }
+	return func(e *Endpoint) { e.retry = c.sanitize() }
 }
 
 // Endpoint is one process's TCP attachment.
@@ -147,7 +147,7 @@ type Endpoint struct {
 	ln    net.Listener
 	bound string // ln's address, formatted once: every frame carries it
 	peers map[string]string
-	retry atomic.Value // RetryConfig
+	retry RetryConfig // set at Listen, read by every dial
 
 	mu      sync.Mutex
 	senders map[string]*peerSender
@@ -184,21 +184,13 @@ func Listen(name, bind string, peers map[string]string, opts ...Option) (*Endpoi
 		senders: make(map[string]*peerSender),
 		inbound: make(map[net.Conn]bool),
 		done:    make(chan struct{}),
+		retry:   DefaultRetry(),
 	}
-	e.retry.Store(DefaultRetry())
 	for _, o := range opts {
 		o(e)
 	}
 	return e, nil
 }
-
-// SetRetry swaps the dial-retry policy at runtime (Table 1 discipline:
-// low-level knobs stay tunable while the system runs, so the policy layer
-// can harden dialing when the fault monitor reports a flaky network).
-func (e *Endpoint) SetRetry(c RetryConfig) { e.retry.Store(c.sanitize()) }
-
-// Retry returns the current dial-retry policy.
-func (e *Endpoint) Retry() RetryConfig { return e.retry.Load().(RetryConfig) }
 
 // Stats returns a snapshot of the endpoint's wire counters.
 func (e *Endpoint) Stats() Stats {
@@ -407,14 +399,14 @@ func newPeerSender(e *Endpoint, hostport string) *peerSender {
 	}
 }
 
-// dial establishes the outbound connection under the endpoint's current
+// dial establishes the outbound connection under the endpoint's
 // retry budget: up to DialAttempts tries, each bounded by AttemptTimeout,
 // separated by jittered exponential backoff. It returns nil when the
 // budget is exhausted or the endpoint shut down. Frames enqueued behind
 // the dial simply wait in the bounded queue, so a peer restart inside the
 // budget loses nothing that was already queued.
 func (p *peerSender) dial() net.Conn {
-	cfg := p.ep.Retry()
+	cfg := p.ep.retry
 	for attempt := 1; ; attempt++ {
 		p.ep.dials.Add(1)
 		conn, err := net.DialTimeout("tcp", p.hostport, cfg.AttemptTimeout)

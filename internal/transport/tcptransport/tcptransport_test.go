@@ -328,16 +328,13 @@ collect:
 }
 
 func TestSetRetryTakesEffect(t *testing.T) {
-	a, err := Listen("a", "127.0.0.1:0", map[string]string{"ghost": "127.0.0.1:1"})
+	a, err := Listen("a", "127.0.0.1:0", map[string]string{"ghost": "127.0.0.1:1"},
+		WithRetry(RetryConfig{DialAttempts: 3, AttemptTimeout: 200 * time.Millisecond,
+			BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetRetry(RetryConfig{DialAttempts: 3, AttemptTimeout: 200 * time.Millisecond,
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	if got := a.Retry().DialAttempts; got != 3 {
-		t.Fatalf("DialAttempts = %d", got)
-	}
 	// Port 1 refuses immediately: the full budget burns fast and the
 	// frame is dropped after exactly DialAttempts failures.
 	if err := a.Send("ghost", []byte("x"), 0); err != nil {
@@ -347,8 +344,8 @@ func TestSetRetryTakesEffect(t *testing.T) {
 	for {
 		st := a.Stats()
 		if st.Dropped >= 1 {
-			if st.DialFailures < 3 {
-				t.Fatalf("expected >=3 dial failures, stats=%+v", st)
+			if st.DialFailures != 3 {
+				t.Fatalf("expected exactly 3 dial failures, stats=%+v", st)
 			}
 			break
 		}

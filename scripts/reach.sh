@@ -4,8 +4,9 @@
 # (-coverpkg=./...) is taken on two sides:
 #   tier-1  go test ./...
 #   CLI     the vdbench experiments CI runs (-exp all; -exp chaos -seed 7
-#           -chaos-runs 20; -exp slo; -exp shardscale), every example and a
-#           default vdsim, each built with -cover and run under GOCOVERDIR
+#           -chaos-runs 20; -exp slo; -exp shardscale), every example, a
+#           default vdsim and a vdsim adapting under all four policy rules,
+#           each built with -cover and run under GOCOVERDIR
 # It prints the statement share of each side and of their union, then the
 # functions neither side reaches, then the functions only tests reach: the
 # candidates for deletion, or for a test that says why they exist.
@@ -43,6 +44,7 @@ run vdbench -exp chaos -seed 7 -chaos-runs 20
 run vdbench -exp slo
 run vdbench -exp shardscale
 run vdsim
+run vdsim -style warm-passive -requests 300 -adapt rate=600:200,avail=0.995:5,bwcap=3:2,burn=2:0.25:3 -slo 'p99<10ms,avail>0.999:25ms'
 for e in examples/*/; do
 	run "$(basename "$e")"
 done
