@@ -23,121 +23,83 @@ import (
 
 	"versadep/internal/cliflag"
 	"versadep/internal/experiment"
+	"versadep/internal/faults/chaos"
 	"versadep/internal/introspect"
 	"versadep/internal/obsplane"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/trace"
-	"versadep/internal/trace/hist"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
 )
 
+var (
+	styleName = flag.String("style", "active", "replication style: active, warm-passive, cold-passive")
+	replicas  = flag.Int("replicas", 3, "number of replicas")
+	clients   = flag.Int("clients", 1, "number of closed-loop clients")
+	requests  = flag.Int("requests", 500, "requests per client")
+	ckpt      = flag.Int("checkpoint-every", 5, "checkpoint frequency (passive styles)")
+	seed      = flag.Uint64("seed", 1, "deterministic seed")
+	switchTo  = flag.String("switch-to", "", "style to switch to mid-run")
+	switchAt  = flag.Int("switch-at", 0, "request index at which to switch")
+	crashAt   = flag.Int("crash-primary-at", 0, "request index at which to crash the rank-0 replica")
+	traceDump = flag.Bool("trace", false, "dump the merged trace-counter registry as JSON on exit")
+	spanDump  = flag.Int("spans", 0, "print causal span timelines for the first N request traces plus all protocol phases")
+	growAt    = flag.Int("grow-at", 0, "request index at which to spawn one fresh replica (live join + state transfer)")
+	retireAt  = flag.Int("retire-at", 0, "request index at which to gracefully retire the highest-ranked replica")
+	adapt     = flag.String("adapt", "", "comma-separated policy specs driving an autonomic controller, e.g. rate=2000:500,avail=0.995:5,bwcap=3.0 (see internal/policy)")
+	cooldown  = flag.Duration("adapt-cooldown", 200*time.Millisecond, "per-knob cooldown between controller actuations")
+	stateB    = flag.Int("state-bytes", 0, "application state size in bytes (0 = harness default; sets the joiner transfer volume)")
+	xferChunk = flag.Int("transfer-chunk", 0, "joiner state-transfer chunk size in bytes (0 = engine default)")
+	xferRetry = flag.Duration("transfer-retry", 0, "transfer retry tick for stalled joiners (0 = engine default)")
+	detector  = flag.String("detector", "", "failure detector: \"phi\" or \"phi:THRESH\" (accrual suspicion) or \"timeout\" (fixed silence window only); default = group default")
+	chaosArg  = flag.String("chaos", "", "inject a deterministic chaos schedule during the run, \"SPEC[:SEED]\" (e.g. \"all:7\" or \"drop=0.1,partition=1\"; see internal/faults/chaos)")
+	chaosFor  = flag.Duration("chaos-for", 500*time.Millisecond, "chaos schedule window (faults injected and healed inside it)")
+	intro     = flag.String("introspect", "", "host:port for a live introspection endpoint over the running simulation (/metrics, /trace, and /slo when -slo is set)")
+	sloSpec   = flag.String("slo", "", "grade the run against an SLO spec, e.g. \"p99<10ms,avail>0.999:25ms\" (windows are virtual time)")
+	timelines = flag.Int("timelines", 0, "print the first N stitched cross-node request timelines")
+	shards    = flag.Int("shards", 1, "shard the object space over N independent replica groups (active replication, -replicas each) and drive an open-loop sharded client across them; >1 switches to sharded mode and ignores the mid-run event flags")
+)
+
 func main() {
-	var (
-		styleName = flag.String("style", "active", "replication style: active, warm-passive, cold-passive")
-		replicas  = flag.Int("replicas", 3, "number of replicas")
-		clients   = flag.Int("clients", 1, "number of closed-loop clients")
-		requests  = flag.Int("requests", 500, "requests per client")
-		ckpt      = flag.Int("checkpoint-every", 5, "checkpoint frequency (passive styles)")
-		seed      = flag.Uint64("seed", 1, "deterministic seed")
-		switchTo  = flag.String("switch-to", "", "style to switch to mid-run")
-		switchAt  = flag.Int("switch-at", 0, "request index at which to switch")
-		crashAt   = flag.Int("crash-primary-at", 0, "request index at which to crash the rank-0 replica")
-		traceDump = flag.Bool("trace", false, "dump the merged trace-counter registry as JSON on exit")
-		spanDump  = flag.Int("spans", 0, "print causal span timelines for the first N request traces plus all protocol phases")
-		growAt    = flag.Int("grow-at", 0, "request index at which to spawn one fresh replica (live join + state transfer)")
-		retireAt  = flag.Int("retire-at", 0, "request index at which to gracefully retire the highest-ranked replica")
-		adapt     = flag.String("adapt", "", "comma-separated policy specs driving an autonomic controller, e.g. rate=2000:500,avail=0.995:5,bwcap=3.0 (see internal/policy)")
-		cooldown  = flag.Duration("adapt-cooldown", 200*time.Millisecond, "per-knob cooldown between controller actuations")
-		stateB    = flag.Int("state-bytes", 0, "application state size in bytes (0 = harness default; sets the joiner transfer volume)")
-		xferChunk = flag.Int("transfer-chunk", 0, "joiner state-transfer chunk size in bytes (0 = engine default)")
-		xferRetry = flag.Duration("transfer-retry", 0, "transfer retry tick for stalled joiners (0 = engine default)")
-		detector  = flag.String("detector", "", "failure detector: \"phi\" or \"phi:THRESH\" (accrual suspicion) or \"timeout\" (fixed silence window only); default = group default")
-		chaosArg  = flag.String("chaos", "", "inject a deterministic chaos schedule during the run, \"SPEC[:SEED]\" (e.g. \"all:7\" or \"drop=0.1,partition=1\"; see internal/faults/chaos)")
-		chaosFor  = flag.Duration("chaos-for", 500*time.Millisecond, "chaos schedule window (faults injected and healed inside it)")
-		intro     = flag.String("introspect", "", "host:port for a live introspection endpoint over the running simulation (/metrics, /trace, and /slo when -slo is set)")
-		sloSpec   = flag.String("slo", "", "grade the run against an SLO spec, e.g. \"p99<10ms,avail>0.999:25ms\" (windows are virtual time)")
-		timelines = flag.Int("timelines", 0, "print the first N stitched cross-node request timelines")
-		shards    = flag.Int("shards", 1, "shard the object space over N independent replica groups (active replication, -replicas each) and drive an open-loop sharded client across them; >1 switches to sharded mode and ignores the mid-run event flags")
-	)
 	flag.Parse()
-	cfg := runConfig{
-		style: *styleName, replicas: *replicas, clients: *clients,
-		requests: *requests, ckpt: *ckpt, seed: *seed,
-		switchTo: *switchTo, switchAt: *switchAt, crashAt: *crashAt,
-		traceDump: *traceDump, spanDump: *spanDump,
-		growAt: *growAt, retireAt: *retireAt,
-		adapt: *adapt, cooldown: *cooldown,
-		stateBytes: *stateB, transferChunk: *xferChunk, transferRetry: *xferRetry,
-		detector: *detector, chaos: *chaosArg, chaosFor: *chaosFor,
-		introspect: *intro, slo: *sloSpec, timelines: *timelines,
-		shards: *shards,
-	}
-	if err := run(cfg); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "vdsim:", err)
 		os.Exit(1)
 	}
 }
 
-type runConfig struct {
-	style             string
-	replicas, clients int
-	requests, ckpt    int
-	seed              uint64
-	switchTo          string
-	switchAt, crashAt int
-	traceDump         bool
-	spanDump          int
-	growAt, retireAt  int
-	adapt             string
-	cooldown          time.Duration
-	stateBytes        int
-	transferChunk     int
-	transferRetry     time.Duration
-	detector          string
-	chaos             string
-	chaosFor          time.Duration
-	introspect        string
-	slo               string
-	timelines         int
-	shards            int
-}
-
-func run(cfg runConfig) error {
-	styleName, replicas, clients, requests := cfg.style, cfg.replicas, cfg.clients, cfg.requests
-	ckpt, seed, switchTo := cfg.ckpt, cfg.seed, cfg.switchTo
-	switchAt, crashAt, traceDump, spanDump := cfg.switchAt, cfg.crashAt, cfg.traceDump, cfg.spanDump
-	style, err := replication.ParseStyle(styleName)
+func run() error {
+	style, err := replication.ParseStyle(*styleName)
 	if err != nil {
 		return err
 	}
 	var target replication.Style
-	if switchTo != "" {
-		if target, err = replication.ParseStyle(switchTo); err != nil {
+	if *switchTo != "" {
+		if target, err = replication.ParseStyle(*switchTo); err != nil {
 			return err
 		}
 	}
 
 	o := experiment.DefaultOptions()
-	o.Requests = requests
-	o.Seed = seed
-	o.CheckpointEvery = ckpt
-	if cfg.stateBytes > 0 {
-		o.StateBytes = cfg.stateBytes
+	o.Requests = *requests
+	o.Seed = *seed
+	o.CheckpointEvery = *ckpt
+	if *stateB > 0 {
+		o.StateBytes = *stateB
 	}
-	o.TransferChunkBytes = cfg.transferChunk
-	o.TransferRetryEvery = cfg.transferRetry
-	if cfg.detector != "" {
-		phi, err := cliflag.DetectorPhi(cfg.detector)
+	o.TransferChunkBytes = *xferChunk
+	o.TransferRetryEvery = *xferRetry
+	if *detector != "" {
+		phi, err := cliflag.DetectorPhi(*detector)
 		if err != nil {
 			return err
 		}
 		o.PhiThreshold = phi
 	}
 
-	if cfg.shards > 1 {
-		return runSharded(cfg, o)
+	if *shards > 1 {
+		return runSharded(o)
 	}
 
 	var mu sync.Mutex
@@ -151,128 +113,92 @@ func run(cfg runConfig) error {
 		mu.Unlock()
 	}
 
-	scn, err := experiment.NewScenario(o, style, replicas, clients, observer)
+	scn, err := experiment.NewScenario(o, style, *replicas, *clients, observer)
 	if err != nil {
 		return err
 	}
 	defer scn.Close()
 
 	fmt.Printf("scenario: %s, %d replicas, %d clients, %d requests/client\n",
-		style, replicas, clients, requests)
+		style, *replicas, *clients, *requests)
 
-	var chaosDone <-chan struct{}
-	if cfg.chaos != "" {
-		done, steps, err := scn.Chaos(cfg.chaos, cfg.chaosFor)
+	// A flag left at 0, or -switch-at without -switch-to, fires nothing.
+	var plan experiment.Plan
+	for _, ev := range []experiment.Event{
+		{At: *switchAt, Switch: target},
+		{At: *crashAt, CrashPrimary: true},
+		{At: *growAt, Grow: true},
+		{At: *retireAt, Retire: true},
+	} {
+		if ev.At > 0 && ev != (experiment.Event{At: ev.At}) {
+			plan.Events = append(plan.Events, ev)
+		}
+	}
+	if *chaosArg != "" {
+		spec, seed, err := cliflag.Chaos(*chaosArg)
 		if err != nil {
 			return err
 		}
-		chaosDone = done
-		fmt.Printf("chaos schedule (%d steps over %v):\n", len(steps), cfg.chaosFor)
-		for _, s := range steps {
-			fmt.Printf("  %s\n", s)
+		sched := spec.Plan(seed, chaos.Targets{Replicas: scn.Members(), Duration: *chaosFor})
+		plan.Events = append(plan.Events, experiment.Event{Faults: sched})
+		fmt.Printf("chaos schedule (%d steps over %v):\n", len(sched.Steps()), *chaosFor)
+		for _, st := range sched.Steps() {
+			fmt.Printf("  %v %s\n", st.After, st.Name)
 		}
 	}
 
 	// SLO grading: every reply lands in a windowed store at its virtual
-	// completion instant; the engine evaluates the spec per window and the
-	// whole run at the end.
-	var sloEng *obsplane.Engine
-	var sloStore *obsplane.Store
-	var sloSpec obsplane.Spec
-	if cfg.slo != "" {
-		var width int64
-		if sloSpec, width, err = cliflag.SLO(cfg.slo); err != nil {
+	// send instant; the engine evaluates the spec per window and the whole
+	// run at the end.
+	if *sloSpec != "" {
+		spec, width, err := cliflag.SLO(*sloSpec)
+		if err != nil {
 			return err
 		}
-		sloStore = obsplane.NewStore(width, 512)
-		sloEng = obsplane.NewEngine(sloStore, sloSpec)
+		plan.SLO = obsplane.NewEngine(obsplane.NewStore(width, 512), spec)
 	}
 
-	if cfg.introspect != "" {
+	if *intro != "" {
 		var iOpts []introspect.Option
-		if sloEng != nil {
-			iOpts = append(iOpts, introspect.WithJSON("/slo", func() any { return sloEng.Status() }))
+		if plan.SLO != nil {
+			iOpts = append(iOpts, introspect.WithJSON("/slo", func() any { return plan.SLO.Status() }))
 		}
-		srv, err := introspect.Start(cfg.introspect, scn.TraceSnapshot, iOpts...)
+		srv, err := introspect.Start(*intro, scn.TraceSnapshot, iOpts...)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Printf("introspection at http://%s/ (/metrics, /trace%s)\n",
-			srv.Addr(), map[bool]string{true: ", /slo"}[sloEng != nil])
+			srv.Addr(), map[bool]string{true: ", /slo"}[plan.SLO != nil])
 	}
 
-	var ctrl *policy.Controller
-	if cfg.adapt != "" {
-		policies, err := cliflag.Policies(cfg.adapt)
+	if *adapt != "" {
+		policies, err := cliflag.Policies(*adapt)
 		if err != nil {
 			return err
 		}
-		sample := scn.Sensors()
-		if sloEng != nil {
-			sample = sloEng.Signals(sample)
-		}
-		ctrl = policy.New(policy.Config{
-			Policies: policies,
-			Sample:   sample,
-			Actuator: scn.Actuator(),
-			Cooldown: cfg.cooldown,
+		// Step at a coarse cadence so each step sees fresh rate and
+		// tail-latency samples rather than per-request noise.
+		plan.Control = &experiment.Control{Policies: policies, Every: 25, Cooldown: *cooldown,
 			OnEntry: func(e policy.Entry) {
 				if e.Err != "" {
 					fmt.Printf("  [policy %s] %s %s failed: %s\n", e.Policy, e.Knob, e.Action, e.Err)
 					return
 				}
 				fmt.Printf("  [policy %s] %s: %s (%s)\n", e.Policy, e.Knob, e.Action, e.Reason)
-			},
-		})
+			}}
 	}
 
-	var lat hist.Histogram
-	err = scn.RunClosedLoop(func(i int, vt vtime.Time, rtt vtime.Duration) {
-		lat.Observe(int64(rtt))
-		if sloStore != nil {
-			sloStore.Observe(obsplane.SeriesLatencyMicros, int64(vt), rtt.Microseconds())
-			sloStore.Observe(obsplane.SeriesGood, int64(vt), 1)
-		}
-		if switchAt > 0 && i == switchAt && target != 0 {
-			fmt.Printf("  [req %d] switching to %s\n", i, target)
-			scn.Switch(target, vt)
-		}
-		if crashAt > 0 && i == crashAt {
-			fmt.Printf("  [req %d] crashing rank-0 replica\n", i)
-			scn.CrashPrimary()
-		}
-		if cfg.growAt > 0 && i == cfg.growAt {
-			if addr, err := scn.Grow(); err != nil {
-				fmt.Printf("  [req %d] grow failed: %v\n", i, err)
-			} else {
-				fmt.Printf("  [req %d] spawned %s (live join + state transfer)\n", i, addr)
-			}
-		}
-		if cfg.retireAt > 0 && i == cfg.retireAt {
-			if err := scn.Retire("", vt); err != nil {
-				fmt.Printf("  [req %d] retire failed: %v\n", i, err)
-			} else {
-				fmt.Printf("  [req %d] retiring highest-ranked replica\n", i)
-			}
-		}
-		// Step the controller at a coarse cadence so each step sees fresh
-		// rate and tail-latency samples rather than per-request noise.
-		if ctrl != nil && i > 0 && i%25 == 0 {
-			ctrl.Step()
-		}
-	})
+	out, err := scn.Run(plan)
+	printFired(out.Fired)
 	if err != nil {
 		return err
-	}
-	if chaosDone != nil {
-		<-chaosDone // let the schedule finish its heal-all before reporting
 	}
 	if err := scn.Settle(10 * time.Second); err != nil {
 		return err
 	}
 
-	st := lat.Snapshot()
+	st := out.Results[0].Latency.Snapshot()
 	fmt.Printf("\nresults over %d requests:\n", st.Count)
 	fmt.Printf("  latency  mean %.1fµs  jitter %.1fµs  p99 %.1fµs\n",
 		vtime.Duration(st.Mean()).Seconds()*1e6, vtime.Duration(st.StdDev()).Seconds()*1e6,
@@ -280,15 +206,15 @@ func run(cfg runConfig) error {
 	fmt.Printf("  bandwidth %.3f MB/s\n", scn.BandwidthMBs())
 	fmt.Printf("  final style %s, faults tolerated %d\n", scn.Style(), len(scn.Members())-1)
 
-	if sloEng != nil {
-		overall := sloEng.Overall()
+	if plan.SLO != nil {
+		overall := out.SLO
 		verdict := "MET"
 		for _, ob := range overall.Objectives {
 			if !ob.Compliant {
 				verdict = "VIOLATED"
 			}
 		}
-		fmt.Printf("\nSLO %s: %s\n", sloSpec.Raw, verdict)
+		fmt.Printf("\nSLO %s: %s\n", overall.Spec.Raw, verdict)
 		fmt.Printf("  attainment %.4f  burn %.2f  peak-window burn %.2f\n",
 			overall.Attainment, overall.BurnRate, overall.PeakBurnRate)
 		for _, ob := range overall.Objectives {
@@ -297,15 +223,15 @@ func run(cfg runConfig) error {
 		}
 	}
 
-	if cfg.timelines > 0 {
-		printStitched(scn.TraceSnapshot(), cfg.timelines)
+	if *timelines > 0 {
+		printStitched(scn.TraceSnapshot(), *timelines)
 	}
 
-	if traceDump {
+	if *traceDump {
 		fmt.Printf("\ntrace:\n%s\n", scn.TraceSnapshot().JSON())
 	}
-	if spanDump > 0 {
-		printSpans(scn.TraceSnapshot(), spanDump)
+	if *spanDump > 0 {
+		printSpans(scn.TraceSnapshot(), *spanDump)
 	}
 
 	mu.Lock()
@@ -316,15 +242,39 @@ func run(cfg runConfig) error {
 	return nil
 }
 
+// printFired reports the events the run fired, at the reply index each
+// fired at.
+func printFired(fired []experiment.Fired) {
+	for _, f := range fired {
+		var what, failed string
+		switch {
+		case f.Switch != 0:
+			what, failed = "switching to "+f.Switch.String(), "switch to "+f.Switch.String()
+		case f.CrashPrimary:
+			what, failed = "crashing rank-0 replica", "crash"
+		case f.Grow:
+			what, failed = "spawned "+f.Addr+" (live join + state transfer)", "grow"
+		case f.Retire:
+			what, failed = "retiring highest-ranked replica", "retire"
+		default:
+			continue // the chaos schedule, listed before the run
+		}
+		if f.Err != nil {
+			what = fmt.Sprintf("%s failed: %v", failed, f.Err)
+		}
+		fmt.Printf("  [req %d] %s\n", f.At, what)
+	}
+}
+
 // runSharded drives the sharded-deployment scenario: N independent
 // active-replicated groups behind a consistent-hash routing tier, one
 // open-loop client spraying the object keyspace across them. It prints
 // the aggregate throughput and the per-shard load/latency split — the
 // scale-out counterpart of the single-group closed-loop run.
-func runSharded(cfg runConfig, o experiment.Options) error {
+func runSharded(o experiment.Options) error {
 	fmt.Printf("scenario: %d shards × %d replicas (active), %d requests open-loop\n",
-		cfg.shards, cfg.replicas, o.Requests)
-	p, err := experiment.RunShardPoint(o, cfg.shards, cfg.replicas)
+		*shards, *replicas, o.Requests)
+	p, err := experiment.RunShardPoint(o, *shards, *replicas)
 	if err != nil {
 		return err
 	}

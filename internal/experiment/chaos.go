@@ -3,16 +3,12 @@ package experiment
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"versadep/internal/faults"
 	"versadep/internal/faults/chaos"
-	"versadep/internal/orb"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/trace"
@@ -67,6 +63,7 @@ type ChaosRun struct {
 	Crashed        int      `json:"crashed"`
 	CorruptWire    int64    `json:"corrupt_wire"`    // frames damaged by the fabric
 	CorruptDropped int64    `json:"corrupt_dropped"` // frames caught and dropped by checksums
+	Suspicions     int64    `json:"suspicions"`      // heartbeat misses while the faults ran
 	Violations     []string `json:"violations,omitempty"`
 }
 
@@ -130,31 +127,23 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 	}
 	res := &ChaosRun{Seed: runSeed}
 
-	members := s.Members()
-	plan := cc.Spec.Plan(runSeed, chaos.Targets{Replicas: members, Duration: cc.Duration})
-	inj := faults.NewInjector(s.net)
-	done := inj.Run(plan)
-
 	// Closed-loop clients hammer the group for the whole fault window;
 	// every successful reply is a durability promise the grading holds the
 	// group to.
-	var (
-		ackMu  sync.Mutex
-		acked  int
-		cliErr []string
-	)
-	s.hammer(done, func(ci, i int, err error) {
-		ackMu.Lock()
-		defer ackMu.Unlock()
-		if err != nil {
-			cliErr = append(cliErr, fmt.Sprintf("client %d request %d: %v", ci, i, err))
-			return
-		}
-		acked++
-	})
-	res.StepsFired = inj.Applied()
-	res.Acked = acked
-	res.Violations = append(res.Violations, cliErr...)
+	members := s.Members()
+	plan := cc.Spec.Plan(runSeed, chaos.Targets{Replicas: members, Duration: cc.Duration})
+	out, err := s.Run(Plan{UntilFaults: true, Events: []Event{{Faults: plan}}})
+	if err != nil {
+		res.Violations = append(res.Violations, err.Error())
+	}
+	for _, st := range plan.Steps() {
+		res.StepsFired = append(res.StepsFired, st.Name)
+	}
+	for _, r := range out.Results {
+		res.Acked += r.Requests
+	}
+	res.Suspicions = s.TraceSnapshot().Get(trace.SubGCS, "heartbeat_misses")
+	acked := res.Acked
 
 	for _, m := range members {
 		if s.net.Crashed(m) {
@@ -219,25 +208,6 @@ func runChaosOnce(o Options, cc ChaosConfig, runSeed uint64) (*ChaosRun, error) 
 			fmt.Sprintf("goroutines leaked: %d after teardown, baseline %d", runtime.NumGoroutine(), baseline))
 	}
 	return res, nil
-}
-
-// hammer drives every client in a closed loop until done closes or its
-// first failed request, reporting each request's end to onEnd, if set
-// (client, request index, nil or the failure; called from the client's
-// goroutine), and returns once done has closed and every client has stopped.
-func (s *Scenario) hammer(done <-chan struct{}, onEnd func(client, i int, err error)) {
-	s.drive(math.MaxInt, false, func(ci, i int, _ *orb.Outcome, err error) bool {
-		if onEnd != nil {
-			onEnd(ci, i, err)
-		}
-		select {
-		case <-done:
-			return false
-		default:
-			return err == nil
-		}
-	})
-	<-done
 }
 
 // ChaosBenchResult is the chaos/robustness perf-trajectory point: the
@@ -401,30 +371,18 @@ func MeasureDetectionLatency(o Options, replicas, runs int, seed uint64) ([]Dete
 	return out, nil
 }
 
-// MeasureFalseSuspicion drives `runs` seeded runs under a perturbation-only
-// schedule — loss, duplication, reordering, corruption and a timing fault,
-// but no crash and no partition — and counts runs in which any member
-// recorded a suspicion. With accrual detection every suspicion here is
-// false (nothing died), so a healthy detector scores zero.
+// MeasureFalseSuspicion runs a campaign of cc.Runs seeded runs under a
+// perturbation-only schedule — loss, duplication, reordering, corruption and
+// a timing fault, but no crash and no partition — and counts runs in which
+// any member recorded a suspicion. With accrual detection every suspicion
+// here is false (nothing died), so a healthy detector scores zero.
 func MeasureFalseSuspicion(o Options, cc ChaosConfig) (suspectRuns int, total int, err error) {
-	spec := cc.Spec
-	spec.Crashes = 0
-	spec.Partitions = 0
-	cc = cc.withDefaults()
-	for run := 0; run < cc.Runs; run++ {
-		o.Seed = cc.Seed + uint64(run)
-		s, serr := NewScenario(o, cc.Style, cc.Replicas, cc.Clients, nil)
-		if serr != nil {
-			return suspectRuns, run, serr
-		}
-		members := s.Members()
-		plan := spec.Plan(o.Seed, chaos.Targets{Replicas: members, Duration: cc.Duration})
-		s.hammer(faults.NewInjector(s.net).Run(plan), nil)
-		snap := s.TraceSnapshot()
-		if snap.Get(trace.SubGCS, "heartbeat_misses") > 0 {
+	cc.Spec.Crashes, cc.Spec.Partitions = 0, 0
+	report, err := RunChaosCampaign(o, cc)
+	for _, run := range report.Runs {
+		if run.Suspicions > 0 {
 			suspectRuns++
 		}
-		s.Close()
 	}
-	return suspectRuns, cc.Runs, nil
+	return suspectRuns, len(report.Runs), err
 }

@@ -304,8 +304,11 @@ func TestVotingConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res := s.drive(o.Requests, true, nil)[0]
-	if res.Errors != 0 || res.Requests != 50 {
+	out, err := s.Run(Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := out.Results[0]; res.Errors != 0 || res.Requests != 50 {
 		t.Fatalf("voting run: %d ok, %d errors", res.Requests, res.Errors)
 	}
 }
@@ -324,16 +327,10 @@ func TestBandwidthCapStretchesCheckpoints(t *testing.T) {
 	}
 	defer s.Close()
 
-	ctrl := policy.New(policy.Config{
+	out, err := s.Run(Plan{Control: &Control{
 		Policies: []policy.Policy{policy.ResourceCap{BandwidthMBs: 0.001, MinReplicas: 3, MaxCheckpointEvery: 10}},
-		Sample:   s.Sensors(),
-		Actuator: s.Actuator(),
-	})
-	err = s.RunClosedLoop(func(i int, vt vtime.Time, rtt vtime.Duration) {
-		if i > 0 && i%10 == 0 {
-			ctrl.Step()
-		}
-	})
+		Every:    10,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,9 +346,9 @@ func TestBandwidthCapStretchesCheckpoints(t *testing.T) {
 		}
 		return true
 	}); err != nil {
-		t.Fatalf("%v; decisions %+v", err, ctrl.Status().Decisions)
+		t.Fatalf("%v; decisions %+v", err, out.Control.Decisions)
 	}
-	if st := ctrl.Status(); st.Actuations == 0 || st.Decisions[0].Policy != "resource-cap" {
+	if st := out.Control; st.Actuations == 0 || st.Decisions[0].Policy != "resource-cap" {
 		t.Fatalf("controller status = %+v", st)
 	}
 }

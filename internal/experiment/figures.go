@@ -42,12 +42,11 @@ func RunFig3(o Options) (*Fig3Result, error) {
 	}
 	defer s.Close()
 	var ledgers []vtime.Ledger
-	res := s.drive(o.Requests, true, func(_, _ int, out *orb.Outcome, err error) bool {
-		if err == nil {
-			ledgers = append(ledgers, out.Ledger)
-		}
-		return true
-	})[0]
+	out, err := s.Run(Plan{OnReply: func(_, _ int, out *orb.Outcome) { ledgers = append(ledgers, out.Ledger) }})
+	if err != nil {
+		return nil, err
+	}
+	res := out.Results[0]
 	return &Fig3Result{
 		Breakdown: monitor.LedgerBreakdown(ledgers),
 		MeanRTT:   vtime.Duration(res.Latency.Snapshot().Mean()),
@@ -96,8 +95,12 @@ func RunFig4(o Options) ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, fig4Row(r.name, s.drive(o.Requests, true, nil)[0].Latency.Snapshot()))
+		out, err := s.Run(Plan{})
 		s.Close()
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, fig4Row(r.name, out.Results[0].Latency.Snapshot()))
 	}
 	return rows, nil
 }
@@ -188,21 +191,14 @@ type StyleChange struct {
 	Delay vtime.Duration
 }
 
-// Fig6ThinkPhase shapes the offered load: a closed-loop phase with the
-// given think time between requests.
-type Fig6ThinkPhase struct {
-	Think    vtime.Duration
-	Requests int
-}
-
 // DefaultFig6Profile ramps the offered load up and back down, crossing the
 // adaptation thresholds in both directions like the paper's Figure 6.
-func DefaultFig6Profile(requests int) []Fig6ThinkPhase {
+func DefaultFig6Profile(requests int) []ThinkPhase {
 	per := requests / 6
 	if per < 10 {
 		per = 10
 	}
-	return []Fig6ThinkPhase{
+	return []ThinkPhase{
 		{Think: 8 * vtime.Millisecond, Requests: per},
 		{Think: 3 * vtime.Millisecond, Requests: per},
 		{Think: 0, Requests: 2 * per},
@@ -225,7 +221,7 @@ func DefaultFig6Thresholds() Fig6Thresholds { return Fig6Thresholds{High: 500, L
 // RunFig6 runs the adaptive-replication experiment and its static-passive
 // control. The switching rule is the policy layer's RateStyle, run by a
 // policy.Controller as on a live node.
-func RunFig6(o Options, profile []Fig6ThinkPhase, th Fig6Thresholds) (*Fig6Result, error) {
+func RunFig6(o Options, profile []ThinkPhase, th Fig6Thresholds) (*Fig6Result, error) {
 	res := &Fig6Result{}
 	var mu sync.Mutex
 	rate := monitor.NewRateMeter(24)
@@ -268,52 +264,24 @@ func RunFig6(o Options, profile []Fig6ThinkPhase, th Fig6Thresholds) (*Fig6Resul
 // and returns the achieved throughput. A controller running rule, if it is
 // not nil, steps after every reply. The observer sees every replica's
 // notices (filter on Notice.Addr for a single deterministic stream).
-func runFig6Profile(o Options, profile []Fig6ThinkPhase, rule policy.Policy,
+func runFig6Profile(o Options, profile []ThinkPhase, rule policy.Policy,
 	observer func(replication.Notice)) (float64, error) {
 	s, err := NewScenario(o, replication.WarmPassive, 2, 1, observer)
 	if err != nil {
 		return 0, err
 	}
 	defer s.Close()
-
 	// The rate the rule reads is the engine's, over the send stamps of the
-	// agreed stream, so it is the same at every replica; a switch is sent
-	// stamped with the reply that prompted it.
-	var ctrl *policy.Controller
-	var replied vtime.Time
+	// agreed stream, so it is the same at every replica.
+	p := Plan{Phases: profile}
 	if rule != nil {
-		act := s.group.Actuator(nil)
-		act.Now = func() vtime.Time { return replied }
-		ctrl = policy.New(policy.Config{Policies: []policy.Policy{rule}, Sample: s.Sensors(), Actuator: act})
+		p.Control = &Control{Policies: []policy.Policy{rule}}
 	}
-
-	client := s.group.Clients()[0]
-	var vt vtime.Time
-	var start vtime.Time
-	total := 0
-	args, err := replicator.ToValues([]interface{}{make([]byte, o.RequestBytes)})
+	out, err := s.Run(p)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("fig6: %w", err)
 	}
-	for _, ph := range profile {
-		for i := 0; i < ph.Requests; i++ {
-			out, err := client.ORB().Invoke("Bench", "work", args, vt)
-			if err != nil {
-				return 0, fmt.Errorf("fig6 invoke: %w", err)
-			}
-			total++
-			if ctrl != nil {
-				replied = out.DoneVT
-				ctrl.Step()
-			}
-			vt = out.DoneVT.Add(ph.Think)
-		}
-	}
-	span := vt.Sub(start)
-	if span <= 0 {
-		return 0, nil
-	}
-	return float64(total) / span.Seconds(), nil
+	return out.Results[0].Throughput(), nil
 }
 
 // ---------------------------------------------------------------- Figure 7
@@ -356,11 +324,14 @@ func RunFig7ForConfig(o Options, style replication.Style, replicas, clients int)
 	}
 	defer s.Close()
 
-	results := s.drive(o.Requests, true, nil)
+	out, err := s.Run(Plan{})
+	if err != nil {
+		return Fig7Point{}, err
+	}
 	var all hist.Snapshot
 	var maxEnd vtime.Time
 	total := 0
-	for _, r := range results {
+	for _, r := range out.Results {
 		total += r.Requests
 		if r.EndVT.After(maxEnd) {
 			maxEnd = r.EndVT
@@ -481,46 +452,29 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 			mu.Unlock()
 		}
 	}
-	switched := func() []vtime.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		return slices.Clone(delays)
-	}
 	s, err := NewScenario(o, replication.WarmPassive, 3, 1, observer)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
 
-	client := s.group.Clients()[0]
-	args, err := replicator.ToValues([]interface{}{make([]byte, o.RequestBytes)})
+	// A switch every per replies, alternating targets. A refused one (a
+	// switch still in flight) multicasts nothing, so only an accepted one
+	// is waited for.
+	var p Plan
+	targets := [2]replication.Style{replication.Active, replication.WarmPassive}
+	for k := 1; k <= switches; k++ {
+		p.Events = append(p.Events, Event{At: k * max(o.Requests/(switches+1), 5), Switch: targets[(k-1)%2]})
+	}
+	out, err := s.Run(p)
 	if err != nil {
 		return nil, err
 	}
-	var lat hist.Snapshot
-	var vt vtime.Time
-	target, last := replication.Active, replication.WarmPassive
-	var requested int
-	per := max(o.Requests/(switches+1), 5)
-	for i := 0; i < o.Requests; i++ {
-		if i > 0 && i%per == 0 && len(switched()) < switches {
-			// A refused request (a switch still in flight) multicasts
-			// nothing, so only an accepted one is waited for.
-			if s.group.Nodes()[0].Engine().RequestSwitch(target, vt) == nil {
-				requested, last = requested+1, target
-				if target == replication.Active {
-					target = replication.WarmPassive
-				} else {
-					target = replication.Active
-				}
-			}
+	requested, last := 0, replication.WarmPassive
+	for _, f := range out.Fired {
+		if f.Err == nil {
+			requested, last = requested+1, f.Switch
 		}
-		out, err := client.ORB().Invoke("Bench", "work", args, vt)
-		if err != nil {
-			return nil, err
-		}
-		lat.Observe(int64(out.RTT()))
-		vt = out.DoneVT
 	}
 	// The last switch may still be completing at replicas off the
 	// client's path; its delay is the run's.
@@ -534,8 +488,10 @@ func RunSwitchDelay(o Options, switches int) (*SwitchDelayResult, error) {
 	}); err != nil {
 		return nil, err
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	return &SwitchDelayResult{
-		MeanRTT:      vtime.Duration(lat.Mean()),
-		SwitchDelays: switched(),
+		MeanRTT:      vtime.Duration(out.Results[0].Latency.Snapshot().Mean()),
+		SwitchDelays: slices.Clone(delays),
 	}, nil
 }

@@ -13,7 +13,6 @@ import (
 	"versadep/internal/obsplane"
 	"versadep/internal/replication"
 	"versadep/internal/trace"
-	"versadep/internal/vtime"
 )
 
 // TestScrapeDuringViewChange hammers a live introspection endpoint —
@@ -80,11 +79,7 @@ func TestScrapeDuringViewChange(t *testing.T) {
 		}(w)
 	}
 
-	err = scn.RunClosedLoop(func(i int, vt vtime.Time, rtt vtime.Duration) {
-		if i == 40 {
-			scn.CrashPrimary()
-		}
-	})
+	_, err = scn.Run(Plan{Events: []Event{{At: 40, CrashPrimary: true}}})
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -2,16 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 	"time"
 
-	"versadep/internal/faults"
-	"versadep/internal/faults/chaos"
 	"versadep/internal/interceptor"
 	"versadep/internal/monitor"
-	"versadep/internal/orb"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
@@ -21,9 +16,9 @@ import (
 	"versadep/internal/workload"
 )
 
-// Scenario is a running system the experiments and cmd/vdsim drive: a
-// fabric, one replica group of benchmark servants and its clients, with
-// hooks for mid-run events. The group mechanism is replicator.Group's; what
+// Scenario is a running system the experiments and cmd/vdsim drive through
+// Run: a fabric, one replica group of benchmark servants and its clients.
+// The group mechanism is replicator.Group's; what
 // is decided here is the evaluation's own: replicas are "replica-a",
 // "replica-b", … in start order and clients "client-1", …, every joiner is
 // seeded on one member (the first at boot, the first live one later), and
@@ -36,11 +31,11 @@ type Scenario struct {
 	// observer applies to every replica, boot-time or spawned.
 	observer func(replication.Notice)
 
-	// mu guards what growth and the drivers touch concurrently: the
+	// mu guards what growth and Run's clients touch concurrently: the
 	// controller can spawn replicas while clients run.
 	mu     sync.Mutex
 	next   int        // numbers the replicas ever started
-	maxEnd vtime.Time // the latest reply of RunClosedLoop so far
+	maxEnd vtime.Time // the latest reply of Run so far
 }
 
 // replicaAddr names the i-th replica ever started.
@@ -123,145 +118,6 @@ func (s *Scenario) Close() {
 	s.net.Close()
 }
 
-// Chaos parses a "SPEC[:SEED]" chaos argument (chaos.ParseSpec syntax)
-// and launches the resulting deterministic fault schedule against the
-// scenario's fabric over the given window, targeting the current replica
-// set. It returns a channel closed when the schedule (including its final
-// heal-all step) has run, plus the schedule's step names for display.
-func (s *Scenario) Chaos(arg string, window time.Duration) (<-chan struct{}, []string, error) {
-	spec, seed, err := chaos.ParseSpec(arg)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := spec.Plan(seed, chaos.Targets{Replicas: s.Members(), Duration: window})
-	var names []string
-	for _, st := range plan.Steps() {
-		names = append(names, fmt.Sprintf("%v %s", st.After, st.Name))
-	}
-	done := faults.NewInjector(s.net).Run(plan)
-	return done, names, nil
-}
-
-// drive runs every client through a closed request cycle concurrently and
-// returns their results in client order, pacing their virtual clocks if
-// paced (see pacer; a run that measures no virtual time need not). onReply,
-// when set, sees each request's end with its client's index and may end that
-// client's cycle (workload.ClosedLoop.OnReply).
-func (s *Scenario) drive(requests int, paced bool,
-	onReply func(client, i int, out *orb.Outcome, err error) bool) []*workload.Result {
-	clients := s.group.Clients()
-	results := make([]*workload.Result, len(clients))
-	pace := newPacer(len(clients))
-	var wg sync.WaitGroup
-	for ci, c := range clients {
-		cl := workload.ClosedLoop{Client: c, Requests: requests, RequestBytes: s.opts.RequestBytes}
-		cl.OnReply = func(i int, out *orb.Outcome, err error) bool {
-			if onReply != nil && !onReply(ci, i, out, err) {
-				return false
-			}
-			if err == nil && paced {
-				pace.advance(ci, out.DoneVT)
-			}
-			return true
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pace.stop(ci)
-			results[ci] = cl.Run()
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// lagWindow is how far a paced client's virtual clock may run ahead of the
-// slowest running client's: a few round trips.
-const lagWindow = 5 * vtime.Millisecond
-
-// pacer keeps closed-loop clients' virtual clocks together. A client's clock
-// advances only as fast as the Go scheduler runs its goroutine, so one client
-// may issue many requests while another waits for a processor. Its requests
-// are then ordered first, and the other client's later deliveries inherit its
-// virtual time: a latency the model never put there, sized by the scheduler.
-// The pacer holds a client that would send more than lagWindow ahead of
-// another running client until that one catches up or stops; the client with
-// the earliest clock is never held.
-type pacer struct {
-	mu    sync.Mutex
-	moved *sync.Cond
-	clock []vtime.Time // each client's next send; a stopped one's is the end of time
-}
-
-func newPacer(clients int) *pacer {
-	p := &pacer{clock: make([]vtime.Time, clients)}
-	p.moved = sync.NewCond(&p.mu)
-	return p
-}
-
-// advance records that client i sends next at t, and returns once no client
-// is more than lagWindow behind it.
-func (p *pacer) advance(i int, t vtime.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.clock[i] = t
-	p.moved.Broadcast()
-	for slices.Min(p.clock) < t.Add(-lagWindow) {
-		p.moved.Wait()
-	}
-}
-
-// stop takes client i, whose cycle has ended, out of the pacing.
-func (p *pacer) stop(i int) {
-	p.mu.Lock()
-	p.clock[i] = math.MaxInt64
-	p.moved.Broadcast()
-	p.mu.Unlock()
-}
-
-// RunClosedLoop drives every client through the configured request cycle.
-// onReply observes the first client's replies (request index, virtual
-// completion time, round trip) so callers can inject events at specific
-// points of the run. A client stops at its first failed request.
-func (s *Scenario) RunClosedLoop(onReply func(i int, vt vtime.Time, rtt vtime.Duration)) error {
-	errs := make([]error, len(s.group.Clients()))
-	s.drive(s.opts.Requests, true, func(ci, i int, out *orb.Outcome, err error) bool {
-		if err != nil {
-			errs[ci] = fmt.Errorf("client %d request %d: %w", ci, i, err)
-			return false
-		}
-		s.mu.Lock()
-		if out.DoneVT.After(s.maxEnd) {
-			s.maxEnd = out.DoneVT
-		}
-		s.mu.Unlock()
-		if ci == 0 && onReply != nil {
-			onReply(i, out.DoneVT, out.RTT())
-		}
-		return true
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Switch requests a runtime replication-style switch.
-func (s *Scenario) Switch(target replication.Style, vt vtime.Time) {
-	if live := s.group.Live(); len(live) > 0 {
-		live[0].Engine().RequestSwitch(target, vt)
-	}
-}
-
-// CrashPrimary kills the rank-0 replica.
-func (s *Scenario) CrashPrimary() {
-	if live := s.group.Live(); len(live) > 0 {
-		s.net.Crash(live[0].Addr())
-	}
-}
-
 // Grow spawns one fresh replica at runtime, seeded on the first live member
 // and mirroring the group's current style and checkpoint frequency. It joins
 // the group over the totally ordered channel, receives a state transfer, and
@@ -275,23 +131,6 @@ func (s *Scenario) Grow() (string, error) {
 	ref := live[0]
 	st := ref.Engine().StatsSnapshot()
 	return s.addReplica(st.Style, st.CheckpointEvery, []string{ref.Addr()})
-}
-
-// Retire gracefully removes addr from the group ("" retires the
-// highest-ranked member, never the primary). The directive rides the
-// agreed stream; the named replica takes a parting checkpoint if it is a
-// passive primary and then leaves.
-func (s *Scenario) Retire(addr string, vt vtime.Time) error {
-	if addr == "" {
-		act := s.group.Actuator(nil)
-		act.Now = func() vtime.Time { return vt }
-		return act.Shrink()
-	}
-	live := s.group.Live()
-	if len(live) == 0 {
-		return fmt.Errorf("experiment: no live replica to issue retirement from")
-	}
-	return live[0].Retire(addr, vt)
 }
 
 // Style reports the current style at the first live replica.
@@ -331,11 +170,11 @@ func (s *Scenario) Members() []string { return s.group.Members() }
 // Retired and crashed replicas contribute their final snapshots.
 func (s *Scenario) TraceSnapshot() trace.Snapshot { return s.group.TraceSnapshot() }
 
-// Sensors returns a policy.Signals sampler over the scenario: it reads
-// the first live replica each call, so the sample survives crashes,
+// sensors returns the policy.Signals sampler a plan's controller reads: it
+// reads the first live replica each call, so the sample survives crashes,
 // retirements and growth of individual nodes. The bandwidth is the
 // fabric's, metered as BandwidthMBs does over the run so far.
-func (s *Scenario) Sensors() func() policy.Signals {
+func (s *Scenario) sensors() func() policy.Signals {
 	return func() policy.Signals {
 		live := s.group.Live()
 		if len(live) == 0 {
@@ -347,16 +186,8 @@ func (s *Scenario) Sensors() func() policy.Signals {
 	}
 }
 
-// Actuator returns a policy.Actuator driving this scenario: switches and
-// checkpoint retuning on the first live replica, Grow through Scenario.Grow,
-// Shrink through graceful retirement. Like Sensors, every call re-resolves
-// the live group, so the actuator outlives any single replica.
-func (s *Scenario) Actuator() policy.Actuator {
-	return s.group.Actuator(func([]string) error { _, err := s.Grow(); return err })
-}
-
-// BandwidthMBs reports the fabric's bytes sent over the virtual time
-// RunClosedLoop has covered so far (0 before its first reply).
+// BandwidthMBs reports the fabric's bytes sent over the virtual time Run
+// has covered so far (0 before its first reply).
 func (s *Scenario) BandwidthMBs() float64 {
 	s.mu.Lock()
 	end := s.maxEnd

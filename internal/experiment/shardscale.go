@@ -309,7 +309,7 @@ func RunShardPoint(o Options, shards, replicasPer int) (ShardScalePoint, error) 
 		// the measured throughput is the system's, not the schedule's.
 		Phases:         []workload.Phase{{Rate: 50000, Requests: o.Requests}},
 		MaxOutstanding: 64,
-		OnObjectReply: func(object string, _ vtime.Time, out *orb.Outcome) {
+		OnReply: func(object string, _ vtime.Time, out *orb.Outcome) {
 			s := ring.Lookup(object)
 			lmu.Lock()
 			h := perShard[s]
@@ -429,7 +429,7 @@ func RunShardGrow(o Options, shards int) (*ShardGrowResult, error) {
 			Phases:         []workload.Phase{{Rate: 1000, Requests: n}},
 			MaxOutstanding: 32,
 			StartVT:        startVT,
-			OnObjectReply: func(object string, _ vtime.Time, _ *orb.Outcome) {
+			OnReply: func(object string, _ vtime.Time, _ *orb.Outcome) {
 				lmu.Lock()
 				acked[object]++
 				lmu.Unlock()

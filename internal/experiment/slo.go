@@ -3,11 +3,10 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
+	"versadep/internal/faults"
 	"versadep/internal/obsplane"
-	"versadep/internal/orb"
 	"versadep/internal/policy"
 	"versadep/internal/replication"
 	"versadep/internal/transport"
@@ -120,88 +119,47 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 	}
 	defer scn.Close()
 
-	width := spec.Window.Nanoseconds() / 5
-	if width < 1 {
-		width = 1
-	}
-	store := obsplane.NewStore(width, 512)
-	eng := obsplane.NewEngine(store, spec)
-
-	res := &SLOScenarioResult{Name: name, Partition: partition}
-	var actMu sync.Mutex
-	ctrl := policy.New(policy.Config{
-		// MaxReplicas == current size keeps the escalation to a style
-		// switch: growing a replica mid-partition would entangle the grade
-		// with state-transfer timing, which has its own experiments.
-		Policies: []policy.Policy{policy.BudgetBurn{Hot: 2, Calm: 0.25, MaxReplicas: replicas}},
-		Sample:   eng.Signals(scn.Sensors()),
-		Actuator: scn.Actuator(),
-		Cooldown: 50 * time.Millisecond,
-		OnEntry: func(e policy.Entry) {
-			if e.Err == "" {
-				actMu.Lock()
-				res.Actuations++
-				actMu.Unlock()
-			}
-		},
-	})
-
-	replies := 0
-	healed := make(chan struct{})
-	if !partition {
-		close(healed)
-	}
-	loop := workload.OpenLoop{
-		Client:       scn.group.Clients()[0],
-		RequestBytes: o.RequestBytes,
-		Phases:       sloPhases(),
-		RealPace:     sloPace,
-		OnError: func(sentVT vtime.Time, err error) {
-			store.Observe(obsplane.SeriesBad, int64(sentVT), 1)
-		},
-		OnReply: func(sentVT vtime.Time, out *orb.Outcome) {
-			store.Observe(obsplane.SeriesLatencyMicros, int64(sentVT), out.RTT().Microseconds())
-			store.Observe(obsplane.SeriesGood, int64(sentVT), 1)
-			replies++ // called under the loop's result lock
-			if replies%25 == 0 {
-				ctrl.Step()
-			}
-			if partition && replies == 250 {
-				scn.net.SetLink("*", "*", transport.Rule{Delay: 5 * vtime.Millisecond})
-				scn.net.Partition("replica-c", 1)
-				time.AfterFunc(200*time.Millisecond, func() {
-					scn.net.Heal()
-					close(healed)
-				})
-			}
+	width := max(spec.Window.Nanoseconds()/5, 1)
+	plan := Plan{
+		Open:     sloPhases(),
+		RealPace: sloPace,
+		SLO:      obsplane.NewEngine(obsplane.NewStore(width, 512), spec),
+		Control: &Control{
+			// MaxReplicas == current size keeps the escalation to a style
+			// switch: growing a replica mid-partition would entangle the
+			// grade with state-transfer timing, which has its own
+			// experiments.
+			Policies: []policy.Policy{policy.BudgetBurn{Hot: 2, Calm: 0.25, MaxReplicas: replicas}},
+			Every:    25,
+			Cooldown: 50 * time.Millisecond,
 		},
 	}
-	out := loop.Run()
-	<-healed
-	res.Requests = out.Requests
-	res.Errors = out.Errors
-
-	// Whole-run grade plus the latency series summary.
-	overall := eng.Overall()
-	res.Attainment = overall.Attainment
-	res.BurnRate = overall.BurnRate
-	res.PeakBurnRate = overall.PeakBurnRate
-	res.Objectives = overall.Objectives
-	res.Compliant = true
-	for _, ob := range overall.Objectives {
+	if partition {
+		plan.Events = []Event{{At: 250, Faults: new(faults.Schedule).
+			At(0, "delay 5ms", faults.SetLink("*", "*", transport.Rule{Delay: 5 * vtime.Millisecond})).
+			At(0, "partition replica-c", faults.Partition("replica-c", 1)).
+			At(200*time.Millisecond, "heal", faults.Heal())}}
+	}
+	out, err := scn.Run(plan)
+	if err != nil {
+		return nil, err
+	}
+	load := out.Results[0]
+	res := &SLOScenarioResult{Name: name, Partition: partition, Requests: load.Requests, Errors: load.Errors,
+		Attainment: out.SLO.Attainment, BurnRate: out.SLO.BurnRate, PeakBurnRate: out.SLO.PeakBurnRate,
+		Objectives: out.SLO.Objectives, Compliant: true, Actuations: out.Control.Actuations,
+		P99Micros: out.Latency.Quantile(0.99), MeanMicros: out.Latency.Mean()}
+	for _, ob := range out.SLO.Objectives {
 		if !ob.Compliant {
 			res.Compliant = false
 		}
 	}
-	lat := store.Rollup(obsplane.SeriesLatencyMicros, 0)
-	res.P99Micros = lat.Quantile(0.99)
-	res.MeanMicros = lat.Mean()
 
 	// Feed every node's final snapshot through the aggregator: the merged
 	// view yields the stitched cross-node timelines and the cluster
 	// counters (suspicions) the result reports.
 	agg := obsplane.NewAggregator(width, 512)
-	endAt := int64(out.EndVT)
+	endAt := int64(load.EndVT)
 	for _, n := range scn.group.Nodes() {
 		agg.Ingest(n.Addr(), endAt, n.TraceSnapshot())
 	}

@@ -65,7 +65,7 @@ func TestFailoverStitchedTimeline(t *testing.T) {
 		crash:   func() { scn.net.Crash(primary.Addr()) },
 	})
 
-	if err := scn.RunClosedLoop(nil); err != nil {
+	if _, err := scn.Run(Plan{}); err != nil {
 		t.Fatalf("closed loop did not survive the failover: %v", err)
 	}
 

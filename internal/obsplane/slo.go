@@ -206,6 +206,9 @@ func NewEngine(store *Store, spec Spec) *Engine {
 	return e
 }
 
+// Store is the store the engine grades.
+func (e *Engine) Store() *Store { return e.store }
+
 // SetSeries repoints the engine at custom latency/good/bad series names
 // (empty strings keep the current name).
 func (e *Engine) SetSeries(latency, good, bad string) {

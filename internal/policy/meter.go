@@ -70,21 +70,6 @@ func (m *FaultMeter) ObserveCrashes(n int) {
 	m.prune(at)
 }
 
-// Reset forgets all observed crashes (availability returns to the prior).
-func (m *FaultMeter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = nil
-}
-
-// Crashes reports the number of crashes currently inside the window.
-func (m *FaultMeter) Crashes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.prune(m.now())
-	return len(m.events)
-}
-
 // Availability returns the current per-replica availability estimate in
 // (0,1): the prior when the window holds no crashes, 1/(1+λ·MTTR)
 // otherwise.

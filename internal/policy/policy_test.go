@@ -150,48 +150,31 @@ func TestFaultMeterAvailabilityMath(t *testing.T) {
 	clk := time.Unix(1000, 0)
 	m := policy.NewFaultMeter(60*time.Second, time.Second)
 	m.SetClock(func() time.Time { return clk })
+	check := func(what string, want float64) {
+		t.Helper()
+		if a := m.Availability(); a < want-1e-9 || a > want+1e-9 {
+			t.Fatalf("availability %s = %v, want %v", what, a, want)
+		}
+	}
 
 	// No crashes: the healthy prior.
-	if a := m.Availability(); a != 0.99 {
-		t.Fatalf("healthy availability = %v, want prior 0.99", a)
-	}
-	// 14 crashes/minute, MTTR 1s: λ=14/60, A = 1/(1+14/60) = 60/74... no:
-	// A = 1/(1 + (14/60)*1) = 60/74 ≈ 0.8108.
+	check("when healthy", 0.99)
+	// 14 crashes/minute, MTTR 1s: λ=14/60, A = 1/(1+(14/60)·1) ≈ 0.8108.
 	m.ObserveCrashes(14)
-	want := 1 / (1 + 14.0/60.0)
-	if a := m.Availability(); a < want-1e-9 || a > want+1e-9 {
-		t.Fatalf("availability after 14 crashes = %v, want %v", a, want)
-	}
-	if m.Crashes() != 14 {
-		t.Fatalf("crashes = %d", m.Crashes())
-	}
+	check("after 14 crashes", 1/(1+14.0/60.0))
+	// Events age out of the window: the prior again.
+	clk = clk.Add(61 * time.Second)
+	check("after the window", 0.99)
 	// One crash only: 1/(1+1/60) ≈ 0.9836 — still below the prior, so no
 	// clamping artifact.
-	m.Reset()
 	m.ObserveCrashes(1)
-	want = 1 / (1 + 1.0/60.0)
-	if a := m.Availability(); a < want-1e-9 || a > want+1e-9 {
-		t.Fatalf("availability after 1 crash = %v, want %v", a, want)
-	}
+	check("after 1 crash", 1/(1+1.0/60.0))
+	// Half a window on, the crash still counts.
+	clk = clk.Add(30 * time.Second)
+	check("half a window after 1 crash", 1/(1+1.0/60.0))
 	// The estimate never rises above the healthy prior.
 	m.SetPrior(0.9)
-	if a := m.Availability(); a != 0.9 {
-		t.Fatalf("availability = %v, want clamp to prior 0.9", a)
-	}
-	// Events age out of the window.
-	clk = clk.Add(61 * time.Second)
-	if m.Crashes() != 0 {
-		t.Fatalf("crashes after window = %d, want 0", m.Crashes())
-	}
-	if a := m.Availability(); a != 0.9 {
-		t.Fatalf("availability after window = %v, want prior", a)
-	}
-	// Reset restores the prior immediately.
-	m.ObserveCrashes(5)
-	m.Reset()
-	if a := m.Availability(); a != 0.9 {
-		t.Fatalf("availability after reset = %v, want prior", a)
-	}
+	check("with prior 0.9", 0.9)
 }
 
 // fakeActuator records actuations for white-box controller tests.

@@ -214,9 +214,8 @@ func (e *Engine) prunePending(orphaned func(ckptKey) bool) {
 // up with the stream head. A state the application fails to restore
 // changes none of this. It returns when the restore finished.
 func (e *Engine) install(c *ckpt, from string, arrived vtime.Time, chunked bool) (vtime.Time, error) {
-	vt := e.cpu.Execute(arrived, vtime.Duration(len(c.state))*e.cfg.Model.CheckpointPerByte)
-	if err := e.cfg.State.Restore(c.state); err != nil {
-		e.tr.Event(trace.SubReplication, "restore_failed", vt, int64(len(c.state)))
+	vt, err := e.restore(c.state, arrived)
+	if err != nil {
 		return vt, err
 	}
 	if e.spans.On() {
@@ -235,6 +234,18 @@ func (e *Engine) install(c *ckpt, from string, arrived vtime.Time, chunked bool)
 		// a passive→active switch) catches up to the stream head before
 		// executing live traffic.
 		e.replayLog(vt)
+	}
+	return vt, nil
+}
+
+// restore loads state into the application at vt, paying its per-byte
+// cost, and returns when it finished. A state the application refuses is
+// recorded as restore_failed.
+func (e *Engine) restore(state []byte, vt vtime.Time) (vtime.Time, error) {
+	vt = e.cpu.Execute(vt, vtime.Duration(len(state))*e.cfg.Model.CheckpointPerByte)
+	if err := e.cfg.State.Restore(state); err != nil {
+		e.tr.Event(trace.SubReplication, "restore_failed", vt, int64(len(state)))
+		return vt, err
 	}
 	return vt, nil
 }

@@ -201,7 +201,10 @@ func (e *Engine) handoff(vt vtime.Time) {
 
 // failover promotes this replica to primary: cold replicas pay the
 // cold-start and restore costs first, then the logged requests since the
-// last checkpoint are replayed (Figure 5's rollback).
+// last checkpoint are replayed (Figure 5's rollback). A cold replica whose
+// stored checkpoint fails to restore replays nothing, since it would
+// execute the log over state it never loaded: it stays unsynced, logging
+// and answering nothing, and no failover completes.
 func (e *Engine) failover(vt vtime.Time) {
 	start := vt
 	var fkey span.Key // the cold name is formatted only for a recorder
@@ -212,8 +215,11 @@ func (e *Engine) failover(vt vtime.Time) {
 	if e.style == ColdPassive {
 		vt = e.cpu.Execute(vt, e.cfg.Model.ColdStart)
 		if e.lastCkpt != nil {
-			vt = e.cpu.Execute(vt, vtime.Duration(len(e.lastCkpt.State))*e.cfg.Model.CheckpointPerByte)
-			_ = e.cfg.State.Restore(e.lastCkpt.State)
+			var err error
+			if vt, err = e.restore(e.lastCkpt.State, vt); err != nil {
+				e.synced = false
+				return
+			}
 			e.setCache(e.lastCkpt.Cache)
 		}
 		e.spans.Add(fkey, "cold_restart", span.CompReplicator, start, vt)

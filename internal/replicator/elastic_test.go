@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +19,11 @@ import (
 	"versadep/internal/trace"
 	"versadep/internal/vtime"
 )
+
+// healthy is a replica fault meter's availability with no crash in its
+// window: the prior. Any crash in the 60 s window at the 1 s MTTR lowers it,
+// to 1/(1+n/60) for n crashes.
+const healthy = 0.99
 
 func TestGracefulRetireBackup(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(89))
@@ -62,8 +69,8 @@ func TestGracefulRetireBackup(t *testing.T) {
 		if st.Retirements == 0 {
 			t.Fatalf("%s observed no retirement directive", node.Addr())
 		}
-		if got := node.Faults().Crashes(); got != 0 {
-			t.Fatalf("%s fault meter counted %d crashes for a graceful leave", node.Addr(), got)
+		if got := node.Faults().Availability(); got != healthy {
+			t.Fatalf("%s fault meter reads availability %v after a graceful leave, want the prior %v", node.Addr(), got, healthy)
 		}
 	}
 	if len(obs.find(replication.NoticeRetire)) == 0 {
@@ -109,8 +116,8 @@ func TestGracefulRetirePrimaryHandsOff(t *testing.T) {
 	if st.Failovers != 0 || st.Handoffs != 1 {
 		t.Fatalf("failovers=%d handoffs=%d, want a handoff and no failover", st.Failovers, st.Handoffs)
 	}
-	if got := c.nodes[1].Faults().Crashes(); got != 0 {
-		t.Fatalf("fault meter counted %d crashes for a graceful handoff", got)
+	if got := c.nodes[1].Faults().Availability(); got != healthy {
+		t.Fatalf("fault meter reads availability %v after a graceful handoff, want the prior %v", got, healthy)
 	}
 }
 
@@ -165,8 +172,8 @@ func TestCrashDuringJoinKeepsServiceAndClosesSpans(t *testing.T) {
 	c.await(t, 5*time.Second, func(map[string]replication.Stats) bool { return app.value("x") >= 9 })
 
 	// The survivor observed a genuine crash (it feeds the fault meter).
-	if got := c.nodes[1].Faults().Crashes(); got == 0 {
-		t.Fatal("survivor's fault meter observed no crash")
+	if got, want := c.nodes[1].Faults().Availability(), 1/(1+1.0/60); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("survivor's fault meter reads availability %v, want %v (1 crash)", got, want)
 	}
 
 	// Same invariant as the span leak detector: every span that opened on
@@ -260,7 +267,11 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 
 	primary := c.nodes[0]
 	meter := primary.Faults()
-	meter.SetPrior(0.99)
+	meter.SetPrior(healthy)
+	// The meter's clock runs ahead of the wall by skew, so the test can
+	// age the observed crashes out of its 60 s window.
+	var skew atomic.Int64
+	meter.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
 
 	// The spawn hook launches simulated replicas named after "rb" so the
 	// shrink path (highest rank first) retires them before the originals.
@@ -341,10 +352,10 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 		return j.Members == 3 && j.Synced
 	})
 
-	// Phase 3 — recovery: the fault observations age out (Reset models
-	// the window passing), availability returns to the prior, and the
-	// controller retires the extra replica gracefully.
-	meter.Reset()
+	// Phase 3 — recovery: the fault observations age out of the window,
+	// availability returns to the prior, and the controller retires the
+	// extra replica gracefully.
+	skew.Store(int64(61 * time.Second))
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		invoke()
@@ -367,8 +378,8 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 	if st := primary.Engine().StatsSnapshot(); st.Failovers != 0 {
 		t.Fatalf("shrink caused %d failovers", st.Failovers)
 	}
-	if got := meter.Crashes(); got != 0 {
-		t.Fatalf("graceful shrink fed the fault meter: %d crashes", got)
+	if got := meter.Availability(); got != healthy {
+		t.Fatalf("graceful shrink fed the fault meter: availability %v, want the prior %v", got, healthy)
 	}
 
 	// Requests kept completing throughout; the counter stayed linear.

@@ -26,17 +26,12 @@ func TestFaultMeterAgreesWithInjectedCrashes(t *testing.T) {
 	net.Crash("rd")
 	c.waitGroupSize(t, 3)
 
+	// λ = 2 crashes over the 60s default window, MTTR 1s: availability =
+	// 1/(1 + λ·MTTR).
+	twoCrashes := 1 / (1 + 2.0/60.0)
 	for _, node := range c.nodes[:3] {
-		m := node.Faults()
-		if got := m.Crashes(); got != 2 {
-			t.Fatalf("%s: meter observed %d crashes, injected 2", node.Addr(), got)
-		}
-		// λ = 2 crashes over the 60s default window, MTTR 1s:
-		// availability = 1/(1 + λ·MTTR).
-		lambda := 2.0 / 60.0
-		want := 1 / (1 + lambda)
-		if got := m.Availability(); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("%s: availability %v, want %v", node.Addr(), got, want)
+		if got := node.Faults().Availability(); math.Abs(got-twoCrashes) > 1e-9 {
+			t.Fatalf("%s: availability %v, want %v (2 crashes)", node.Addr(), got, twoCrashes)
 		}
 	}
 
@@ -45,8 +40,8 @@ func TestFaultMeterAgreesWithInjectedCrashes(t *testing.T) {
 	c.nodes[2].Leave()
 	c.waitGroupSize(t, 2)
 	for _, node := range c.nodes[:2] {
-		if got := node.Faults().Crashes(); got != 2 {
-			t.Fatalf("%s: meter observed %d crashes after graceful leave, want 2", node.Addr(), got)
+		if got := node.Faults().Availability(); math.Abs(got-twoCrashes) > 1e-9 {
+			t.Fatalf("%s: availability %v after graceful leave, want %v (2 crashes)", node.Addr(), got, twoCrashes)
 		}
 	}
 }

@@ -202,14 +202,11 @@ type OpenLoop struct {
 	// run's real-time machinery (failure detectors, timed fault holds) in
 	// step with the arrival schedule.
 	RealPace time.Duration
-	// OnReply, if set, observes each completed request (virtual arrival
-	// time of the request and its outcome). Called from worker
-	// goroutines.
-	OnReply func(sentVT vtime.Time, out *orb.Outcome)
-	// OnObjectReply, if set, additionally carries the object the request
-	// targeted — per-shard latency attribution keys on it. Called from
-	// worker goroutines.
-	OnObjectReply func(object string, sentVT vtime.Time, out *orb.Outcome)
+	// OnReply, if set, observes each completed request: the object it
+	// targeted (per-shard attribution keys on it), its virtual arrival
+	// time and its outcome. Called from worker goroutines, under the
+	// loop's result lock.
+	OnReply func(object string, sentVT vtime.Time, out *orb.Outcome)
 	// OnError, if set, observes each failed invocation (virtual arrival
 	// time and the error). Called from worker goroutines; SLO graders use
 	// it to place bad outcomes in the right time window.
@@ -283,10 +280,7 @@ func (o OpenLoop) Run() *Result {
 					res.EndVT = out.DoneVT
 				}
 				if o.OnReply != nil {
-					o.OnReply(arrive, out)
-				}
-				if o.OnObjectReply != nil {
-					o.OnObjectReply(target, arrive, out)
+					o.OnReply(target, arrive, out)
 				}
 			})
 		}

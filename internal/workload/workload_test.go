@@ -215,7 +215,7 @@ func TestOpenLoopOnReply(t *testing.T) {
 	ol := workload.OpenLoop{
 		Client: client,
 		Phases: []workload.Phase{{Rate: 2000, Requests: 10}},
-		OnReply: func(sentVT vtime.Time, out *orb.Outcome) {
+		OnReply: func(_ string, _ vtime.Time, out *orb.Outcome) {
 			mu.Lock()
 			got++
 			lastRTT = out.RTT()

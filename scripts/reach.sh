@@ -5,8 +5,9 @@
 #   tier-1  go test ./...
 #   CLI     the vdbench experiments CI runs (-exp all; -exp chaos -seed 7
 #           -chaos-runs 20; -exp slo; -exp shardscale), every example, a
-#           default vdsim and a vdsim adapting under all four policy rules,
-#           each built with -cover and run under GOCOVERDIR
+#           default vdsim, a vdsim adapting under all four policy rules, a
+#           vdsim firing every scripted event and a two-shard vdsim, each
+#           built with -cover and run under GOCOVERDIR
 # It prints the statement share of each side and of their union, then the
 # functions neither side reaches, then the functions only tests reach: the
 # candidates for deletion, or for a test that says why they exist.
@@ -45,6 +46,8 @@ run vdbench -exp slo
 run vdbench -exp shardscale
 run vdsim
 run vdsim -style warm-passive -requests 300 -adapt rate=600:200,avail=0.995:5,bwcap=3:2,burn=2:0.25:3 -slo 'p99<10ms,avail>0.999:25ms'
+run vdsim -style warm-passive -requests 300 -switch-to active -switch-at 60 -crash-primary-at 120 -grow-at 180 -retire-at 240 -chaos drop=0.05,dup=0.05:7 -chaos-for 300ms
+run vdsim -shards 2 -requests 200
 for e in examples/*/; do
 	run "$(basename "$e")"
 done
