@@ -90,12 +90,8 @@ func run() error {
 	}
 	o.TransferChunkBytes = *xferChunk
 	o.TransferRetryEvery = *xferRetry
-	if *detector != "" {
-		phi, err := cliflag.DetectorPhi(*detector)
-		if err != nil {
-			return err
-		}
-		o.PhiThreshold = phi
+	if o.GCS, err = cliflag.Detector(*detector, 0); err != nil {
+		return err
 	}
 
 	if *shards > 1 {

@@ -40,23 +40,6 @@ func Detector(detector string, suspectAfter time.Duration) (*gcs.Config, error) 
 	return &g, nil
 }
 
-// DetectorPhi parses a -detector flag into the experiment-harness
-// convention: positive = accrual threshold, -1 = accrual disabled (fixed
-// timeout only), 0 = flag unset (keep the stock default).
-func DetectorPhi(detector string) (float64, error) {
-	if detector == "" {
-		return 0, nil
-	}
-	phi, err := gcs.ParseDetector(detector)
-	if err != nil {
-		return 0, fmt.Errorf("-detector: %w", err)
-	}
-	if phi > 0 {
-		return phi, nil
-	}
-	return -1, nil
-}
-
 // Chaos parses a -chaos flag ("SPEC[:SEED]", e.g. "drop=0.05,corrupt=0.02:7").
 func Chaos(arg string) (chaos.Spec, uint64, error) {
 	spec, seed, err := chaos.ParseSpec(arg)

@@ -49,32 +49,17 @@ type Options struct {
 	TransferChunkBytes int
 	// TransferRetryEvery overrides the transfer retry tick (0 = default).
 	TransferRetryEvery time.Duration
-	// SuspectAfter overrides the GCS failure-detector timeout (0 =
-	// default). Fault-injection runs raise it so scripted partitions
-	// exercise transfer resume instead of view exclusion.
-	SuspectAfter time.Duration
-	// PhiThreshold overrides the accrual failure detector: positive sets
-	// the suspicion threshold, negative disables accrual (fixed
-	// SuspectAfter silence only), zero keeps the stock default.
-	PhiThreshold float64
+	// GCS overrides every replica's group-communication config (nil =
+	// gcs.DefaultConfig). The CLIs build it with cliflag.Detector.
+	GCS *gcs.Config
 }
 
-// gcsConfig returns the GCS override implied by the options (nil = stock).
-func (o Options) gcsConfig() *gcs.Config {
-	if o.SuspectAfter <= 0 && o.PhiThreshold == 0 {
-		return nil
+// gcsConfig returns a copy of the GCS override, or the default config.
+func (o Options) gcsConfig() gcs.Config {
+	if o.GCS != nil {
+		return *o.GCS
 	}
-	g := gcs.DefaultConfig()
-	if o.SuspectAfter > 0 {
-		g.SuspectAfter = o.SuspectAfter
-	}
-	switch {
-	case o.PhiThreshold > 0:
-		g.PhiThreshold = o.PhiThreshold
-	case o.PhiThreshold < 0:
-		g.PhiThreshold = 0
-	}
-	return &g
+	return gcs.DefaultConfig()
 }
 
 // DefaultOptions returns the calibrated configuration used throughout the

@@ -101,8 +101,7 @@ type run struct {
 	out   Outcome
 	act   *replicator.ElasticActuator
 	ctrl  *policy.Controller
-	stamp vtime.Time // the reply the current action answers: act's clock
-	inj   *faults.Injector
+	stamp vtime.Time        // the reply the current action answers: act's clock
 	ended []<-chan struct{} // one per schedule started
 }
 
@@ -111,7 +110,7 @@ type run struct {
 // first failed request; the error joins those failures, and the Outcome is
 // filled either way.
 func (s *Scenario) Run(p Plan) (*Outcome, error) {
-	r := &run{Scenario: s, p: p, inj: faults.NewInjector(s.net)}
+	r := &run{Scenario: s, p: p}
 	r.act = s.group.Actuator(func([]string) error { _, err := s.Grow(); return err })
 	r.act.Now = func() vtime.Time { return r.stamp }
 	if c := p.Control; c != nil {
@@ -274,7 +273,7 @@ func (r *run) at(n int, vt vtime.Time) {
 		case ev.Retire:
 			f.Err = r.act.Shrink()
 		case ev.Faults != nil:
-			r.ended = append(r.ended, r.inj.Run(ev.Faults))
+			r.ended = append(r.ended, faults.Run(r.net, ev.Faults))
 		}
 		r.out.Fired = append(r.out.Fired, f)
 	}

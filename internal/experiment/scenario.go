@@ -89,7 +89,7 @@ func (s *Scenario) addReplica(style replication.Style, checkpointEvery int, seed
 
 	app := workload.NewBenchApp(s.opts.StateBytes, s.opts.ExecCost, s.opts.ReplyBytes)
 	node, err := s.group.Add(addr, seeds, replicator.ReplicaConfig{
-		GCS:   s.opts.gcsConfig(),
+		GCS:   s.opts.GCS,
 		Trace: trace.New(),
 		Replication: replication.Config{
 			Style:              style,

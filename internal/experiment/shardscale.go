@@ -84,16 +84,12 @@ type shardedEnv struct {
 	replicasPer int
 }
 
-// shardGCS builds the per-shard GCS override: the experiment's detector
-// options plus the shard's group id.
+// shardGCS builds the per-shard GCS override: a copy of the experiment's
+// override (or the default) stamped with the shard's group id.
 func shardGCS(o Options, groupID uint32) *gcs.Config {
 	g := o.gcsConfig()
-	if g == nil {
-		def := gcs.DefaultConfig()
-		g = &def
-	}
 	g.GroupID = groupID
-	return g
+	return &g
 }
 
 // shardMembers names the n replicas of the given shard on the fabric.
@@ -197,8 +193,9 @@ func buildShardedEnv(o Options, shards, replicasPer, clients int) (*shardedEnv, 
 // under the post-add map, harvest each donor's moved key ranges through
 // its agreed stream, seed them into the new shard's stream, then publish
 // the new map. Requests acked before a donor's prepare are covered by its
-// export; requests arriving after it are NAKed and re-routed, so no acked
-// request is lost.
+// export; requests arriving after it are NAKed, and the client ORB's
+// retransmission reaches the new owner once the router has refreshed its
+// map, so no acked request is lost.
 func (e *shardedEnv) addShard() (int, error) {
 	newID := len(e.groups)
 	members := shardMembers(newID, e.replicasPer)
@@ -450,7 +447,8 @@ func RunShardGrow(o Options, shards int) (*ShardGrowResult, error) {
 	}
 
 	// Second half after the move: routed under the new map (the router
-	// refreshes on the first stale NAK it hits).
+	// refreshes on the first stale NAK it hits; the NAKed request's next
+	// ORB attempt goes to the new owner).
 	r2 := drive(half, r1.EndVT)
 	if r2.Errors > 0 {
 		return nil, fmt.Errorf("experiment: %d errors after add-shard", r2.Errors)

@@ -38,8 +38,9 @@ func TestShardPointRoutesAcrossShards(t *testing.T) {
 
 // TestShardGrowNoAckedLoss is the add-shard invariant: a shard added under
 // load must not lose a single acknowledged request — moved counters arrive
-// via the donor export, late requests are NAKed and re-routed, and every
-// object's final counter must equal the number of acks the client saw.
+// via the donor export, late requests are NAKed and retransmitted by the
+// client ORB under the refreshed map, and every object's final counter
+// must equal the number of acks the client saw.
 func TestShardGrowNoAckedLoss(t *testing.T) {
 	o := smallShardOptions()
 	res, err := RunShardGrow(o, 2)

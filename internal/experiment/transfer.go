@@ -56,9 +56,9 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 	if o.TransferRetryEvery <= 0 {
 		o.TransferRetryEvery = 50 * time.Millisecond
 	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 10 * time.Second // outage must not trigger view exclusion
-	}
+	g := o.gcsConfig()
+	g.SuspectAfter = 10 * time.Second // outage must not trigger view exclusion
+	o.GCS = &g
 	outage := 300 * time.Millisecond
 
 	// The observer partitions the benchmark's second joiner once the leader

@@ -11,7 +11,6 @@
 package faults
 
 import (
-	"sync"
 	"time"
 
 	"versadep/internal/simnet"
@@ -79,68 +78,21 @@ func (s *Schedule) Steps() []Step {
 	return append([]Step(nil), s.steps...)
 }
 
-// Injector runs schedules against a fabric.
-type Injector struct {
-	net *simnet.Network
-
-	mu      sync.Mutex
-	stopped bool
-	stop    chan struct{}
-	applied []string
-}
-
-// NewInjector creates an injector for net.
-func NewInjector(net *simnet.Network) *Injector {
-	return &Injector{net: net, stop: make(chan struct{})}
-}
-
-// Run executes the schedule asynchronously; the returned channel closes
-// when every step has fired (or the injector is stopped early). Each call
-// gets its own completion channel, so an injector can run schedules
-// back-to-back; a stopped injector's schedules complete immediately
-// without firing anything.
-func (i *Injector) Run(s *Schedule) <-chan struct{} {
-	steps := append([]Step(nil), s.steps...)
+// Run executes the schedule against net asynchronously; the returned
+// channel closes once every step has fired. Each call gets its own
+// completion channel, so schedules can run back-to-back or at once.
+func Run(net *simnet.Network, s *Schedule) <-chan struct{} {
+	steps := s.Steps()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		start := time.Now()
 		for _, st := range steps {
-			wait := st.After - time.Since(start)
-			if wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-i.stop:
-					return
-				}
+			if wait := st.After - time.Since(start); wait > 0 {
+				<-time.After(wait)
 			}
-			select {
-			case <-i.stop:
-				return
-			default:
-			}
-			st.Do(i.net)
-			i.mu.Lock()
-			i.applied = append(i.applied, st.Name)
-			i.mu.Unlock()
+			st.Do(net)
 		}
 	}()
 	return done
-}
-
-// Applied returns the names of the steps that have fired so far.
-func (i *Injector) Applied() []string {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return append([]string(nil), i.applied...)
-}
-
-// Stop aborts a running schedule.
-func (i *Injector) Stop() {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if !i.stopped {
-		i.stopped = true
-		close(i.stop)
-	}
 }

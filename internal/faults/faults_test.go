@@ -9,6 +9,16 @@ import (
 	"versadep/internal/vtime"
 )
 
+// wait waits for a schedule's done channel.
+func wait(t *testing.T, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("schedule did not complete")
+	}
+}
+
 func TestScheduleRunsInOrder(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
@@ -22,57 +32,28 @@ func TestScheduleRunsInOrder(t *testing.T) {
 	var s Schedule
 	s.At(0, "drop", SetLink("a", "b", transport.Rule{Drop: 1})).
 		At(10*time.Millisecond, "delay", SetLink("b", "a", transport.Rule{Delay: 5 * vtime.Millisecond})).
+		At(15*time.Millisecond, "half drop", SetLink("a", "b", transport.Rule{Drop: 0.5})).
 		At(20*time.Millisecond, "crash", Crash("b"))
-	if n := len(s.Steps()); n != 3 {
+	if n := len(s.Steps()); n != 4 {
 		t.Fatalf("%d steps", n)
 	}
 
-	inj := NewInjector(net)
-	select {
-	case <-inj.Run(&s):
-	case <-time.After(5 * time.Second):
-		t.Fatal("schedule did not complete")
+	wait(t, Run(net, &s))
+	if r := net.Rule("a", "b"); r != (transport.Rule{Drop: 0.5}) {
+		t.Fatalf("rule on a->b = %+v, want the later step's", r)
 	}
-	applied := inj.Applied()
-	if len(applied) != 3 || applied[0] != "drop" || applied[2] != "crash" {
-		t.Fatalf("applied = %v", applied)
+	if r := net.Rule("b", "a"); r != (transport.Rule{Delay: 5 * vtime.Millisecond}) {
+		t.Fatalf("rule on b->a = %+v", r)
 	}
 	if !net.Crashed("b") {
 		t.Fatal("crash step not applied")
 	}
 }
 
-func TestStopAbortsSchedule(t *testing.T) {
-	net := simnet.New()
-	defer net.Close()
-	if _, err := net.Endpoint("a"); err != nil {
-		t.Fatal(err)
-	}
-
-	var s Schedule
-	s.At(0, "first", Heal()).
-		At(10*time.Second, "never", Crash("a"))
-	inj := NewInjector(net)
-	done := inj.Run(&s)
-	time.Sleep(20 * time.Millisecond)
-	inj.Stop()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("stop did not abort the schedule")
-	}
-	if net.Crashed("a") {
-		t.Fatal("aborted step still fired")
-	}
-	inj.Stop() // idempotent
-	if got := inj.Applied(); len(got) != 1 || got[0] != "first" {
-		t.Fatalf("applied = %v", got)
-	}
-}
-
-// Regression: on the seed code the injector held a single done channel
-// that every Run goroutine closed, so running a second schedule on the
-// same injector panicked with "close of closed channel".
+// Regression: the injector this package used to have held a single done
+// channel that every Run goroutine closed, so running a second schedule
+// on it panicked with "close of closed channel". Each Run now owns its
+// channel.
 func TestRunTwiceOnSameInjector(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
@@ -83,60 +64,18 @@ func TestRunTwiceOnSameInjector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj := NewInjector(net)
-
 	var s1 Schedule
 	s1.At(0, "drop", SetLink("a", "b", transport.Rule{Drop: 1}))
-	select {
-	case <-inj.Run(&s1):
-	case <-time.After(5 * time.Second):
-		t.Fatal("first schedule did not complete")
+	wait(t, Run(net, &s1))
+	if r := net.Rule("a", "b"); r != (transport.Rule{Drop: 1}) {
+		t.Fatalf("rule on a->b after the first schedule = %+v", r)
 	}
 
 	var s2 Schedule
 	s2.At(0, "heal", Heal())
-	select {
-	case <-inj.Run(&s2): // seed: panics closing the shared done channel
-	case <-time.After(5 * time.Second):
-		t.Fatal("second schedule did not complete")
-	}
-
-	if got := inj.Applied(); len(got) != 2 || got[0] != "drop" || got[1] != "heal" {
-		t.Fatalf("applied = %v", got)
-	}
-}
-
-// Regression: Run after Stop must complete immediately without firing any
-// step (and without panicking on the seed's shared done channel).
-func TestRunAfterStopFiresNothing(t *testing.T) {
-	net := simnet.New()
-	defer net.Close()
-	if _, err := net.Endpoint("a"); err != nil {
-		t.Fatal(err)
-	}
-
-	inj := NewInjector(net)
-	var s1 Schedule
-	s1.At(0, "first", Heal())
-	select {
-	case <-inj.Run(&s1):
-	case <-time.After(5 * time.Second):
-		t.Fatal("first schedule did not complete")
-	}
-	inj.Stop()
-
-	var s2 Schedule
-	s2.At(0, "crash", Crash("a"))
-	select {
-	case <-inj.Run(&s2):
-	case <-time.After(2 * time.Second):
-		t.Fatal("post-stop schedule did not complete")
-	}
-	if net.Crashed("a") {
-		t.Fatal("stopped injector fired a step")
-	}
-	if got := inj.Applied(); len(got) != 1 {
-		t.Fatalf("applied = %v", got)
+	wait(t, Run(net, &s2))
+	if r := net.Rule("a", "b"); r != (transport.Rule{}) {
+		t.Fatalf("rule on a->b after the second schedule = %+v", r)
 	}
 }
 
@@ -203,43 +142,34 @@ func TestHealAddrIsTargeted(t *testing.T) {
 	}
 }
 
-// A loss burst is two steps of one schedule: the rule, then the zero rule.
-func lossBurst(from, to string, dur time.Duration) *Schedule {
-	var s Schedule
-	return s.At(0, "burst "+from+"->"+to, SetLink(from, to, transport.Rule{Drop: 1})).
-		At(dur, "burst over", SetLink(from, to, transport.Rule{}))
-}
-
-// waitApplied waits until inj has fired n steps.
-func waitApplied(t *testing.T, inj *Injector, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(inj.Applied()) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("applied = %v, want %d steps", inj.Applied(), n)
-		}
-		time.Sleep(time.Millisecond)
+// probe returns a step that sends one message from ep to addr and records
+// how many messages the fabric had dropped once it was sent.
+func probe(ep transport.Endpoint, to string, dropped *int64) Action {
+	return func(n *simnet.Network) {
+		_ = ep.Send(to, []byte("probe"), 0)
+		*dropped = n.Stats().MessagesDropped
 	}
 }
 
+// A loss burst is two steps of one schedule: the rule, then the zero rule.
+// A probe step between them sees the loss; after them the link carries
+// traffic again.
 func TestBurstSetsAndRestoresLoss(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
 	epA, _ := net.Endpoint("a")
 	epB, _ := net.Endpoint("b")
 
-	inj := NewInjector(net)
-	inj.Run(lossBurst("a", "b", 150*time.Millisecond))
-	waitApplied(t, inj, 1)
-	if err := epA.Send("b", []byte("lost"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if net.Stats().MessagesDropped != 1 {
-		t.Fatal("burst loss had no effect")
+	var during int64
+	var s Schedule
+	s.At(0, "burst a->b", SetLink("a", "b", transport.Rule{Drop: 1})).
+		At(0, "probe", probe(epA, "b", &during)).
+		At(150*time.Millisecond, "burst over", SetLink("a", "b", transport.Rule{}))
+	wait(t, Run(net, &s))
+	if during != 1 {
+		t.Fatalf("burst loss had no effect (%d dropped)", during)
 	}
 
-	// After the burst window the link must carry traffic again.
-	waitApplied(t, inj, 2)
 	if err := epA.Send("b", []byte("after"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -253,27 +183,31 @@ func TestBurstSetsAndRestoresLoss(t *testing.T) {
 	}
 }
 
+// A burst inside a longer schedule is directional — the reverse link keeps
+// flowing during it — and the steps after it still fire.
 func TestBurstInSchedule(t *testing.T) {
 	net := simnet.New()
 	defer net.Close()
 	epA, _ := net.Endpoint("a")
 	epB, _ := net.Endpoint("b")
-	_ = epB
 
-	inj := NewInjector(net)
-	done := inj.Run(lossBurst("a", "b", time.Hour))
-	waitApplied(t, inj, 1)
-	if got := inj.Applied(); len(got) != 1 || got[0] != "burst a->b" {
-		t.Fatalf("applied = %v", got)
+	var forward, reverse int64
+	var s Schedule
+	s.At(0, "burst a->b", SetLink("a", "b", transport.Rule{Drop: 1})).
+		At(0, "probe a->b", probe(epA, "b", &forward)).
+		At(0, "probe b->a", probe(epB, "a", &reverse)).
+		At(20*time.Millisecond, "burst over", SetLink("a", "b", transport.Rule{})).
+		At(30*time.Millisecond, "crash b", Crash("b"))
+	wait(t, Run(net, &s))
+	if forward != 1 || reverse != 1 {
+		t.Fatalf("dropped after the forward probe %d, after the reverse one %d; want 1 and 1", forward, reverse)
 	}
-	if err := epA.Send("b", []byte("x"), 0); err != nil {
-		t.Fatal(err)
+	if r := net.Rule("a", "b"); r != (transport.Rule{}) {
+		t.Fatalf("rule on a->b after the burst = %+v", r)
 	}
-	if net.Stats().MessagesDropped != 1 {
-		t.Fatal("scheduled burst had no effect")
+	if !net.Crashed("b") {
+		t.Fatal("step after the burst not applied")
 	}
-	inj.Stop()
-	<-done
 }
 
 // Heal clears link rules as well as partitions: what a campaign's final

@@ -68,7 +68,7 @@ type ClientConfig struct {
 func DefaultClientConfig(members []string) ClientConfig {
 	return ClientConfig{
 		Members:        members,
-		ResendInterval: 30 * time.Millisecond,
+		ResendInterval: defaultResendInterval,
 		Model:          vtime.DefaultCostModel(),
 	}
 }
@@ -80,7 +80,7 @@ func DefaultClientConfig(members []string) ClientConfig {
 // call Submit — and must not block; no delivery starts after Stop returns.
 func NewClient(send transport.Conn, cfg ClientConfig, handler func(Event)) *GroupClient {
 	if cfg.ResendInterval <= 0 {
-		cfg.ResendInterval = 30 * time.Millisecond
+		cfg.ResendInterval = defaultResendInterval
 	}
 	c := &GroupClient{
 		send:    send,

@@ -18,7 +18,7 @@ import (
 // as 1–3 and fell silent: b got 1 and 2, c got 1 and 3. b has proposed
 // {b, c}; c's flush acknowledgement reported 3 held, so b, which lacks 3,
 // has sent c one kFetch for it. A tick ResendInterval on, before
-// PrepareTimeout, resends an unanswered kFetch.
+// prepareTimeout, resends an unanswered kFetch.
 type fetchRig struct {
 	cfg   Config
 	b, c  *rig
@@ -29,7 +29,7 @@ func openFetchRig(t *testing.T) *fetchRig {
 	t.Helper()
 	view := []string{"a", "b", "c"}
 	cfg := deferConfig()
-	cfg.ResendInterval = cfg.PrepareTimeout / 4
+	cfg.ResendInterval = prepareTimeout / 4
 	a := openRig(t, cfg, "a", view...)
 	b := openRig(t, cfg, "b", view...)
 	c := openRig(t, cfg, "c", view...)
@@ -123,11 +123,11 @@ func TestFetchFillsTheProposersGap(t *testing.T) {
 	}
 }
 
-// TestFetchTimesOutToAFiller: c never answers; once PrepareTimeout has
+// TestFetchTimesOutToAFiller: c never answers; once prepareTimeout has
 // passed, b fills 3 with a no-op and installs the view all the same.
 func TestFetchTimesOutToAFiller(t *testing.T) {
 	r := openFetchRig(t)
-	r.b.tick(r.cfg.PrepareTimeout + time.Millisecond)
+	r.b.tick(prepareTimeout + time.Millisecond)
 	if got := r.b.messagesUntil(viewInstalled(2)); fmt.Sprint(got) != "[m0 m1]" {
 		t.Fatalf("b delivered %q before view 2, want [m0 m1]", got)
 	}
@@ -213,13 +213,13 @@ func TestFetchIsResentUntilAnswered(t *testing.T) {
 }
 
 // TestFetchTimeoutFillerReachesTheHolder: c answers, but the answer is lost.
-// b fills 3 with a no-op once PrepareTimeout has passed and sends the filler
+// b fills 3 with a no-op once prepareTimeout has passed and sends the filler
 // to c as well, though c holds 3: c delivers what b delivers, not m2.
 func TestFetchTimeoutFillerReachesTheHolder(t *testing.T) {
 	r := openFetchRig(t)
 	r.c.deliver("b", r.fetch) // c's kFetchResp never reaches b
 	mark := sentCount(r.b.conn)
-	r.b.tick(r.cfg.PrepareTimeout + time.Millisecond)
+	r.b.tick(prepareTimeout + time.Millisecond)
 	carry(t, r.b, mark, r.c)
 	for _, x := range []*rig{r.b, r.c} {
 		if got := x.messagesUntil(viewInstalled(2)); fmt.Sprint(got) != "[m0 m1]" {

@@ -161,32 +161,6 @@ type Config struct {
 	// one HBInterval; at the defaults that is half of this, which keeps a
 	// healthy network free of retransmissions.
 	ResendInterval time.Duration
-	// PrepareTimeout bounds how long a view-change proposer waits for
-	// flush acknowledgements before re-proposing without the laggards.
-	PrepareTimeout time.Duration
-	// MinorityGrace tunes the primary-partition rule's consistency/
-	// availability tradeoff. A member whose unsuspected survivor set loses
-	// primacy (no majority of the view, nor exactly half including the
-	// view's lowest-ranked member) stalls instead of proposing a view:
-	// under a transient partition, renewed contact rescinds the suspicion
-	// and the stall ends with the group intact. If primacy is not restored
-	// within MinorityGrace the member continues anyway and proposes its
-	// fragment view — the peers are treated as crashed, trading split-brain
-	// exposure under partitions longer than the grace for availability
-	// (the paper's degraded modes: a lone survivor still serves). Zero or
-	// negative never continues (strict primary-partition membership).
-	MinorityGrace time.Duration
-	// DataGapTimeout bounds how long the sequencer holds an external
-	// client's out-of-order submission behind a missing OSeq before
-	// declaring the gap abandoned and sequencing past it. A gap from an
-	// external origin goes permanent when a prior coordinator acked the
-	// missing submission (stopping the client's retransmission) but was
-	// excluded before its sequencing survived the view change; clients
-	// resend every pending frame each ResendInterval, so a gap that
-	// outlives several intervals will never fill. Skipping is safe for
-	// clients because upper-layer retries re-carry the lost request under
-	// a fresh OSeq. Zero or negative disables skipping (strict FIFO).
-	DataGapTimeout time.Duration
 	// HistorySize is how many sequenced messages each member retains for
 	// retransmission and view-change recovery.
 	HistorySize int
@@ -212,6 +186,39 @@ type Config struct {
 	SpanKey func(payload []byte) span.Key
 }
 
+// defaultResendInterval is the retransmission period of DefaultConfig and
+// DefaultClientConfig, and the client's fallback for an unset interval.
+const defaultResendInterval = 30 * time.Millisecond
+
+// Protocol timeouts no deployment tunes.
+const (
+	// prepareTimeout bounds how long a view-change proposer waits for
+	// flush acknowledgements before re-proposing without the laggards.
+	prepareTimeout = 200 * time.Millisecond
+	// minorityGrace tunes the primary-partition rule's consistency/
+	// availability tradeoff. A member whose unsuspected survivor set loses
+	// primacy (no majority of the view, nor exactly half including the
+	// view's lowest-ranked member) stalls instead of proposing a view:
+	// under a transient partition, renewed contact rescinds the suspicion
+	// and the stall ends with the group intact. If primacy is not restored
+	// within minorityGrace the member continues anyway and proposes its
+	// fragment view — the peers are treated as crashed, trading split-brain
+	// exposure under partitions longer than the grace for availability
+	// (the paper's degraded modes: a lone survivor still serves).
+	minorityGrace = 450 * time.Millisecond
+	// dataGapTimeout bounds how long the sequencer holds an external
+	// client's out-of-order submission behind a missing OSeq before
+	// declaring the gap abandoned and sequencing past it. A gap from an
+	// external origin goes permanent when a prior coordinator acked the
+	// missing submission (stopping the client's retransmission) but was
+	// excluded before its sequencing survived the view change; clients
+	// resend every pending frame each ResendInterval, so a gap that
+	// outlives several intervals will never fill. Skipping is safe for
+	// clients because upper-layer retries re-carry the lost request under
+	// a fresh OSeq.
+	dataGapTimeout = 250 * time.Millisecond
+)
+
 // DefaultConfig returns timing suitable for tests and the evaluation
 // harness: fast enough that crash recovery completes in well under a
 // second of real time.
@@ -220,10 +227,7 @@ func DefaultConfig() Config {
 		HBInterval:     15 * time.Millisecond,
 		SuspectAfter:   90 * time.Millisecond,
 		PhiThreshold:   8,
-		ResendInterval: 30 * time.Millisecond,
-		PrepareTimeout: 200 * time.Millisecond,
-		MinorityGrace:  450 * time.Millisecond,
-		DataGapTimeout: 250 * time.Millisecond,
+		ResendInterval: defaultResendInterval,
 		HistorySize:    8192,
 		Model:          vtime.DefaultCostModel(),
 		Seed:           1,

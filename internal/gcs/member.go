@@ -89,7 +89,7 @@ type Member struct {
 	seqLocal map[string]uint64
 	dataHold map[string]map[uint64]rxFrame // out-of-order submissions
 	// dataGapSince marks when an external origin's hold first stalled on a
-	// missing OSeq; after DataGapTimeout the sequencer skips the gap.
+	// missing OSeq; after dataGapTimeout the sequencer skips the gap.
 	dataGapSince map[string]time.Time
 
 	// Reliable direct unicast.

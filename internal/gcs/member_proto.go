@@ -358,12 +358,12 @@ func (m *Member) sequence(rf rxFrame) {
 // missing submission (so the client stopped resending it) but its
 // sequencing did not survive the view change. The client retransmits every
 // pending frame each ResendInterval, so a gap that persists for
-// DataGapTimeout will never fill: advance the dedup watermark to just
+// dataGapTimeout will never fill: advance the dedup watermark to just
 // below the lowest held OSeq and let the upper layer's request-id retries
 // re-carry whatever the lost submission held. Member origins keep strict
 // FIFO — they resend until kSeq delivery, so their gaps always fill.
 func (m *Member) maybeSkipDataGap(origin string, hold map[uint64]rxFrame) {
-	if m.cfg.DataGapTimeout <= 0 || !m.isExternal(origin) {
+	if !m.isExternal(origin) {
 		return
 	}
 	if len(hold) == 0 {
@@ -380,7 +380,7 @@ func (m *Member) maybeSkipDataGap(origin string, hold map[uint64]rxFrame) {
 		m.dataGapSince[origin] = m.now()
 		return
 	}
-	if m.now().Sub(since) < m.cfg.DataGapTimeout {
+	if m.now().Sub(since) < dataGapTimeout {
 		return
 	}
 	lowest := uint64(0)

@@ -78,7 +78,7 @@ func (m *Member) maybePropose() {
 		left:      left,
 		ackFrom:   make(map[string]*ackInfo),
 		need:      need,
-		deadline:  m.now().Add(m.cfg.PrepareTimeout),
+		deadline:  m.now().Add(prepareTimeout),
 		fetches:   make(map[string]*frame),
 		fetchWait: make(map[uint64]bool),
 	}
@@ -108,7 +108,7 @@ func (m *Member) maybePropose() {
 // suspicion — the partition signal — erodes primacy.
 //
 // A member without primacy does not stall forever: once the loss persists
-// past MinorityGrace — long past any transient partition, whose heal would
+// past minorityGrace — long past any transient partition, whose heal would
 // have rescinded the suspicion — the peers are treated as crashed and the
 // member continues, so cascading crashes can degrade the group all the way
 // down to a lone survivor.
@@ -128,14 +128,11 @@ func (m *Member) primaryPartition() bool {
 		m.minoritySince = time.Time{}
 		return true
 	}
-	if m.cfg.MinorityGrace <= 0 {
-		return false
-	}
 	if m.minoritySince.IsZero() {
 		m.minoritySince = m.now()
 		return false
 	}
-	return m.now().Sub(m.minoritySince) >= m.cfg.MinorityGrace
+	return m.now().Sub(m.minoritySince) >= minorityGrace
 }
 
 func (m *Member) computeNewMembers() []string {
@@ -283,7 +280,7 @@ func (m *Member) beginRecovery() {
 		return
 	}
 	// Ask the members that reported having each sequence.
-	p.fetchUntil = m.now().Add(m.cfg.PrepareTimeout)
+	p.fetchUntil = m.now().Add(prepareTimeout)
 	req := make(map[string][]uint64)
 	for _, s := range missing {
 		owner := ""

@@ -13,8 +13,8 @@ const dedupWindow = 1 << 16
 //
 // Duplicate detection is exact. A client's request ids do NOT arrive in
 // order: concurrent invocations race between id assignment and send, and
-// in sharded deployments a router re-routes NAKed requests long after
-// higher ids executed. A plain "rid <= high" floor misfiles such
+// in sharded deployments a NAKed request reaches its new owner, on the
+// ORB's retransmission, long after higher ids executed. A plain "rid <= high" floor misfiles such
 // late-but-new requests as duplicates and black-holes them (no execution,
 // no cached reply to resend, and every retry hits the same floor). So:
 // rids at or below floor are assumed executed (history predating what this

@@ -47,11 +47,10 @@ func TestPartitionedBackupCatchesUpAfterHeal(t *testing.T) {
 
 	// Partition rc away briefly — short enough that the view may or may
 	// not exclude it; either way it must converge after healing.
-	inj := faults.NewInjector(net)
 	var sched faults.Schedule
 	sched.At(0, "partition-rc", faults.Partition(c.nodes[2].Addr(), 1)).
 		At(40*time.Millisecond, "heal", faults.Heal())
-	done := inj.Run(&sched)
+	done := faults.Run(net, &sched)
 
 	var vt vtime.Time
 	for i := 1; i <= 15; i++ {

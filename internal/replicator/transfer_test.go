@@ -480,7 +480,7 @@ func TestTransferSurvivesLossBurst(t *testing.T) {
 				var loss faults.Schedule
 				loss.At(0, "burst", faults.SetLink("ra", "rz", transport.Rule{Drop: 1})).
 					At(300*time.Millisecond, "burst-over", faults.SetLink("ra", "rz", transport.Rule{}))
-				faults.NewInjector(net).Run(&loss)
+				faults.Run(net, &loss)
 				close(fired)
 			})
 		}

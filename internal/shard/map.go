@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"versadep/internal/codec"
 )
@@ -166,50 +167,58 @@ func DecodeMap(b []byte) (*Map, error) {
 	return m, nil
 }
 
+// layout is the one place the rule "a layout only moves to a higher epoch"
+// is written: the coordinator, every guard and every router hold their map
+// in one, and read it with a single atomic load.
+type layout struct{ p atomic.Pointer[Map] }
+
+func newLayout(m *Map) *layout {
+	l := &layout{}
+	l.p.Store(m)
+	return l
+}
+
+func (l *layout) load() *Map { return l.p.Load() }
+
+// advance installs next if its epoch is higher than the current map's and
+// reports whether it did, with the map current afterwards.
+func (l *layout) advance(next *Map) (*Map, bool) {
+	for {
+		cur := l.p.Load()
+		if next.Epoch <= cur.Epoch {
+			return cur, false
+		}
+		if l.p.CompareAndSwap(cur, next) {
+			return next, true
+		}
+	}
+}
+
 // Coordinator owns the authoritative shard map. It is deliberately thin —
 // a versioned-register directory, not a consensus group: the correctness
 // of routing never depends on the coordinator being current, because
 // replicas guard every request with the epoch check and NAK strays. A
-// router with a stale map just pays one extra round trip to refresh.
+// router with a stale map just pays one client retransmission to refresh.
 type Coordinator struct {
-	mu      sync.Mutex
-	current *Map
+	current *layout
 }
 
 // NewCoordinator creates a coordinator publishing the given initial map.
 func NewCoordinator(initial *Map) *Coordinator {
-	return &Coordinator{current: initial}
+	return &Coordinator{current: newLayout(initial)}
 }
 
 // Snapshot returns the current map.
-func (c *Coordinator) Snapshot() *Map {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.current
-}
+func (c *Coordinator) Snapshot() *Map { return c.current.load() }
 
 // Publish installs next as the current map. next must advance the epoch;
 // a stale or equal epoch is rejected so racing reconfigurations cannot
 // roll the layout backwards.
 func (c *Coordinator) Publish(next *Map) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if next.Epoch <= c.current.Epoch {
-		return fmt.Errorf("shard: publish epoch %d not after current %d", next.Epoch, c.current.Epoch)
+	if cur, ok := c.current.advance(next); !ok {
+		return fmt.Errorf("shard: publish epoch %d not after current %d", next.Epoch, cur.Epoch)
 	}
-	c.current = next
 	return nil
-}
-
-// AddShard publishes a new map including g and returns it.
-func (c *Coordinator) AddShard(g Group) (*Map, error) {
-	c.mu.Lock()
-	next := c.current.WithShard(g)
-	c.mu.Unlock()
-	if err := c.Publish(next); err != nil {
-		return nil, err
-	}
-	return next, nil
 }
 
 // staleMarker prefixes the exception text of a stale-epoch NAK. It rides
@@ -255,39 +264,23 @@ func IsStale(msg string) (uint64, bool) {
 // shard flips at the same position and their states cannot diverge.
 type Guard struct {
 	shardID int
-
-	mu sync.Mutex
-	m  *Map
+	m       *layout
 }
 
 // NewGuard creates a guard for the given shard under the initial map.
 func NewGuard(shardID int, m *Map) *Guard {
-	return &Guard{shardID: shardID, m: m}
-}
-
-// Epoch returns the guard's current epoch.
-func (g *Guard) Epoch() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m.Epoch
+	return &Guard{shardID: shardID, m: newLayout(m)}
 }
 
 // Update installs a newer map. Stale updates are ignored (idempotent
 // replay of the prepare invocation after a view change must be harmless).
-func (g *Guard) Update(m *Map) {
-	g.mu.Lock()
-	if m.Epoch > g.m.Epoch {
-		g.m = m
-	}
-	g.mu.Unlock()
-}
+func (g *Guard) Update(m *Map) { g.m.advance(m) }
 
 // Check returns nil if this shard owns object under the guard's current
-// map, or a *StaleError NAK if it does not.
+// map, or a *StaleError NAK if it does not. It runs on every request a
+// sharded replica executes and takes no lock.
 func (g *Guard) Check(object string) error {
-	g.mu.Lock()
-	m := g.m
-	g.mu.Unlock()
+	m := g.m.load()
 	if m.Ring().Lookup(object) != g.shardID {
 		return &StaleError{Object: object, Epoch: m.Epoch}
 	}

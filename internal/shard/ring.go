@@ -14,9 +14,10 @@
 // interposition transparency the replicator itself uses, stacked once
 // more. Reconfiguration composes non-reconfigurable ordered groups into a
 // reconfigurable service (Bortnikov et al.): the shard map carries an
-// epoch, replicas NAK requests routed under a stale epoch, and the router
-// refreshes and re-routes, so shards can be added at runtime without
-// losing acknowledged requests.
+// epoch, replicas NAK requests routed under a stale epoch, the router
+// refreshes its map, and the client ORB's own retransmission of the
+// request re-routes it, so shards can be added at runtime without losing
+// acknowledged requests.
 package shard
 
 import (
@@ -66,14 +67,16 @@ type point struct {
 	shard int
 }
 
-// Ring is a consistent-hash ring over shard IDs. It is immutable after
-// construction; Rebalance returns a new ring. Placement is a pure function
-// of (shard IDs, vnodes, object ref), so every process that builds a ring
-// from the same shard set computes identical ownership.
+// Ring is a consistent-hash ring over shard IDs, immutable after
+// construction. Placement is a pure function of (shard IDs, vnodes, object
+// ref), so every process that builds a ring from the same shard set
+// computes identical ownership. By consistent-hashing construction, a ring
+// over one more shard moves only the keys on the arcs the added shard
+// claims — roughly a 1/n share for an n-shard ring — which is what keeps
+// add-shard state movement proportional to the new shard's share rather
+// than to the whole keyspace.
 type Ring struct {
 	points []point
-	shards []int
-	vnodes int
 }
 
 // NewRing builds a ring over the given shard IDs with vnodes virtual
@@ -92,7 +95,7 @@ func NewRing(shards []int, vnodes int) *Ring {
 		}
 	}
 	sort.Ints(ids)
-	r := &Ring{shards: ids, vnodes: vnodes}
+	r := &Ring{}
 	r.points = make([]point, 0, len(ids)*vnodes)
 	for _, id := range ids {
 		for v := 0; v < vnodes; v++ {
@@ -113,12 +116,6 @@ func NewRing(shards []int, vnodes int) *Ring {
 	return r
 }
 
-// Shards returns the shard IDs on the ring, ascending.
-func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
-
-// Vnodes returns the per-shard virtual-node count.
-func (r *Ring) Vnodes() int { return r.vnodes }
-
 // Lookup returns the shard that owns the given object reference: the
 // first virtual node clockwise of the object's hash.
 func (r *Ring) Lookup(objectRef string) int {
@@ -131,27 +128,4 @@ func (r *Ring) Lookup(objectRef string) int {
 		i = 0 // wrap: the circle's first point owns the top arc
 	}
 	return r.points[i].shard
-}
-
-// Rebalance returns a new ring over the given shard set, keeping this
-// ring's vnode count. By consistent-hashing construction, only the keys
-// on arcs claimed by added shards (or orphaned by removed ones) change
-// owner — roughly a 1/n share per shard added to an n-shard ring — which
-// is what keeps add-shard state movement proportional to the new shard's
-// share rather than to the whole keyspace.
-func (r *Ring) Rebalance(shards []int) *Ring {
-	return NewRing(shards, r.vnodes)
-}
-
-// Moved reports which of the given keys change owner between r and next,
-// as a map from key to its new shard. Callers use it to compute donor
-// key ranges when seeding an added shard.
-func (r *Ring) Moved(next *Ring, keys []string) map[string]int {
-	moved := make(map[string]int)
-	for _, k := range keys {
-		if from, to := r.Lookup(k), next.Lookup(k); from != to {
-			moved[k] = to
-		}
-	}
-	return moved
 }

@@ -24,8 +24,8 @@ func TestRingDeterministicPlacement(t *testing.T) {
 			t.Fatalf("rings disagree on %q: %d vs %d", k, a.Lookup(k), b.Lookup(k))
 		}
 	}
-	if got := a.Shards(); len(got) != 4 || got[0] != 0 || got[3] != 3 {
-		t.Fatalf("Shards() = %v", got)
+	if NewRing(nil, 0).Lookup("x") != -1 {
+		t.Fatal("empty ring must return -1")
 	}
 }
 
@@ -84,20 +84,32 @@ func TestRingSkewBound(t *testing.T) {
 	}
 }
 
+// moved maps each key whose owner differs between from and to to its new
+// owner.
+func moved(from, to *Ring, keys []string) map[string]int {
+	out := make(map[string]int)
+	for _, k := range keys {
+		if a, b := from.Lookup(k), to.Lookup(k); a != b {
+			out[k] = b
+		}
+	}
+	return out
+}
+
 // Adding a shard to an n-shard ring must move only keys claimed by the
 // new shard — never shuffle keys between surviving shards — and the
 // moved share must be near 1/(n+1) of the keyspace.
 func TestRingMinimalMovementOnAdd(t *testing.T) {
 	keys := ringKeys(20000)
 	old := NewRing([]int{0, 1, 2, 3}, 512)
-	next := old.Rebalance([]int{0, 1, 2, 3, 4})
-	moved := old.Moved(next, keys)
-	for k, to := range moved {
+	next := NewRing([]int{0, 1, 2, 3, 4}, 512)
+	m := moved(old, next, keys)
+	for k, to := range m {
 		if to != 4 {
 			t.Fatalf("key %q moved to surviving shard %d (only the added shard may gain keys)", k, to)
 		}
 	}
-	frac := float64(len(moved)) / float64(len(keys))
+	frac := float64(len(m)) / float64(len(keys))
 	if frac < 0.10 || frac > 0.35 {
 		t.Fatalf("add-shard moved %.1f%% of keys, want near 1/5 (20%%)", 100*frac)
 	}
@@ -107,31 +119,21 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 func TestRingMinimalMovementOnRemove(t *testing.T) {
 	keys := ringKeys(20000)
 	old := NewRing([]int{0, 1, 2, 3}, 512)
-	next := old.Rebalance([]int{0, 1, 2})
+	next := NewRing([]int{0, 1, 2}, 512)
 	owned := 0
 	for _, k := range keys {
 		if old.Lookup(k) == 3 {
 			owned++
 		}
 	}
-	moved := old.Moved(next, keys)
-	if len(moved) != owned {
-		t.Fatalf("remove-shard moved %d keys, want exactly shard 3's %d", len(moved), owned)
+	m := moved(old, next, keys)
+	if len(m) != owned {
+		t.Fatalf("remove-shard moved %d keys, want exactly shard 3's %d", len(m), owned)
 	}
-	for k := range moved {
+	for k := range m {
 		if old.Lookup(k) != 3 {
 			t.Fatalf("key %q moved although shard 3 never owned it", k)
 		}
-	}
-}
-
-func TestRingRebalanceKeepsVnodes(t *testing.T) {
-	r := NewRing([]int{0, 1}, 64)
-	if got := r.Rebalance([]int{0, 1, 2}).Vnodes(); got != 64 {
-		t.Fatalf("Rebalance vnodes = %d, want 64", got)
-	}
-	if NewRing(nil, 0).Lookup("x") != -1 {
-		t.Fatal("empty ring must return -1")
 	}
 }
 
@@ -156,16 +158,36 @@ func TestMapEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestCoordinatorEpochMonotonic(t *testing.T) {
 	c := NewCoordinator(NewMap(0, Group{ID: 0, Members: []string{"a"}}))
-	next, err := c.AddShard(Group{ID: 1, Members: []string{"b"}})
-	if err != nil {
+	next := c.Snapshot().WithShard(Group{ID: 1, Members: []string{"b"}})
+	if err := c.Publish(next); err != nil {
 		t.Fatal(err)
 	}
-	if next.Epoch != 2 {
-		t.Fatalf("epoch after add = %d, want 2", next.Epoch)
+	if got := c.Snapshot(); got != next || got.Epoch != 2 {
+		t.Fatalf("epoch after add = %d, want 2", got.Epoch)
 	}
 	if err := c.Publish(NewMap(0, Group{ID: 9})); err == nil {
 		t.Fatal("stale-epoch publish accepted")
 	}
+	if err := c.Publish(NewMap(0, Group{ID: 9}).WithShard(Group{ID: 8})); err == nil {
+		t.Fatal("equal-epoch publish accepted")
+	}
+	if c.Snapshot() != next {
+		t.Fatal("a rejected publish changed the layout")
+	}
+}
+
+// nakEpoch returns the epoch a NAK from g advertises, for some key g does
+// not own.
+func nakEpoch(t *testing.T, g *Guard) uint64 {
+	t.Helper()
+	for _, k := range ringKeys(200) {
+		if err := g.Check(k); err != nil {
+			epoch, _ := IsStale(err.Error())
+			return epoch
+		}
+	}
+	t.Fatal("guard owns every key")
+	return 0
 }
 
 func TestGuardStaleNAKRoundTrip(t *testing.T) {
@@ -189,11 +211,11 @@ func TestGuardStaleNAKRoundTrip(t *testing.T) {
 	}
 	// Stale updates are ignored; newer ones flip the epoch.
 	g.Update(NewMap(0, Group{ID: 0}))
-	if g.Epoch() != m.Epoch {
+	if nakEpoch(t, g) != m.Epoch {
 		t.Fatal("guard regressed to a stale map")
 	}
 	g.Update(m.WithShard(Group{ID: 2}))
-	if g.Epoch() != m.Epoch+1 {
+	if nakEpoch(t, g) != m.Epoch+1 {
 		t.Fatal("guard ignored a newer map")
 	}
 }

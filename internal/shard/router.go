@@ -17,76 +17,56 @@ import (
 // reachable without restarting the client.
 type WireFactory func(g Group) (orb.Wire, error)
 
-// inflightWindow bounds how many outstanding requests the router
-// remembers for stale-NAK re-routing. Matches the order of magnitude of
-// the interceptor's reply-dedup window; requests older than the window
-// fall back on the client ORB's own retransmit.
-const inflightWindow = 1024
-
-type inflightReq struct {
-	req    transport.Buf
-	sentAt vtime.Time
-	led    vtime.Ledger
-	// epoch is the map epoch the request was last routed under; a stale
-	// NAK triggers a re-route only once per epoch advance, so a router
-	// and a lagging guard can never spin NAKs at wire speed — if the
-	// refreshed map still routes wrong, the client ORB's retransmit
-	// timer provides the pacing.
-	epoch uint64
-}
-
 // Router multiplexes one client ORB across every shard's replica group:
 // it implements orb.Wire, peeks each outbound request's object reference,
-// and forwards the bytes over the owning shard's wire. It is the reply sink
-// of every shard wire it dials: an ordinary reply (or a real servant
-// exception) goes straight up to the ORB on the goroutine that received it.
-// Stale-epoch NAKs are consumed by the router itself — it refreshes its map
-// from the coordinator and re-sends to the new owner — so the client ORB
-// above never observes reconfiguration, only (at worst) a longer round
-// trip. That refresh may be a network fetch, so it is the one piece of work
-// handed off the receiving goroutine.
+// and forwards the bytes over the owning shard's wire under its current
+// map. It is the reply sink of every shard wire it dials: an ordinary reply
+// (or a real servant exception) goes straight up to the ORB on the
+// goroutine that received it. A stale-epoch NAK is consumed by the router
+// and never reaches the ORB; it only makes the router refresh its map from
+// the coordinator. The router keeps no copy of the request: the ORB's
+// retransmission of the same request id, one attempt timeout later, routes
+// under the refreshed map. The refresh may be a network fetch, so it is the
+// one piece of work handed off the receiving goroutine.
 type Router struct {
 	fetch   func() *Map
 	factory WireFactory
+	m       *layout
 
 	cRouted    *trace.Counter
 	cStaleNAKs *trace.Counter
 	cRefreshes *trace.Counter
-	cReroutes  *trace.Counter
 
-	mu       sync.Mutex
-	m        *Map
-	wires    map[int]orb.Wire
-	inflight map[uint64]*inflightReq
-	closed   bool
+	mu         sync.Mutex
+	wires      map[int]orb.Wire
+	closed     bool
+	refreshing bool
 
-	up       orb.Upcall
-	reroutes sync.WaitGroup // stale-NAK re-routes in flight; Close waits
+	up        orb.Upcall
+	refreshes sync.WaitGroup // the map refresh in flight, if any; Close waits
 }
 
 // RouterOption configures a Router.
 type RouterOption func(*Router)
 
-// WithRouterTrace reports routing decisions, stale NAKs, map refreshes
-// and re-routes into r under the "shard" subsystem.
+// WithRouterTrace reports routing decisions, stale NAKs and map refreshes
+// into r under the "shard" subsystem.
 func WithRouterTrace(r *trace.Recorder) RouterOption {
 	return func(rt *Router) {
 		rt.cRouted = r.Counter(trace.SubShard, "routed")
 		rt.cStaleNAKs = r.Counter(trace.SubShard, "stale_naks")
 		rt.cRefreshes = r.Counter(trace.SubShard, "map_refreshes")
-		rt.cReroutes = r.Counter(trace.SubShard, "reroutes")
 	}
 }
 
 // NewRouter creates a router over the map returned by fetch (called once
-// now and again on every stale NAK), dialing shard groups with factory.
+// now and again on stale NAKs), dialing shard groups with factory.
 func NewRouter(fetch func() *Map, factory WireFactory, opts ...RouterOption) *Router {
 	r := &Router{
-		fetch:    fetch,
-		factory:  factory,
-		m:        fetch(),
-		wires:    make(map[int]orb.Wire),
-		inflight: make(map[uint64]*inflightReq),
+		fetch:   fetch,
+		factory: factory,
+		m:       newLayout(fetch()),
+		wires:   make(map[int]orb.Wire),
 	}
 	for _, o := range opts {
 		o(r)
@@ -94,23 +74,19 @@ func NewRouter(fetch func() *Map, factory WireFactory, opts ...RouterOption) *Ro
 	return r
 }
 
-// Map returns the router's current view of the shard layout.
-func (r *Router) Map() *Map {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m
-}
-
 // wireFor returns (dialing if necessary) the wire for the shard owning
-// object under map m.
-func (r *Router) wireFor(m *Map, object string) (orb.Wire, error) {
-	g, ok := m.Lookup(object)
+// object under the router's current map.
+func (r *Router) wireFor(object string) (orb.Wire, error) {
+	g, ok := r.m.load().Lookup(object)
 	if !ok {
 		return nil, fmt.Errorf("shard: no shard for object %q", object)
 	}
 	r.mu.Lock()
-	w := r.wires[g.ID]
+	w, closed := r.wires[g.ID], r.closed
 	r.mu.Unlock()
+	if closed {
+		return nil, orb.ErrClosed
+	}
 	if w != nil {
 		return w, nil
 	}
@@ -150,36 +126,11 @@ func (r *Router) Room() transport.Room {
 
 // Send implements orb.Wire: route by object reference and forward.
 func (r *Router) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
-	reqBytes := req.Bytes()
-	_, rid, err := orb.PeekRequestID(reqBytes)
+	object, err := orb.PeekRequestObject(req.Bytes())
 	if err != nil {
 		return err
 	}
-	object, err := orb.PeekRequestObject(reqBytes)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return orb.ErrClosed
-	}
-	m := r.m
-	r.inflight[rid] = &inflightReq{req: req, sentAt: sentAt, led: led, epoch: m.Epoch}
-	if len(r.inflight) > inflightWindow {
-		// Drop the oldest entries; their re-route safety net is gone but
-		// the client ORB's retransmit re-registers them on retry.
-		floor := rid
-		for id := range r.inflight {
-			if id < floor {
-				floor = id
-			}
-		}
-		delete(r.inflight, floor)
-	}
-	r.mu.Unlock()
-
-	w, err := r.wireFor(m, object)
+	w, err := r.wireFor(object)
 	if err != nil {
 		return err
 	}
@@ -191,78 +142,41 @@ func (r *Router) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) er
 func (r *Router) Bind(sink orb.ReplySink) { r.up.Bind(sink) }
 
 // deliver is the sink of every shard wire. Anything but a stale-epoch NAK
-// is a final answer and passes straight through; a stale NAK for a request
-// still tracked is re-routed on its own goroutine, so the transport's
+// is a final answer and passes straight through. A stale NAK is dropped;
+// when its guard runs a newer map than the router's it starts a refresh,
+// unless one is already in flight, on its own goroutine, so the transport's
 // receiving goroutine is never parked behind a map fetch.
 func (r *Router) deliver(wr orb.WireReply) {
-	_, rid, status, errMsg, err := orb.PeekReplyError(wr.Bytes)
-	if err != nil {
-		r.up.Deliver(wr)
-		return
-	}
-	var guardEpoch uint64
-	var stale bool
-	if status == orb.StatusException {
-		guardEpoch, stale = IsStale(errMsg)
-	}
-	if !stale {
-		r.mu.Lock()
-		delete(r.inflight, rid) // answered: release re-route bookkeeping
-		r.mu.Unlock()
+	_, _, status, errMsg, err := orb.PeekReplyError(wr.Bytes)
+	guardEpoch, stale := IsStale(errMsg)
+	if err != nil || status != orb.StatusException || !stale {
 		r.up.Deliver(wr)
 		return
 	}
 	r.cStaleNAKs.Inc()
-	r.mu.Lock()
-	req := r.inflight[rid]
-	if req == nil || r.closed {
-		r.mu.Unlock()
-		return // NAK for a request we no longer track: swallow it
+	if guardEpoch <= r.m.load().Epoch {
+		return // the router's map is already as new as the guard's
 	}
-	r.reroutes.Add(1) // under r.mu with closed unset: Close's Wait comes after
-	r.mu.Unlock()
-	go func() {
-		defer r.reroutes.Done()
-		r.reroute(req, guardEpoch)
-	}()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.refreshing || r.closed {
+		return
+	}
+	r.refreshing = true
+	r.refreshes.Add(1) // under r.mu with closed unset: Close's Wait comes after
+	go r.refresh()
 }
 
-// reroute refreshes the map if the NAKing guard's epoch is not behind ours
-// and, when that yields a fresher layout than the one req last failed
-// under, sends req to its new owner. Otherwise the NAK is simply dropped
-// and the client ORB's retransmit paces the retry.
-func (r *Router) reroute(req *inflightReq, guardEpoch uint64) {
+// refresh fetches the coordinator's map and adopts it if it is newer. A
+// coordinator that has not yet published the NAKing guard's layout yields
+// nothing new; the request's next NAK asks again.
+func (r *Router) refresh() {
+	defer r.refreshes.Done()
+	r.m.advance(r.fetch())
+	r.cRefreshes.Inc()
 	r.mu.Lock()
-	cur, last := r.m, req.epoch
+	r.refreshing = false
 	r.mu.Unlock()
-	if cur.Epoch <= guardEpoch || cur.Epoch <= last {
-		next := r.fetch()
-		r.cRefreshes.Inc()
-		r.mu.Lock()
-		if next.Epoch > r.m.Epoch {
-			r.m = next
-		}
-		cur = r.m
-		r.mu.Unlock()
-	}
-	if cur.Epoch <= last {
-		return
-	}
-	object, err := orb.PeekRequestObject(req.req.Bytes())
-	if err != nil {
-		return
-	}
-	r.mu.Lock()
-	req.epoch = cur.Epoch
-	r.mu.Unlock()
-	w, err := r.wireFor(cur, object)
-	if err != nil {
-		return
-	}
-	r.cReroutes.Inc()
-	// A second send of the request: the first spent its room. Lost sends
-	// are the ORB retransmit's to repair.
-	_ = w.Send(req.req.Clone(), req.sentAt, req.led)
 }
 
 // Close implements orb.Wire, closing every shard wire.
@@ -279,7 +193,7 @@ func (r *Router) Close() error {
 	}
 	r.mu.Unlock()
 	r.up.Shut()
-	r.reroutes.Wait()
+	r.refreshes.Wait()
 	var first error
 	for _, w := range wires {
 		if err := w.Close(); err != nil && first == nil {
