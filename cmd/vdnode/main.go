@@ -19,6 +19,10 @@
 // advertises its sender's listening address, so replicas learn where to
 // send replies. Kill any replica (including the primary) while the client
 // runs: the group reconfigures and the client's requests keep completing.
+//
+// Every structured flag is parsed by the package that owns its grammar
+// while the command line is parsed, so a malformed one exits with status 2
+// and the usage before any port is bound or any node is started.
 package main
 
 import (
@@ -27,11 +31,13 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"versadep/internal/cliflag"
+	"versadep/internal/faults/chaos"
 	"versadep/internal/gcs"
 	"versadep/internal/introspect"
 	"versadep/internal/obsplane"
@@ -46,83 +52,117 @@ import (
 	"versadep/internal/workload"
 )
 
-// policyOpts bundles the autonomic-adaptation flags for the replica role.
-type policyOpts struct {
-	spec     string
-	cooldown time.Duration
-	every    time.Duration
-	spawnCmd string
+// config is vdnode's command line, parsed.
+type config struct {
+	role, name, bind, intro, spawnCmd, policySpec  string
+	peers                                          map[string]string
+	seeds, members                                 []string
+	style                                          replication.Style
+	requests, stateBytes, xferChunk, xferWin       int
+	dialAttempts, shardID, shardN                  int // shardN is 0 without -shard
+	traceDump                                      bool
+	cooldown, adaptEvery, dialBackoff, scrapeEvery time.Duration
+	// gcs is the group defaults with -detector, -suspect-after and the
+	// -shard group id folded in.
+	gcs         gcs.Config
+	policies    []policy.Policy
+	chaos       *chaos.Spec
+	chaosSeed   uint64
+	slo         obsplane.Spec // Raw is "" without -slo
+	scrape      []scrapeTarget
+	shardGroups []shard.Group
 }
 
-// replicaOpts bundles the state-transfer and transport tuning flags.
-type replicaOpts struct {
-	stateBytes    int
-	transferChunk int
-	transferWin   int
-	dialAttempts  int
-	dialBackoff   time.Duration
-	suspectAfter  time.Duration
-	detector      string
-	chaos         string
-	slo           string
-	scrapeEvery   time.Duration
-	shard         string
-}
+// scrapeTarget is one -scrape entry: "name[@shard]=url".
+type scrapeTarget struct{ name, shard, url string }
 
-func main() {
-	var (
-		role     = flag.String("role", "replica", "replica or client")
-		name     = flag.String("name", "", "this node's logical name")
-		bind     = flag.String("bind", "", "host:port to listen on")
-		peersStr = flag.String("peers", "", "comma-separated name=host:port registry")
-		seedsStr = flag.String("seeds", "", "comma-separated seed names (replica role)")
-		members  = flag.String("members", "", "comma-separated group member names (client role)")
-		style    = flag.String("style", "active", "replication style (replica role)")
-		requests = flag.Int("requests", 100, "requests to issue (client role)")
-		traceDmp = flag.Bool("trace", false, "dump the trace-counter registry as JSON on exit")
-		intro    = flag.String("introspect", "", "host:port for the live introspection endpoint (/metrics, /trace, /policy, /debug/pprof)")
-		polSpec  = flag.String("policy", "", "autonomic policy stack in priority order, e.g. \"avail=0.995:5,rate=500:250\" (replica role; bwcap has no bandwidth to read here)")
-		cooldown = flag.Duration("cooldown", 5*time.Second, "minimum time between actuations of the same knob (flap damping)")
-		adaptEv  = flag.Duration("adapt-every", time.Second, "controller sampling period")
-		spawnCmd = flag.String("spawn-cmd", "", "shell command launching one fresh replica (gets VDNODE_SEEDS in its environment); enables the grow knob")
-		stateB   = flag.Int("state-bytes", 4096, "demo application state size (replica role; sets the joiner transfer volume)")
-		xferChnk = flag.Int("transfer-chunk", 0, "joiner state-transfer chunk size in bytes (0 = engine default)")
-		xferWin  = flag.Int("transfer-window", 0, "unacked chunks in flight per joiner transfer (0 = engine default)")
-		dialAtt  = flag.Int("dial-attempts", 0, "transport dial attempts per send before dropping (0 = transport default)")
-		dialBack = flag.Duration("dial-backoff", 0, "base backoff between dial attempts (0 = transport default)")
-		suspect  = flag.Duration("suspect-after", 0, "failure-detector silence threshold (0 = group default; raise when large transfers may delay heartbeats)")
-		detector = flag.String("detector", "", "failure detector: \"phi\" or \"phi:THRESH\" (accrual suspicion) or \"timeout\" (fixed silence window only); default = group default")
-		chaosArg = flag.String("chaos", "", "perturb this node's outbound wire traffic with chaos faults, \"SPEC[:SEED]\" (e.g. \"drop=0.05,corrupt=0.02:7\"; see internal/faults/chaos)")
-		sloSpec  = flag.String("slo", "", "SLO spec to evaluate over this node's own metrics, e.g. \"p99<50ms,avail>0.999:30s\"; serves /slo and feeds the policy controller's burn-rate signals")
-		scrape   = flag.String("scrape", "", "aggregator role: comma-separated name=http://host:port introspection endpoints to scrape")
-		scrapeEv = flag.Duration("scrape-every", time.Second, "observability sampling/scrape period (replica self-grading and aggregator role)")
-		shardArg = flag.String("shard", "", "serve shard k of an N-shard deployment as \"k/N\" (replica role; stamps the group's frames with group id k and NAKs objects owned by other shards)")
-		shardMem = flag.String("shard-members", "", "sharded client: semicolon-separated shard groups \"0:ra,rb,rc;1:sa,sb,sc\"; each request routes to the shard owning its object (client role)")
-	)
-	flag.Parse()
-	pol := policyOpts{spec: *polSpec, cooldown: *cooldown, every: *adaptEv, spawnCmd: *spawnCmd}
-	rep := replicaOpts{stateBytes: *stateB, transferChunk: *xferChnk, transferWin: *xferWin,
-		dialAttempts: *dialAtt, dialBackoff: *dialBack, suspectAfter: *suspect,
-		detector: *detector, chaos: *chaosArg,
-		slo: *sloSpec, scrapeEvery: *scrapeEv, shard: *shardArg}
-	if *role == "aggregator" {
-		if err := runAggregator(*bind, *scrape, *sloSpec, *scrapeEv); err != nil {
-			fmt.Fprintln(os.Stderr, "vdnode:", err)
-			os.Exit(1)
+// parseFlags reads vdnode's command line from args into a config. A
+// malformed spec fails inside fs.Parse, which on flag.CommandLine prints
+// the usage and exits with status 2. The error returned after fs.Parse is
+// a missing or unknown role, style or required flag.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{peers: map[string]string{}, gcs: gcs.DefaultConfig()}
+	var suspect time.Duration
+	fs.StringVar(&c.role, "role", "replica", "replica or client")
+	fs.StringVar(&c.name, "name", "", "this node's logical name")
+	fs.StringVar(&c.bind, "bind", "", "host:port to listen on")
+	specFlag(fs, &c.peers, "peers", "comma-separated name=host:port registry", parsePeers)
+	seeds := fs.String("seeds", "", "comma-separated seed names (replica role)")
+	members := fs.String("members", "", "comma-separated group member names (client role)")
+	style := fs.String("style", "active", "replication style (replica role)")
+	fs.IntVar(&c.requests, "requests", 100, "requests to issue (client role)")
+	fs.BoolVar(&c.traceDump, "trace", false, "dump the trace-counter registry as JSON on exit")
+	fs.StringVar(&c.intro, "introspect", "", "host:port for the live introspection endpoint (/metrics, /trace, /policy, /debug/pprof)")
+	specFlag(fs, &c.policies, "policy", "autonomic policy stack in priority order, e.g. \"avail=0.995:5,rate=500:250\" (replica role; bwcap has no bandwidth to read here)", func(s string) ([]policy.Policy, error) {
+		c.policySpec = s
+		return policy.ParseSpec(s)
+	})
+	fs.DurationVar(&c.cooldown, "cooldown", 5*time.Second, "minimum time between actuations of the same knob (flap damping)")
+	fs.DurationVar(&c.adaptEvery, "adapt-every", time.Second, "controller sampling period")
+	fs.StringVar(&c.spawnCmd, "spawn-cmd", "", "shell command launching one fresh replica (gets VDNODE_SEEDS in its environment); enables the grow knob")
+	fs.IntVar(&c.stateBytes, "state-bytes", 4096, "demo application state size (replica role; sets the joiner transfer volume)")
+	fs.IntVar(&c.xferChunk, "transfer-chunk", 0, "joiner state-transfer chunk size in bytes (0 = engine default)")
+	fs.IntVar(&c.xferWin, "transfer-window", 0, "unacked chunks in flight per joiner transfer (0 = engine default)")
+	fs.IntVar(&c.dialAttempts, "dial-attempts", 0, "transport dial attempts per send before dropping (0 = transport default)")
+	fs.DurationVar(&c.dialBackoff, "dial-backoff", 0, "base backoff between dial attempts (0 = transport default)")
+	fs.DurationVar(&suspect, "suspect-after", 0, "failure-detector silence threshold (0 = group default; raise when large transfers may delay heartbeats)")
+	specFlag(fs, &c.gcs.PhiThreshold, "detector", "failure detector: \"phi\" or \"phi:THRESH\" (accrual suspicion) or \"timeout\" (fixed silence window only); default = group default", gcs.ParseDetector)
+	specFlag(fs, &c.chaos, "chaos", "perturb this node's outbound wire traffic with chaos faults, \"SPEC[:SEED]\" (e.g. \"drop=0.05,corrupt=0.02:7\"; see internal/faults/chaos)", func(s string) (*chaos.Spec, error) {
+		spec, seed, err := chaos.ParseSpec(s)
+		c.chaosSeed = seed
+		return &spec, err
+	})
+	specFlag(fs, &c.slo, "slo", "SLO spec to evaluate over this node's own metrics, e.g. \"p99<50ms,avail>0.999:30s\"; serves /slo and feeds the policy controller's burn-rate signals", obsplane.ParseSLO)
+	specFlag(fs, &c.scrape, "scrape", "aggregator role: comma-separated name=http://host:port introspection endpoints to scrape", parseScrape)
+	fs.DurationVar(&c.scrapeEvery, "scrape-every", time.Second, "observability sampling/scrape period (replica self-grading and aggregator role)")
+	specFlag(fs, &c.shardN, "shard", "serve shard k of an N-shard deployment as \"k/N\" (replica role; stamps the group's frames with group id k and NAKs objects owned by other shards)", func(s string) (n int, err error) {
+		c.shardID, n, err = parseShard(s)
+		return n, err
+	})
+	specFlag(fs, &c.shardGroups, "shard-members", "sharded client: semicolon-separated shard groups \"0:ra,rb,rc;1:sa,sb,sc\"; each request routes to the shard owning its object (client role)", parseShardMembers)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	c.seeds, c.members = splitList(*seeds), splitList(*members)
+	if suspect > 0 {
+		c.gcs.SuspectAfter = suspect
+	}
+	// A sharded replica stamps its group's frames with the shard ID so
+	// several groups can multiplex one transport; shard 0 keeps group id 0,
+	// which encodes identically to the unsharded wire format.
+	c.gcs.GroupID = uint32(c.shardID)
+
+	var err error
+	switch {
+	case c.role == "aggregator":
+		if c.bind == "" || c.scrape == nil {
+			err = fmt.Errorf("-bind and -scrape are required for the aggregator role (-scrape name=http://host:port,...)")
 		}
-		return
+	case c.role != "replica" && c.role != "client":
+		err = fmt.Errorf("unknown role %q", c.role)
+	case c.name == "" || c.bind == "":
+		err = fmt.Errorf("-name and -bind are required")
+	case c.role == "replica":
+		c.style, err = replication.ParseStyle(*style)
+	case c.members == nil && c.shardGroups == nil:
+		err = fmt.Errorf("-members or -shard-members is required for the client role")
 	}
-	if err := run(*role, *name, *bind, *peersStr, *seedsStr, *members, *shardMem, *style, *requests, *traceDmp, *intro, pol, rep); err != nil {
-		fmt.Fprintln(os.Stderr, "vdnode:", err)
-		os.Exit(1)
-	}
+	return c, err
+}
+
+// specFlag defines a flag that parse reads into *dst. An empty value
+// leaves the flag unset, as leaving it out does.
+func specFlag[T any](fs *flag.FlagSet, dst *T, name, usage string, parse func(string) (T, error)) {
+	fs.Func(name, usage, func(s string) (err error) {
+		if s != "" {
+			*dst, err = parse(s)
+		}
+		return err
+	})
 }
 
 func parsePeers(s string) (map[string]string, error) {
 	peers := make(map[string]string)
-	if s == "" {
-		return peers, nil
-	}
 	for _, pair := range strings.Split(s, ",") {
 		name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok {
@@ -131,6 +171,59 @@ func parsePeers(s string) (map[string]string, error) {
 		peers[name] = addr
 	}
 	return peers, nil
+}
+
+// parseScrape reads -scrape's targets. A target may carry a shard
+// annotation ("name@shard=url"), labeling the merged exposition per shard
+// in a sharded deployment.
+func parseScrape(s string) ([]scrapeTarget, error) {
+	var targets []scrapeTarget
+	for _, pair := range strings.Split(s, ",") {
+		name, url, ok := strings.Cut(strings.TrimSpace(pair), "=")
+		base, shard, sharded := strings.Cut(name, "@")
+		if !ok || sharded && shard == "" {
+			return nil, fmt.Errorf("bad scrape target %q (want name[@shard]=http://host:port)", pair)
+		}
+		targets = append(targets, scrapeTarget{name: base, shard: shard, url: url})
+	}
+	return targets, nil
+}
+
+// parseShard reads -shard's "k/N": this node serves shard k of an N-shard
+// deployment.
+func parseShard(s string) (k, n int, err error) {
+	ks, ns, ok := strings.Cut(s, "/")
+	k, errK := strconv.Atoi(strings.TrimSpace(ks))
+	n, errN := strconv.Atoi(strings.TrimSpace(ns))
+	if !ok || errK != nil || errN != nil || k < 0 || k >= n {
+		return 0, 0, fmt.Errorf("want \"k/N\" with 0 <= k < N, got %q", s)
+	}
+	return k, n, nil
+}
+
+// parseShardMembers reads -shard-members, every shard's replica group:
+// semicolon-separated "id:member,member,..." entries, e.g.
+// "0:ra,rb,rc;1:sa,sb,sc". The groups feed a static shard.Map for a
+// sharded client in a fixed deployment.
+func parseShardMembers(s string) ([]shard.Group, error) {
+	var groups []shard.Group
+	for _, entry := range strings.Split(s, ";") {
+		if entry = strings.TrimSpace(entry); entry == "" {
+			continue
+		}
+		idStr, memberStr, ok := strings.Cut(entry, ":")
+		id, err := strconv.Atoi(strings.TrimSpace(idStr))
+		members := splitList(memberStr)
+		if !ok || err != nil || id < 0 || len(members) == 0 ||
+			slices.ContainsFunc(groups, func(g shard.Group) bool { return g.ID == id }) {
+			return nil, fmt.Errorf("want a new shard id and its members, \"id:member,...\", got %q", entry)
+		}
+		groups = append(groups, shard.Group{ID: id, Members: members})
+	}
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("no shard groups in %q", s)
+	}
+	return groups, nil
 }
 
 func splitList(s string) []string {
@@ -147,28 +240,55 @@ func splitList(s string) []string {
 	return out
 }
 
-func run(role, name, bind, peersStr, seedsStr, membersStr, shardMembers, styleName string, requests int, traceDump bool, intro string, pol policyOpts, rep replicaOpts) error {
-	if name == "" || bind == "" {
-		return fmt.Errorf("-name and -bind are required")
+func main() {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	var r *role
+	if err == nil {
+		r, err = start(c)
 	}
-	peers, err := parsePeers(peersStr)
-	if err != nil {
-		return err
-	}
-	var tOpts []tcptransport.Option
-	if rep.dialAttempts > 0 || rep.dialBackoff > 0 {
-		rc := tcptransport.DefaultRetry()
-		if rep.dialAttempts > 0 {
-			rc.DialAttempts = rep.dialAttempts
+	if err == nil {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		select {
+		case <-sig:
+		case err = <-r.done:
 		}
-		if rep.dialBackoff > 0 {
-			rc.BackoffBase = rep.dialBackoff
-		}
-		tOpts = append(tOpts, tcptransport.WithRetry(rc))
+		r.stop()
 	}
-	ep, err := tcptransport.Listen(name, bind, peers, tOpts...)
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "vdnode:", err)
+		os.Exit(1)
+	}
+}
+
+// A role is one running vdnode role. main runs one until a signal arrives
+// or the role ends by itself; a test runs several in one process.
+type role struct {
+	addr, intro string                  // the bound listen and introspection addresses
+	node        *replicator.ReplicaNode // the replica role's node
+	// done yields once if the role ends by itself: a client after its
+	// last request, a replica once retired. It is nil for the aggregator.
+	done chan error
+	stop func()
+}
+
+// start runs c's role: the aggregator serves its scrape of the cluster,
+// and the replica and client roles listen on -bind, behind the -chaos rule
+// when one is given.
+func start(c *config) (*role, error) {
+	if c.role == "aggregator" {
+		return startAggregator(c)
+	}
+	retry := tcptransport.DefaultRetry()
+	if c.dialAttempts > 0 {
+		retry.DialAttempts = c.dialAttempts
+	}
+	if c.dialBackoff > 0 {
+		retry.BackoffBase = c.dialBackoff
+	}
+	ep, err := tcptransport.Listen(c.name, c.bind, c.peers, tcptransport.WithRetry(retry))
+	if err != nil {
+		return nil, err
 	}
 
 	// The chaos spec's link rule applies to every outbound message of this
@@ -176,26 +296,15 @@ func run(role, name, bind, peersStr, seedsStr, membersStr, shardMembers, styleNa
 	// checksums.
 	var wire transport.MultiEndpoint = ep
 	var cw *transport.RuleEndpoint
-	if rep.chaos != "" {
-		spec, seed, err := cliflag.Chaos(rep.chaos)
-		if err != nil {
-			_ = ep.Close()
-			return err
-		}
-		cw = transport.ApplyRule(ep, spec.Rule, seed)
+	if c.chaos != nil {
+		cw = transport.ApplyRule(ep, c.chaos.Rule, c.chaosSeed)
 		wire = cw
-		fmt.Printf("[%s] wire chaos on: %s (seed %d)\n", name, spec, seed)
+		fmt.Printf("[%s] wire chaos on: %s (seed %d)\n", c.name, c.chaos, c.chaosSeed)
 	}
-
-	switch role {
-	case "replica":
-		return runReplica(ep, wire, cw, splitList(seedsStr), styleName, traceDump, intro, pol, rep)
-	case "client":
-		return runClient(wire, splitList(membersStr), shardMembers, requests, traceDump, intro)
-	default:
-		_ = ep.Close()
-		return fmt.Errorf("unknown role %q", role)
+	if c.role == "replica" {
+		return startReplica(c, ep, wire, cw)
 	}
+	return startClient(c, ep, wire)
 }
 
 // detectorGauges publishes the failure detector's live suspicion state on
@@ -239,17 +348,18 @@ func wireGauges(ep *tcptransport.Endpoint, cw *transport.RuleEndpoint) func() ma
 }
 
 // serveIntrospect starts the live observability endpoint when addr is
-// nonempty, returning a cleanup func (a no-op when disabled).
-func serveIntrospect(addr string, src introspect.Source, opts ...introspect.Option) (func(), error) {
+// nonempty, returning its bound address and a cleanup func (a no-op when
+// disabled).
+func serveIntrospect(addr string, src introspect.Source, opts ...introspect.Option) (string, func(), error) {
 	if addr == "" {
-		return func() {}, nil
+		return "", func() {}, nil
 	}
 	s, err := introspect.Start(addr, src, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("introspect: %w", err)
+		return "", nil, fmt.Errorf("introspect: %w", err)
 	}
 	fmt.Printf("introspection at http://%s/ (/metrics, /trace, /policy, /debug/pprof)\n", s.Addr())
-	return func() { _ = s.Close() }, nil
+	return s.Addr(), func() { _ = s.Close() }, nil
 }
 
 // startController builds and starts the autonomic controller for a
@@ -260,22 +370,18 @@ func serveIntrospect(addr string, src introspect.Source, opts ...introspect.Opti
 // itself against an SLO (-slo), the engine's attainment and burn-rate
 // signals decorate the sensor sample so burn-driven policies (burn=…)
 // can act on them.
-func startController(node *replicator.ReplicaNode, pol policyOpts, slo *obsplane.Engine) (*policy.Controller, func(), error) {
-	if pol.spec == "" {
-		return nil, func() {}, nil
-	}
-	policies, err := cliflag.Policies(pol.spec)
-	if err != nil {
-		return nil, nil, err
+func startController(node *replicator.ReplicaNode, c *config, slo *obsplane.Engine) (*policy.Controller, func()) {
+	if c.policies == nil {
+		return nil, func() {}
 	}
 	act := &replicator.ElasticActuator{Node: node}
-	if pol.spawnCmd != "" {
-		cmd := pol.spawnCmd
+	if c.spawnCmd != "" {
+		cmd := c.spawnCmd
 		act.Spawn = func(seeds []string) error {
-			c := exec.Command("/bin/sh", "-c", cmd)
-			c.Env = append(os.Environ(), "VDNODE_SEEDS="+strings.Join(seeds, ","))
-			c.Stdout, c.Stderr = os.Stdout, os.Stderr
-			return c.Start()
+			p := exec.Command("/bin/sh", "-c", cmd)
+			p.Env = append(os.Environ(), "VDNODE_SEEDS="+strings.Join(seeds, ","))
+			p.Stdout, p.Stderr = os.Stdout, os.Stderr
+			return p.Start()
 		}
 	}
 	sample := node.Sensors()
@@ -283,10 +389,10 @@ func startController(node *replicator.ReplicaNode, pol policyOpts, slo *obsplane
 		sample = slo.Signals(sample)
 	}
 	ctrl := policy.New(policy.Config{
-		Policies: policies,
+		Policies: c.policies,
 		Sample:   sample,
 		Actuator: act,
-		Cooldown: pol.cooldown,
+		Cooldown: c.cooldown,
 		Gate:     node.PolicyGate(),
 		OnEntry: func(e policy.Entry) {
 			if e.Err != "" {
@@ -296,50 +402,31 @@ func startController(node *replicator.ReplicaNode, pol policyOpts, slo *obsplane
 			fmt.Printf("[%s] policy %s: %s — %s\n", node.Addr(), e.Policy, e.Action, e.Reason)
 		},
 	})
-	stop := ctrl.Start(pol.every)
+	stop := ctrl.Start(c.adaptEvery)
 	fmt.Printf("[%s] autonomic controller on (%s), cooldown %v, sampling every %v\n",
-		node.Addr(), pol.spec, pol.cooldown, pol.every)
-	return ctrl, stop, nil
+		node.Addr(), c.policySpec, c.cooldown, c.adaptEvery)
+	return ctrl, stop
 }
 
-func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *transport.RuleEndpoint, seeds []string, styleName string, traceDump bool, intro string, pol policyOpts, rep replicaOpts) error {
-	style, err := replication.ParseStyle(styleName)
-	if err != nil {
-		return err
-	}
+// startReplica runs the replica role on ep: the demo counter replicated in
+// c's style, its SLO self-grading, policy controller and introspection
+// endpoint, and a status line every 5 s. Stopping it leaves the group.
+func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *transport.RuleEndpoint) (*role, error) {
 	// Live mode keeps the virtual accounting inert but the protocol
 	// identical; group timing must be looser than simulation defaults to
 	// tolerate real-network scheduling.
-	app := workload.NewBenchApp(rep.stateBytes, 0, 64)
-	gcsCfg, err := cliflag.Detector(rep.detector, rep.suspectAfter)
-	if err != nil {
-		return err
-	}
-	// A sharded replica stamps its group's frames with the shard ID so
-	// several groups can multiplex one transport; shard 0 keeps group id 0,
-	// which encodes identically to the unsharded wire format.
-	shardID, shardN, sharded, err := cliflag.Shard(rep.shard)
-	if err != nil {
-		return err
-	}
-	if sharded && shardID > 0 {
-		if gcsCfg == nil {
-			g := gcs.DefaultConfig()
-			gcsCfg = &g
-		}
-		gcsCfg.GroupID = uint32(shardID)
-	}
+	app := workload.NewBenchApp(c.stateBytes, 0, 64)
 	node := replicator.StartReplica(wire, replicator.ReplicaConfig{
-		Seeds: seeds,
-		GCS:   gcsCfg,
+		Seeds: c.seeds,
+		GCS:   &c.gcs,
 		Trace: trace.New(), // served on /trace and dumped at exit
 		Replication: replication.Config{
-			Style:              style,
+			Style:              c.style,
 			CheckpointEvery:    5,
 			Model:              vtime.DefaultCostModel(),
 			State:              app,
-			TransferChunkBytes: rep.transferChunk,
-			TransferWindow:     rep.transferWin,
+			TransferChunkBytes: c.xferChunk,
+			TransferWindow:     c.xferWin,
 			Observer: func(n replication.Notice) {
 				switch n.Kind {
 				case replication.NoticeSwitchDone:
@@ -371,15 +458,15 @@ func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *tra
 		},
 	})
 	node.Register("Bench", app)
-	if sharded {
+	if c.shardN > 0 {
 		// The ring needs only the shard IDs (placement is a pure function
 		// of IDs and vnodes), so every replica and every router derives the
 		// same ownership from just "k/N" — no membership exchange needed.
-		groups := make([]shard.Group, shardN)
+		groups := make([]shard.Group, c.shardN)
 		for i := range groups {
 			groups[i] = shard.Group{ID: i}
 		}
-		guard := shard.NewGuard(shardID, shard.NewMap(shard.DefaultVnodes, groups...))
+		guard := shard.NewGuard(c.shardID, shard.NewMap(shard.DefaultVnodes, groups...))
 		node.RegisterDefault(app)
 		node.SetRouteCheck(func(object string) error {
 			if object == "Bench" {
@@ -387,7 +474,7 @@ func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *tra
 			}
 			return guard.Check(object)
 		})
-		fmt.Printf("[%s] serving shard %d of %d\n", ep.Addr(), shardID, shardN)
+		fmt.Printf("[%s] serving shard %d of %d\n", ep.Addr(), c.shardID, c.shardN)
 	}
 
 	// Self-grading observability plane: an in-process aggregator samples
@@ -398,101 +485,103 @@ func runReplica(ep *tcptransport.Endpoint, wire transport.MultiEndpoint, cw *tra
 	var sloEng *obsplane.Engine
 	stopPlane := func() {}
 	var introOpts []introspect.Option
-	if rep.slo != "" {
-		spec, width, err := cliflag.SLO(rep.slo)
-		if err != nil {
-			node.Leave()
-			return err
-		}
-		agg := obsplane.NewAggregator(width, 512)
+	if c.slo.Raw != "" {
+		agg := obsplane.NewAggregator(c.slo.BucketWidth(), obsplane.SLORetain)
 		agg.Attach(ep.Addr(), node.TraceSnapshot)
-		sloEng = obsplane.NewEngine(agg.Store(), spec)
+		sloEng = obsplane.NewEngine(agg.Store(), c.slo)
 		sloEng.SetSeries(obsplane.SeriesExecMicros, obsplane.SeriesServed, obsplane.SeriesBad)
-		stopPlane = agg.Start(rep.scrapeEvery)
+		stopPlane = agg.Start(c.scrapeEvery)
 		introOpts = append(introOpts,
 			introspect.WithJSON("/slo", func() any { return sloEng.Status() }))
-		fmt.Printf("[%s] SLO self-grading on (%s), sampling every %v\n", ep.Addr(), spec.Raw, rep.scrapeEvery)
+		fmt.Printf("[%s] SLO self-grading on (%s), sampling every %v\n", ep.Addr(), c.slo.Raw, c.scrapeEvery)
 	}
-	defer stopPlane()
 
-	ctrl, stopCtrl, err := startController(node, pol, sloEng)
-	if err != nil {
-		node.Leave()
-		return err
-	}
-	defer stopCtrl()
+	ctrl, stopCtrl := startController(node, c, sloEng)
 	if ctrl != nil {
 		introOpts = append(introOpts,
 			introspect.WithJSON("/policy", func() any { return ctrl.Status() }))
 	}
 	introOpts = append(introOpts, introspect.WithGauges(detectorGauges(node)),
 		introspect.WithGauges(wireGauges(ep, cw)))
-	if sharded {
+	if c.shardN > 0 {
 		// A constant info gauge labels every scrape of this node with its
 		// shard, so the aggregator's merged exposition separates the groups.
-		info := fmt.Sprintf("versadep_shard_info{shard=\"%d\"}", shardID)
+		info := fmt.Sprintf("versadep_shard_info{shard=\"%d\"}", c.shardID)
 		introOpts = append(introOpts, introspect.WithGauges(func() map[string]float64 {
 			return map[string]float64{info: 1}
 		}))
 	}
-	closeIntro, err := serveIntrospect(intro, node.TraceSnapshot, introOpts...)
+	intro, closeIntro, err := serveIntrospect(c.intro, node.TraceSnapshot, introOpts...)
 	if err != nil {
 		node.Leave()
-		return err
+		stopCtrl()
+		stopPlane()
+		return nil, err
 	}
-	defer closeIntro()
 	fmt.Printf("[%s] replica up (%s) at %s, seeds=%v\n",
-		ep.Addr(), style, ep.BoundAddr(), seeds)
+		ep.Addr(), c.style, ep.BoundAddr(), c.seeds)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(5 * time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sig:
-			fmt.Printf("[%s] shutting down\n", ep.Addr())
-			if traceDump {
-				fmt.Printf("[%s] trace:\n%s\n", ep.Addr(), node.TraceSnapshot().JSON())
+	dumpTrace := func() {
+		if c.traceDump {
+			fmt.Printf("[%s] trace:\n%s\n", ep.Addr(), node.TraceSnapshot().JSON())
+		}
+	}
+	r := &role{addr: ep.BoundAddr(), intro: intro, node: node, done: make(chan error, 1)}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		ticker := time.NewTicker(5 * time.Second)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
 			}
-			node.Leave()
-			return nil
-		case <-ticker.C:
 			st := node.Engine().StatsSnapshot()
 			v, err := node.Member().View()
 			if err == gcs.ErrStopped {
 				// A retirement directive made this replica leave the
 				// group; the process is done.
 				fmt.Printf("[%s] retired gracefully\n", ep.Addr())
-				if traceDump {
-					fmt.Printf("[%s] trace:\n%s\n", ep.Addr(), node.TraceSnapshot().JSON())
-				}
-				return nil
+				dumpTrace()
+				r.done <- nil
+				return
 			}
-			if err != nil {
-				continue
+			if err == nil {
+				fmt.Printf("[%s] view=%v style=%s role=%s synced=%v executed=%d logged=%d ckpts=%d\n",
+					ep.Addr(), v.Members, st.Style, st.Role, st.Synced,
+					st.RequestsExecuted, st.RequestsLogged, st.Checkpoints)
 			}
-			fmt.Printf("[%s] view=%v style=%s role=%s synced=%v executed=%d logged=%d ckpts=%d\n",
-				ep.Addr(), v.Members, st.Style, st.Role, st.Synced,
-				st.RequestsExecuted, st.RequestsLogged, st.Checkpoints)
 		}
+	}()
+	r.stop = func() {
+		close(quit)
+		<-exited
+		if _, err := node.Member().View(); err != gcs.ErrStopped { // not retired
+			fmt.Printf("[%s] shutting down\n", ep.Addr())
+			dumpTrace()
+			node.Leave()
+		}
+		closeIntro()
+		stopCtrl()
+		stopPlane()
 	}
+	return r, nil
 }
 
-func runClient(wire transport.MultiEndpoint, members []string, shardMembers string, requests int, traceDump bool, intro string) error {
+// startClient runs the client role on wire: c.requests invocations of the
+// demo counter, one at a time, with a progress line every ten. Its done
+// channel yields when the last returns, or the first fails.
+func startClient(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndpoint) (*role, error) {
 	var client *replicator.ClientNode
-	sharded := shardMembers != ""
+	sharded := c.shardGroups != nil
 	if sharded {
 		// The sharded client spans every group: one endpoint, one ORB, a
 		// router underneath mapping each object to its shard's group. The
 		// deployment is fixed from the flag, so the map never changes and
 		// Fetch just returns the same epoch-1 layout.
-		groups, err := cliflag.ShardMembers(shardMembers)
-		if err != nil {
-			_ = wire.Close()
-			return err
-		}
-		m := shard.NewMap(shard.DefaultVnodes, groups...)
+		m := shard.NewMap(shard.DefaultVnodes, c.shardGroups...)
 		client = replicator.StartShardedClient(wire, replicator.ShardedClientConfig{
 			Fetch:   func() *shard.Map { return m },
 			Model:   vtime.DefaultCostModel(),
@@ -500,27 +589,36 @@ func runClient(wire transport.MultiEndpoint, members []string, shardMembers stri
 			Retries: 10,
 			Trace:   trace.New(),
 		})
-		fmt.Printf("sharded client over %d shards\n", len(groups))
+		fmt.Printf("sharded client over %d shards\n", len(c.shardGroups))
 	} else {
-		if len(members) == 0 {
-			_ = wire.Close()
-			return fmt.Errorf("-members or -shard-members is required for the client role")
-		}
 		client = replicator.StartClient(wire, replicator.ClientConfig{
-			Members: members,
+			Members: c.members,
 			Model:   vtime.DefaultCostModel(),
 			Timeout: 2 * time.Second,
 			Retries: 10,
 			Trace:   trace.New(),
 		})
 	}
-	defer client.Stop()
-	closeIntro, err := serveIntrospect(intro, client.TraceSnapshot)
+	intro, closeIntro, err := serveIntrospect(c.intro, client.TraceSnapshot)
 	if err != nil {
-		return err
+		client.Stop()
+		return nil, err
 	}
-	defer closeIntro()
+	exited := make(chan struct{})
+	r := &role{addr: ep.BoundAddr(), intro: intro, done: make(chan error, 1), stop: func() {
+		closeIntro()
+		client.Stop() // fails the request in flight
+		<-exited
+	}}
+	go func() {
+		defer close(exited)
+		r.done <- runRequests(client, c.requests, sharded, c.traceDump)
+	}()
+	return r, nil
+}
 
+// runRequests drives the client role's requests.
+func runRequests(client *replicator.ClientNode, requests int, sharded, traceDump bool) error {
 	start := time.Now()
 	var last int64
 	for i := 1; i <= requests; i++ {
@@ -552,48 +650,27 @@ func runClient(wire transport.MultiEndpoint, members []string, shardMembers stri
 	return nil
 }
 
-// runAggregator is the cluster observability role: it scrapes every
+// startAggregator runs the cluster observability role: it scrapes every
 // target's introspection endpoint on a ticker (validating each /metrics
 // exposition), merges the per-node snapshots, and serves the cluster
 // view — merged /metrics and /trace, stitched cross-node request
 // timelines on /timelines, scrape health on /aggregator, and (when -slo
 // is set) the rolling SLO evaluation of the cluster-derived series on
 // /slo.
-func runAggregator(bind, scrape, sloSpec string, every time.Duration) error {
-	if bind == "" {
-		return fmt.Errorf("-bind is required for the aggregator role")
-	}
-	if scrape == "" {
-		return fmt.Errorf("-scrape is required for the aggregator role (name=http://host:port,...)")
-	}
-	var spec obsplane.Spec
+func startAggregator(c *config) (*role, error) {
 	width := int64(time.Second)
-	if sloSpec != "" {
-		var err error
-		if spec, width, err = cliflag.SLO(sloSpec); err != nil {
-			return err
-		}
+	if c.slo.Raw != "" {
+		width = c.slo.BucketWidth()
 	}
-	agg := obsplane.NewAggregator(width, 512)
-	// Targets may carry a shard annotation ("name@shard=url"), labeling the
-	// merged exposition per shard in a sharded deployment.
+	agg := obsplane.NewAggregator(width, obsplane.SLORetain)
 	shardOf := make(map[string]string)
-	for _, pair := range strings.Split(scrape, ",") {
-		name, url, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return fmt.Errorf("bad scrape target %q (want name[@shard]=http://host:port)", pair)
+	for _, t := range c.scrape {
+		if t.shard != "" {
+			shardOf[t.name] = t.shard
 		}
-		if base, shard, ok := strings.Cut(name, "@"); ok {
-			if shard == "" {
-				return fmt.Errorf("bad scrape target %q (empty shard annotation)", pair)
-			}
-			name = base
-			shardOf[name] = shard
-		}
-		agg.AddTarget(name, url)
+		agg.AddTarget(t.name, t.url)
 	}
-	stop := agg.Start(every)
-	defer stop()
+	stop := agg.Start(c.scrapeEvery)
 
 	opts := []introspect.Option{
 		introspect.WithJSON("/timelines", func() any { return agg.Timelines() }),
@@ -619,21 +696,20 @@ func runAggregator(bind, scrape, sloSpec string, every time.Duration) error {
 			return g
 		}))
 	}
-	if sloSpec != "" {
-		eng := obsplane.NewEngine(agg.Store(), spec)
+	if c.slo.Raw != "" {
+		eng := obsplane.NewEngine(agg.Store(), c.slo)
 		opts = append(opts, introspect.WithJSON("/slo", func() any { return eng.Status() }))
 	}
-	srv, err := introspect.Start(bind, agg.Merged, opts...)
+	srv, err := introspect.Start(c.bind, agg.Merged, opts...)
 	if err != nil {
-		return err
+		stop()
+		return nil, err
 	}
-	defer srv.Close()
 	fmt.Printf("aggregator at http://%s/ (/metrics, /trace, /timelines, /slo, /aggregator), scraping every %v\n",
-		srv.Addr(), every)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("aggregator shutting down")
-	return nil
+		srv.Addr(), c.scrapeEvery)
+	return &role{addr: srv.Addr(), intro: srv.Addr(), stop: func() {
+		fmt.Println("aggregator shutting down")
+		_ = srv.Close()
+		stop()
+	}}, nil
 }

@@ -10,6 +10,10 @@
 //	vdsim -style warm-passive -switch-to active -switch-at 250
 //	vdsim -style active -replicas 2 -grow-at 100 -retire-at 300
 //	vdsim -style active -clients 4 -adapt rate=2000:500
+//
+// -switch-to, -detector, -chaos, -slo and -adapt are parsed by the packages
+// that own their grammars while the command line is parsed, so a malformed
+// one exits with status 2 and the usage before any scenario boots.
 package main
 
 import (
@@ -21,9 +25,9 @@ import (
 	"sync"
 	"time"
 
-	"versadep/internal/cliflag"
 	"versadep/internal/experiment"
 	"versadep/internal/faults/chaos"
+	"versadep/internal/gcs"
 	"versadep/internal/introspect"
 	"versadep/internal/obsplane"
 	"versadep/internal/policy"
@@ -40,28 +44,47 @@ var (
 	requests  = flag.Int("requests", 500, "requests per client")
 	ckpt      = flag.Int("checkpoint-every", 5, "checkpoint frequency (passive styles)")
 	seed      = flag.Uint64("seed", 1, "deterministic seed")
-	switchTo  = flag.String("switch-to", "", "style to switch to mid-run")
 	switchAt  = flag.Int("switch-at", 0, "request index at which to switch")
 	crashAt   = flag.Int("crash-primary-at", 0, "request index at which to crash the rank-0 replica")
 	traceDump = flag.Bool("trace", false, "dump the merged trace-counter registry as JSON on exit")
 	spanDump  = flag.Int("spans", 0, "print causal span timelines for the first N request traces plus all protocol phases")
 	growAt    = flag.Int("grow-at", 0, "request index at which to spawn one fresh replica (live join + state transfer)")
 	retireAt  = flag.Int("retire-at", 0, "request index at which to gracefully retire the highest-ranked replica")
-	adapt     = flag.String("adapt", "", "comma-separated policy specs driving an autonomic controller, e.g. rate=2000:500,avail=0.995:5,bwcap=3.0 (see internal/policy)")
 	cooldown  = flag.Duration("adapt-cooldown", 200*time.Millisecond, "per-knob cooldown between controller actuations")
 	stateB    = flag.Int("state-bytes", 0, "application state size in bytes (0 = harness default; sets the joiner transfer volume)")
 	xferChunk = flag.Int("transfer-chunk", 0, "joiner state-transfer chunk size in bytes (0 = engine default)")
 	xferRetry = flag.Duration("transfer-retry", 0, "transfer retry tick for stalled joiners (0 = engine default)")
-	detector  = flag.String("detector", "", "failure detector: \"phi\" or \"phi:THRESH\" (accrual suspicion) or \"timeout\" (fixed silence window only); default = group default")
-	chaosArg  = flag.String("chaos", "", "inject a deterministic chaos schedule during the run, \"SPEC[:SEED]\" (e.g. \"all:7\" or \"drop=0.1,partition=1\"; see internal/faults/chaos)")
 	chaosFor  = flag.Duration("chaos-for", 500*time.Millisecond, "chaos schedule window (faults injected and healed inside it)")
 	intro     = flag.String("introspect", "", "host:port for a live introspection endpoint over the running simulation (/metrics, /trace, and /slo when -slo is set)")
-	sloSpec   = flag.String("slo", "", "grade the run against an SLO spec, e.g. \"p99<10ms,avail>0.999:25ms\" (windows are virtual time)")
 	timelines = flag.Int("timelines", 0, "print the first N stitched cross-node request timelines")
 	shards    = flag.Int("shards", 1, "shard the object space over N independent replica groups (active replication, -replicas each) and drive an open-loop sharded client across them; >1 switches to sharded mode and ignores the mid-run event flags")
 )
 
+// The spec flags, each set inside flag.Parse by its owner's parser.
+var (
+	switchTo  replication.Style // zero without -switch-to
+	gcsCfg    *gcs.Config       // the group defaults with -detector's threshold
+	chaosSpec *chaos.Spec
+	chaosSeed uint64
+	sloSpec   obsplane.Spec   // Raw is "" without -slo
+	policies  []policy.Policy // -adapt, in priority order
+)
+
 func main() {
+	specFlag(&switchTo, "switch-to", "style to switch to mid-run", replication.ParseStyle)
+	specFlag(&gcsCfg, "detector", "failure detector: \"phi\" or \"phi:THRESH\" (accrual suspicion) or \"timeout\" (fixed silence window only); default = group default", func(s string) (*gcs.Config, error) {
+		g := gcs.DefaultConfig()
+		phi, err := gcs.ParseDetector(s)
+		g.PhiThreshold = phi
+		return &g, err
+	})
+	specFlag(&chaosSpec, "chaos", "inject a deterministic chaos schedule during the run, \"SPEC[:SEED]\" (e.g. \"all:7\" or \"drop=0.1,partition=1\"; see internal/faults/chaos)", func(s string) (*chaos.Spec, error) {
+		spec, seed, err := chaos.ParseSpec(s)
+		chaosSeed = seed
+		return &spec, err
+	})
+	specFlag(&sloSpec, "slo", "grade the run against an SLO spec, e.g. \"p99<10ms,avail>0.999:25ms\" (windows are virtual time)", obsplane.ParseSLO)
+	specFlag(&policies, "adapt", "comma-separated policy specs driving an autonomic controller, e.g. rate=2000:500,avail=0.995:5,bwcap=3.0 (see internal/policy)", policy.ParseSpec)
 	flag.Parse()
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "vdsim:", err)
@@ -69,16 +92,21 @@ func main() {
 	}
 }
 
+// specFlag defines a flag that parse reads into *dst. An empty value
+// leaves the flag unset, as leaving it out does.
+func specFlag[T any](dst *T, name, usage string, parse func(string) (T, error)) {
+	flag.Func(name, usage, func(s string) (err error) {
+		if s != "" {
+			*dst, err = parse(s)
+		}
+		return err
+	})
+}
+
 func run() error {
 	style, err := replication.ParseStyle(*styleName)
 	if err != nil {
 		return err
-	}
-	var target replication.Style
-	if *switchTo != "" {
-		if target, err = replication.ParseStyle(*switchTo); err != nil {
-			return err
-		}
 	}
 
 	o := experiment.DefaultOptions()
@@ -90,9 +118,7 @@ func run() error {
 	}
 	o.TransferChunkBytes = *xferChunk
 	o.TransferRetryEvery = *xferRetry
-	if o.GCS, err = cliflag.Detector(*detector, 0); err != nil {
-		return err
-	}
+	o.GCS = gcsCfg
 
 	if *shards > 1 {
 		return runSharded(o)
@@ -121,7 +147,7 @@ func run() error {
 	// A flag left at 0, or -switch-at without -switch-to, fires nothing.
 	var plan experiment.Plan
 	for _, ev := range []experiment.Event{
-		{At: *switchAt, Switch: target},
+		{At: *switchAt, Switch: switchTo},
 		{At: *crashAt, CrashPrimary: true},
 		{At: *growAt, Grow: true},
 		{At: *retireAt, Retire: true},
@@ -130,12 +156,8 @@ func run() error {
 			plan.Events = append(plan.Events, ev)
 		}
 	}
-	if *chaosArg != "" {
-		spec, seed, err := cliflag.Chaos(*chaosArg)
-		if err != nil {
-			return err
-		}
-		sched := spec.Plan(seed, chaos.Targets{Replicas: scn.Members(), Duration: *chaosFor})
+	if chaosSpec != nil {
+		sched := chaosSpec.Plan(chaosSeed, chaos.Targets{Replicas: scn.Members(), Duration: *chaosFor})
 		plan.Events = append(plan.Events, experiment.Event{Faults: sched})
 		fmt.Printf("chaos schedule (%d steps over %v):\n", len(sched.Steps()), *chaosFor)
 		for _, st := range sched.Steps() {
@@ -146,12 +168,8 @@ func run() error {
 	// SLO grading: every reply lands in a windowed store at its virtual
 	// send instant; the engine evaluates the spec per window and the whole
 	// run at the end.
-	if *sloSpec != "" {
-		spec, width, err := cliflag.SLO(*sloSpec)
-		if err != nil {
-			return err
-		}
-		plan.SLO = obsplane.NewEngine(obsplane.NewStore(width, 512), spec)
+	if sloSpec.Raw != "" {
+		plan.SLO = obsplane.NewEngine(obsplane.NewStore(sloSpec.BucketWidth(), obsplane.SLORetain), sloSpec)
 	}
 
 	if *intro != "" {
@@ -168,11 +186,7 @@ func run() error {
 			srv.Addr(), map[bool]string{true: ", /slo"}[plan.SLO != nil])
 	}
 
-	if *adapt != "" {
-		policies, err := cliflag.Policies(*adapt)
-		if err != nil {
-			return err
-		}
+	if policies != nil {
 		// Step at a coarse cadence so each step sees fresh rate and
 		// tail-latency samples rather than per-request noise.
 		plan.Control = &experiment.Control{Policies: policies, Every: 25, Cooldown: *cooldown,

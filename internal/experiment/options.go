@@ -50,7 +50,7 @@ type Options struct {
 	// TransferRetryEvery overrides the transfer retry tick (0 = default).
 	TransferRetryEvery time.Duration
 	// GCS overrides every replica's group-communication config (nil =
-	// gcs.DefaultConfig). The CLIs build it with cliflag.Detector.
+	// gcs.DefaultConfig). vdsim builds it from its -detector flag.
 	GCS *gcs.Config
 }
 

@@ -119,11 +119,10 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 	}
 	defer scn.Close()
 
-	width := max(spec.Window.Nanoseconds()/5, 1)
 	plan := Plan{
 		Open:     sloPhases(),
 		RealPace: sloPace,
-		SLO:      obsplane.NewEngine(obsplane.NewStore(width, 512), spec),
+		SLO:      obsplane.NewEngine(obsplane.NewStore(spec.BucketWidth(), obsplane.SLORetain), spec),
 		Control: &Control{
 			// MaxReplicas == current size keeps the escalation to a style
 			// switch: growing a replica mid-partition would entangle the
@@ -158,7 +157,7 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 	// Feed every node's final snapshot through the aggregator: the merged
 	// view yields the stitched cross-node timelines and the cluster
 	// counters (suspicions) the result reports.
-	agg := obsplane.NewAggregator(width, 512)
+	agg := obsplane.NewAggregator(spec.BucketWidth(), obsplane.SLORetain)
 	endAt := int64(load.EndVT)
 	for _, n := range scn.group.Nodes() {
 		agg.Ingest(n.Addr(), endAt, n.TraceSnapshot())

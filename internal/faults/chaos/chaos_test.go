@@ -275,3 +275,14 @@ func TestPlanRulesAreTheOpenWindows(t *testing.T) {
 		}
 	}
 }
+
+func TestChaosMalformed(t *testing.T) {
+	if _, _, err := ParseSpec("drop=0.05:7"); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for _, bad := range []string{"drop=", "drop=x", "nosuchfault=1", "drop=0.5:seed"} {
+		if _, _, err := ParseSpec(bad); err == nil {
+			t.Fatalf("ParseSpec(%q) accepted a malformed spec", bad)
+		}
+	}
+}

@@ -208,3 +208,22 @@ func TestPhiSnapshotExposesSuspicion(t *testing.T) {
 		t.Fatalf("crashed peer phi = %v after 200ms silence, want elevated", snap["mc"])
 	}
 }
+
+// TestDetectorPhi checks the accrual threshold each -detector spec selects.
+func TestDetectorPhi(t *testing.T) {
+	for spec, want := range map[string]float64{
+		"phi:8":   8,
+		"phi:12":  12,
+		"phi":     gcs.DefaultConfig().PhiThreshold,
+		"timeout": 0, // accrual disabled
+	} {
+		if got, err := gcs.ParseDetector(spec); err != nil || got != want {
+			t.Fatalf("ParseDetector(%q) = %v, %v; want %v", spec, got, err, want)
+		}
+	}
+	for _, bad := range []string{"nope", "bogus", "phi:x", "phi:", "phi:0", "phi:-1"} {
+		if _, err := gcs.ParseDetector(bad); err == nil {
+			t.Fatalf("ParseDetector(%q) accepted a malformed spec", bad)
+		}
+	}
+}

@@ -22,6 +22,7 @@
 package interceptor
 
 import (
+	"bytes"
 	"sync"
 
 	"versadep/internal/gcs"
@@ -108,8 +109,8 @@ const (
 	// FilterFirst delivers the first reply per request and drops the
 	// rest.
 	FilterFirst ReplyFilter = iota + 1
-	// FilterMajority delivers once a majority of the expected replies
-	// are byte-identical.
+	// FilterMajority delivers once a majority of the expected replicas
+	// have sent byte-identical replies, each replica counted once.
 	FilterMajority
 )
 
@@ -131,9 +132,10 @@ type GroupWire struct {
 	// delivered/votes hold per-rid state only for the ordered window
 	// [floor, highRid]; floor advances monotonically, so pruning is O(1)
 	// amortized per delivery instead of a full-map scan, and a reply for
-	// a rid below floor is suppressed instead of re-delivered.
+	// a rid below floor is suppressed instead of re-delivered. votes holds
+	// each voting replica's reply, by sender.
 	delivered map[uint64]bool
-	votes     map[uint64]map[string]*vote
+	votes     map[uint64]map[string]orb.WireReply
 	highRid   uint64
 	floor     uint64
 
@@ -145,11 +147,6 @@ type GroupWire struct {
 	cSuppressed *trace.Counter
 	cPruned     *trace.Counter
 	spans       *span.Recorder
-}
-
-type vote struct {
-	count int
-	wr    orb.WireReply
 }
 
 var _ orb.Wire = (*GroupWire)(nil)
@@ -191,7 +188,7 @@ func NewGroupWire(send transport.Conn, gcc gcs.ClientConfig, opts ...GroupWireOp
 		filter:    FilterFirst,
 		expected:  1,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 		floor:     1, // request ids start at 1
 	}
 	for _, o := range opts {
@@ -246,7 +243,7 @@ func (w *GroupWire) deliver(e gcs.Event) {
 	wr := orb.WireReply{Bytes: e.Payload, VTime: e.VTime, Ledger: e.Ledger}
 	wr.Ledger.Charge(vtime.ComponentReplicator, w.model.Intercept)
 	wr.VTime = wr.VTime.Add(w.model.Intercept)
-	if out, deliver := w.filterReply(wr); deliver {
+	if out, deliver := w.filterReply(wr, e.Sender); deliver {
 		// Spanned only for the reply actually handed to the client (the
 		// one whose ledger the outcome carries), not for suppressed
 		// duplicates or losing majority votes.
@@ -255,8 +252,9 @@ func (w *GroupWire) deliver(e gcs.Event) {
 	}
 }
 
-// filterReply applies duplicate suppression and the configured filter.
-func (w *GroupWire) filterReply(wr orb.WireReply) (orb.WireReply, bool) {
+// filterReply applies duplicate suppression and the configured filter to
+// a reply from the replica sender.
+func (w *GroupWire) filterReply(wr orb.WireReply, sender string) (orb.WireReply, bool) {
 	_, rid, err := orb.PeekReplyID(wr.Bytes)
 	if err != nil {
 		return wr, false
@@ -272,32 +270,38 @@ func (w *GroupWire) filterReply(wr orb.WireReply) (orb.WireReply, bool) {
 	}
 	switch w.filter {
 	case FilterMajority:
-		need := w.expected/2 + 1
-		byBytes := w.votes[rid]
-		if byBytes == nil {
-			byBytes = make(map[string]*vote)
-			w.votes[rid] = byBytes
+		ballots := w.votes[rid]
+		if ballots == nil {
+			ballots = make(map[string]orb.WireReply)
+			w.votes[rid] = ballots
 		}
-		key := string(wr.Bytes)
-		v := byBytes[key]
-		if v == nil {
-			v = &vote{wr: wr}
-			byBytes[key] = v
+		if _, voted := ballots[sender]; voted {
+			// A replica replies again when it answers a retransmitted
+			// request from its reply cache or replays its log on
+			// failover: a duplicate, not a second vote.
+			w.cSuppressed.Inc()
+			return wr, false
 		}
-		v.count++
-		// The delivered reply carries the slowest voter's virtual time:
-		// a voting client cannot proceed before the majority is in.
-		if wr.VTime.After(v.wr.VTime) {
-			v.wr = wr
+		ballots[sender] = wr
+		// The delivered reply carries the slowest agreeing voter's virtual
+		// time: a voting client cannot proceed before the majority is in.
+		agree := 0
+		for _, b := range ballots {
+			if bytes.Equal(b.Bytes, wr.Bytes) {
+				agree++
+				if b.VTime.After(wr.VTime) {
+					wr = b
+				}
+			}
 		}
-		if v.count < need {
+		if agree < w.expected/2+1 { // no majority yet
 			return wr, false
 		}
 		w.markDelivered(rid)
 		delete(w.votes, rid)
 		w.cMajority.Inc()
 		w.cDelivered.Inc()
-		return v.wr, true
+		return wr, true
 	default: // FilterFirst
 		w.markDelivered(rid)
 		w.cDelivered.Inc()

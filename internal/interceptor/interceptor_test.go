@@ -193,18 +193,18 @@ func TestFilterFirstDeliversOnceDropsDuplicates(t *testing.T) {
 		filter:    FilterFirst,
 		expected:  3,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
-	if _, ok := w.filterReply(mkReply(1, "a")); !ok {
+	if _, ok := w.filterReply(mkReply(1, "a"), "ra"); !ok {
 		t.Fatal("first reply not delivered")
 	}
-	if _, ok := w.filterReply(mkReply(1, "a")); ok {
+	if _, ok := w.filterReply(mkReply(1, "a"), "rb"); ok {
 		t.Fatal("duplicate delivered")
 	}
-	if _, ok := w.filterReply(mkReply(1, "b")); ok {
+	if _, ok := w.filterReply(mkReply(1, "b"), "rc"); ok {
 		t.Fatal("late divergent duplicate delivered")
 	}
-	if _, ok := w.filterReply(mkReply(2, "a")); !ok {
+	if _, ok := w.filterReply(mkReply(2, "a"), "ra"); !ok {
 		t.Fatal("next request's reply blocked")
 	}
 }
@@ -214,13 +214,13 @@ func TestFilterMajorityWaitsForQuorum(t *testing.T) {
 		filter:    FilterMajority,
 		expected:  3,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
 	// Majority of 3 is 2: the first identical pair delivers.
-	if _, ok := w.filterReply(mkReply(1, "x")); ok {
+	if _, ok := w.filterReply(mkReply(1, "x"), "ra"); ok {
 		t.Fatal("delivered before quorum")
 	}
-	wr, ok := w.filterReply(mkReply(1, "x"))
+	wr, ok := w.filterReply(mkReply(1, "x"), "rb")
 	if !ok {
 		t.Fatal("quorum not delivered")
 	}
@@ -228,8 +228,36 @@ func TestFilterMajorityWaitsForQuorum(t *testing.T) {
 		t.Fatalf("rid = %d", rid)
 	}
 	// The third (late) vote is suppressed.
-	if _, ok := w.filterReply(mkReply(1, "x")); ok {
+	if _, ok := w.filterReply(mkReply(1, "x"), "rc"); ok {
 		t.Fatal("post-quorum duplicate delivered")
+	}
+}
+
+// A replica replies to one request id more than once: from its reply
+// cache when the client ORB retransmits, and on failover when it replays
+// its log. Each reply is a new direct frame, so only the vote counts by
+// sender keep one replica from making a majority of three on its own.
+func TestFilterMajorityCountsEachReplicaOnce(t *testing.T) {
+	r := trace.New()
+	w := NewGroupWire(&sendCounter{}, gcs.DefaultClientConfig([]string{"ra", "rb", "rc"}),
+		WithFilter(FilterMajority), WithExpectedReplies(3), WithGroupTrace(r))
+	defer w.Close()
+	delivered := 0
+	w.Bind(func(orb.WireReply) { delivered++ })
+	reply := func(sender string) gcs.Event {
+		return gcs.Event{Kind: gcs.EventDirect, Sender: sender, Payload: mkReply(1, "x").Bytes}
+	}
+	w.deliver(reply("ra"))
+	w.deliver(reply("ra"))
+	if delivered != 0 {
+		t.Fatal("one replica's two replies delivered as a majority of three")
+	}
+	if got := r.Value(trace.SubInterceptor, "duplicates_suppressed"); got != 1 {
+		t.Fatalf("duplicates_suppressed = %d, want 1 (the second reply from ra)", got)
+	}
+	w.deliver(reply("rb"))
+	if delivered != 1 {
+		t.Fatalf("delivered %d after a second replica's matching reply, want 1", delivered)
 	}
 }
 
@@ -238,17 +266,17 @@ func TestFilterMajorityOutvotesDivergentReply(t *testing.T) {
 		filter:    FilterMajority,
 		expected:  3,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
 	// A Byzantine-style divergent reply arrives first; it never reaches
 	// quorum, the two honest identical ones do.
-	if _, ok := w.filterReply(mkReply(1, "evil")); ok {
+	if _, ok := w.filterReply(mkReply(1, "evil"), "ra"); ok {
 		t.Fatal("single divergent reply delivered")
 	}
-	if _, ok := w.filterReply(mkReply(1, "good")); ok {
+	if _, ok := w.filterReply(mkReply(1, "good"), "rb"); ok {
 		t.Fatal("first honest reply delivered early")
 	}
-	wr, ok := w.filterReply(mkReply(1, "good"))
+	wr, ok := w.filterReply(mkReply(1, "good"), "rc")
 	if !ok {
 		t.Fatal("honest quorum blocked")
 	}
@@ -263,14 +291,14 @@ func TestFilterMajorityCarriesSlowestVoterTime(t *testing.T) {
 		filter:    FilterMajority,
 		expected:  3,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
 	r1 := mkReply(1, "x")
 	r1.VTime = vtime.Time(100)
 	r2 := mkReply(1, "x")
 	r2.VTime = vtime.Time(900)
-	w.filterReply(r1)
-	wr, ok := w.filterReply(r2)
+	w.filterReply(r1, "ra")
+	wr, ok := w.filterReply(r2, "rb")
 	if !ok {
 		t.Fatal("quorum not reached")
 	}
@@ -284,24 +312,24 @@ func TestFilterExpectedRepliesAdjustable(t *testing.T) {
 		filter:    FilterMajority,
 		expected:  5,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
 	// Majority of 5 is 3.
-	w.filterReply(mkReply(1, "x"))
-	if _, ok := w.filterReply(mkReply(1, "x")); ok {
+	w.filterReply(mkReply(1, "x"), "ra")
+	if _, ok := w.filterReply(mkReply(1, "x"), "rb"); ok {
 		t.Fatal("2/5 delivered")
 	}
-	if _, ok := w.filterReply(mkReply(1, "x")); !ok {
+	if _, ok := w.filterReply(mkReply(1, "x"), "rc"); !ok {
 		t.Fatal("3/5 not delivered")
 	}
 	// The replicas knob moved down to 1: next request needs one vote.
 	w.SetExpectedReplies(1)
-	if _, ok := w.filterReply(mkReply(2, "y")); !ok {
+	if _, ok := w.filterReply(mkReply(2, "y"), "ra"); !ok {
 		t.Fatal("1/1 not delivered")
 	}
 	// Invalid values are ignored.
 	w.SetExpectedReplies(0)
-	if _, ok := w.filterReply(mkReply(3, "z")); !ok {
+	if _, ok := w.filterReply(mkReply(3, "z"), "ra"); !ok {
 		t.Fatal("threshold corrupted by invalid SetExpectedReplies")
 	}
 }
@@ -311,10 +339,10 @@ func TestFilterPrunesOldState(t *testing.T) {
 		filter:    FilterFirst,
 		expected:  1,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
 	for rid := uint64(1); rid <= 1000; rid++ {
-		w.filterReply(mkReply(rid, "x"))
+		w.filterReply(mkReply(rid, "x"), "ra")
 	}
 	w.mu.Lock()
 	n := len(w.delivered)
@@ -334,18 +362,18 @@ func TestFilterSuppressesRetransmissionOfPrunedRid(t *testing.T) {
 		filter:    FilterFirst,
 		expected:  1,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 		floor:     1,
 	}
 	WithGroupTrace(r)(w)
 	for rid := uint64(1); rid <= 1000; rid++ {
-		if _, ok := w.filterReply(mkReply(rid, "x")); !ok {
+		if _, ok := w.filterReply(mkReply(rid, "x"), "ra"); !ok {
 			t.Fatalf("fresh reply %d not delivered", rid)
 		}
 	}
 	// rid 1 fell out of the window long ago; a straggling retransmission
 	// must be suppressed, not re-delivered.
-	if _, ok := w.filterReply(mkReply(1, "x")); ok {
+	if _, ok := w.filterReply(mkReply(1, "x"), "ra"); ok {
 		t.Fatal("retransmitted reply for a pruned rid re-delivered to the client")
 	}
 	if got := r.Value(trace.SubInterceptor, "duplicates_suppressed"); got != 1 {
@@ -375,15 +403,15 @@ func TestFilterMajorityPrunesStaleVotes(t *testing.T) {
 		filter:    FilterMajority,
 		expected:  3,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 		floor:     1,
 	}
 	// One lonely vote for rid 1 (never reaches quorum).
-	w.filterReply(mkReply(1, "x"))
+	w.filterReply(mkReply(1, "x"), "ra")
 	// The run moves far ahead with quorum deliveries.
 	for rid := uint64(2); rid <= 600; rid++ {
-		w.filterReply(mkReply(rid, "x"))
-		w.filterReply(mkReply(rid, "x"))
+		w.filterReply(mkReply(rid, "x"), "ra")
+		w.filterReply(mkReply(rid, "x"), "rb")
 	}
 	w.mu.Lock()
 	_, staleVotes := w.votes[1]
@@ -392,10 +420,10 @@ func TestFilterMajorityPrunesStaleVotes(t *testing.T) {
 		t.Fatal("vote state for rid 1 survived far behind the window")
 	}
 	// Two late votes for rid 1 must not deliver it now.
-	if _, ok := w.filterReply(mkReply(1, "x")); ok {
+	if _, ok := w.filterReply(mkReply(1, "x"), "rb"); ok {
 		t.Fatal("stale quorum delivered below the floor")
 	}
-	if _, ok := w.filterReply(mkReply(1, "x")); ok {
+	if _, ok := w.filterReply(mkReply(1, "x"), "rc"); ok {
 		t.Fatal("stale quorum delivered below the floor")
 	}
 }
@@ -407,12 +435,12 @@ func BenchmarkFilterFirstDelivery(b *testing.B) {
 		filter:    FilterFirst,
 		expected:  1,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 		floor:     1,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.filterReply(mkReply(uint64(i+1), "x"))
+		w.filterReply(mkReply(uint64(i+1), "x"), "ra")
 	}
 }
 
@@ -421,9 +449,9 @@ func TestFilterRejectsGarbage(t *testing.T) {
 		filter:    FilterFirst,
 		expected:  1,
 		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]*vote),
+		votes:     make(map[uint64]map[string]orb.WireReply),
 	}
-	if _, ok := w.filterReply(orb.WireReply{Bytes: []byte("not viop")}); ok {
+	if _, ok := w.filterReply(orb.WireReply{Bytes: []byte("not viop")}, "ra"); ok {
 		t.Fatal("garbage delivered")
 	}
 }

@@ -50,6 +50,15 @@ type Spec struct {
 	Objectives []Objective `json:"objectives"`
 }
 
+// SLORetain is how many windows per series a store graded against an SLO
+// keeps.
+const SLORetain = 512
+
+// BucketWidth is the window width, in nanoseconds, of a store graded
+// against s: five windows per SLO window, floored at 1 ns so a degenerate
+// window still buckets.
+func (s Spec) BucketWidth() int64 { return max(s.Window.Nanoseconds()/5, 1) }
+
 // ParseSLO parses the SLO spec grammar:
 //
 //	SPEC      = CLAUSES ":" WINDOW

@@ -59,6 +59,26 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
+// TestSLO checks the store shape a spec is graded over: five windows per
+// SLO window, at least 1 ns wide.
+func TestSLO(t *testing.T) {
+	s, err := ParseSLO("p99<50ms,avail>0.999:30s")
+	if err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	if got, want := s.BucketWidth(), s.Window.Nanoseconds()/5; got != want {
+		t.Fatalf("width = %d, want %d (a fifth of the window)", got, want)
+	}
+	if got := (Spec{Window: 3}).BucketWidth(); got != 1 {
+		t.Fatalf("3 ns window: width = %d, want the 1 ns floor", got)
+	}
+	for _, bad := range []string{"p99<", "p99<x:30s", "avail>0.9"} {
+		if _, err := ParseSLO(bad); err == nil {
+			t.Fatalf("ParseSLO(%q) accepted a malformed spec", bad)
+		}
+	}
+}
+
 func TestEngineLatencyAttainment(t *testing.T) {
 	spec, err := ParseSLO("p90<1ms:1s")
 	if err != nil {

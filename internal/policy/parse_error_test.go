@@ -103,3 +103,14 @@ func FuzzPolicySpec(f *testing.F) {
 		}
 	})
 }
+
+func TestPoliciesMalformed(t *testing.T) {
+	if _, err := policy.ParseSpec("avail=0.995:5"); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for _, bad := range []string{"nosuchpolicy=1", "avail=", "avail=x:y"} {
+		if _, err := policy.ParseSpec(bad); err == nil {
+			t.Fatalf("ParseSpec(%q) accepted a malformed spec", bad)
+		}
+	}
+}

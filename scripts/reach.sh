@@ -12,10 +12,16 @@
 # functions neither side reaches, then the functions only tests reach: the
 # candidates for deletion, or for a test that says why they exist.
 #
-# Not measured: scripts/live_smoke.sh. Code only vdnode runs (the TCP
-# transport, introspection, the aggregator) therefore shows as unreached by
-# the CLI side. vdnode and promlint run once with -h, so that their
-# statements count in the total; nothing that run reaches counts as reached.
+# Not measured: scripts/live_smoke.sh. vdnode's roles (the TCP transport,
+# introspection, the aggregator) are reached on the tier-1 side, by
+# cmd/vdnode's tests, which run them in one process over loopback TCP.
+# vdnode and promlint run once with -h, so that their statements count in
+# the total; nothing that run reaches counts as reached.
+#
+# Paths that only a race of timers or goroutines takes (for example
+# replication's handleResumeReq, a joiner asking to resume a transfer) can
+# move between the lists from one run to the next with no change to the
+# code, so one function moving is not evidence by itself.
 #
 # Usage: scripts/reach.sh
 #
