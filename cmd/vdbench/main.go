@@ -21,6 +21,7 @@ import (
 
 	"versadep/internal/experiment"
 	"versadep/internal/knobs"
+	"versadep/internal/obsplane"
 	"versadep/internal/trace"
 )
 
@@ -34,10 +35,20 @@ func main() {
 		clients  = flag.Int("clients", 5, "max clients for the fig7 sweep")
 		traceDmp = flag.Bool("trace", false, "dump each scenario's merged trace registry (counters, histograms, spans) as JSON after it runs")
 		benchDir = flag.String("bench-json", "", "directory to write BENCH_*.json perf-trajectory points into (fig3, statetransfer, chaos, slo)")
-		sloArg   = flag.String("slo", "", "SLO spec for the slo experiment (default "+experiment.DefaultSLOSpec+")")
+		sloSpec  *obsplane.Spec // nil without -slo
 	)
+	// -slo is parsed inside flag.Parse, so a malformed spec exits with
+	// status 2 and the usage before any experiment runs.
+	flag.Func("slo", "SLO spec for the slo experiment (default "+experiment.DefaultSLOSpec+")", func(s string) error {
+		if s == "" {
+			return nil
+		}
+		spec, err := obsplane.ParseSLO(s)
+		sloSpec = &spec
+		return err
+	})
 	flag.Parse()
-	if err := run(*exp, *requests, *seed, *replicas, *clients, *chaosN, *traceDmp, *benchDir, *sloArg); err != nil {
+	if err := run(*exp, *requests, *seed, *replicas, *clients, *chaosN, *traceDmp, *benchDir, sloSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "vdbench:", err)
 		os.Exit(1)
 	}
@@ -57,7 +68,7 @@ func writeBenchJSON(dir, name string, v any) error {
 	return nil
 }
 
-func run(exp string, requests int, seed uint64, maxReplicas, maxClients, chaosRuns int, traceDump bool, benchDir, sloSpec string) error {
+func run(exp string, requests int, seed uint64, maxReplicas, maxClients, chaosRuns int, traceDump bool, benchDir string, sloSpec *obsplane.Spec) error {
 	o := experiment.DefaultOptions()
 	if requests > 0 {
 		o.Requests = requests

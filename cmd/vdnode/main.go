@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -71,6 +72,7 @@ type config struct {
 	slo         obsplane.Spec // Raw is "" without -slo
 	scrape      []scrapeTarget
 	shardGroups []shard.Group
+	out         io.Writer // where the role prints its log lines: standard output
 }
 
 // scrapeTarget is one -scrape entry: "name[@shard]=url".
@@ -81,7 +83,7 @@ type scrapeTarget struct{ name, shard, url string }
 // the usage and exits with status 2. The error returned after fs.Parse is
 // a missing or unknown role, style or required flag.
 func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
-	c := &config{peers: map[string]string{}, gcs: gcs.DefaultConfig()}
+	c := &config{peers: map[string]string{}, gcs: gcs.DefaultConfig(), out: os.Stdout}
 	var suspect time.Duration
 	fs.StringVar(&c.role, "role", "replica", "replica or client")
 	fs.StringVar(&c.name, "name", "", "this node's logical name")
@@ -299,7 +301,7 @@ func start(c *config) (*role, error) {
 	if c.chaos != nil {
 		cw = transport.ApplyRule(ep, c.chaos.Rule, c.chaosSeed)
 		wire = cw
-		fmt.Printf("[%s] wire chaos on: %s (seed %d)\n", c.name, c.chaos, c.chaosSeed)
+		fmt.Fprintf(c.out, "[%s] wire chaos on: %s (seed %d)\n", c.name, c.chaos, c.chaosSeed)
 	}
 	if c.role == "replica" {
 		return startReplica(c, ep, wire, cw)
@@ -325,9 +327,10 @@ func detectorGauges(node *replicator.ReplicaNode) func() map[string]float64 {
 	}
 }
 
-// wireGauges publishes the transport's wire-integrity counters — frames
-// the CRC caught and dropped, dial/reconnect churn — plus, when chaos
-// injection is on, how many outbound messages each fault class touched.
+// wireGauges publishes the transport's wire counters — frames the CRC
+// caught and dropped, dial/reconnect churn, and the writes and the frames
+// they carried — plus, when chaos injection is on, how many outbound
+// messages each fault class touched.
 func wireGauges(ep *tcptransport.Endpoint, cw *transport.RuleEndpoint) func() map[string]float64 {
 	return func() map[string]float64 {
 		st := ep.Stats()
@@ -335,6 +338,8 @@ func wireGauges(ep *tcptransport.Endpoint, cw *transport.RuleEndpoint) func() ma
 			"versadep_transport_corrupt_frames": float64(st.CorruptFrames),
 			"versadep_transport_dropped":        float64(st.Dropped),
 			"versadep_transport_reconnects":     float64(st.Reconnects),
+			"versadep_transport_writes":         float64(st.Writes),
+			"versadep_transport_frames_sent":    float64(st.FramesSent),
 		}
 		if cw != nil {
 			cs := cw.Stats()
@@ -347,18 +352,18 @@ func wireGauges(ep *tcptransport.Endpoint, cw *transport.RuleEndpoint) func() ma
 	}
 }
 
-// serveIntrospect starts the live observability endpoint when addr is
+// serveIntrospect starts the live observability endpoint when c.intro is
 // nonempty, returning its bound address and a cleanup func (a no-op when
 // disabled).
-func serveIntrospect(addr string, src introspect.Source, opts ...introspect.Option) (string, func(), error) {
-	if addr == "" {
+func serveIntrospect(c *config, src introspect.Source, opts ...introspect.Option) (string, func(), error) {
+	if c.intro == "" {
 		return "", func() {}, nil
 	}
-	s, err := introspect.Start(addr, src, opts...)
+	s, err := introspect.Start(c.intro, src, opts...)
 	if err != nil {
 		return "", nil, fmt.Errorf("introspect: %w", err)
 	}
-	fmt.Printf("introspection at http://%s/ (/metrics, /trace, /policy, /debug/pprof)\n", s.Addr())
+	fmt.Fprintf(c.out, "introspection at http://%s/ (/metrics, /trace, /policy, /debug/pprof)\n", s.Addr())
 	return s.Addr(), func() { _ = s.Close() }, nil
 }
 
@@ -396,14 +401,14 @@ func startController(node *replicator.ReplicaNode, c *config, slo *obsplane.Engi
 		Gate:     node.PolicyGate(),
 		OnEntry: func(e policy.Entry) {
 			if e.Err != "" {
-				fmt.Printf("[%s] policy %s: %s %s FAILED: %s\n", node.Addr(), e.Policy, e.Knob, e.Action, e.Err)
+				fmt.Fprintf(c.out, "[%s] policy %s: %s %s FAILED: %s\n", node.Addr(), e.Policy, e.Knob, e.Action, e.Err)
 				return
 			}
-			fmt.Printf("[%s] policy %s: %s — %s\n", node.Addr(), e.Policy, e.Action, e.Reason)
+			fmt.Fprintf(c.out, "[%s] policy %s: %s — %s\n", node.Addr(), e.Policy, e.Action, e.Reason)
 		},
 	})
 	stop := ctrl.Start(c.adaptEvery)
-	fmt.Printf("[%s] autonomic controller on (%s), cooldown %v, sampling every %v\n",
+	fmt.Fprintf(c.out, "[%s] autonomic controller on (%s), cooldown %v, sampling every %v\n",
 		node.Addr(), c.policySpec, c.cooldown, c.adaptEvery)
 	return ctrl, stop
 }
@@ -430,27 +435,27 @@ func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndp
 			Observer: func(n replication.Notice) {
 				switch n.Kind {
 				case replication.NoticeSwitchDone:
-					fmt.Printf("[%s] switched to %s\n", n.Addr, n.Style)
+					fmt.Fprintf(c.out, "[%s] switched to %s\n", n.Addr, n.Style)
 				case replication.NoticeFailover:
-					fmt.Printf("[%s] failover complete\n", n.Addr)
+					fmt.Fprintf(c.out, "[%s] failover complete\n", n.Addr)
 				case replication.NoticeCheckpoint:
-					fmt.Printf("[%s] checkpoint\n", n.Addr)
+					fmt.Fprintf(c.out, "[%s] checkpoint\n", n.Addr)
 				case replication.NoticeRetire:
-					fmt.Printf("[%s] retirement directive for %s\n", n.Addr, n.Peer)
+					fmt.Fprintf(c.out, "[%s] retirement directive for %s\n", n.Addr, n.Peer)
 				case replication.NoticeView:
-					fmt.Printf("[%s] view change: %d members (%d crashed)\n", n.Addr, n.Members, n.Crashed)
+					fmt.Fprintf(c.out, "[%s] view change: %d members (%d crashed)\n", n.Addr, n.Members, n.Crashed)
 				case replication.NoticeTransfer:
 					// Per-chunk progress notices are dropped; only the
 					// transfer milestones land in the log.
 					switch {
 					case n.Resumed:
-						fmt.Printf("[%s] transfer resumed with %s at chunk %d/%d (serial %d)\n",
+						fmt.Fprintf(c.out, "[%s] transfer resumed with %s at chunk %d/%d (serial %d)\n",
 							n.Addr, n.Peer, n.Chunk, n.Chunks, n.Serial)
 					case n.Chunk == n.Chunks:
-						fmt.Printf("[%s] transfer complete with %s: %d chunks (serial %d)\n",
+						fmt.Fprintf(c.out, "[%s] transfer complete with %s: %d chunks (serial %d)\n",
 							n.Addr, n.Peer, n.Chunks, n.Serial)
 					case n.Chunk == 0:
-						fmt.Printf("[%s] transfer started with %s: %d chunks (serial %d)\n",
+						fmt.Fprintf(c.out, "[%s] transfer started with %s: %d chunks (serial %d)\n",
 							n.Addr, n.Peer, n.Chunks, n.Serial)
 					}
 				}
@@ -474,7 +479,7 @@ func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndp
 			}
 			return guard.Check(object)
 		})
-		fmt.Printf("[%s] serving shard %d of %d\n", ep.Addr(), c.shardID, c.shardN)
+		fmt.Fprintf(c.out, "[%s] serving shard %d of %d\n", ep.Addr(), c.shardID, c.shardN)
 	}
 
 	// Self-grading observability plane: an in-process aggregator samples
@@ -493,7 +498,7 @@ func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndp
 		stopPlane = agg.Start(c.scrapeEvery)
 		introOpts = append(introOpts,
 			introspect.WithJSON("/slo", func() any { return sloEng.Status() }))
-		fmt.Printf("[%s] SLO self-grading on (%s), sampling every %v\n", ep.Addr(), c.slo.Raw, c.scrapeEvery)
+		fmt.Fprintf(c.out, "[%s] SLO self-grading on (%s), sampling every %v\n", ep.Addr(), c.slo.Raw, c.scrapeEvery)
 	}
 
 	ctrl, stopCtrl := startController(node, c, sloEng)
@@ -511,19 +516,19 @@ func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndp
 			return map[string]float64{info: 1}
 		}))
 	}
-	intro, closeIntro, err := serveIntrospect(c.intro, node.TraceSnapshot, introOpts...)
+	intro, closeIntro, err := serveIntrospect(c, node.TraceSnapshot, introOpts...)
 	if err != nil {
 		node.Leave()
 		stopCtrl()
 		stopPlane()
 		return nil, err
 	}
-	fmt.Printf("[%s] replica up (%s) at %s, seeds=%v\n",
+	fmt.Fprintf(c.out, "[%s] replica up (%s) at %s, seeds=%v\n",
 		ep.Addr(), c.style, ep.BoundAddr(), c.seeds)
 
 	dumpTrace := func() {
 		if c.traceDump {
-			fmt.Printf("[%s] trace:\n%s\n", ep.Addr(), node.TraceSnapshot().JSON())
+			fmt.Fprintf(c.out, "[%s] trace:\n%s\n", ep.Addr(), node.TraceSnapshot().JSON())
 		}
 	}
 	r := &role{addr: ep.BoundAddr(), intro: intro, node: node, done: make(chan error, 1)}
@@ -543,13 +548,13 @@ func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndp
 			if err == gcs.ErrStopped {
 				// A retirement directive made this replica leave the
 				// group; the process is done.
-				fmt.Printf("[%s] retired gracefully\n", ep.Addr())
+				fmt.Fprintf(c.out, "[%s] retired gracefully\n", ep.Addr())
 				dumpTrace()
 				r.done <- nil
 				return
 			}
 			if err == nil {
-				fmt.Printf("[%s] view=%v style=%s role=%s synced=%v executed=%d logged=%d ckpts=%d\n",
+				fmt.Fprintf(c.out, "[%s] view=%v style=%s role=%s synced=%v executed=%d logged=%d ckpts=%d\n",
 					ep.Addr(), v.Members, st.Style, st.Role, st.Synced,
 					st.RequestsExecuted, st.RequestsLogged, st.Checkpoints)
 			}
@@ -559,7 +564,7 @@ func startReplica(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndp
 		close(quit)
 		<-exited
 		if _, err := node.Member().View(); err != gcs.ErrStopped { // not retired
-			fmt.Printf("[%s] shutting down\n", ep.Addr())
+			fmt.Fprintf(c.out, "[%s] shutting down\n", ep.Addr())
 			dumpTrace()
 			node.Leave()
 		}
@@ -589,7 +594,7 @@ func startClient(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndpo
 			Retries: 10,
 			Trace:   trace.New(),
 		})
-		fmt.Printf("sharded client over %d shards\n", len(c.shardGroups))
+		fmt.Fprintf(c.out, "sharded client over %d shards\n", len(c.shardGroups))
 	} else {
 		client = replicator.StartClient(wire, replicator.ClientConfig{
 			Members: c.members,
@@ -599,7 +604,7 @@ func startClient(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndpo
 			Trace:   trace.New(),
 		})
 	}
-	intro, closeIntro, err := serveIntrospect(c.intro, client.TraceSnapshot)
+	intro, closeIntro, err := serveIntrospect(c, client.TraceSnapshot)
 	if err != nil {
 		client.Stop()
 		return nil, err
@@ -612,13 +617,14 @@ func startClient(c *config, ep *tcptransport.Endpoint, wire transport.MultiEndpo
 	}}
 	go func() {
 		defer close(exited)
-		r.done <- runRequests(client, c.requests, sharded, c.traceDump)
+		r.done <- runRequests(client, c, sharded)
 	}()
 	return r, nil
 }
 
-// runRequests drives the client role's requests.
-func runRequests(client *replicator.ClientNode, requests int, sharded, traceDump bool) error {
+// runRequests drives the client role's c.requests requests.
+func runRequests(client *replicator.ClientNode, c *config, sharded bool) error {
+	requests := c.requests
 	start := time.Now()
 	var last int64
 	for i := 1; i <= requests; i++ {
@@ -636,16 +642,16 @@ func runRequests(client *replicator.ClientNode, requests int, sharded, traceDump
 		}
 		last = out.Results[0].Int
 		if i%10 == 0 || i == requests {
-			fmt.Printf("request %d -> counter=%d (%.2fms wall)\n",
+			fmt.Fprintf(c.out, "request %d -> counter=%d (%.2fms wall)\n",
 				i, last, float64(time.Since(t0).Microseconds())/1000)
 		}
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("done: %d requests in %v (%.1f req/s wall), final counter %d\n",
+	fmt.Fprintf(c.out, "done: %d requests in %v (%.1f req/s wall), final counter %d\n",
 		requests, elapsed.Round(time.Millisecond),
 		float64(requests)/elapsed.Seconds(), last)
-	if traceDump {
-		fmt.Printf("trace:\n%s\n", client.TraceSnapshot().JSON())
+	if c.traceDump {
+		fmt.Fprintf(c.out, "trace:\n%s\n", client.TraceSnapshot().JSON())
 	}
 	return nil
 }
@@ -705,10 +711,10 @@ func startAggregator(c *config) (*role, error) {
 		stop()
 		return nil, err
 	}
-	fmt.Printf("aggregator at http://%s/ (/metrics, /trace, /timelines, /slo, /aggregator), scraping every %v\n",
+	fmt.Fprintf(c.out, "aggregator at http://%s/ (/metrics, /trace, /timelines, /slo, /aggregator), scraping every %v\n",
 		srv.Addr(), c.scrapeEvery)
 	return &role{addr: srv.Addr(), intro: srv.Addr(), stop: func() {
-		fmt.Println("aggregator shutting down")
+		fmt.Fprintln(c.out, "aggregator shutting down")
 		_ = srv.Close()
 		stop()
 	}}, nil

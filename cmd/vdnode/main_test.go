@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,19 +163,46 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	return cmd.ProcessState.ExitCode(), stderr.String()
 }
 
-// startRole starts the role args describe, stopped when the test ends.
-func startRole(t *testing.T, args ...string) *role {
+// startRole starts the role args describe, printing to out, stopped when
+// the test ends.
+func startRole(t *testing.T, out io.Writer, args ...string) *role {
 	t.Helper()
 	c, err := parse(args...)
 	if err != nil {
 		t.Fatalf("vdnode %v: %v", args, err)
 	}
+	c.out = out
 	r, err := start(c)
 	if err != nil {
 		t.Fatalf("vdnode %v: %v", args, err)
 	}
 	t.Cleanup(r.stop)
 	return r
+}
+
+// logBuffer is the roles' shared output: they print from many goroutines.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// count returns how many lines of the log begin with prefix.
+func (b *logBuffer) count(prefix string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, line := range strings.Split(b.buf.String(), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // waitFor polls cond until it holds, failing the test after timeout.
@@ -227,11 +255,19 @@ func sample(exposition []byte, name string) (float64, bool) {
 // and an aggregator scraping the two survivors.
 func TestVdnodeRolesOverLoopback(t *testing.T) {
 	const requests = 400
+	log := &logBuffer{}
+	t.Cleanup(func() {
+		if t.Failed() {
+			log.mu.Lock()
+			t.Logf("the roles' output:\n%s", log.buf.String())
+			log.mu.Unlock()
+		}
+	})
 	var peers []string
 	var replicas []*role
 	boot := func(name string, extra ...string) {
 		t.Helper()
-		r := startRole(t, append([]string{"-role", "replica", "-name", name, "-bind", "127.0.0.1:0",
+		r := startRole(t, log, append([]string{"-role", "replica", "-name", name, "-bind", "127.0.0.1:0",
 			"-style", "warm-passive", "-peers", strings.Join(peers, ","), "-introspect", "127.0.0.1:0",
 			"-slo", "p99<250ms,avail>0.9:2s", "-scrape-every", "20ms"}, extra...)...)
 		peers = append(peers, name+"="+r.addr)
@@ -252,7 +288,7 @@ func TestVdnodeRolesOverLoopback(t *testing.T) {
 	boot("rc", "-seeds", "ra", "-policy", "avail=0.995:5")
 	ra, rb, rc := replicas[0], replicas[1], replicas[2]
 
-	client := startRole(t, "-role", "client", "-name", "c1", "-bind", "127.0.0.1:0",
+	client := startRole(t, log, "-role", "client", "-name", "c1", "-bind", "127.0.0.1:0",
 		"-members", "ra,rb,rc", "-peers", strings.Join(peers, ","), "-requests", strconv.Itoa(requests))
 	waitFor(t, 10*time.Second, "request executed by the primary", func() bool {
 		return ra.node.Engine().StatsSnapshot().RequestsExecuted >= 10
@@ -292,11 +328,22 @@ func TestVdnodeRolesOverLoopback(t *testing.T) {
 	if _, ok := sample(metrics, "versadep_process_goroutines"); !ok {
 		t.Fatal("/metrics has no versadep_process_goroutines")
 	}
+	writes, _ := sample(metrics, "versadep_transport_writes")
+	frames, _ := sample(metrics, "versadep_transport_frames_sent")
+	if writes <= 0 || frames < writes {
+		t.Fatalf("versadep_transport_writes = %v, frames_sent = %v; want frames_sent >= writes > 0", writes, frames)
+	}
+	// Each joiner logs its one transfer's completion once.
+	for _, j := range []string{"rb", "rc"} {
+		if n := log.count("[" + j + "] transfer complete with "); n != 1 {
+			t.Errorf("%s logged %d transfer completions, want 1", j, n)
+		}
+	}
 	if slo := get(t, primary, "/slo"); !bytes.Contains(slo, []byte(`"attainment"`)) {
 		t.Fatalf("/slo has no attainment: %s", slo)
 	}
 
-	agg := startRole(t, "-role", "aggregator", "-bind", "127.0.0.1:0", "-scrape-every", "20ms",
+	agg := startRole(t, log, "-role", "aggregator", "-bind", "127.0.0.1:0", "-scrape-every", "20ms",
 		"-scrape", "rb=http://"+rb.intro+",rc@0=http://"+rc.intro, "-slo", "avail>0.9:1s")
 	waitFor(t, 10*time.Second, "clean scrape of both survivors", func() bool {
 		var st obsplane.AggregatorStatus

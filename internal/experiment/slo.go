@@ -182,21 +182,21 @@ func RunSLOScenario(o Options, spec obsplane.Spec, name string, partition bool) 
 
 // RunSLOBench runs both graded scenarios — a clean surge and a
 // partition-during-surge — against the same spec and folds them into the
-// committed benchmark artifact.
-func RunSLOBench(o Options, specStr string) (*SLOBenchResult, error) {
-	if specStr == "" {
-		specStr = DefaultSLOSpec
-	}
-	spec, err := obsplane.ParseSLO(specStr)
-	if err != nil {
-		return nil, err
+// committed benchmark artifact. A nil spec grades against DefaultSLOSpec.
+func RunSLOBench(o Options, spec *obsplane.Spec) (*SLOBenchResult, error) {
+	if spec == nil {
+		def, err := obsplane.ParseSLO(DefaultSLOSpec)
+		if err != nil {
+			return nil, err
+		}
+		spec = &def
 	}
 	res := &SLOBenchResult{Spec: spec.Raw, Seed: o.Seed, Attainment: 1}
-	surge, err := RunSLOScenario(o, spec, "surge", false)
+	surge, err := RunSLOScenario(o, *spec, "surge", false)
 	if err != nil {
 		return nil, err
 	}
-	degraded, err := RunSLOScenario(o, spec, "partition-surge", true)
+	degraded, err := RunSLOScenario(o, *spec, "partition-surge", true)
 	if err != nil {
 		return nil, err
 	}

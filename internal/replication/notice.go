@@ -36,8 +36,9 @@ const (
 	NoticeView
 	// NoticeTransfer fires as a chunked state transfer progresses: on the
 	// leader when a transfer starts, resumes, or its acked cursor
-	// advances; on the joiner as contiguous chunks arrive and when the
-	// assembled state is applied. Peer names the other end; Serial, Chunk
+	// advances; on the joiner as contiguous chunks arrive and, once, when
+	// the assembled state is installed (a state the application refuses
+	// raises no completion). Peer names the other end; Serial, Chunk
 	// and Chunks carry the cursor; Resumed marks cursor restorations.
 	NoticeTransfer
 	// NoticeProgress fires after an event moved this replica's progress

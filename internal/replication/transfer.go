@@ -534,15 +534,17 @@ func (e *Engine) handleStateChunk(ev gcs.Event, msg *Msg) {
 	}
 	ack := &Msg{Kind: KindChunkAck, CkptSerial: rx.serial, ChunkIndex: uint32(rx.have)}
 	e.sendDirect(ev.Sender, ack, ev.VTime)
-	e.notify(Notice{Kind: NoticeTransfer, VT: ev.VTime, Style: e.style,
-		Peer: rx.from, Serial: rx.serial, Chunk: rx.have, Chunks: rx.total})
-	if rx.have == rx.total {
-		e.applyTransfer(ev.VTime)
+	if rx.have < rx.total {
+		e.notify(Notice{Kind: NoticeTransfer, VT: ev.VTime, Style: e.style,
+			Peer: rx.from, Serial: rx.serial, Chunk: rx.have, Chunks: rx.total})
+		return
 	}
+	e.applyTransfer(ev.VTime)
 }
 
 // applyTransfer installs the assembled state, splicing this replica into
-// the stream as a joiner applying a full checkpoint does.
+// the stream as a joiner applying a full checkpoint does. Only a
+// successful install raises the joiner's completion notice.
 func (e *Engine) applyTransfer(arrived vtime.Time) {
 	rx := e.rx
 	c := ckpt{state: make([]byte, 0, rx.bytes), cache: rx.cache, serial: rx.serial, coveredSeq: rx.coveredSeq}

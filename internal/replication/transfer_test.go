@@ -336,3 +336,43 @@ func TestTickRunsOnTheCallersClock(t *testing.T) {
 		t.Errorf("a joiner silent for a minute still has a cursor: %v", a.xfers)
 	}
 }
+
+// TestJoinerRaisesOneCompletionPerTransfer: a joiner receiving a three-chunk
+// transfer raises a progress notice for each chunk but the last and one
+// completion notice (Chunk == Chunks), after the state is installed; a
+// duplicate of the last chunk raises nothing more. When the application
+// refuses the state, no completion notice fires.
+func TestJoinerRaisesOneCompletionPerTransfer(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		var state Checkpointable = &memState{}
+		if broken {
+			state = &brokenState{}
+		}
+		var chunks []int
+		var e *Engine
+		e, _ = portEngine(t, "j", Config{Style: WarmPassive, State: state, Observer: func(n Notice) {
+			if n.Kind != NoticeTransfer {
+				return
+			}
+			if n.Chunk == n.Chunks && !e.synced {
+				t.Errorf("completion notice raised before the state was installed")
+			}
+			chunks = append(chunks, n.Chunk)
+		}})
+		joined := viewEvent(1, "a", "j")
+		joined.Joined = true
+		e.step(joined)
+		for _, i := range []uint32{0, 1, 2, 2} {
+			e.step(directEvent("a", &Msg{Kind: KindStateChunk, State: []byte{byte(i)}, CkptSerial: 1, ChunkIndex: i, ChunkCount: 3}))
+		}
+		want := []int{1, 2, 3}
+		if broken {
+			// The refused state is discarded, and the duplicate of the last
+			// chunk starts a new assembly with no contiguous prefix yet.
+			want = []int{1, 2, 0}
+		}
+		if !reflect.DeepEqual(chunks, want) || e.synced == broken {
+			t.Errorf("restore broken %v: transfer notices at chunks %v, synced %v; want %v", broken, chunks, e.synced, want)
+		}
+	}
+}

@@ -15,7 +15,9 @@
 // (the GCS retransmits). Frames that wait in a queue together leave in one
 // vectored write, and each connection is read through one buffer, so a burst
 // costs a system call each way, not three per frame; the bytes on the stream
-// are the same either way. A frame is two pieces of that vector: a header
+// are the same either way. A sender woken by a burst's first frame yields
+// once before it drains its queue, so the goroutine that woke it can queue
+// the rest of the burst first. A frame is two pieces of that vector: a header
 // formatted into the sender's reused buffer, and the sealed payload itself,
 // which is never copied. Each connection's reader hands its frames up
 // itself, so one peer's frames keep their order and two peers' frames are
@@ -34,6 +36,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,13 +127,17 @@ func (c RetryConfig) backoffFor(n int) time.Duration {
 // that succeeded after at least one failure for the same frame — the
 // signature of riding out a peer restart. CorruptFrames counts inbound
 // frames whose checksum or structure failed verification and were dropped
-// without disturbing the stream.
+// without disturbing the stream. Writes counts the vectored writes the
+// peer senders made and FramesSent the frames those writes carried whole,
+// so FramesSent/Writes is the frames one system call carries.
 type Stats struct {
 	Dials         uint64
 	DialFailures  uint64
 	Reconnects    uint64
 	Dropped       uint64
 	CorruptFrames uint64
+	Writes        uint64
+	FramesSent    uint64
 }
 
 // Option configures an Endpoint at Listen time.
@@ -159,6 +166,8 @@ type Endpoint struct {
 	reconnects    atomic.Uint64
 	dropped       atomic.Uint64
 	corruptFrames atomic.Uint64
+	writes        atomic.Uint64
+	framesSent    atomic.Uint64
 
 	serve func(transport.Message) // set by Serve, before any reader starts
 	recv  transport.RecvChan
@@ -200,6 +209,8 @@ func (e *Endpoint) Stats() Stats {
 		Reconnects:    e.reconnects.Load(),
 		Dropped:       e.dropped.Load(),
 		CorruptFrames: e.corruptFrames.Load(),
+		Writes:        e.writes.Load(),
+		FramesSent:    e.framesSent.Load(),
 	}
 }
 
@@ -441,7 +452,12 @@ func (p *peerSender) run() {
 		case frame := <-p.ch:
 			p.batch = append(p.batch, frame)
 		}
-		// Whatever else is already waiting leaves with it.
+		// The first frame of a burst woke this goroutine, most likely on
+		// another processor while the sender of the frame is still queueing
+		// the rest (a sequencer partway through a batch, a reader acking a
+		// reply while its callers submit). One yield lets it finish; then
+		// whatever is waiting leaves with the first frame.
+		runtime.Gosched()
 	drain:
 		for len(p.batch) < sendQueueDepth {
 			select {
@@ -493,17 +509,19 @@ func (p *peerSender) write(frames []outFrame) int {
 	p.iov = p.vector(frames)
 	n, err := p.iov.WriteTo(p.conn)
 	clear(p.iovBuf)
-	if err == nil {
-		return len(frames)
-	}
-	head := p.ep.headSize()
-	whole := 0
-	for _, f := range frames {
-		if n -= int64(head + len(f.payload)); n < 0 {
-			break
+	whole := len(frames)
+	if err != nil {
+		head := p.ep.headSize()
+		whole = 0
+		for _, f := range frames {
+			if n -= int64(head + len(f.payload)); n < 0 {
+				break
+			}
+			whole++
 		}
-		whole++
 	}
+	p.ep.writes.Add(1)
+	p.ep.framesSent.Add(uint64(whole))
 	return whole
 }
 

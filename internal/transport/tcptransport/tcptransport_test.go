@@ -1,6 +1,7 @@
 package tcptransport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -129,6 +130,62 @@ func TestManyMessagesInOrder(t *testing.T) {
 		if want := fmt.Sprintf("m-%d", i); string(m.Payload) != want {
 			t.Fatalf("position %d = %q, want %q (TCP must preserve order)", i, m.Payload, want)
 		}
+	}
+}
+
+// TestBurstLeavesInFewerWrites: one goroutine sends 64 frames back to back
+// over an established connection. All of them arrive whole and in order,
+// and they leave in fewer writes than frames.
+func TestBurstLeavesInFewerWrites(t *testing.T) {
+	a, err := Listen("a", "127.0.0.1:0", map[string]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Listen("b", "127.0.0.1:0", map[string]string{"a": a.BoundAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Send("a", []byte("hello"), 0); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, a) // the connection is up before the burst
+	before := sentStats(t, b, 1)
+
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := b.Send("a", burstPayload(i), vtime.Time(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		m := recvOne(t, a)
+		if !bytes.Equal(m.Payload, burstPayload(i)) || m.SentAt != vtime.Time(i) {
+			t.Fatalf("position %d: %d bytes starting %q", i, len(m.Payload), m.Payload[:8])
+		}
+	}
+	st := sentStats(t, b, 1+n)
+	if writes := st.Writes - before.Writes; writes >= n {
+		t.Fatalf("%d frames in %d writes, want fewer writes", n, writes)
+	}
+}
+
+// sentStats returns e's stats once they count frames sent: a sender
+// counts a write when the write returns, which can be after the receiver
+// has read it.
+func sentStats(t *testing.T, e *Endpoint, frames uint64) Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := e.Stats()
+		if st.FramesSent == frames {
+			return st
+		}
+		if st.FramesSent > frames || time.Now().After(deadline) {
+			t.Fatalf("FramesSent = %d, want %d", st.FramesSent, frames)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
