@@ -53,7 +53,6 @@ var (
 	cooldown  = flag.Duration("adapt-cooldown", 200*time.Millisecond, "per-knob cooldown between controller actuations")
 	stateB    = flag.Int("state-bytes", 0, "application state size in bytes (0 = harness default; sets the joiner transfer volume)")
 	xferChunk = flag.Int("transfer-chunk", 0, "joiner state-transfer chunk size in bytes (0 = engine default)")
-	xferRetry = flag.Duration("transfer-retry", 0, "transfer retry tick for stalled joiners (0 = engine default)")
 	chaosFor  = flag.Duration("chaos-for", 500*time.Millisecond, "chaos schedule window (faults injected and healed inside it)")
 	intro     = flag.String("introspect", "", "host:port for a live introspection endpoint over the running simulation (/metrics, /trace, and /slo when -slo is set)")
 	timelines = flag.Int("timelines", 0, "print the first N stitched cross-node request timelines")
@@ -117,7 +116,6 @@ func run() error {
 		o.StateBytes = *stateB
 	}
 	o.TransferChunkBytes = *xferChunk
-	o.TransferRetryEvery = *xferRetry
 	o.GCS = gcsCfg
 
 	if *shards > 1 {

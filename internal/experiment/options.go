@@ -10,8 +10,6 @@
 package experiment
 
 import (
-	"time"
-
 	"versadep/internal/gcs"
 	"versadep/internal/trace"
 	"versadep/internal/vtime"
@@ -47,8 +45,6 @@ type Options struct {
 	// TransferChunkBytes overrides the joiner state-transfer chunk size
 	// (0 = engine default).
 	TransferChunkBytes int
-	// TransferRetryEvery overrides the transfer retry tick (0 = default).
-	TransferRetryEvery time.Duration
 	// GCS overrides every replica's group-communication config (nil =
 	// gcs.DefaultConfig). vdsim builds it from its -detector flag.
 	GCS *gcs.Config

@@ -98,7 +98,6 @@ func (s *Scenario) addReplica(style replication.Style, checkpointEvery int, seed
 			State:              app,
 			Observer:           s.observer,
 			TransferChunkBytes: s.opts.TransferChunkBytes,
-			TransferRetryEvery: s.opts.TransferRetryEvery,
 		},
 	})
 	if err != nil {

@@ -121,7 +121,6 @@ func (e *shardedEnv) bootShard(shardID int, members []string, initial *shard.Map
 				Model:              e.opts.Model,
 				State:              app,
 				TransferChunkBytes: e.opts.TransferChunkBytes,
-				TransferRetryEvery: e.opts.TransferRetryEvery,
 			},
 		})
 		if err != nil {

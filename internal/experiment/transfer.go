@@ -1,7 +1,7 @@
 package experiment
 
 // The state-transfer benchmark: one full (uninterrupted) joiner transfer
-// versus one interrupted mid-stream and resumed from the last acked cursor.
+// versus one interrupted mid-stream and finished from where it stopped.
 // The pair quantifies what the resumable protocol buys — the bytes a
 // restart would have re-sent — and feeds the per-PR perf trajectory
 // (BENCH_state_transfer.json).
@@ -18,7 +18,7 @@ import (
 
 // StateTransferResult is the benchmark outcome. Byte counts are engine-level
 // chunk payloads from the leader's transfer counters; times are wall-clock
-// (the protocol's retry machinery runs in real time).
+// (the group layer's retransmission runs in real time).
 type StateTransferResult struct {
 	// StateBytes is the checkpoint size transferred.
 	StateBytes int `json:"state_bytes"`
@@ -37,11 +37,10 @@ type StateTransferResult struct {
 	// cost of finishing from the cursor. A restart would have paid
 	// FullBytes here instead.
 	BytesAfterHeal int64 `json:"bytes_after_heal"`
-	// BytesSkipped is the prefix the resume did not re-send (the leader's
-	// transfer_bytes_resumed counter delta).
-	BytesSkipped int64 `json:"bytes_skipped"`
-	// Resumes is how many times the leader rewound the window.
-	Resumes int64 `json:"resumes"`
+	// Retransmits is how many frames the leader's group layer re-sent
+	// during the interrupted run (its gcs retransmits counter delta): the
+	// direct outbox, not the engine, recovers chunks lost in an outage.
+	Retransmits int64 `json:"retransmits"`
 }
 
 // RunStateTransfer measures a full versus a resumed joiner state transfer
@@ -52,9 +51,6 @@ type StateTransferResult struct {
 func RunStateTransfer(o Options) (*StateTransferResult, error) {
 	if o.TransferChunkBytes <= 0 {
 		o.TransferChunkBytes = 1024
-	}
-	if o.TransferRetryEvery <= 0 {
-		o.TransferRetryEvery = 50 * time.Millisecond
 	}
 	g := o.gcsConfig()
 	g.SuspectAfter = 10 * time.Second // outage must not trigger view exclusion
@@ -140,8 +136,10 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 
 	// Resumed run: grow again; the observer cuts the link at cutChunk, we
 	// heal after the outage, and the transfer finishes from the cursor.
-	resumesBase := leader.TraceSnapshot().Get(trace.SubReplication, "transfer_resumes")
-	skippedBase := leader.TraceSnapshot().Get(trace.SubReplication, "transfer_bytes_resumed")
+	retransmits := func() int64 {
+		return leader.TraceSnapshot().Get(trace.SubGCS, "retransmits")
+	}
+	retxBase := retransmits()
 	base = sent()
 	// Grow names replicas deterministically; announce the target before
 	// the join so the observer can cut its transfer.
@@ -167,8 +165,7 @@ func RunStateTransfer(o Options) (*StateTransferResult, error) {
 	res.ResumedMs = float64(time.Since(start).Microseconds()) / 1000
 	res.ResumedTotalBytes = sent() - base
 	res.BytesAfterHeal = sent() - healAt
-	res.BytesSkipped = leader.TraceSnapshot().Get(trace.SubReplication, "transfer_bytes_resumed") - skippedBase
-	res.Resumes = leader.TraceSnapshot().Get(trace.SubReplication, "transfer_resumes") - resumesBase
+	res.Retransmits = retransmits() - retxBase
 	return res, nil
 }
 
@@ -179,7 +176,7 @@ func RenderStateTransfer(r *StateTransferResult) string {
 	fmt.Fprintf(&b, "  full transfer:     %6d B sent in %7.1f ms\n", r.FullBytes, r.FullMs)
 	fmt.Fprintf(&b, "  resumed transfer:  %6d B sent in %7.1f ms (%.0f ms outage)\n",
 		r.ResumedTotalBytes, r.ResumedMs, r.OutageMs)
-	fmt.Fprintf(&b, "  after heal:        %6d B re-sent; %d B skipped by the cursor (%d resumes)\n",
-		r.BytesAfterHeal, r.BytesSkipped, r.Resumes)
+	fmt.Fprintf(&b, "  after heal:        %6d B sent; %d frames re-sent by the group layer\n",
+		r.BytesAfterHeal, r.Retransmits)
 	return b.String()
 }

@@ -414,8 +414,9 @@ func TestTickWithNothingOwedAllocatesNothing(t *testing.T) {
 // TestExcludedMemberIsNotRetransmittedTo: a backup crashes with state
 // frames in flight. Until a view excludes it the frames are retransmitted;
 // once one does they are dropped with whatever was owed to it, the
-// retransmit counter and the queue stop moving, the per-peer counters
-// survive for a re-admission, and an external client's frame stays.
+// retransmit counter and the queue stop moving, the send counter survives
+// for a re-admission while the receive watermark goes, and an external
+// client's frame stays.
 func TestExcludedMemberIsNotRetransmittedTo(t *testing.T) {
 	cfg := deferConfig()
 	cfg.Trace = trace.New()
@@ -466,8 +467,72 @@ func TestExcludedMemberIsNotRetransmittedTo(t *testing.T) {
 	}
 	var out, in uint64
 	a.do(func() { out, in = a.m.directOut["c"], a.m.directIn.high["c"] })
-	if out != 3 || in != 1 {
-		t.Fatalf("per-peer counters reset: %d frames numbered out, receive watermark %d, want 3 and 1", out, in)
+	if out != 3 || in != 0 {
+		t.Fatalf("per-peer counters: %d frames numbered out, receive watermark %d, want 3 and 0", out, in)
+	}
+}
+
+// TestExcludedMemberIsHeardAgain: a view excludes c after a and b have
+// heard three direct frames from it. A fresh process at c's address numbers
+// its frames from 1, and a hears its first frame as new; the old process,
+// still running, learns of its exclusion, drops what it had in flight to
+// the survivors, and tells b where its numbering stood, so b's watermark
+// moves past the gap and holds nothing above it.
+func TestExcludedMemberIsHeardAgain(t *testing.T) {
+	cfg := deferConfig()
+	a := openRig(t, cfg, "a", "a", "b", "c")
+	b := openRig(t, cfg, "b", "a", "b", "c")
+	c := openRig(t, cfg, "c", "a", "b", "c")
+	fresh := openRig(t, cfg, "c", "a", "b", "c")
+	from := func(r *rig, to string) (out []recSend) {
+		for _, s := range r.xconn.sends(t, kDirect) {
+			if s.to == to {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	heard := func(r *rig) (high uint64, sparse int) {
+		r.do(func() { high, sparse = r.m.directIn.high["c"], len(r.m.directIn.sparse["c"]) })
+		return
+	}
+	exclude := func(r *rig) {
+		r.do(func() {
+			r.m.installJoinedView(&frame{Kind: kView, ViewID: 2, Seq: r.m.nextDeliver, Members: []string{"a", "b"}}, false)
+		})
+	}
+
+	for i := 0; i < 3; i++ {
+		c.sendDirect("a", []byte("ack"))
+		c.sendDirect("b", []byte("ack"))
+	}
+	for _, s := range from(c, "a") {
+		a.deliver("c", s)
+	}
+	for _, s := range from(c, "b") {
+		b.deliver("c", s)
+	}
+	exclude(a)
+	exclude(b)
+
+	fresh.sendDirect("a", []byte("request"))
+	a.deliver("c", from(fresh, "a")[0])
+	if high, sparse := heard(a); high != 1 || sparse != 0 {
+		t.Fatalf("a fresh process's first frame: watermark %d with %d above it, want 1 and 0", high, sparse)
+	}
+
+	exclude(c)
+	if got := c.unacked("b"); got != nil {
+		t.Fatalf("the excluded process still retains %v for b", got)
+	}
+	c.sendDirect("b", []byte("request"))
+	sent := from(c, "b")
+	if f := decodeSent(t, sent[len(sent)-1]); f.OSeq != 4 || f.ViewID != 3 {
+		t.Fatalf("the excluded process's next frame: OSeq %d, skip %d, want 4 and 3", f.OSeq, f.ViewID)
+	}
+	b.deliver("c", sent[len(sent)-1])
+	if high, sparse := heard(b); high != 4 || sparse != 0 {
+		t.Fatalf("the old process's next frame: watermark %d with %d above it, want 4 and 0", high, sparse)
 	}
 }
 

@@ -58,6 +58,13 @@ func (d *dupFilter) skipTo(peer string, through uint64) {
 	d.high[peer] = compact(sparse, through)
 }
 
+// forget drops everything recorded from peer: its next frames are numbered
+// afresh, or carry the watermark to skip to.
+func (d *dupFilter) forget(peer string) {
+	delete(d.high, peer)
+	delete(d.sparse, peer)
+}
+
 // compact folds the entries of sparse contiguous with high into it and
 // returns the watermark they reach.
 func compact(sparse map[uint64]bool, high uint64) uint64 {

@@ -520,22 +520,32 @@ func (m *Member) adoptView(f *frame) {
 func (m *Member) installView(f *frame) { m.installJoinedView(f, false) }
 
 func (m *Member) installJoinedView(f *frame, joined bool) {
-	// What was addressed to a member this view excludes will never be
-	// acknowledged, and what is owed to it has no reader: without this,
-	// every state frame in flight to a crashed backup is retransmitted for
-	// the life of the process. The per-peer counters stay — a falsely
-	// excluded process comes back with its receive watermark, and numbering
-	// from 1 again would be swallowed as duplicates — so directSkip notes
-	// where the numbering stood, for the gaps the dropped frames leave in
-	// that watermark. External clients' entries stay too: they are in no
-	// view, and the ORB's retry against the reply cache is what bounds them.
+	// The direct streams between the members this view separates — every
+	// member it excludes, or every other member when it excludes us — are
+	// cut. What was addressed across the cut will never be acknowledged,
+	// and what is owed across it has no reader: without this, every state
+	// frame in flight to a crashed backup is retransmitted for the life of
+	// the process. The send counters stay — a falsely excluded process
+	// comes back with its receive watermark, and numbering from 1 again
+	// would be swallowed as duplicates — so directSkip notes where the
+	// numbering stood, for the gaps the dropped frames leave in that
+	// watermark. The receive watermark of an excluded member goes: the
+	// process that comes back under its address may be a restarted one,
+	// numbering from 1, and a continuing one sends its skip. External
+	// clients' entries stay: they are in no view, and the ORB's retry
+	// against the reply cache is what bounds them.
+	excluded := !contains(f.Members, m.Addr())
 	for _, mm := range m.view.Members {
-		if !contains(f.Members, mm) {
-			delete(m.directUnack, mm)
-			delete(m.ackOwed, mm)
-			if out := m.directOut[mm]; out > 0 {
-				m.directSkip[mm] = out
-			}
+		if mm == m.Addr() || (!excluded && contains(f.Members, mm)) {
+			continue
+		}
+		delete(m.directUnack, mm)
+		delete(m.ackOwed, mm)
+		if out := m.directOut[mm]; out > 0 {
+			m.directSkip[mm] = out
+		}
+		if !excluded {
+			m.directIn.forget(mm)
 		}
 	}
 	m.view = View{ID: f.ViewID, Members: append([]string(nil), f.Members...)}

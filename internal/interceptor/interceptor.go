@@ -145,6 +145,7 @@ type GroupWire struct {
 	cDelivered  *trace.Counter
 	cMajority   *trace.Counter
 	cSuppressed *trace.Counter
+	cBelowFloor *trace.Counter // the suppressions of a rid below floor
 	cPruned     *trace.Counter
 	spans       *span.Recorder
 }
@@ -173,6 +174,7 @@ func WithGroupTrace(r *trace.Recorder) GroupWireOption {
 		w.cDelivered = r.Counter(trace.SubInterceptor, "replies_delivered")
 		w.cMajority = r.Counter(trace.SubInterceptor, "majority_delivered")
 		w.cSuppressed = r.Counter(trace.SubInterceptor, "duplicates_suppressed")
+		w.cBelowFloor = r.Counter(trace.SubInterceptor, "suppressed_below_floor")
 		w.cPruned = r.Counter(trace.SubInterceptor, "pruned_rids")
 		w.spans = r.Spans()
 	}
@@ -263,9 +265,14 @@ func (w *GroupWire) filterReply(wr orb.WireReply, sender string) (orb.WireReply,
 	defer w.mu.Unlock()
 	if rid < w.floor || w.delivered[rid] {
 		// Already delivered, or so far behind the frontier that its
-		// per-rid state was pruned: either way a retransmitted reply,
-		// suppressed rather than handed to the client a second time.
+		// per-rid state was pruned: either way taken for a retransmitted
+		// reply, suppressed rather than handed to the client a second
+		// time. Below the floor it may instead answer a first attempt
+		// that was lost, which no retry can recover: counted apart.
 		w.cSuppressed.Inc()
+		if rid < w.floor {
+			w.cBelowFloor.Inc()
+		}
 		return wr, false
 	}
 	switch w.filter {

@@ -379,6 +379,16 @@ func TestFilterSuppressesRetransmissionOfPrunedRid(t *testing.T) {
 	if got := r.Value(trace.SubInterceptor, "duplicates_suppressed"); got != 1 {
 		t.Fatalf("duplicates_suppressed = %d, want 1", got)
 	}
+	if got := r.Value(trace.SubInterceptor, "suppressed_below_floor"); got != 1 {
+		t.Fatalf("suppressed_below_floor = %d, want 1", got)
+	}
+	// A duplicate inside the window is suppressed, but not below the floor.
+	if _, ok := w.filterReply(mkReply(1000, "x"), "ra"); ok {
+		t.Fatal("a duplicate of the newest reply re-delivered to the client")
+	}
+	if got := r.Value(trace.SubInterceptor, "suppressed_below_floor"); got != 1 {
+		t.Fatalf("suppressed_below_floor = %d after a duplicate inside the window, want 1", got)
+	}
 	if got := r.Value(trace.SubInterceptor, "replies_delivered"); got != 1000 {
 		t.Fatalf("replies_delivered = %d, want 1000", got)
 	}

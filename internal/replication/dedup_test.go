@@ -421,3 +421,33 @@ func TestCheckpointCacheResetsRecordsInPlace(t *testing.T) {
 		t.Errorf("reply_cache_hits = %d, want 1", got)
 	}
 }
+
+// TestDuplicateWithEvictedReplyIsCounted: a retry of a request that ran
+// above the floor, after cacheDepth newer replies of its client pushed its
+// reply out, is answered by nothing; dedup_evicted counts it, apart from
+// dedup_assumed's duplicates below the floor.
+func TestDuplicateWithEvictedReplyIsCounted(t *testing.T) {
+	rec := trace.New()
+	e, p := portEngine(t, "a", Config{Style: Active, Trace: rec})
+	e.step(viewEvent(1, "a"))
+	for rid := uint64(1); rid <= cacheDepth+1; rid++ {
+		e.step(requestEvent(rid))
+	}
+	if e.stats.RequestsExecuted != cacheDepth+1 {
+		t.Fatalf("executed %d requests, want %d", e.stats.RequestsExecuted, cacheDepth+1)
+	}
+	replies := p.sentTo("c1")
+	e.step(requestEvent(1))
+	if got := p.sentTo("c1") - replies; got != 0 {
+		t.Errorf("the retry of an evicted reply sent %d messages, want none", got)
+	}
+	if e.stats.RequestsExecuted != cacheDepth+1 {
+		t.Error("the retry of an executed request ran again")
+	}
+	if got := rec.Value(trace.SubReplication, "dedup_evicted"); got != 1 {
+		t.Errorf("dedup_evicted = %d, want 1", got)
+	}
+	if got := rec.Value(trace.SubReplication, "dedup_assumed"); got != 0 {
+		t.Errorf("dedup_assumed = %d, want 0", got)
+	}
+}

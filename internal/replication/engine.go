@@ -3,7 +3,6 @@ package replication
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"versadep/internal/codec"
 	"versadep/internal/gcs"
@@ -89,11 +88,6 @@ type Config struct {
 	// TransferWindow bounds unacked chunks in flight per joiner
 	// (default 4).
 	TransferWindow int
-	// TransferRetryEvery is the real-time cadence of the transfer retry
-	// driver: stalled leaders rewind their send window to the acked
-	// cursor, unsynced joiners re-offer their resume token (default
-	// 120ms).
-	TransferRetryEvery time.Duration
 }
 
 // port is what the engine does to its group: it multicasts on the agreed
@@ -107,8 +101,8 @@ type port interface {
 }
 
 // Engine is one replica's replication machinery: the middle layer of the
-// paper's replicator stack. Events enter through step and the transfer
-// clock through tick, on one goroutine; effects leave through its port.
+// paper's replicator stack. Events enter through step, on one goroutine;
+// effects leave through its port.
 type Engine struct {
 	group   port
 	addr    string // group.Addr(), fixed for the engine's life
@@ -133,6 +127,7 @@ type Engine struct {
 	cCacheHits      *trace.Counter
 	cCacheEvicts    *trace.Counter
 	cDedupAssumed   *trace.Counter // duplicates by floor alone, nothing to resend
+	cDedupEvicted   *trace.Counter // executed duplicates whose reply was evicted
 	cOrphansPruned  *trace.Counter
 	cPendingCkpts   *trace.Counter // high-water in-flight checkpoint halves
 	cCrashes        *trace.Counter // non-graceful departures observed
@@ -143,7 +138,6 @@ type Engine struct {
 	cXferCompletes    *trace.Counter
 	cXferAborts       *trace.Counter
 	cXferChunksSent   *trace.Counter
-	cXferChunkResends *trace.Counter
 	cXferBytesSent    *trace.Counter
 	cXferBytesResumed *trace.Counter // bytes a resume skipped re-sending
 	cXferActive       *trace.Counter // gauge: transfers in flight
@@ -188,23 +182,15 @@ type Engine struct {
 	// chunked joiner state transfer (transfer.go): retained bookmark
 	// checkpoints, per-joiner outgoing cursors, and this replica's own
 	// incoming reassembly state. lastVT tracks the engine's latest
-	// observed virtual time so the real-time retry driver can stamp its
-	// protocol sends.
+	// observed virtual time, at which Stop closes open transfer spans.
 	bookmarks []*bookmark
 	xfers     map[string]*outXfer
 	rx        *inXfer
 	lastVT    vtime.Time
-	retry     *time.Ticker // the retry driver; nil while no transfer is pending
 
 	// viewJoiners marks members that joined in the latest view change
-	// (unsynced until their transfer lands); xferNag rotates an unsynced
-	// joiner's fresh resume requests across potential transfer leaders,
-	// xferNagMiss counts unanswered requests to the current sender, and
-	// xferLastNag paces requests to one per stall period.
+	// (unsynced until their transfer lands).
 	viewJoiners map[string]bool
-	xferNag     int
-	xferNagMiss int
-	xferLastNag time.Time
 	// xferNaks collects, per current view, which members declared
 	// themselves unsynced in answer to our resume requests (value: how
 	// far their state reaches). See handleResumeNak.
@@ -220,7 +206,7 @@ func NewEngine(member *gcs.Member, adapter *orb.Adapter, cfg Config) *Engine {
 }
 
 // newEngine builds an engine on group without starting its goroutine:
-// whoever owns it feeds step and tick.
+// whoever owns it feeds step.
 func newEngine(group port, adapter *orb.Adapter, cfg Config) *Engine {
 	if cfg.Style == 0 {
 		cfg.Style = Active
@@ -230,9 +216,6 @@ func newEngine(group port, adapter *orb.Adapter, cfg Config) *Engine {
 	}
 	if cfg.TransferWindow <= 0 {
 		cfg.TransferWindow = 4
-	}
-	if cfg.TransferRetryEvery <= 0 {
-		cfg.TransferRetryEvery = 120 * time.Millisecond
 	}
 	e := &Engine{
 		group:    group,
@@ -266,6 +249,7 @@ func (e *Engine) initTrace(r *trace.Recorder) {
 	e.cCacheHits = r.Counter(trace.SubReplication, "reply_cache_hits")
 	e.cCacheEvicts = r.Counter(trace.SubReplication, "reply_cache_evictions")
 	e.cDedupAssumed = r.Counter(trace.SubReplication, "dedup_assumed")
+	e.cDedupEvicted = r.Counter(trace.SubReplication, "dedup_evicted")
 	e.cOrphansPruned = r.Counter(trace.SubReplication, "ckpt_orphans_pruned")
 	e.cPendingCkpts = r.Counter(trace.SubReplication, "pending_checkpoints")
 	e.cCrashes = r.Counter(trace.SubReplication, "crashes_observed")
@@ -275,7 +259,6 @@ func (e *Engine) initTrace(r *trace.Recorder) {
 	e.cXferCompletes = r.Counter(trace.SubReplication, "transfer_completes")
 	e.cXferAborts = r.Counter(trace.SubReplication, "transfer_aborts")
 	e.cXferChunksSent = r.Counter(trace.SubReplication, "transfer_chunks_sent")
-	e.cXferChunkResends = r.Counter(trace.SubReplication, "transfer_chunk_resends")
 	e.cXferBytesSent = r.Counter(trace.SubReplication, "transfer_bytes_sent")
 	e.cXferBytesResumed = r.Counter(trace.SubReplication, "transfer_bytes_resumed")
 	e.cXferActive = r.Counter(trace.SubReplication, "transfers_active")
@@ -360,29 +343,16 @@ func (e *Engine) control(now vtime.Time, build func() (*Msg, error)) error {
 }
 
 // run is the goroutine NewEngine starts: it feeds the member's deliveries
-// to step, the retry driver's ticks to tick, and runs commands between
-// them.
+// to step and runs commands between them.
 func (e *Engine) run(out <-chan gcs.Event) {
 	defer close(e.done)
 	defer e.stopTransfers()
-	// The transfer retry driver runs on real time, like the GCS liveness
-	// machinery: virtual time only advances with protocol events, and a
-	// partitioned transfer has none. Its ticker is armed only while a
-	// transfer is pending; an idle replica's loop never wakes for it.
-	defer e.armRetry(false)
 	for {
-		e.armRetry(e.transferPending())
-		var retry <-chan time.Time // nil, and never ready, while disarmed
-		if e.retry != nil {
-			retry = e.retry.C
-		}
 		select {
 		case <-e.stop:
 			return
 		case fn := <-e.cmds:
 			fn()
-		case <-retry:
-			e.tick(time.Now())
 		case ev, ok := <-out:
 			if !ok {
 				return
@@ -396,13 +366,6 @@ func (e *Engine) run(out <-chan gcs.Event) {
 // progress no notice reported.
 func (e *Engine) step(ev gcs.Event) {
 	e.handleEvent(ev)
-	e.noteProgress()
-}
-
-// tick is the one entry for the transfer clock: it runs the retry driver
-// as of now, then reports any progress no notice reported.
-func (e *Engine) tick(now time.Time) {
-	e.transferTick(now)
 	e.noteProgress()
 }
 

@@ -67,8 +67,8 @@ type Notice struct {
 	// Chunk is the contiguous cursor position and Chunks the transfer's
 	// total chunk count (NoticeTransfer); Chunk == Chunks on completion.
 	Chunk, Chunks int
-	// Resumed marks a cursor restored from a resume token or stall rewind
-	// rather than a fresh start (NoticeTransfer).
+	// Resumed marks a cursor restored from a resume token rather than a
+	// fresh start (NoticeTransfer).
 	Resumed bool
 }
 

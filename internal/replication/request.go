@@ -74,6 +74,10 @@ func (e *Engine) handleRequest(ev gcs.Event, msg *Msg) {
 				// Executed only by assumption, and nothing to resend: if the
 				// request was in fact new, this is where it is lost.
 				e.cDedupAssumed.Inc()
+			} else {
+				// Executed, but cacheDepth newer replies have pushed its
+				// reply out: the retry goes unanswered.
+				e.cDedupEvicted.Inc()
 			}
 		}
 		return

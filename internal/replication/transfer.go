@@ -7,8 +7,9 @@ package replication
 // brought up through this protocol instead: the state leader captures a
 // "bookmark" checkpoint, splits it into ordered chunks, and streams them
 // point-to-point under a bounded send window. The joiner acks cumulative
-// contiguous progress, so after a network fault the leader resumes at the
-// (CkptSerial, ChunkIndex) cursor instead of re-sending everything. Both
+// contiguous progress, so a transfer whose leader lost its cursor in a view
+// change resumes at the joiner's (CkptSerial, ChunkIndex) token instead of
+// re-sending everything. Both
 // ends share the checkpoint path's two halves (checkpoint.go): the
 // bookmark is a capture, and the assembled state goes through install.
 //
@@ -30,26 +31,21 @@ package replication
 //   - Transfers to different joiners are independent: per-peer cursors,
 //     per-peer spans, one shared bookmark when they start in the same view
 //     change.
+//   - A transfer moves only on group events. Within a view the group
+//     layer's direct outbox re-sends every lost chunk and ack, so the
+//     leader never re-sends a window; a transfer starts, resumes or
+//     restarts on a view change, or on the one request an unsynced
+//     member sends when a view installs (requestTransfer), or on the
+//     NAK that moves that request to the next member.
 
 import (
 	"fmt"
-	"time"
 
 	"versadep/internal/gcs"
 	"versadep/internal/trace"
 	"versadep/internal/trace/span"
 	"versadep/internal/vtime"
 )
-
-// transferAbandonAfter is how long a transfer may sit with no progress
-// before the leader gives up on the joiner (it can always come back with a
-// resume token while the bookmark is retained).
-const transferAbandonAfter = 30 * time.Second
-
-// transferNagPatience is how many consecutive unanswered resume requests a
-// joiner sends to the sender of its partial transfer before abandoning the
-// partial state and courting the other members fresh.
-const transferNagPatience = 4
 
 // bookmark is a retained transfer checkpoint: the capture, with the
 // metadata a joiner needs to splice itself into the stream, and its state
@@ -61,16 +57,11 @@ type bookmark struct {
 
 // outXfer is the leader's cursor for one joiner's in-flight transfer.
 type outXfer struct {
-	peer   string
-	serial uint64
-	acked  int // contiguous chunks the joiner has confirmed
-	next   int // next chunk index to send
-	// sentHigh is the send high-water mark; chunks below it re-sent after
-	// a stall or resume are counted as resends, not first transmissions.
-	sentHigh     int
-	resumes      int
-	lastProgress time.Time
-	lastSend     time.Time
+	peer    string
+	serial  uint64
+	acked   int // contiguous chunks the joiner has confirmed
+	next    int // next chunk index to send
+	resumes int
 }
 
 // inXfer is the joiner's reassembly state for one incoming transfer.
@@ -83,7 +74,6 @@ type inXfer struct {
 	bytes      int
 	coveredSeq uint64
 	cache      []CacheEntry
-	lastRecv   time.Time
 }
 
 // splitChunks slices state into chunkBytes-sized pieces (at least one
@@ -172,14 +162,7 @@ func (e *Engine) beginTransfer(peer string, bm *bookmark, vt vtime.Time, from in
 	if old := e.xfers[peer]; old != nil {
 		e.spans.End("transfer:"+old.peer, vt, "superseded")
 	}
-	x := &outXfer{
-		peer:         peer,
-		serial:       bm.serial,
-		acked:        from,
-		next:         from,
-		sentHigh:     from,
-		lastProgress: time.Now(),
-	}
+	x := &outXfer{peer: peer, serial: bm.serial, acked: from, next: from}
 	e.xfers[peer] = x
 	e.cXferActive.Store(int64(len(e.xfers)))
 	e.cXferStarts.Inc()
@@ -226,14 +209,8 @@ func (e *Engine) sendChunk(x *outXfer, bm *bookmark, i int, vt vtime.Time) {
 		msg.Cache = bm.cache
 	}
 	e.sendDirect(x.peer, msg, vt)
-	x.lastSend = time.Now()
 	e.cXferChunksSent.Inc()
 	e.cXferBytesSent.Add(int64(len(bm.chunks[i])))
-	if i < x.sentHigh {
-		e.cXferChunkResends.Inc()
-	} else {
-		x.sentHigh = i + 1
-	}
 }
 
 // handleChunkAck advances the cursor on the joiner's cumulative ack and
@@ -250,7 +227,6 @@ func (e *Engine) handleChunkAck(ev gcs.Event, msg *Msg) {
 	}
 	if have := min(int(msg.ChunkIndex), len(bm.chunks)); have > x.acked {
 		x.acked = have
-		x.lastProgress = time.Now()
 		e.notify(Notice{Kind: NoticeTransfer, VT: ev.VTime, Style: e.style,
 			Peer: x.peer, Serial: x.serial, Chunk: x.acked, Chunks: len(bm.chunks)})
 	}
@@ -269,49 +245,41 @@ func (e *Engine) handleChunkAck(ev gcs.Event, msg *Msg) {
 	e.pumpTransfer(x, bm, ev.VTime)
 }
 
-// handleResumeReq serves a joiner's resume token. Any synced member
-// answers — the coordinator itself may be an unsynced rejoiner whose rank
-// restored it to the front of the view; the joiner rotates its requests
-// until one lands on a member with state to serve. Unsynced members stay
-// silent and the joiner retries elsewhere.
+// handleResumeReq serves a request an unsynced member sends once per view
+// install (requestTransfer). Any synced member answers; an unsynced one
+// declares how far its own state reaches instead, so that the asker moves
+// on to the next member and a group with no synced member at all can
+// promote its most advanced one (handleResumeNak). Nothing here re-sends a
+// window: chunks lost within a view come back through the group layer's
+// direct outbox.
 func (e *Engine) handleResumeReq(ev gcs.Event, msg *Msg) {
 	peer := ev.Sender
-	if !e.view.Contains(peer) {
-		return
-	}
 	if !e.synced {
-		// Nothing to serve — but silence here can wedge the group: if a
-		// cascade of partitions and crashes left every view member
-		// unsynced, each would nag the others forever. Answer with how
-		// far our own retained state reaches so the most advanced member
-		// can promote itself (handleResumeNak).
+		// The declaration goes out even before this member's view admits
+		// the asker: left unanswered, the asker would wait for a view
+		// change to ask anyone else.
 		nak := &Msg{Kind: KindResumeNak, CoveredSeq: e.lastExecSeq}
 		e.sendDirect(peer, nak, ev.VTime)
 		return
 	}
+	if !e.view.Contains(peer) {
+		return
+	}
 	if x := e.xfers[peer]; x != nil {
 		bm := e.findBookmark(x.serial)
-		if bm == nil {
-			e.abortTransfer(x, ev.VTime, "bookmark evicted")
-		} else if msg.CkptSerial == x.serial {
-			// The joiner still holds our serial: trust its cursor (an ack
-			// may have been lost in either direction) and, if the stream
-			// has stalled, rewind the window to it.
-			if have := int(msg.ChunkIndex); have > x.acked && have <= len(bm.chunks) {
+		if bm != nil {
+			// Already streaming to the asker. A token naming our serial may
+			// confirm more than its acks have (they cross the request), so
+			// the window moves up to it; any other token — serial 0 from a
+			// joiner whose first chunks are still in flight — leaves the
+			// cursor where it is.
+			if have := int(msg.ChunkIndex); msg.CkptSerial == x.serial && have > x.acked && have <= len(bm.chunks) {
 				x.acked = have
-				x.lastProgress = time.Now()
+				e.pumpTransfer(x, bm, ev.VTime)
 			}
-			if time.Since(x.lastSend) >= e.transferStallAfter() {
-				e.resumeTransfer(x, bm, ev.VTime)
-			}
-			return
-		} else {
-			// The joiner lost its partial state (restart) or holds a
-			// different sender's serial: restart the cursor at zero on our
-			// retained bookmark.
-			e.beginTransfer(peer, bm, ev.VTime, 0, false)
 			return
 		}
+		e.abortTransfer(x, ev.VTime, "bookmark evicted")
 	}
 	// No transfer in flight. A token naming one of our retained bookmarks
 	// resumes it at the cursor; anything else gets a fresh capture.
@@ -324,66 +292,58 @@ func (e *Engine) handleResumeReq(ev gcs.Event, msg *Msg) {
 	e.startTransfers([]string{peer}, ev.VTime)
 }
 
-// handleResumeNak records a peer's declaration that it, too, is unsynced.
-// Once every other view member has nak'd — meaning the view holds no
-// synced member at all (a synced member serves instead of nak'ing, so its
-// presence blocks this path) — the member whose retained state reaches
-// furthest promotes itself back to synced and serves the rest. Ties break
-// toward the lowest-ranked member. This is the total-failure recovery
-// rule: when cascaded partitions and crashes leave no authoritative copy,
-// the group restarts from the most advanced surviving state rather than
-// wedging forever.
+// handleResumeNak records a peer's declaration that it, too, is unsynced,
+// and moves this member's request to the next member (askNext). Once every
+// other view member has nak'd — meaning the view holds no synced member at
+// all (a synced member serves instead of nak'ing, so its presence blocks
+// this path) — the member whose retained state reaches furthest promotes
+// itself back to synced and serves the rest. Ties break toward the
+// lowest-ranked member. This is the total-failure recovery rule: when
+// cascaded partitions and crashes leave no authoritative copy, the group
+// restarts from the most advanced surviving state rather than wedging
+// forever.
 func (e *Engine) handleResumeNak(ev gcs.Event, msg *Msg) {
 	if e.synced || !e.view.Contains(ev.Sender) {
 		return
 	}
 	e.xferNaks[ev.Sender] = msg.CoveredSeq
-	for _, m := range e.view.Members {
-		if m == e.Addr() {
-			continue
-		}
-		seq, ok := e.xferNaks[m]
-		if !ok {
-			return // still waiting to hear from m
-		}
-		if seq > e.lastExecSeq || (seq == e.lastExecSeq && m < e.Addr()) {
-			return // m is a better candidate; it will promote instead
-		}
+	if e.rx != nil && e.rx.from == ev.Sender {
+		// The sender of our partial transfer has lost its state: its
+		// serial can never be finished.
+		e.resetInXfer()
+	}
+	if !e.mostAdvanced() {
+		e.askNext(ev.VTime)
+		return
 	}
 	e.synced = true
 	e.resetInXfer()
 	e.cXferPromotes.Inc()
 	e.tr.Event(trace.SubReplication, "transfer_self_promote", ev.VTime, int64(e.lastExecSeq))
-	e.startTransfers(e.peers(nil), ev.VTime)
+	e.startTransfers(e.peers(), ev.VTime)
 }
 
-// peers lists the view's members other than this replica and those in
-// skip, in rank order.
-func (e *Engine) peers(skip map[string]bool) []string {
+// mostAdvanced reports whether every other view member has nak'd and none
+// reaches further than this replica (ties go to the lower rank).
+func (e *Engine) mostAdvanced() bool {
+	for _, m := range e.peers() {
+		seq, ok := e.xferNaks[m]
+		if !ok || seq > e.lastExecSeq || (seq == e.lastExecSeq && m < e.Addr()) {
+			return false
+		}
+	}
+	return true
+}
+
+// peers lists the view's members other than this replica, in rank order.
+func (e *Engine) peers() []string {
 	var out []string
 	for _, m := range e.view.Members {
-		if m != e.Addr() && !skip[m] {
+		if m != e.Addr() {
 			out = append(out, m)
 		}
 	}
 	return out
-}
-
-// resumeTransfer rewinds the send window to the acked cursor after a
-// stall, counting the skipped prefix as resumed bytes.
-func (e *Engine) resumeTransfer(x *outXfer, bm *bookmark, vt vtime.Time) {
-	x.next = x.acked
-	x.resumes++
-	x.lastProgress = time.Now()
-	e.cXferResumes.Inc()
-	e.cXferBytesResumed.Add(bm.bytesBefore(x.acked))
-	e.notify(Notice{Kind: NoticeTransfer, VT: vt, Style: e.style,
-		Peer: x.peer, Serial: x.serial, Chunk: x.acked, Chunks: len(bm.chunks), Resumed: true})
-	e.pumpTransfer(x, bm, vt)
-}
-
-func (e *Engine) transferStallAfter() time.Duration {
-	return 2 * e.cfg.TransferRetryEvery
 }
 
 // abortTransfer drops the cursor and closes its span with the reason.
@@ -395,95 +355,50 @@ func (e *Engine) abortTransfer(x *outXfer, vt vtime.Time, why string) {
 	e.pruneBookmarks()
 }
 
-// transferPending reports whether the retry driver has work: a transfer
-// this replica is sending or receiving, or, unsynced in a group with
-// others, one it has yet to ask for.
+// transferPending reports whether a transfer is under way: one this
+// replica is sending or receiving, or, unsynced in a group with others,
+// one it has yet to receive.
 func (e *Engine) transferPending() bool {
 	return len(e.xfers) > 0 || e.rx != nil || (!e.synced && len(e.view.Members) > 1)
 }
 
-// armRetry starts the retry driver's ticker when on and stops it when not.
-func (e *Engine) armRetry(on bool) {
-	switch {
-	case on && e.retry == nil:
-		e.retry = time.NewTicker(e.cfg.TransferRetryEvery)
-	case !on && e.retry != nil:
-		e.retry.Stop()
-		e.retry = nil
-	}
-}
+// ---- joiner side ----
 
-// transferTick is the real-time retry driver, run by tick as of now. The
-// leader re-sends the window of any stalled transfer and abandons joiners
-// that have made no progress for transferAbandonAfter; an unsynced joiner
-// keeps offering its resume token to the current coordinator.
-func (e *Engine) transferTick(now time.Time) {
-	stall := e.transferStallAfter()
-	for _, x := range e.xfers {
-		if now.Sub(x.lastProgress) > transferAbandonAfter {
-			e.abortTransfer(x, e.lastVT, "abandoned")
-			continue
-		}
-		if now.Sub(x.lastSend) >= stall {
-			bm := e.findBookmark(x.serial)
-			if bm == nil {
-				e.abortTransfer(x, e.lastVT, "bookmark evicted")
-				continue
-			}
-			e.resumeTransfer(x, bm, e.lastVT)
-		}
-	}
-
+// requestTransfer is an unsynced member's one request of a view install.
+// A partial transfer whose sender is still in the view is resumed with its
+// token; otherwise the member asks for a fresh one (askNext). A partial
+// transfer whose sender left is discarded: its serial means nothing to any
+// successor (serials are per sender), and deliveries may have been missed
+// between memberships.
+func (e *Engine) requestTransfer(vt vtime.Time) {
 	if e.synced || len(e.view.Members) <= 1 {
 		return
 	}
 	if e.rx != nil && !e.view.Contains(e.rx.from) {
-		// The sender left under a partial transfer. Its serial is
-		// meaningless to any successor (serials are per-sender), and
-		// deliveries may have been missed between memberships — discard
-		// and ask for a fresh transfer.
 		e.resetInXfer()
 	}
-	if e.rx != nil && now.Sub(e.rx.lastRecv) < stall {
-		return // chunks are flowing; no need to nag
-	}
-	if now.Sub(e.xferLastNag) < stall {
-		return // give the previous request a chance to land first
-	}
-	e.xferLastNag = now
-	if e.rx != nil {
-		// A partial transfer is in flight: keep asking its sender to
-		// resume. Courting anyone else would invite a second sender whose
-		// fresh stream supersedes the cursor — and the resume token is
-		// only meaningful to the sender that minted the serial. Only after
-		// several silent periods (the sender crashed and came back
-		// unsynced, or lost the bookmark) is the partial state abandoned
-		// so the search below can start over.
-		if e.xferNagMiss < transferNagPatience {
-			e.xferNagMiss++
-			req := &Msg{Kind: KindResumeReq, CkptSerial: e.rx.serial, ChunkIndex: uint32(e.rx.have)}
-			e.sendDirect(e.rx.from, req, e.lastVT)
-			return
-		}
-		e.resetInXfer()
-	}
-	// Nothing in flight: rotate fresh requests across members that did not
-	// just join, starting from the transfer leader (lowest rank). Any
-	// synced one answers. Fixed targeting could starve — the coordinator
-	// itself may be an unsynced rejoiner with nothing to serve.
-	targets := e.peers(e.viewJoiners)
-	if len(targets) == 0 {
-		targets = e.peers(nil)
-	}
-	if len(targets) == 0 {
+	if e.rx == nil {
+		e.askNext(vt)
 		return
 	}
-	target := targets[e.xferNag%len(targets)]
-	e.xferNag++
-	e.sendDirect(target, &Msg{Kind: KindResumeReq}, e.lastVT)
+	req := &Msg{Kind: KindResumeReq, CkptSerial: e.rx.serial, ChunkIndex: uint32(e.rx.have)}
+	e.sendDirect(e.rx.from, req, vt)
 }
 
-// ---- joiner side ----
+// askNext asks the first member in rank order that has not nak'd in this
+// view for a fresh transfer: members that did not just join first — the
+// transfer leader, then the rest — and then the joiners, whose NAKs the
+// total-failure rule needs too. After the last NAK it asks no one.
+func (e *Engine) askNext(vt vtime.Time) {
+	for _, joiners := range []bool{false, true} {
+		for _, m := range e.peers() {
+			if _, nak := e.xferNaks[m]; !nak && e.viewJoiners[m] == joiners {
+				e.sendDirect(m, &Msg{Kind: KindResumeReq}, vt)
+				return
+			}
+		}
+	}
+}
 
 // handleStateChunk receives one transfer chunk, acks cumulative progress,
 // and applies the assembled state once the prefix is complete.
@@ -517,8 +432,6 @@ func (e *Engine) handleStateChunk(ev gcs.Event, msg *Msg) {
 		}
 		e.rx = rx
 	}
-	rx.lastRecv = time.Now()
-	e.xferNagMiss = 0
 	if rx.chunks[idx] == nil {
 		rx.chunks[idx] = msg.State
 		rx.bytes += len(msg.State)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"versadep/internal/trace"
 )
@@ -123,69 +122,6 @@ func TestBookmarkPruneKeepsPinned(t *testing.T) {
 	}
 }
 
-// TestTransferRetryArmedOnlyWhilePending: the transfer retry driver's
-// ticker is armed only while a transfer is pending. An idle engine holds
-// none; a leader serving a joiner holds one while the joiner has not caught
-// up, and both disarm once the transfer completes.
-func TestTransferRetryArmedOnlyWhilePending(t *testing.T) {
-	armed := func(e *Engine) (on bool) {
-		e.do(func() { on = e.retry != nil })
-		return on
-	}
-	// The retry period is long enough that no tick fires: the test moves
-	// every chunk and ack itself.
-	cfg := Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}, TransferRetryEvery: time.Hour}
-	leader, lp := portEngine(t, "r1", cfg)
-	toLeader := runPort(t, leader)
-	toLeader(viewEvent(1, "r1"))
-	if armed(leader) {
-		t.Fatal("an idle engine holds an armed retry ticker")
-	}
-
-	// The joiner joins, and the leader's transfer waits on acknowledgements
-	// no one has sent yet.
-	toLeader(viewEvent(2, "r1", "r2"))
-	if !armed(leader) {
-		t.Fatal("a leader serving a joiner holds no armed retry ticker")
-	}
-
-	cfg.State = &memState{}
-	late, jp := portEngine(t, "r2", cfg)
-	toLate := runPort(t, late)
-	joined := viewEvent(2, "r1", "r2")
-	joined.Joined = true
-	toLate(joined)
-	for round := 0; !late.StatsSnapshot().Synced; round++ {
-		if round > 64 {
-			t.Fatal("the transfer never completes")
-		}
-		for _, s := range lp.take(KindStateChunk) {
-			toLate(directEvent("r1", s.msg))
-		}
-		for _, s := range jp.take(KindChunkAck) {
-			toLeader(directEvent("r2", s.msg))
-		}
-	}
-	if armed(leader) {
-		t.Error("the leader still holds an armed retry ticker after the transfer completed")
-	}
-	if armed(late) {
-		t.Error("the synced joiner still holds an armed retry ticker")
-	}
-
-	// Unsynced in a group of more than one, a replica has a transfer to
-	// ask for before any chunk reaches it (its sender may have crashed
-	// first): the ticker that drives the asking is armed for that too.
-	late.do(func() { late.synced = false })
-	if !armed(late) {
-		t.Error("an unsynced replica that has received nothing holds no armed retry ticker")
-	}
-	late.do(func() { late.synced = true })
-	if armed(late) {
-		t.Error("a resynced replica still holds an armed retry ticker")
-	}
-}
-
 // TestTotalFailureSelfPromotion pins handleResumeNak, the total-failure
 // recovery rule: once every other member of the view has declared itself
 // unsynced, the member whose state reaches furthest promotes itself and
@@ -295,45 +231,84 @@ func TestTransferAborts(t *testing.T) {
 	}
 }
 
-// TestTickRunsOnTheCallersClock: tick, the transfer clock's entry, takes
-// the time from its caller. An unsynced joiner asks for a transfer at most
-// once a stall period, rotating across the members; a leader re-sends a
-// stalled window, and abandons a joiner silent for transferAbandonAfter.
-func TestTickRunsOnTheCallersClock(t *testing.T) {
-	j, jp := portEngine(t, "j", Config{Style: WarmPassive, TransferRetryEvery: time.Second})
+// TestUnsyncedMemberAsksOncePerViewInstall: an unsynced member asks for its
+// transfer once per view install and at no other time. A NAK moves the
+// request to the next member in rank order; a partial transfer whose sender
+// is still in the view is resumed with its token, and one whose sender left
+// is dropped for a fresh request.
+func TestUnsyncedMemberAsksOncePerViewInstall(t *testing.T) {
+	j, p := portEngine(t, "j", Config{Style: WarmPassive})
+	asked := func() (to []string) {
+		for _, s := range p.take(KindResumeReq) {
+			to = append(to, fmt.Sprintf("%s@%d:%d", s.to, s.msg.CkptSerial, s.msg.ChunkIndex))
+		}
+		return to
+	}
+	expect := func(when string, want ...string) {
+		t.Helper()
+		if got := asked(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the member asked %v, want %v", when, got, want)
+		}
+	}
 	joined := viewEvent(1, "a", "b", "j")
 	joined.Joined = true
 	j.step(joined)
-	now := time.Now()
-	var asked []string
-	for _, at := range []time.Duration{0, time.Second, 2 * time.Second, 4 * time.Second} {
-		j.tick(now.Add(at))
-		for _, s := range jp.take(KindResumeReq) {
-			asked = append(asked, s.to)
-		}
-	}
-	if want := []string{"a", "b", "a"}; !reflect.DeepEqual(asked, want) {
-		t.Errorf("the joiner asked %v, want %v", asked, want)
-	}
+	expect("on joining", "a@0:0")
+	j.step(requestEvent(1))
+	j.step(directEvent("a", &Msg{Kind: KindChunkAck, CkptSerial: 9, ChunkIndex: 1}))
+	expect("between view installs")
+	j.step(directEvent("a", &Msg{Kind: KindResumeNak}))
+	expect("after a's NAK", "b@0:0")
+	j.step(directEvent("b", &Msg{Kind: KindResumeNak}))
+	expect("after every member's NAK")
 
+	// Two of three chunks from a: the next view install resumes them at a,
+	// ahead of the member that just joined.
+	for _, i := range []uint32{0, 1} {
+		j.step(directEvent("a", &Msg{Kind: KindStateChunk, State: []byte{byte(i)}, CkptSerial: 4, ChunkIndex: i, ChunkCount: 3}))
+	}
+	j.step(viewEvent(2, "a", "b", "j", "c"))
+	expect("with a partial transfer from a member still in the view", "a@4:2")
+	j.step(viewEvent(3, "b", "j", "c"))
+	expect("after its sender left", "b@0:0")
+	if j.rx != nil {
+		t.Error("the partial transfer of a departed sender was kept")
+	}
+}
+
+// TestSerialZeroRequestLeavesTheCursor: a leader already streaming to a
+// joiner keeps its cursor when the joiner's one request of the view arrives
+// with no token (its first chunks are still in flight), and re-sends
+// nothing; a token naming the leader's serial moves the window up to it.
+func TestSerialZeroRequestLeavesTheCursor(t *testing.T) {
 	rec := trace.New()
-	a, ap := portEngine(t, "a", Config{Style: WarmPassive, State: &memState{state: make([]byte, 10000)},
-		TransferRetryEvery: time.Second, Trace: rec})
+	a, p := portEngine(t, "a", Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}, Trace: rec})
 	a.step(viewEvent(1, "a"))
 	a.step(viewEvent(2, "a", "j"))
-	now = time.Now()
-	sent := len(ap.take(KindStateChunk))
-	a.tick(now)
-	if n := len(ap.take(KindStateChunk)); sent != 3 || n != 0 {
-		t.Fatalf("chunks sent %d, then %d more before any stall; want 3, then 0", sent, n)
+	x := a.xfers["j"]
+	if x == nil || len(p.take(KindStateChunk)) != 4 {
+		t.Fatal("the leader did not stream a window to the joiner")
 	}
-	a.tick(now.Add(3 * time.Second))
-	if n := len(ap.take(KindStateChunk)); n != 3 || rec.Value(trace.SubReplication, "transfer_chunk_resends") != 3 {
-		t.Errorf("a stalled window re-sent %d chunks, want 3", n)
+	a.step(directEvent("j", &Msg{Kind: KindChunkAck, CkptSerial: x.serial, ChunkIndex: 2}))
+	if n := len(p.take(KindStateChunk)); n != 2 || x.acked != 2 || x.next != 6 {
+		t.Fatalf("after an ack of 2 chunks: %d sent, cursor %d/%d; want 2 sent, cursor 2/6", n, x.acked, x.next)
 	}
-	a.tick(now.Add(time.Minute))
-	if len(a.xfers) != 0 || rec.Value(trace.SubReplication, "transfer_aborts") != 1 {
-		t.Errorf("a joiner silent for a minute still has a cursor: %v", a.xfers)
+
+	a.step(directEvent("j", &Msg{Kind: KindResumeReq}))
+	if n := len(p.take(KindStateChunk)); n != 0 || a.xfers["j"] != x || x.acked != 2 || x.next != 6 {
+		t.Errorf("a serial-0 request: %d chunks sent, cursor %d/%d; want none, cursor 2/6", n, x.acked, x.next)
+	}
+	if got := rec.Value(trace.SubReplication, "transfer_starts"); got != 1 {
+		t.Errorf("transfer_starts = %d, want 1", got)
+	}
+
+	a.step(directEvent("j", &Msg{Kind: KindResumeReq, CkptSerial: x.serial, ChunkIndex: 3}))
+	sent := p.take(KindStateChunk)
+	if len(sent) != 1 || sent[0].msg.ChunkIndex != 6 || x.acked != 3 {
+		t.Errorf("a token at chunk 3: %d chunks sent, cursor %d; want chunk 6 sent, cursor 3", len(sent), x.acked)
+	}
+	if got := rec.Value(trace.SubReplication, "transfer_chunks_sent"); got != 7 {
+		t.Errorf("transfer_chunks_sent = %d, want 7: each chunk once", got)
 	}
 }
 

@@ -71,7 +71,7 @@ func (e *Engine) handleView(ev gcs.Event) {
 		// We joined a running group: wait for a state transfer. A partial
 		// transfer from a previous membership is unsafe to finish —
 		// deliveries may have been missed while we were out — so it is
-		// discarded and the retry driver requests a fresh one.
+		// discarded and a fresh one is asked for below.
 		e.synced = false
 		e.log = nil
 		e.resetInXfer()
@@ -84,7 +84,6 @@ func (e *Engine) handleView(ev gcs.Event) {
 	// the coordinator itself may be a rejoining previous anchor whose rank
 	// puts it first while it still has no state to serve.
 	e.viewJoiners = make(map[string]bool)
-	e.xferNag, e.xferNagMiss = 0, 0
 	e.xferNaks = make(map[string]uint64)
 	var joiners []string
 	for _, m := range e.view.Members {
@@ -152,6 +151,9 @@ func (e *Engine) handleView(ev gcs.Event) {
 	if xferLeader && e.synced {
 		e.startTransfers(joiners, ev.VTime)
 	}
+	// An unsynced member — a joiner, a member whose sender left, one whose
+	// restore failed above — asks once for its transfer.
+	e.requestTransfer(ev.VTime)
 
 	e.notify(Notice{Kind: NoticeView, VT: ev.VTime, Style: e.style,
 		Members: len(e.view.Members), Crashed: crashed})

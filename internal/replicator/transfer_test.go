@@ -5,7 +5,8 @@ package replicator_test
 // repeated interruptions, concurrent joiners under the policy controller,
 // and a loss burst mid-transfer. Fault injection rides internal/faults;
 // raised GCS suspicion timeouts keep short partitions below the failure
-// detector so the tests exercise cursor resume, not view exclusion.
+// detector so the tests exercise recovery within a view — the group
+// layer's direct outbox re-sending lost chunks — not view exclusion.
 
 import (
 	"bytes"
@@ -109,8 +110,8 @@ func (a *blobApp) Restore(state []byte) error {
 	return nil
 }
 
-// patientGCS raises the failure-detector and prepare timeouts so a scripted
-// partition shorter than SuspectAfter exercises transfer resume instead of
+// patientGCS raises the failure-detector timeout so a scripted partition
+// shorter than SuspectAfter exercises recovery within a view instead of
 // view exclusion.
 func patientGCS() *gcs.Config {
 	g := gcs.DefaultConfig()
@@ -119,14 +120,13 @@ func patientGCS() *gcs.Config {
 }
 
 // transferCfg is the engine config the transfer tests share: small chunks
-// over a big state, fast retry so stalls resolve quickly.
+// over a big state.
 func transferCfg(app *blobApp, obs func(replication.Notice)) replication.Config {
 	return replication.Config{
 		Style:              replication.Active,
 		State:              app,
 		Observer:           obs,
 		TransferChunkBytes: 1024,
-		TransferRetryEvery: 50 * time.Millisecond,
 	}
 }
 
@@ -135,15 +135,23 @@ func transferCfg(app *blobApp, obs func(replication.Notice)) replication.Config 
 type xferGroup struct {
 	*replicator.Group
 	net *simnet.Network
+	gcs *gcs.Config // every replica's
 	ra  *replicator.ReplicaNode
 	app *blobApp // ra's state
 }
 
 // startTransferPair boots a two-node group (ra holds padBytes of state; rb
-// receives it through the chunked path at join).
+// receives it through the chunked path at join) whose failure detector
+// outlasts the tests' partitions.
 func startTransferPair(t *testing.T, net *simnet.Network, padBytes int) *xferGroup {
 	t.Helper()
-	g := &xferGroup{Group: replicator.NewGroup(replicator.SimFabric(net)), net: net, app: newBlobApp(padBytes)}
+	return startTransferGroup(t, net, padBytes, patientGCS())
+}
+
+// startTransferGroup is startTransferPair on the GCS config gc.
+func startTransferGroup(t *testing.T, net *simnet.Network, padBytes int, gc *gcs.Config) *xferGroup {
+	t.Helper()
+	g := &xferGroup{Group: replicator.NewGroup(replicator.SimFabric(net)), net: net, gcs: gc, app: newBlobApp(padBytes)}
 	t.Cleanup(g.Close)
 	g.ra = g.add(t, "ra", nil, g.app, nil)
 	g.add(t, "rb", []string{"ra"}, newBlobApp(0), nil)
@@ -156,7 +164,7 @@ func (g *xferGroup) add(t *testing.T, addr string, seeds []string, app *blobApp,
 	t.Helper()
 	cfg := transferCfg(app, obs)
 	cfg.Model = g.net.CostModel()
-	node, err := g.Add(addr, seeds, replicator.ReplicaConfig{GCS: patientGCS(), Replication: cfg, Trace: trace.New()})
+	node, err := g.Add(addr, seeds, replicator.ReplicaConfig{GCS: g.gcs, Replication: cfg, Trace: trace.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +215,9 @@ func (g *xferGroup) waitEqualState(t *testing.T, addr string, app *blobApp, what
 
 func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	// The headline acceptance scenario: partition the joiner mid-transfer,
-	// heal the link, and require the leader to resume at the last acked
-	// cursor — the bytes it sends after the heal must be strictly less
-	// than the full checkpoint — with the joiner reaching Synced and a
+	// heal the link, and require the transfer to finish from the last acked
+	// cursor — the bytes the leader sends after the heal must be strictly
+	// less than the full checkpoint — with the joiner reaching Synced and a
 	// state hash identical to the primary's.
 	net := simnet.New(simnet.WithSeed(3301))
 	defer net.Close()
@@ -229,11 +237,9 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 
 	// The joiner partitions itself once it has acked 16 chunks (~16KB of
 	// ~64KB): squarely mid-transfer, with most of the state still unsent.
-	jObs := &observerLog{}
 	var cut sync.Once
 	partitioned := make(chan struct{})
 	obs := func(n replication.Notice) {
-		jObs.observe(n)
 		if n.Kind == replication.NoticeTransfer && n.Chunk >= 16 && n.Chunk < n.Chunks {
 			cut.Do(func() {
 				faults.Partition("rz", 2)(net)
@@ -248,8 +254,9 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("transfer never reached chunk 16")
 	}
-	// Let the outage outlast several retry ticks, so the leader visibly
-	// stalls and rewinds (resume machinery, not just in-flight delivery).
+	// Let the outage outlast many of the group layer's resend intervals,
+	// so what recovers the chunks is retransmission, not in-flight delivery.
+	retxAtCut := retransmits(ra)
 	time.Sleep(400 * time.Millisecond)
 	if joiner.Engine().StatsSnapshot().Synced {
 		t.Fatal("joiner synced while partitioned; the cut landed too late")
@@ -269,9 +276,6 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 		t.Fatalf("resume re-sent %d bytes, want strictly less than the %d-byte checkpoint",
 			resentAfterHeal, stateSize)
 	}
-	if got := snap.Get(trace.SubReplication, "transfer_bytes_resumed"); got == 0 {
-		t.Fatal("transfer_bytes_resumed = 0; the cursor was never resumed")
-	}
 	if got := snap.Get(trace.SubReplication, "transfer_completes"); got < 2 {
 		t.Fatalf("transfer_completes = %d, want >= 2 (rb at boot + rz)", got)
 	}
@@ -279,31 +283,23 @@ func TestTransferResumesAfterPartitionHeal(t *testing.T) {
 	// Identical state hash: the joiner holds exactly the primary's bytes.
 	g.waitEqualState(t, "rz", jApp, "joiner after resume")
 
-	// The resume was visible at the protocol level: a Resumed notice with a
-	// non-zero cursor (the transfer did not restart from chunk 0).
-	resumed := false
-	for _, n := range jObs.find(replication.NoticeTransfer) {
-		if n.Resumed && n.Chunk > 0 {
-			resumed = true
-		}
+	// The recovery was the group layer's: the leader's direct outbox
+	// re-sent frames across the outage.
+	if got := retransmits(ra) - retxAtCut; got <= 0 {
+		t.Fatal("the leader's group layer re-sent nothing across the outage")
 	}
-	// The joiner only sees Resumed on the leader's notice stream; check the
-	// leader when the joiner-side log has none.
-	if !resumed {
-		for _, s := range ra.TraceSnapshot().Spans {
-			_ = s
-		}
-		if ra.TraceSnapshot().Get(trace.SubReplication, "transfer_resumes") == 0 {
-			t.Fatal("no resume recorded on the leader")
-		}
-	}
+}
+
+// retransmits reads a replica's group-layer retransmission counter.
+func retransmits(n *replicator.ReplicaNode) int64 {
+	return n.TraceSnapshot().Get(trace.SubGCS, "retransmits")
 }
 
 func TestTransferMonotonicAcrossRepeatedInterruptions(t *testing.T) {
 	// Companion acceptance test: interrupt the same transfer three times in
-	// a row. The cursor must never move backwards — each heal resumes at or
-	// past the last acked chunk, under the same checkpoint serial — and the
-	// joiner still converges to the primary's exact state.
+	// a row. The cursor must never move backwards — each heal continues at
+	// or past the last acked chunk, under the same checkpoint serial — and
+	// the joiner still converges to the primary's exact state.
 	net := simnet.New(simnet.WithSeed(3307))
 	defer net.Close()
 	g := startTransferPair(t, net, 64<<10)
@@ -336,9 +332,13 @@ func TestTransferMonotonicAcrossRepeatedInterruptions(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("cut %d never fired", cycle)
 		}
-		time.Sleep(250 * time.Millisecond) // outlast the stall threshold
+		retxAtCut := retransmits(ra)
+		time.Sleep(250 * time.Millisecond) // outlast many resend intervals
 		if joiner.Engine().StatsSnapshot().Synced {
 			t.Fatalf("joiner synced during partition cycle %d", cycle)
+		}
+		if retransmits(ra) == retxAtCut {
+			t.Fatalf("the leader's group layer re-sent nothing during partition cycle %d", cycle)
 		}
 		faults.HealAddr("rz")(net)
 	}
@@ -357,9 +357,6 @@ func TestTransferMonotonicAcrossRepeatedInterruptions(t *testing.T) {
 	}
 	if len(serials) != 1 {
 		t.Fatalf("transfer restarted under new serials %v, want one serial end to end", serials)
-	}
-	if got := ra.TraceSnapshot().Get(trace.SubReplication, "transfer_resumes"); got < 3 {
-		t.Fatalf("leader recorded %d resumes across 3 interruptions", got)
 	}
 }
 
@@ -465,8 +462,8 @@ func (p fixedReplicas) Decide(sig policy.Signals) policy.Decision {
 
 func TestTransferSurvivesLossBurst(t *testing.T) {
 	// A scripted loss burst mid-transfer (every frame leader→joiner dropped
-	// for 300ms): the stall detector rewinds the window and the transfer
-	// completes once the burst passes.
+	// for 300ms): the leader's direct outbox re-sends what was lost, and the
+	// transfer completes once the burst passes.
 	net := simnet.New(simnet.WithSeed(3319))
 	defer net.Close()
 	g := startTransferPair(t, net, 32<<10)

@@ -12,7 +12,10 @@
 # Passes iff the restarted joiner is re-admitted, receives a fresh
 # transfer (the leader aborts the orphaned cursor when the joiner drops
 # from the view), and reports synced — liveness of the transfer path
-# across a joiner crash, riding the transport's dial-retry reconnect.
+# across a joiner crash, riding the transport's dial-retry reconnect —
+# and the leader starts or resumes a transfer to the joiner at most once
+# per view change it installs: a transfer moves only on membership
+# events.
 #
 # Scenario 3: a two-shard deployment — two independent 3-replica groups
 # behind the consistent-hash routing tier, two sharded clients spraying
@@ -188,6 +191,12 @@ if ! $synced; then
 fi
 echo "smoke: restarted joiner re-admitted and synced after mid-transfer crash"
 grep -h "transfer" "$WORK/xj2.log" | head -3 || true
+if ! awk '/view change:/ { n = 0 } /transfer (started|resumed) with xj/ { if (++n > 1) bad = 1 } END { exit bad }' "$WORK/xa.log"; then
+  echo "smoke: the leader started or resumed more than one transfer to xj in one view"
+  grep -hE "view change:|transfer (started|resumed) with xj" "$WORK/xa.log"
+  xfail
+fi
+echo "smoke: the leader started $(grep -cE 'transfer (started|resumed) with xj' "$WORK/xa.log") transfers to xj across $(grep -c 'view change:' "$WORK/xa.log") view changes"
 
 # ---------------------------------------------------------------------------
 # Scenario 3: two shards, sharded clients, primary kill in one shard.
