@@ -438,8 +438,22 @@ func (d *Decoder) BytesCopy() ([]byte, error) {
 	return out, nil
 }
 
-// Value consumes one tagged value.
-func (d *Decoder) Value() (Value, error) {
+// Value consumes one tagged value. Its bytes, at any depth of a list or
+// map, are copies (see BytesCopy): memory the caller owns, may write to,
+// and may keep past the stream — what a client's results, a checkpoint and
+// DecodeValue hand on.
+func (d *Decoder) Value() (Value, error) { return d.value(false) }
+
+// ValueView is Value with its bytes, at any depth of a list or map, views
+// (see Bytes): read-only windows onto the stream, clipped to their length.
+// It is how a servant's arguments are decoded — the CORBA in-parameter
+// rule: read them during the call, copy whatever is kept, never write to
+// them.
+func (d *Decoder) ValueView() (Value, error) { return d.value(true) }
+
+// value consumes one tagged value, with its bytes views of the stream if
+// view is set and copies otherwise.
+func (d *Decoder) value(view bool) (Value, error) {
 	tag, err := d.Uint8()
 	if err != nil {
 		return Value{}, err
@@ -463,9 +477,10 @@ func (d *Decoder) Value() (Value, error) {
 		s, err := d.String()
 		return String(s), err
 	case KindBytes:
-		// The one copy on the receive path: a Value is handed to user
-		// code (servant arguments, client results), which gets memory it
-		// owns rather than a window onto a shared wire buffer.
+		if view {
+			b, err := d.Bytes()
+			return Bytes(b), err
+		}
 		b, err := d.BytesCopy()
 		return Bytes(b), err
 	case KindList:
@@ -475,7 +490,7 @@ func (d *Decoder) Value() (Value, error) {
 		}
 		items := make([]Value, 0, reserve)
 		for i := 0; i < n; i++ {
-			item, err := d.Value()
+			item, err := d.value(view)
 			if err != nil {
 				return Value{}, err
 			}
@@ -493,7 +508,7 @@ func (d *Decoder) Value() (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			v, err := d.Value()
+			v, err := d.value(view)
 			if err != nil {
 				return Value{}, err
 			}

@@ -244,6 +244,57 @@ func TestBytesCopyIsIndependent(t *testing.T) {
 	}
 }
 
+// TestValueViewAliasesValueCopies: the two value decoders differ only in
+// where their bytes live, at any depth of a list or map — ValueView's are
+// windows onto the stream, clipped to their length, and Value's are copies.
+func TestValueViewAliasesValueCopies(t *testing.T) {
+	blob := []byte("payload")
+	stream := EncodeValue(List(Bytes(blob), Map(map[string]Value{"k": List(Bytes(blob))})))
+	var got [][]byte
+	var collect func(v Value)
+	collect = func(v Value) {
+		switch v.Kind {
+		case KindBytes:
+			got = append(got, v.Byt)
+		case KindList:
+			for _, item := range v.List {
+				collect(item)
+			}
+		case KindMap:
+			for _, item := range v.Map {
+				collect(item)
+			}
+		}
+	}
+	for _, view := range []bool{true, false} {
+		d := NewDecoder(stream)
+		decode := d.Value
+		if view {
+			decode = d.ValueView
+		}
+		v, err := decode()
+		if err != nil || d.Remaining() != 0 {
+			t.Fatalf("view %v: %v, %d bytes left", view, err, d.Remaining())
+		}
+		got = got[:0]
+		collect(v)
+		if len(got) != 2 {
+			t.Fatalf("view %v: %d byte values decoded, want 2", view, len(got))
+		}
+		for _, b := range got {
+			if string(b) != string(blob) {
+				t.Fatalf("view %v: decoded %q", view, b)
+			}
+			if alloctest.Inside(stream, b) != view {
+				t.Fatalf("view %v: bytes inside the stream: %v", view, !view)
+			}
+			if view && cap(b) != len(b) {
+				t.Fatalf("a view's capacity %d runs past its length %d", cap(b), len(b))
+			}
+		}
+	}
+}
+
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(4)
 	e.PutUint64(1)

@@ -36,7 +36,7 @@ type Adapter struct {
 // object references from one implementation (a keyed store behind a
 // default servant, in CORBA terms). When the fallback servant implements
 // it, the adapter passes the object reference through so the servant can
-// key its state on it.
+// key its state on it. Its arguments are read-only views, as Servant's are.
 type ObjectServant interface {
 	InvokeObject(object, op string, args []codec.Value) ([]codec.Value, error)
 }
@@ -98,7 +98,9 @@ type InvocationResult struct {
 	// Encoded is the encoded VIOP reply, with the room HandleRequest was
 	// given around it.
 	Encoded transport.Buf
-	// Reply is the decoded form, for callers that need the contents.
+	// Reply is the decoded form, for callers that need the contents. Its
+	// results are the servant's, which may be views of the request's
+	// bytes (an echoed argument): read them while the request is held.
 	Reply Reply
 	// DoneVT is the virtual completion instant on cpu.
 	DoneVT vtime.Time
@@ -112,8 +114,8 @@ type InvocationResult struct {
 // Decode/encode each charge an ORBMarshal crossing; servant execution
 // charges its declared cost (or the model's AppProcess). The decoded
 // request and the reply are values, not records: what serving allocates is
-// the arguments the servant is handed, whatever the servant allocates, and
-// the reply's buffer.
+// the argument list the servant is handed (its bytes are views of
+// reqBytes), whatever the servant allocates, and the reply's buffer.
 func (a *Adapter) HandleRequest(cpu *vtime.Server, reqBytes []byte, room transport.Room, arriveVT vtime.Time, led vtime.Ledger) (InvocationResult, error) {
 	var req Request
 	a.mu.Lock()

@@ -124,7 +124,8 @@ func encodeRequest(room transport.Room, r *Request) transport.Buf {
 	return m
 }
 
-// DecodeRequest parses VIOP bytes into a Request.
+// DecodeRequest parses VIOP bytes into a Request whose byte arguments are
+// read-only views of b (see decodeRequest).
 func DecodeRequest(b []byte) (*Request, error) {
 	var r Request
 	if err := decodeRequest(b, nil, &r); err != nil {
@@ -137,7 +138,9 @@ func DecodeRequest(b []byte) (*Request, error) {
 // field overwritten), reading the client, object and operation names
 // through names: a receiver that decodes request after request from the
 // same few clients materialises each name once (see codec.Names). The
-// arguments are a fresh slice of values user code owns (codec.Decoder.Value).
+// arguments are a fresh slice of values whose bytes, at any depth, are
+// read-only windows onto b (codec.Decoder.ValueView): the servant reads
+// them where they arrived (see Servant).
 func decodeRequest(b []byte, names *codec.Names, r *Request) error {
 	*r = Request{}
 	d := codec.NewDecoder(b)
@@ -163,7 +166,7 @@ func decodeRequest(b []byte, names *codec.Names, r *Request) error {
 	}
 	r.Args = make([]codec.Value, 0, reserve)
 	for i := 0; i < n; i++ {
-		v, err := d.Value()
+		v, err := d.ValueView()
 		if err != nil {
 			return err
 		}
@@ -339,6 +342,14 @@ func checkHeader(d *codec.Decoder, want MsgType) error {
 // deterministic functions of (operation, args, prior state): active
 // replication executes every invocation at every replica and relies on the
 // replicas staying identical.
+//
+// Arguments are in-parameters, read-only as in CORBA's C++ mapping: the
+// bytes of a KindBytes argument, at any depth of a list or map, are a view
+// of the delivered request, which other replicas, the sender's
+// retransmission buffer and a backup's log may share. A servant reads them
+// during the call, copies whatever it keeps, and never writes to them. It
+// may return an argument among its results: the reply is encoded, and the
+// bytes copied, before the call returns.
 type Servant interface {
 	// Invoke executes one operation. A returned error becomes a
 	// StatusException reply; it must be deterministic too.

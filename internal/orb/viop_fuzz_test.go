@@ -31,16 +31,19 @@ const (
 // accepted input (trailing bytes, a non-canonical ledger) re-encodes to a
 // canonical form that is a fixed point of decode-then-encode. The request
 // peeks must agree with the full decode, and the envelope must hand on a
-// window onto its input, not a copy. Decoding into a request, reply or
-// envelope that held another decoded fixture must give what a fresh decode
-// gives, field for field, and accept or refuse the same inputs.
+// window onto its input, not a copy. Every byte argument of a request, at
+// any depth of a list or map, is a window onto the input too (the servant
+// reads it where it arrived); every byte result of a reply is a copy (the
+// caller keeps it). Decoding into a request, reply or envelope that held
+// another decoded fixture must give what a fresh decode gives, field for
+// field, and accept or refuse the same inputs.
 func FuzzVIOPDecode(f *testing.F) {
 	blob := bytes.Repeat([]byte{0x5A}, 300)
 	args := []codec.Value{
 		codec.Null(), codec.Bool(true), codec.Int(-7), codec.Uint(9), codec.Float(2.5),
 		codec.String("key"), codec.Bytes(blob),
-		codec.List(codec.Int(1), codec.List()),
-		codec.Map(map[string]codec.Value{"a": codec.Int(1), "b": codec.String("x")}),
+		codec.List(codec.Int(1), codec.List(codec.Bytes(blob[:7]))),
+		codec.Map(map[string]codec.Value{"a": codec.Int(1), "b": codec.String("x"), "c": codec.Bytes(blob[:3])}),
 	}
 	var led vtime.Ledger
 	led.Charge(vtime.ComponentORB, 3*vtime.Microsecond)
@@ -91,6 +94,11 @@ func FuzzVIOPDecode(f *testing.F) {
 		sameDecode(t, "reply", rep, repErr, &usedRep, decodeReply(in, nil, &usedRep))
 		sameDecode(t, "envelope", env, envErr, &usedEnv, decodeEnvelope(in, &usedEnv))
 		if reqErr == nil {
+			eachBytes(req.Args, func(b []byte) {
+				if !alloctest.Inside(in, b) {
+					t.Fatalf("a %d B request argument lies outside the input", len(b))
+				}
+			})
 			if cid, rid, err := PeekRequestID(in); err != nil || string(cid) != req.ClientID || rid != req.ReqID {
 				t.Fatalf("request id peek (%q, %d, %v) disagrees with the decode (%q, %d)", cid, rid, err, req.ClientID, req.ReqID)
 			}
@@ -106,6 +114,11 @@ func FuzzVIOPDecode(f *testing.F) {
 			})
 		}
 		if repErr == nil {
+			eachBytes(rep.Results, func(b []byte) {
+				if len(b) > 0 && alloctest.Inside(in, b) {
+					t.Fatalf("a %d B reply result lies inside the input", len(b))
+				}
+			})
 			checkCanonical(t, in, isGolden[string(in)], EncodeReply(rep), func(b []byte) ([]byte, error) {
 				r, err := DecodeReply(b)
 				if err != nil {
@@ -127,6 +140,23 @@ func FuzzVIOPDecode(f *testing.F) {
 			})
 		}
 	})
+}
+
+// eachBytes calls f with the bytes of every KindBytes value in vs, at any
+// depth of a list or map.
+func eachBytes(vs []codec.Value, f func([]byte)) {
+	for _, v := range vs {
+		switch v.Kind {
+		case codec.KindBytes:
+			f(v.Byt)
+		case codec.KindList:
+			eachBytes(v.List, f)
+		case codec.KindMap:
+			for _, item := range v.Map {
+				eachBytes([]codec.Value{item}, f)
+			}
+		}
+	}
 }
 
 // sameDecode checks that a decode into a used value (got, gotErr) agrees

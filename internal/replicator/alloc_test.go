@@ -29,14 +29,15 @@ const requestAllocBudget = 27
 
 // payloadBufferBudget is how many payload-sized buffers one 4 KB request
 // and its 4 KB reply may allocate end to end through three active
-// replicas: 9.2 to 9.8 when the budget was set, 14.9 to 15.5 while every
-// layer seam cost a copy (the allocator's size classes round a 4 KB buffer
-// with its headers up, hence the fractions). The nine left are the client's
-// request and the result it decodes, each replica's copy of the argument
-// its servant is handed (codec.Decoder.Value's contract), the reply each
-// replica encodes (its reply cache keeps a window onto that frame), and the
-// sequencer's re-frame of the request.
-const payloadBufferBudget = 12
+// replicas: 6.6 to 6.7 when the budget was set, 9.2 to 9.8 while each
+// replica copied the argument its servant is handed, 14.9 to 15.5 while
+// every layer seam cost a copy (the allocator's size classes round a 4 KB
+// buffer with its headers up, hence the fractions). The six left are the
+// client's request, the sequencer's re-frame of it, the reply each of the
+// three replicas encodes (its reply cache keeps a window onto that frame),
+// and the copy of the result the client decodes. A servant's arguments
+// are views of the delivered request (see orb.Servant).
+const payloadBufferBudget = 7
 
 // echoApp replies with its first argument.
 type echoApp struct{}

@@ -76,7 +76,10 @@ type Value = codec.Value
 
 // Application is a replicated application: deterministic servant logic
 // plus process-level state capture, the unit of replication in the paper
-// (§3.1).
+// (§3.1). Invoke and Restore share one rule for the bytes they are handed:
+// a []byte argument, like a restored state, is a view of the delivered
+// message — read it during the call, copy whatever is kept, never write to
+// it (see Servant).
 type Application interface {
 	Servant
 	replication.Checkpointable
