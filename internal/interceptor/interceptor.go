@@ -34,14 +34,10 @@ import (
 	"versadep/internal/vtime"
 )
 
-// spanSubmit records the outbound interception crossing of a request
-// (client ORB → replicator shim), keyed by the VIOP identity that already
-// rides the frame. Without a recorder it does not peek.
-func spanSubmit(sp *span.Recorder, reqBytes []byte, start, end vtime.Time) {
-	if !sp.On() {
-		return
-	}
-	if cid, rid, err := orb.PeekRequestID(reqBytes); err == nil {
+// spanSubmit records the outbound interception crossing of the request
+// (cid, rid) (client ORB → replicator shim).
+func spanSubmit(sp *span.Recorder, cid []byte, rid uint64, start, end vtime.Time) {
+	if sp.On() {
 		sp.Add(sp.InternRequestKey(cid, rid), "intercept_submit", span.CompReplicator, start, end)
 	}
 }
@@ -114,30 +110,26 @@ const (
 	FilterMajority
 )
 
-// deliveredWindow is how many request ids behind the highest delivered one
-// the wire keeps explicit delivery state for. The client ORB issues ids
-// sequentially and waits synchronously, so anything this far behind the
-// frontier has long been answered (or abandoned) and is suppressed as a
-// duplicate rather than re-delivered.
-const deliveredWindow = 256
-
 // GroupWire redirects a client ORB onto a replicated server group.
 type GroupWire struct {
-	gc     *gcs.GroupClient
-	model  vtime.CostModel
-	filter ReplyFilter
-
-	mu       sync.Mutex
+	gc       *gcs.GroupClient
+	model    vtime.CostModel
+	filter   ReplyFilter
 	expected int
-	// delivered/votes hold per-rid state only for the ordered window
-	// [floor, highRid]; floor advances monotonically, so pruning is O(1)
-	// amortized per delivery instead of a full-map scan, and a reply for
-	// a rid below floor is suppressed instead of re-delivered. votes holds
-	// each voting replica's reply, by sender.
-	delivered map[uint64]bool
-	votes     map[uint64]map[string]orb.WireReply
-	highRid   uint64
-	floor     uint64
+
+	mu sync.Mutex
+	// awaiting holds the requests sent and not yet answered, by request
+	// id, with the ballots cast for each under majority voting (nil under
+	// first-response, so an entry allocates nothing). Send registers an id
+	// before it submits, and the reply that answers it deletes it; a reply
+	// to an id not here is a duplicate, however old. Bound: the invocations
+	// in flight plus those the ORB abandoned after its last attempt. Each
+	// of those has already returned orb.ErrTimeout, and a late reply still
+	// deletes it, as the reply to a retransmission that crossed its answer
+	// deletes the entry it re-made. Close frees the rest. The ORB's waiter
+	// table knows the same ids, but the wire has to decide and span before
+	// the reply goes up, and voting keeps ballots per id.
+	awaiting map[uint64][]ballot
 
 	up orb.Upcall
 
@@ -145,9 +137,13 @@ type GroupWire struct {
 	cDelivered  *trace.Counter
 	cMajority   *trace.Counter
 	cSuppressed *trace.Counter
-	cBelowFloor *trace.Counter // the suppressions of a rid below floor
-	cPruned     *trace.Counter
 	spans       *span.Recorder
+}
+
+// ballot is one replica's reply to an awaited request under voting.
+type ballot struct {
+	sender string
+	reply  orb.WireReply
 }
 
 var _ orb.Wire = (*GroupWire)(nil)
@@ -174,8 +170,6 @@ func WithGroupTrace(r *trace.Recorder) GroupWireOption {
 		w.cDelivered = r.Counter(trace.SubInterceptor, "replies_delivered")
 		w.cMajority = r.Counter(trace.SubInterceptor, "majority_delivered")
 		w.cSuppressed = r.Counter(trace.SubInterceptor, "duplicates_suppressed")
-		w.cBelowFloor = r.Counter(trace.SubInterceptor, "suppressed_below_floor")
-		w.cPruned = r.Counter(trace.SubInterceptor, "pruned_rids")
 		w.spans = r.Spans()
 	}
 }
@@ -186,28 +180,16 @@ func WithGroupTrace(r *trace.Recorder) GroupWireOption {
 // Group().HandleTransport.
 func NewGroupWire(send transport.Conn, gcc gcs.ClientConfig, opts ...GroupWireOption) *GroupWire {
 	w := &GroupWire{
-		model:     gcc.Model,
-		filter:    FilterFirst,
-		expected:  1,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-		floor:     1, // request ids start at 1
+		model:    gcc.Model,
+		filter:   FilterFirst,
+		expected: 1,
+		awaiting: make(map[uint64][]ballot),
 	}
 	for _, o := range opts {
 		o(w)
 	}
 	w.gc = gcs.NewClient(send, gcc, w.deliver)
 	return w
-}
-
-// SetExpectedReplies adjusts the majority threshold when the number of
-// replicas changes (the #replicas knob moving at runtime).
-func (w *GroupWire) SetExpectedReplies(n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n > 0 {
-		w.expected = n
-	}
 }
 
 // Group exposes the underlying group client (membership hints,
@@ -218,23 +200,44 @@ func (w *GroupWire) Group() *gcs.GroupClient { return w.gc }
 // and submitted, framed and sealed in place.
 func (w *GroupWire) Room() transport.Room { return replication.RequestRoom(w.gc.Room()) }
 
-// Send wraps the request in a replication envelope, in place, and submits
-// it into the group's agreed stream; the group client keeps the frame for
-// retransmission.
+// Send registers the request as awaited, wraps it in a replication
+// envelope, in place, and submits it into the group's agreed stream; the
+// group client keeps the frame for retransmission. The registration comes
+// first: a reply can be handed up as soon as Submit releases the group
+// client's lock.
 func (w *GroupWire) Send(req transport.Buf, sentAt vtime.Time, led vtime.Ledger) error {
+	cid, rid, err := orb.PeekRequestID(req.Bytes())
+	if err != nil {
+		return err
+	}
 	w.cCrossings.Inc()
 	led.Charge(vtime.ComponentReplicator, w.model.Intercept)
-	spanSubmit(w.spans, req.Bytes(), sentAt, sentAt.Add(w.model.Intercept))
-	return w.gc.Submit(replication.WrapRequestIn(req), sentAt.Add(w.model.Intercept), led)
+	spanSubmit(w.spans, cid, rid, sentAt, sentAt.Add(w.model.Intercept))
+	w.mu.Lock()
+	if _, ok := w.awaiting[rid]; !ok { // a retransmission keeps its ballots
+		w.awaiting[rid] = nil
+	}
+	w.mu.Unlock()
+	if err := w.gc.Submit(replication.WrapRequestIn(req), sentAt.Add(w.model.Intercept), led); err != nil {
+		w.mu.Lock()
+		delete(w.awaiting, rid)
+		w.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // Bind installs the reply sink.
 func (w *GroupWire) Bind(sink orb.ReplySink) { w.up.Bind(sink) }
 
-// Close unbinds the sink and stops the underlying group client.
+// Close unbinds the sink, stops the underlying group client and forgets
+// the requests still awaited.
 func (w *GroupWire) Close() error {
 	w.up.Shut()
 	w.gc.Stop()
+	w.mu.Lock()
+	clear(w.awaiting)
+	w.mu.Unlock()
 	return nil
 }
 
@@ -263,76 +266,42 @@ func (w *GroupWire) filterReply(wr orb.WireReply, sender string) (orb.WireReply,
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if rid < w.floor || w.delivered[rid] {
-		// Already delivered, or so far behind the frontier that its
-		// per-rid state was pruned: either way taken for a retransmitted
-		// reply, suppressed rather than handed to the client a second
-		// time. Below the floor it may instead answer a first attempt
-		// that was lost, which no retry can recover: counted apart.
+	ballots, ok := w.awaiting[rid]
+	if !ok {
+		// Answered already, or never asked: a duplicate, suppressed rather
+		// than handed to the client a second time.
 		w.cSuppressed.Inc()
-		if rid < w.floor {
-			w.cBelowFloor.Inc()
-		}
 		return wr, false
 	}
-	switch w.filter {
-	case FilterMajority:
-		ballots := w.votes[rid]
-		if ballots == nil {
-			ballots = make(map[string]orb.WireReply)
-			w.votes[rid] = ballots
+	if w.filter == FilterMajority {
+		for _, b := range ballots {
+			if b.sender == sender {
+				// A replica replies again when it answers a retransmitted
+				// request from its reply cache or replays its log on
+				// failover: a duplicate, not a second vote.
+				w.cSuppressed.Inc()
+				return wr, false
+			}
 		}
-		if _, voted := ballots[sender]; voted {
-			// A replica replies again when it answers a retransmitted
-			// request from its reply cache or replays its log on
-			// failover: a duplicate, not a second vote.
-			w.cSuppressed.Inc()
-			return wr, false
-		}
-		ballots[sender] = wr
+		ballots = append(ballots, ballot{sender: sender, reply: wr})
 		// The delivered reply carries the slowest agreeing voter's virtual
 		// time: a voting client cannot proceed before the majority is in.
 		agree := 0
 		for _, b := range ballots {
-			if bytes.Equal(b.Bytes, wr.Bytes) {
+			if bytes.Equal(b.reply.Bytes, wr.Bytes) {
 				agree++
-				if b.VTime.After(wr.VTime) {
-					wr = b
+				if b.reply.VTime.After(wr.VTime) {
+					wr = b.reply
 				}
 			}
 		}
 		if agree < w.expected/2+1 { // no majority yet
+			w.awaiting[rid] = ballots
 			return wr, false
 		}
-		w.markDelivered(rid)
-		delete(w.votes, rid)
 		w.cMajority.Inc()
-		w.cDelivered.Inc()
-		return wr, true
-	default: // FilterFirst
-		w.markDelivered(rid)
-		w.cDelivered.Inc()
-		return wr, true
 	}
-}
-
-// markDelivered records rid and advances the ordered window (w.mu held).
-// The floor only moves forward, so the total pruning work over a run is
-// linear in the number of rids — O(1) amortized per delivery, replacing
-// the previous full-map scan on every reply.
-func (w *GroupWire) markDelivered(rid uint64) {
-	w.delivered[rid] = true
-	if rid > w.highRid {
-		w.highRid = rid
-	}
-	for w.floor+deliveredWindow <= w.highRid {
-		if _, ok := w.delivered[w.floor]; ok {
-			delete(w.delivered, w.floor)
-			w.cPruned.Inc()
-		}
-		if _, ok := w.votes[w.floor]; ok {
-			delete(w.votes, w.floor)
-		}
-		w.floor++
-	}
+	delete(w.awaiting, rid)
+	w.cDelivered.Inc()
+	return wr, true
 }

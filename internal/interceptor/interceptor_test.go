@@ -122,10 +122,13 @@ func TestGroupWireSinkContract(t *testing.T) {
 		delivered++
 		// Re-enters GroupWire.Send → GroupClient.Submit: deadlocks if the
 		// up-call ran under the wire's or the group client's lock.
-		if err := w.Send(transport.CopyBuf(w.Room(), wr.Bytes), wr.VTime, wr.Ledger); err != nil {
+		if err := w.Send(mkRequest(w, 2), wr.VTime, wr.Ledger); err != nil {
 			t.Errorf("Send from inside the sink: %v", err)
 		}
 	})
+	if err := w.Send(mkRequest(w, 1), 0, vtime.Ledger{}); err != nil {
+		t.Fatal(err)
+	}
 	reply := func(rid uint64) gcs.Event {
 		return gcs.Event{Kind: gcs.EventDirect, Sender: "m", Payload: mkReply(rid, "x").Bytes}
 	}
@@ -139,8 +142,8 @@ func TestGroupWireSinkContract(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("up-call that re-enters Send did not complete")
 	}
-	if delivered != 1 || conn.sends.Load() != 1 {
-		t.Fatalf("delivered %d, submitted %d; want 1 and 1", delivered, conn.sends.Load())
+	if delivered != 1 || conn.sends.Load() != 2 {
+		t.Fatalf("delivered %d, submitted %d; want 1 and 2", delivered, conn.sends.Load())
 	}
 
 	// Concurrent closers (run with -race): Close is idempotent and every
@@ -160,8 +163,11 @@ func TestGroupWireSinkContract(t *testing.T) {
 	if delivered != 1 {
 		t.Fatal("sink invoked after Close returned")
 	}
-	if err := w.Send(transport.CopyBuf(w.Room(), []byte("req")), 0, vtime.Ledger{}); err == nil {
+	if err := w.Send(mkRequest(w, 3), 0, vtime.Ledger{}); err == nil {
 		t.Fatal("Send after Close succeeded")
+	}
+	if n := w.awaitingLen(); n != 0 {
+		t.Fatalf("%d entries after Close and a failed Send, want 0", n)
 	}
 }
 
@@ -177,7 +183,22 @@ func (c *sendCounter) Send(string, []byte, vtime.Time) error {
 func (c *sendCounter) SendMulticast([]string, []byte, vtime.Time) error { return nil }
 func (c *sendCounter) SendControl(string, []byte, vtime.Time) error     { return nil }
 
-// filterHarness exercises GroupWire's reply filter directly.
+// newFilterWire is a GroupWire's reply filter alone, awaiting rids as if
+// Send had submitted them.
+func newFilterWire(f ReplyFilter, expected int, rids ...uint64) *GroupWire {
+	w := &GroupWire{filter: f, expected: expected, awaiting: make(map[uint64][]ballot)}
+	for _, rid := range rids {
+		w.awaiting[rid] = nil
+	}
+	return w
+}
+
+func (w *GroupWire) awaitingLen() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.awaiting)
+}
+
 func mkReply(rid uint64, payload string) orb.WireReply {
 	return orb.WireReply{
 		Bytes: orb.EncodeReply(&orb.Reply{
@@ -188,13 +209,15 @@ func mkReply(rid uint64, payload string) orb.WireReply {
 	}
 }
 
+// mkRequest is the request the ORB "c" sends as rid.
+func mkRequest(w *GroupWire, rid uint64) transport.Buf {
+	return transport.CopyBuf(w.Room(), orb.EncodeRequest(&orb.Request{
+		ClientID: "c", ReqID: rid, Object: "o", Operation: "op",
+	}))
+}
+
 func TestFilterFirstDeliversOnceDropsDuplicates(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterFirst,
-		expected:  3,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
+	w := newFilterWire(FilterFirst, 3, 1, 2)
 	if _, ok := w.filterReply(mkReply(1, "a"), "ra"); !ok {
 		t.Fatal("first reply not delivered")
 	}
@@ -207,15 +230,13 @@ func TestFilterFirstDeliversOnceDropsDuplicates(t *testing.T) {
 	if _, ok := w.filterReply(mkReply(2, "a"), "ra"); !ok {
 		t.Fatal("next request's reply blocked")
 	}
+	if _, ok := w.filterReply(mkReply(3, "a"), "ra"); ok {
+		t.Fatal("reply to a request never sent delivered")
+	}
 }
 
 func TestFilterMajorityWaitsForQuorum(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterMajority,
-		expected:  3,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
+	w := newFilterWire(FilterMajority, 3, 1)
 	// Majority of 3 is 2: the first identical pair delivers.
 	if _, ok := w.filterReply(mkReply(1, "x"), "ra"); ok {
 		t.Fatal("delivered before quorum")
@@ -244,10 +265,17 @@ func TestFilterMajorityCountsEachReplicaOnce(t *testing.T) {
 	defer w.Close()
 	delivered := 0
 	w.Bind(func(orb.WireReply) { delivered++ })
+	if err := w.Send(mkRequest(w, 1), 0, vtime.Ledger{}); err != nil {
+		t.Fatal(err)
+	}
 	reply := func(sender string) gcs.Event {
 		return gcs.Event{Kind: gcs.EventDirect, Sender: sender, Payload: mkReply(1, "x").Bytes}
 	}
 	w.deliver(reply("ra"))
+	// The ORB retransmits: its entry keeps ra's vote.
+	if err := w.Send(mkRequest(w, 1), 0, vtime.Ledger{}); err != nil {
+		t.Fatal(err)
+	}
 	w.deliver(reply("ra"))
 	if delivered != 0 {
 		t.Fatal("one replica's two replies delivered as a majority of three")
@@ -262,12 +290,7 @@ func TestFilterMajorityCountsEachReplicaOnce(t *testing.T) {
 }
 
 func TestFilterMajorityOutvotesDivergentReply(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterMajority,
-		expected:  3,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
+	w := newFilterWire(FilterMajority, 3, 1)
 	// A Byzantine-style divergent reply arrives first; it never reaches
 	// quorum, the two honest identical ones do.
 	if _, ok := w.filterReply(mkReply(1, "evil"), "ra"); ok {
@@ -287,12 +310,7 @@ func TestFilterMajorityOutvotesDivergentReply(t *testing.T) {
 }
 
 func TestFilterMajorityCarriesSlowestVoterTime(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterMajority,
-		expected:  3,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
+	w := newFilterWire(FilterMajority, 3, 1)
 	r1 := mkReply(1, "x")
 	r1.VTime = vtime.Time(100)
 	r2 := mkReply(1, "x")
@@ -307,14 +325,8 @@ func TestFilterMajorityCarriesSlowestVoterTime(t *testing.T) {
 	}
 }
 
-func TestFilterExpectedRepliesAdjustable(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterMajority,
-		expected:  5,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
-	// Majority of 5 is 3.
+func TestFilterMajorityOfFiveNeedsThree(t *testing.T) {
+	w := newFilterWire(FilterMajority, 5, 1)
 	w.filterReply(mkReply(1, "x"), "ra")
 	if _, ok := w.filterReply(mkReply(1, "x"), "rb"); ok {
 		t.Fatal("2/5 delivered")
@@ -322,145 +334,155 @@ func TestFilterExpectedRepliesAdjustable(t *testing.T) {
 	if _, ok := w.filterReply(mkReply(1, "x"), "rc"); !ok {
 		t.Fatal("3/5 not delivered")
 	}
-	// The replicas knob moved down to 1: next request needs one vote.
-	w.SetExpectedReplies(1)
-	if _, ok := w.filterReply(mkReply(2, "y"), "ra"); !ok {
-		t.Fatal("1/1 not delivered")
-	}
-	// Invalid values are ignored.
-	w.SetExpectedReplies(0)
-	if _, ok := w.filterReply(mkReply(3, "z"), "ra"); !ok {
-		t.Fatal("threshold corrupted by invalid SetExpectedReplies")
-	}
 }
 
-func TestFilterPrunesOldState(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterFirst,
-		expected:  1,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
+// The wire keeps state only for the requests it waits on: answering a
+// request deletes its entry, however many requests come after it.
+func TestFilterKeepsStateOnlyForAwaitedRequests(t *testing.T) {
+	w := newFilterWire(FilterFirst, 1)
 	for rid := uint64(1); rid <= 1000; rid++ {
-		w.filterReply(mkReply(rid, "x"), "ra")
-	}
-	w.mu.Lock()
-	n := len(w.delivered)
-	w.mu.Unlock()
-	if n > 300 {
-		t.Fatalf("delivered map grew unbounded: %d entries", n)
+		w.awaiting[rid] = nil
+		if _, ok := w.filterReply(mkReply(rid, "x"), "ra"); !ok {
+			t.Fatalf("reply %d not delivered", rid)
+		}
+		if n := w.awaitingLen(); n != 0 {
+			t.Fatalf("%d entries after answering request %d, want 0", n, rid)
+		}
 	}
 }
 
-// Regression: on the seed code the delivered-rid map pruned entries older
-// than the 256-rid window, and a retransmitted reply for a pruned rid was
-// re-delivered to the client as a duplicate. The ordered window must
-// suppress anything below its floor.
-func TestFilterSuppressesRetransmissionOfPrunedRid(t *testing.T) {
+// An answered request's reply is never delivered again, whether it comes
+// right after the answer or a thousand requests later.
+func TestFilterSuppressesRetransmissionOfAnsweredRid(t *testing.T) {
 	r := trace.New()
-	w := &GroupWire{
-		filter:    FilterFirst,
-		expected:  1,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-		floor:     1,
-	}
+	w := newFilterWire(FilterFirst, 1)
 	WithGroupTrace(r)(w)
 	for rid := uint64(1); rid <= 1000; rid++ {
+		w.awaiting[rid] = nil
 		if _, ok := w.filterReply(mkReply(rid, "x"), "ra"); !ok {
 			t.Fatalf("fresh reply %d not delivered", rid)
 		}
 	}
-	// rid 1 fell out of the window long ago; a straggling retransmission
-	// must be suppressed, not re-delivered.
 	if _, ok := w.filterReply(mkReply(1, "x"), "ra"); ok {
-		t.Fatal("retransmitted reply for a pruned rid re-delivered to the client")
+		t.Fatal("a retransmitted reply for an old rid re-delivered to the client")
 	}
-	if got := r.Value(trace.SubInterceptor, "duplicates_suppressed"); got != 1 {
-		t.Fatalf("duplicates_suppressed = %d, want 1", got)
-	}
-	if got := r.Value(trace.SubInterceptor, "suppressed_below_floor"); got != 1 {
-		t.Fatalf("suppressed_below_floor = %d, want 1", got)
-	}
-	// A duplicate inside the window is suppressed, but not below the floor.
 	if _, ok := w.filterReply(mkReply(1000, "x"), "ra"); ok {
 		t.Fatal("a duplicate of the newest reply re-delivered to the client")
 	}
-	if got := r.Value(trace.SubInterceptor, "suppressed_below_floor"); got != 1 {
-		t.Fatalf("suppressed_below_floor = %d after a duplicate inside the window, want 1", got)
+	if got := r.Value(trace.SubInterceptor, "duplicates_suppressed"); got != 2 {
+		t.Fatalf("duplicates_suppressed = %d, want 2", got)
 	}
 	if got := r.Value(trace.SubInterceptor, "replies_delivered"); got != 1000 {
 		t.Fatalf("replies_delivered = %d, want 1000", got)
 	}
-	if got := r.Value(trace.SubInterceptor, "pruned_rids"); got == 0 {
-		t.Fatal("pruned_rids counter never advanced")
-	}
-	w.mu.Lock()
-	n, floor := len(w.delivered), w.floor
-	w.mu.Unlock()
-	if n > deliveredWindow {
-		t.Fatalf("delivered map grew beyond the window: %d entries", n)
-	}
-	if floor != 1000-deliveredWindow+1 {
-		t.Fatalf("floor = %d, want %d", floor, 1000-deliveredWindow+1)
-	}
 }
 
-// Majority-vote state below the window floor must be pruned too, so a
-// stale vote cannot complete a quorum for a long-finished request.
-func TestFilterMajorityPrunesStaleVotes(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterMajority,
-		expected:  3,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-		floor:     1,
-	}
-	// One lonely vote for rid 1 (never reaches quorum).
+// Votes are kept only while the request is awaited: the majority deletes
+// them with the entry, so late votes cannot complete a second quorum, and
+// Close frees the lonely votes of a request the ORB abandoned.
+func TestFilterMajorityDropsVotesOfAnsweredRequests(t *testing.T) {
+	w := newFilterWire(FilterMajority, 3, 1)
+	// One lonely vote for rid 1: the request is abandoned without quorum.
 	w.filterReply(mkReply(1, "x"), "ra")
-	// The run moves far ahead with quorum deliveries.
 	for rid := uint64(2); rid <= 600; rid++ {
+		w.awaiting[rid] = nil
 		w.filterReply(mkReply(rid, "x"), "ra")
-		w.filterReply(mkReply(rid, "x"), "rb")
+		if _, ok := w.filterReply(mkReply(rid, "x"), "rb"); !ok {
+			t.Fatalf("quorum for %d not delivered", rid)
+		}
+		// A late vote for an answered request delivers nothing.
+		if _, ok := w.filterReply(mkReply(rid, "x"), "rc"); ok {
+			t.Fatalf("late vote for %d delivered", rid)
+		}
 	}
-	w.mu.Lock()
-	_, staleVotes := w.votes[1]
-	w.mu.Unlock()
-	if staleVotes {
-		t.Fatal("vote state for rid 1 survived far behind the window")
+	if n := w.awaitingLen(); n != 1 {
+		t.Fatalf("%d entries, want 1 (the abandoned request)", n)
 	}
-	// Two late votes for rid 1 must not deliver it now.
-	if _, ok := w.filterReply(mkReply(1, "x"), "rb"); ok {
-		t.Fatal("stale quorum delivered below the floor")
+	w.gc = gcs.NewClient(&sendCounter{}, gcs.DefaultClientConfig([]string{"ra"}), w.deliver)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := w.filterReply(mkReply(1, "x"), "rc"); ok {
-		t.Fatal("stale quorum delivered below the floor")
+	if n := w.awaitingLen(); n != 0 {
+		t.Fatalf("%d entries after Close, want 0", n)
 	}
 }
 
-// The prune path must be O(1) amortized: delivering N replies does work
-// linear in N, not quadratic (the seed scanned the whole map per reply).
+// A reply the group layer re-sends late, after the ORB's other requests
+// have been answered, still answers the request waiting for it: how far
+// behind the newest answered id it falls does not matter. A late duplicate
+// of an answered request stays suppressed, and the table ends empty.
+func TestLateReplyToAnAwaitedRequestIsDelivered(t *testing.T) {
+	for _, f := range []struct {
+		name     string
+		filter   ReplyFilter
+		replicas []string
+	}{
+		{"first", FilterFirst, []string{"ra"}},
+		{"majority", FilterMajority, []string{"ra", "rb", "rc"}},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			r := trace.New()
+			gcc := gcs.DefaultClientConfig(f.replicas)
+			gcc.ResendInterval = time.Hour
+			w := NewGroupWire(&sendCounter{}, gcc, WithFilter(f.filter),
+				WithExpectedReplies(len(f.replicas)), WithGroupTrace(r))
+			defer w.Close()
+			var got []uint64
+			w.Bind(func(wr orb.WireReply) {
+				_, rid, _ := orb.PeekReplyID(wr.Bytes)
+				got = append(got, rid)
+			})
+			answer := func(rid uint64) {
+				for _, m := range f.replicas {
+					w.deliver(gcs.Event{Kind: gcs.EventDirect, Sender: m, Payload: mkReply(rid, "x").Bytes})
+				}
+			}
+			const n = 300
+			for rid := uint64(1); rid <= n; rid++ {
+				if err := w.Send(mkRequest(w, rid), 0, vtime.Ledger{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for rid := uint64(2); rid <= n; rid++ {
+				answer(rid)
+			}
+			if len(got) != n-1 {
+				t.Fatalf("%d replies delivered, want %d", len(got), n-1)
+			}
+			answer(1) // the oldest request's reply, re-sent late
+			if len(got) != n || got[n-1] != 1 {
+				t.Fatalf("late reply to awaited request 1 not delivered (delivered %d)", len(got))
+			}
+			answer(1) // and once more: now a duplicate
+			answer(n)
+			if len(got) != n {
+				t.Fatalf("%d replies delivered, want %d: a duplicate went up", len(got), n)
+			}
+			if m := w.awaitingLen(); m != 0 {
+				t.Fatalf("%d entries left, want 0", m)
+			}
+		})
+	}
+}
+
+// Answering a request deletes its entry, so the table stays as large as
+// the requests in flight and first-response delivery allocates nothing.
 func BenchmarkFilterFirstDelivery(b *testing.B) {
-	w := &GroupWire{
-		filter:    FilterFirst,
-		expected:  1,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-		floor:     1,
+	w := newFilterWire(FilterFirst, 1)
+	replies := make([]orb.WireReply, 64)
+	for i := range replies {
+		replies[i] = mkReply(uint64(i+1), "x")
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.filterReply(mkReply(uint64(i+1), "x"), "ra")
+		wr := replies[i%len(replies)]
+		w.awaiting[uint64(i%len(replies)+1)] = nil
+		w.filterReply(wr, "ra")
 	}
 }
 
 func TestFilterRejectsGarbage(t *testing.T) {
-	w := &GroupWire{
-		filter:    FilterFirst,
-		expected:  1,
-		delivered: make(map[uint64]bool),
-		votes:     make(map[uint64]map[string]orb.WireReply),
-	}
+	w := newFilterWire(FilterFirst, 1)
 	if _, ok := w.filterReply(orb.WireReply{Bytes: []byte("not viop")}, "ra"); ok {
 		t.Fatal("garbage delivered")
 	}

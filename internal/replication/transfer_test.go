@@ -351,3 +351,51 @@ func TestJoinerRaisesOneCompletionPerTransfer(t *testing.T) {
 		}
 	}
 }
+
+// TestDemotedLeaderResumesAtTheJoinersToken pins the resume token: a leader
+// demoted mid-transfer keeps its bookmark, and the joiner's one request of
+// the next view resumes the transfer where its acks left off. rb streams to
+// the joiner ra; the next view admits rc, in which ra is no joiner any more
+// and ranks first, so rb is demoted and drops its cursor. ra, still
+// unsynced, asks rb with its token, and rb sends on from chunk 2.
+func TestDemotedLeaderResumesAtTheJoinersToken(t *testing.T) {
+	rec := trace.New()
+	rb, p := portEngine(t, "rb", Config{Style: WarmPassive, State: &memState{state: make([]byte, 64<<10)}, Trace: rec})
+	rb.step(viewEvent(1, "rb"))
+	rb.step(viewEvent(2, "ra", "rb"))
+	x := rb.xfers["ra"]
+	if x == nil || len(p.take(KindStateChunk)) == 0 {
+		t.Fatal("rb streams no transfer to the joiner ra")
+	}
+	serial := x.serial
+	bm := rb.findBookmark(serial)
+	rb.step(directEvent("ra", &Msg{Kind: KindChunkAck, CkptSerial: serial, ChunkIndex: 2}))
+	p.take(KindStateChunk)
+
+	rb.step(viewEvent(3, "ra", "rb", "rc"))
+	if rb.xfers["ra"] != nil {
+		t.Fatal("the demoted rb kept its cursor")
+	}
+	if got := rec.Value(trace.SubReplication, "transfer_aborts"); got != 1 {
+		t.Fatalf("transfer_aborts = %d, want 1 (the demotion)", got)
+	}
+
+	rb.step(directEvent("ra", &Msg{Kind: KindResumeReq, CkptSerial: serial, ChunkIndex: 2}))
+	sent := p.take(KindStateChunk)
+	if len(sent) == 0 {
+		t.Fatal("rb did not resume the transfer")
+	}
+	for _, s := range sent {
+		if s.to != "ra" || s.msg.CkptSerial != serial || s.msg.ChunkIndex < 2 {
+			t.Errorf("resumed transfer sent chunk %d of serial %d to %s, want chunks from 2 of %d to ra",
+				s.msg.ChunkIndex, s.msg.CkptSerial, s.to, serial)
+		}
+	}
+	if got := rec.Value(trace.SubReplication, "transfer_resumes"); got != 1 {
+		t.Errorf("transfer_resumes = %d, want 1", got)
+	}
+	want := int64(len(bm.chunks[0]) + len(bm.chunks[1]))
+	if got := rec.Value(trace.SubReplication, "transfer_bytes_resumed"); got != want {
+		t.Errorf("transfer_bytes_resumed = %d, want %d (the two acked chunks)", got, want)
+	}
+}

@@ -392,10 +392,13 @@ func TestAutonomicAvailabilityLoop(t *testing.T) {
 		t.Fatalf("counter = %d; requests lost during adaptation?", total)
 	}
 
-	// The decision log is visible over the /policy introspection endpoint.
-	// One more step first: /policy shows the signals of the last step, and
-	// the step that ended the loop above may have sampled the old view an
-	// instant before the primary installed the new one.
+	// The decision log is visible over the /policy introspection endpoint,
+	// which shows the signals of the last step. The controller samples the
+	// primary's engine, whose view lags the member's that ended the loop
+	// above: step once the engine has installed the 2-member view too.
+	c.await(t, 5*time.Second, func(recs map[string]replication.Stats) bool {
+		return recs[primary.Addr()].Members == 2
+	})
 	ctrl.Step()
 	resp, err := http.Get("http://" + srv.Addr() + "/policy")
 	if err != nil {

@@ -2,6 +2,9 @@ package replicator_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +12,7 @@ import (
 	"versadep/internal/replication"
 	"versadep/internal/replicator"
 	"versadep/internal/simnet"
+	"versadep/internal/trace"
 	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
@@ -220,5 +224,55 @@ func TestRuntimeCheckpointFrequencyKnob(t *testing.T) {
 	}
 	if got := c.nodes[0].Engine().StatsSnapshot().CheckpointEvery; got != 2 {
 		t.Fatalf("invalid retune applied: %d", got)
+	}
+}
+
+// A reply frame the client loses is re-sent by the member's outbox. With
+// several requests in flight, the other callers' requests are answered
+// meanwhile, and the re-sent reply arrives far behind the newest one: it
+// must still answer the invocation waiting for it. Were it taken for a
+// duplicate, the ORB would retransmit, and a replica whose reply cache has
+// moved on could not answer the retry, so the invocation would fail.
+func TestReplyResentByTheOutboxReachesTheCaller(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(229))
+	defer net.Close()
+	c := startCluster(t, net, 1, replication.Active, 0, nil)
+	rec := trace.New()
+	cl := startTestClient(t, net, "client", c.members(), func(cfg *replicator.ClientConfig) {
+		cfg.Timeout = 150 * time.Millisecond
+		cfg.Retries = 2
+		cfg.Trace = rec
+	})
+	net.SetLink("ra", "client", transport.Rule{Drop: 0.05})
+
+	const callers, calls = 8, 400
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < callers; k++ {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			var vt vtime.Time
+			for i := 1; i <= calls; i++ {
+				out, err := cl.Invoke("Counter", "add", []interface{}{key, 1}, vt)
+				if err != nil {
+					failed.Add(1)
+					t.Errorf("%s: invoke %d: %v", key, i, err)
+					continue
+				}
+				vt = out.DoneVT
+			}
+		}(fmt.Sprintf("k%d", k))
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d invocations failed (orb.retransmits %d, intercept.duplicates_suppressed %d)",
+			n, callers*calls, rec.Value(trace.SubORB, "retransmits"),
+			rec.Value(trace.SubInterceptor, "duplicates_suppressed"))
+	}
+	for k := 0; k < callers; k++ {
+		if got := c.apps[0].value(fmt.Sprintf("k%d", k)); got != calls {
+			t.Fatalf("k%d = %d, want %d: an add ran twice or never", k, got, calls)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 # (-coverpkg=./...) is taken on two sides:
 #   tier-1  go test ./...
 #   CLI     the vdbench experiments CI runs (-exp all; -exp chaos -seed 7
-#           -chaos-runs 20; -exp slo; -exp shardscale), every example, a
+#           -chaos-runs 20; -exp slo; -exp shardscale), each writing its
+#           perf-trajectory points with -bench-json as CI does, every example, a
 #           default vdsim, a vdsim adapting under all four policy rules, a
 #           vdsim firing every scripted event and a two-shard vdsim, each
 #           built with -cover and run under GOCOVERDIR
@@ -32,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-mkdir -p "$tmp/bin" "$tmp/test" "$tmp/cli" "$tmp/meta"
+mkdir -p "$tmp/bin" "$tmp/test" "$tmp/cli" "$tmp/meta" "$tmp/bench"
 
 echo "reach: tier-1 (go test ./...)" >&2
 go test -count=1 -cover -coverpkg=./... ./... -args -test.gocoverdir="$tmp/test" >"$tmp/test.log" 2>&1 ||
@@ -46,10 +47,10 @@ run() {
 	(cd "$tmp" && GOCOVERDIR="$tmp/cli" "$tmp/bin/$1" "${@:2}") >>"$tmp/cli.log" 2>&1 ||
 		echo "reach: $* exited non-zero; its coverage still counts" >&2
 }
-run vdbench -exp all
-run vdbench -exp chaos -seed 7 -chaos-runs 20
-run vdbench -exp slo
-run vdbench -exp shardscale
+run vdbench -exp all -bench-json "$tmp/bench"
+run vdbench -exp chaos -seed 7 -chaos-runs 20 -bench-json "$tmp/bench"
+run vdbench -exp slo -bench-json "$tmp/bench"
+run vdbench -exp shardscale -bench-json "$tmp/bench"
 run vdsim
 run vdsim -style warm-passive -requests 300 -adapt rate=600:200,avail=0.995:5,bwcap=3:2,burn=2:0.25:3 -slo 'p99<10ms,avail>0.999:25ms'
 run vdsim -style warm-passive -requests 300 -switch-to active -switch-at 60 -crash-primary-at 120 -grow-at 180 -retire-at 240 -chaos drop=0.05,dup=0.05:7 -chaos-for 300ms
